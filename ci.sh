@@ -70,4 +70,13 @@ echo "==> scale tier: scale_fleet --smoke emits schema-valid BENCH_scale.json"
 echo "==> fleet soak: 1k connections, oracle armed, zero violations"
 cargo test -q --release -p progmp-conformance --test fleet_soak -- --ignored
 
+# benchmark/ is a workspace of its own, so nothing above builds it: an
+# API change under crates/ or src/ that breaks it would otherwise only
+# show when the benchmark is next run.
+echo "==> repo benchmark: builds against this tree, unit tests pass"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> repo benchmark: every workload at smoke size, all checks pass"
+benchmark/run.sh --smoke | tail -n 1
+
 echo "CI green"

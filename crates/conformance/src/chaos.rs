@@ -192,7 +192,7 @@ pub fn run_backend(case: &ChaosCase, backend: Backend, inject_bug: bool) -> Back
             .map(|v| v.to_string())
             .collect(),
         completed: c.all_acked(),
-        stall_expected: !c.all_acked() && rq_stranded && !c.pops_rq,
+        stall_expected: !c.all_acked() && rq_stranded && !c.pops_rq(),
     }
 }
 

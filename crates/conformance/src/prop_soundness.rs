@@ -98,17 +98,12 @@ impl PropSweepReport {
 fn observe(program: &SchedulerProgram, backend: Backend, env: &MockEnv) -> Option<PropObservation> {
     let pre_q_nonempty = !env.queue(QueueKind::SendQueue).is_empty();
     let pre_subflows_nonempty = !env.subflows().is_empty();
-    // Mirror the work-conservation analysis' availability precondition
-    // (and the simulator engine's pre-round sampling): not TSQ-throttled,
-    // not lossy, congestion window above in-flight + queued (wrapping,
-    // as the DSL's ADD evaluates).
-    let pre_avail_subflow = env.subflows().iter().any(|&s| {
-        let prop = |p| env.subflow_prop(s, p);
-        prop(SubflowProp::TsqThrottled) == 0
-            && prop(SubflowProp::Lossy) == 0
-            && prop(SubflowProp::Cwnd)
-                > prop(SubflowProp::SkbsInFlight).wrapping_add(prop(SubflowProp::Queued))
-    });
+    // The work-conservation analysis' availability precondition, sampled
+    // pre-round as the simulator engine samples it.
+    let pre_avail_subflow = env
+        .subflows()
+        .iter()
+        .any(|&s| progmp_core::subflow_available(env, s));
     let n_subflows = env.subflows().len() as u64;
     let mut ctx = ExecCtx::new(env, program.certified_step_bound());
     let mut instance = program.instantiate(backend);

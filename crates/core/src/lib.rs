@@ -80,5 +80,6 @@ pub use program::{
 };
 pub use types::Type;
 pub use verify::{
-    Diagnostic, IdSet, Lint, PropStatus, PropertyCertificate, Severity, Verdict, VerifyConfig,
+    subflow_available, Diagnostic, IdSet, Lint, PropStatus, PropertyCertificate, Severity, Verdict,
+    VerifyConfig,
 };

@@ -7,9 +7,10 @@
 //! per-program step bound instances run under;
 //! [`SchedulerProgram::instantiate`] creates a per-connection
 //! [`SchedulerInstance`] bound to one of the three execution backends.
-//! Programs are immutable and cheaply shared between instances through
-//! [`std::sync::Arc`], matching the paper's model where loaded schedulers
-//! are reused by many connections (§4.3, "Number of Schedulers").
+//! A [`SchedulerProgram`] is an immutable, reference-counted handle:
+//! cloning it and instantiating from it copy nothing, matching the
+//! paper's model where one loaded scheduler is reused by many
+//! connections (§4.3, "Number of Schedulers").
 
 use crate::aot;
 use crate::bytecode::{BytecodeProgram, DebugTable};
@@ -24,7 +25,7 @@ use crate::regalloc;
 use crate::sema;
 use crate::vm;
 use crate::{codegen, env::QueueKind};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The execution backend for a scheduler instance (paper §4.1 Fig. 6:
 /// interpreter, ahead-of-time compiler, eBPF JIT).
@@ -55,9 +56,17 @@ impl Backend {
     }
 }
 
-/// A compiled, verified scheduler specification.
+/// A compiled, verified scheduler specification: a cheap handle to the
+/// immutable compilation result. `Clone` is a reference-count bump, so
+/// one loaded program is shared by every instance created from it.
 #[derive(Debug, Clone)]
 pub struct SchedulerProgram {
+    inner: Arc<Compiled>,
+}
+
+/// What one run of the compile pipeline produced.
+#[derive(Debug)]
+struct Compiled {
     name: Option<String>,
     source: String,
     hir: HProgram,
@@ -65,9 +74,13 @@ pub struct SchedulerProgram {
     debug: DebugTable,
     optimizer_rewrites: usize,
     opt_report: Option<crate::opt::OptReport>,
+    verify_cfg: crate::verify::VerifyConfig,
     verdict: crate::verify::Verdict,
     vm_verdict: crate::verify::vm::BytecodeVerdict,
     props: crate::verify::props::PropertyCertificate,
+    /// Answer of [`SchedulerProgram::pops_reinjection_queue`], found on
+    /// first use.
+    pops_rq: OnceLock<bool>,
 }
 
 /// Compiles scheduler source text.
@@ -195,7 +208,7 @@ pub fn compile_with_options(
             &debug,
             &hir,
             verdict.certified_step_bound,
-            &crate::verify::VerifyConfig::default(),
+            &verify_cfg,
             &crate::opt::OptOptions {
                 strict: options.strict_optimize,
                 sabotage: options.opt_sabotage,
@@ -216,7 +229,7 @@ pub fn compile_with_options(
         &debug,
         &hir,
         verdict.certified_step_bound,
-        &crate::verify::VerifyConfig::default(),
+        &verify_cfg,
     );
     if options.enforce_admission && !vm_verdict.admitted() {
         let first = vm_verdict
@@ -231,105 +244,113 @@ pub fn compile_with_options(
         });
     }
     Ok(SchedulerProgram {
-        name: name.map(str::to_owned),
-        source: source.to_owned(),
-        hir,
-        bytecode,
-        debug,
-        optimizer_rewrites,
-        opt_report,
-        verdict,
-        vm_verdict,
-        props,
+        inner: Arc::new(Compiled {
+            name: name.map(str::to_owned),
+            source: source.to_owned(),
+            hir,
+            bytecode,
+            debug,
+            optimizer_rewrites,
+            opt_report,
+            verify_cfg,
+            verdict,
+            vm_verdict,
+            props,
+            pops_rq: OnceLock::new(),
+        }),
     })
 }
 
 impl SchedulerProgram {
     /// The scheduler's registered name, if any.
     pub fn name(&self) -> Option<&str> {
-        self.name.as_deref()
+        self.inner.name.as_deref()
     }
 
     /// The original source text.
     pub fn source(&self) -> &str {
-        &self.source
+        &self.inner.source
+    }
+
+    /// Whether `self` and `other` are handles to the same compilation
+    /// result (not merely equal programs).
+    pub fn ptr_eq(&self, other: &SchedulerProgram) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Number of rewrites the HIR optimizer applied.
     pub fn optimizer_rewrites(&self) -> usize {
-        self.optimizer_rewrites
+        self.inner.optimizer_rewrites
     }
 
     /// What the verified bytecode optimizer did, when it ran
     /// ([`CompileOptions::optimize_bytecode`]); `None` otherwise.
     pub fn opt_report(&self) -> Option<&crate::opt::OptReport> {
-        self.opt_report.as_ref()
+        self.inner.opt_report.as_ref()
     }
 
     /// The admission verifier's verdict for this program (always computed,
     /// even in observe mode).
     pub fn verdict(&self) -> &crate::verify::Verdict {
-        &self.verdict
+        &self.inner.verdict
     }
 
     /// The certified worst-case step bound: new instances use this as
     /// their per-execution budget instead of a blanket default.
     pub fn certified_step_bound(&self) -> u64 {
-        self.verdict.certified_step_bound
+        self.inner.verdict.certified_step_bound
     }
 
     /// The semantic property certificate (work-conservation, starvation,
     /// redundancy bound, reinjection safety); always computed, never
     /// gates admission. See [`crate::verify::props`].
     pub fn property_certificate(&self) -> &crate::verify::props::PropertyCertificate {
-        &self.props
+        &self.inner.props
     }
 
     /// Bytecode disassembly (the proc-style debug listing of §4.1).
     pub fn disassemble(&self) -> String {
-        self.bytecode.disassemble()
+        self.inner.bytecode.disassemble()
     }
 
     /// The generated bytecode image the VM backend executes.
     pub fn bytecode(&self) -> &BytecodeProgram {
-        &self.bytecode
+        &self.inner.bytecode
     }
 
     /// The instruction → source-span debug side table emitted by codegen.
     pub fn debug_table(&self) -> &DebugTable {
-        &self.debug
+        &self.inner.debug
     }
 
     /// The bytecode verifier's verdict for the generated image (always
     /// computed, even in observe mode; see [`crate::verify::vm`]).
     pub fn bytecode_verdict(&self) -> &crate::verify::vm::BytecodeVerdict {
-        &self.vm_verdict
+        &self.inner.vm_verdict
     }
 
     /// Human-readable bytecode verification report: annotated listing
     /// (spans + abstract register states) plus the verdict, as surfaced
     /// by `progmp-lint --bytecode`.
     pub fn bytecode_report(&self) -> String {
-        let name = self.name.as_deref().unwrap_or("<program>");
-        format!(
-            "{}{}",
-            self.vm_verdict.render_human(name),
-            self.vm_verdict.annotated
-        )
+        let name = self.name().unwrap_or("<program>");
+        let verdict = &self.inner.vm_verdict;
+        format!("{}{}", verdict.render_human(name), verdict.annotated)
     }
 
     /// Re-runs translation validation of an alternate bytecode `image`
-    /// against this program's HIR admission certificate. Used by the
-    /// conformance harness to prove that seeded codegen/regalloc
-    /// miscompiles are caught statically; the image must be span-aligned
-    /// with this program's debug table (in-place mutations only).
+    /// against this program's HIR admission certificate, under the caps
+    /// the program was compiled with. Used by the conformance harness to
+    /// prove that seeded codegen/regalloc miscompiles are caught
+    /// statically; the image must be span-aligned with this program's
+    /// debug table (in-place mutations only).
     pub fn validate_bytecode(&self, image: &BytecodeProgram) -> crate::verify::vm::BytecodeVerdict {
         crate::verify::vm::validate_translation(
             image,
-            &self.debug,
-            &self.hir,
-            self.verdict.certified_step_bound,
-            &crate::verify::VerifyConfig::default(),
+            &self.inner.debug,
+            &self.inner.hir,
+            self.inner.verdict.certified_step_bound,
+            &self.inner.verify_cfg,
         )
     }
 
@@ -337,29 +358,35 @@ impl SchedulerProgram {
     /// queues, registers, effects) — the multi-tenancy admission check;
     /// see [`crate::analysis`].
     pub fn analyze(&self) -> crate::analysis::Analysis {
-        crate::analysis::analyze(&self.hir)
+        crate::analysis::analyze(&self.inner.hir)
+    }
+
+    /// Whether the program can pop the reinjection queue `RQ`. A program
+    /// that cannot (the paper's Fig. 3 minimal example) can never recover
+    /// a reinjected segment, which a liveness check must not hold against
+    /// it. Worked out from [`SchedulerProgram::analyze`] on first use and
+    /// then shared by every handle, so binding a loaded program to many
+    /// connections walks the HIR once.
+    pub fn pops_reinjection_queue(&self) -> bool {
+        *self
+            .inner
+            .pops_rq
+            .get_or_init(|| self.analyze().queues_popped.contains("RQ"))
     }
 
     /// Approximate resident size of the loaded program in bytes
     /// (for the §4.3 memory-overhead table).
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.source.len()
-            + self.hir.size_bytes()
-            + self.bytecode.size_bytes()
+        std::mem::size_of::<Compiled>()
+            + self.inner.source.len()
+            + self.inner.hir.size_bytes()
+            + self.inner.bytecode.size_bytes()
     }
 
-    /// Creates a per-connection instance running on `backend`.
+    /// Creates a per-connection instance running on `backend`. The
+    /// instance shares this program; nothing is copied.
     pub fn instantiate(&self, backend: Backend) -> SchedulerInstance {
-        SchedulerInstance::new(Arc::new(self.clone()), backend)
-    }
-
-    /// Creates an instance from an already shared program.
-    pub fn instantiate_shared(
-        program: Arc<SchedulerProgram>,
-        backend: Backend,
-    ) -> SchedulerInstance {
-        SchedulerInstance::new(program, backend)
+        SchedulerInstance::new(self.clone(), backend)
     }
 }
 
@@ -392,7 +419,7 @@ pub struct InstanceStats {
 /// A per-connection scheduler instance: a shared program plus the
 /// backend-specific execution state.
 pub struct SchedulerInstance {
-    program: Arc<SchedulerProgram>,
+    program: SchedulerProgram,
     backend: Backend,
     state: BackendState,
     budget: u64,
@@ -411,11 +438,11 @@ impl std::fmt::Debug for SchedulerInstance {
 }
 
 impl SchedulerInstance {
-    fn new(program: Arc<SchedulerProgram>, backend: Backend) -> Self {
+    fn new(program: SchedulerProgram, backend: Backend) -> Self {
         let state = match backend {
             Backend::Interpreter => BackendState::Interpreter,
             Backend::Aot => BackendState::Aot(
-                aot::compile(&program.hir).expect("verified programs AOT-compile"),
+                aot::compile(&program.inner.hir).expect("verified programs AOT-compile"),
             ),
             Backend::Vm => BackendState::Vm { specialized: None },
         };
@@ -501,7 +528,7 @@ impl SchedulerInstance {
     /// respecialization bookkeeping.
     pub fn execute_raw(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), ExecError> {
         match &mut self.state {
-            BackendState::Interpreter => interp::execute(&self.program.hir, ctx)?,
+            BackendState::Interpreter => interp::execute(&self.program.inner.hir, ctx)?,
             BackendState::Aot(compiled) => compiled.execute(ctx)?,
             BackendState::Vm { specialized } => {
                 if self.specialize {
@@ -509,7 +536,7 @@ impl SchedulerInstance {
                     let needs_respec = !matches!(specialized, Some((k, _)) if *k == n);
                     if needs_respec {
                         *specialized =
-                            Some((n, vm::specialize_subflow_count(&self.program.bytecode, n)));
+                            Some((n, vm::specialize_subflow_count(self.program.bytecode(), n)));
                         self.stats.respecializations += 1;
                     }
                     let image = match specialized {
@@ -518,7 +545,7 @@ impl SchedulerInstance {
                     };
                     vm::execute(image, ctx)?;
                 } else {
-                    vm::execute(&self.program.bytecode, ctx)?;
+                    vm::execute(self.program.bytecode(), ctx)?;
                 }
             }
         }
@@ -536,7 +563,7 @@ impl SchedulerInstance {
         }
         let mut counts = Vec::new();
         let mut ctx = ExecCtx::new(env, self.budget);
-        vm::execute_profiled(&self.program.bytecode, &mut ctx, &mut counts).ok()?;
+        vm::execute_profiled(self.program.bytecode(), &mut ctx, &mut counts).ok()?;
         let (regs, actions, _) = ctx.finish();
         env.apply(&regs, &actions);
         let mut out = String::new();
@@ -661,14 +688,45 @@ mod tests {
     }
 
     #[test]
-    fn program_is_shareable_across_instances() {
-        let prog = Arc::new(compile(MIN_RTT).unwrap());
-        let mut a = SchedulerProgram::instantiate_shared(Arc::clone(&prog), Backend::Vm);
-        let mut b = SchedulerProgram::instantiate_shared(Arc::clone(&prog), Backend::Interpreter);
+    fn instances_share_the_program_without_copying_it() {
+        let prog = compile(MIN_RTT).unwrap();
+        let mut a = prog.instantiate(Backend::Vm);
+        let mut b = prog.clone().instantiate(Backend::Interpreter);
+        assert!(a.program().ptr_eq(&prog) && b.program().ptr_eq(&prog));
+        assert!(
+            !prog.ptr_eq(&compile(MIN_RTT).unwrap()),
+            "a second compile is a second program"
+        );
         let mut env = env_with_packets(2);
         a.execute(&mut env).unwrap();
         b.execute(&mut env).unwrap();
         assert_eq!(env.transmissions.len(), 2);
+    }
+
+    #[test]
+    fn reinjection_queue_capability_is_a_static_fact() {
+        assert!(!compile(MIN_RTT).unwrap().pops_reinjection_queue());
+        let rq = compile("IF (!RQ.EMPTY) { SUBFLOWS.MIN(s => s.RTT).PUSH(RQ.POP()); }").unwrap();
+        assert!(rq.pops_reinjection_queue());
+        assert!(
+            rq.clone().pops_reinjection_queue(),
+            "shared by every handle"
+        );
+    }
+
+    #[test]
+    fn bytecode_revalidation_uses_the_compile_time_caps() {
+        let prog = compile_with_options(
+            None,
+            MIN_RTT,
+            CompileOptions {
+                relational_domain: false,
+                ..CompileOptions::default()
+            },
+        )
+        .unwrap();
+        assert!(!prog.inner.verify_cfg.relational_domain);
+        assert!(prog.validate_bytecode(prog.bytecode()).admitted());
     }
 
     #[test]

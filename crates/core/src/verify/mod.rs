@@ -26,7 +26,7 @@ pub mod vm;
 
 pub use diag::{Diagnostic, Lint, Severity, Verdict};
 pub use domain::IdSet;
-pub use props::{verify_properties, PropStatus, PropertyCertificate};
+pub use props::{subflow_available, verify_properties, PropStatus, PropertyCertificate};
 
 use crate::hir::HProgram;
 

@@ -14,9 +14,10 @@
 //!    with congestion-window room above its in-flight bytes), every
 //!    execution path reaches a `PUSH` whose operands are provably
 //!    non-`NULL`. Proofs are sound (and dynamically validated by the
-//!    conformance sweep, which samples the same availability predicate
-//!    pre-round); refutations carry a best-effort witness path and may be
-//!    abstractly feasible but concretely dead.
+//!    conformance sweep and the simulator's oracle, which sample the same
+//!    availability predicate, [`subflow_available`], pre-round);
+//!    refutations carry a best-effort witness path and may be abstractly
+//!    feasible but concretely dead.
 //! 2. **Per-subflow starvation** — the set of subflow identities that can
 //!    ever be the target of a `PUSH`, derived from guard satisfiability
 //!    of `FILTER` predicates over the [`IdSet`] domain. When some id
@@ -47,7 +48,7 @@
 //! [`PropWeakening`]-sabotaged analyses as the mutation control group.
 
 use crate::ast::{BinOp, UnOp};
-use crate::env::{QueueKind, SubflowProp};
+use crate::env::{QueueKind, SchedulerEnv, SubflowId, SubflowProp};
 use crate::error::Pos;
 use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId};
 use crate::types::Type;
@@ -495,6 +496,20 @@ impl PropWeakening {
             PropWeakening::OctagonDropRelations => "octagon-drop-relations",
         }
     }
+}
+
+/// Whether `subflow` is *available* in `env`, in the sense the
+/// work-conservation proof assumes: `!TSQ_THROTTLED AND !LOSSY AND
+/// CWND > SKBS_IN_FLIGHT + QUEUED`, the sum wrapping as the DSL's `ADD`
+/// does. Everything that checks a run against a work-conservation
+/// certificate, or blames a scheduler for not sending, must sample this
+/// and no other reading of "available".
+pub fn subflow_available(env: &dyn SchedulerEnv, subflow: SubflowId) -> bool {
+    let prop = |p| env.subflow_prop(subflow, p);
+    prop(SubflowProp::TsqThrottled) == 0
+        && prop(SubflowProp::Lossy) == 0
+        && prop(SubflowProp::Cwnd)
+            > prop(SubflowProp::SkbsInFlight).wrapping_add(prop(SubflowProp::Queued))
 }
 
 /// Derives the property certificate for `prog` (production entry point).
@@ -1825,6 +1840,42 @@ mod tests {
         assert_eq!(b.render(), "max(2, n_subflows)");
         assert_eq!(b.eval(1), 2);
         assert_eq!(b.eval(5), 5);
+    }
+
+    #[test]
+    fn availability_is_the_filter_the_paper_schedulers_write() {
+        // The concrete predicate and the DSL conjunction the proof
+        // pattern-matches must agree on every subflow, including the
+        // wrapping sum.
+        const AVAIL_COUNT: &str = "SET(R1, SUBFLOWS.FILTER(sbf => !sbf.TSQ_THROTTLED
+            AND !sbf.LOSSY AND sbf.CWND > sbf.SKBS_IN_FLIGHT + sbf.QUEUED).COUNT);";
+        use crate::env::RegId;
+        use SubflowProp::{Cwnd, Lossy, Queued, SkbsInFlight, TsqThrottled};
+        let mut env = crate::testenv::MockEnv::new();
+        let cases: [&[(SubflowProp, i64)]; 6] = [
+            &[(Cwnd, 10), (SkbsInFlight, 4), (Queued, 5)],
+            &[(Cwnd, 10), (SkbsInFlight, 5), (Queued, 5)],
+            &[(Cwnd, 10), (TsqThrottled, 1)],
+            &[(Cwnd, 10), (Lossy, 1)],
+            &[(Cwnd, 0)],
+            &[(Cwnd, 10), (SkbsInFlight, i64::MAX), (Queued, 1)],
+        ];
+        for (id, props) in cases.iter().enumerate() {
+            env.add_subflow(id as u32);
+            for &(prop, value) in *props {
+                env.set_subflow_prop(id as u32, prop, value);
+            }
+        }
+        let available: Vec<bool> = (0..cases.len() as u32)
+            .map(|id| subflow_available(&env, SubflowId(id)))
+            .collect();
+        assert_eq!(available, [true, false, false, false, false, true]);
+        let prog = crate::program::compile(AVAIL_COUNT).unwrap();
+        prog.instantiate(crate::program::Backend::Interpreter)
+            .execute(&mut env)
+            .unwrap();
+        let counted = available.iter().filter(|a| **a).count() as i64;
+        assert_eq!(env.register(RegId::R1), counted);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::native::NativeScheduler;
 use crate::path::PathConfig;
 use crate::receiver::ReceiverMode;
 use crate::time::SimTime;
-use progmp_core::Backend;
+use progmp_core::{Backend, SchedulerProgram};
 
 /// Configuration of one subflow of a connection.
 #[derive(Debug, Clone)]
@@ -52,10 +52,21 @@ impl SubflowConfig {
 
 /// Which scheduler a connection runs.
 pub enum SchedulerSpec {
-    /// A ProgMP program compiled from source and run on `backend`.
+    /// ProgMP source text, run on `backend`. The [`crate::Sim`] compiles
+    /// each distinct source once (default [`progmp_core::CompileOptions`])
+    /// and binds the shared program to every connection that names it.
     Dsl {
         /// Scheduler source text.
         source: String,
+        /// Execution backend.
+        backend: Backend,
+    },
+    /// An already loaded program, bound without compiling anything — the
+    /// paper's load-once / `set_scheduler`-per-connection model. Also the
+    /// way in for programs built with non-default compile options.
+    Program {
+        /// The loaded program (a cheap handle; clone it per connection).
+        program: SchedulerProgram,
         /// Execution backend.
         backend: Backend,
     },
@@ -70,6 +81,12 @@ impl std::fmt::Debug for SchedulerSpec {
             SchedulerSpec::Dsl { backend, .. } => {
                 write!(f, "SchedulerSpec::Dsl({})", backend.name())
             }
+            SchedulerSpec::Program { program, backend } => write!(
+                f,
+                "SchedulerSpec::Program({}, {})",
+                program.name().unwrap_or("<program>"),
+                backend.name()
+            ),
             SchedulerSpec::Native(n) => write!(f, "SchedulerSpec::Native({})", n.name()),
         }
     }
@@ -88,6 +105,14 @@ impl SchedulerSpec {
     pub fn dsl_on(source: impl Into<String>, backend: Backend) -> Self {
         SchedulerSpec::Dsl {
             source: source.into(),
+            backend,
+        }
+    }
+
+    /// Binds the loaded `program`, run on `backend`.
+    pub fn program(program: &SchedulerProgram, backend: Backend) -> Self {
+        SchedulerSpec::Program {
+            program: program.clone(),
             backend,
         }
     }

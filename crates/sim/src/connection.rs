@@ -13,7 +13,7 @@ use progmp_core::env::{
     NUM_REGISTERS,
 };
 use progmp_core::exec::ExecCtx;
-use progmp_core::{ExecError, SchedulerInstance};
+use progmp_core::{ExecError, PropertyCertificate, SchedulerInstance};
 
 /// The scheduler bound to a connection: a compiled ProgMP program or a
 /// native Rust scheduler.
@@ -33,6 +33,64 @@ impl SchedulerHandle {
             // effects. Route through the backend-agnostic raw API.
             SchedulerHandle::Dsl(inst) => inst.execute_raw(ctx),
             SchedulerHandle::Native(n) => n.schedule(ctx),
+        }
+    }
+}
+
+/// A scheduler as installed on a connection: the instance together with
+/// what must always describe *that* instance — the property certificate
+/// the oracle arms, whether the liveness check may expect it to drain
+/// `RQ`, and the step budget it runs under. Every install path
+/// (connection creation, quarantine and re-admission,
+/// `ProgMp::set_scheduler`) builds one with [`Installed::new`] and swaps
+/// it in whole with [`Connection::install`].
+pub struct Installed {
+    /// The scheduler instance.
+    pub handle: SchedulerHandle,
+    /// Stands in for the program's own certificate when set (the
+    /// [`crate::ConnectionConfig::cert_override`] testing hook). Boxed:
+    /// the engine moves the whole `Installed` out and back around every
+    /// execution, and a certificate is large and almost never there.
+    pub cert_override: Option<Box<PropertyCertificate>>,
+    /// Per-execution step budget.
+    pub step_budget: u64,
+}
+
+impl Installed {
+    /// A DSL instance runs under its program's certified step bound;
+    /// native schedulers are opaque, so they get the blanket budget.
+    pub fn new(handle: SchedulerHandle) -> Self {
+        let step_budget = match &handle {
+            SchedulerHandle::Dsl(inst) => inst.program().certified_step_bound(),
+            SchedulerHandle::Native(_) => progmp_core::DEFAULT_STEP_BUDGET,
+        };
+        Installed {
+            handle,
+            cert_override: None,
+            step_budget,
+        }
+    }
+
+    /// The property certificate the oracle checks every execution
+    /// against: the override when set, else the (shared) program's own;
+    /// native schedulers have none.
+    pub fn cert(&self) -> Option<&PropertyCertificate> {
+        match (&self.cert_override, &self.handle) {
+            (Some(cert), _) => Some(cert.as_ref()),
+            (None, SchedulerHandle::Dsl(inst)) => Some(inst.program().property_certificate()),
+            (None, SchedulerHandle::Native(_)) => None,
+        }
+    }
+
+    /// Whether the scheduler can pop the reinjection queue. Programs that
+    /// provably never read `RQ` — like the paper's Fig. 3 minimal
+    /// example — cannot recover reinjected segments, so the liveness
+    /// oracle must not hold them to that standard; native schedulers are
+    /// assumed fully capable (the strict standard).
+    pub fn pops_rq(&self) -> bool {
+        match &self.handle {
+            SchedulerHandle::Dsl(inst) => inst.program().pops_reinjection_queue(),
+            SchedulerHandle::Native(_) => true,
         }
     }
 }
@@ -70,8 +128,8 @@ pub struct Connection {
     qu: Vec<PacketRef>,
     rq: Vec<PacketRef>,
     registers: [i64; NUM_REGISTERS],
-    /// The connection's scheduler (taken while executing).
-    pub scheduler: Option<SchedulerHandle>,
+    /// The installed scheduler (taken while executing).
+    pub(crate) installed: Option<Installed>,
     /// Receiver-side state.
     pub receiver: Receiver,
     /// Congestion-control algorithm.
@@ -90,8 +148,6 @@ pub struct Connection {
     pending_tx: Vec<(SubflowId, PacketRef)>,
     /// Measurement state.
     pub stats: ConnStats,
-    /// Scheduler step budget per execution.
-    pub step_budget: u64,
     /// Compressed-execution round limit per trigger.
     pub max_sched_rounds: u32,
     /// Whether timelines are recorded.
@@ -99,18 +155,6 @@ pub struct Connection {
     /// Default packet property for newly enqueued data (set through the
     /// extended API).
     pub default_prop: u32,
-    /// Whether the scheduler can pop the reinjection queue (from the
-    /// compiled program's static analysis). Schedulers that provably
-    /// never read `RQ` — like the paper's Fig. 3 minimal example —
-    /// cannot recover reinjected segments, so the liveness oracle must
-    /// not hold them to that standard.
-    pub pops_rq: bool,
-    /// The compiled program's semantic property certificate (DSL
-    /// schedulers only). When present and the invariant oracle is
-    /// attached, the engine checks every scheduler execution against the
-    /// statically proved properties
-    /// ([`crate::oracle::InvariantOracle::check_properties`]).
-    pub prop_cert: Option<progmp_core::PropertyCertificate>,
 }
 
 impl Connection {
@@ -119,7 +163,7 @@ impl Connection {
         id: usize,
         subflows: Vec<Subflow>,
         receiver: Receiver,
-        scheduler: SchedulerHandle,
+        scheduler: Installed,
         cc_algo: CcAlgo,
         mss: u32,
         recv_buf: u64,
@@ -140,7 +184,7 @@ impl Connection {
             qu: Vec::new(),
             rq: Vec::new(),
             registers: [0; NUM_REGISTERS],
-            scheduler: Some(scheduler),
+            installed: Some(scheduler),
             receiver,
             cc_algo,
             mss,
@@ -150,13 +194,27 @@ impl Connection {
             adv_rwnd: recv_buf,
             pending_tx: Vec::new(),
             stats: ConnStats::new(n),
-            step_budget: progmp_core::DEFAULT_STEP_BUDGET,
             max_sched_rounds: 256,
             record_timelines: false,
             default_prop: 0,
-            pops_rq: true,
-            prop_cert: None,
         }
+    }
+
+    /// Installs `scheduler` — instance, certificate and step budget in
+    /// one move — and returns what it replaced.
+    pub fn install(&mut self, scheduler: Installed) -> Option<Installed> {
+        self.installed.replace(scheduler)
+    }
+
+    /// The installed scheduler (`None` only while it executes).
+    pub fn installed(&self) -> Option<&Installed> {
+        self.installed.as_ref()
+    }
+
+    /// Whether the installed scheduler can pop the reinjection queue
+    /// (see [`Installed::pops_rq`]).
+    pub fn pops_rq(&self) -> bool {
+        self.installed.as_ref().is_none_or(Installed::pops_rq)
     }
 
     /// Refreshes the established-subflow cache after a path change.
@@ -591,7 +649,9 @@ mod tests {
             0,
             subflows,
             receiver,
-            SchedulerHandle::Native(Box::new(crate::native::NativeMinRtt)),
+            Installed::new(SchedulerHandle::Native(Box::new(
+                crate::native::NativeMinRtt,
+            ))),
             CcAlgo::Reno,
             1400,
             1 << 20,

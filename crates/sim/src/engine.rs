@@ -11,7 +11,7 @@
 use crate::app::BulkState;
 use crate::calendar::CalendarQueue;
 use crate::config::{ConnectionConfig, SchedulerSpec};
-use crate::connection::{Connection, SchedulerHandle};
+use crate::connection::{Connection, Installed, SchedulerHandle};
 use crate::faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
 use crate::oracle::{InvariantOracle, OracleViolation};
 use crate::path::{Path, PathProfileEntry};
@@ -20,12 +20,13 @@ use crate::receiver::Receiver;
 use crate::subflow::Subflow;
 use crate::supervisor::{
     classify_exec_error, fallback_program, ContainState, ContainmentConfig, FaultAction,
-    FaultClass, IncidentReport, ParkedScheduler, Supervisor,
+    FaultClass, IncidentReport, Supervisor,
 };
 use crate::time::SimTime;
 use progmp_core::env::{PacketRef, RegId, SchedulerEnv, SubflowId, Trigger};
 use progmp_core::exec::ExecCtx;
-use progmp_core::{compile, CompileError, SchedulerProgram};
+use progmp_core::{compile, subflow_available, Backend, CompileError, SchedulerProgram};
+use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
 /// Identifier of a connection within a [`Sim`].
@@ -132,6 +133,10 @@ pub struct Sim {
     pub events_processed: u64,
     oracle: Option<InvariantOracle>,
     supervisor: Option<Supervisor>,
+    /// Every distinct [`SchedulerSpec::Dsl`] source this simulator was
+    /// handed, compiled once. All of them compile under the default
+    /// options, so the source text is the whole key.
+    programs: HashMap<String, SchedulerProgram>,
 }
 
 impl Sim {
@@ -147,6 +152,7 @@ impl Sim {
             events_processed: 0,
             oracle: None,
             supervisor: None,
+            programs: HashMap::new(),
         }
     }
 
@@ -209,6 +215,25 @@ impl Sim {
         self.queue.push(time, kind);
     }
 
+    /// The program for `source`: compiled on first sight, shared from
+    /// then on. A source that fails to compile leaves no entry, so every
+    /// attempt reports the error afresh.
+    fn load(&mut self, source: String) -> Result<SchedulerProgram, CompileError> {
+        Ok(match self.programs.entry(source) {
+            Entry::Occupied(e) => e.get().clone(),
+            Entry::Vacant(e) => {
+                let program = compile(e.key())?;
+                e.insert(program).clone()
+            }
+        })
+    }
+
+    /// Number of distinct programs compiled from [`SchedulerSpec::Dsl`]
+    /// sources so far.
+    pub fn loaded_programs(&self) -> usize {
+        self.programs.len()
+    }
+
     /// Creates a connection from `cfg`. Fails if a DSL scheduler does not
     /// compile.
     ///
@@ -233,27 +258,23 @@ impl Sim {
         identity: u64,
     ) -> Result<ConnId, CompileError> {
         let id = self.connections.len();
-        let mut step_budget = cfg.step_budget;
-        // Native schedulers are opaque, so assume full capability (the
-        // strict liveness standard); DSL programs are analyzed below.
-        let mut pops_rq = true;
-        let mut prop_cert = None;
-        let scheduler = match cfg.scheduler {
+        let handle = match cfg.scheduler {
             SchedulerSpec::Dsl { source, backend } => {
-                let program: SchedulerProgram = compile(&source)?;
-                pops_rq = program.analyze().queues_popped.contains("RQ");
-                prop_cert = Some(program.property_certificate().clone());
-                // The config default is a sentinel meaning "let the
-                // admission verifier pick": admitted programs carry a
-                // per-program certified worst-case bound, which is much
-                // tighter than the blanket fallback.
-                if step_budget == progmp_core::DEFAULT_STEP_BUDGET {
-                    step_budget = program.certified_step_bound();
-                }
+                SchedulerHandle::Dsl(self.load(source)?.instantiate(backend))
+            }
+            SchedulerSpec::Program { program, backend } => {
                 SchedulerHandle::Dsl(program.instantiate(backend))
             }
             SchedulerSpec::Native(n) => SchedulerHandle::Native(n),
         };
+        // What stays per connection even when the program is shared. The
+        // config's default budget is a sentinel meaning "let the
+        // admission verifier pick", which `Installed::new` just did.
+        let mut scheduler = Installed::new(handle);
+        if cfg.step_budget != progmp_core::DEFAULT_STEP_BUDGET {
+            scheduler.step_budget = cfg.step_budget;
+        }
+        scheduler.cert_override = cfg.cert_override.map(Box::new);
         let mut subflows = Vec::new();
         for (i, sc) in cfg.subflows.iter().enumerate() {
             let mut sbf = Subflow::new(SubflowId(i as u32), Path::new(&sc.path), cfg.mss);
@@ -301,14 +322,8 @@ impl Sim {
             cfg.recv_buf,
         );
         conn.identity = identity;
-        conn.step_budget = step_budget;
         conn.max_sched_rounds = cfg.max_sched_rounds;
         conn.record_timelines = cfg.record_timelines;
-        conn.pops_rq = pops_rq;
-        conn.prop_cert = match cfg.cert_override {
-            Some(cert) => Some(cert),
-            None => prop_cert,
-        };
         self.connections.push(conn);
         if let Some(sup) = self.supervisor.as_mut() {
             sup.register(id, identity);
@@ -850,7 +865,7 @@ impl Sim {
     /// then gets an immediate execution on the same trigger.
     pub fn run_scheduler(&mut self, conn: ConnId, trigger: Trigger) {
         let _ = trigger;
-        let Some(mut handle) = self.connections[conn].scheduler.take() else {
+        let Some(mut scheduler) = self.connections[conn].installed.take() else {
             return;
         };
         let max_rounds = self.connections[conn].max_sched_rounds;
@@ -861,28 +876,17 @@ impl Sim {
             {
                 let c = &mut self.connections[conn];
                 c.now = self.now;
-                let budget = c.step_budget;
+                let budget = scheduler.step_budget;
                 // Pre-state for the property certificate's dynamic checks
                 // must be sampled before the execution mutates the views.
-                let watch_props = self.oracle.is_some() && c.prop_cert.is_some();
+                let watch_props = self.oracle.is_some() && scheduler.cert().is_some();
                 let (pre_q_nonempty, pre_subflows_nonempty, pre_avail_subflow, n_subflows) =
                     if watch_props {
                         let env: &dyn SchedulerEnv = &*c;
-                        // Availability mirrors the DSL predicate the
-                        // work-conservation analysis assumes (wrapping
-                        // arithmetic matches the interpreter's ADD).
-                        let avail = env.subflows().iter().any(|&s| {
-                            use progmp_core::env::SubflowProp as P;
-                            let prop = |p| env.subflow_prop(s, p);
-                            prop(P::TsqThrottled) == 0
-                                && prop(P::Lossy) == 0
-                                && prop(P::Cwnd)
-                                    > prop(P::SkbsInFlight).wrapping_add(prop(P::Queued))
-                        });
                         (
                             !env.queue(progmp_core::env::QueueKind::SendQueue).is_empty(),
                             !env.subflows().is_empty(),
-                            avail,
+                            env.subflows().iter().any(|&s| subflow_available(env, s)),
                             env.subflows().len() as u64,
                         )
                     } else {
@@ -890,11 +894,14 @@ impl Sim {
                     };
                 let t0 = Instant::now();
                 let mut ctx = ExecCtx::new(&*c, budget);
-                let result = handle.execute_once(&mut ctx);
+                let result = scheduler.handle.execute_once(&mut ctx);
                 let host_ns = t0.elapsed().as_nanos() as u64;
                 if let Err(err) = &result {
                     c.stats.scheduler_errors += 1;
-                    fault = Some((classify_exec_error(err), fault_location(&handle, err)));
+                    fault = Some((
+                        classify_exec_error(err),
+                        fault_location(&scheduler.handle, err),
+                    ));
                     break;
                 }
                 let (regs, actions, stats) = ctx.finish();
@@ -926,7 +933,7 @@ impl Sim {
             }
             if let Some(obs) = prop_obs {
                 let oracle = self.oracle.as_mut().expect("checked above");
-                if let Some(cert) = self.connections[conn].prop_cert.as_ref() {
+                if let Some(cert) = scheduler.cert() {
                     oracle.check_properties(self.now, conn, cert, &obs);
                 }
                 // Under containment routing the oracle queued any
@@ -952,7 +959,7 @@ impl Sim {
                 break;
             }
         }
-        self.connections[conn].scheduler = Some(handle);
+        self.connections[conn].installed = Some(scheduler);
         if let Some((class, location)) = fault {
             if self.contain_fault(conn, class, location) {
                 // The fallback just took over; run it on the same
@@ -995,27 +1002,13 @@ impl Sim {
         }
     }
 
-    /// Parks the connection's scheduler (with its certificate, `RQ`
-    /// capability, and step budget) and installs the shared fallback.
+    /// Installs an instance of the shared fallback and parks what it
+    /// replaced with the supervisor.
     fn install_fallback(&mut self, conn: ConnId) {
-        let c = &mut self.connections[conn];
-        let parked = ParkedScheduler {
-            handle: c
-                .scheduler
-                .take()
-                .expect("scheduler is restored before fault handling"),
-            prop_cert: c.prop_cert.take(),
-            pops_rq: c.pops_rq,
-            step_budget: c.step_budget,
-        };
-        let program = fallback_program();
-        c.scheduler = Some(SchedulerHandle::Dsl(SchedulerProgram::instantiate_shared(
-            program.clone(),
-            progmp_core::Backend::Vm,
-        )));
-        c.prop_cert = Some(program.property_certificate().clone());
-        c.pops_rq = true;
-        c.step_budget = program.certified_step_bound();
+        let fallback = SchedulerHandle::Dsl(fallback_program().instantiate(Backend::Vm));
+        let parked = self.connections[conn]
+            .install(Installed::new(fallback))
+            .expect("scheduler is restored before fault handling");
         self.supervisor
             .as_mut()
             .expect("containment active")
@@ -1043,7 +1036,7 @@ impl Sim {
     /// own first-data event, so the decision is identical no matter how a
     /// fleet is sharded.
     fn handle_stall_check(&mut self, conn: ConnId) {
-        use progmp_core::env::{QueueKind, SchedulerEnv, SubflowProp};
+        use progmp_core::env::QueueKind;
         let Some(sup) = self.supervisor.as_mut() else {
             return;
         };
@@ -1061,17 +1054,11 @@ impl Sim {
         let env: &dyn SchedulerEnv = c;
         let work = !env.queue(QueueKind::SendQueue).is_empty()
             || !env.queue(QueueKind::Reinject).is_empty();
-        // An execution right now could actually push: mirrors the
+        // An execution right now could actually push: the
         // work-conservation availability precondition. Without this, a
         // path blackout or an exhausted congestion window would be blamed
         // on the scheduler.
-        let avail = env.subflows().iter().any(|&s| {
-            let prop = |p| env.subflow_prop(s, p);
-            prop(SubflowProp::TsqThrottled) == 0
-                && prop(SubflowProp::Lossy) == 0
-                && prop(SubflowProp::Cwnd)
-                    > prop(SubflowProp::SkbsInFlight).wrapping_add(prop(SubflowProp::Queued))
-        });
+        let avail = env.subflows().iter().any(|&s| subflow_available(env, s));
         let stalled = !progressed
             && live
             && work
@@ -1093,11 +1080,7 @@ impl Sim {
             return;
         };
         if let Some(parked) = sup.unpark(now, conn) {
-            let c = &mut self.connections[conn];
-            c.scheduler = Some(parked.handle);
-            c.prop_cert = parked.prop_cert;
-            c.pops_rq = parked.pops_rq;
-            c.step_budget = parked.step_budget;
+            self.connections[conn].install(parked);
             self.run_scheduler(conn, Trigger::Timer);
         }
     }

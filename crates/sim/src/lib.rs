@@ -71,7 +71,7 @@ pub mod time;
 pub use calendar::CalendarQueue;
 pub use cc::CcAlgo;
 pub use config::{ConnectionConfig, SchedulerSpec, SubflowConfig};
-pub use connection::{Connection, SchedulerHandle};
+pub use connection::{Connection, Installed, SchedulerHandle};
 pub use engine::{ConnId, Sim};
 pub use faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
 pub use fleet::{
@@ -85,5 +85,5 @@ pub use receiver::ReceiverMode;
 pub use stats::{ConnStats, SubflowStats};
 pub use supervisor::{
     classify_exec_error, fallback_program, ContainAction, ContainState, ContainmentConfig,
-    FaultAction, FaultClass, IncidentReport, ParkedScheduler, Supervisor,
+    FaultAction, FaultClass, IncidentReport, Supervisor,
 };

@@ -471,7 +471,7 @@ impl InvariantOracle {
             // there by design, not by an engine bug.
             let rq_only_strand = conn.queue(QueueKind::SendQueue).is_empty()
                 && !conn.queue(QueueKind::Reinject).is_empty();
-            if rq_only_strand && !conn.pops_rq {
+            if rq_only_strand && !conn.pops_rq() {
                 return;
             }
             let detail = format!(
@@ -494,7 +494,7 @@ impl InvariantOracle {
 mod tests {
     use super::*;
     use crate::cc::CcAlgo;
-    use crate::connection::SchedulerHandle;
+    use crate::connection::{Installed, SchedulerHandle};
     use crate::path::{Path, PathConfig};
     use crate::receiver::{Receiver, ReceiverMode};
     use crate::subflow::Subflow;
@@ -512,7 +512,9 @@ mod tests {
             0,
             subflows,
             receiver,
-            SchedulerHandle::Native(Box::new(crate::native::NativeMinRtt)),
+            Installed::new(SchedulerHandle::Native(Box::new(
+                crate::native::NativeMinRtt,
+            ))),
             CcAlgo::Reno,
             1400,
             1 << 20,
@@ -607,7 +609,16 @@ mod tests {
             }],
         );
         c.reinject(pkts[0]);
-        c.pops_rq = false;
+        // Fig. 3's scheduler never reads RQ.
+        let fig3 = progmp_core::compile(
+            "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }",
+        )
+        .unwrap();
+        let native = c
+            .install(Installed::new(SchedulerHandle::Dsl(
+                fig3.instantiate(progmp_core::Backend::Vm),
+            )))
+            .unwrap();
         oracle.check_quiescent(5, &c);
         assert!(
             oracle.violations.is_empty(),
@@ -615,7 +626,7 @@ mod tests {
             oracle.violations
         );
         // The same strand under an RQ-capable scheduler is a violation.
-        c.pops_rq = true;
+        c.install(native);
         oracle.check_quiescent(6, &c);
         assert!(oracle
             .violations

@@ -134,7 +134,7 @@ impl PathManager {
 mod tests {
     use super::*;
     use crate::cc::CcAlgo;
-    use crate::connection::{Connection, SchedulerHandle};
+    use crate::connection::{Connection, Installed, SchedulerHandle};
     use crate::native::NativeMinRtt;
     use crate::path::{Path, PathConfig};
     use crate::receiver::{Receiver, ReceiverMode};
@@ -161,7 +161,7 @@ mod tests {
             0,
             subflows,
             Receiver::new(ReceiverMode::Improved, 2, 1 << 20),
-            SchedulerHandle::Native(Box::new(NativeMinRtt)),
+            Installed::new(SchedulerHandle::Native(Box::new(NativeMinRtt))),
             CcAlgo::Reno,
             1400,
             1 << 20,

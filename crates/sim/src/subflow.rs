@@ -303,7 +303,7 @@ mod tests {
         // The ambiguous RTT must not be sampled, so the pre-RTO estimate
         // survives; the data still completes.
         use crate::cc::CcAlgo;
-        use crate::connection::{Connection, SchedulerHandle};
+        use crate::connection::{Connection, Installed, SchedulerHandle};
         use crate::receiver::{Receiver, ReceiverMode};
         use progmp_core::env::SchedulerEnv;
 
@@ -317,7 +317,9 @@ mod tests {
             0,
             subflows,
             receiver,
-            SchedulerHandle::Native(Box::new(crate::native::NativeMinRtt)),
+            Installed::new(SchedulerHandle::Native(Box::new(
+                crate::native::NativeMinRtt,
+            ))),
             CcAlgo::Reno,
             1400,
             1 << 20,

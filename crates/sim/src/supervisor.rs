@@ -9,10 +9,11 @@
 //! log line, and never `catch_unwind`. On a fault the supervisor
 //!
 //! 1. **quarantines** the program for that connection: the faulting
-//!    scheduler instance is parked (together with its property
-//!    certificate, `RQ` capability flag, and step budget) and a built-in
-//!    safe default with minRtt semantics ([`fallback_program`], compiled
-//!    once and shared across all quarantined connections) takes over;
+//!    scheduler is parked whole (the [`Installed`] value: instance,
+//!    property certificate, `RQ` capability flag, and step budget) and a
+//!    built-in safe default with minRtt semantics ([`fallback_program`],
+//!    compiled once and shared across all quarantined connections) takes
+//!    over;
 //! 2. schedules **probationary re-admission** after a deterministic
 //!    exponential backoff. Backoff jitter is drawn from a per-connection
 //!    xorshift stream keyed by `(simulation seed, connection identity)`
@@ -34,11 +35,11 @@
 //! same scenario with the same seed reproduces the same incident at the
 //! same simulated time.
 
-use crate::connection::SchedulerHandle;
+use crate::connection::Installed;
 use crate::faults::ChaosRng;
 use crate::time::{SimTime, MILLIS, SECONDS};
 use progmp_core::{ExecError, SchedulerProgram};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Domain separation for the supervisor's backoff streams: keeps the
 /// jitter draws disjoint from the path chaos streams derived from the
@@ -65,15 +66,14 @@ pub const FALLBACK_DSL: &str = "
         avail.MIN(sbf => sbf.RTT).PUSH(Q.POP());
     }";
 
-static FALLBACK: OnceLock<Arc<SchedulerProgram>> = OnceLock::new();
+static FALLBACK: OnceLock<SchedulerProgram> = OnceLock::new();
 
 /// The shared fallback program, compiled once per process. Quarantined
-/// connections get a per-connection instance via
-/// [`SchedulerProgram::instantiate_shared`], so the compiled image (and
-/// its certificates) is never duplicated.
-pub fn fallback_program() -> &'static Arc<SchedulerProgram> {
+/// connections each instantiate it, so the compiled image (and its
+/// certificates) is never duplicated.
+pub fn fallback_program() -> &'static SchedulerProgram {
     FALLBACK.get_or_init(|| {
-        Arc::new(progmp_core::compile(FALLBACK_DSL).expect("built-in fallback scheduler compiles"))
+        progmp_core::compile(FALLBACK_DSL).expect("built-in fallback scheduler compiles")
     })
 }
 
@@ -307,26 +307,14 @@ impl std::fmt::Display for IncidentReport {
     }
 }
 
-/// The original scheduler and everything that travels with it while the
-/// fallback holds the connection.
-pub struct ParkedScheduler {
-    /// The parked scheduler instance.
-    pub handle: SchedulerHandle,
-    /// Its property certificate (the fallback's replaces it meanwhile).
-    pub prop_cert: Option<progmp_core::PropertyCertificate>,
-    /// Its static `RQ`-capability flag.
-    pub pops_rq: bool,
-    /// Its per-execution step budget.
-    pub step_budget: u64,
-}
-
 /// Per-connection containment record.
 struct ConnContain {
     state: ContainState,
     strikes: u32,
     rng: ChaosRng,
     identity: u64,
-    parked: Option<ParkedScheduler>,
+    /// The original scheduler, while the fallback holds the connection.
+    parked: Option<Installed>,
     watchdog_armed: bool,
     progress_mark: u64,
 }
@@ -569,7 +557,7 @@ impl Supervisor {
     }
 
     /// Stores the parked original scheduler for `conn`.
-    pub fn park(&mut self, conn: usize, parked: ParkedScheduler) {
+    pub fn park(&mut self, conn: usize, parked: Installed) {
         if let Some(entry) = self.conns.get_mut(conn).and_then(|c| c.as_mut()) {
             debug_assert!(entry.parked.is_none(), "double park");
             entry.parked = Some(parked);
@@ -581,7 +569,7 @@ impl Supervisor {
     /// `Readmitted` incident is emitted; in any other state (e.g. the
     /// connection was pinned while the timer was in flight) returns
     /// `None`.
-    pub fn unpark(&mut self, now: SimTime, conn: usize) -> Option<ParkedScheduler> {
+    pub fn unpark(&mut self, now: SimTime, conn: usize) -> Option<Installed> {
         let entry = self.conns.get_mut(conn).and_then(|c| c.as_mut())?;
         if entry.state != ContainState::Quarantined {
             return None;
@@ -645,11 +633,19 @@ mod tests {
         FaultClass::StepBudget { budget: 5 }
     }
 
+    fn native_with_budget(step_budget: u64) -> Installed {
+        let native = Box::new(crate::native::NativeMinRtt);
+        Installed {
+            step_budget,
+            ..Installed::new(crate::connection::SchedulerHandle::Native(native))
+        }
+    }
+
     #[test]
     fn fallback_compiles_once_and_proves_its_claims() {
         let p = fallback_program();
-        assert!(Arc::ptr_eq(p, fallback_program()), "compiled once, shared");
-        assert!(p.analyze().queues_popped.contains("RQ"));
+        assert!(p.ptr_eq(fallback_program()), "compiled once, shared");
+        assert!(p.pops_reinjection_queue());
         assert_eq!(
             p.property_certificate().work_conservation.status,
             PropStatus::Proved,
@@ -701,12 +697,7 @@ mod tests {
 
         assert!(s.unpark(until1, 0).is_none(), "nothing parked yet");
         // (engine normally parks before the timer; emulate it)
-        s.conns[0].as_mut().unwrap().parked = Some(ParkedScheduler {
-            handle: SchedulerHandle::Native(Box::new(crate::native::NativeMinRtt)),
-            prop_cert: None,
-            pops_rq: true,
-            step_budget: 7,
-        });
+        s.park(0, native_with_budget(7));
         let parked = s.unpark(until1, 0).expect("re-admitted");
         assert_eq!(parked.step_budget, 7);
         assert_eq!(s.state(0), ContainState::Probation);
@@ -719,12 +710,7 @@ mod tests {
         // Exponential: the second backoff window is at least the base
         // doubled (jitter only adds).
         assert!(until2 - (until1 + 5) >= 2 * s.cfg.base_backoff);
-        s.conns[0].as_mut().unwrap().parked = Some(ParkedScheduler {
-            handle: SchedulerHandle::Native(Box::new(crate::native::NativeMinRtt)),
-            prop_cert: None,
-            pops_rq: true,
-            step_budget: 7,
-        });
+        s.park(0, native_with_budget(7));
         s.unpark(until2, 0).expect("second probation");
 
         let a3 = s.on_fault(until2 + 5, 0, budget_fault(), None);

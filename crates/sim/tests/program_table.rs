@@ -1,0 +1,237 @@
+//! The program lifecycle inside one [`Sim`]: each distinct source
+//! compiles once, every connection naming it shares that program, and
+//! what must stay per connection (budget and certificate overrides, VM
+//! specialization, the parked scheduler of a quarantine) does.
+
+use mptcp_sim::time::{from_millis, SECONDS};
+use mptcp_sim::{
+    fallback_program, ConnectionConfig, ContainAction, ContainState, ContainmentConfig, Installed,
+    PathConfig, SchedulerHandle, SchedulerSpec, Sim, SubflowConfig,
+};
+use progmp_core::env::RegId;
+use progmp_core::{Backend, SchedulerProgram};
+
+const MIN_RTT: &str =
+    "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
+
+/// Never pushes until the application sets R1.
+const REGISTER_GATED: &str =
+    "IF (R1 > 0 AND !Q.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
+
+const REDUNDANT: &str =
+    "IF (!Q.EMPTY) { VAR skb = Q.POP(); FOREACH (VAR sbf IN SUBFLOWS) { sbf.PUSH(skb); } }";
+
+fn paths(n: usize) -> Vec<SubflowConfig> {
+    (0..n as u64)
+        .map(|i| SubflowConfig::new(PathConfig::symmetric(from_millis(10 + 30 * i), 1_250_000)))
+        .collect()
+}
+
+fn program(sim: &Sim, conn: usize) -> &SchedulerProgram {
+    match &installed(sim, conn).handle {
+        SchedulerHandle::Dsl(inst) => inst.program(),
+        SchedulerHandle::Native(_) => panic!("connection {conn} runs a native scheduler"),
+    }
+}
+
+fn installed(sim: &Sim, conn: usize) -> &Installed {
+    sim.connections[conn]
+        .installed()
+        .expect("no execution in flight")
+}
+
+#[test]
+fn seventy_connections_of_seven_schedulers_load_seven_programs() {
+    let mut sim = Sim::new(3);
+    for i in 0..70 {
+        let (_, source) = progmp_schedulers::sources::ALL[i % 7];
+        let backend = Backend::ALL[i % 3];
+        let cfg = ConnectionConfig::new(paths(2), SchedulerSpec::dsl_on(source, backend));
+        let conn = sim.add_connection(cfg).unwrap();
+        sim.set_register_at(conn, 0, RegId::R1, 1_000_000);
+        sim.app_send_at(conn, 0, 20_000, 0);
+    }
+    assert_eq!(sim.loaded_programs(), 7);
+    for i in 7..70 {
+        assert!(
+            program(&sim, i).ptr_eq(program(&sim, i % 7)),
+            "connection {i} shares the program of connection {}",
+            i % 7
+        );
+        assert!(!program(&sim, i).ptr_eq(program(&sim, (i + 1) % 7)));
+    }
+    sim.run_to_completion(120 * SECONDS);
+    for c in &sim.connections {
+        assert!(c.all_acked(), "connection {} on a shared program", c.id);
+    }
+}
+
+#[test]
+fn sources_differing_by_one_byte_are_two_programs() {
+    let mut sim = Sim::new(3);
+    for source in [MIN_RTT.to_string(), format!("{MIN_RTT} ")] {
+        sim.add_connection(ConnectionConfig::new(paths(1), SchedulerSpec::dsl(source)))
+            .unwrap();
+    }
+    assert_eq!(sim.loaded_programs(), 2);
+    assert!(!program(&sim, 0).ptr_eq(program(&sim, 1)));
+}
+
+#[test]
+fn a_rejected_source_is_reported_every_time_and_never_loaded() {
+    let mut sim = Sim::new(3);
+    sim.add_connection(ConnectionConfig::new(paths(1), SchedulerSpec::dsl(MIN_RTT)))
+        .unwrap();
+    for _ in 0..3 {
+        let bad = ConnectionConfig::new(paths(1), SchedulerSpec::dsl("VAR x = ;"));
+        assert!(sim.add_connection(bad).is_err());
+        assert_eq!(sim.loaded_programs(), 1);
+        assert_eq!(sim.connections.len(), 1);
+    }
+}
+
+#[test]
+fn a_precompiled_program_binds_without_entering_the_table() {
+    let loaded = progmp_core::compile(MIN_RTT).unwrap();
+    let mut sim = Sim::new(3);
+    for backend in Backend::ALL {
+        let spec = SchedulerSpec::program(&loaded, backend);
+        let conn = sim
+            .add_connection(ConnectionConfig::new(paths(2), spec))
+            .unwrap();
+        sim.app_send_at(conn, 0, 20_000, 0);
+        assert!(program(&sim, conn).ptr_eq(&loaded));
+    }
+    assert_eq!(sim.loaded_programs(), 0);
+    sim.run_to_completion(30 * SECONDS);
+    assert!(sim.connections.iter().all(|c| c.all_acked()));
+}
+
+#[test]
+fn budget_and_certificate_overrides_stay_per_connection() {
+    let stolen = progmp_core::compile(MIN_RTT)
+        .unwrap()
+        .property_certificate()
+        .clone();
+    let mut sim = Sim::new(3);
+    let plain = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED));
+    let mut tight = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED));
+    tight.step_budget = 77;
+    let overridden = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED))
+        .with_cert_override(stolen.clone());
+    for cfg in [plain, tight, overridden] {
+        sim.add_connection(cfg).unwrap();
+    }
+    assert_eq!(sim.loaded_programs(), 1);
+    let shared = program(&sim, 0);
+    assert!(program(&sim, 1).ptr_eq(shared) && program(&sim, 2).ptr_eq(shared));
+
+    let budgets: Vec<u64> = (0..3).map(|c| installed(&sim, c).step_budget).collect();
+    assert_eq!(
+        budgets,
+        [
+            shared.certified_step_bound(),
+            77,
+            shared.certified_step_bound()
+        ]
+    );
+    let own = shared.property_certificate();
+    assert_ne!(own, &stolen);
+    let certs: Vec<_> = (0..3).map(|c| installed(&sim, c).cert().unwrap()).collect();
+    assert_eq!(certs, [own, own, &stolen]);
+    assert!(
+        std::ptr::eq(certs[0], own),
+        "without an override the certificate is the program's, not a copy"
+    );
+}
+
+#[test]
+fn vm_specialization_is_per_instance_on_a_shared_program() {
+    let mut sim = Sim::new(3);
+    for n in [1, 2] {
+        let conn = sim
+            .add_connection(ConnectionConfig::new(
+                paths(n),
+                SchedulerSpec::dsl(REDUNDANT),
+            ))
+            .unwrap();
+        sim.app_send_at(conn, 0, 14_000, 0);
+    }
+    assert!(program(&sim, 0).ptr_eq(program(&sim, 1)));
+    sim.run_to_completion(10 * SECONDS);
+    for (conn, copies) in [(0, 1.0), (1, 2.0)] {
+        let c = &sim.connections[conn];
+        assert!(c.all_acked());
+        assert!(
+            (c.stats.overhead_ratio() - copies).abs() < 0.05,
+            "connection {conn} sends every packet on each of its own subflows: {}",
+            c.stats.overhead_ratio()
+        );
+        let SchedulerHandle::Dsl(inst) = &installed(&sim, conn).handle else {
+            unreachable!("checked by program()");
+        };
+        assert_eq!(inst.stats().respecializations, 1);
+    }
+}
+
+#[test]
+fn readmission_restores_exactly_what_quarantine_parked() {
+    // A stolen proved-work-conservation certificate makes the gated
+    // scheduler fault on its first execution; by re-admission the
+    // application has opened the gate, so the original stays.
+    let stolen = progmp_core::compile(MIN_RTT)
+        .unwrap()
+        .property_certificate()
+        .clone();
+    let mut cfg = ConnectionConfig::new(paths(2), SchedulerSpec::dsl(REGISTER_GATED))
+        .with_cert_override(stolen.clone());
+    cfg.step_budget = 5_000;
+    let mut sim = Sim::new(19);
+    sim.enable_containment(ContainmentConfig::default());
+    sim.enable_oracle("seed 19", true);
+    sim.add_connection(cfg).unwrap();
+    let original = program(&sim, 0).clone();
+    assert!(!installed(&sim, 0).pops_rq());
+
+    sim.app_send_at(0, 0, 50_000, 0);
+    sim.set_register_at(0, from_millis(100), RegId::R1, 1);
+    sim.app_send_at(0, SECONDS, 50_000, 0);
+
+    sim.run_until(from_millis(150));
+    assert_eq!(
+        sim.supervisor().unwrap().state(0),
+        ContainState::Quarantined
+    );
+    let fallback = installed(&sim, 0);
+    assert!(program(&sim, 0).ptr_eq(fallback_program()));
+    assert_eq!(
+        fallback.cert(),
+        Some(fallback_program().property_certificate())
+    );
+    assert_eq!(
+        fallback.step_budget,
+        fallback_program().certified_step_bound()
+    );
+    assert!(fallback.pops_rq());
+
+    sim.run_to_completion(60 * SECONDS);
+    assert!(sim.connections[0].all_acked());
+    assert_eq!(sim.supervisor().unwrap().state(0), ContainState::Probation);
+    let actions: Vec<ContainAction> = sim.incidents().iter().map(|i| i.action).collect();
+    assert_eq!(
+        actions,
+        [ContainAction::Quarantined, ContainAction::Readmitted]
+    );
+    let back = installed(&sim, 0);
+    assert!(program(&sim, 0).ptr_eq(&original));
+    assert_eq!(back.cert(), Some(&stolen));
+    assert_eq!(back.step_budget, 5_000);
+    assert!(!back.pops_rq());
+    let SchedulerHandle::Dsl(inst) = &back.handle else {
+        unreachable!("checked by program()");
+    };
+    assert!(
+        inst.stats().executions > 1,
+        "the parked instance itself came back and ran the second send"
+    );
+}

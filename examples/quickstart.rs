@@ -28,8 +28,10 @@ fn main() {
         api.loaded_bytes()
     );
 
-    // Peek at what the eBPF-flavoured cross-compiler produced.
-    let program = compile(spec).unwrap();
+    // Peek at what the eBPF-flavoured cross-compiler produced. The
+    // loaded program is a cheap handle: every connection bound to it
+    // below shares this one compilation.
+    let program = api.program("myMinRtt").expect("just loaded");
     let dis = program.disassemble();
     println!(
         "\nbytecode ({} instructions), first lines:",
@@ -47,10 +49,8 @@ fn main() {
                 SubflowConfig::new(PathConfig::symmetric(from_millis(10), 2_500_000)), // WiFi
                 SubflowConfig::new(PathConfig::symmetric(from_millis(40), 2_500_000)), // LTE
             ],
-            SchedulerSpec::dsl(spec),
+            SchedulerSpec::program(program, Backend::Vm),
         ))
-        .unwrap();
-    api.set_scheduler(&mut sim, conn, "myMinRtt", Backend::Vm)
         .unwrap();
 
     // 3. Send 1 MB and run.

@@ -12,12 +12,11 @@
 //! In the paper these operations travel through `sockopts` into the
 //! kernel runtime; here they operate on a [`Sim`] connection.
 
-use mptcp_sim::{ConnId, SchedulerHandle, Sim};
+use mptcp_sim::{ConnId, Installed, SchedulerHandle, Sim};
 use progmp_core::env::{RegId, Trigger};
 use progmp_core::{compile_named, Backend, CompileError, InstanceStats, SchedulerProgram};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors of the application API.
 #[derive(Debug)]
@@ -52,7 +51,7 @@ impl From<CompileError> for ApiError {
 /// per-connection control operations.
 #[derive(Default)]
 pub struct ProgMp {
-    registry: HashMap<String, Arc<SchedulerProgram>>,
+    registry: HashMap<String, SchedulerProgram>,
 }
 
 impl ProgMp {
@@ -71,7 +70,7 @@ impl ProgMp {
     /// compilation stage.
     pub fn load_scheduler(&mut self, name: &str, source: &str) -> Result<(), ApiError> {
         let program = compile_named(Some(name), source)?;
-        self.registry.insert(name.to_string(), Arc::new(program));
+        self.registry.insert(name.to_string(), program);
         Ok(())
     }
 
@@ -91,10 +90,18 @@ impl ProgMp {
         self.registry.values().map(|p| p.size_bytes()).sum()
     }
 
+    /// The loaded program `name`, e.g. to bind it at connection creation
+    /// through [`mptcp_sim::SchedulerSpec::program`].
+    pub fn program(&self, name: &str) -> Option<&SchedulerProgram> {
+        self.registry.get(name)
+    }
+
     /// Binds the loaded scheduler `name` to `conn`, instantiated on
     /// `backend`. The paper discourages switching schedulers mid-stream
     /// (§3.2); this API allows it but the new instance starts from the
-    /// connection's current register state.
+    /// connection's current register state. The program's property
+    /// certificate, `RQ` capability and certified step budget replace the
+    /// previous scheduler's along with the instance.
     ///
     /// # Errors
     ///
@@ -114,8 +121,8 @@ impl ProgMp {
             .connections
             .get_mut(conn)
             .ok_or(ApiError::UnknownConnection(conn))?;
-        let instance = SchedulerProgram::instantiate_shared(Arc::clone(program), backend);
-        connection.scheduler = Some(SchedulerHandle::Dsl(instance));
+        let instance = program.instantiate(backend);
+        connection.install(Installed::new(SchedulerHandle::Dsl(instance)));
         Ok(())
     }
 
@@ -163,7 +170,7 @@ impl ProgMp {
     /// Proc-style introspection: the cumulative execution statistics of
     /// the connection's scheduler instance, when it runs a DSL program.
     pub fn scheduler_stats(&self, sim: &Sim, conn: ConnId) -> Option<InstanceStats> {
-        match sim.connections.get(conn)?.scheduler.as_ref()? {
+        match &sim.connections.get(conn)?.installed()?.handle {
             SchedulerHandle::Dsl(inst) => Some(inst.stats()),
             SchedulerHandle::Native(_) => None,
         }
@@ -260,6 +267,83 @@ mod tests {
         sim.run_to_completion(5 * SECONDS);
         assert!(sim.connections[conn].all_acked());
         assert_eq!(api.register(&sim, conn, RegId::R5).unwrap(), 77);
+    }
+
+    #[test]
+    fn swap_rearms_the_new_programs_certificate() {
+        // `everyPath` pushes each packet on every subflow in one upcall,
+        // which the certificate of `default` (one copy per packet)
+        // forbids, and `roundRobin` skips a turn where the certificate of
+        // `everyPath` proves a push: had a swap left the previous
+        // certificate armed, the oracle — in panic mode, routed through
+        // containment — would quarantine a perfectly good scheduler.
+        const EVERY_PATH: &str = "
+            IF (!Q.EMPTY) {
+                VAR skb = Q.POP();
+                FOREACH (VAR sbf IN SUBFLOWS) { sbf.PUSH(skb); }
+            }";
+        let mut api = ProgMp::new();
+        api.load_scheduler("redundant", progmp_schedulers::REDUNDANT)
+            .unwrap();
+        api.load_scheduler("everyPath", EVERY_PATH).unwrap();
+        api.load_scheduler("roundRobin", progmp_schedulers::ROUND_ROBIN)
+            .unwrap();
+        let (mut sim, conn) = sim_with_conn();
+        sim.enable_containment(mptcp_sim::ContainmentConfig::default());
+        sim.enable_oracle("swap", true);
+        sim.app_send_at(conn, 0, 100_000, 0);
+        sim.run_until(from_millis(30));
+        for name in ["redundant", "everyPath", "roundRobin"] {
+            api.set_scheduler(&mut sim, conn, name, Backend::Vm)
+                .unwrap();
+            let installed = sim.connections[conn].installed().unwrap();
+            let program = api.program(name).unwrap();
+            assert_eq!(installed.cert(), Some(program.property_certificate()));
+            assert_eq!(installed.step_budget, program.certified_step_bound());
+            sim.app_send_at(conn, sim.now, 100_000, 0);
+            sim.run_until(sim.now + from_millis(30));
+        }
+        sim.run_to_completion(30 * SECONDS);
+        assert!(sim.oracle_violations().is_empty());
+        assert!(sim.incidents().is_empty(), "{:?}", sim.incidents());
+        assert!(sim.connections[conn].all_acked());
+        assert_eq!(sim.connections[conn].stats.delivered_bytes, 400_000);
+    }
+
+    #[test]
+    fn swap_to_a_costlier_program_raises_the_step_budget() {
+        // Scanning a 700-packet send queue takes more steps than the
+        // 1024 the connection's first, trivial program is certified for.
+        const QUEUE_SCAN: &str = "
+            SET(R2, Q.FILTER(p => p.SIZE > 0).COUNT);
+            IF (!Q.EMPTY) {
+                SUBFLOWS.FILTER(sbf => sbf.CWND > sbf.SKBS_IN_FLIGHT + sbf.QUEUED)
+                    .MIN(sbf => sbf.RTT).PUSH(Q.POP());
+            }";
+        let mut api = ProgMp::new();
+        api.load_scheduler("scan", QUEUE_SCAN).unwrap();
+        let mut sim = Sim::new(1);
+        let path = PathConfig::symmetric(from_millis(10), 1_250_000);
+        let conn = sim
+            .add_connection(ConnectionConfig::new(
+                vec![SubflowConfig::new(path)],
+                SchedulerSpec::dsl("SET(R1, R1 + 1);"),
+            ))
+            .unwrap();
+        let small = sim.connections[conn].installed().unwrap().step_budget;
+        api.set_scheduler(&mut sim, conn, "scan", Backend::Vm)
+            .unwrap();
+        sim.app_send_at(conn, 0, 1_000_000, 0);
+        sim.run_to_completion(60 * SECONDS);
+        let c = &sim.connections[conn];
+        assert_eq!(c.stats.scheduler_errors, 0, "no StepBudgetExhausted");
+        assert!(c.all_acked());
+        assert!(
+            c.stats.scheduler_steps / c.stats.scheduler_executions > small,
+            "the scenario must need more than the first program's bound: {} steps in {} runs",
+            c.stats.scheduler_steps,
+            c.stats.scheduler_executions
+        );
     }
 
     #[test]
