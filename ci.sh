@@ -10,6 +10,11 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> one flow kernel: jump_target and WIDEN_AFTER are each defined once in crates/core/src"
+for def in 'fn jump_target' 'const WIDEN_AFTER'; do
+  [ "$(grep -rn "$def" crates/core/src | wc -l)" -eq 1 ] || { echo "duplicate or missing definition: $def"; exit 1; }
+done
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
@@ -22,6 +27,9 @@ cargo run -q --release -p progmp --bin progmp-lint -- --all
 
 echo "==> bytecode verification lint (all bundled schedulers; output elided)"
 cargo run -q --release -p progmp --bin progmp-lint -- --bytecode --all > /dev/null
+
+echo "==> optimizer reports + on-demand listing of the optimized images (all bundled schedulers; output elided)"
+cargo run -q --release -p progmp --bin progmp-lint -- --optimize --all > /dev/null
 
 echo "==> property certificates (all bundled schedulers; output elided)"
 cargo run -q --release -p progmp --bin progmp-lint -- --properties --all > /dev/null

@@ -36,6 +36,10 @@ pub struct Analysis {
     pub push_sites: usize,
     /// Number of `DROP` statements.
     pub drop_sites: usize,
+    /// Number of `POP` expressions; each compiles to exactly one `Pop`
+    /// helper call (side-effect isolation keeps predicates pop-free, so
+    /// filter re-expansion never duplicates them).
+    pub pop_sites: usize,
     /// Whether `SENT_ON` is used (redundancy/retransmission logic).
     pub uses_sent_on: bool,
     /// Whether `HAS_WINDOW_FOR` is used (receive-window awareness).
@@ -233,6 +237,7 @@ fn walk_expr(prog: &HProgram, eid: ExprId, depth: usize, a: &mut Analysis) {
             walk_expr(prog, *e, depth, a);
         }
         HExpr::QueuePop(e) => {
+            a.pop_sites += 1;
             if let Some(k) = queue_base(prog, *e) {
                 a.queues_read.insert(k.name());
                 a.queues_popped.insert(k.name());

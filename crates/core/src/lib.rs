@@ -66,6 +66,7 @@ pub mod analysis;
 pub mod aot;
 pub mod bytecode;
 pub mod codegen;
+mod flow;
 pub mod opt;
 pub mod optimizer;
 pub mod regalloc;

@@ -1,6 +1,9 @@
-//! Shared dataflow analyses for the bytecode optimizer: CFG successors,
+//! Shared dataflow analyses for the bytecode optimizer: reachability,
 //! register/slot liveness, dominators, and a conservative forward
 //! interval analysis that feeds sparse conditional constant propagation.
+//! The forward analyses are lattices solved by the crate's one flow
+//! kernel ([`crate::flow`]); the interval rules are the verifier's
+//! ([`crate::verify::domain`]).
 //!
 //! All analyses are sound with respect to the *runtime* semantics of
 //! [`crate::vm`], not just the verifier's model: registers `r1`..`r5`
@@ -10,117 +13,34 @@
 //! `Call SubflowCount` into a plain `MovImm` without the call's
 //! clobbering behaviour.
 
-use crate::bytecode::{AluOp, Cond, Helper, Insn, NUM_MACH_REGS};
-use crate::opt::edit::jump_target;
-use crate::verify::domain::{Interval, Tri};
+use crate::bytecode::{Cond, Helper, Insn, NUM_MACH_REGS};
+use crate::flow::{self, reads, successors, writes, Domain, LiveSet};
+use crate::verify::domain::{alu, assume, negate, Interval};
 
-/// A set of machine registers plus stack slots (slots fit one `u64`
-/// because [`crate::bytecode::MAX_STACK_SLOTS`] is 64).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct LiveSet {
-    pub regs: u16,
-    pub slots: u64,
-}
+/// Syntactic reachability: the flow problem with no state at all.
+struct Cfg<'a>(&'a [Insn]);
 
-impl LiveSet {
-    pub fn has_reg(self, r: u8) -> bool {
-        self.regs & (1 << r) != 0
+impl Domain for Cfg<'_> {
+    type State = ();
+
+    fn entry(&self) {}
+
+    fn transfer(&mut self, pc: usize, _: &()) -> Vec<(usize, ())> {
+        successors(self.0, pc)
+            .into_iter()
+            .map(|s| (s, ()))
+            .collect()
     }
 
-    pub fn has_slot(self, s: u16) -> bool {
-        self.slots & (1 << s) != 0
+    fn join(&self, _: &mut (), _: &(), _: bool) -> bool {
+        false
     }
-
-    fn union(self, other: LiveSet) -> LiveSet {
-        LiveSet {
-            regs: self.regs | other.regs,
-            slots: self.slots | other.slots,
-        }
-    }
-}
-
-/// Registers/slots read by `insn` (helper calls read their argument
-/// registers).
-pub(crate) fn reads(insn: &Insn) -> LiveSet {
-    let mut s = LiveSet::default();
-    let mut reg = |r: u8| s.regs |= 1 << r;
-    match insn {
-        Insn::MovImm { .. } | Insn::Ja { .. } | Insn::Exit => {}
-        Insn::Mov { src, .. } => reg(*src),
-        Insn::Alu { dst, src, .. } => {
-            reg(*dst);
-            reg(*src);
-        }
-        Insn::AluImm { dst, .. } | Insn::Neg { dst } => reg(*dst),
-        Insn::Jmp { lhs, rhs, .. } => {
-            reg(*lhs);
-            reg(*rhs);
-        }
-        Insn::JmpImm { lhs, .. } => reg(*lhs),
-        Insn::Call { helper } => {
-            for r in 1..=helper.arg_count() as u8 {
-                reg(r);
-            }
-        }
-        Insn::Ld { slot, .. } => s.slots |= 1 << slot,
-        Insn::St { src, .. } => reg(*src),
-    }
-    s
-}
-
-/// Registers/slots written by `insn` (helper calls clobber `r0`..`r5`).
-pub(crate) fn writes(insn: &Insn) -> LiveSet {
-    let mut s = LiveSet::default();
-    match insn {
-        Insn::MovImm { dst, .. }
-        | Insn::Mov { dst, .. }
-        | Insn::Alu { dst, .. }
-        | Insn::AluImm { dst, .. }
-        | Insn::Neg { dst }
-        | Insn::Ld { dst, .. } => s.regs = 1 << dst,
-        Insn::Call { .. } => s.regs = 0b11_1111,
-        Insn::St { slot, .. } => s.slots = 1 << slot,
-        Insn::Ja { .. } | Insn::Jmp { .. } | Insn::JmpImm { .. } | Insn::Exit => {}
-    }
-    s
-}
-
-/// CFG successors of `pc` (fallthrough first, then branch target).
-pub(crate) fn successors(code: &[Insn], pc: usize) -> Vec<usize> {
-    let mut out = Vec::with_capacity(2);
-    match &code[pc] {
-        Insn::Exit => {}
-        Insn::Ja { .. } => {
-            if let Some(t) = jump_target(pc, &code[pc]) {
-                out.push(t);
-            }
-        }
-        insn @ (Insn::Jmp { .. } | Insn::JmpImm { .. }) => {
-            out.push(pc + 1);
-            if let Some(t) = jump_target(pc, insn) {
-                if t != pc + 1 {
-                    out.push(t);
-                }
-            }
-        }
-        _ => out.push(pc + 1),
-    }
-    out.retain(|t| *t < code.len());
-    out
 }
 
 /// Pcs reachable from entry.
 pub(crate) fn reachable(code: &[Insn]) -> Vec<bool> {
-    let mut seen = vec![false; code.len()];
-    let mut work = vec![0usize];
-    while let Some(pc) = work.pop() {
-        if pc >= code.len() || seen[pc] {
-            continue;
-        }
-        seen[pc] = true;
-        work.extend(successors(code, pc));
-    }
-    seen
+    let solution = flow::solve(&mut Cfg(code), code.len());
+    solution.before.iter().map(Option::is_some).collect()
 }
 
 /// Backward register/slot liveness. `live_in[pc]` / `live_out[pc]` hold
@@ -208,10 +128,6 @@ pub(crate) fn dominators(code: &[Insn]) -> Dominators {
     Dominators { sets }
 }
 
-/// Joins at one program point beyond which intervals are widened, keeping
-/// the forward analysis finite (mirrors the dataflow verifier).
-const WIDEN_AFTER: u32 = 8;
-
 /// Abstract machine state before one instruction.
 #[derive(Clone, PartialEq, Eq)]
 pub(crate) struct FactState {
@@ -219,237 +135,143 @@ pub(crate) struct FactState {
     pub slots: Vec<Interval>,
 }
 
-impl FactState {
-    fn join(&self, other: &FactState) -> FactState {
-        let mut regs = self.regs;
-        for (a, b) in regs.iter_mut().zip(&other.regs) {
-            *a = a.join(*b);
-        }
-        FactState {
-            regs,
-            slots: self
-                .slots
-                .iter()
-                .zip(&other.slots)
-                .map(|(a, b)| a.join(*b))
-                .collect(),
-        }
+/// The optimizer's lattice: one interval per register and stack slot.
+struct FactFlow<'a> {
+    code: &'a [Insn],
+    stack_slots: u16,
+}
+
+impl Domain for FactFlow<'_> {
+    type State = FactState;
+
+    fn entry(&self) -> FactState {
+        // Initial registers are unknown (see module docs); the read-only
+        // frame pointer r10 is exactly 0 for the whole execution.
+        let mut init = FactState {
+            regs: [Interval::TOP; NUM_MACH_REGS],
+            slots: vec![Interval::TOP; usize::from(self.stack_slots)],
+        };
+        init.regs[10] = Interval::exact(0);
+        init
     }
 
-    fn widen(&self, next: &FactState) -> FactState {
-        let mut regs = self.regs;
-        for (a, b) in regs.iter_mut().zip(&next.regs) {
-            *a = a.widen(*b);
+    fn transfer(&mut self, pc: usize, state: &FactState) -> Vec<(usize, FactState)> {
+        let insn = &self.code[pc];
+        let mut s = state.clone();
+        match *insn {
+            Insn::Exit => return Vec::new(),
+            Insn::Ja { .. } => {
+                return flow::jump_target(pc, insn)
+                    .map(|t| vec![(t, s)])
+                    .unwrap_or_default()
+            }
+            Insn::Jmp { cond, lhs, rhs, .. } => {
+                return self.branch(pc, state, cond, lhs, s.regs[usize::from(rhs)], Some(rhs))
+            }
+            Insn::JmpImm { cond, lhs, imm, .. } => {
+                return self.branch(pc, state, cond, lhs, Interval::exact(imm), None)
+            }
+            Insn::MovImm { dst, imm } => s.regs[usize::from(dst)] = Interval::exact(imm),
+            Insn::Mov { dst, src } => s.regs[usize::from(dst)] = s.regs[usize::from(src)],
+            Insn::Alu { op, dst, src } => {
+                let d = usize::from(dst);
+                s.regs[d] = alu(op, s.regs[d], s.regs[usize::from(src)]);
+            }
+            Insn::AluImm { op, dst, imm } => {
+                let d = usize::from(dst);
+                s.regs[d] = alu(op, s.regs[d], Interval::exact(imm));
+            }
+            Insn::Neg { dst } => {
+                let d = usize::from(dst);
+                s.regs[d] = s.regs[d].neg();
+            }
+            Insn::Call { helper } => {
+                s.regs[0] = match helper {
+                    Helper::SentOn | Helper::HasWindowFor => Interval::BOOL,
+                    _ => Interval::TOP,
+                };
+                // The VM zeroes r1..r5, but specialization can replace
+                // this call with a MovImm that does not: model them as
+                // unknown.
+                for r in 1..=5 {
+                    s.regs[r] = Interval::TOP;
+                }
+            }
+            Insn::Ld { dst, slot } => {
+                s.regs[usize::from(dst)] = s
+                    .slots
+                    .get(usize::from(slot))
+                    .copied()
+                    .unwrap_or(Interval::TOP);
+            }
+            Insn::St { slot, src } => {
+                let v = s.regs[usize::from(src)];
+                if let Some(slot) = s.slots.get_mut(usize::from(slot)) {
+                    *slot = v;
+                }
+            }
         }
-        FactState {
-            regs,
-            slots: self
-                .slots
-                .iter()
-                .zip(&next.slots)
-                .map(|(a, b)| a.widen(*b))
-                .collect(),
-        }
+        vec![(pc + 1, s)]
+    }
+
+    fn join(&self, at: &mut FactState, incoming: &FactState, widen: bool) -> bool {
+        let merge = |old: Interval, new: Interval| {
+            let joined = old.join(new);
+            if widen {
+                old.widen(joined)
+            } else {
+                joined
+            }
+        };
+        // Both halves must run: no short-circuit.
+        flow::merge_into(&mut at.regs, &incoming.regs, merge)
+            | flow::merge_into(&mut at.slots, &incoming.slots, merge)
+    }
+}
+
+impl FactFlow<'_> {
+    /// The feasible edges of `if lhs cond rhs` at `pc`, operands refined
+    /// on each (`rhs_reg` is the register `rhs` came from, if any).
+    fn branch(
+        &self,
+        pc: usize,
+        state: &FactState,
+        cond: Cond,
+        lhs: u8,
+        rhs: Interval,
+        rhs_reg: Option<u8>,
+    ) -> Vec<(usize, FactState)> {
+        let a = state.regs[usize::from(lhs)];
+        let taken = flow::jump_target(pc, &self.code[pc]).zip(assume(cond, a, rhs));
+        let fallthrough = assume(negate(cond), a, rhs).map(|refined| (pc + 1, refined));
+        taken
+            .into_iter()
+            .chain(fallthrough)
+            .map(|(to, (ra, rb))| {
+                let mut s = state.clone();
+                s.regs[usize::from(lhs)] = ra;
+                if let Some(r) = rhs_reg {
+                    s.regs[usize::from(r)] = rb;
+                }
+                (to, s)
+            })
+            .collect()
     }
 }
 
 /// Result of the forward interval analysis: the abstract state *before*
-/// each pc (`None` = unreachable), plus per-branch feasibility.
+/// each pc (`None` = unreachable).
 pub(crate) struct Facts {
     pub before: Vec<Option<FactState>>,
 }
 
-/// Evaluates `cond` between two intervals as three-valued truth.
-pub(crate) fn eval_cond(cond: Cond, lhs: Interval, rhs: Interval) -> Tri {
-    match cond {
-        Cond::Eq => lhs.eq_ab(rhs),
-        Cond::Ne => lhs.eq_ab(rhs).not(),
-        Cond::Lt => lhs.lt(rhs),
-        Cond::Le => lhs.le(rhs),
-        Cond::Gt => rhs.lt(lhs),
-        Cond::Ge => rhs.le(lhs),
-    }
-}
-
-fn alu(op: AluOp, a: Interval, b: Interval) -> Interval {
-    match op {
-        AluOp::Add => a.add(b),
-        AluOp::Sub => a.sub(b),
-        AluOp::Mul => a.mul(b),
-        AluOp::Div => a.div(b),
-        AluOp::Rem => a.rem(b),
-        AluOp::And => match (a.as_exact(), b.as_exact()) {
-            (Some(x), Some(y)) => Interval::exact(x & y),
-            (Some(0), _) | (_, Some(0)) => Interval::exact(0),
-            _ if bool_range(a) && bool_range(b) => Interval::BOOL,
-            _ => Interval::TOP,
-        },
-        AluOp::Or | AluOp::Xor => match (a.as_exact(), b.as_exact()) {
-            (Some(x), Some(y)) => Interval::exact(if op == AluOp::Or { x | y } else { x ^ y }),
-            _ if bool_range(a) && bool_range(b) => Interval::BOOL,
-            _ => Interval::TOP,
-        },
-    }
-}
-
-fn bool_range(iv: Interval) -> bool {
-    iv.lo >= 0 && iv.hi <= 1
-}
-
-/// Refines `(lhs, rhs)` under the assumption that `cond` holds.
-/// `None` = infeasible.
-fn assume(cond: Cond, lhs: Interval, rhs: Interval) -> Option<(Interval, Interval)> {
-    match cond {
-        Cond::Eq => lhs.assume_eq(rhs),
-        Cond::Ne => lhs.assume_ne(rhs),
-        Cond::Lt => lhs.assume_lt(rhs),
-        Cond::Le => lhs.assume_le(rhs),
-        Cond::Gt => rhs.assume_lt(lhs).map(|(b, a)| (a, b)),
-        Cond::Ge => rhs.assume_le(lhs).map(|(b, a)| (a, b)),
-    }
-}
-
-/// Runs the forward interval analysis over `code`.
-pub(crate) fn facts(code: &[Insn], stack_slots: u16) -> Facts {
-    let n = code.len();
-    let mut before: Vec<Option<FactState>> = vec![None; n];
-    let mut joins = vec![0u32; n];
-    // Initial registers are unknown (see module docs); the read-only
-    // frame pointer r10 is exactly 0 for the whole execution.
-    let mut init = FactState {
-        regs: [Interval::TOP; NUM_MACH_REGS],
-        slots: vec![Interval::TOP; usize::from(stack_slots)],
-    };
-    init.regs[10] = Interval::exact(0);
-    before[0] = Some(init);
-    let mut work = vec![0usize];
-
-    while let Some(pc) = work.pop() {
-        let Some(state) = before[pc].clone() else {
-            continue;
-        };
-        let flow = |target: usize,
-                    next: FactState,
-                    before: &mut Vec<Option<FactState>>,
-                    joins: &mut Vec<u32>,
-                    work: &mut Vec<usize>| {
-            if target >= n {
-                return;
-            }
-            let merged = match &before[target] {
-                None => next,
-                Some(old) => {
-                    let joined = old.join(&next);
-                    if joined == *old {
-                        return;
-                    }
-                    joins[target] += 1;
-                    if joins[target] > WIDEN_AFTER {
-                        old.widen(&joined)
-                    } else {
-                        joined
-                    }
-                }
-            };
-            before[target] = Some(merged);
-            work.push(target);
-        };
-
-        match &code[pc] {
-            Insn::Exit => {}
-            Insn::Ja { .. } => {
-                if let Some(t) = jump_target(pc, &code[pc]) {
-                    flow(t, state, &mut before, &mut joins, &mut work);
-                }
-            }
-            Insn::Jmp { cond, lhs, rhs, .. } => {
-                let (a, b) = (state.regs[usize::from(*lhs)], state.regs[usize::from(*rhs)]);
-                let t = jump_target(pc, &code[pc]);
-                if let Some((ra, rb)) = assume(*cond, a, b) {
-                    if let Some(t) = t {
-                        let mut s = state.clone();
-                        s.regs[usize::from(*lhs)] = ra;
-                        s.regs[usize::from(*rhs)] = rb;
-                        flow(t, s, &mut before, &mut joins, &mut work);
-                    }
-                }
-                if let Some((ra, rb)) = assume(negate(*cond), a, b) {
-                    let mut s = state;
-                    s.regs[usize::from(*lhs)] = ra;
-                    s.regs[usize::from(*rhs)] = rb;
-                    flow(pc + 1, s, &mut before, &mut joins, &mut work);
-                }
-            }
-            Insn::JmpImm { cond, lhs, imm, .. } => {
-                let a = state.regs[usize::from(*lhs)];
-                let b = Interval::exact(*imm);
-                let t = jump_target(pc, &code[pc]);
-                if let Some((ra, _)) = assume(*cond, a, b) {
-                    if let Some(t) = t {
-                        let mut s = state.clone();
-                        s.regs[usize::from(*lhs)] = ra;
-                        flow(t, s, &mut before, &mut joins, &mut work);
-                    }
-                }
-                if let Some((ra, _)) = assume(negate(*cond), a, b) {
-                    let mut s = state;
-                    s.regs[usize::from(*lhs)] = ra;
-                    flow(pc + 1, s, &mut before, &mut joins, &mut work);
-                }
-            }
-            insn => {
-                let mut s = state;
-                match insn {
-                    Insn::MovImm { dst, imm } => {
-                        s.regs[usize::from(*dst)] = Interval::exact(*imm);
-                    }
-                    Insn::Mov { dst, src } => {
-                        s.regs[usize::from(*dst)] = s.regs[usize::from(*src)];
-                    }
-                    Insn::Alu { op, dst, src } => {
-                        let d = usize::from(*dst);
-                        s.regs[d] = alu(*op, s.regs[d], s.regs[usize::from(*src)]);
-                    }
-                    Insn::AluImm { op, dst, imm } => {
-                        let d = usize::from(*dst);
-                        s.regs[d] = alu(*op, s.regs[d], Interval::exact(*imm));
-                    }
-                    Insn::Neg { dst } => {
-                        let d = usize::from(*dst);
-                        s.regs[d] = s.regs[d].neg();
-                    }
-                    Insn::Call { helper } => {
-                        s.regs[0] = match helper {
-                            Helper::SentOn | Helper::HasWindowFor => Interval::BOOL,
-                            _ => Interval::TOP,
-                        };
-                        // The VM zeroes r1..r5, but specialization can
-                        // replace this call with a MovImm that does not:
-                        // model them as unknown.
-                        for r in 1..=5 {
-                            s.regs[r] = Interval::TOP;
-                        }
-                    }
-                    Insn::Ld { dst, slot } => {
-                        s.regs[usize::from(*dst)] = s
-                            .slots
-                            .get(usize::from(*slot))
-                            .copied()
-                            .unwrap_or(Interval::TOP);
-                    }
-                    Insn::St { slot, src } => {
-                        let v = s.regs[usize::from(*src)];
-                        if let Some(slot) = s.slots.get_mut(usize::from(*slot)) {
-                            *slot = v;
-                        }
-                    }
-                    _ => unreachable!(),
-                }
-                flow(pc + 1, s, &mut before, &mut joins, &mut work);
-            }
-        }
-    }
-    Facts { before }
+/// Runs the forward interval analysis over `code`; `None` when it did not
+/// converge (callers must then rewrite nothing).
+pub(crate) fn facts(code: &[Insn], stack_slots: u16) -> Option<Facts> {
+    let solution = flow::solve(&mut FactFlow { code, stack_slots }, code.len());
+    solution.diverged_at.is_none().then_some(Facts {
+        before: solution.before,
+    })
 }
 
 /// Index of an effectful helper in [`EffectProfile::must`] order
@@ -484,153 +306,89 @@ pub(crate) struct EffectProfile {
     pub must: [(u32, Option<usize>); 3],
 }
 
-pub(crate) fn effect_profile(code: &[Insn], stack_slots: u16) -> EffectProfile {
-    let n = code.len();
-    let f = facts(code, stack_slots);
-    // Effectful call sites in pc order; each gets one bit.
-    let sites: Vec<usize> = (0..n)
-        .filter(|&pc| {
-            matches!(&code[pc], Insn::Call { helper } if effect_helper_index(*helper).is_some())
-        })
-        .collect();
-    let mut bit_of = vec![usize::MAX; n];
-    for (bit, &pc) in sites.iter().enumerate() {
-        bit_of[pc] = bit;
-    }
-    let words = sites.len().div_ceil(64).max(1);
+/// Forward must-analysis over the feasible CFG: the state before `pc` is
+/// the bitset of effect sites executed on *every* feasible path reaching
+/// it; the join is set intersection.
+struct MustSites<'a> {
+    feasible: FactFlow<'a>,
+    facts: &'a Facts,
+    /// Bit index of the effectful call at each pc, if it is one.
+    bit_of: Vec<Option<usize>>,
+    words: usize,
+}
 
-    // Forward must-analysis: `must[pc]` = sites executed on every
-    // feasible path reaching `pc` (None = not yet reached, the top
-    // element); meet over predecessors is bitset intersection.
-    let mut must: Vec<Option<Vec<u64>>> = vec![None; n];
-    if n == 0 {
-        return EffectProfile {
-            must: [(0, None); 3],
-        };
+impl Domain for MustSites<'_> {
+    type State = Vec<u64>;
+
+    fn entry(&self) -> Vec<u64> {
+        vec![0; self.words]
     }
-    must[0] = Some(vec![0u64; words]);
-    let mut work = vec![0usize];
-    while let Some(pc) = work.pop() {
-        let (Some(cur), Some(state)) = (must[pc].clone(), f.before[pc].as_ref()) else {
-            continue;
+
+    fn transfer(&mut self, pc: usize, state: &Vec<u64>) -> Vec<(usize, Vec<u64>)> {
+        let Some(fact) = &self.facts.before[pc] else {
+            return Vec::new();
         };
-        let mut out = cur;
-        if bit_of[pc] != usize::MAX {
-            let b = bit_of[pc];
-            out[b / 64] |= 1 << (b % 64);
+        let mut out = state.clone();
+        if let Some(bit) = self.bit_of[pc] {
+            out[bit / 64] |= 1 << (bit % 64);
         }
         // Feasible successors under the interval facts at `pc`.
-        let mut succs: Vec<usize> = Vec::with_capacity(2);
-        match &code[pc] {
-            Insn::Exit => {}
-            Insn::Ja { .. } => succs.extend(jump_target(pc, &code[pc])),
-            Insn::Jmp { cond, lhs, rhs, .. } => {
-                let a = state.regs[usize::from(*lhs)];
-                let b = state.regs[usize::from(*rhs)];
-                if assume(negate(*cond), a, b).is_some() {
-                    succs.push(pc + 1);
-                }
-                if assume(*cond, a, b).is_some() {
-                    succs.extend(jump_target(pc, &code[pc]));
-                }
-            }
-            Insn::JmpImm { cond, lhs, imm, .. } => {
-                let a = state.regs[usize::from(*lhs)];
-                let b = Interval::exact(*imm);
-                if assume(negate(*cond), a, b).is_some() {
-                    succs.push(pc + 1);
-                }
-                if assume(*cond, a, b).is_some() {
-                    succs.extend(jump_target(pc, &code[pc]));
-                }
-            }
-            _ => succs.push(pc + 1),
-        }
-        for t in succs {
-            if t >= n {
-                continue;
-            }
-            let merged = match &must[t] {
-                None => out.clone(),
-                Some(old) => {
-                    let m: Vec<u64> = old.iter().zip(&out).map(|(a, b)| a & b).collect();
-                    if m == *old {
-                        continue;
-                    }
-                    m
-                }
-            };
-            must[t] = Some(merged);
-            work.push(t);
-        }
+        self.feasible
+            .transfer(pc, fact)
+            .into_iter()
+            .map(|(to, _)| (to, out.clone()))
+            .collect()
+    }
+
+    fn join(&self, at: &mut Vec<u64>, incoming: &Vec<u64>, _widen: bool) -> bool {
+        flow::merge_into(at, incoming, |a, b| a & b)
+    }
+}
+
+/// The must-execute profile of `code`; `None` when an underlying analysis
+/// did not converge.
+pub(crate) fn effect_profile(code: &[Insn], stack_slots: u16) -> Option<EffectProfile> {
+    let n = code.len();
+    let f = facts(code, stack_slots)?;
+    // Effectful call sites in pc order; each gets one bit.
+    let effect_of = |pc: usize| match &code[pc] {
+        Insn::Call { helper } => effect_helper_index(*helper),
+        _ => None,
+    };
+    let sites: Vec<usize> = (0..n).filter(|&pc| effect_of(pc).is_some()).collect();
+    let mut bit_of = vec![None; n];
+    for (bit, &pc) in sites.iter().enumerate() {
+        bit_of[pc] = Some(bit);
+    }
+    let solution = flow::solve(
+        &mut MustSites {
+            feasible: FactFlow { code, stack_slots },
+            facts: &f,
+            bit_of,
+            words: sites.len().div_ceil(64).max(1),
+        },
+        n,
+    );
+    if solution.diverged_at.is_some() {
+        return None;
     }
 
     // Sites on every path = intersection over all reached exits.
-    let mut at_exit: Option<Vec<u64>> = None;
-    for pc in 0..n {
-        if !matches!(code[pc], Insn::Exit) {
-            continue;
-        }
-        let Some(set) = &must[pc] else { continue };
-        at_exit = Some(match at_exit {
-            None => set.clone(),
-            Some(acc) => acc.iter().zip(set).map(|(a, b)| a & b).collect(),
-        });
-    }
+    let at_exit = (0..n)
+        .filter(|&pc| matches!(code[pc], Insn::Exit))
+        .filter_map(|pc| solution.before[pc].clone())
+        .reduce(|acc, set| acc.iter().zip(&set).map(|(a, b)| a & b).collect());
     let mut profile = EffectProfile {
         must: [(0, None); 3],
     };
-    if let Some(set) = at_exit {
-        for (bit, &pc) in sites.iter().enumerate() {
-            if set[bit / 64] & (1 << (bit % 64)) == 0 {
-                continue;
-            }
-            if let Insn::Call { helper } = &code[pc] {
-                if let Some(i) = effect_helper_index(*helper) {
-                    profile.must[i].0 += 1;
-                    if profile.must[i].1.is_none() {
-                        profile.must[i].1 = Some(pc);
-                    }
-                }
-            }
+    for (bit, &pc) in sites.iter().enumerate() {
+        let on_every_path = at_exit
+            .as_ref()
+            .is_some_and(|set| set[bit / 64] & (1 << (bit % 64)) != 0);
+        if let (true, Some(i)) = (on_every_path, effect_of(pc)) {
+            profile.must[i].0 += 1;
+            profile.must[i].1.get_or_insert(pc);
         }
     }
-    profile
-}
-
-fn negate(cond: Cond) -> Cond {
-    match cond {
-        Cond::Eq => Cond::Ne,
-        Cond::Ne => Cond::Eq,
-        Cond::Lt => Cond::Ge,
-        Cond::Le => Cond::Gt,
-        Cond::Gt => Cond::Le,
-        Cond::Ge => Cond::Lt,
-    }
-}
-
-/// A natural loop discovered from a back edge: `head..=back` inclusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Loop {
-    pub head: usize,
-    pub back: usize,
-}
-
-/// All loops, from back edges (a reachable branch whose target is not
-/// after it). Matches the codegen's loop shapes, where the body is the
-/// contiguous interval `[head, back]`.
-pub(crate) fn loops(code: &[Insn]) -> Vec<Loop> {
-    let reach = reachable(code);
-    let mut out = Vec::new();
-    for pc in 0..code.len() {
-        if !reach[pc] {
-            continue;
-        }
-        if let Some(t) = jump_target(pc, &code[pc]) {
-            if t <= pc {
-                out.push(Loop { head: t, back: pc });
-            }
-        }
-    }
-    out
+    Some(profile)
 }

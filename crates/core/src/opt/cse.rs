@@ -156,27 +156,7 @@ pub(crate) fn run(
     sabotage: Option<Sabotage>,
 ) -> (BytecodeProgram, DebugTable, u64) {
     let mut ed = Editor::new(prog, debug);
-    let n = prog.code.len();
-
-    // Basic-block leaders: entry, branch targets, fallthroughs of branches.
-    let mut leader = vec![false; n];
-    if n > 0 {
-        leader[0] = true;
-    }
-    for pc in 0..n {
-        if let Some(t) = crate::opt::edit::jump_target(pc, &prog.code[pc]) {
-            if t < n {
-                leader[t] = true;
-            }
-        }
-        if matches!(
-            prog.code[pc],
-            Insn::Ja { .. } | Insn::Jmp { .. } | Insn::JmpImm { .. } | Insn::Exit
-        ) && pc + 1 < n
-        {
-            leader[pc + 1] = true;
-        }
-    }
+    let leader = crate::flow::leaders(&prog.code);
 
     let mut sabotaged = sabotage != Some(Sabotage::ImpureCse);
     let mut lvn = Lvn::new();

@@ -10,7 +10,8 @@
 //! chain still terminates.
 
 use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Helper, Insn};
-use crate::opt::analysis::{liveness, loops, reachable};
+use crate::flow::loops;
+use crate::opt::analysis::{liveness, reachable};
 use crate::opt::edit::Editor;
 use crate::opt::Sabotage;
 
@@ -91,7 +92,8 @@ pub(crate) fn run(
         // Deliberately unsound: treat the loop counter increment as dead
         // and delete it, so the induction variable never advances.
         let mut ed = Editor::new(prog, debug);
-        for lp in loops(&prog.code) {
+        let reach = reachable(&prog.code);
+        for lp in loops(&prog.code).into_iter().filter(|l| reach[l.back]) {
             for pc in lp.head..=lp.back.min(prog.code.len() - 1) {
                 if matches!(prog.code[pc], Insn::AluImm { op: AluOp::Add, .. }) {
                     ed.delete(pc);

@@ -9,6 +9,7 @@
 
 use crate::bytecode::{BytecodeProgram, DebugTable, Insn};
 use crate::error::Pos;
+use crate::flow::jump_target;
 
 /// An instruction queued for insertion before some existing pc.
 pub(crate) struct NewInsn {
@@ -38,18 +39,6 @@ pub(crate) struct Editor {
     insertions: Vec<Insertion>,
     stack_slots: u16,
     changes: u64,
-}
-
-/// Absolute target of the (possibly branching) instruction at `pc`, using
-/// the eBPF convention that offsets are relative to the next instruction.
-pub(crate) fn jump_target(pc: usize, insn: &Insn) -> Option<usize> {
-    let off = match insn {
-        Insn::Ja { off } => *off,
-        Insn::Jmp { off, .. } => *off,
-        Insn::JmpImm { off, .. } => *off,
-        _ => return None,
-    };
-    usize::try_from(pc as i64 + 1 + i64::from(off)).ok()
 }
 
 impl Editor {

@@ -9,14 +9,15 @@
 //! observationally identical on every path (including the zero-trip
 //! path). The loop body interval itself is left shape-intact so the
 //! dataflow verifier's counted-loop recognition — and hence the certified
-//! step bound — still applies to the optimized image.
+//! step bound — still applies to the optimized image. Whether a hoist
+//! pays off under the step-bound model is the pipeline's call: it drops,
+//! without a rollback, a hoist that raises the bound.
 
 use crate::bytecode::{BytecodeProgram, DebugTable, Insn, FIRST_ALLOCATABLE};
-use crate::opt::analysis::{dominators, liveness, loops, reachable, successors, writes};
+use crate::flow::{jump_target, loops, reads, successors, writes};
+use crate::opt::analysis::{dominators, liveness, reachable};
 use crate::opt::edit::{Editor, NewInsn};
 use crate::opt::Sabotage;
-use crate::verify::vm::verify_bytecode;
-use crate::verify::VerifyConfig;
 
 pub(crate) fn run(
     prog: &BytecodeProgram,
@@ -29,7 +30,7 @@ pub(crate) fn run(
     let reach = reachable(code);
     let live = liveness(code);
     let dom = dominators(code);
-    let all_loops = loops(code);
+    let all_loops: Vec<_> = loops(code).into_iter().filter(|l| reach[l.back]).collect();
 
     if sabotage == Some(Sabotage::LoopVariantHoist) {
         // Deliberately unsound: hoist the loop-variant induction update —
@@ -115,7 +116,7 @@ pub(crate) fn run(
                     let uses_dominated = body.clone().all(|u| {
                         !reach[u]
                             || u == pc
-                            || !crate::opt::analysis::reads(&code[u]).has_reg(dst)
+                            || !reads(&code[u]).has_reg(dst)
                             || dom.dominates(pc, u)
                     });
                     if !uses_dominated || !dom.dominates(pc, lp.back) {
@@ -149,10 +150,11 @@ pub(crate) fn run(
                         continue;
                     }
                     // `st` must be the fallthrough of `pc` (no leader between).
-                    if crate::opt::edit::jump_target(pc, &code[pc]).is_some()
-                        || code.iter().enumerate().any(|(b, i)| {
-                            crate::opt::edit::jump_target(b, i) == Some(st) && reach[b]
-                        })
+                    if jump_target(pc, &code[pc]).is_some()
+                        || code
+                            .iter()
+                            .enumerate()
+                            .any(|(b, i)| jump_target(b, i) == Some(st) && reach[b])
                     {
                         continue;
                     }
@@ -168,9 +170,7 @@ pub(crate) fn run(
                         .clone()
                         .all(|u| u == st || !reach[u] || !writes(&code[u]).has_slot(slot));
                     let loads_dominated = body.clone().all(|u| {
-                        !reach[u]
-                            || !crate::opt::analysis::reads(&code[u]).has_slot(slot)
-                            || dom.dominates(st, u)
+                        !reach[u] || !reads(&code[u]).has_slot(slot) || dom.dominates(st, u)
                     });
                     if !slot_clear || !loads_dominated || !dom.dominates(st, lp.back) {
                         continue;
@@ -201,21 +201,7 @@ pub(crate) fn run(
         return (prog.clone(), debug.clone(), 0);
     }
     let (p, d) = ed.finish();
-
-    // Model-profitability gate. The dataflow verifier's step-bound model
-    // charges a loop's exit-test block per iteration but dead-ends the
-    // body fallthrough at the back edge, so for top-test loops a hoisted
-    // body instruction buys nothing back while the preheader copy is
-    // charged once. A hoist that raises the model bound is sound but
-    // unprofitable under the certificate — skip it rather than have the
-    // pipeline roll back a semantically valid rewrite.
-    let cfg = VerifyConfig::default();
-    let before = verify_bytecode(prog, Some(debug), &cfg).step_bound;
-    let after = verify_bytecode(&p, Some(&d), &cfg).step_bound;
-    match (before, after) {
-        (Some(b), Some(a)) if a <= b => (p, d, changes),
-        _ => (prog.clone(), debug.clone(), 0),
-    }
+    (p, d, changes)
 }
 
 #[cfg(test)]
@@ -270,7 +256,7 @@ mod tests {
         assert_eq!(np.code[2], Insn::MovImm { dst: 7, imm: 7 });
         assert!(matches!(np.code[3], Insn::AluImm { .. }));
         assert_eq!(
-            crate::opt::edit::jump_target(4, &np.code[4]),
+            jump_target(4, &np.code[4]),
             Some(3),
             "back edge must re-enter at the loop body, not the preheader"
         );

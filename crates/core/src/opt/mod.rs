@@ -9,10 +9,11 @@
 //! jump-threading/peephole cleanup (`peephole`), and dead-code/
 //! dead-store elimination (`dce`).
 //!
-//! Every pass is *verified*: after each rewrite batch the dataflow
-//! verifier re-runs on the candidate image, the translation-validation
-//! machinery cross-checks it against the HIR admission certificate, and
-//! the certified step bound is required never to increase. Any
+//! Every pass is *verified*: after each rewrite batch one
+//! translation-validation run analyses the candidate image — the
+//! dataflow verifier's findings, the cross-check against the HIR
+//! admission certificate, and the model step bound, which is required
+//! never to increase, all come from that single verdict. Any
 //! disagreement rolls the pass back and surfaces a spanned
 //! `misoptimization` diagnostic — fail-open to the last good image by
 //! default, fail-closed (a compile error) under strict mode. The
@@ -31,7 +32,7 @@ use crate::bytecode::{BytecodeProgram, DebugTable};
 use crate::error::{CompileError, Pos, Stage};
 use crate::hir::HProgram;
 use crate::verify::props::{PropStatus, PropertyCertificate};
-use crate::verify::vm::{validate_translation, verify_bytecode};
+use crate::verify::vm::{validate_translation, BytecodeVerdict};
 use crate::verify::{Diagnostic, Lint, Severity, VerifyConfig};
 
 /// Test-only hook injecting one deliberately unsound rewrite into a pass,
@@ -245,11 +246,32 @@ fn gated_claim(cert: &PropertyCertificate, i: usize) -> String {
         .unwrap_or_else(|| "pops-fully-guarded (null_pops == 0)".to_string())
 }
 
-/// Validates a candidate image against the previous one. Returns the new
-/// bytecode-model step bound (plus the candidate's effect profile when
-/// the property-certificate gate is armed), or the span + reason of the
-/// first failure.
-#[allow(clippy::too_many_arguments)]
+/// A candidate image that passed every check, with what the next
+/// candidate is compared against.
+struct Kept {
+    /// The candidate's translation-validation verdict.
+    verdict: BytecodeVerdict,
+    /// Its bytecode-model step bound.
+    bound: u64,
+    /// Its effect profile, when the property-certificate gate is armed.
+    profile: Option<analysis::EffectProfile>,
+}
+
+/// Why a candidate image was not kept.
+enum Rejection {
+    /// A check failed: the span and reason of the first failure.
+    Failed(Pos, String),
+    /// The verifier has no complaint, but the model step bound grew to
+    /// this value.
+    BoundGrew(u64),
+}
+
+/// Validates a candidate image against the previous one from the single
+/// verdict of one [`validate_translation`] run (structural checks,
+/// dataflow verification, bound inference and the HIR cross-check are all
+/// in it), then the property-certificate gate. The verifier's own
+/// findings outrank the bound comparison, which outranks the
+/// cross-check's.
 fn check_candidate(
     cand: &BytecodeProgram,
     cand_debug: &DebugTable,
@@ -257,84 +279,85 @@ fn check_candidate(
     certified_bound: u64,
     cfg: &VerifyConfig,
     prev_bound: u64,
-    props: Option<&PropertyCertificate>,
-    prev_profile: Option<&analysis::EffectProfile>,
-) -> Result<(u64, Option<analysis::EffectProfile>), (Pos, String)> {
-    if let Err(e) = crate::vm::verify(cand) {
-        return Err((e.pos, format!("structural verify failed: {}", e.message)));
-    }
-    let v = verify_bytecode(cand, Some(cand_debug), cfg);
-    if let Some(first) = v.diagnostics.iter().find(|d| d.severity == Severity::Error) {
-        return Err((
-            first.pos,
-            format!("re-verification failed: [{}] {}", first.lint, first.message),
+    gate: Option<(&PropertyCertificate, &analysis::EffectProfile)>,
+) -> Result<Kept, Rejection> {
+    let verdict = validate_translation(cand, cand_debug, hir, certified_bound, cfg);
+    let mut errors = verdict
+        .diagnostics
+        .iter()
+        .filter(|d| d.severity == Severity::Error);
+    if let Some(d) = errors.clone().find(|d| d.lint != Lint::Miscompile) {
+        return Err(Rejection::Failed(
+            d.pos,
+            format!("re-verification failed: [{}] {}", d.lint, d.message),
         ));
     }
-    let Some(bound) = v.step_bound else {
-        return Err((
+    if let Some(bound) = verdict.step_bound.filter(|b| *b > prev_bound) {
+        return Err(Rejection::BoundGrew(bound));
+    }
+    if let Some(d) = errors.next() {
+        return Err(Rejection::Failed(
+            d.pos,
+            format!("translation validation failed: [{}] {}", d.lint, d.message),
+        ));
+    }
+    let Some(bound) = verdict.step_bound else {
+        return Err(Rejection::Failed(
             Pos::new(0, 0),
             "re-verification lost the step bound (loop no longer provably terminates)".to_string(),
         ));
     };
-    if bound > prev_bound {
-        return Err((
-            Pos::new(0, 0),
-            format!("step bound increased: {prev_bound} -> {bound}"),
-        ));
-    }
-    let tv = validate_translation(cand, cand_debug, hir, certified_bound, cfg);
-    if let Some(first) = tv
-        .diagnostics
-        .iter()
-        .find(|d| d.severity == Severity::Error)
-    {
-        return Err((
-            first.pos,
-            format!(
-                "translation validation failed: [{}] {}",
-                first.lint, first.message
-            ),
-        ));
-    }
     // Property-certificate gate: the certificate's PROVED claims were
     // derived from the HIR's guard structure around effectful calls, so
     // a pass must not change which PUSH/POP/DROP sites execute
     // unconditionally. Feasibility uses the same interval facts SCCP
     // folds with, so a *proven* constant-guard fold leaves the profile
     // unchanged; only an unproven unguarding trips the gate.
-    let mut new_profile = None;
-    if let (Some(cert), Some(prev)) = (props, prev_profile) {
-        let profile = analysis::effect_profile(&cand.code, cand.stack_slots);
+    let mut profile = None;
+    if let Some((cert, prev)) = gate {
+        let Some(new) = analysis::effect_profile(&cand.code, cand.stack_slots) else {
+            return Err(Rejection::Failed(
+                Pos::new(0, 0),
+                "property-certificate gate: effect analysis did not converge".to_string(),
+            ));
+        };
         for i in 0..3 {
-            if profile.must[i].0 > prev.must[i].0 {
-                let pos = profile.must[i]
+            if new.must[i].0 > prev.must[i].0 {
+                let pos = new.must[i]
                     .1
                     .map(|pc| cand_debug.pos(pc))
                     .unwrap_or(Pos::new(0, 0));
-                return Err((
+                return Err(Rejection::Failed(
                     pos,
                     format!(
                         "property-certificate gate: pass makes a {} site unconditional \
                          ({} -> {} must-execute), weakening the certified {} claim",
                         analysis::effect_helper_name(i),
                         prev.must[i].0,
-                        profile.must[i].0,
+                        new.must[i].0,
                         gated_claim(cert, i),
                     ),
                 ));
             }
         }
-        new_profile = Some(profile);
+        profile = Some(new);
     }
-    Ok((bound, new_profile))
+    Ok(Kept {
+        verdict,
+        bound,
+        profile,
+    })
 }
 
 /// Runs the verified optimizing pipeline over `prog`.
 ///
-/// The input image must already have passed bytecode verification; if it
-/// has not (observe-mode compiles of rejected programs), the image is
-/// returned unchanged with an empty report. Each pass's output is
-/// re-verified and cross-checked against the HIR admission certificate
+/// Returns the image it kept, that image's debug table, the report, and
+/// the kept image's translation-validation verdict — every image is
+/// analysed exactly once (the input, then each candidate), so the caller
+/// has nothing left to validate. An input the validator does not admit
+/// with a finite bound (observe-mode compiles of rejected programs) is
+/// returned unchanged with an empty report and its own verdict. Each
+/// pass's output is validated against the HIR admission certificate
 /// (`hir`, `certified_bound`); a failing pass is rolled back and recorded
 /// as a [`Lint::Misoptimization`] warning, or — under
 /// [`OptOptions::strict`] — becomes the returned [`CompileError`].
@@ -355,7 +378,7 @@ pub fn optimize_bytecode(
     cfg: &VerifyConfig,
     options: &OptOptions,
     props: Option<&PropertyCertificate>,
-) -> Result<(BytecodeProgram, DebugTable, OptReport), CompileError> {
+) -> Result<(BytecodeProgram, DebugTable, OptReport, BytecodeVerdict), CompileError> {
     let mut report = OptReport {
         passes: PASSES
             .iter()
@@ -370,26 +393,28 @@ pub fn optimize_bytecode(
         ..OptReport::default()
     };
 
-    // Optimize only images the verifier already admits with a finite
+    // Optimize only images the validator already admits with a finite
     // bound: anything else (observe-mode compiles of rejected programs)
     // passes through untouched.
-    let initial = verify_bytecode(prog, Some(debug), cfg);
-    let admitted = !initial
-        .diagnostics
-        .iter()
-        .any(|d| d.severity == Severity::Error);
-    let Some(initial_bound) = initial.step_bound.filter(|_| admitted) else {
-        return Ok((prog.clone(), debug.clone(), report));
+    let mut verdict = validate_translation(prog, debug, hir, certified_bound, cfg);
+    let Some(mut bound) = verdict.step_bound.filter(|_| verdict.admitted()) else {
+        return Ok((prog.clone(), debug.clone(), report, verdict));
     };
-    report.bound_before = initial_bound;
-    report.bound_after = initial_bound;
+    // Arm the property gate only for certificates with PROVED claims.
+    let gate = props.filter(|c| cert_armed(c));
+    let mut profile = None;
+    if gate.is_some() {
+        profile = analysis::effect_profile(&prog.code, prog.stack_slots);
+        if profile.is_none() {
+            // No baseline to gate against: rewrite nothing.
+            return Ok((prog.clone(), debug.clone(), report, verdict));
+        }
+    }
+    report.bound_before = bound;
+    report.bound_after = bound;
 
     let mut cur = prog.clone();
     let mut dbg = debug.clone();
-    let mut bound = initial_bound;
-    // Arm the property gate only for certificates with PROVED claims.
-    let gate = props.filter(|c| cert_armed(c));
-    let mut profile = gate.map(|_| analysis::effect_profile(&prog.code, prog.stack_slots));
     let mut sabotage = options.sabotage;
     // A rolled-back pass is disabled for the rest of the pipeline: passes
     // are deterministic, so re-running one against the same image would
@@ -411,49 +436,59 @@ pub fn optimize_bytecode(
             if rewrites == 0 {
                 continue;
             }
-            match check_candidate(
+            let (pos, why) = match check_candidate(
                 &cand,
                 &cand_dbg,
                 hir,
                 certified_bound,
                 cfg,
                 bound,
-                gate,
-                profile.as_ref(),
+                gate.zip(profile.as_ref()),
             ) {
-                Ok((new_bound, new_profile)) => {
+                Ok(kept) => {
                     cur = cand;
                     dbg = cand_dbg;
-                    bound = new_bound;
-                    if new_profile.is_some() {
-                        profile = new_profile;
-                    }
+                    verdict = kept.verdict;
+                    bound = kept.bound;
+                    profile = kept.profile;
                     report.passes[i].rewrites += rewrites;
                     kept_this_round += rewrites;
+                    continue;
                 }
-                Err((pos, why)) => {
-                    report.passes[i].rolled_back = true;
-                    // Keep sabotaged passes enabled: the injection was
-                    // one-shot, so later rounds run the clean pass.
-                    if sab.is_none() {
-                        disabled[i] = true;
-                    }
-                    let message = format!("{name} pass rolled back: {why}");
-                    if options.strict {
-                        return Err(CompileError::new(
-                            Stage::VmVerify,
-                            pos,
-                            format!("[misoptimization] {message}"),
-                        ));
-                    }
-                    report.diagnostics.push(Diagnostic {
-                        lint: Lint::Misoptimization,
-                        severity: Severity::Warning,
-                        pos,
-                        message,
-                    });
-                }
+                // Model-profitability: the step-bound model charges a
+                // loop's exit-test block per iteration but dead-ends the
+                // body fallthrough at the back edge, so for top-test
+                // loops a hoisted body instruction buys nothing back
+                // while the preheader copy is charged once. Such a hoist
+                // is sound but unprofitable under the certificate — drop
+                // it rather than roll back a semantically valid rewrite.
+                Err(Rejection::BoundGrew(_)) if *name == "licm" => continue,
+                Err(Rejection::BoundGrew(grown)) => (
+                    Pos::new(0, 0),
+                    format!("step bound increased: {bound} -> {grown}"),
+                ),
+                Err(Rejection::Failed(pos, why)) => (pos, why),
+            };
+            report.passes[i].rolled_back = true;
+            // Keep sabotaged passes enabled: the injection was one-shot,
+            // so later rounds run the clean pass.
+            if sab.is_none() {
+                disabled[i] = true;
             }
+            let message = format!("{name} pass rolled back: {why}");
+            if options.strict {
+                return Err(CompileError::new(
+                    Stage::VmVerify,
+                    pos,
+                    format!("[misoptimization] {message}"),
+                ));
+            }
+            report.diagnostics.push(Diagnostic {
+                lint: Lint::Misoptimization,
+                severity: Severity::Warning,
+                pos,
+                message,
+            });
         }
         if kept_this_round == 0 {
             break;
@@ -462,7 +497,7 @@ pub fn optimize_bytecode(
 
     report.insns_after = cur.code.len();
     report.bound_after = bound;
-    Ok((cur, dbg, report))
+    Ok((cur, dbg, report, verdict))
 }
 
 #[cfg(test)]
@@ -495,7 +530,7 @@ mod tests {
     fn clean_run_shrinks_and_never_raises_bound() {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
-        let (opt, opt_dbg, report) = optimize_bytecode(
+        let (opt, opt_dbg, report, kept) = optimize_bytecode(
             &prog,
             &debug,
             &hir,
@@ -514,9 +549,12 @@ mod tests {
         assert!(report.bound_after <= report.bound_before);
         assert!(report.diagnostics.is_empty(), "{}", report.render_human());
         assert_eq!(opt_dbg.spans.len(), opt.code.len());
-        // The optimized image still passes full translation validation.
+        // The returned verdict is the kept image's own: an independent
+        // validation of the optimized image agrees and admits it.
         let tv = validate_translation(&opt, &opt_dbg, &hir, cert, &cfg);
         assert!(tv.admitted());
+        assert_eq!(kept, tv);
+        assert_eq!(kept.step_bound, Some(report.bound_after));
     }
 
     #[test]
@@ -524,7 +562,7 @@ mod tests {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
         for sab in Sabotage::ALL {
-            let (opt, opt_dbg, report) = optimize_bytecode(
+            let (opt, opt_dbg, report, kept) = optimize_bytecode(
                 &prog,
                 &debug,
                 &hir,
@@ -542,10 +580,114 @@ mod tests {
                 .iter()
                 .any(|d| d.lint == Lint::Misoptimization);
             assert!(hit, "{}: sabotage survived validation", sab.name());
-            // Fail-open: the surviving image is still valid.
+            // Fail-open: the surviving image is still valid, and the
+            // verdict handed back is that image's, not the rejected
+            // candidate's.
             let tv = validate_translation(&opt, &opt_dbg, &hir, cert, &cfg);
             assert!(tv.admitted(), "{}", sab.name());
+            assert_eq!(kept, tv, "{}", sab.name());
         }
+    }
+
+    #[test]
+    fn each_sabotage_is_rejected_by_its_pinned_check() {
+        // One verdict feeds every check, so the order they are consulted
+        // in decides which one speaks; pin it per sabotage class.
+        let expected = [
+            (
+                Sabotage::DropLiveGuard,
+                "re-verification failed: [unbounded-loop]",
+            ),
+            (
+                Sabotage::DeleteLiveIncrement,
+                "re-verification failed: [unbounded-loop]",
+            ),
+            (Sabotage::ImpureCse, "re-verification failed: [uninit-read]"),
+            (
+                Sabotage::LoopVariantHoist,
+                "re-verification failed: [unbounded-loop]",
+            ),
+            (
+                Sabotage::BadJumpThread,
+                "re-verification failed: [unbounded-loop]",
+            ),
+            (Sabotage::UnguardEffect, "property-certificate gate:"),
+        ];
+        assert_eq!(expected.map(|(s, _)| s), Sabotage::ALL);
+        let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
+        let cfg = VerifyConfig::default();
+        for (sab, check) in expected {
+            let options = OptOptions {
+                strict: false,
+                sabotage: Some(sab),
+            };
+            let (_, _, report, _) =
+                optimize_bytecode(&prog, &debug, &hir, cert, &cfg, &options, Some(&props)).unwrap();
+            let [diag] = &report.diagnostics[..] else {
+                panic!("{}: {:?}", sab.name(), report.diagnostics);
+            };
+            let prefix = format!("{} pass rolled back: {check}", sab.pass());
+            assert!(diag.message.starts_with(&prefix), "{}: {diag}", sab.name());
+            assert!(diag.pos.line > 0, "{}: {diag}", sab.name());
+        }
+    }
+
+    fn image(code: Vec<crate::bytecode::Insn>) -> (BytecodeProgram, DebugTable) {
+        let spans = vec![Pos::new(1, 1); code.len()];
+        let prog = BytecodeProgram {
+            code,
+            stack_slots: 0,
+        };
+        (prog, DebugTable { spans })
+    }
+
+    #[test]
+    fn check_precedence_bound_then_cross_check() {
+        use crate::bytecode::{Helper, Insn};
+        // HIR: one register write, nothing else.
+        let ast = crate::parser::parse("SET(R1, 1);").unwrap();
+        let hir = crate::sema::lower(&ast).unwrap();
+        let cfg = VerifyConfig::default();
+        let set_r1 = vec![
+            Insn::MovImm { dst: 1, imm: 0 },
+            Insn::MovImm { dst: 2, imm: 1 },
+            Insn::Call {
+                helper: Helper::SetReg,
+            },
+            Insn::Exit,
+        ];
+        let reject = |code: Vec<Insn>, prev_bound: u64| {
+            let (p, d) = image(code);
+            match check_candidate(&p, &d, &hir, 1_000, &cfg, prev_bound, None) {
+                Ok(kept) => panic!("kept with bound {}", kept.bound),
+                Err(Rejection::BoundGrew(b)) => format!("step bound {b}"),
+                Err(Rejection::Failed(pos, why)) => {
+                    assert!(pos.line > 0, "{why}");
+                    why
+                }
+            }
+        };
+        // Faithful image, but longer than its predecessor.
+        assert_eq!(reject(set_r1.clone(), 3), "step bound 4");
+        // Writes R2, which the certificate never audits: only the
+        // cross-check can object.
+        let mut wrong_reg = set_r1.clone();
+        wrong_reg[0] = Insn::MovImm { dst: 1, imm: 1 };
+        let why = reject(wrong_reg.clone(), 4);
+        assert!(
+            why.starts_with("translation validation failed: [miscompile]"),
+            "{why}"
+        );
+        // Both at once: the bound comparison speaks first.
+        assert_eq!(reject(wrong_reg, 3), "step bound 4");
+        // A verifier finding outranks both.
+        let mut uninit = set_r1;
+        uninit[1] = Insn::Mov { dst: 2, src: 7 };
+        let why = reject(uninit, 3);
+        assert!(
+            why.starts_with("re-verification failed: [uninit-read]"),
+            "{why}"
+        );
     }
 
     #[test]
@@ -560,7 +702,7 @@ mod tests {
             strict: false,
             sabotage: Some(Sabotage::UnguardEffect),
         };
-        let (_, _, report) =
+        let (_, _, report, _) =
             optimize_bytecode(&prog, &debug, &hir, cert, &cfg, &sab, Some(&props)).unwrap();
         let diag = report
             .diagnostics
@@ -576,7 +718,7 @@ mod tests {
 
         // Without the certificate the unsound image sails through every
         // legacy check — the gap this gate closes.
-        let (_, _, ungated) =
+        let (_, _, ungated, _) =
             optimize_bytecode(&prog, &debug, &hir, cert, &cfg, &sab, None).unwrap();
         assert!(
             !ungated

@@ -8,8 +8,9 @@
 //! unconditional jump, and drops jumps to the next instruction.
 
 use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Insn};
+use crate::flow::jump_target;
 use crate::opt::analysis::liveness;
-use crate::opt::edit::{jump_target, Editor};
+use crate::opt::edit::Editor;
 use crate::opt::Sabotage;
 
 pub(crate) fn run(

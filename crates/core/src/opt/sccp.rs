@@ -9,10 +9,11 @@
 //! dead-code pass.
 
 use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Helper, Insn};
-use crate::opt::analysis::{eval_cond, facts, reachable};
-use crate::opt::edit::{jump_target, Editor};
+use crate::flow::jump_target;
+use crate::opt::analysis::{facts, reachable};
+use crate::opt::edit::Editor;
 use crate::opt::Sabotage;
-use crate::verify::domain::{Interval, Tri};
+use crate::verify::domain::{eval_cond, Interval, Tri};
 
 fn fold(op: AluOp, a: i64, b: i64) -> i64 {
     match op {
@@ -44,8 +45,10 @@ pub(crate) fn run(
     debug: &DebugTable,
     sabotage: Option<Sabotage>,
 ) -> (BytecodeProgram, DebugTable, u64) {
+    let Some(f) = facts(&prog.code, prog.stack_slots) else {
+        return (prog.clone(), debug.clone(), 0);
+    };
     let mut ed = Editor::new(prog, debug);
-    let f = facts(&prog.code, prog.stack_slots);
     let reach = reachable(&prog.code);
 
     for pc in 0..prog.code.len() {

@@ -174,17 +174,8 @@ pub fn compile_with_options(
         ..crate::verify::VerifyConfig::default()
     };
     let verdict = crate::verify::verify_with_config(&hir, &verify_cfg);
-    if options.enforce_admission && !verdict.admitted() {
-        let first = verdict
-            .diagnostics
-            .iter()
-            .find(|d| d.severity == crate::verify::Severity::Error)
-            .expect("unadmitted verdict has an error diagnostic");
-        return Err(CompileError {
-            stage: Stage::Verify,
-            pos: first.pos,
-            message: format!("[{}] {}", first.lint, first.message),
-        });
+    if options.enforce_admission {
+        reject_on_error(Stage::Verify, &verdict.diagnostics)?;
     }
     // Semantic property certificate (work-conservation, starvation,
     // redundancy bound, reinjection safety) over the same HIR. Findings
@@ -197,13 +188,18 @@ pub fn compile_with_options(
     );
     let vcode = codegen::generate(&hir)?;
     let (bytecode, debug) = regalloc::allocate_with_debug(&vcode)?;
-    // Optional verified bytecode optimization: each pass's output is
-    // re-verified and cross-checked against the HIR admission certificate
-    // before it replaces the image (see [`crate::opt`]); on any
-    // disagreement the pass is rolled back, so what reaches the final
-    // verification below is always a validated image.
-    let (bytecode, debug, opt_report) = if options.optimize_bytecode {
-        let (b, d, r) = crate::opt::optimize_bytecode(
+    vm::verify_with_debug(&bytecode, Some(&debug))?;
+    // Translation validation: an independent abstract interpretation over
+    // the generated bytecode, cross-checked against the HIR admission
+    // certificate (step bound + helper audit). Any error here means the
+    // compiler produced code that disagrees with what was certified.
+    // Every image is validated exactly once. With the optional verified
+    // bytecode optimizer that is its job: it validates the generated
+    // image, then each pass's output before it replaces the image (see
+    // [`crate::opt`]; on any disagreement the pass is rolled back), and
+    // hands back the verdict of the image it kept.
+    let (bytecode, debug, opt_report, vm_verdict) = if options.optimize_bytecode {
+        let (b, d, r, v) = crate::opt::optimize_bytecode(
             &bytecode,
             &debug,
             &hir,
@@ -215,33 +211,19 @@ pub fn compile_with_options(
             },
             Some(&props),
         )?;
-        (b, d, Some(r))
+        (b, d, Some(r), v)
     } else {
-        (bytecode, debug, None)
+        let v = crate::verify::vm::validate_translation(
+            &bytecode,
+            &debug,
+            &hir,
+            verdict.certified_step_bound,
+            &verify_cfg,
+        );
+        (bytecode, debug, None, v)
     };
-    vm::verify_with_debug(&bytecode, Some(&debug))?;
-    // Translation validation: an independent abstract interpretation over
-    // the generated bytecode, cross-checked against the HIR admission
-    // certificate (step bound + helper audit). Any error here means the
-    // compiler produced code that disagrees with what was certified.
-    let vm_verdict = crate::verify::vm::validate_translation(
-        &bytecode,
-        &debug,
-        &hir,
-        verdict.certified_step_bound,
-        &verify_cfg,
-    );
-    if options.enforce_admission && !vm_verdict.admitted() {
-        let first = vm_verdict
-            .diagnostics
-            .iter()
-            .find(|d| d.severity == crate::verify::Severity::Error)
-            .expect("unadmitted bytecode verdict has an error diagnostic");
-        return Err(CompileError {
-            stage: Stage::VmVerify,
-            pos: first.pos,
-            message: format!("[{}] {}", first.lint, first.message),
-        });
+    if options.enforce_admission {
+        reject_on_error(Stage::VmVerify, &vm_verdict.diagnostics)?;
     }
     Ok(SchedulerProgram {
         inner: Arc::new(Compiled {
@@ -259,6 +241,25 @@ pub fn compile_with_options(
             pops_rq: OnceLock::new(),
         }),
     })
+}
+
+/// The compile error for the first error-severity finding of a verifier
+/// running at `stage`, if it has one.
+fn reject_on_error(
+    stage: Stage,
+    diagnostics: &[crate::verify::Diagnostic],
+) -> Result<(), CompileError> {
+    match diagnostics
+        .iter()
+        .find(|d| d.severity == crate::verify::Severity::Error)
+    {
+        Some(first) => Err(CompileError {
+            stage,
+            pos: first.pos,
+            message: format!("[{}] {}", first.lint, first.message),
+        }),
+        None => Ok(()),
+    }
 }
 
 impl SchedulerProgram {
@@ -329,13 +330,19 @@ impl SchedulerProgram {
         &self.inner.vm_verdict
     }
 
-    /// Human-readable bytecode verification report: annotated listing
-    /// (spans + abstract register states) plus the verdict, as surfaced
-    /// by `progmp-lint --bytecode`.
+    /// Human-readable bytecode verification report: the verdict plus the
+    /// annotated listing (spans + abstract register states), as surfaced
+    /// by `progmp-lint --bytecode`. The listing is rendered here, on
+    /// demand, by re-running the bytecode analysis: compiling keeps only
+    /// the verdict.
     pub fn bytecode_report(&self) -> String {
         let name = self.name().unwrap_or("<program>");
-        let verdict = &self.inner.vm_verdict;
-        format!("{}{}", verdict.render_human(name), verdict.annotated)
+        let listing = crate::verify::vm::annotated_listing(
+            &self.inner.bytecode,
+            Some(&self.inner.debug),
+            &self.inner.verify_cfg,
+        );
+        format!("{}{listing}", self.inner.vm_verdict.render_human(name))
     }
 
     /// Re-runs translation validation of an alternate bytecode `image`

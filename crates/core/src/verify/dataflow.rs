@@ -298,7 +298,10 @@ impl AbsState {
     }
 }
 
-const WIDEN_AFTER: usize = 4;
+/// Plain joins of one `FOREACH` body before its state is widened (the HIR
+/// interpreter's own threshold; the bytecode kernel's is
+/// `crate::flow::WIDEN_AFTER`).
+const FOREACH_WIDEN_AFTER: usize = 4;
 const MAX_LOOP_ITERS: usize = 1000;
 
 /// Runs the abstract interpreter and returns the collected diagnostics.
@@ -442,7 +445,7 @@ impl<'a> Analyzer<'a> {
                     };
                     self.exec_block(&mut s, &body);
                     let joined = cur.join(&s);
-                    let next = if i >= WIDEN_AFTER {
+                    let next = if i >= FOREACH_WIDEN_AFTER {
                         cur.widen(&joined)
                     } else {
                         joined

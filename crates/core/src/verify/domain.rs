@@ -7,6 +7,8 @@
 //! overflow the result widens to [`Interval::TOP`] — saturating would be
 //! unsound because the concrete semantics wrap.
 
+use crate::bytecode::{AluOp, Cond};
+
 /// A non-empty closed integer interval `[lo, hi]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Interval {
@@ -273,6 +275,67 @@ impl Interval {
             None => rhs,
         };
         Some((a, b))
+    }
+}
+
+/// Abstract result of the bytecode ALU operation `a op b`. Bitwise
+/// operations are only tracked for exact operands, an absorbing zero, and
+/// the boolean range (the shapes codegen emits for `AND`/`OR`/`NOT`).
+pub fn alu(op: AluOp, a: Interval, b: Interval) -> Interval {
+    let in_bool = |iv: Interval| iv.lo >= 0 && iv.hi <= 1;
+    let bitwise = |f: fn(i64, i64) -> i64| match (a.as_exact(), b.as_exact()) {
+        (Some(x), Some(y)) => Interval::exact(f(x, y)),
+        (Some(0), _) | (_, Some(0)) if op == AluOp::And => Interval::exact(0),
+        _ if in_bool(a) && in_bool(b) => Interval::BOOL,
+        _ => Interval::TOP,
+    };
+    match op {
+        AluOp::Add => a.add(b),
+        AluOp::Sub => a.sub(b),
+        AluOp::Mul => a.mul(b),
+        AluOp::Div => a.div(b),
+        AluOp::Rem => a.rem(b),
+        AluOp::And => bitwise(|x, y| x & y),
+        AluOp::Or => bitwise(|x, y| x | y),
+        AluOp::Xor => bitwise(|x, y| x ^ y),
+    }
+}
+
+/// Evaluates the branch condition `lhs cond rhs` as three-valued truth.
+pub fn eval_cond(cond: Cond, lhs: Interval, rhs: Interval) -> Tri {
+    match cond {
+        Cond::Eq => lhs.eq_ab(rhs),
+        Cond::Ne => lhs.eq_ab(rhs).not(),
+        Cond::Lt => lhs.lt(rhs),
+        Cond::Le => lhs.le(rhs),
+        Cond::Gt => rhs.lt(lhs),
+        Cond::Ge => rhs.le(lhs),
+    }
+}
+
+/// The condition that holds exactly when `cond` does not.
+pub fn negate(cond: Cond) -> Cond {
+    match cond {
+        Cond::Eq => Cond::Ne,
+        Cond::Ne => Cond::Eq,
+        Cond::Lt => Cond::Ge,
+        Cond::Le => Cond::Gt,
+        Cond::Gt => Cond::Le,
+        Cond::Ge => Cond::Lt,
+    }
+}
+
+/// Refines `(lhs, rhs)` under the assumption that `lhs cond rhs` holds;
+/// `None` exactly when [`eval_cond`] is [`Tri::False`], i.e. the edge is
+/// infeasible.
+pub fn assume(cond: Cond, lhs: Interval, rhs: Interval) -> Option<(Interval, Interval)> {
+    match cond {
+        Cond::Eq => lhs.assume_eq(rhs),
+        Cond::Ne => lhs.assume_ne(rhs),
+        Cond::Lt => lhs.assume_lt(rhs),
+        Cond::Le => lhs.assume_le(rhs),
+        Cond::Gt => rhs.assume_lt(lhs).map(|(b, a)| (a, b)),
+        Cond::Ge => rhs.assume_le(lhs).map(|(b, a)| (a, b)),
     }
 }
 
@@ -924,6 +987,52 @@ mod tests {
         let (a, _) = Interval::new(0, 10).assume_ne(Interval::exact(0)).unwrap();
         assert_eq!(a, Interval::new(1, 10));
         assert!(Interval::exact(4).assume_ne(Interval::exact(4)).is_none());
+    }
+
+    #[test]
+    fn branch_rules_agree_on_feasibility() {
+        // Both bytecode lattices decide edge feasibility by `assume`
+        // alone; that is only sound because it is infeasible exactly
+        // when the condition is decided the other way.
+        let ends = [i64::MIN, -2, 0, 1, 3, i64::MAX];
+        let ivs: Vec<Interval> = ends
+            .iter()
+            .flat_map(|&lo| ends.iter().map(move |&hi| (lo, hi)))
+            .filter(|(lo, hi)| lo <= hi)
+            .map(|(lo, hi)| Interval::new(lo, hi))
+            .collect();
+        for cond in [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Le, Cond::Gt, Cond::Ge] {
+            assert_eq!(negate(negate(cond)), cond);
+            for &a in &ivs {
+                for &b in &ivs {
+                    let tri = eval_cond(cond, a, b);
+                    assert_eq!(assume(cond, a, b).is_none(), tri == Tri::False);
+                    assert_eq!(assume(negate(cond), a, b).is_none(), tri == Tri::True);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn alu_bitwise_table() {
+        let wide = Interval::new(0, 9);
+        assert_eq!(
+            alu(AluOp::And, wide, Interval::exact(0)),
+            Interval::exact(0)
+        );
+        assert_eq!(alu(AluOp::Or, wide, Interval::exact(0)), Interval::TOP);
+        assert_eq!(
+            alu(AluOp::Xor, Interval::BOOL, Interval::exact(1)),
+            Interval::BOOL
+        );
+        assert_eq!(
+            alu(AluOp::Or, Interval::exact(4), Interval::exact(1)),
+            Interval::exact(5)
+        );
+        assert_eq!(
+            alu(AluOp::Add, wide, Interval::exact(1)),
+            Interval::new(1, 10)
+        );
     }
 
     #[test]

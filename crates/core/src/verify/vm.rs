@@ -45,10 +45,9 @@
 //! the check still pins the compiled loop structure to the certificate.
 
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 
 use super::diag::{Diagnostic, Lint, Severity};
-use super::domain::{Interval, Nullability, Tri};
+use super::domain::{alu, assume, negate, Interval, Nullability, Tri};
 use super::VerifyConfig;
 use crate::analysis;
 use crate::bytecode::{AluOp, MAX_STACK_SLOTS};
@@ -56,19 +55,18 @@ use crate::bytecode::{BytecodeProgram, Cond, DebugTable, Helper, Insn, NUM_MACH_
 use crate::env::{PacketProp, QueueKind, SubflowProp};
 use crate::error::Pos;
 use crate::exec::NULL_HANDLE;
-use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId};
+use crate::flow::{self, jump_target, read_regs, writes, Domain, Loop};
+use crate::hir::HProgram;
 
 /// Granularity slack of the step-bound cross-check: the bytecode-level
 /// bound may exceed the certified HIR bound by at most this factor
 /// before the disagreement is reported as a miscompile.
 pub const TRANSLATION_SLACK: u64 = 2;
 
-/// Joins at one program point beyond which scalar intervals are widened.
-const WIDEN_AFTER: u32 = 8;
-
-/// The bytecode verifier's result: diagnostics, the model step bound
-/// (when every reachable loop was proved bounded), and the annotated
-/// listing surfaced by `progmp-lint --bytecode`.
+/// The bytecode verifier's result: diagnostics and the model step bound
+/// (when every reachable loop was proved bounded). The annotated listing
+/// `progmp-lint --bytecode` prints is rendered on demand by
+/// [`annotated_listing`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BytecodeVerdict {
     /// All findings, sorted by pc then lint.
@@ -76,9 +74,6 @@ pub struct BytecodeVerdict {
     /// Bytecode-level model step bound; `None` when the verifier could
     /// not establish termination of some reachable loop.
     pub step_bound: Option<u64>,
-    /// Disassembly annotated with source spans and the abstract register
-    /// state each instruction executes under.
-    pub annotated: String,
 }
 
 impl BytecodeVerdict {
@@ -136,6 +131,23 @@ pub fn verify_bytecode(
     cfg: &VerifyConfig,
 ) -> BytecodeVerdict {
     run(prog, debug, cfg).into_verdict()
+}
+
+/// The disassembly of `prog` annotated with source spans and the abstract
+/// register state each instruction executes under (`unreachable` where no
+/// feasible path arrives). Re-runs the analysis [`verify_bytecode`] runs;
+/// an image that fails structural verification has no states to show and
+/// renders as its plain disassembly.
+pub fn annotated_listing(
+    prog: &BytecodeProgram,
+    debug: Option<&DebugTable>,
+    cfg: &VerifyConfig,
+) -> String {
+    let analyzer = run(prog, debug, cfg);
+    if analyzer.structural_error.is_some() {
+        return prog.disassemble();
+    }
+    analyzer.annotate()
 }
 
 /// Runs [`verify_bytecode`] and cross-checks the result against the HIR
@@ -249,7 +261,7 @@ impl AbsVal {
     }
 
     /// Join with widening on the scalar payload (called once a program
-    /// point has been joined more than [`WIDEN_AFTER`] times).
+    /// point has been joined more than [`flow::WIDEN_AFTER`] times).
     fn widen_join(self, other: AbsVal) -> AbsVal {
         match (self, self.join(other)) {
             (AbsVal::Scalar(old), AbsVal::Scalar(joined)) => AbsVal::Scalar(old.widen(joined)),
@@ -310,31 +322,16 @@ impl State {
     }
 
     fn join_into(&mut self, other: &State, widen: bool) -> bool {
-        let mut changed = false;
-        for i in 0..NUM_MACH_REGS {
-            let merged = if widen {
-                self.regs[i].widen_join(other.regs[i])
+        let merge = |old: AbsVal, new: AbsVal| {
+            if widen {
+                old.widen_join(new)
             } else {
-                self.regs[i].join(other.regs[i])
-            };
-            if merged != self.regs[i] {
-                self.regs[i] = merged;
-                changed = true;
+                old.join(new)
             }
-        }
-        for i in 0..self.slots.len() {
-            let o = other.slots.get(i).copied().unwrap_or(AbsVal::Uninit);
-            let merged = if widen {
-                self.slots[i].widen_join(o)
-            } else {
-                self.slots[i].join(o)
-            };
-            if merged != self.slots[i] {
-                self.slots[i] = merged;
-                changed = true;
-            }
-        }
-        changed
+        };
+        // Both halves must run: no short-circuit.
+        flow::merge_into(&mut self.regs, &other.regs, merge)
+            | flow::merge_into(&mut self.slots, &other.slots, merge)
     }
 }
 
@@ -381,36 +378,11 @@ fn helper_ret(h: Helper, cfg: &VerifyConfig) -> AbsVal {
     }
 }
 
-/// Registers an instruction reads (entry-state, for checks + annotation).
-fn insn_reads(insn: &Insn) -> Vec<u8> {
-    match insn {
-        Insn::MovImm { .. } | Insn::Ja { .. } | Insn::Ld { .. } | Insn::Exit => Vec::new(),
-        Insn::Mov { src, .. } | Insn::St { src, .. } => vec![*src],
-        Insn::Alu { dst, src, .. } => vec![*dst, *src],
-        Insn::AluImm { dst, .. } | Insn::Neg { dst } => vec![*dst],
-        Insn::Jmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-        Insn::JmpImm { lhs, .. } => vec![*lhs],
-        Insn::Call { helper } => (1..=helper.arg_count() as u8).collect(),
-    }
-}
-
-/// Jump target of `insn` at `pc`, if it is a (conditional or not) jump.
-fn jump_target(pc: usize, insn: &Insn) -> Option<usize> {
-    let off = match insn {
-        Insn::Ja { off } => *off,
-        Insn::Jmp { off, .. } => *off,
-        Insn::JmpImm { off, .. } => *off,
-        _ => return None,
-    };
-    usize::try_from(pc as i64 + 1 + i64::from(off)).ok()
-}
-
-/// One recognized natural loop: the interval `[head, back]`.
+/// One recognized natural loop with its model trip count (see module
+/// docs); `None` = unbounded.
 #[derive(Debug, Clone)]
 struct LoopInfo {
-    head: usize,
-    back: usize,
-    /// Model trip count (see module docs); `None` = unbounded.
+    span: Loop,
     trip: Option<u64>,
 }
 
@@ -480,46 +452,16 @@ impl<'a> Analyzer<'a> {
 
     fn fixpoint(&mut self) {
         let n = self.prog.code.len();
-        if n == 0 {
-            return;
-        }
-        let mut joins = vec![0u32; n];
-        let mut work = VecDeque::new();
-        self.states[0] = Some(State::entry(self.prog.stack_slots));
-        work.push_back(0usize);
-        // Far above any real fixpoint; a runaway here is a verifier bug.
-        let mut guard = (n + 1).saturating_mul(1024);
-        while let Some(pc) = work.pop_front() {
-            if guard == 0 {
-                self.report(
-                    pc,
-                    Lint::Miscompile,
-                    "abstract interpretation did not converge".to_string(),
-                );
-                return;
-            }
-            guard -= 1;
-            let st = match &self.states[pc] {
-                Some(s) => s.clone(),
-                None => continue,
-            };
-            for (succ, succ_state) in self.transfer(pc, &st) {
-                if succ >= n {
-                    continue; // structural verify makes this unreachable
-                }
-                match &mut self.states[succ] {
-                    slot @ None => {
-                        *slot = Some(succ_state);
-                        work.push_back(succ);
-                    }
-                    Some(existing) => {
-                        joins[succ] += 1;
-                        if existing.join_into(&succ_state, joins[succ] > WIDEN_AFTER) {
-                            work.push_back(succ);
-                        }
-                    }
-                }
-            }
+        let solution = flow::solve(self, n);
+        self.states = solution.before;
+        if let Some(pc) = solution.diverged_at {
+            // A runaway here is a verifier bug, never a property of the
+            // image: fail closed.
+            self.report(
+                pc,
+                Lint::Miscompile,
+                "abstract interpretation did not converge".to_string(),
+            );
         }
     }
 
@@ -554,32 +496,16 @@ impl<'a> Analyzer<'a> {
             AbsVal::Uninit => Interval::TOP, // read_reg already flagged it
         }
     }
+}
 
-    fn alu_result(op: AluOp, a: Interval, b: Interval) -> Interval {
-        let in_bool = |iv: Interval| iv.lo >= 0 && iv.hi <= 1;
-        match op {
-            AluOp::Add => a.add(b),
-            AluOp::Sub => a.sub(b),
-            AluOp::Mul => a.mul(b),
-            AluOp::Div => a.div(b),
-            AluOp::Rem => a.rem(b),
-            AluOp::And | AluOp::Or | AluOp::Xor => {
-                if let (Some(x), Some(y)) = (a.as_exact(), b.as_exact()) {
-                    Interval::exact(match op {
-                        AluOp::And => x & y,
-                        AluOp::Or => x | y,
-                        _ => x ^ y,
-                    })
-                } else if in_bool(a) && in_bool(b) {
-                    Interval::BOOL
-                } else {
-                    Interval::TOP
-                }
-            }
-        }
+/// The verifier's lattice, solved by the crate's flow kernel.
+impl Domain for Analyzer<'_> {
+    type State = State;
+
+    fn entry(&self) -> State {
+        State::entry(self.prog.stack_slots)
     }
 
-    /// Abstract successors of `pc` executed under entry state `st`.
     fn transfer(&mut self, pc: usize, st: &State) -> Vec<(usize, State)> {
         let insn = self.prog.code[pc];
         let mut next = st.clone();
@@ -601,14 +527,13 @@ impl<'a> Analyzer<'a> {
                 let b = self.read_reg(pc, st, src);
                 let a = self.as_scalar(pc, a, "arithmetic");
                 let b = self.as_scalar(pc, b, "arithmetic");
-                next.regs[usize::from(dst)] = AbsVal::Scalar(Self::alu_result(op, a, b));
+                next.regs[usize::from(dst)] = AbsVal::Scalar(alu(op, a, b));
                 vec![(pc + 1, next)]
             }
             Insn::AluImm { op, dst, imm } => {
                 let a = self.read_reg(pc, st, dst);
                 let a = self.as_scalar(pc, a, "arithmetic");
-                next.regs[usize::from(dst)] =
-                    AbsVal::Scalar(Self::alu_result(op, a, Interval::exact(imm)));
+                next.regs[usize::from(dst)] = AbsVal::Scalar(alu(op, a, Interval::exact(imm)));
                 vec![(pc + 1, next)]
             }
             Insn::Neg { dst } => {
@@ -684,6 +609,12 @@ impl<'a> Analyzer<'a> {
         }
     }
 
+    fn join(&self, at: &mut State, incoming: &State, widen: bool) -> bool {
+        at.join_into(incoming, widen)
+    }
+}
+
+impl Analyzer<'_> {
     /// Checks one helper call's arguments against its typed signature.
     fn check_call(&mut self, pc: usize, st: &State, helper: Helper) {
         for (i, kind) in helper_sig(helper).iter().enumerate() {
@@ -767,38 +698,16 @@ impl<'a> Analyzer<'a> {
             return self.branch_handle_eq(pc, st, cond, lhs, lhs_val, rhs_val, rhs_reg, target);
         }
 
-        // Pure scalar comparison.
+        // Pure scalar comparison: an edge is feasible exactly when its
+        // assumption refines to something.
         let a = self.as_scalar(pc, lhs_val, "comparison");
         let b = self.as_scalar(pc, rhs_val, "comparison");
-        let tri = match cond {
-            Cond::Eq => a.eq_ab(b),
-            Cond::Ne => a.eq_ab(b).not(),
-            Cond::Lt => a.lt(b),
-            Cond::Le => a.le(b),
-            Cond::Gt => b.lt(a),
-            Cond::Ge => b.le(a),
-        };
-        let assume = |c: Cond| -> Option<(Interval, Interval)> {
-            match c {
-                Cond::Eq => a.assume_eq(b),
-                Cond::Ne => a.assume_ne(b),
-                Cond::Lt => a.assume_lt(b),
-                Cond::Le => a.assume_le(b),
-                Cond::Gt => b.assume_lt(a).map(|(y, x)| (x, y)),
-                Cond::Ge => b.assume_le(a).map(|(y, x)| (x, y)),
-            }
-        };
-        let negated = match cond {
-            Cond::Eq => Cond::Ne,
-            Cond::Ne => Cond::Eq,
-            Cond::Lt => Cond::Ge,
-            Cond::Le => Cond::Gt,
-            Cond::Gt => Cond::Le,
-            Cond::Ge => Cond::Lt,
-        };
-        let mut out = Vec::new();
-        let mut push_edge = |to: usize, refined: Option<(Interval, Interval)>| {
-            if let Some((ra, rb)) = refined {
+        let taken = assume(cond, a, b).map(|refined| (target, refined));
+        let fallthrough = assume(negate(cond), a, b).map(|refined| (pc + 1, refined));
+        taken
+            .into_iter()
+            .chain(fallthrough)
+            .map(|(to, (ra, rb))| {
                 let mut s = st.clone();
                 // Only refine locations that were scalars to begin with;
                 // NULL stays the polymorphic literal.
@@ -808,16 +717,9 @@ impl<'a> Analyzer<'a> {
                 if let (Some(r), AbsVal::Scalar(_)) = (rhs_reg, rhs_val) {
                     s.regs[usize::from(r)] = AbsVal::Scalar(rb);
                 }
-                out.push((to, s));
-            }
-        };
-        if tri != Tri::False {
-            push_edge(target, assume(cond));
-        }
-        if tri != Tri::True {
-            push_edge(pc + 1, assume(negated));
-        }
-        out
+                (to, s)
+            })
+            .collect()
     }
 
     /// Eq/Ne branch where at least one side is a handle.
@@ -897,37 +799,14 @@ impl<'a> Analyzer<'a> {
 
     // ---- loop-bound inference ----------------------------------------
 
-    /// Block leaders for the whole program.
-    fn leaders(&self) -> Vec<usize> {
-        let mut set = BTreeSet::new();
-        set.insert(0usize);
-        for (pc, insn) in self.prog.code.iter().enumerate() {
-            if let Some(t) = jump_target(pc, insn) {
-                set.insert(t);
-                set.insert(pc + 1);
-            }
-        }
-        set.into_iter()
-            .filter(|&l| l < self.prog.code.len())
-            .collect()
-    }
-
     fn analyze_loops(&mut self) {
         if self.structural_error.is_some() {
             return;
         }
-        // Back edges: jumps whose target does not lie forward.
-        let mut loops = Vec::new();
-        for (pc, insn) in self.prog.code.iter().enumerate() {
-            if let Some(t) = jump_target(pc, insn) {
-                if t <= pc {
-                    loops.push((t, pc));
-                }
-            }
-        }
+        let loops = flow::loops(&self.prog.code);
         // Proper nesting: intervals must be disjoint or nested.
-        for (i, &(h1, b1)) in loops.iter().enumerate() {
-            for &(h2, b2) in &loops[i + 1..] {
+        for (i, &Loop { head: h1, back: b1 }) in loops.iter().enumerate() {
+            for &Loop { head: h2, back: b2 } in &loops[i + 1..] {
                 let disjoint = b1 < h2 || b2 < h1;
                 let nested = (h1 <= h2 && b2 <= b1) || (h2 <= h1 && b1 <= b2);
                 if !disjoint && !nested {
@@ -942,11 +821,10 @@ impl<'a> Analyzer<'a> {
                 }
             }
         }
-        let leaders = self.leaders();
-        let loop_list: Vec<(usize, usize)> = loops.clone();
-        for (head, back) in loops {
-            let trip = self.loop_trip(head, back, &leaders, &loop_list);
-            self.loops.push(LoopInfo { head, back, trip });
+        let leaders = flow::leaders(&self.prog.code);
+        for &span in &loops {
+            let trip = self.loop_trip(span, &leaders, &loops);
+            self.loops.push(LoopInfo { span, trip });
         }
     }
 
@@ -954,10 +832,9 @@ impl<'a> Analyzer<'a> {
     /// (a diagnostic has been emitted).
     fn loop_trip(
         &mut self,
-        head: usize,
-        back: usize,
-        leaders: &[usize],
-        all_loops: &[(usize, usize)],
+        Loop { head, back }: Loop,
+        leaders: &[bool],
+        all_loops: &[Loop],
     ) -> Option<u64> {
         // A loop the abstract interpretation proved unreachable can never
         // run; charge it like the HIR model charges dead branches (full
@@ -1003,10 +880,8 @@ impl<'a> Analyzer<'a> {
             // Top-test shape: `if idx >= n goto out` must execute on every
             // iteration, so nothing between head and the test may branch
             // or be branched into.
-            let head_block_ok = (head..p).all(|q| {
-                jump_target(q, &self.prog.code[q]).is_none() && (q == head || !leaders.contains(&q))
-            }) && (p == head || !leaders.contains(&p));
-            let head_block_ok = head_block_ok && !(head + 1..=p).any(|q| leaders.contains(&q));
+            let head_block_ok = (head..p).all(|q| jump_target(q, &self.prog.code[q]).is_none())
+                && !(head + 1..=p).any(|q| leaders[q]);
             if !head_block_ok {
                 return unbounded(
                     self,
@@ -1037,7 +912,7 @@ impl<'a> Analyzer<'a> {
                     } else {
                         hi.saturating_add(1)
                     };
-                    (p, trip, lhs, Some(LoopVar::from_reg(rhs)))
+                    (p, trip, lhs, Some(rhs))
                 }
                 Insn::JmpImm {
                     cond: cond @ (Cond::Ge | Cond::Gt),
@@ -1087,7 +962,7 @@ impl<'a> Analyzer<'a> {
                     } else {
                         span
                     };
-                    (back, trip, lhs, Some(LoopVar::from_reg(rhs)))
+                    (back, trip, lhs, Some(rhs))
                 }
                 Insn::JmpImm {
                     cond: cond @ (Cond::Lt | Cond::Le),
@@ -1120,10 +995,7 @@ impl<'a> Analyzer<'a> {
                 )
             }
         };
-        let n_loc = match n_src {
-            Some(LoopVar::Reg(r)) => self.resolve_loc(head, test_pc, r),
-            _ => None,
-        };
+        let n_loc = n_src.and_then(|r| self.resolve_loc(head, test_pc, r));
 
         // The bound must be loop-invariant.
         if let Some(nl) = n_loc {
@@ -1151,7 +1023,7 @@ impl<'a> Analyzer<'a> {
     /// with no nested loop realize the HIR's constant-charged constructs
     /// (unfiltered `COUNT`/`EMPTY`/`TOP`/`POP`, plain `GET`) and are
     /// charged one trip, mirroring the certificate's charging discipline.
-    fn o1_equivalent(&self, head: usize, back: usize, all_loops: &[(usize, usize)]) -> bool {
+    fn o1_equivalent(&self, head: usize, back: usize, all_loops: &[Loop]) -> bool {
         let has_filter_skip = (head..=back).any(|q| {
             matches!(
                 self.prog.code[q],
@@ -1175,7 +1047,7 @@ impl<'a> Analyzer<'a> {
         };
         let has_nested = all_loops
             .iter()
-            .any(|&(h, b)| (h, b) != (head, back) && h >= head && b <= back);
+            .any(|l| *l != Loop { head, back } && l.head >= head && l.back <= back);
         !has_filter_skip && fetch_only && !has_nested
     }
 
@@ -1198,7 +1070,7 @@ impl<'a> Analyzer<'a> {
         for q in (head..test_pc).rev() {
             match self.prog.code[q] {
                 Insn::Ld { dst, slot } if dst == reg => return Some(Loc::Slot(slot)),
-                insn if insn_writes_reg(&insn, reg) => return None,
+                insn if writes(&insn).has_reg(reg) => return None,
                 _ => {}
             }
         }
@@ -1207,21 +1079,17 @@ impl<'a> Analyzer<'a> {
 
     /// Whether the instruction at `pc` writes `loc`.
     fn writes_loc(&self, pc: usize, loc: Loc) -> bool {
-        match (loc, self.prog.code[pc]) {
-            (Loc::Slot(s), Insn::St { slot, .. }) => slot == s,
-            (Loc::Slot(_), _) => false,
-            (Loc::Reg(r), insn) => insn_writes_reg(&insn, r),
+        let written = writes(&self.prog.code[pc]);
+        match loc {
+            Loc::Slot(s) => written.has_slot(s),
+            Loc::Reg(r) => written.has_reg(r),
         }
     }
 
     /// Verifies that the induction variable only ever increases inside
     /// `[head, back]` and that the back-edge block increments it.
-    fn check_monotone(&mut self, head: usize, back: usize, idx: Loc, leaders: &[usize]) -> bool {
-        let block_starts: Vec<usize> = leaders
-            .iter()
-            .copied()
-            .filter(|&l| l >= head && l <= back)
-            .collect();
+    fn check_monotone(&mut self, head: usize, back: usize, idx: Loc, leaders: &[bool]) -> bool {
+        let block_starts: Vec<usize> = (head..=back).filter(|&l| leaders[l]).collect();
         let mut back_block_increments = false;
         for (bi, &start) in block_starts.iter().enumerate() {
             let end = block_starts
@@ -1334,7 +1202,7 @@ impl<'a> Analyzer<'a> {
         let mut weight = vec![1u64; n];
         for l in &self.loops {
             let mult = l.trip.unwrap_or(0).saturating_add(1);
-            for w in &mut weight[l.head..=l.back] {
+            for w in &mut weight[l.span.head..=l.span.back] {
                 *w = w.saturating_mul(mult);
             }
         }
@@ -1391,7 +1259,7 @@ impl<'a> Analyzer<'a> {
             match &self.states[pc] {
                 None => notes.push("unreachable".to_string()),
                 Some(st) => {
-                    for r in insn_reads(insn) {
+                    for r in read_regs(insn) {
                         notes.push(format!("r{r}={}", st.regs[usize::from(r)].render()));
                     }
                     if let Insn::Ld { slot, .. } = insn {
@@ -1423,10 +1291,8 @@ impl<'a> Analyzer<'a> {
                     message: format!("structural bytecode verification failed: {msg}"),
                 }],
                 step_bound: None,
-                annotated: self.prog.disassemble(),
             };
         }
-        let annotated = self.annotate();
         let mut diagnostics: Vec<Diagnostic> = self
             .findings
             .iter()
@@ -1444,19 +1310,7 @@ impl<'a> Analyzer<'a> {
         BytecodeVerdict {
             diagnostics,
             step_bound: self.step_bound,
-            annotated,
         }
-    }
-}
-
-/// Loop-variable source operand of an exit test.
-enum LoopVar {
-    Reg(u8),
-}
-
-impl LoopVar {
-    fn from_reg(r: u8) -> LoopVar {
-        LoopVar::Reg(r)
     }
 }
 
@@ -1465,20 +1319,6 @@ impl LoopVar {
 enum Loc {
     Reg(u8),
     Slot(u16),
-}
-
-/// Whether `insn` writes register `r` (including the call clobber set).
-fn insn_writes_reg(insn: &Insn, r: u8) -> bool {
-    match insn {
-        Insn::MovImm { dst, .. }
-        | Insn::Mov { dst, .. }
-        | Insn::Alu { dst, .. }
-        | Insn::AluImm { dst, .. }
-        | Insn::Neg { dst }
-        | Insn::Ld { dst, .. } => *dst == r,
-        Insn::Call { .. } => r <= 5,
-        _ => false,
-    }
 }
 
 /// Per-block symbolic values for the monotonicity check: which registers
@@ -1736,11 +1576,10 @@ fn audit_helpers(
         }
     }
 
-    let hir_pops = count_hir_pops(hir);
     let counts = [
         ("Push", push_calls, hir_audit.push_sites, first_site[0]),
         ("DropPkt", drop_calls, hir_audit.drop_sites, first_site[1]),
-        ("Pop", pop_calls, hir_pops, first_site[2]),
+        ("Pop", pop_calls, hir_audit.pop_sites, first_site[2]),
     ];
     for (name, got, want, site) in counts {
         if got != want {
@@ -1769,99 +1608,6 @@ fn audit_helpers(
     diags
 }
 
-/// Number of `QueuePop` nodes reachable from the program body: each one
-/// compiles to exactly one `Pop` helper call (side-effect isolation
-/// keeps predicates pop-free, so filter re-expansion never duplicates
-/// them).
-fn count_hir_pops(prog: &HProgram) -> usize {
-    let mut n = 0;
-    for &sid in &prog.body {
-        pops_in_stmt(prog, sid, &mut n);
-    }
-    n
-}
-
-fn pops_in_stmt(prog: &HProgram, sid: StmtId, n: &mut usize) {
-    match prog.stmt(sid) {
-        HStmt::VarDecl { init, .. } => pops_in_expr(prog, *init, n),
-        HStmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            pops_in_expr(prog, *cond, n);
-            for &s in then_body.iter().chain(else_body) {
-                pops_in_stmt(prog, s, n);
-            }
-        }
-        HStmt::Foreach { list, body, .. } => {
-            pops_in_expr(prog, *list, n);
-            for &s in body {
-                pops_in_stmt(prog, s, n);
-            }
-        }
-        HStmt::SetReg { value, .. } => pops_in_expr(prog, *value, n),
-        HStmt::Push { target, packet } => {
-            pops_in_expr(prog, *target, n);
-            pops_in_expr(prog, *packet, n);
-        }
-        HStmt::Drop { packet } => pops_in_expr(prog, *packet, n),
-        HStmt::Return => {}
-    }
-}
-
-fn pops_in_expr(prog: &HProgram, eid: ExprId, n: &mut usize) {
-    match prog.expr(eid) {
-        HExpr::QueuePop(e) => {
-            *n += 1;
-            pops_in_expr(prog, *e, n);
-        }
-        HExpr::Int(_)
-        | HExpr::Bool(_)
-        | HExpr::NullPacket
-        | HExpr::NullSubflow
-        | HExpr::ReadReg(_)
-        | HExpr::ReadVar(_)
-        | HExpr::Subflows
-        | HExpr::Queue(_) => {}
-        HExpr::SubflowProp { sbf: e, .. }
-        | HExpr::PacketProp { pkt: e, .. }
-        | HExpr::ListCount(e)
-        | HExpr::ListEmpty(e)
-        | HExpr::QueueCount(e)
-        | HExpr::QueueEmpty(e)
-        | HExpr::QueueTop(e)
-        | HExpr::Unary { expr: e, .. } => pops_in_expr(prog, *e, n),
-        HExpr::SentOn { pkt: a, sbf: b } | HExpr::HasWindowFor { sbf: a, pkt: b } => {
-            pops_in_expr(prog, *a, n);
-            pops_in_expr(prog, *b, n);
-        }
-        HExpr::ListFilter {
-            list: a, pred: b, ..
-        }
-        | HExpr::QueueFilter {
-            queue: a, pred: b, ..
-        }
-        | HExpr::ListMinMax {
-            list: a, key: b, ..
-        }
-        | HExpr::QueueMinMax {
-            queue: a, key: b, ..
-        }
-        | HExpr::ListSum {
-            list: a, key: b, ..
-        }
-        | HExpr::QueueSum {
-            queue: a, key: b, ..
-        }
-        | HExpr::ListGet { list: a, index: b }
-        | HExpr::Binary { lhs: a, rhs: b, .. } => {
-            pops_in_expr(prog, *a, n);
-            pops_in_expr(prog, *b, n);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1886,6 +1632,11 @@ mod tests {
         validate_translation(&prog, &debug, &hir, bound, &VerifyConfig::default())
     }
 
+    fn listing(src: &str) -> String {
+        let (_, prog, debug, _) = compile_parts(src);
+        annotated_listing(&prog, Some(&debug), &VerifyConfig::default())
+    }
+
     const MIN_RTT: &str =
         "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
 
@@ -1900,7 +1651,7 @@ mod tests {
             bound <= hir_bound.saturating_mul(TRANSLATION_SLACK),
             "{bound} vs {hir_bound}"
         );
-        assert!(v.annotated.contains("call"));
+        assert!(listing(MIN_RTT).contains("call"));
     }
 
     #[test]
@@ -1908,11 +1659,8 @@ mod tests {
         let v = validated("SET(R1, SUBFLOWS.COUNT);");
         assert!(v.admitted(), "diags: {:?}", v.diagnostics);
         // Every line carries a `line:col` annotation from the side table.
-        assert!(
-            v.annotated.lines().all(|l| l.contains("; 1:")),
-            "{}",
-            v.annotated
-        );
+        let listing = listing("SET(R1, SUBFLOWS.COUNT);");
+        assert!(listing.lines().all(|l| l.contains("; 1:")), "{listing}");
     }
 
     #[test]
@@ -2314,6 +2062,24 @@ mod tests {
             .iter()
             .any(|d| d.lint == Lint::Miscompile && d.message.contains("structural")));
         assert_eq!(v.step_bound, None);
+        // No abstract states to annotate: the listing is the plain
+        // disassembly.
+        assert_eq!(
+            annotated_listing(&prog, None, &VerifyConfig::default()),
+            prog.disassemble()
+        );
+    }
+
+    #[test]
+    fn listing_is_rendered_on_demand_and_repeatable() {
+        let (_, prog, debug, _) = compile_parts(MIN_RTT);
+        let cfg = VerifyConfig::default();
+        let first = annotated_listing(&prog, Some(&debug), &cfg);
+        assert_eq!(first, annotated_listing(&prog, Some(&debug), &cfg));
+        assert_eq!(first.lines().count(), prog.code.len());
+        // Without a side table the spans go, the states stay.
+        let bare = annotated_listing(&prog, None, &cfg);
+        assert!(!bare.contains("; 1:") && bare.contains("r1="), "{bare}");
     }
 
     #[test]
@@ -2321,11 +2087,11 @@ mod tests {
         // `VAR s = SUBFLOWS.GET(0); IF (s != NULL) { s.PUSH(Q.POP()); }`
         // The push target is NonNull on the guarded path: no signature
         // issues, admitted.
-        let v = validated(
-            "VAR s = SUBFLOWS.GET(0);
-             IF (s != NULL AND !Q.EMPTY) { s.PUSH(Q.POP()); }",
-        );
+        let src = "VAR s = SUBFLOWS.GET(0);
+             IF (s != NULL AND !Q.EMPTY) { s.PUSH(Q.POP()); }";
+        let v = validated(src);
         assert!(v.admitted(), "diags: {:?}", v.diagnostics);
-        assert!(v.annotated.contains("sbf"), "{}", v.annotated);
+        let listing = listing(src);
+        assert!(listing.contains("sbf"), "{listing}");
     }
 }

@@ -12,7 +12,7 @@ use progmp_core::bytecode::{AluOp, BytecodeProgram, Cond, Helper, Insn};
 use progmp_core::codegen::{VCode, VInsn, VReg};
 use progmp_core::exec::NULL_HANDLE;
 use progmp_core::regalloc;
-use progmp_core::verify::vm::verify_bytecode;
+use progmp_core::verify::vm::{annotated_listing, verify_bytecode};
 use progmp_core::verify::{Lint, Severity, VerifyConfig};
 
 fn prog(code: Vec<Insn>) -> BytecodeProgram {
@@ -153,12 +153,13 @@ fn branch_on_known_constant_makes_one_arm_unreachable() {
 
 #[test]
 fn annotated_listing_marks_unreachable_instructions() {
-    let v = check(&prog(vec![
+    let p = prog(vec![
         Insn::Ja { off: 1 },
         Insn::MovImm { dst: 6, imm: 9 },
         Insn::Exit,
-    ]));
-    assert!(v.annotated.contains("unreachable"), "{}", v.annotated);
+    ]);
+    let listing = annotated_listing(&p, None, &VerifyConfig::default());
+    assert!(listing.contains("unreachable"), "{listing}");
 }
 
 // --- helper-signature violations ----------------------------------------
@@ -412,9 +413,11 @@ fn spilled_loop_induction_variable_still_bounds() {
     insns.push(VInsn::Exit);
     let (machine, debug) =
         regalloc::allocate_with_debug(&VCode::from_insns(insns)).expect("allocates");
-    let v = verify_bytecode(&machine, Some(&debug), &VerifyConfig::default());
-    assert!(v.admitted(), "{:?}\n{}", v.diagnostics, v.annotated);
-    assert!(v.step_bound.is_some(), "loop must bound:\n{}", v.annotated);
+    let cfg = VerifyConfig::default();
+    let v = verify_bytecode(&machine, Some(&debug), &cfg);
+    let listing = annotated_listing(&machine, Some(&debug), &cfg);
+    assert!(v.admitted(), "{:?}\n{listing}", v.diagnostics);
+    assert!(v.step_bound.is_some(), "loop must bound:\n{listing}");
 }
 
 // --- the admission stage end-to-end --------------------------------------
@@ -433,6 +436,13 @@ fn compiled_programs_expose_an_admitted_bytecode_verdict() {
     assert!(report.contains("ADMITTED"), "{report}");
     // Every reachable line carries a source span from the debug table.
     assert!(report.contains("; 1:"), "{report}");
+    // The listing is rendered per call, from the same image and caps.
+    assert_eq!(report, program.bytecode_report());
+    assert!(report.ends_with(&annotated_listing(
+        program.bytecode(),
+        Some(program.debug_table()),
+        &VerifyConfig::default()
+    )));
 }
 
 #[test]
