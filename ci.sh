@@ -72,8 +72,10 @@ for bin in crates/bench/src/bin/*.rs; do
   "./target/release/$name" --smoke > /dev/null
 done
 
-echo "==> scale tier: scale_fleet --smoke emits schema-valid BENCH_scale.json"
-./target/release/scale_fleet --smoke --json /tmp/BENCH_scale.smoke.json | tail -n 1
+echo "==> scale tier: full scale_fleet sweep, events and digests equal to the committed BENCH_scale.json"
+scale_out="$(mktemp)"
+./target/release/scale_fleet --json "$scale_out" --against BENCH_scale.json | tail -n 1
+rm -f "$scale_out"
 
 echo "==> fleet soak: 1k connections, oracle armed, zero violations"
 cargo test -q --release -p progmp-conformance --test fleet_soak -- --ignored

@@ -7,11 +7,14 @@
 //! run); the committed copy at the repo root is the performance
 //! trajectory baseline that future engine changes diff against.
 //!
-//! Flags: `--smoke` runs the reduced CI sweep; `--json PATH` chooses
-//! the output file (default `BENCH_scale.json`).
+//! Flags: `--json PATH` chooses the output file (default
+//! `BENCH_scale.json`); `--against PATH` additionally fails the run
+//! unless every row's event count and fleet digest equal the row with
+//! the same key in that (committed) file; `--smoke` runs a reduced sweep
+//! that is written only where `--json` says, never over the trajectory.
 
-use progmp_bench::report::{json_out, smoke, Json};
-use progmp_bench::scale::{run_scale, validate_scale_report, ScaleConfig};
+use progmp_bench::report::{json_out, path_arg, smoke, Json};
+use progmp_bench::scale::{check_against_committed, run_scale, validate_scale_report, ScaleConfig};
 
 fn main() {
     let cfg = if smoke() {
@@ -21,9 +24,7 @@ fn main() {
     };
     println!(
         "=== scale tier: fleet sweep {:?} connections x {:?} workers ({} mode) ===\n",
-        cfg.sizes,
-        cfg.workers,
-        if smoke() { "smoke" } else { "full" },
+        cfg.sizes, cfg.workers, cfg.mode,
     );
     let report = run_scale(&cfg, &mut |line| println!("{line}"));
 
@@ -31,7 +32,20 @@ fn main() {
     let doc = Json::parse(&text).expect("own report parses");
     validate_scale_report(&doc).expect("schema-valid scale report");
 
-    let path = json_out().unwrap_or_else(|| "BENCH_scale.json".into());
-    std::fs::write(&path, &text).expect("write scale report");
-    println!("\nwrote {} (schema-valid)", path.display());
+    let default_path = (!smoke()).then(|| "BENCH_scale.json".into());
+    if let Some(path) = json_out().or(default_path) {
+        std::fs::write(&path, &text).expect("write scale report");
+        println!("\nwrote {} (schema-valid)", path.display());
+    }
+
+    if let Some(path) = path_arg("--against") {
+        let committed = std::fs::read_to_string(&path).expect("read the committed scale report");
+        let committed = Json::parse(&committed).expect("committed scale report parses");
+        validate_scale_report(&committed).expect("schema-valid committed scale report");
+        if let Err(e) = check_against_committed(&doc, &committed) {
+            eprintln!("simulated behaviour differs from {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        println!("events and digests match {}", path.display());
+    }
 }

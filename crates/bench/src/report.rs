@@ -24,16 +24,21 @@ pub fn smoke() -> bool {
     std::env::args().any(|a| a == "--smoke")
 }
 
-/// The `--json PATH` argument, if given: where to write the
-/// machine-readable report alongside the printed table.
-pub fn json_out() -> Option<PathBuf> {
+/// The path following `flag` on the command line, if given.
+pub fn path_arg(flag: &str) -> Option<PathBuf> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
-        if a == "--json" {
+        if a == flag {
             return args.next().map(PathBuf::from);
         }
     }
     None
+}
+
+/// The `--json PATH` argument, if given: where to write the
+/// machine-readable report alongside the printed table.
+pub fn json_out() -> Option<PathBuf> {
+    path_arg("--json")
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from

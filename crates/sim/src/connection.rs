@@ -412,7 +412,7 @@ impl Connection {
     }
 
     /// Structural queue invariants, checked by the chaos oracle after
-    /// every event: the queues hold only known, unacknowledged segments,
+    /// every event on this connection: the queues hold only known, unacknowledged segments,
     /// without duplicates, and a segment is never simultaneously
     /// schedulable (`Q`/`RQ`) twice. Returns the first violation found.
     pub fn queue_invariants(&self) -> Result<(), String> {

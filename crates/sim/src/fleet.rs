@@ -92,10 +92,10 @@ impl ConnScenario {
 pub enum OracleMode {
     /// No oracle (fastest).
     Off,
-    /// Collect violations into the [`FleetReport`], with the per-event
-    /// replay log disabled (the scale-bench configuration).
+    /// Collect violations into the [`FleetReport`] (the scale-bench
+    /// configuration).
     Collect,
-    /// Panic on the first violation, with full replay log.
+    /// Panic on the first violation, with the replay log in the message.
     Panic,
 }
 
@@ -159,7 +159,8 @@ impl FleetConfig {
         self
     }
 
-    /// The effective worker count (resolves `0` to the CPU count).
+    /// The worker count a run uses: `0` resolves to the CPU count, and
+    /// no more workers start than there are connections.
     pub fn effective_workers(&self) -> usize {
         let w = if self.workers == 0 {
             std::thread::available_parallelism()
@@ -168,7 +169,7 @@ impl FleetConfig {
         } else {
             self.workers
         };
-        w.max(1)
+        w.min(self.connections).max(1)
     }
 }
 
@@ -309,7 +310,7 @@ where
     F: Fn(usize, u64) -> ConnScenario + Sync,
 {
     let n = cfg.connections;
-    let workers = cfg.effective_workers().min(n.max(1));
+    let workers = cfg.effective_workers();
     let seeds = conn_seeds(cfg.seed, n);
     // Contiguous shards, sizes differing by at most one.
     let mut bounds = Vec::with_capacity(workers + 1);
@@ -373,17 +374,11 @@ where
     if let Some(contain) = &cfg.containment {
         sim.enable_containment(contain.clone());
     }
-    match cfg.oracle {
-        OracleMode::Off => {}
-        OracleMode::Collect => {
-            sim.enable_oracle(format!("fleet seed={} shard={shard}", cfg.seed), false);
-            // Formatting a replay log for every event would dominate
-            // fleet-scale runs; violations still carry full detail.
-            sim.oracle_mut().expect("oracle enabled").log_events = false;
-        }
-        OracleMode::Panic => {
-            sim.enable_oracle(format!("fleet seed={} shard={shard}", cfg.seed), true);
-        }
+    if cfg.oracle != OracleMode::Off {
+        sim.enable_oracle(
+            format!("fleet seed={} shard={shard}", cfg.seed),
+            cfg.oracle == OracleMode::Panic,
+        );
     }
     for (global, &seed) in seeds.iter().enumerate().take(hi).skip(lo) {
         let sc = scenario(global, seed);

@@ -1,6 +1,18 @@
 //! Runtime invariant oracle: checks conservation-of-data, acknowledgement
-//! monotonicity, reorder-queue accounting, and eventual progress after
-//! every simulated event.
+//! monotonicity, reorder-queue accounting, and eventual progress.
+//!
+//! ## When the checks run
+//!
+//! After every simulated event, on the one connection that event names:
+//! an event mutates no other connection, so the others' verdicts cannot
+//! have changed and the cost per event does not grow with the number of
+//! connections sharing the simulator. Every connection is checked
+//! whenever a run call (`Sim::run_until`, `Sim::run_to_completion`)
+//! stops, which covers whatever the caller changed between calls through
+//! the public `Sim::connections`, and once more for eventual progress
+//! when the event queue drains. A violating connection's reports are
+//! therefore a function of its own event history and of where the caller
+//! stopped the run, not of how many neighbours it has.
 //!
 //! The oracle exists for the chaos tier (TESTING.md): fault plans drive
 //! the simulator through blackouts, burst loss, jitter, window stalls and
@@ -54,6 +66,7 @@
 //!   stall (the program simply has no reinjection logic), not a bug.
 
 use crate::connection::Connection;
+use crate::engine::EventKind;
 use crate::time::SimTime;
 use progmp_core::env::PacketRef;
 use progmp_core::verify::props::PropStatus;
@@ -137,9 +150,8 @@ pub struct InvariantOracle {
     label: String,
     /// Panic on the first violation (true) or collect (false).
     panic_on_violation: bool,
-    /// Whether the engine should feed the per-event replay log. On by
-    /// default; fleet-scale runs in collect mode turn it off because
-    /// formatting every event dominates the simulation itself.
+    /// Whether the engine feeds the per-event replay log. On by default;
+    /// an entry is a copy of the event, rendered only when read.
     pub log_events: bool,
     /// Violations found so far (collecting mode), capped at
     /// [`VIOLATION_CAP`]; see [`InvariantOracle::dropped_violations`].
@@ -156,8 +168,9 @@ pub struct InvariantOracle {
     /// repair an engine bug, so those still abort.
     pub contain_scheduler_faults: bool,
     pending_faults: Vec<(usize, &'static str)>,
-    log: VecDeque<String>,
+    log: VecDeque<(SimTime, EventKind)>,
     marks: Vec<Marks>,
+    checks: u64,
 }
 
 impl InvariantOracle {
@@ -172,8 +185,9 @@ impl InvariantOracle {
             dropped_violations: 0,
             contain_scheduler_faults: false,
             pending_faults: Vec::new(),
-            log: VecDeque::new(),
+            log: VecDeque::with_capacity(EVENT_LOG_CAP),
             marks: Vec::new(),
+            checks: 0,
         }
     }
 
@@ -191,17 +205,29 @@ impl InvariantOracle {
         std::mem::take(&mut self.pending_faults)
     }
 
-    /// Appends one event description to the bounded replay log.
-    pub fn log_event(&mut self, desc: String) {
+    /// Appends one event to the bounded replay log (a no-op with
+    /// [`InvariantOracle::log_events`] off).
+    pub(crate) fn log_event(&mut self, time: SimTime, kind: &EventKind) {
+        if !self.log_events {
+            return;
+        }
         if self.log.len() == EVENT_LOG_CAP {
             self.log.pop_front();
         }
-        self.log.push_back(desc);
+        self.log.push_back((time, kind.clone()));
     }
 
-    /// The trailing event log, oldest first.
-    pub fn event_log(&self) -> impl Iterator<Item = &str> {
-        self.log.iter().map(String::as_str)
+    /// The trailing event log, oldest first, one rendered line per event.
+    pub fn event_log(&self) -> impl Iterator<Item = String> + '_ {
+        self.log
+            .iter()
+            .map(|(time, kind)| format!("t={time} {kind:?}"))
+    }
+
+    /// How many times [`InvariantOracle::check`] has run: one per event
+    /// plus one per connection each time a run call stops.
+    pub fn checks_run(&self) -> u64 {
+        self.checks
     }
 
     fn report(&mut self, v: OracleViolation) {
@@ -210,9 +236,9 @@ impl InvariantOracle {
                 "[invariant oracle] {v}\nreplay: {}\nevent log (oldest first):\n",
                 self.label
             );
-            for line in &self.log {
+            for line in self.event_log() {
                 msg.push_str("  ");
-                msg.push_str(line);
+                msg.push_str(&line);
                 msg.push('\n');
             }
             panic!("{msg}");
@@ -244,6 +270,7 @@ impl InvariantOracle {
 
     /// Checks every per-event invariant on `conn` at time `now`.
     pub fn check(&mut self, now: SimTime, conn: &Connection) {
+        self.checks += 1;
         if self.marks.len() <= conn.id {
             self.marks.resize(conn.id + 1, Marks::default());
         }
@@ -736,6 +763,26 @@ mod tests {
             oracle.violations.last().unwrap().at,
             VIOLATION_CAP as u64 + 9
         );
+    }
+
+    #[test]
+    fn replay_log_keeps_the_last_events_and_renders_them_when_read() {
+        let mut oracle = InvariantOracle::new("unit", false);
+        let last = EVENT_LOG_CAP as u64 + 4;
+        for t in 0..=last {
+            oracle.log_event(t, &EventKind::Readmit { conn: 3 });
+        }
+        let log: Vec<String> = oracle.event_log().collect();
+        assert_eq!(log.len(), EVENT_LOG_CAP);
+        assert_eq!(log[0], "t=5 Readmit { conn: 3 }");
+        assert_eq!(
+            log[EVENT_LOG_CAP - 1],
+            format!("t={last} Readmit {{ conn: 3 }}")
+        );
+
+        oracle.log_events = false;
+        oracle.log_event(last + 1, &EventKind::Readmit { conn: 3 });
+        assert_eq!(oracle.event_log().last(), log.last().cloned());
     }
 
     #[test]

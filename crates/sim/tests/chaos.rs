@@ -176,6 +176,44 @@ fn oracle_catches_injected_double_delivery() {
     );
 }
 
+/// The same defect on connection 5 of 8, every connection under its own
+/// generated fault plan: the check that follows each event looks only at
+/// the connection that event touched, and must still pin the violation
+/// on the right one.
+#[test]
+fn oracle_catches_injected_double_delivery_among_neighbours() {
+    const DEFECTIVE: usize = 5;
+    let mut sim = Sim::new(3);
+    sim.enable_oracle("chaos-mutation-fleet", false);
+    for i in 0..8 {
+        let scheduler = if i == DEFECTIVE {
+            "redundant"
+        } else {
+            "default"
+        };
+        let conn = sim
+            .add_connection(lossy_cfg(&[10, 40], 0.01, scheduler))
+            .unwrap();
+        sim.add_bulk_source(conn, 50_000, 0);
+        sim.apply_fault_plan(conn, &FaultPlan::generate(i as u64, 2, 2 * SECONDS));
+    }
+    sim.connections[DEFECTIVE]
+        .receiver
+        .inject_double_delivery_bug();
+    sim.run_to_completion(300 * SECONDS);
+    let violations = sim.oracle_violations();
+    assert!(
+        violations
+            .iter()
+            .any(|v| v.invariant == "conservation-delivery" && v.conn == DEFECTIVE),
+        "expected conservation-delivery on conn {DEFECTIVE}, got {violations:?}"
+    );
+    assert!(
+        violations.iter().all(|v| v.conn == DEFECTIVE),
+        "the clean neighbours stay clean: {violations:?}"
+    );
+}
+
 /// Without the bug, the identical redundant scenario is clean — the
 /// oracle does not cry wolf on legitimate duplicate suppression.
 #[test]
