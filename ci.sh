@@ -15,6 +15,16 @@ for def in 'fn jump_target' 'const WIDEN_AFTER'; do
   [ "$(grep -rn "$def" crates/core/src | wc -l)" -eq 1 ] || { echo "duplicate or missing definition: $def"; exit 1; }
 done
 
+echo "==> one HIR traversal: view_chain is defined once, aggregate_init is indexed only by it, sema and the stateful refiners, no private resolver survives"
+[ "$(grep -rn 'fn view_chain' crates/core/src | wc -l)" -eq 1 ] || { echo "duplicate or missing definition: fn view_chain"; exit 1; }
+stray="$(grep -rl 'aggregate_init\[' crates/core/src | grep -vx -e crates/core/src/hir.rs -e crates/core/src/sema.rs -e crates/core/src/verify/dataflow.rs || true)"
+[ -z "$stray" ] || { echo "aggregate_init indexed outside hir.rs / sema.rs / verify/dataflow.rs: $stray"; exit 1; }
+for gone in 'fn queue_base' 'fn base_fam' 'fn decompose_list' 'fn decompose_queue' 'fn view_info'; do
+  ! grep -rq "$gone" crates/core/src || { echo "private view-chain resolver is back: $gone"; exit 1; }
+done
+! grep -q 'HExpr::QueueSum' crates/core/src/verify/lints.rs crates/core/src/optimizer.rs crates/core/src/verify/props.rs \
+  || { echo "a walker spells out every HExpr variant again (use HProgram::children)"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
@@ -34,32 +44,46 @@ cargo run -q --release -p progmp --bin progmp-lint -- --optimize --all > /dev/nu
 echo "==> property certificates (all bundled schedulers; output elided)"
 cargo run -q --release -p progmp --bin progmp-lint -- --properties --all > /dev/null
 
-echo "==> conformance sweep (500 seeds, all backends)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --seeds 500
-
-echo "==> verifier-soundness sweep (500 seeds)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --soundness --seeds 500
-
-echo "==> verifier-soundness sweep, octagon disabled (500 seeds)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --soundness --no-octagon --seeds 500
-
-echo "==> bytecode-verifier soundness sweep + codegen-mutation check (500 seeds)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --vm-soundness --seeds 500
-
-echo "==> optimizer-soundness sweep + per-pass sabotage check (1000 seeds)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --opt-soundness --seeds 1000
-
-echo "==> property-soundness sweep + analysis-weakening check (500 seeds)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --prop-soundness --seeds 500
-
-echo "==> property-soundness sweep, octagon disabled (500 seeds)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --prop-soundness --no-octagon --seeds 500
-
-echo "==> chaos sweep: fault plans x schedulers x backends + oracle mutation check (200 plans)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --chaos --seeds 200
-
-echo "==> fleet-chaos containment sweep: faulting fleets at 1/2/8 workers (100 fleets of 8)"
-cargo run -q --release -p progmp-conformance --bin conformance-fuzz -- --chaos --fleet 8 --seeds 100
+echo "==> conformance-fuzz: nine sweeps started together, each waited on"
+cargo build -q --release -p progmp-conformance --bin conformance-fuzz
+sweep_dir="$(mktemp -d)"
+sweep_names=()
+sweep_pids=()
+# sweep <label> <conformance-fuzz args...>: runs one tier in the background,
+# keeping its output and wall time for the report below.
+sweep() {
+  local label="$1" log="$sweep_dir/${#sweep_pids[@]}"
+  shift
+  (
+    start="$(date +%s%N)"
+    rc=0
+    ./target/release/conformance-fuzz "$@" > "$log.out" 2>&1 || rc=$?
+    ms=$(( ($(date +%s%N) - start) / 1000000 ))
+    printf '%d.%03d' $((ms / 1000)) $((ms % 1000)) > "$log.secs"
+    exit "$rc"
+  ) &
+  sweep_pids+=("$!")
+  sweep_names+=("$label")
+}
+sweep "conformance sweep (500 seeds, all backends)" --seeds 500
+sweep "verifier-soundness sweep (500 seeds)" --soundness --seeds 500
+sweep "verifier-soundness sweep, octagon disabled (500 seeds)" --soundness --no-octagon --seeds 500
+sweep "bytecode-verifier soundness sweep + codegen-mutation check (500 seeds)" --vm-soundness --seeds 500
+sweep "optimizer-soundness sweep + per-pass sabotage check (1000 seeds)" --opt-soundness --seeds 1000
+sweep "property-soundness sweep + analysis-weakening check (500 seeds)" --prop-soundness --seeds 500
+sweep "property-soundness sweep, octagon disabled (500 seeds)" --prop-soundness --no-octagon --seeds 500
+sweep "chaos sweep: fault plans x schedulers x backends + oracle mutation check (200 plans)" --chaos --seeds 200
+sweep "fleet-chaos containment sweep: faulting fleets at 1/2/8 workers (100 fleets of 8)" --chaos --fleet 8 --seeds 100
+sweeps_failed=0
+for i in "${!sweep_pids[@]}"; do
+  rc=0
+  wait "${sweep_pids[$i]}" || rc=$?
+  echo "==> ${sweep_names[$i]}: $(cat "$sweep_dir/$i.secs") s wall"
+  cat "$sweep_dir/$i.out"
+  [ "$rc" -eq 0 ] || { echo "FAILED (exit $rc): ${sweep_names[$i]}"; sweeps_failed=1; }
+done
+rm -rf "$sweep_dir"
+[ "$sweeps_failed" -eq 0 ] || exit 1
 
 echo "==> containment regression suite (supervisor + end-to-end fault classes)"
 cargo test -q --release -p mptcp-sim --test containment

@@ -27,7 +27,7 @@
 
 use crate::gen::{EnvSpec, Generator, SubflowSpec};
 use mptcp_sim::oracle::{InvariantOracle, PropObservation};
-use progmp_core::env::{Action, QueueKind, SchedulerEnv, SubflowProp};
+use progmp_core::env::{QueueKind, SubflowProp};
 use progmp_core::exec::ExecCtx;
 use progmp_core::testenv::MockEnv;
 use progmp_core::verify::props::PropWeakening;
@@ -96,35 +96,13 @@ impl PropSweepReport {
 /// Runs `program` once on `backend` against a fresh copy of `env`,
 /// returning the oracle observation (or `None` on a runtime error).
 fn observe(program: &SchedulerProgram, backend: Backend, env: &MockEnv) -> Option<PropObservation> {
-    let pre_q_nonempty = !env.queue(QueueKind::SendQueue).is_empty();
-    let pre_subflows_nonempty = !env.subflows().is_empty();
-    // The work-conservation analysis' availability precondition, sampled
-    // pre-round as the simulator engine samples it.
-    let pre_avail_subflow = env
-        .subflows()
-        .iter()
-        .any(|&s| progmp_core::subflow_available(env, s));
-    let n_subflows = env.subflows().len() as u64;
+    // Sampled pre-round, exactly as the simulator engine samples it.
+    let pre = PropObservation::before(env);
     let mut ctx = ExecCtx::new(env, program.certified_step_bound());
     let mut instance = program.instantiate(backend);
     instance.execute_raw(&mut ctx).ok()?;
     let (_regs, actions, stats) = ctx.finish();
-    let push_targets = actions
-        .iter()
-        .filter_map(|a| match a {
-            Action::Push { subflow, packet } => Some((subflow.0, *packet)),
-            _ => None,
-        })
-        .collect();
-    Some(PropObservation {
-        pre_q_nonempty,
-        pre_subflows_nonempty,
-        pre_avail_subflow,
-        pushes: u64::from(stats.pushes),
-        null_pops: u64::from(stats.null_pops),
-        push_targets,
-        n_subflows,
-    })
+    Some(pre.after(&actions, &stats))
 }
 
 /// Checks one observed execution against `cert` through the simulator

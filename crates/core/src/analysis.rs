@@ -9,11 +9,13 @@
 //! deeply its scans nest (a static cost proxy complementing the runtime
 //! step budget).
 //!
-//! The analysis is a single HIR walk; everything it reports is exact (the
-//! language has no dynamic property access).
+//! The analysis is a single HIR walk over [`HProgram::children`];
+//! everything it reports is exact (the language has no dynamic property
+//! access).
 
-use crate::env::{QueueKind, RegId};
-use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId};
+use crate::env::RegId;
+use crate::error::Pos;
+use crate::hir::{Children, ExprId, HExpr, HProgram, HStmt, StmtId};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -106,152 +108,110 @@ impl fmt::Display for Analysis {
 
 /// Analyzes a lowered program.
 pub fn analyze(prog: &HProgram) -> Analysis {
-    let mut a = Analysis::default();
-    for &sid in &prog.body {
-        walk_stmt(prog, sid, 0, &mut a);
-    }
-    a
+    analyze_with_limit(prog, usize::MAX).0
+}
+
+/// [`analyze`], plus the position of the first scan nested deeper than
+/// `depth_limit` (the anchor of the admission verifier's `scan-depth`
+/// diagnostic).
+pub(crate) fn analyze_with_limit(prog: &HProgram, depth_limit: usize) -> (Analysis, Option<Pos>) {
+    let mut w = Walk {
+        prog,
+        depth_limit,
+        a: Analysis::default(),
+        over_limit: None,
+    };
+    w.block(&prog.body, 0);
+    (w.a, w.over_limit)
 }
 
 fn reg_index(r: RegId) -> u8 {
     (r.index() + 1) as u8
 }
 
-fn walk_stmt(prog: &HProgram, sid: StmtId, depth: usize, a: &mut Analysis) {
-    match prog.stmt(sid) {
-        HStmt::VarDecl { init, .. } => walk_expr(prog, *init, depth, a),
-        HStmt::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            walk_expr(prog, *cond, depth, a);
-            for &s in then_body.iter().chain(else_body) {
-                walk_stmt(prog, s, depth, a);
-            }
-        }
-        HStmt::Foreach { list, body, .. } => {
-            a.max_scan_depth = a.max_scan_depth.max(depth + 1);
-            walk_expr(prog, *list, depth + 1, a);
-            for &s in body {
-                walk_stmt(prog, s, depth + 1, a);
-            }
-        }
-        HStmt::SetReg { reg, value } => {
-            a.registers_written.insert(reg_index(*reg));
-            walk_expr(prog, *value, depth, a);
-        }
-        HStmt::Push { target, packet } => {
-            a.push_sites += 1;
-            walk_expr(prog, *target, depth, a);
-            walk_expr(prog, *packet, depth, a);
-        }
-        HStmt::Drop { packet } => {
-            a.drop_sites += 1;
-            walk_expr(prog, *packet, depth, a);
-        }
-        HStmt::Return => {}
-    }
+struct Walk<'a> {
+    prog: &'a HProgram,
+    depth_limit: usize,
+    a: Analysis,
+    over_limit: Option<Pos>,
 }
 
-fn queue_base(prog: &HProgram, e: ExprId) -> Option<QueueKind> {
-    match prog.expr(e) {
-        HExpr::Queue(k) => Some(*k),
-        HExpr::QueueFilter { queue, .. } => queue_base(prog, *queue),
-        HExpr::ReadVar(slot) => {
-            prog.aggregate_init[slot.0 as usize].and_then(|init| queue_base(prog, init))
+impl Walk<'_> {
+    /// Records a scan at `pos` whose per-element work runs at `depth`.
+    fn scan(&mut self, depth: usize, pos: Pos) {
+        self.a.max_scan_depth = self.a.max_scan_depth.max(depth);
+        if depth > self.depth_limit {
+            self.over_limit.get_or_insert(pos);
         }
-        _ => None,
     }
-}
 
-fn note_queue_read(prog: &HProgram, e: ExprId, a: &mut Analysis) {
-    if let Some(k) = queue_base(prog, e) {
-        a.queues_read.insert(k.name());
-    }
-}
-
-fn walk_expr(prog: &HProgram, eid: ExprId, depth: usize, a: &mut Analysis) {
-    match prog.expr(eid) {
-        HExpr::Int(_) | HExpr::Bool(_) | HExpr::NullPacket | HExpr::NullSubflow => {}
-        HExpr::ReadReg(r) => {
-            a.registers_read.insert(reg_index(*r));
-        }
-        HExpr::ReadVar(_) | HExpr::Subflows | HExpr::Queue(_) => {}
-        HExpr::SubflowProp { sbf, prop } => {
-            a.subflow_props.insert(prop.name());
-            walk_expr(prog, *sbf, depth, a);
-        }
-        HExpr::PacketProp { pkt, prop } => {
-            a.packet_props.insert(prop.name());
-            walk_expr(prog, *pkt, depth, a);
-        }
-        HExpr::SentOn { pkt, sbf } => {
-            a.uses_sent_on = true;
-            walk_expr(prog, *pkt, depth, a);
-            walk_expr(prog, *sbf, depth, a);
-        }
-        HExpr::HasWindowFor { sbf, pkt } => {
-            a.uses_window_check = true;
-            walk_expr(prog, *sbf, depth, a);
-            walk_expr(prog, *pkt, depth, a);
-        }
-        HExpr::ListFilter { list, pred, .. } => {
-            a.max_scan_depth = a.max_scan_depth.max(depth + 1);
-            walk_expr(prog, *list, depth, a);
-            walk_expr(prog, *pred, depth + 1, a);
-        }
-        HExpr::QueueFilter { queue, pred, .. } => {
-            a.max_scan_depth = a.max_scan_depth.max(depth + 1);
-            note_queue_read(prog, eid, a);
-            walk_expr(prog, *queue, depth, a);
-            walk_expr(prog, *pred, depth + 1, a);
-        }
-        HExpr::ListMinMax { list, key, .. } => {
-            a.max_scan_depth = a.max_scan_depth.max(depth + 1);
-            walk_expr(prog, *list, depth, a);
-            walk_expr(prog, *key, depth + 1, a);
-        }
-        HExpr::QueueMinMax { queue, key, .. } => {
-            a.max_scan_depth = a.max_scan_depth.max(depth + 1);
-            note_queue_read(prog, *queue, a);
-            walk_expr(prog, *queue, depth, a);
-            walk_expr(prog, *key, depth + 1, a);
-        }
-        HExpr::ListSum { list, key, .. } => {
-            a.max_scan_depth = a.max_scan_depth.max(depth + 1);
-            walk_expr(prog, *list, depth, a);
-            walk_expr(prog, *key, depth + 1, a);
-        }
-        HExpr::QueueSum { queue, key, .. } => {
-            a.max_scan_depth = a.max_scan_depth.max(depth + 1);
-            note_queue_read(prog, *queue, a);
-            walk_expr(prog, *queue, depth, a);
-            walk_expr(prog, *key, depth + 1, a);
-        }
-        HExpr::ListCount(e) | HExpr::ListEmpty(e) => {
-            walk_expr(prog, *e, depth, a);
-        }
-        HExpr::QueueCount(e) | HExpr::QueueEmpty(e) | HExpr::QueueTop(e) => {
-            note_queue_read(prog, *e, a);
-            walk_expr(prog, *e, depth, a);
-        }
-        HExpr::QueuePop(e) => {
-            a.pop_sites += 1;
-            if let Some(k) = queue_base(prog, *e) {
-                a.queues_read.insert(k.name());
-                a.queues_popped.insert(k.name());
+    fn block(&mut self, body: &[StmtId], depth: usize) {
+        for &sid in body {
+            let mut depth = depth;
+            match self.prog.stmt(sid) {
+                HStmt::Foreach { .. } => {
+                    depth += 1;
+                    self.scan(depth, self.prog.stmt_pos(sid));
+                }
+                HStmt::SetReg { reg, .. } => {
+                    self.a.registers_written.insert(reg_index(*reg));
+                }
+                HStmt::Push { .. } => self.a.push_sites += 1,
+                HStmt::Drop { .. } => self.a.drop_sites += 1,
+                _ => {}
             }
-            walk_expr(prog, *e, depth, a);
+            for e in self.prog.stmt_operands(sid).iter() {
+                self.expr(e, depth);
+            }
+            for nested in self.prog.blocks(sid) {
+                self.block(nested, depth);
+            }
         }
-        HExpr::ListGet { list, index } => {
-            walk_expr(prog, *list, depth, a);
-            walk_expr(prog, *index, depth, a);
+    }
+
+    /// The base queue of the packet view `view`, noted as read.
+    fn queue_read(&mut self, view: ExprId) -> Option<&'static str> {
+        let name = self.prog.view_chain(view)?.base.queue()?.name();
+        self.a.queues_read.insert(name);
+        Some(name)
+    }
+
+    fn expr(&mut self, eid: ExprId, depth: usize) {
+        match self.prog.expr(eid) {
+            HExpr::ReadReg(r) => {
+                self.a.registers_read.insert(reg_index(*r));
+            }
+            HExpr::SubflowProp { prop, .. } => {
+                self.a.subflow_props.insert(prop.name());
+            }
+            HExpr::PacketProp { prop, .. } => {
+                self.a.packet_props.insert(prop.name());
+            }
+            HExpr::SentOn { .. } => self.a.uses_sent_on = true,
+            HExpr::HasWindowFor { .. } => self.a.uses_window_check = true,
+            HExpr::QueueCount(view) | HExpr::QueueEmpty(view) | HExpr::QueueTop(view) => {
+                self.queue_read(*view);
+            }
+            HExpr::QueuePop(view) => {
+                self.a.pop_sites += 1;
+                if let Some(name) = self.queue_read(*view) {
+                    self.a.queues_popped.insert(name);
+                }
+            }
+            _ => {}
         }
-        HExpr::Unary { expr, .. } => walk_expr(prog, *expr, depth, a),
-        HExpr::Binary { lhs, rhs, .. } => {
-            walk_expr(prog, *lhs, depth, a);
-            walk_expr(prog, *rhs, depth, a);
+        match self.prog.children(eid) {
+            Children::Scan { source, body, .. } => {
+                self.scan(depth + 1, self.prog.expr_pos(eid));
+                self.queue_read(source);
+                self.expr(source, depth);
+                self.expr(body, depth + 1);
+            }
+            kids => {
+                for e in kids.iter() {
+                    self.expr(e, depth);
+                }
+            }
         }
     }
 }

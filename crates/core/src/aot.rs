@@ -212,34 +212,16 @@ impl<'p> Compiler<'p> {
 
     /// Decomposes an aggregate expression into a [`Scan`] at compile time.
     fn compile_scan(&self, e: ExprId) -> Result<Scan, CompileError> {
-        match self.prog.expr(e).clone() {
-            HExpr::Subflows => Ok(Scan {
-                queue: None,
-                filters: Vec::new(),
-            }),
-            HExpr::Queue(kind) => Ok(Scan {
-                queue: Some(kind),
-                filters: Vec::new(),
-            }),
-            HExpr::ListFilter { list, var, pred } => {
-                let mut scan = self.compile_scan(list)?;
-                scan.filters
-                    .push((var.0 as usize, self.compile_expr(pred)?));
-                Ok(scan)
-            }
-            HExpr::QueueFilter { queue, var, pred } => {
-                let mut scan = self.compile_scan(queue)?;
-                scan.filters
-                    .push((var.0 as usize, self.compile_expr(pred)?));
-                Ok(scan)
-            }
-            HExpr::ReadVar(slot) => {
-                let init = self.prog.aggregate_init[slot.0 as usize]
-                    .ok_or_else(|| self.internal_err("aggregate variable without initializer"))?;
-                self.compile_scan(init)
-            }
-            _ => Err(self.internal_err("expression is not an aggregate")),
-        }
+        let chain = crate::codegen::resolve_view(self.prog, e, "expression is not an aggregate")?;
+        let filters = chain
+            .filters
+            .iter()
+            .map(|&(var, pred)| Ok((var.0 as usize, self.compile_expr(pred)?)))
+            .collect::<Result<_, CompileError>>()?;
+        Ok(Scan {
+            queue: chain.base.queue(),
+            filters,
+        })
     }
 
     fn compile_minmax(
@@ -489,6 +471,34 @@ mod tests {
         prog.execute(&mut ctx).unwrap();
         let (regs, actions, _) = ctx.finish();
         env.apply(&regs, &actions);
+    }
+
+    /// HIR that sema would never produce reaches the internal-error paths
+    /// as a `Codegen` error, not a panic.
+    #[test]
+    fn malformed_views_are_codegen_errors() {
+        let good =
+            lower(&parse("VAR l = SUBFLOWS.FILTER(s => s.RTT > 0); SET(R1, l.COUNT);").unwrap())
+                .unwrap();
+        assert!(compile(&good).is_ok());
+        let message = |hir: &HProgram| {
+            let Err(err) = compile(hir) else {
+                panic!("malformed HIR compiled");
+            };
+            assert_eq!(err.stage, Stage::Codegen);
+            err.message
+        };
+        let mut hir = good.clone();
+        hir.aggregate_init.fill(None);
+        assert_eq!(message(&hir), "aggregate variable without initializer");
+        let mut hir = good.clone();
+        let int = hir.exprs.iter().position(|e| matches!(e, HExpr::Int(_)));
+        for e in &mut hir.exprs {
+            if let HExpr::ListCount(v) = e {
+                *v = ExprId(int.unwrap() as u32);
+            }
+        }
+        assert_eq!(message(&hir), "expression is not an aggregate");
     }
 
     #[test]

@@ -17,10 +17,9 @@
 
 use crate::ast::{BinOp, UnOp};
 use crate::bytecode::{AluOp, Cond, Helper};
-use crate::env::QueueKind;
 use crate::error::{CompileError, Pos, Stage};
 use crate::exec::NULL_HANDLE;
-use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId, VarSlot};
+use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId, VarSlot, ViewBase, ViewChain};
 
 /// A virtual register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -159,10 +158,23 @@ pub fn generate(prog: &HProgram) -> Result<VCode, CompileError> {
     })
 }
 
-/// Decomposed subflow-list expression: the `SUBFLOWS` base plus a fused
-/// predicate chain.
-struct ListChain {
-    filters: Vec<(VarSlot, ExprId)>,
+/// Resolves `view` to the base and fused predicates a backend's loop
+/// scans. Sema never lowers a view without a chain, so `None` is an
+/// internal error: a lost initializer when `view` is typed as a view,
+/// `not_a` otherwise.
+pub(crate) fn resolve_view(
+    prog: &HProgram,
+    view: ExprId,
+    not_a: &str,
+) -> Result<ViewChain, CompileError> {
+    prog.view_chain(view).ok_or_else(|| {
+        let message = if prog.ty(view).is_aggregate() {
+            "aggregate variable without initializer"
+        } else {
+            not_a
+        };
+        CompileError::new(Stage::Codegen, Pos::new(0, 0), message.to_string())
+    })
 }
 
 struct Cg<'p> {
@@ -220,46 +232,6 @@ impl<'p> Cg<'p> {
         CompileError::new(Stage::Codegen, Pos::new(0, 0), msg.to_string())
     }
 
-    // ----- aggregate decomposition -----
-
-    fn decompose_list(&self, e: ExprId, chain: &mut ListChain) -> Result<(), CompileError> {
-        match self.prog.expr(e) {
-            HExpr::Subflows => Ok(()),
-            HExpr::ListFilter { list, var, pred } => {
-                self.decompose_list(*list, chain)?;
-                chain.filters.push((*var, *pred));
-                Ok(())
-            }
-            HExpr::ReadVar(slot) => {
-                let init = self.prog.aggregate_init[slot.0 as usize]
-                    .ok_or_else(|| self.internal_err("aggregate variable without initializer"))?;
-                self.decompose_list(init, chain)
-            }
-            _ => Err(self.internal_err("expression is not a subflow list")),
-        }
-    }
-
-    fn decompose_queue(
-        &self,
-        e: ExprId,
-        filters: &mut Vec<(VarSlot, ExprId)>,
-    ) -> Result<QueueKind, CompileError> {
-        match self.prog.expr(e) {
-            HExpr::Queue(kind) => Ok(*kind),
-            HExpr::QueueFilter { queue, var, pred } => {
-                let kind = self.decompose_queue(*queue, filters)?;
-                filters.push((*var, *pred));
-                Ok(kind)
-            }
-            HExpr::ReadVar(slot) => {
-                let init = self.prog.aggregate_init[slot.0 as usize]
-                    .ok_or_else(|| self.internal_err("aggregate variable without initializer"))?;
-                self.decompose_queue(init, filters)
-            }
-            _ => Err(self.internal_err("expression is not a packet queue")),
-        }
-    }
-
     // ----- loop generation -----
 
     /// Emits a loop over the decomposed subflow list. `body` receives the
@@ -268,10 +240,11 @@ impl<'p> Cg<'p> {
     where
         F: FnMut(&mut Self, VReg, Label) -> Result<(), CompileError>,
     {
-        let mut chain = ListChain {
-            filters: Vec::new(),
-        };
-        self.decompose_list(list, &mut chain)?;
+        const NOT_A_LIST: &str = "expression is not a subflow list";
+        let chain = resolve_view(self.prog, list, NOT_A_LIST)?;
+        if chain.base != ViewBase::Subflows {
+            return Err(self.internal_err(NOT_A_LIST));
+        }
 
         let idx = self.vreg();
         let n = self.vreg();
@@ -329,8 +302,12 @@ impl<'p> Cg<'p> {
     where
         F: FnMut(&mut Self, VReg, Label) -> Result<(), CompileError>,
     {
-        let mut filters = Vec::new();
-        let kind = self.decompose_queue(queue, &mut filters)?;
+        const NOT_A_QUEUE: &str = "expression is not a packet queue";
+        let chain = resolve_view(self.prog, queue, NOT_A_QUEUE)?;
+        let kind = chain
+            .base
+            .queue()
+            .ok_or_else(|| self.internal_err(NOT_A_QUEUE))?;
 
         let idx = self.vreg();
         let n = self.vreg();
@@ -364,7 +341,7 @@ impl<'p> Cg<'p> {
             imm: NULL_HANDLE,
             target: cont,
         });
-        for &(slot, pred) in &filters {
+        for &(slot, pred) in &chain.filters {
             let bound = self.slot(slot);
             self.emit(VInsn::Mov {
                 dst: bound,
@@ -939,6 +916,65 @@ mod tests {
             })
             .count();
         assert_eq!(loops, 2);
+    }
+
+    /// HIR that sema would never produce reaches the internal-error paths
+    /// as a `Codegen` error, not a panic.
+    #[test]
+    fn malformed_views_are_codegen_errors() {
+        let good = lower(
+            &parse(
+                "VAR l = SUBFLOWS.FILTER(s => s.RTT > 0);
+                 VAR q = Q.FILTER(p => p.SIZE > 0);
+                 SET(R1, l.COUNT + q.COUNT);",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert!(generate(&good).is_ok());
+        let message = |edit: &dyn Fn(&mut HProgram)| {
+            let mut hir = good.clone();
+            edit(&mut hir);
+            let err = generate(&hir).unwrap_err();
+            assert_eq!(err.stage, Stage::Codegen);
+            err.message
+        };
+        assert_eq!(
+            message(&|hir| hir.aggregate_init.fill(None)),
+            "aggregate variable without initializer"
+        );
+        // A queue loop over the subflow list, and the other way round.
+        let swap = |hir: &mut HProgram, list_to_queue: bool| {
+            for e in &mut hir.exprs {
+                match *e {
+                    HExpr::ListCount(v) if list_to_queue => *e = HExpr::QueueCount(v),
+                    HExpr::QueueCount(v) if !list_to_queue => *e = HExpr::ListCount(v),
+                    _ => {}
+                }
+            }
+        };
+        assert_eq!(
+            message(&|hir| swap(hir, true)),
+            "expression is not a packet queue"
+        );
+        assert_eq!(
+            message(&|hir| swap(hir, false)),
+            "expression is not a subflow list"
+        );
+        // A scalar where the view should be.
+        let int = good
+            .exprs
+            .iter()
+            .position(|e| matches!(e, HExpr::Int(_)))
+            .unwrap();
+        let scalar_view = |hir: &mut HProgram| {
+            for e in &mut hir.exprs {
+                if let HExpr::ListCount(v) = e {
+                    *v = ExprId(int as u32);
+                }
+            }
+        };
+        assert_eq!(message(&scalar_view), "expression is not a subflow list");
     }
 
     #[test]

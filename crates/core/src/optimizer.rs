@@ -63,47 +63,9 @@ fn const_bool(prog: &HProgram, e: ExprId) -> Option<bool> {
 /// the queue view); everything else in the declarative core is a pure
 /// read.
 fn effect_free(prog: &HProgram, e: ExprId) -> bool {
-    match prog.expr(e) {
-        HExpr::QueuePop(_) => false,
-        HExpr::Int(_)
-        | HExpr::Bool(_)
-        | HExpr::NullPacket
-        | HExpr::NullSubflow
-        | HExpr::ReadReg(_)
-        | HExpr::ReadVar(_)
-        | HExpr::Subflows
-        | HExpr::Queue(_) => true,
-        HExpr::SubflowProp { sbf: op, .. }
-        | HExpr::PacketProp { pkt: op, .. }
-        | HExpr::ListCount(op)
-        | HExpr::QueueCount(op)
-        | HExpr::ListEmpty(op)
-        | HExpr::QueueEmpty(op)
-        | HExpr::QueueTop(op)
-        | HExpr::Unary { expr: op, .. } => effect_free(prog, *op),
-        HExpr::SentOn { pkt: a, sbf: b }
-        | HExpr::HasWindowFor { sbf: a, pkt: b }
-        | HExpr::ListFilter {
-            list: a, pred: b, ..
-        }
-        | HExpr::QueueFilter {
-            queue: a, pred: b, ..
-        }
-        | HExpr::ListMinMax {
-            list: a, key: b, ..
-        }
-        | HExpr::QueueMinMax {
-            queue: a, key: b, ..
-        }
-        | HExpr::ListSum {
-            list: a, key: b, ..
-        }
-        | HExpr::QueueSum {
-            queue: a, key: b, ..
-        }
-        | HExpr::ListGet { list: a, index: b }
-        | HExpr::Binary { lhs: a, rhs: b, .. } => effect_free(prog, *a) && effect_free(prog, *b),
-    }
+    !prog
+        .subexprs(e)
+        .any(|sub| matches!(prog.expr(sub), HExpr::QueuePop(_)))
 }
 
 /// Structural equality of two expression trees (conservative: aggregate

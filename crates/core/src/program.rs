@@ -25,7 +25,7 @@ use crate::regalloc;
 use crate::sema;
 use crate::vm;
 use crate::{codegen, env::QueueKind};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The execution backend for a scheduler instance (paper §4.1 Fig. 6:
 /// interpreter, ahead-of-time compiler, eBPF JIT).
@@ -78,9 +78,6 @@ struct Compiled {
     verdict: crate::verify::Verdict,
     vm_verdict: crate::verify::vm::BytecodeVerdict,
     props: crate::verify::props::PropertyCertificate,
-    /// Answer of [`SchedulerProgram::pops_reinjection_queue`], found on
-    /// first use.
-    pops_rq: OnceLock<bool>,
 }
 
 /// Compiles scheduler source text.
@@ -238,7 +235,6 @@ pub fn compile_with_options(
             verdict,
             vm_verdict,
             props,
-            pops_rq: OnceLock::new(),
         }),
     })
 }
@@ -363,22 +359,17 @@ impl SchedulerProgram {
 
     /// Static audit of everything the scheduler touches (properties,
     /// queues, registers, effects) — the multi-tenancy admission check;
-    /// see [`crate::analysis`].
-    pub fn analyze(&self) -> crate::analysis::Analysis {
-        crate::analysis::analyze(&self.inner.hir)
+    /// see [`crate::analysis`]. Computed once, by the admission verifier.
+    pub fn analyze(&self) -> &crate::analysis::Analysis {
+        &self.inner.verdict.analysis
     }
 
     /// Whether the program can pop the reinjection queue `RQ`. A program
     /// that cannot (the paper's Fig. 3 minimal example) can never recover
     /// a reinjected segment, which a liveness check must not hold against
-    /// it. Worked out from [`SchedulerProgram::analyze`] on first use and
-    /// then shared by every handle, so binding a loaded program to many
-    /// connections walks the HIR once.
+    /// it.
     pub fn pops_reinjection_queue(&self) -> bool {
-        *self
-            .inner
-            .pops_rq
-            .get_or_init(|| self.analyze().queues_popped.contains("RQ"))
+        self.analyze().queues_popped.contains("RQ")
     }
 
     /// Approximate resident size of the loaded program in bytes

@@ -15,7 +15,7 @@
 //! three backends' step-accounting granularities; the conformance
 //! soundness sweep checks the certified bound empirically.
 
-use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId};
+use crate::hir::{Children, ExprId, HExpr, HProgram, HStmt, StmtId, ViewBase};
 use crate::types::Type;
 
 use super::VerifyConfig;
@@ -32,7 +32,7 @@ pub(super) fn certified_step_bound(prog: &HProgram, cfg: &VerifyConfig) -> u64 {
 }
 
 /// Worst-case shape of one aggregate view chain.
-struct ViewInfo {
+struct ViewShape {
     /// Cap on the number of elements a scan of the view visits.
     elems: u64,
     /// Per-element cost of evaluating the accumulated filter predicates.
@@ -52,97 +52,70 @@ impl<'a> Coster<'a> {
             .fold(0u64, |acc, &s| acc.saturating_add(self.stmt_cost(s)))
     }
 
+    /// One unit for the statement, its operands, and its nested blocks:
+    /// the costlier branch of an `IF` (never pruned, even when the
+    /// dataflow pass proves a branch dead: the bound must hold for the
+    /// program as compiled), the body of a `FOREACH` once per element.
     fn stmt_cost(&self, sid: StmtId) -> u64 {
-        match self.prog.stmt(sid) {
-            HStmt::VarDecl { init, .. } => 1u64.saturating_add(self.expr_cost(*init)),
-            HStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                // Never prune branches here, even ones the dataflow pass
-                // proves dead: the bound must hold for the program as
-                // compiled.
-                1u64.saturating_add(self.expr_cost(*cond))
-                    .saturating_add(self.block_cost(then_body).max(self.block_cost(else_body)))
-            }
-            HStmt::Foreach { list, body, .. } => {
-                let view = self.view_info(*list);
+        let [first, second] = self.prog.blocks(sid);
+        let nested = match self.prog.stmt(sid) {
+            HStmt::Foreach { list, .. } => {
+                let view = self.view_shape(*list);
                 let per_elem = view
                     .pred_cost
                     .saturating_add(1)
-                    .saturating_add(self.block_cost(body));
-                1u64.saturating_add(self.expr_cost(*list))
-                    .saturating_add(view.elems.saturating_mul(per_elem))
+                    .saturating_add(self.block_cost(first));
+                view.elems.saturating_mul(per_elem)
             }
-            HStmt::SetReg { value, .. } => 1u64.saturating_add(self.expr_cost(*value)),
-            HStmt::Push { target, packet } => 1u64
-                .saturating_add(self.expr_cost(*target))
-                .saturating_add(self.expr_cost(*packet)),
-            HStmt::Drop { packet } => 1u64.saturating_add(self.expr_cost(*packet)),
-            HStmt::Return => 1,
-        }
+            _ => self.block_cost(first).max(self.block_cost(second)),
+        };
+        self.node_cost(self.prog.stmt_operands(sid))
+            .saturating_add(nested)
+    }
+
+    /// One unit for a node plus the cost of its operands.
+    fn node_cost(&self, operands: Children) -> u64 {
+        operands
+            .iter()
+            .fold(1u64, |acc, e| acc.saturating_add(self.expr_cost(e)))
     }
 
     /// Cost of evaluating the expression at its appearance site. Scans are
     /// charged at the consuming node.
     fn expr_cost(&self, id: ExprId) -> u64 {
-        match self.prog.expr(id) {
-            HExpr::Int(_)
-            | HExpr::Bool(_)
-            | HExpr::NullPacket
-            | HExpr::NullSubflow
-            | HExpr::ReadReg(_)
-            | HExpr::ReadVar(_)
-            | HExpr::Subflows
-            | HExpr::Queue(_) => 1,
-            HExpr::SubflowProp { sbf: e, .. } | HExpr::PacketProp { pkt: e, .. } => {
-                1u64.saturating_add(self.expr_cost(*e))
-            }
-            HExpr::SentOn { pkt: a, sbf: b } | HExpr::HasWindowFor { sbf: a, pkt: b } => 1u64
-                .saturating_add(self.expr_cost(*a))
-                .saturating_add(self.expr_cost(*b)),
-            // A FILTER node by itself builds a lazy view; the predicate is
-            // charged once here (loosely) and per element at consumers.
-            HExpr::ListFilter { list, pred, .. } => 1u64
-                .saturating_add(self.expr_cost(*list))
-                .saturating_add(self.expr_cost(*pred)),
-            HExpr::QueueFilter { queue, pred, .. } => 1u64
-                .saturating_add(self.expr_cost(*queue))
-                .saturating_add(self.expr_cost(*pred)),
-            HExpr::ListMinMax { list, key, .. } => self.scan_cost(*list, Some(*key)),
-            HExpr::QueueMinMax { queue, key, .. } => self.scan_cost(*queue, Some(*key)),
-            HExpr::ListSum { list, key, .. } => self.scan_cost(*list, Some(*key)),
-            HExpr::QueueSum { queue, key, .. } => self.scan_cost(*queue, Some(*key)),
+        match *self.prog.expr(id) {
             // O(1) on an unfiltered view; a full scan through filters.
-            HExpr::ListCount(e)
-            | HExpr::QueueCount(e)
-            | HExpr::ListEmpty(e)
-            | HExpr::QueueEmpty(e)
-            | HExpr::QueueTop(e)
-            | HExpr::QueuePop(e) => {
-                let view = self.view_info(*e);
-                if view.filtered {
-                    self.scan_cost(*e, None)
-                } else {
-                    1u64.saturating_add(self.expr_cost(*e))
-                }
+            HExpr::ListCount(view)
+            | HExpr::QueueCount(view)
+            | HExpr::ListEmpty(view)
+            | HExpr::QueueEmpty(view)
+            | HExpr::QueueTop(view)
+            | HExpr::QueuePop(view)
+                if self.view_shape(view).filtered =>
+            {
+                self.scan_cost(view, None)
             }
             // GET is charged as a scan even unfiltered (index walk).
             HExpr::ListGet { list, index } => self
-                .scan_cost(*list, None)
-                .saturating_add(self.expr_cost(*index)),
-            HExpr::Unary { expr, .. } => 1u64.saturating_add(self.expr_cost(*expr)),
-            HExpr::Binary { lhs, rhs, .. } => 1u64
-                .saturating_add(self.expr_cost(*lhs))
-                .saturating_add(self.expr_cost(*rhs)),
+                .scan_cost(list, None)
+                .saturating_add(self.expr_cost(index)),
+            // A FILTER node by itself builds a lazy view; the predicate is
+            // charged once here (loosely) and per element at consumers.
+            HExpr::ListFilter { .. } | HExpr::QueueFilter { .. } => {
+                self.node_cost(self.prog.children(id))
+            }
+            _ => match self.prog.children(id) {
+                // MIN / MAX / SUM.
+                Children::Scan { source, body, .. } => self.scan_cost(source, Some(body)),
+                operands => self.node_cost(operands),
+            },
         }
     }
 
     /// Cost of one full scan over the view `e`, optionally evaluating a
     /// per-element `key` expression.
     fn scan_cost(&self, e: ExprId, key: Option<ExprId>) -> u64 {
-        let view = self.view_info(e);
+        let view = self.view_shape(e);
         let key_cost = key.map_or(0, |k| self.expr_cost(k));
         let per_elem = view.pred_cost.saturating_add(key_cost).saturating_add(1);
         1u64.saturating_add(self.expr_cost(e))
@@ -151,47 +124,22 @@ impl<'a> Coster<'a> {
 
     /// Resolves the worst-case shape of a view chain, following aggregate
     /// variables to their initializers.
-    fn view_info(&self, e: ExprId) -> ViewInfo {
-        match self.prog.expr(e) {
-            HExpr::Subflows => ViewInfo {
-                elems: self.cfg.max_subflows,
-                pred_cost: 0,
-                filtered: false,
-            },
-            HExpr::Queue(_) => ViewInfo {
-                elems: self.cfg.max_queue_len,
-                pred_cost: 0,
-                filtered: false,
-            },
-            HExpr::ListFilter { list, pred, .. } => {
-                let mut v = self.view_info(*list);
-                v.pred_cost = v.pred_cost.saturating_add(self.expr_cost(*pred));
-                v.filtered = true;
-                v
-            }
-            HExpr::QueueFilter { queue, pred, .. } => {
-                let mut v = self.view_info(*queue);
-                v.pred_cost = v.pred_cost.saturating_add(self.expr_cost(*pred));
-                v.filtered = true;
-                v
-            }
-            HExpr::ReadVar(slot) => match self.prog.aggregate_init[slot.0 as usize] {
-                Some(init) => self.view_info(init),
-                None => self.fallback_view(e),
-            },
-            _ => self.fallback_view(e),
-        }
-    }
-
-    fn fallback_view(&self, e: ExprId) -> ViewInfo {
-        let elems = match self.prog.ty(e) {
-            Type::PacketQueue => self.cfg.max_queue_len,
-            _ => self.cfg.max_subflows,
+    fn view_shape(&self, e: ExprId) -> ViewShape {
+        let (is_queue, filters) = match self.prog.view_chain(e) {
+            Some(chain) => (chain.base != ViewBase::Subflows, chain.filters),
+            // Not a resolvable view: cap it by its static type.
+            None => (self.prog.ty(e) == Type::PacketQueue, Vec::new()),
         };
-        ViewInfo {
-            elems,
-            pred_cost: 0,
-            filtered: false,
+        ViewShape {
+            elems: if is_queue {
+                self.cfg.max_queue_len
+            } else {
+                self.cfg.max_subflows
+            },
+            pred_cost: filters.iter().fold(0u64, |acc, &(_, pred)| {
+                acc.saturating_add(self.expr_cost(pred))
+            }),
+            filtered: !filters.is_empty(),
         }
     }
 }

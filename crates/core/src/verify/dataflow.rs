@@ -18,7 +18,7 @@
 
 use crate::ast::{BinOp, UnOp};
 use crate::env::{QueueKind, SubflowProp, NUM_REGISTERS};
-use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId, VarSlot};
+use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId, VarSlot, ViewBase};
 use crate::types::Type;
 
 use super::diag::{Diagnostic, Lint, Severity};
@@ -1292,16 +1292,13 @@ impl<'a> Analyzer<'a> {
     /// witness guarantees non-empty: `SUBFLOWS` filtered only by
     /// conjuncts every *available* subflow satisfies.
     fn avail_view(&self, e: ExprId) -> bool {
-        match self.prog.expr(e) {
-            HExpr::Subflows => true,
-            HExpr::ListFilter { list, var, pred } => {
-                self.avail_view(*list) && self.avail_conjuncts(*var, *pred)
-            }
-            HExpr::ReadVar(slot) => self.prog.aggregate_init[slot.0 as usize]
-                .map(|init| self.avail_view(init))
-                .unwrap_or(false),
-            _ => false,
-        }
+        self.prog.view_chain(e).is_some_and(|chain| {
+            chain.base == ViewBase::Subflows
+                && chain
+                    .filters
+                    .iter()
+                    .all(|&(var, pred)| self.avail_conjuncts(var, pred))
+        })
     }
 
     /// True when every conjunct of the filter predicate `e` (over lambda

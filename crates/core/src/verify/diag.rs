@@ -6,6 +6,7 @@
 //! the diagnostics with the certified worst-case step bound; a program is
 //! *admitted* iff no diagnostic has [`Severity::Error`].
 
+use crate::analysis::Analysis;
 use crate::error::Pos;
 use std::fmt;
 
@@ -171,6 +172,9 @@ pub struct Verdict {
     /// Worst-case steps one execution can take on any backend, assuming
     /// the environment stays within the configured cardinality caps.
     pub certified_step_bound: u64,
+    /// The static audit of the program ([`crate::analysis`]) that the
+    /// syntactic lints were read off.
+    pub analysis: Analysis,
 }
 
 impl Verdict {
@@ -272,11 +276,13 @@ mod tests {
         let v = Verdict {
             diagnostics: vec![diag(Severity::Info), diag(Severity::Warning)],
             certified_step_bound: 100,
+            analysis: Analysis::default(),
         };
         assert!(v.admitted());
         let v = Verdict {
             diagnostics: vec![diag(Severity::Error)],
             certified_step_bound: 100,
+            analysis: Analysis::default(),
         };
         assert!(!v.admitted());
     }
@@ -286,6 +292,7 @@ mod tests {
         let v = Verdict {
             diagnostics: vec![diag(Severity::Error)],
             certified_step_bound: 4096,
+            analysis: Analysis::default(),
         };
         let text = v.render_human("bad");
         assert!(text.contains("bad: REJECTED (certified step bound: 4096)"));
@@ -302,6 +309,7 @@ mod tests {
                 message: "divisor \"x\" may be 0".into(),
             }],
             certified_step_bound: 64,
+            analysis: Analysis::default(),
         };
         let json = v.render_json("t");
         assert!(json.starts_with("{\"name\":\"t\",\"admitted\":true"));

@@ -6,18 +6,18 @@
 //! scan nesting over the admission threshold (delegated to
 //! [`crate::analysis`], the single source of truth for scan depth).
 
-use std::collections::BTreeSet;
-
+use crate::analysis::{self, Analysis};
 use crate::error::Pos;
-use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId};
+use crate::hir::{ExprId, HExpr, HProgram, HStmt};
 
 use super::diag::{Diagnostic, Lint, Severity};
 use super::VerifyConfig;
 
-/// Runs the syntactic lints over `prog`.
-pub(super) fn run(prog: &HProgram, cfg: &VerifyConfig) -> Vec<Diagnostic> {
+/// Runs the syntactic lints over `prog`; also hands back the static audit
+/// they are read off, so the verdict can keep it.
+pub(super) fn run(prog: &HProgram, cfg: &VerifyConfig) -> (Vec<Diagnostic>, Analysis) {
     let mut diags = Vec::new();
-    let audit = crate::analysis::analyze(prog);
+    let (audit, too_deep) = analysis::analyze_with_limit(prog, cfg.max_scan_depth);
 
     for &reg in audit.registers_written.difference(&audit.registers_read) {
         diags.push(Diagnostic {
@@ -31,11 +31,11 @@ pub(super) fn run(prog: &HProgram, cfg: &VerifyConfig) -> Vec<Diagnostic> {
         });
     }
 
-    if audit.max_scan_depth > cfg.max_scan_depth {
+    if let Some(pos) = too_deep {
         diags.push(Diagnostic {
             lint: Lint::ScanDepth,
             severity: Severity::Error,
-            pos: Pos { line: 1, col: 1 },
+            pos,
             message: format!(
                 "scan nesting depth {} exceeds the admission threshold {}",
                 audit.max_scan_depth, cfg.max_scan_depth
@@ -44,39 +44,14 @@ pub(super) fn run(prog: &HProgram, cfg: &VerifyConfig) -> Vec<Diagnostic> {
     }
 
     pop_without_push(prog, &mut diags);
-    diags
+    (diags, audit)
 }
 
 /// Source position of the first `SET` writing 1-based register `reg`.
 fn first_set_reg_pos(prog: &HProgram, reg: u8) -> Option<Pos> {
-    fn find(prog: &HProgram, body: &[StmtId], reg: u8) -> Option<Pos> {
-        for &sid in body {
-            match prog.stmt(sid) {
-                HStmt::SetReg { reg: r, .. } if (r.index() + 1) as u8 == reg => {
-                    return Some(prog.stmt_pos(sid));
-                }
-                HStmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    if let Some(p) =
-                        find(prog, then_body, reg).or_else(|| find(prog, else_body, reg))
-                    {
-                        return Some(p);
-                    }
-                }
-                HStmt::Foreach { body, .. } => {
-                    if let Some(p) = find(prog, body, reg) {
-                        return Some(p);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-    find(prog, &prog.body, reg)
+    prog.stmts_in(&prog.body)
+        .find(|&sid| matches!(prog.stmt(sid), HStmt::SetReg { reg: r, .. } if r.index() + 1 == reg as usize))
+        .map(|sid| prog.stmt_pos(sid))
 }
 
 /// Flags `POP()` results that are neither `PUSH`ed nor `DROP`ped: the
@@ -87,155 +62,46 @@ fn first_set_reg_pos(prog: &HProgram, reg: u8) -> Option<Pos> {
 /// `PUSH`/`DROP`, or when it initializes a variable that is read
 /// somewhere in the program.
 fn pop_without_push(prog: &HProgram, diags: &mut Vec<Diagnostic>) {
-    let mut w = PopWalk {
-        prog,
-        pops: Vec::new(),
-        consumed: BTreeSet::new(),
-        decl_of: Vec::new(),
-        slots_read: BTreeSet::new(),
-    };
-    w.walk_block(&prog.body);
-    for pop in &w.pops {
-        if w.consumed.contains(&pop.0) {
-            continue;
+    let is_pop = |e: ExprId| matches!(prog.expr(e), HExpr::QueuePop(_));
+    // Every reachable `POP`, the ones that are directly a `PUSH`/`DROP`
+    // packet operand, the ones that initialize a variable slot, and the
+    // slots read anywhere in the program.
+    let mut pops = Vec::new();
+    let mut consumed = Vec::new();
+    let mut decl_of = Vec::new();
+    let mut slot_read = vec![false; prog.n_slots];
+    let mut todo = Vec::new();
+    for sid in prog.stmts_in(&prog.body) {
+        match *prog.stmt(sid) {
+            HStmt::VarDecl { slot, init } if is_pop(init) => decl_of.push((init, slot)),
+            HStmt::Push { packet, .. } | HStmt::Drop { packet } if is_pop(packet) => {
+                consumed.push(packet);
+            }
+            _ => {}
         }
-        let consumed_via_var = w
-            .decl_of
+        todo.extend(prog.stmt_operands(sid).iter());
+        while let Some(e) = todo.pop() {
+            match *prog.expr(e) {
+                HExpr::ReadVar(slot) => slot_read[slot.0 as usize] = true,
+                HExpr::QueuePop(_) => pops.push(e),
+                _ => {}
+            }
+            todo.extend(prog.children(e).iter());
+        }
+    }
+    for pop in pops {
+        let consumed_via_var = decl_of
             .iter()
-            .any(|&(expr, slot)| expr == *pop && w.slots_read.contains(&slot));
-        if !consumed_via_var {
+            .any(|&(init, slot)| init == pop && slot_read[slot.0 as usize]);
+        if !consumed.contains(&pop) && !consumed_via_var {
             diags.push(Diagnostic {
                 lint: Lint::PopWithoutPush,
                 severity: Severity::Error,
-                pos: prog.expr_pos(*pop),
+                pos: prog.expr_pos(pop),
                 message: "popped packet is never pushed or dropped: it disappears from \
                           every queue view without being scheduled"
                     .into(),
             });
-        }
-    }
-}
-
-struct PopWalk<'a> {
-    prog: &'a HProgram,
-    /// Every reachable `POP` expression.
-    pops: Vec<ExprId>,
-    /// Pops that are directly a `PUSH`/`DROP` packet operand.
-    consumed: BTreeSet<u32>,
-    /// Pops that are the root initializer of a variable slot.
-    decl_of: Vec<(ExprId, u32)>,
-    /// Slots read anywhere in the program.
-    slots_read: BTreeSet<u32>,
-}
-
-impl<'a> PopWalk<'a> {
-    fn walk_block(&mut self, body: &[StmtId]) {
-        for &sid in body {
-            match self.prog.stmt(sid).clone() {
-                HStmt::VarDecl { slot, init } => {
-                    if matches!(self.prog.expr(init), HExpr::QueuePop(_)) {
-                        self.decl_of.push((init, slot.0));
-                    }
-                    self.walk_expr(init);
-                }
-                HStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    self.walk_expr(cond);
-                    self.walk_block(&then_body);
-                    self.walk_block(&else_body);
-                }
-                HStmt::Foreach { list, body, .. } => {
-                    self.walk_expr(list);
-                    self.walk_block(&body);
-                }
-                HStmt::SetReg { value, .. } => self.walk_expr(value),
-                HStmt::Push { target, packet } => {
-                    self.walk_expr(target);
-                    if matches!(self.prog.expr(packet), HExpr::QueuePop(_)) {
-                        self.consumed.insert(packet.0);
-                    }
-                    self.walk_expr(packet);
-                }
-                HStmt::Drop { packet } => {
-                    if matches!(self.prog.expr(packet), HExpr::QueuePop(_)) {
-                        self.consumed.insert(packet.0);
-                    }
-                    self.walk_expr(packet);
-                }
-                HStmt::Return => {}
-            }
-        }
-    }
-
-    fn walk_expr(&mut self, id: ExprId) {
-        match self.prog.expr(id).clone() {
-            HExpr::Int(_)
-            | HExpr::Bool(_)
-            | HExpr::NullPacket
-            | HExpr::NullSubflow
-            | HExpr::ReadReg(_)
-            | HExpr::Subflows
-            | HExpr::Queue(_) => {}
-            HExpr::ReadVar(slot) => {
-                self.slots_read.insert(slot.0);
-            }
-            HExpr::SubflowProp { sbf: e, .. } | HExpr::PacketProp { pkt: e, .. } => {
-                self.walk_expr(e);
-            }
-            HExpr::SentOn { pkt: a, sbf: b } | HExpr::HasWindowFor { sbf: a, pkt: b } => {
-                self.walk_expr(a);
-                self.walk_expr(b);
-            }
-            HExpr::ListFilter {
-                list: base,
-                pred: e,
-                ..
-            }
-            | HExpr::QueueFilter {
-                queue: base,
-                pred: e,
-                ..
-            }
-            | HExpr::ListMinMax {
-                list: base, key: e, ..
-            }
-            | HExpr::QueueMinMax {
-                queue: base,
-                key: e,
-                ..
-            }
-            | HExpr::ListSum {
-                list: base, key: e, ..
-            }
-            | HExpr::QueueSum {
-                queue: base,
-                key: e,
-                ..
-            }
-            | HExpr::ListGet {
-                list: base,
-                index: e,
-            } => {
-                self.walk_expr(base);
-                self.walk_expr(e);
-            }
-            HExpr::ListCount(e)
-            | HExpr::QueueCount(e)
-            | HExpr::ListEmpty(e)
-            | HExpr::QueueEmpty(e)
-            | HExpr::QueueTop(e) => self.walk_expr(e),
-            HExpr::QueuePop(e) => {
-                self.pops.push(id);
-                self.walk_expr(e);
-            }
-            HExpr::Unary { expr, .. } => self.walk_expr(expr),
-            HExpr::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
         }
     }
 }

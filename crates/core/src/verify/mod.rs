@@ -72,7 +72,8 @@ pub fn verify(prog: &HProgram) -> Verdict {
 /// Verifies `prog` under explicit caps, returning the full [`Verdict`].
 pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
     let mut diagnostics = dataflow::run(prog, cfg.relational_domain);
-    diagnostics.extend(lints::run(prog, cfg));
+    let (lint_diagnostics, analysis) = lints::run(prog, cfg);
+    diagnostics.extend(lint_diagnostics);
     diagnostics.sort_by(|a, b| {
         (a.pos.line, a.pos.col, a.lint, &a.message)
             .cmp(&(b.pos.line, b.pos.col, b.lint, &b.message))
@@ -81,6 +82,7 @@ pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
     Verdict {
         diagnostics,
         certified_step_bound: cost::certified_step_bound(prog, cfg),
+        analysis,
     }
 }
 
@@ -272,6 +274,14 @@ mod tests {
         assert!(!v.admitted(), "diags: {:?}", v.diagnostics);
         assert!(has(&v, Lint::ScanDepth, Severity::Error));
         assert!(verdict_of(&nested_filter_src(3)).admitted());
+        // Anchored at the first scan past the threshold (the ninth FILTER,
+        // on the second line here), not at the top of the program.
+        let src = format!("SET(R2, 0);\n{}", nested_filter_src(9));
+        let ninth = src.lines().nth(1).unwrap().find("FILTER(v9").unwrap();
+        let v = verdict_of(&src);
+        let d = v.diagnostics.iter().find(|d| d.lint == Lint::ScanDepth);
+        let pos = d.expect("scan-depth").pos;
+        assert_eq!((pos.line, pos.col as usize), (2, ninth + 1));
     }
 
     /// `SET(R1, F.COUNT)` where `F` nests `depth` filters inside each

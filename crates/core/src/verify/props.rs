@@ -836,16 +836,8 @@ impl<'a> WcAnalysis<'a> {
 
 /// Whether any statement in `body` (recursively) is a `PUSH`.
 fn block_contains_push(prog: &HProgram, body: &[StmtId]) -> bool {
-    body.iter().any(|&sid| match prog.stmt(sid) {
-        HStmt::Push { .. } => true,
-        HStmt::If {
-            then_body,
-            else_body,
-            ..
-        } => block_contains_push(prog, then_body) || block_contains_push(prog, else_body),
-        HStmt::Foreach { body, .. } => block_contains_push(prog, body),
-        _ => false,
-    })
+    prog.stmts_in(body)
+        .any(|sid| matches!(prog.stmt(sid), HStmt::Push { .. }))
 }
 
 // ---------------------------------------------------------------------
@@ -1307,7 +1299,7 @@ impl<'a> DupAnalysis<'a> {
                         // Loop variable over a packet queue: the element
                         // is fresh per iteration, like a pop.
                         self.slot_src[slot.0 as usize] = Some(PacketSrc {
-                            fam: self.base_fam(list),
+                            fam: view_fam(self.prog, list),
                             repeatable: false,
                             depth: self.factors.len() + 1,
                         });
@@ -1341,12 +1333,12 @@ impl<'a> DupAnalysis<'a> {
     fn packet_src(&self, e: ExprId) -> PacketSrc {
         match self.prog.expr(e) {
             HExpr::QueuePop(view) => PacketSrc {
-                fam: self.base_fam(*view),
+                fam: view_fam(self.prog, *view),
                 repeatable: false,
                 depth: self.factors.len(),
             },
             HExpr::QueueTop(view) | HExpr::QueueMinMax { queue: view, .. } => PacketSrc {
-                fam: self.base_fam(*view),
+                fam: view_fam(self.prog, *view),
                 repeatable: true,
                 depth: 0,
             },
@@ -1369,19 +1361,13 @@ impl<'a> DupAnalysis<'a> {
             },
         }
     }
+}
 
-    /// Resolves the base queue of a packet-view expression.
-    fn base_fam(&self, e: ExprId) -> QFam {
-        match self.prog.expr(e) {
-            HExpr::Queue(k) => QFam::of(*k),
-            HExpr::QueueFilter { queue, .. } => self.base_fam(*queue),
-            HExpr::QueueMinMax { queue, .. } => self.base_fam(*queue),
-            HExpr::ReadVar(slot) => self.prog.aggregate_init[slot.0 as usize]
-                .map(|init| self.base_fam(init))
-                .unwrap_or(QFam::Other),
-            _ => QFam::Other,
-        }
-    }
+/// The family of the base queue of packet view `view`.
+fn view_fam(prog: &HProgram, view: ExprId) -> QFam {
+    prog.view_chain(view)
+        .and_then(|chain| chain.base.queue())
+        .map_or(QFam::Other, QFam::of)
 }
 
 // ---------------------------------------------------------------------
@@ -1519,83 +1505,20 @@ impl<'a> ReinjAnalysis<'a> {
     /// `removed_before` downgrades later `NonEmpty` facts in the same
     /// statement (an earlier pop may have emptied the view).
     fn scan_pops(&mut self, st: &AbsState, e: ExprId, removed_before: &mut bool) {
-        match self.prog.expr(e).clone() {
-            HExpr::QueuePop(view) => {
-                self.scan_pops(st, view, removed_before);
-                let mut emptiness = self.az.view_emptiness(st, view);
-                if *removed_before && emptiness == Emptiness::NonEmpty {
-                    emptiness = Emptiness::Unknown;
-                }
-                self.sites.push(PopSite {
-                    pos: self.prog.expr_pos(e),
-                    fam: self.base_fam(view),
-                    emptiness,
-                });
-                *removed_before = true;
-            }
-            HExpr::Int(_)
-            | HExpr::Bool(_)
-            | HExpr::NullPacket
-            | HExpr::NullSubflow
-            | HExpr::ReadReg(_)
-            | HExpr::ReadVar(_)
-            | HExpr::Subflows
-            | HExpr::Queue(_) => {}
-            HExpr::SubflowProp { sbf: a, .. } => self.scan_pops(st, a, removed_before),
-            HExpr::PacketProp { pkt: a, .. } => self.scan_pops(st, a, removed_before),
-            HExpr::SentOn { pkt, sbf } | HExpr::HasWindowFor { sbf, pkt } => {
-                self.scan_pops(st, pkt, removed_before);
-                self.scan_pops(st, sbf, removed_before);
-            }
-            HExpr::ListFilter { list, pred, .. } => {
-                self.scan_pops(st, list, removed_before);
-                self.scan_pops(st, pred, removed_before);
-            }
-            HExpr::QueueFilter { queue, pred, .. } => {
-                self.scan_pops(st, queue, removed_before);
-                self.scan_pops(st, pred, removed_before);
-            }
-            HExpr::ListMinMax { list, key, .. } => {
-                self.scan_pops(st, list, removed_before);
-                self.scan_pops(st, key, removed_before);
-            }
-            HExpr::QueueMinMax { queue, key, .. } => {
-                self.scan_pops(st, queue, removed_before);
-                self.scan_pops(st, key, removed_before);
-            }
-            HExpr::ListSum { list, key, .. } => {
-                self.scan_pops(st, list, removed_before);
-                self.scan_pops(st, key, removed_before);
-            }
-            HExpr::QueueSum { queue, key, .. } => {
-                self.scan_pops(st, queue, removed_before);
-                self.scan_pops(st, key, removed_before);
-            }
-            HExpr::ListCount(a)
-            | HExpr::QueueCount(a)
-            | HExpr::ListEmpty(a)
-            | HExpr::QueueEmpty(a)
-            | HExpr::QueueTop(a) => self.scan_pops(st, a, removed_before),
-            HExpr::ListGet { list, index } => {
-                self.scan_pops(st, list, removed_before);
-                self.scan_pops(st, index, removed_before);
-            }
-            HExpr::Unary { expr, .. } => self.scan_pops(st, expr, removed_before),
-            HExpr::Binary { lhs, rhs, .. } => {
-                self.scan_pops(st, lhs, removed_before);
-                self.scan_pops(st, rhs, removed_before);
-            }
+        for operand in self.prog.children(e).iter() {
+            self.scan_pops(st, operand, removed_before);
         }
-    }
-
-    fn base_fam(&self, e: ExprId) -> QFam {
-        match self.prog.expr(e) {
-            HExpr::Queue(k) => QFam::of(*k),
-            HExpr::QueueFilter { queue, .. } => self.base_fam(*queue),
-            HExpr::ReadVar(slot) => self.prog.aggregate_init[slot.0 as usize]
-                .map(|init| self.base_fam(init))
-                .unwrap_or(QFam::Other),
-            _ => QFam::Other,
+        if let HExpr::QueuePop(view) = *self.prog.expr(e) {
+            let mut emptiness = self.az.view_emptiness(st, view);
+            if *removed_before && emptiness == Emptiness::NonEmpty {
+                emptiness = Emptiness::Unknown;
+            }
+            self.sites.push(PopSite {
+                pos: self.prog.expr_pos(e),
+                fam: view_fam(self.prog, view),
+                emptiness,
+            });
+            *removed_before = true;
         }
     }
 }

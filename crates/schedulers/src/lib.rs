@@ -586,11 +586,46 @@ mod audit_tests {
         }
     }
 
+    /// Walking `HProgram::children` from `body` reaches every `POP` and
+    /// `PUSH` site the audit counts, in all 18 bundled programs.
+    #[test]
+    fn hir_traversal_reaches_every_audited_site() {
+        use progmp_core::hir::{HExpr, HStmt};
+        assert_eq!(sources::ALL.len(), 18);
+        for (name, source) in sources::ALL {
+            let mut hir =
+                progmp_core::sema::lower(&progmp_core::parser::parse(source).unwrap()).unwrap();
+            progmp_core::optimizer::optimize(&mut hir);
+            let audit = progmp_core::analysis::analyze(&hir);
+            let mut pushes = 0;
+            let mut pops = 0;
+            for sid in hir.stmts_in(&hir.body) {
+                pushes += usize::from(matches!(hir.stmt(sid), HStmt::Push { .. }));
+                let mut todo: Vec<_> = hir.stmt_operands(sid).iter().collect();
+                while let Some(e) = todo.pop() {
+                    pops += usize::from(matches!(hir.expr(e), HExpr::QueuePop(_)));
+                    todo.extend(hir.children(e).iter());
+                }
+            }
+            // The source text is the independent count (no bundled
+            // program mentions either in a comment or loses one to folding).
+            assert_eq!(pushes, source.matches(".PUSH(").count(), "{name}");
+            assert_eq!(pops, source.matches(".POP()").count(), "{name}");
+            assert_eq!(pushes, audit.push_sites, "{name}: PUSH sites");
+            assert_eq!(pops, audit.pop_sites, "{name}: POP sites");
+            assert_eq!(&audit, load(name).unwrap().analyze(), "{name}");
+        }
+    }
+
     #[test]
     fn audit_distinguishes_redundancy_designs() {
-        let redundant = load("redundant").unwrap().analyze();
-        assert!(redundant.uses_sent_on, "redundancy is SENT_ON-driven");
-        let rr = load("roundRobin").unwrap().analyze();
+        let redundant = load("redundant").unwrap();
+        assert!(
+            redundant.analyze().uses_sent_on,
+            "redundancy is SENT_ON-driven"
+        );
+        let rr = load("roundRobin").unwrap();
+        let rr = rr.analyze();
         assert!(!rr.uses_sent_on);
         assert!(rr.registers_read.contains(&4), "RR keeps its index in R4");
         assert!(rr.registers_written.contains(&4));

@@ -13,7 +13,7 @@ use crate::calendar::CalendarQueue;
 use crate::config::{ConnectionConfig, SchedulerSpec};
 use crate::connection::{Connection, Installed, SchedulerHandle};
 use crate::faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
-use crate::oracle::{InvariantOracle, OracleViolation};
+use crate::oracle::{InvariantOracle, OracleViolation, PropObservation};
 use crate::path::{Path, PathProfileEntry};
 use crate::pathman::{PathManager, PmAction};
 use crate::receiver::Receiver;
@@ -92,6 +92,9 @@ pub(crate) enum EventKind {
     },
     Trigger {
         conn: ConnId,
+        /// The cause, as the replay log prints it (`Debug`); the
+        /// scheduler runs the same way for every cause.
+        #[allow(dead_code)]
         trigger: Trigger,
     },
     FaultLoss {
@@ -609,7 +612,7 @@ impl Sim {
                     .unwrap_or_default();
                 for (conn, invariant) in pending {
                     if self.contain_fault(conn, FaultClass::OracleViolation { invariant }, None) {
-                        self.run_scheduler(conn, Trigger::Timer);
+                        self.run_scheduler(conn);
                         swapped = true;
                     }
                 }
@@ -627,11 +630,11 @@ impl Sim {
                 self.connections[conn].now = now;
                 self.connections[conn].enqueue_data(bytes, prop, now);
                 self.arm_stall_watchdog(conn);
-                self.run_scheduler(conn, Trigger::NewData);
+                self.run_scheduler(conn);
             }
             EventKind::SetRegister { conn, reg, value } => {
                 self.connections[conn].set_register_direct(reg, value);
-                self.run_scheduler(conn, Trigger::RegisterChanged);
+                self.run_scheduler(conn);
             }
             EventKind::Arrival {
                 conn,
@@ -700,12 +703,7 @@ impl Sim {
                         s.tlp_armed = false;
                     }
                 }
-                let trigger = if out.loss_suspected {
-                    Trigger::LossSuspected
-                } else {
-                    Trigger::AckReceived
-                };
-                self.run_scheduler(conn, trigger);
+                self.run_scheduler(conn);
             }
             EventKind::Rto { conn, sbf, token } => {
                 let now = self.now;
@@ -732,7 +730,7 @@ impl Sim {
                     s.rto_armed = true;
                     self.schedule(at, EventKind::Rto { conn, sbf, token });
                 }
-                self.run_scheduler(conn, Trigger::LossSuspected);
+                self.run_scheduler(conn);
             }
             EventKind::Tlp { conn, sbf, token } => {
                 let now = self.now;
@@ -766,17 +764,17 @@ impl Sim {
                         },
                     );
                     if reinjected {
-                        self.run_scheduler(conn, Trigger::LossSuspected);
+                        self.run_scheduler(conn);
                     }
                 }
             }
             EventKind::SubflowUp { conn, sbf } => {
                 self.connections[conn].set_subflow_established(sbf as usize, true);
-                self.run_scheduler(conn, Trigger::SubflowChange);
+                self.run_scheduler(conn);
             }
             EventKind::SubflowDown { conn, sbf } => {
                 self.connections[conn].set_subflow_established(sbf as usize, false);
-                self.run_scheduler(conn, Trigger::SubflowChange);
+                self.run_scheduler(conn);
             }
             EventKind::PathChange { conn, sbf, entry } => {
                 self.connections[conn].subflows[sbf as usize]
@@ -796,11 +794,11 @@ impl Sim {
                     match action {
                         PmAction::SubflowUp(i) => {
                             self.connections[conn].set_subflow_established(i as usize, true);
-                            self.run_scheduler(conn, Trigger::SubflowChange);
+                            self.run_scheduler(conn);
                         }
                         PmAction::SubflowDown(i) => {
                             self.connections[conn].set_subflow_established(i as usize, false);
-                            self.run_scheduler(conn, Trigger::SubflowChange);
+                            self.run_scheduler(conn);
                         }
                         PmAction::SetRegister(reg, value) => {
                             self.connections[conn].set_register_direct(reg, value);
@@ -809,15 +807,13 @@ impl Sim {
                     }
                 }
                 if register_changed {
-                    self.run_scheduler(conn, Trigger::RegisterChanged);
+                    self.run_scheduler(conn);
                 }
                 let interval = self.path_managers[manager].1.interval;
                 let at = self.now + interval;
                 self.schedule(at, EventKind::PmTick { conn, manager });
             }
-            EventKind::Trigger { conn, trigger } => {
-                self.run_scheduler(conn, trigger);
-            }
+            EventKind::Trigger { conn, .. } => self.run_scheduler(conn),
             EventKind::FaultLoss { conn, sbf, model } => {
                 if let Some(s) = self.connections[conn].subflows.get_mut(sbf as usize) {
                     s.path.set_fault_loss(model);
@@ -843,7 +839,7 @@ impl Sim {
                 c.receiver.set_stalled(stalled);
                 c.adv_rwnd = c.receiver.rwnd();
                 if !stalled {
-                    self.run_scheduler(conn, Trigger::Timer);
+                    self.run_scheduler(conn);
                 }
             }
             EventKind::Readmit { conn } => {
@@ -875,7 +871,7 @@ impl Sim {
             self.connections[conn].now = now;
             self.connections[conn].enqueue_data(add, prop, now);
             self.arm_stall_watchdog(conn);
-            self.run_scheduler(conn, Trigger::NewData);
+            self.run_scheduler(conn);
         }
         if self.bulk_sources[source].remaining > 0 {
             let interval = self.bulk_sources[source].interval;
@@ -891,9 +887,8 @@ impl Sim {
     /// error or an oracle-detected property violation is converted into
     /// a structured [`FaultClass`] and — when the supervisor is attached
     /// — handled by quarantining the program behind the fallback, which
-    /// then gets an immediate execution on the same trigger.
-    pub fn run_scheduler(&mut self, conn: ConnId, trigger: Trigger) {
-        let _ = trigger;
+    /// then gets an immediate execution for the same event.
+    pub fn run_scheduler(&mut self, conn: ConnId) {
         let Some(mut scheduler) = self.connections[conn].installed.take() else {
             return;
         };
@@ -901,7 +896,7 @@ impl Sim {
         let mut fault: Option<(FaultClass, Option<String>)> = None;
         for _ in 0..max_rounds {
             let pushes;
-            let mut prop_obs: Option<crate::oracle::PropObservation> = None;
+            let prop_obs;
             {
                 let c = &mut self.connections[conn];
                 c.now = self.now;
@@ -909,18 +904,7 @@ impl Sim {
                 // Pre-state for the property certificate's dynamic checks
                 // must be sampled before the execution mutates the views.
                 let watch_props = self.oracle.is_some() && scheduler.cert().is_some();
-                let (pre_q_nonempty, pre_subflows_nonempty, pre_avail_subflow, n_subflows) =
-                    if watch_props {
-                        let env: &dyn SchedulerEnv = &*c;
-                        (
-                            !env.queue(progmp_core::env::QueueKind::SendQueue).is_empty(),
-                            !env.subflows().is_empty(),
-                            env.subflows().iter().any(|&s| subflow_available(env, s)),
-                            env.subflows().len() as u64,
-                        )
-                    } else {
-                        (false, false, false, 0)
-                    };
+                let pre = watch_props.then(|| PropObservation::before(&*c));
                 let t0 = Instant::now();
                 let mut ctx = ExecCtx::new(&*c, budget);
                 let result = scheduler.handle.execute_once(&mut ctx);
@@ -934,26 +918,7 @@ impl Sim {
                     break;
                 }
                 let (regs, actions, stats) = ctx.finish();
-                if watch_props {
-                    let push_targets = actions
-                        .iter()
-                        .filter_map(|a| match a {
-                            progmp_core::env::Action::Push { subflow, packet } => {
-                                Some((subflow.0, *packet))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    prop_obs = Some(crate::oracle::PropObservation {
-                        pre_q_nonempty,
-                        pre_subflows_nonempty,
-                        pre_avail_subflow,
-                        pushes: u64::from(stats.pushes),
-                        null_pops: u64::from(stats.null_pops),
-                        push_targets,
-                        n_subflows,
-                    });
-                }
+                prop_obs = pre.map(|pre| pre.after(&actions, &stats));
                 c.apply(&regs, &actions);
                 c.stats.scheduler_executions += 1;
                 c.stats.scheduler_steps += stats.steps;
@@ -991,11 +956,10 @@ impl Sim {
         self.connections[conn].installed = Some(scheduler);
         if let Some((class, location)) = fault {
             if self.contain_fault(conn, class, location) {
-                // The fallback just took over; run it on the same
-                // trigger so the event that found the fault still gets
-                // scheduled. Recursion is bounded: a fault while
+                // The fallback just took over; run it at once so the
+                // event that found the fault still gets scheduled. Recursion is bounded: a fault while
                 // quarantined is recorded, never re-swapped.
-                self.run_scheduler(conn, Trigger::Timer);
+                self.run_scheduler(conn);
             }
         }
     }
@@ -1096,7 +1060,7 @@ impl Sim {
             && c.stats.scheduler_drops == 0
             && matches!(state, ContainState::Healthy | ContainState::Probation);
         if stalled && self.contain_fault(conn, FaultClass::ProgressStall, None) {
-            self.run_scheduler(conn, Trigger::Timer);
+            self.run_scheduler(conn);
         }
         self.schedule(self.now + interval, EventKind::StallCheck { conn });
     }
@@ -1110,7 +1074,7 @@ impl Sim {
         };
         if let Some(parked) = sup.unpark(now, conn) {
             self.connections[conn].install(parked);
-            self.run_scheduler(conn, Trigger::Timer);
+            self.run_scheduler(conn);
         }
     }
 

@@ -68,9 +68,9 @@
 use crate::connection::Connection;
 use crate::engine::EventKind;
 use crate::time::SimTime;
-use progmp_core::env::PacketRef;
+use progmp_core::env::{Action, PacketRef, QueueKind, SchedulerEnv};
 use progmp_core::verify::props::PropStatus;
-use progmp_core::PropertyCertificate;
+use progmp_core::{subflow_available, ExecStats, PropertyCertificate};
 use std::collections::VecDeque;
 
 /// How many trailing events the oracle keeps for violation reports.
@@ -109,9 +109,9 @@ impl std::fmt::Display for OracleViolation {
 
 /// What one scheduler execution actually did, as far as the property
 /// certificate's dynamic checks are concerned. The engine collects one
-/// observation around every `execute_once` round (pre-state before the
-/// run, actions and stats after) and hands it to
-/// [`InvariantOracle::check_properties`].
+/// observation around every `execute_once` round
+/// ([`PropObservation::before`] the run, [`PropObservation::after`] it)
+/// and hands it to [`InvariantOracle::check_properties`].
 #[derive(Debug, Clone, Default)]
 pub struct PropObservation {
     /// Send queue was non-empty *before* the execution.
@@ -132,6 +132,37 @@ pub struct PropObservation {
     pub push_targets: Vec<(u32, PacketRef)>,
     /// Established subflows visible to the execution.
     pub n_subflows: u64,
+}
+
+impl PropObservation {
+    /// The pre-state of one execution, sampled from `env` before the
+    /// scheduler runs (it mutates the views); [`PropObservation::after`]
+    /// fills in the rest.
+    pub fn before(env: &dyn SchedulerEnv) -> Self {
+        let subflows = env.subflows();
+        PropObservation {
+            pre_q_nonempty: !env.queue(QueueKind::SendQueue).is_empty(),
+            pre_subflows_nonempty: !subflows.is_empty(),
+            pre_avail_subflow: subflows.iter().any(|&s| subflow_available(env, s)),
+            n_subflows: subflows.len() as u64,
+            ..PropObservation::default()
+        }
+    }
+
+    /// Completes the observation with what the execution did: the
+    /// `actions` it emitted and its `stats`.
+    pub fn after(mut self, actions: &[Action], stats: &ExecStats) -> Self {
+        self.pushes = u64::from(stats.pushes);
+        self.null_pops = u64::from(stats.null_pops);
+        self.push_targets = actions
+            .iter()
+            .filter_map(|a| match a {
+                Action::Push { subflow, packet } => Some((subflow.0, *packet)),
+                _ => None,
+            })
+            .collect();
+        self
+    }
 }
 
 /// Per-connection high-water marks for monotonicity checks.
