@@ -420,6 +420,10 @@ impl<E: SchedulerEnv> SchedulerEnv for RecordingEnv<E> {
         self.inner.register(reg)
     }
 
+    fn registers(&self) -> [i64; NUM_REGISTERS] {
+        self.inner.registers()
+    }
+
     fn apply(&mut self, registers: &[i64; NUM_REGISTERS], actions: &[Action]) {
         let exec = self.trace.registers.len() as u32;
         self.trace.registers.push(*registers);
@@ -499,6 +503,15 @@ pub trait SchedulerEnv {
 
     /// Current value of register `reg`.
     fn register(&self, reg: RegId) -> i64;
+
+    /// The whole register file, `R1` first — what an execution starts
+    /// from. Environments that store the file as one array override
+    /// this with a copy.
+    fn registers(&self) -> [i64; NUM_REGISTERS] {
+        std::array::from_fn(|i| {
+            self.register(RegId::new((i + 1) as u8).expect("register index in range"))
+        })
+    }
 
     /// Applies the buffered effects of one completed scheduler execution:
     /// the final register file and the ordered action list.

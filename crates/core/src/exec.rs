@@ -63,13 +63,32 @@ pub struct ExecStats {
     pub reg_writes: u32,
 }
 
+/// The heap buffers one execution fills: the popped/dropped set, the
+/// action list and the VM's stack frame. A driver that runs many
+/// executions hands the set returned by [`ExecCtx::finish_scratch`] to
+/// the next [`ExecCtx::with_scratch`], so a warmed-up execution
+/// allocates nothing; one set serves any number of environments.
+#[derive(Debug, Default)]
+pub struct ExecScratch {
+    /// Packets removed from queue views this execution (popped or dropped).
+    removed: Vec<PacketRef>,
+    actions: Vec<Action>,
+    /// The bytecode VM's stack slots; other backends leave it untouched.
+    frame: Vec<i64>,
+}
+
+impl ExecScratch {
+    /// The ordered action list of the execution that returned this set.
+    pub fn actions(&self) -> &[Action] {
+        &self.actions
+    }
+}
+
 /// Execution context for a single scheduler run.
 pub struct ExecCtx<'e> {
     env: &'e dyn SchedulerEnv,
     regs: [i64; NUM_REGISTERS],
-    /// Packets removed from queue views this execution (popped or dropped).
-    removed: Vec<PacketRef>,
-    actions: Vec<Action>,
+    scratch: ExecScratch,
     steps_left: u64,
     budget: u64,
     stats: ExecStats,
@@ -78,15 +97,18 @@ pub struct ExecCtx<'e> {
 impl<'e> ExecCtx<'e> {
     /// Creates a context over `env` with the given step budget.
     pub fn new(env: &'e dyn SchedulerEnv, budget: u64) -> Self {
-        let mut regs = [0i64; NUM_REGISTERS];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = env.register(RegId::new((i + 1) as u8).expect("register index in range"));
-        }
+        Self::with_scratch(env, budget, ExecScratch::default())
+    }
+
+    /// Like [`ExecCtx::new`], reusing the buffers of an earlier
+    /// execution (whose contents are discarded).
+    pub fn with_scratch(env: &'e dyn SchedulerEnv, budget: u64, mut scratch: ExecScratch) -> Self {
+        scratch.removed.clear();
+        scratch.actions.clear();
         ExecCtx {
             env,
-            regs,
-            removed: Vec::new(),
-            actions: Vec::new(),
+            regs: env.registers(),
+            scratch,
             steps_left: budget,
             budget,
             stats: ExecStats::default(),
@@ -150,7 +172,7 @@ impl<'e> ExecCtx<'e> {
             return NULL_HANDLE;
         }
         match self.env.queue(queue).get(i as usize) {
-            Some(p) if !self.removed.contains(p) => p.0 as i64,
+            Some(p) if !self.scratch.removed.contains(p) => p.0 as i64,
             _ => NULL_HANDLE,
         }
     }
@@ -197,8 +219,8 @@ impl<'e> ExecCtx<'e> {
             return;
         }
         let r = PacketRef(pkt as u64);
-        if !self.removed.contains(&r) {
-            self.removed.push(r);
+        if !self.scratch.removed.contains(&r) {
+            self.scratch.removed.push(r);
             self.stats.pops += 1;
         }
     }
@@ -211,7 +233,7 @@ impl<'e> ExecCtx<'e> {
         if sbf < 0 || pkt < 0 {
             return;
         }
-        self.actions.push(Action::Push {
+        self.scratch.actions.push(Action::Push {
             subflow: SubflowId(sbf as u32),
             packet: PacketRef(pkt as u64),
         });
@@ -226,10 +248,10 @@ impl<'e> ExecCtx<'e> {
             return;
         }
         let r = PacketRef(pkt as u64);
-        if !self.removed.contains(&r) {
-            self.removed.push(r);
+        if !self.scratch.removed.contains(&r) {
+            self.scratch.removed.push(r);
         }
-        self.actions.push(Action::Drop { packet: r });
+        self.scratch.actions.push(Action::Drop { packet: r });
         self.stats.drops += 1;
     }
 
@@ -248,15 +270,37 @@ impl<'e> ExecCtx<'e> {
 
     /// Number of actions emitted so far.
     pub fn action_count(&self) -> usize {
-        self.actions.len()
+        self.scratch.actions.len()
     }
 
     /// Finishes the execution: returns the final register file, the
     /// ordered action list, and statistics. The caller is responsible for
     /// handing registers and actions to [`SchedulerEnv::apply`].
-    pub fn finish(mut self) -> ([i64; NUM_REGISTERS], Vec<Action>, ExecStats) {
+    pub fn finish(self) -> ([i64; NUM_REGISTERS], Vec<Action>, ExecStats) {
+        let (regs, stats, scratch) = self.finish_scratch();
+        (regs, scratch.actions, stats)
+    }
+
+    /// Like [`ExecCtx::finish`], but returns the whole buffer set — the
+    /// actions are [`ExecScratch::actions`] — for the next
+    /// [`ExecCtx::with_scratch`].
+    pub fn finish_scratch(mut self) -> ([i64; NUM_REGISTERS], ExecStats, ExecScratch) {
         self.stats.steps = self.budget - self.steps_left;
-        (self.regs, self.actions, self.stats)
+        (self.regs, self.stats, self.scratch)
+    }
+
+    /// Lends the VM its stack frame: `slots` zeroed words, reusing the
+    /// buffer's allocation. Pair with [`ExecCtx::restore_frame`].
+    pub(crate) fn take_frame(&mut self, slots: usize) -> Vec<i64> {
+        let mut frame = std::mem::take(&mut self.scratch.frame);
+        frame.clear();
+        frame.resize(slots, 0);
+        frame
+    }
+
+    /// Returns the frame lent by [`ExecCtx::take_frame`].
+    pub(crate) fn restore_frame(&mut self, frame: Vec<i64>) {
+        self.scratch.frame = frame;
     }
 }
 

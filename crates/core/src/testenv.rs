@@ -268,6 +268,10 @@ impl SchedulerEnv for MockEnv {
         self.registers[reg.index()]
     }
 
+    fn registers(&self) -> [i64; NUM_REGISTERS] {
+        self.registers
+    }
+
     fn apply(&mut self, registers: &[i64; NUM_REGISTERS], actions: &[Action]) {
         self.registers = *registers;
         for action in actions {

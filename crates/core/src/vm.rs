@@ -199,13 +199,25 @@ fn reg_mut(regs: &mut [i64; NUM_MACH_REGS], r: u8, pc: usize) -> Result<&mut i64
         })
 }
 
+/// Runs `prog` on a stack frame borrowed from `ctx`'s reusable buffers.
 fn execute_inner(
     prog: &BytecodeProgram,
     ctx: &mut ExecCtx<'_>,
+    profile: Option<&mut Vec<u64>>,
+) -> Result<(), ExecError> {
+    let mut stack = ctx.take_frame(usize::from(prog.stack_slots));
+    let result = run(prog, ctx, &mut stack, profile);
+    ctx.restore_frame(stack);
+    result
+}
+
+fn run(
+    prog: &BytecodeProgram,
+    ctx: &mut ExecCtx<'_>,
+    stack: &mut [i64],
     mut profile: Option<&mut Vec<u64>>,
 ) -> Result<(), ExecError> {
     let mut regs = [0i64; NUM_MACH_REGS];
-    let mut stack = vec![0i64; usize::from(prog.stack_slots)];
     let mut pc: usize = 0;
     let code = &prog.code;
     loop {

@@ -139,36 +139,24 @@ impl CcState {
 /// multiplier relative to the uncoupled `1/cwnd_i` increase, scaled by
 /// 1024: `factor = min(alpha * cwnd_i / cwnd_total, 1)`.
 ///
-/// `flows` is `(cwnd, srtt_ns)` for every subflow; `idx` selects the
-/// subflow being updated.
-pub fn lia_alpha_x1024(flows: &[(u64, u64)], idx: usize) -> u64 {
-    if flows.len() <= 1 {
-        return 1024;
+/// `flows` yields `(cwnd, srtt_ns)` for every subflow, `cwnd_i` is the
+/// window of the subflow being updated. One pass, no buffer: this runs
+/// on every window-limited ack of a LIA connection.
+pub fn lia_alpha_x1024(flows: impl Iterator<Item = (u64, u64)>, cwnd_i: u64) -> u64 {
+    let (mut n, mut cwnd_total, mut max_term, mut sum_term) = (0usize, 0.0f64, 0.0f64, 0.0f64);
+    for (c, r) in flows {
+        let c = c as f64;
+        let r = r.max(1) as f64 / 1e9;
+        n += 1;
+        cwnd_total += c;
+        max_term = max_term.max(c / (r * r));
+        sum_term += c / r;
     }
-    let cwnd_total: f64 = flows.iter().map(|(c, _)| *c as f64).sum();
-    if cwnd_total <= 0.0 {
-        return 1024;
-    }
-    let max_term = flows
-        .iter()
-        .map(|&(c, r)| {
-            let r = (r.max(1)) as f64 / 1e9;
-            c as f64 / (r * r)
-        })
-        .fold(0.0f64, f64::max);
-    let sum_term: f64 = flows
-        .iter()
-        .map(|&(c, r)| {
-            let r = (r.max(1)) as f64 / 1e9;
-            c as f64 / r
-        })
-        .sum();
-    if sum_term <= 0.0 {
+    if n <= 1 || cwnd_total <= 0.0 || sum_term <= 0.0 {
         return 1024;
     }
     let alpha = cwnd_total * max_term / (sum_term * sum_term);
-    let cwnd_i = flows[idx].0 as f64;
-    let factor = (alpha * cwnd_i / cwnd_total).clamp(0.0, 1.0);
+    let factor = (alpha * cwnd_i as f64 / cwnd_total).clamp(0.0, 1.0);
     (factor * 1024.0) as u64
 }
 
@@ -239,14 +227,14 @@ mod tests {
 
     #[test]
     fn lia_factor_single_flow_is_uncoupled() {
-        assert_eq!(lia_alpha_x1024(&[(10, 10_000_000)], 0), 1024);
+        assert_eq!(lia_alpha_x1024([(10, 10_000_000)].into_iter(), 10), 1024);
     }
 
     #[test]
     fn lia_factor_is_capped_at_uncoupled() {
         let flows = [(10, 10_000_000), (10, 10_000_000)];
-        for i in 0..2 {
-            assert!(lia_alpha_x1024(&flows, i) <= 1024);
+        for (cwnd, _) in flows {
+            assert!(lia_alpha_x1024(flows.into_iter(), cwnd) <= 1024);
         }
     }
 
@@ -255,7 +243,7 @@ mod tests {
         // Two identical subflows: alpha = 2c * (c/r^2) / (2c/r)^2 = 1/2,
         // factor = alpha * c / 2c = 1/4 of uncoupled.
         let flows = [(16, 20_000_000), (16, 20_000_000)];
-        let f = lia_alpha_x1024(&flows, 0);
+        let f = lia_alpha_x1024(flows.into_iter(), 16);
         assert!((200..=312).contains(&f), "factor={f} expected ~256");
     }
 }

@@ -95,6 +95,50 @@ impl Installed {
     }
 }
 
+/// The sending queue `Q`. [`Connection::enqueue_data`] is its only
+/// writer and appends in `seq` order, so `Q` is ascending in `seq`; the
+/// scheduler mostly takes its front. Stored as a `Vec` plus the index of
+/// the first live entry: the scheduler's view stays one slice, taking
+/// the front is a counter bump, and the dead prefix is compacted away
+/// once it outweighs the live part (amortised O(1) per removal).
+#[derive(Debug, Default)]
+struct SendQueue {
+    buf: Vec<PacketRef>,
+    head: usize,
+}
+
+impl SendQueue {
+    fn as_slice(&self) -> &[PacketRef] {
+        &self.buf[self.head..]
+    }
+
+    fn push(&mut self, pkt: PacketRef) {
+        self.buf.push(pkt);
+    }
+
+    /// Removes the first `n` entries.
+    fn drop_front(&mut self, n: usize) {
+        self.head += n;
+        if self.head == self.buf.len() {
+            self.buf.clear();
+            self.head = 0;
+        } else if self.head >= 32 && self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    /// Removes the entry at `i` of [`SendQueue::as_slice`], keeping the
+    /// order of the rest.
+    fn remove(&mut self, i: usize) {
+        if i == 0 {
+            self.drop_front(1);
+        } else {
+            self.buf.remove(self.head + i);
+        }
+    }
+}
+
 /// What an acknowledgement did, so the engine can schedule follow-ups.
 #[derive(Debug, Default)]
 pub struct AckOutcome {
@@ -124,7 +168,7 @@ pub struct Connection {
     active: Vec<SubflowId>,
     /// All segments ever created, in the connection's segment arena.
     pub segments: SegmentSlab,
-    q: Vec<PacketRef>,
+    q: SendQueue,
     qu: Vec<PacketRef>,
     rq: Vec<PacketRef>,
     registers: [i64; NUM_REGISTERS],
@@ -144,7 +188,9 @@ pub struct Connection {
     pub data_acked: u64,
     /// Last advertised receive window (bytes).
     pub adv_rwnd: u64,
-    /// Transmissions requested by the last scheduler execution.
+    /// Transmissions requested through [`SchedulerEnv::apply`] and not
+    /// yet taken (the engine bypasses this list, see
+    /// [`Connection::apply_actions`]).
     pending_tx: Vec<(SubflowId, PacketRef)>,
     /// Measurement state.
     pub stats: ConnStats,
@@ -180,7 +226,7 @@ impl Connection {
             subflows,
             active,
             segments: SegmentSlab::new(),
-            q: Vec::new(),
+            q: SendQueue::default(),
             qu: Vec::new(),
             rq: Vec::new(),
             registers: [0; NUM_REGISTERS],
@@ -230,6 +276,7 @@ impl Connection {
     /// Bytes currently waiting in the sending queue `Q`.
     pub fn q_bytes(&self) -> u64 {
         self.q
+            .as_slice()
             .iter()
             .filter_map(|p| self.segments.get(*p))
             .map(|s| u64::from(s.size))
@@ -270,21 +317,45 @@ impl Connection {
 
     /// Removes all segments fully covered by the meta cumulative ack from
     /// every queue ("acknowledged packets are automatically removed from
-    /// *all* queues", paper §3.1).
+    /// *all* queues", paper §3.1). `Q` is ascending in `seq`, so what the
+    /// ack covers there is a prefix — empty unless data was acknowledged
+    /// that no scheduler ever pushed — and the backlog behind it is never
+    /// walked; `QU` and `RQ` are bounded by the windows, not the backlog.
     pub fn meta_ack(&mut self, data_ack: u64) {
         if data_ack <= self.data_acked {
             return;
         }
         self.data_acked = data_ack;
         let segs = &self.segments;
-        let covered = |p: &PacketRef| {
-            segs.get(*p)
-                .map(|s| s.end_seq() <= data_ack)
-                .unwrap_or(true)
-        };
-        self.q.retain(|p| !covered(p));
+        let covered = |p: &PacketRef| segs.get(*p).is_none_or(|s| s.end_seq() <= data_ack);
+        let acked = self.q.as_slice().iter().take_while(|p| covered(p)).count();
+        self.q.drop_front(acked);
         self.qu.retain(|p| !covered(p));
         self.rq.retain(|p| !covered(p));
+    }
+
+    /// Takes `pkt` out of `Q` and `RQ`; returns whether it was in either.
+    /// The scheduler nearly always pushes `Q`'s front; anything else in
+    /// `Q` is found by binary search on `seq`.
+    fn unqueue(&mut self, pkt: PacketRef) -> bool {
+        let q = self.q.as_slice();
+        let in_q = if q.first() == Some(&pkt) {
+            Some(0)
+        } else {
+            self.segments.get(pkt).and_then(|seg| {
+                let i =
+                    q.partition_point(|p| self.segments.get(*p).is_some_and(|s| s.seq < seg.seq));
+                (q.get(i) == Some(&pkt)).then_some(i)
+            })
+        };
+        if let Some(i) = in_q {
+            self.q.remove(i);
+        }
+        let in_rq = self.rq.iter().position(|p| *p == pkt);
+        if let Some(i) = in_rq {
+            self.rq.remove(i);
+        }
+        in_q.is_some() || in_rq.is_some()
     }
 
     /// Processes an acknowledgement arriving on subflow `sbf_idx`.
@@ -301,27 +372,31 @@ impl Connection {
         self.adv_rwnd = rwnd;
         self.meta_ack(data_ack);
 
-        let lia_flows: Vec<(u64, u64)> = self
-            .subflows
-            .iter()
-            .filter(|s| s.established)
-            .map(|s| (s.cc.cwnd, s.rtt.srtt()))
-            .collect();
-        let lia_idx = self
-            .subflows
-            .iter()
-            .take(sbf_idx)
-            .filter(|s| s.established)
-            .count();
+        let advances = sbf_ack > self.subflows[sbf_idx].acked_seq;
+        // Congestion-window validation (RFC 2861): only grow the
+        // window when the flow was actually using it; an app-limited
+        // subflow must not inflate cwnd without bound.
+        let was_cwnd_limited = {
+            let sbf = &self.subflows[sbf_idx];
+            sbf.in_flight() as u64 >= sbf.cc.cwnd
+        };
+        // LIA couples over the windows and RTTs as they stand before
+        // this ack's RTT sample.
+        let factor = match self.cc_algo {
+            CcAlgo::Lia if advances && was_cwnd_limited => lia_alpha_x1024(
+                self.subflows
+                    .iter()
+                    .filter(|s| s.established)
+                    .map(|s| (s.cc.cwnd, s.rtt.srtt())),
+                self.subflows[sbf_idx].cc.cwnd,
+            ),
+            _ => 1024,
+        };
 
         let sbf = &mut self.subflows[sbf_idx];
         sbf.last_activity = now;
 
-        if sbf_ack > sbf.acked_seq {
-            // Congestion-window validation (RFC 2861): only grow the
-            // window when the flow was actually using it; an app-limited
-            // subflow must not inflate cwnd without bound.
-            let was_cwnd_limited = sbf.in_flight() as u64 >= sbf.cc.cwnd;
+        if advances {
             let (pkts, bytes, sample) = sbf.take_acked(sbf_ack, now);
             sbf.acked_seq = sbf_ack;
             sbf.dupacks = 0;
@@ -329,12 +404,6 @@ impl Connection {
                 sbf.rtt.sample(rtt);
             }
             sbf.record_delivered(now, bytes);
-            let factor = match self.cc_algo {
-                CcAlgo::Reno => 1024,
-                CcAlgo::Lia => {
-                    lia_alpha_x1024(&lia_flows, lia_idx.min(lia_flows.len().saturating_sub(1)))
-                }
-            };
             if was_cwnd_limited {
                 sbf.cc.on_ack(pkts, factor);
             }
@@ -413,14 +482,27 @@ impl Connection {
 
     /// Structural queue invariants, checked by the chaos oracle after
     /// every event on this connection: the queues hold only known, unacknowledged segments,
-    /// without duplicates, and a segment is never simultaneously
-    /// schedulable (`Q`/`RQ`) twice. Returns the first violation found.
+    /// without duplicates, a segment is never simultaneously
+    /// schedulable (`Q`/`RQ`) twice, and `Q` ascends in `seq` (what
+    /// [`Connection::meta_ack`] and the removal of a pushed packet rely
+    /// on). Returns the first violation found.
     pub fn queue_invariants(&self) -> Result<(), String> {
-        for (name, queue) in [("Q", &self.q), ("QU", &self.qu), ("RQ", &self.rq)] {
+        for kind in QueueKind::ALL {
+            let (name, queue) = (kind.name(), self.queue(kind));
+            let mut q_floor = None;
             for pkt in queue {
                 let Some(seg) = self.segments.get(*pkt) else {
                     return Err(format!("{name} holds unknown segment {pkt:?}"));
                 };
+                if kind == QueueKind::SendQueue {
+                    if q_floor.is_some_and(|floor| seg.seq <= floor) {
+                        return Err(format!(
+                            "Q is not ascending in seq at {pkt:?} (seq {})",
+                            seg.seq
+                        ));
+                    }
+                    q_floor = Some(seg.seq);
+                }
                 if seg.end_seq() <= self.data_acked {
                     return Err(format!(
                         "{name} holds fully acked segment {pkt:?} (end_seq {} <= data_acked {})",
@@ -436,7 +518,7 @@ impl Connection {
                 return Err(format!("{name} contains a duplicate packet handle"));
             }
         }
-        if let Some(pkt) = self.q.iter().find(|p| self.rq.contains(p)) {
+        if let Some(pkt) = self.q.as_slice().iter().find(|p| self.rq.contains(p)) {
             return Err(format!("segment {pkt:?} in both Q and RQ"));
         }
         Ok(())
@@ -458,9 +540,49 @@ impl Connection {
         self.refresh_active();
     }
 
-    /// Drains the transmissions requested by the last scheduler execution.
+    /// Drains the transmissions requested through [`SchedulerEnv::apply`].
     pub fn take_pending_tx(&mut self) -> Vec<(SubflowId, PacketRef)> {
         std::mem::take(&mut self.pending_tx)
+    }
+
+    /// Applies the effects of one completed execution, appending the
+    /// transmissions it requests to `tx`. [`SchedulerEnv::apply`] is this
+    /// with the connection's own list; the engine passes one list it
+    /// reuses for every connection.
+    pub fn apply_actions(
+        &mut self,
+        registers: &[i64; NUM_REGISTERS],
+        actions: &[Action],
+        tx: &mut Vec<(SubflowId, PacketRef)>,
+    ) {
+        self.registers = *registers;
+        for action in actions {
+            match *action {
+                Action::Push { subflow, packet } => {
+                    let idx = subflow.0 as usize;
+                    if self.subflows.get(idx).is_none_or(|s| !s.established) {
+                        continue; // vanished subflow: packet stays schedulable
+                    }
+                    if !self.segments.contains(packet) {
+                        continue;
+                    }
+                    if self.unqueue(packet) && !self.qu.contains(&packet) {
+                        self.qu.push(packet);
+                    }
+                    if let Some(seg) = self.segments.get_mut(packet) {
+                        seg.record_tx(subflow);
+                        if seg.sent_count == 1 {
+                            self.stats.unique_tx_bytes += u64::from(seg.size);
+                        }
+                    }
+                    tx.push((subflow, packet));
+                }
+                Action::Drop { packet } => {
+                    self.unqueue(packet);
+                    self.stats.scheduler_drops += 1;
+                }
+            }
+        }
     }
 
     /// Records a transmission in the subflow's in-flight list; returns the
@@ -543,7 +665,7 @@ impl SchedulerEnv for Connection {
 
     fn queue(&self, queue: QueueKind) -> &[PacketRef] {
         match queue {
-            QueueKind::SendQueue => &self.q,
+            QueueKind::SendQueue => self.q.as_slice(),
             QueueKind::Unacked => &self.qu,
             QueueKind::Reinject => &self.rq,
         }
@@ -580,47 +702,14 @@ impl SchedulerEnv for Connection {
         self.registers[reg.index()]
     }
 
+    fn registers(&self) -> [i64; NUM_REGISTERS] {
+        self.registers
+    }
+
     fn apply(&mut self, registers: &[i64; NUM_REGISTERS], actions: &[Action]) {
-        self.registers = *registers;
-        for action in actions {
-            match *action {
-                Action::Push { subflow, packet } => {
-                    let idx = subflow.0 as usize;
-                    if self
-                        .subflows
-                        .get(idx)
-                        .map(|s| !s.established)
-                        .unwrap_or(true)
-                    {
-                        continue; // vanished subflow: packet stays schedulable
-                    }
-                    if !self.segments.contains(packet) {
-                        continue;
-                    }
-                    let was_queued = {
-                        let before = self.q.len() + self.rq.len();
-                        self.q.retain(|p| *p != packet);
-                        self.rq.retain(|p| *p != packet);
-                        before != self.q.len() + self.rq.len()
-                    };
-                    if was_queued && !self.qu.contains(&packet) {
-                        self.qu.push(packet);
-                    }
-                    if let Some(seg) = self.segments.get_mut(packet) {
-                        seg.record_tx(subflow);
-                        if seg.sent_count == 1 {
-                            self.stats.unique_tx_bytes += u64::from(seg.size);
-                        }
-                    }
-                    self.pending_tx.push((subflow, packet));
-                }
-                Action::Drop { packet } => {
-                    self.q.retain(|p| *p != packet);
-                    self.rq.retain(|p| *p != packet);
-                    self.stats.scheduler_drops += 1;
-                }
-            }
-        }
+        let mut tx = std::mem::take(&mut self.pending_tx);
+        self.apply_actions(registers, actions, &mut tx);
+        self.pending_tx = tx;
     }
 }
 
@@ -676,12 +765,12 @@ mod tests {
         let pkts = c.enqueue_data(2800, 0, 0);
         // Simulate one pushed, one reinjection-queued.
         c.qu.push(pkts[0]);
-        c.q.retain(|p| *p != pkts[0]);
+        c.q.remove(0);
         c.rq.push(pkts[0]);
         c.meta_ack(1400);
         assert!(c.qu.is_empty());
         assert!(c.rq.is_empty());
-        assert_eq!(c.q.len(), 1);
+        assert_eq!(c.queue(QueueKind::SendQueue).len(), 1);
         assert!(!c.all_acked());
         c.meta_ack(2800);
         assert!(c.all_acked());
@@ -696,7 +785,7 @@ mod tests {
             c.record_tx(0, p, 1400, 0, None);
             let _ = i;
         }
-        c.q.clear();
+        c.q = SendQueue::default();
         let mut loss = false;
         for _ in 0..3 {
             let out = c.handle_ack(0, 0, 0, 1 << 20, from_millis(15));
@@ -731,7 +820,7 @@ mod tests {
             c.qu.push(p);
             c.record_tx(0, p, 1400, 0, None);
         }
-        c.q.clear();
+        c.q = SendQueue::default();
         let out = c.handle_rto(0, from_millis(300));
         assert!(out.loss_suspected);
         assert_eq!(c.queue(QueueKind::Reinject).len(), 3);
@@ -779,6 +868,161 @@ mod tests {
             !c.has_window_for(SubflowId(0), pkts[2]),
             "beyond window edge"
         );
+    }
+
+    /// The queue bookkeeping as it was before `Q` became positional:
+    /// every removal is a `retain` over the whole queue. Kept only as
+    /// the reference the differential test below compares against.
+    #[derive(Default)]
+    struct RetainQueues {
+        send: Vec<PacketRef>,
+        unacked: Vec<PacketRef>,
+        reinject: Vec<PacketRef>,
+        data_acked: u64,
+    }
+
+    impl RetainQueues {
+        fn meta_ack(&mut self, segs: &SegmentSlab, data_ack: u64) {
+            if data_ack <= self.data_acked {
+                return;
+            }
+            self.data_acked = data_ack;
+            let covered = |p: &PacketRef| segs.get(*p).is_none_or(|s| s.end_seq() <= data_ack);
+            self.send.retain(|p| !covered(p));
+            self.unacked.retain(|p| !covered(p));
+            self.reinject.retain(|p| !covered(p));
+        }
+
+        fn reinject(&mut self, segs: &SegmentSlab, pkt: PacketRef) {
+            let live = segs.get(pkt).is_some_and(|s| s.end_seq() > self.data_acked);
+            if live && !self.reinject.contains(&pkt) {
+                self.reinject.push(pkt);
+            }
+        }
+
+        fn apply(&mut self, c: &Connection, actions: &[Action]) {
+            for action in actions {
+                match *action {
+                    Action::Push { subflow, packet } => {
+                        let up = c
+                            .subflows
+                            .get(subflow.0 as usize)
+                            .is_some_and(|s| s.established);
+                        if !up || !c.segments.contains(packet) {
+                            continue;
+                        }
+                        let before = self.send.len() + self.reinject.len();
+                        self.send.retain(|p| *p != packet);
+                        self.reinject.retain(|p| *p != packet);
+                        let was_queued = before != self.send.len() + self.reinject.len();
+                        if was_queued && !self.unacked.contains(&packet) {
+                            self.unacked.push(packet);
+                        }
+                    }
+                    Action::Drop { packet } => {
+                        self.send.retain(|p| *p != packet);
+                        self.reinject.retain(|p| *p != packet);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Random enqueue / push (front of `Q`, middle of `Q`, from `RQ`,
+    /// already sent, unknown, to a closed subflow) / drop / reinject /
+    /// cumulative-ack sequences through the connection and through the
+    /// `retain`-based reference: `Q`, `QU` and `RQ` agree after every
+    /// step, and the queue invariants (including `Q` ascending) hold.
+    #[test]
+    fn positional_queues_match_the_retain_reference() {
+        for seed in 0..40u64 {
+            let mut rng = crate::faults::ChaosRng::new(0xD1FF ^ seed);
+            let mut c = make_conn();
+            // A third subflow that is down: pushes to it must not queue.
+            c.subflows.push(Subflow::new(
+                SubflowId(2),
+                Path::new(&PathConfig::symmetric(from_millis(20), 1_250_000)),
+                1400,
+            ));
+            c.set_subflow_established(2, false);
+            let mut reference = RetainQueues::default();
+            let pick = |rng: &mut crate::faults::ChaosRng, queue: &[PacketRef], front: bool| {
+                if queue.is_empty() {
+                    PacketRef(9_999_999) // resolves to no segment
+                } else if front {
+                    queue[0]
+                } else {
+                    queue[rng.below(queue.len() as u64) as usize]
+                }
+            };
+            for step in 0..600 {
+                let regs = [0i64; NUM_REGISTERS];
+                match rng.below(10) {
+                    0 | 1 => {
+                        // Long enough, now and then, for the dead prefix
+                        // of `Q` to be compacted away.
+                        let bytes = 1 + rng.below(if step % 7 == 0 { 120_000 } else { 9_000 });
+                        reference.send.extend(c.enqueue_data(bytes, 0, 0));
+                    }
+                    2..=6 => {
+                        let actions: Vec<Action> = (0..1 + rng.below(3))
+                            .map(|_| {
+                                let packet = match rng.below(8) {
+                                    0..=3 => pick(&mut rng, c.queue(QueueKind::SendQueue), true),
+                                    4 => pick(&mut rng, c.queue(QueueKind::SendQueue), false),
+                                    5 => pick(&mut rng, c.queue(QueueKind::Reinject), false),
+                                    6 => pick(&mut rng, c.queue(QueueKind::Unacked), false),
+                                    _ => PacketRef(rng.below(c.segments.len() as u64 + 3)),
+                                };
+                                if rng.below(6) == 0 {
+                                    Action::Drop { packet }
+                                } else {
+                                    let subflow = SubflowId(rng.below(4) as u32);
+                                    Action::Push { subflow, packet }
+                                }
+                            })
+                            .collect();
+                        reference.apply(&c, &actions);
+                        c.apply(&regs, &actions);
+                    }
+                    7 => {
+                        let pkt = pick(&mut rng, c.queue(QueueKind::Unacked), false);
+                        reference.reinject(&c.segments, pkt);
+                        c.reinject(pkt);
+                    }
+                    _ => {
+                        // Up to a segment boundary or into a segment,
+                        // sometimes beyond what was ever pushed.
+                        let data_ack = (c.data_acked + rng.below(6 * 1400)).min(c.enqueued_bytes());
+                        reference.meta_ack(&c.segments, data_ack);
+                        c.meta_ack(data_ack);
+                    }
+                }
+                for (kind, want) in [
+                    (QueueKind::SendQueue, &reference.send),
+                    (QueueKind::Unacked, &reference.unacked),
+                    (QueueKind::Reinject, &reference.reinject),
+                ] {
+                    assert_eq!(
+                        c.queue(kind),
+                        want.as_slice(),
+                        "seed {seed} step {step}: {kind}"
+                    );
+                }
+                c.queue_invariants()
+                    .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn queue_invariants_report_a_q_that_does_not_ascend() {
+        let mut c = make_conn();
+        c.enqueue_data(4200, 0, 0);
+        assert_eq!(c.queue_invariants(), Ok(()));
+        c.q.buf.swap(0, 1);
+        let err = c.queue_invariants().unwrap_err();
+        assert!(err.contains("not ascending"), "{err}");
     }
 
     #[test]

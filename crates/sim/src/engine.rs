@@ -24,7 +24,7 @@ use crate::supervisor::{
 };
 use crate::time::SimTime;
 use progmp_core::env::{PacketRef, RegId, SchedulerEnv, SubflowId, Trigger};
-use progmp_core::exec::ExecCtx;
+use progmp_core::exec::{ExecCtx, ExecScratch};
 use progmp_core::{compile, subflow_available, Backend, CompileError, SchedulerProgram};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
@@ -168,6 +168,12 @@ pub struct Sim {
     /// handed, compiled once. All of them compile under the default
     /// options, so the source text is the whole key.
     programs: HashMap<String, SchedulerProgram>,
+    /// Buffers every scheduler execution of this simulator reuses: one
+    /// set per `Sim` (per fleet shard), whichever connection runs, so a
+    /// warmed-up round allocates nothing and idle connections hold none.
+    exec_scratch: ExecScratch,
+    /// Transmissions requested by the round in progress, likewise reused.
+    tx_scratch: Vec<(SubflowId, PacketRef)>,
 }
 
 impl Sim {
@@ -184,6 +190,8 @@ impl Sim {
             oracle: None,
             supervisor: None,
             programs: HashMap::new(),
+            exec_scratch: ExecScratch::default(),
+            tx_scratch: Vec::new(),
         }
     }
 
@@ -906,9 +914,12 @@ impl Sim {
                 let watch_props = self.oracle.is_some() && scheduler.cert().is_some();
                 let pre = watch_props.then(|| PropObservation::before(&*c));
                 let t0 = Instant::now();
-                let mut ctx = ExecCtx::new(&*c, budget);
+                let scratch = std::mem::take(&mut self.exec_scratch);
+                let mut ctx = ExecCtx::with_scratch(&*c, budget, scratch);
                 let result = scheduler.handle.execute_once(&mut ctx);
                 let host_ns = t0.elapsed().as_nanos() as u64;
+                let (regs, stats, scratch) = ctx.finish_scratch();
+                self.exec_scratch = scratch;
                 if let Err(err) = &result {
                     c.stats.scheduler_errors += 1;
                     fault = Some((
@@ -917,9 +928,9 @@ impl Sim {
                     ));
                     break;
                 }
-                let (regs, actions, stats) = ctx.finish();
-                prop_obs = pre.map(|pre| pre.after(&actions, &stats));
-                c.apply(&regs, &actions);
+                let actions = self.exec_scratch.actions();
+                prop_obs = pre.map(|pre| pre.after(actions, &stats));
+                c.apply_actions(&regs, actions, &mut self.tx_scratch);
                 c.stats.scheduler_executions += 1;
                 c.stats.scheduler_steps += stats.steps;
                 c.stats.scheduler_host_ns += host_ns;
@@ -945,10 +956,11 @@ impl Sim {
                     }
                 }
             }
-            let pending = self.connections[conn].take_pending_tx();
-            for (sbf, pkt) in pending {
+            let mut pending = std::mem::take(&mut self.tx_scratch);
+            for (sbf, pkt) in pending.drain(..) {
                 self.transmit(conn, sbf.0 as usize, pkt, None);
             }
+            self.tx_scratch = pending;
             if fault.is_some() || pushes == 0 {
                 break;
             }

@@ -42,7 +42,8 @@
 //!   equals a from-scratch recount of the reorder queues, and occupancy
 //!   stays within the receive buffer (bounded reorder-queue occupancy).
 //! * **queue-structure** — `Q`/`QU`/`RQ` hold only known, unacked,
-//!   non-duplicate segments ([`Connection::queue_invariants`]).
+//!   non-duplicate segments, and `Q` ascends in `seq`
+//!   ([`Connection::queue_invariants`]).
 //! * **step-bound** — no scheduler execution aborted on its certified
 //!   step budget (admitted programs carry a verified worst-case bound;
 //!   exceeding it would starve the connection).

@@ -9,6 +9,7 @@
 
 use crate::faults::{ChaosRng, LossModel};
 use crate::time::{serialize_time, SimTime};
+use std::collections::VecDeque;
 
 /// Static configuration of one path (one subflow's network substrate).
 #[derive(Debug, Clone)]
@@ -88,8 +89,10 @@ pub struct Path {
     /// Time the link becomes free to serialize the next packet.
     next_free: SimTime,
     /// Departure times of packets currently in the egress queue (still
-    /// queued or being serialized). Pruned lazily.
-    departures: Vec<SimTime>,
+    /// queued or being serialized), oldest first. Never descending —
+    /// each is `max(next_free, now)` plus a serialization time — so the
+    /// departed ones are always a prefix. Pruned lazily.
+    departures: VecDeque<SimTime>,
     /// Per-path random stream for loss and jitter draws. Paths never
     /// share a stream, so one path's loss trace is independent of how
     /// other paths' events interleave (chaos-trace reproducibility).
@@ -131,7 +134,7 @@ impl Path {
             loss: cfg.loss,
             queue_cap: cfg.queue_cap,
             next_free: 0,
-            departures: Vec::new(),
+            departures: VecDeque::new(),
             rng: ChaosRng::new(0),
             fault_loss: None,
             jitter: None,
@@ -160,7 +163,9 @@ impl Path {
 
     /// Removes departed packets from the egress accounting.
     fn prune(&mut self, now: SimTime) {
-        self.departures.retain(|&d| d > now);
+        while self.departures.front().is_some_and(|&d| d <= now) {
+            self.departures.pop_front();
+        }
     }
 
     /// Number of packets queued (or in serialization) at `now` — the
@@ -173,7 +178,7 @@ impl Path {
     /// Like [`Path::queued`] but without mutating (for property reads
     /// during scheduler executions, which must not change state).
     pub fn queued_at(&self, now: SimTime) -> usize {
-        self.departures.iter().filter(|&&d| d > now).count()
+        self.departures.len() - self.departures.partition_point(|&d| d <= now)
     }
 
     /// Attempts to transmit a packet of `size` bytes at `now`, drawing
@@ -201,7 +206,13 @@ impl Path {
         let start = self.next_free.max(now);
         let departs = start + serialize_time(u64::from(size), self.rate);
         self.next_free = departs;
-        self.departures.push(departs);
+        // Strictly later than the last whenever serialization takes
+        // time; a zero-rate ("instantaneous") path can repeat it.
+        debug_assert!(
+            self.departures.back().is_none_or(|&last| last <= departs),
+            "departure FIFO must stay sorted: prune and queued_at search it"
+        );
+        self.departures.push_back(departs);
         if lost {
             TxOutcome::LostOnWire { departs }
         } else {
@@ -423,6 +434,62 @@ mod tests {
             panic!()
         };
         assert_eq!(at - departs, 5 * MILLIS, "cleared jitter restores baseline");
+    }
+
+    /// Sends a packet every 0.4 ms for 80 rounds — faster than the link
+    /// drains, so the egress queue builds — calling `mid_run` before
+    /// round 30, and after every send holds `queued_at` and then the
+    /// pruning `queued` to a plain count over every departure time the
+    /// path ever reported.
+    fn queue_counts_match_a_full_recount(mid_run: impl Fn(&mut Path)) {
+        let mut p = path_10ms_10mbps();
+        p.reseed(ChaosRng::new(3));
+        let mut reported: Vec<SimTime> = Vec::new();
+        let recount = |reported: &[SimTime], now| reported.iter().filter(|&&d| d > now).count();
+        for round in 0..80u64 {
+            if round == 30 {
+                mid_run(&mut p);
+            }
+            let now = round * 400_000;
+            match p.transmit(now, 500 + (round % 7) as u32 * 150) {
+                TxOutcome::Arrives { departs, .. } | TxOutcome::LostOnWire { departs } => {
+                    reported.push(departs)
+                }
+                TxOutcome::QueueDrop => panic!("queue_cap is far above this backlog"),
+            }
+            // Probe between sends and far enough ahead to empty the queue.
+            for probe in [now, now + 150_000, now + 40 * MILLIS] {
+                assert_eq!(p.queued_at(probe), recount(&reported, probe), "t={probe}");
+            }
+            assert_eq!(p.queued(now), recount(&reported, now), "pruned at t={now}");
+            assert_eq!(
+                p.queued_at(now + 150_000),
+                recount(&reported, now + 150_000)
+            );
+        }
+        assert!(
+            reported.windows(2).all(|w| w[0] < w[1]),
+            "departures ascend strictly on a path with a finite rate"
+        );
+    }
+
+    #[test]
+    fn queue_counts_survive_a_mid_run_rate_change() {
+        for rate in [312_500, 5_000_000] {
+            queue_counts_match_a_full_recount(|p| {
+                p.apply_profile(&PathProfileEntry {
+                    at: 12 * MILLIS,
+                    rate: Some(rate),
+                    loss: None,
+                    fwd_delay: None,
+                })
+            });
+        }
+    }
+
+    #[test]
+    fn queue_counts_survive_an_active_jitter_clause() {
+        queue_counts_match_a_full_recount(|p| p.set_jitter(Some(4 * MILLIS)));
     }
 
     #[test]
