@@ -48,46 +48,14 @@ cargo run -q --release -p progmp --bin progmp-lint -- --optimize --all > /dev/nu
 echo "==> property certificates (all bundled schedulers; output elided)"
 cargo run -q --release -p progmp --bin progmp-lint -- --properties --all > /dev/null
 
-echo "==> conformance-fuzz: nine sweeps started together, each waited on"
-cargo build -q --release -p progmp-conformance --bin conformance-fuzz
-sweep_dir="$(mktemp -d)"
-sweep_names=()
-sweep_pids=()
-# sweep <label> <conformance-fuzz args...>: runs one tier in the background,
-# keeping its output and wall time for the report below.
-sweep() {
-  local label="$1" log="$sweep_dir/${#sweep_pids[@]}"
-  shift
-  (
-    start="$(date +%s%N)"
-    rc=0
-    ./target/release/conformance-fuzz "$@" > "$log.out" 2>&1 || rc=$?
-    ms=$(( ($(date +%s%N) - start) / 1000000 ))
-    printf '%d.%03d' $((ms / 1000)) $((ms % 1000)) > "$log.secs"
-    exit "$rc"
-  ) &
-  sweep_pids+=("$!")
-  sweep_names+=("$label")
-}
-sweep "conformance sweep (500 seeds, all backends)" --seeds 500
-sweep "verifier-soundness sweep (500 seeds)" --soundness --seeds 500
-sweep "verifier-soundness sweep, octagon disabled (500 seeds)" --soundness --no-octagon --seeds 500
-sweep "bytecode-verifier soundness sweep + codegen-mutation check (500 seeds)" --vm-soundness --seeds 500
-sweep "optimizer-soundness sweep + per-pass sabotage check (1000 seeds)" --opt-soundness --seeds 1000
-sweep "property-soundness sweep + analysis-weakening check (500 seeds)" --prop-soundness --seeds 500
-sweep "property-soundness sweep, octagon disabled (500 seeds)" --prop-soundness --no-octagon --seeds 500
-sweep "chaos sweep: fault plans x schedulers x backends + oracle mutation check (200 plans)" --chaos --seeds 200
-sweep "fleet-chaos containment sweep: faulting fleets at 1/2/8 workers (100 fleets of 8)" --chaos --fleet 8 --seeds 100
-sweeps_failed=0
-for i in "${!sweep_pids[@]}"; do
-  rc=0
-  wait "${sweep_pids[$i]}" || rc=$?
-  echo "==> ${sweep_names[$i]}: $(cat "$sweep_dir/$i.secs") s wall"
-  cat "$sweep_dir/$i.out"
-  [ "$rc" -eq 0 ] || { echo "FAILED (exit $rc): ${sweep_names[$i]}"; sweeps_failed=1; }
+echo "==> one sweep vocabulary: the sweep loop, report, violation and all_caught are each defined at most once in crates/conformance/src"
+for def in 'fn sweep' 'struct .*SweepReport' 'struct .*Violation' 'fn all_caught'; do
+  [ "$(grep -rn "$def" crates/conformance/src | wc -l)" -le 1 ] || { echo "a tier grew its own copy of: $def (use tier.rs)"; exit 1; }
 done
-rm -rf "$sweep_dir"
-[ "$sweeps_failed" -eq 0 ] || exit 1
+
+echo "==> conformance-fuzz: every tier at its CI seed count, seeds sharded over the cores"
+cargo build -q --release -p progmp-conformance --bin conformance-fuzz
+./target/release/conformance-fuzz
 
 echo "==> containment regression suite (supervisor + end-to-end fault classes)"
 cargo test -q --release -p mptcp-sim --test containment

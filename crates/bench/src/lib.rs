@@ -3,8 +3,9 @@
 //! The experiment harness that regenerates every table and figure of the
 //! Middleware '17 evaluation. Each `src/bin/` binary reproduces one
 //! table/figure and prints the same rows/series the paper reports;
-//! EXPERIMENTS.md records paper-vs-measured for each. Criterion
-//! micro-benchmarks (`benches/`) cover the §4 overhead numbers.
+//! EXPERIMENTS.md records paper-vs-measured for each. Timing of the
+//! pipeline and the engine lives in the repository benchmark
+//! (`benchmark/`).
 //!
 //! Shared scenario builders and statistics helpers live here.
 

@@ -1,408 +1,78 @@
-//! Seed-sweeping differential and soundness fuzzer.
+//! Seed-sweeping fuzzer over the tiers in [`progmp_conformance::tier`].
 //!
 //! ```text
-//! conformance-fuzz [--start S] [--seeds N] [--no-octagon] [--fleet C] [--soundness | --vm-soundness | --opt-soundness | --prop-soundness | --chaos]
+//! conformance-fuzz [--tier NAME]... [--start S] [--seeds N]
 //! ```
 //!
-//! Explores seeds `[S, S+N)` (default `[0, 500)`).
-//!
-//! In the default **differential** mode, each seed generates a
-//! well-typed scheduler program and a random environment, runs the
-//! program through all three backends, and compares the observable
-//! outcomes. On the first divergence the case is shrunk to a minimal
-//! repro, the report is printed, and the process exits non-zero.
-//!
-//! With `--soundness`, each seed instead checks the admission
-//! verifier's contract: programs the verifier admits must execute on
-//! every backend without runtime errors and within their certified step
-//! bound. Rejections are counted (and the reject rate reported) but are
-//! not failures; a violation prints the counterexample and exits
-//! non-zero.
-//!
-//! With `--vm-soundness`, each seed checks the *bytecode* verifier's
-//! precision instead: the image our own compiler generates (and every
-//! constant-subflow-count specialization of it) must validate against
-//! the HIR admission certificate with zero error-severity findings. The
-//! run finishes with the seeded codegen-mutation check, which must catch
-//! every simulated miscompile statically with a spanned `miscompile`
-//! diagnostic.
-//!
-//! With `--opt-soundness`, each seed checks the verified bytecode
-//! optimizer differentially: the VM running the optimized image must be
-//! bit-identical — execution result, effect trace, environment
-//! fingerprint — to the VM running the unoptimized image on the same
-//! random environment, the model step bound must never grow, and a
-//! clean compile must keep no `misoptimization` rollbacks. The run
-//! finishes with the per-pass sabotage check: every deliberately
-//! unsound rewrite (one per pass class) must be rolled back by
-//! translation validation with a spanned `misoptimization` diagnostic.
-//!
-//! With `--prop-soundness`, each seed derives the scheduler-property
-//! certificate (work-conservation, per-subflow starvation, redundancy
-//! bound, reinjection safety) for a generated program and validates it
-//! against the observed execution on all three backends, using the
-//! simulator oracle's own dynamic property checks. The run finishes
-//! with the analysis-weakening sensitivity check: every deliberately
-//! weakened analysis step must produce a false claim that the dynamic
-//! check catches, while the honest certificate stays silent on the same
-//! execution.
-//!
-//! `--no-octagon` combines with `--soundness` and `--prop-soundness` to
-//! force the verifier's projection-only (pure interval) fallback,
-//! exercising the differential contract: the relational octagon domain
-//! may only sharpen verdicts, and both configurations must be sound.
-//!
-//! With `--chaos`, each seed generates a whole simulated transfer under
-//! a random fault plan (blackouts, burst loss, jitter, rwnd stalls,
-//! subflow churn) and runs one of the paper's schedulers across all
-//! three backends with the runtime invariant oracle enabled. Divergent
-//! traces, oracle violations, and stalled transfers are shrunk to
-//! minimal fault plans and reported. The run finishes with a mutation
-//! check: a deliberately injected double-delivery defect must be caught
-//! by the conservation oracle with a shrunk, seed-replayable repro.
-//!
-//! `--chaos --fleet C` switches to the fleet-chaos containment sweep:
-//! each seed builds a fleet of `C` connections in which most schedulers
-//! deliberately fault (step-budget bombs, starvers, certificate
-//! saboteurs, trapping native code) under the containment supervisor,
-//! runs it at 1, 2, and 8 workers, and requires bit-identical fleet
-//! digests and canonical incident logs, zero permanently stalled
-//! connections, at least one quarantine, and a reproducing incident
-//! replay string — with zero panics throughout.
+//! Runs each named tier (every tier when none is named) over seeds
+//! `[S, S+N)` — `N` defaults to the tier's CI count — on as many threads
+//! as the machine offers, then the tier's probe set. Exits 0 when no
+//! tier raised a finding or missed a probe, 1 otherwise, 2 on a usage
+//! error. What each tier checks is documented on its module.
 
-use progmp_conformance::chaos;
-use progmp_conformance::differ::{check_seed, run_differential, Divergence};
-use progmp_conformance::fleet_chaos;
-use progmp_conformance::gen::Generator;
-use progmp_conformance::opt_soundness;
-use progmp_conformance::prop_soundness;
-use progmp_conformance::shrink::shrink;
-use progmp_conformance::soundness;
-use progmp_conformance::vm_soundness;
+use progmp_conformance::tier::{self, Tier, TIERS};
+use std::time::Instant;
 
-struct Args {
-    start: u64,
-    seeds: u64,
-    fleet: u64,
-    no_octagon: bool,
-    soundness: bool,
-    vm_soundness: bool,
-    opt_soundness: bool,
-    prop_soundness: bool,
-    chaos: bool,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        start: 0,
-        seeds: 500,
-        fleet: 0,
-        no_octagon: false,
-        soundness: false,
-        vm_soundness: false,
-        opt_soundness: false,
-        prop_soundness: false,
-        chaos: false,
-    };
-    fn usage() -> ! {
-        eprintln!(
-            "usage: conformance-fuzz [--start S] [--seeds N] [--no-octagon] [--fleet C] [--soundness | --vm-soundness | --opt-soundness | --prop-soundness | --chaos]"
-        );
-        std::process::exit(2);
+fn usage(problem: &str) -> ! {
+    eprintln!("conformance-fuzz: {problem}");
+    eprintln!("usage: conformance-fuzz [--tier NAME]... [--start S] [--seeds N]");
+    eprintln!("tiers (seeds swept when --seeds is not given; what a finding means):");
+    for t in &TIERS {
+        eprintln!("  {:<24} {:>5}  {}", t.name, t.default_seeds, t.about);
     }
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--no-octagon" => parsed.no_octagon = true,
-            "--soundness" => parsed.soundness = true,
-            "--vm-soundness" => parsed.vm_soundness = true,
-            "--opt-soundness" => parsed.opt_soundness = true,
-            "--prop-soundness" => parsed.prop_soundness = true,
-            "--chaos" => parsed.chaos = true,
-            "--start" | "--seeds" | "--fleet" => {
-                let value = match args.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => v,
-                    None => usage(),
-                };
-                match arg.as_str() {
-                    "--start" => parsed.start = value,
-                    "--seeds" => parsed.seeds = value,
-                    _ => parsed.fleet = value,
-                }
-            }
-            _ => usage(),
-        }
-    }
-    parsed
-}
-
-fn minimize(divergence: Divergence) -> Divergence {
-    let seed = divergence.seed;
-    let mut generator = Generator::new(seed.expect("fuzzer divergences carry their seed"));
-    let program = generator.program();
-    let spec = generator.env_spec();
-    let mut still_diverges = |p: &progmp_core::ast::Program,
-                              s: &progmp_conformance::gen::EnvSpec| {
-        matches!(run_differential(&p.to_string(), s), Ok(Some(_)))
-    };
-    let (program, spec) = shrink(program, spec, &mut still_diverges);
-    match run_differential(&program.to_string(), &spec) {
-        Ok(Some(mut d)) => {
-            d.seed = seed;
-            d
-        }
-        // Shrinking preserved the predicate at every step, so this is
-        // unreachable; fall back to the original report if it somehow
-        // happens.
-        _ => divergence,
-    }
-}
-
-fn run_soundness(start: u64, seeds: u64, relational: bool) {
-    println!(
-        "conformance-fuzz --soundness{}: seeds [{start}, {})",
-        if relational { "" } else { " --no-octagon" },
-        start + seeds
-    );
-    let report = soundness::sweep(start, seeds, relational);
-    println!("{}", report.summary());
-    if !report.violations.is_empty() {
-        for violation in &report.violations {
-            eprintln!("{violation}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn run_vm_soundness(start: u64, seeds: u64) {
-    println!(
-        "conformance-fuzz --vm-soundness: seeds [{start}, {})",
-        start + seeds
-    );
-    let report = vm_soundness::sweep(start, seeds);
-    println!("{}", report.summary());
-    let mut failed = false;
-    if !report.violations.is_empty() {
-        for violation in &report.violations {
-            eprintln!("{violation}");
-        }
-        failed = true;
-    }
-    let mutations = vm_soundness::mutation_check();
-    println!("{}", mutations.summary());
-    for outcome in &mutations.outcomes {
-        println!(
-            "  [{}] {} — {}",
-            if outcome.caught && outcome.has_span {
-                "caught"
-            } else {
-                "MISSED"
-            },
-            outcome.description,
-            if outcome.detail.is_empty() {
-                "admitted (BAD)"
-            } else {
-                &outcome.detail
-            }
-        );
-    }
-    if !mutations.all_caught() {
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-fn run_opt_soundness(start: u64, seeds: u64) {
-    println!(
-        "conformance-fuzz --opt-soundness: seeds [{start}, {})",
-        start + seeds
-    );
-    let report = opt_soundness::sweep(start, seeds);
-    println!("{}", report.summary());
-    let mut failed = false;
-    if !report.violations.is_empty() {
-        for violation in &report.violations {
-            eprintln!("{violation}");
-        }
-        failed = true;
-    }
-    let sabotages = opt_soundness::mutation_check();
-    println!("{}", sabotages.summary());
-    for outcome in &sabotages.outcomes {
-        println!(
-            "  [{}] {} on {} — {}",
-            if outcome.caught && outcome.has_span {
-                "caught"
-            } else {
-                "MISSED"
-            },
-            outcome.sabotage,
-            outcome.scheduler,
-            if outcome.detail.is_empty() {
-                "kept (BAD)"
-            } else {
-                &outcome.detail
-            }
-        );
-    }
-    if !sabotages.all_caught() {
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-fn run_prop_soundness(start: u64, seeds: u64, relational: bool) {
-    println!(
-        "conformance-fuzz --prop-soundness{}: seeds [{start}, {})",
-        if relational { "" } else { " --no-octagon" },
-        start + seeds
-    );
-    let report = prop_soundness::sweep(start, seeds, relational);
-    println!("{}", report.summary());
-    let mut failed = false;
-    if !report.violations.is_empty() {
-        for violation in &report.violations {
-            eprintln!("{violation}");
-        }
-        failed = true;
-    }
-    let weakenings = prop_soundness::mutation_check();
-    println!("{}", weakenings.summary());
-    for outcome in &weakenings.outcomes {
-        println!(
-            "  [{}] {} — {}",
-            if outcome.caught && outcome.sound_baseline {
-                "caught"
-            } else {
-                "MISSED"
-            },
-            outcome.weakening,
-            if outcome.detail.is_empty() {
-                "no dynamic violation (BAD)"
-            } else {
-                &outcome.detail
-            }
-        );
-    }
-    if !weakenings.all_caught() {
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-fn run_chaos(start: u64, seeds: u64) {
-    println!(
-        "conformance-fuzz --chaos: seeds [{start}, {})",
-        start + seeds
-    );
-    let mut done = 0u64;
-    let report = chaos::sweep(start, seeds, &mut |_, _| {
-        done += 1;
-        if done.is_multiple_of(50) {
-            println!("  {done} fault plans swept");
-        }
-    });
-    println!(
-        "{} cases: {} divergence(s)/violation(s)",
-        report.cases,
-        report.failures.len()
-    );
-    let mut failed = false;
-    for (seed, shrunk, failure) in &report.failures {
-        eprintln!("seed {seed}: {failure}\n  shrunk repro: {shrunk}");
-        failed = true;
-    }
-    match chaos::mutation_check(start.wrapping_add(1)) {
-        Some(repro) => {
-            println!("  [caught] injected double-delivery defect — shrunk repro: {repro}");
-        }
-        None => {
-            eprintln!("  [MISSED] injected double-delivery defect escaped the oracle (BAD)");
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("all {seeds} fault plans agree across interpreter, aot, and vm with a silent oracle");
-}
-
-fn run_fleet_chaos(start: u64, seeds: u64, conns: usize) {
-    println!(
-        "conformance-fuzz --chaos --fleet {conns}: seeds [{start}, {}), workers {:?}",
-        start + seeds,
-        fleet_chaos::WORKER_COUNTS
-    );
-    let mut done = 0u64;
-    let report = fleet_chaos::sweep(start, seeds, conns, &mut |_| {
-        done += 1;
-        if done.is_multiple_of(20) {
-            println!("  {done} fleets swept");
-        }
-    });
-    println!(
-        "{} fleets: {} quarantine(s), {} canonical incident(s), {} failure(s)",
-        report.cases,
-        report.quarantines,
-        report.incidents,
-        report.failures.len()
-    );
-    if !report.failures.is_empty() {
-        for (seed, describe, failure) in &report.failures {
-            eprintln!("seed {seed}: {failure}\n  repro: {describe}");
-        }
-        std::process::exit(1);
-    }
-    println!(
-        "all {seeds} fleets contained their faults with bit-identical digests and incident logs at {:?} workers",
-        fleet_chaos::WORKER_COUNTS
-    );
+    std::process::exit(2);
 }
 
 fn main() {
-    let args = parse_args();
-    if args.chaos {
-        if args.fleet > 0 {
-            run_fleet_chaos(args.start, args.seeds, args.fleet as usize);
-        } else {
-            run_chaos(args.start, args.seeds);
-        }
-        return;
-    }
-    if args.vm_soundness {
-        run_vm_soundness(args.start, args.seeds);
-        return;
-    }
-    if args.opt_soundness {
-        run_opt_soundness(args.start, args.seeds);
-        return;
-    }
-    if args.prop_soundness {
-        run_prop_soundness(args.start, args.seeds, !args.no_octagon);
-        return;
-    }
-    if args.soundness {
-        run_soundness(args.start, args.seeds, !args.no_octagon);
-        return;
-    }
-    let (start, seeds) = (args.start, args.seeds);
-    println!("conformance-fuzz: seeds [{start}, {})", start + seeds);
-    for seed in start..start + seeds {
-        if let Some(divergence) = check_seed(seed) {
-            eprintln!("seed {seed}: backends diverged; shrinking...");
-            let minimal = minimize(divergence);
-            eprintln!("{}", minimal.report());
-            std::process::exit(1);
-        }
-        if (seed - start + 1) % 100 == 0 {
-            println!("  {} seeds ok", seed - start + 1);
+    let mut tiers: Vec<&'static Tier> = Vec::new();
+    let (mut start, mut seeds) = (0u64, None::<u64>);
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let Some(value) = args.next() else {
+            usage(&format!("{flag} needs a value"));
+        };
+        let number = || {
+            value
+                .parse::<u64>()
+                .unwrap_or_else(|_| usage(&format!("{flag} {value}: not a seed count")))
+        };
+        match flag.as_str() {
+            "--tier" => match tier::find(&value) {
+                Some(t) if tiers.iter().any(|seen| seen.name == t.name) => {}
+                Some(t) => tiers.push(t),
+                None => usage(&format!("unknown tier {value:?}")),
+            },
+            "--start" => start = number(),
+            "--seeds" => seeds = Some(number()),
+            _ => usage(&format!("unknown option {flag}")),
         }
     }
-    println!("all {seeds} seeds agree across interpreter, aot, and vm");
+    if tiers.is_empty() {
+        tiers.extend(&TIERS);
+    }
+    // Every range is fixed before any tier runs, so a range that does
+    // not fit in the seed space is refused, not wrapped or clipped.
+    let plan: Vec<_> = tiers
+        .into_iter()
+        .map(|t| {
+            let count = seeds.unwrap_or(t.default_seeds);
+            match start.checked_add(count) {
+                Some(end) => (t, start..end),
+                None => usage(&format!("seeds [{start}, {start} + {count}) overflow u64")),
+            }
+        })
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut failed = false;
+    for (t, range) in plan {
+        let began = Instant::now();
+        let report = tier::run(t, range, threads);
+        println!("{report}");
+        println!(
+            "  {:.3} s wall on {threads} thread(s)",
+            began.elapsed().as_secs_f64()
+        );
+        failed |= !report.passed();
+    }
+    std::process::exit(failed as i32);
 }

@@ -20,6 +20,7 @@
 //! Everything replays from the case seed alone.
 
 use crate::rng::Xorshift;
+use crate::tier::{Probe, Report};
 use mptcp_sim::time::{from_millis, SimTime, SECONDS};
 use mptcp_sim::{ConnectionConfig, FaultPlan, PathConfig, SchedulerSpec, Sim, SubflowConfig};
 use progmp_core::env::RegId;
@@ -334,40 +335,32 @@ pub fn shrink_case(
     }
 }
 
-/// Outcome of a chaos sweep.
-#[derive(Debug, Default)]
-pub struct ChaosReport {
-    /// Cases executed.
-    pub cases: u64,
-    /// `(seed, shrunk description, failure)` per failing case.
-    pub failures: Vec<(u64, String, ChaosFailure)>,
-}
-
-/// Sweeps seeds `[start, start + count)`, shrinking every failure.
-/// `progress` is called after each case with `(seed, failed)`.
-pub fn sweep(start: u64, count: u64, progress: &mut dyn FnMut(u64, bool)) -> ChaosReport {
-    let mut report = ChaosReport::default();
-    for seed in start..start.saturating_add(count) {
-        let case = ChaosCase::generate(seed);
-        let failure = check_case(&case, false);
-        report.cases += 1;
-        progress(seed, failure.is_some());
-        if let Some(failure) = failure {
-            let shrunk = shrink_case(case, &mut |cand| check_case(cand, false).is_some());
-            let failure_now = check_case(&shrunk, false).unwrap_or(failure);
-            report.failures.push((seed, shrunk.describe(), failure_now));
-        }
+/// Generates the case for `seed` and checks it on every backend; a
+/// failing case is shrunk, and the finding carries the shrunk case with
+/// the failure it still shows.
+pub fn check_seed(seed: u64, out: &mut Report) {
+    let case = ChaosCase::generate(seed);
+    if let Some(failure) = check_case(&case, false) {
+        let shrunk = shrink_case(case, &mut |cand| check_case(cand, false).is_some());
+        let failure_now = check_case(&shrunk, false).unwrap_or(failure);
+        out.finding(
+            seed,
+            "shrunk fault plan on interpreter, aot and vm",
+            failure_now.to_string(),
+            shrunk.describe(),
+        );
     }
-    report
 }
 
-/// The harness-validation mutation check: with the receiver's hidden
+/// Case seed of the harness-validation probe below.
+const PROBE_SEED: u64 = 1;
+
+/// The harness-validation probe: with the receiver's hidden
 /// double-delivery defect enabled, a redundant-scheduler case must be
-/// flagged by the conservation oracle, and the shrunk repro must still
-/// catch it. Returns the shrunk case description, or `None` when the
-/// defect escaped (a harness bug).
-pub fn mutation_check(seed: u64) -> Option<String> {
-    let mut case = ChaosCase::generate(seed);
+/// flagged by the conservation oracle, and the shrunk repro (the probe's
+/// detail) must still catch it.
+pub fn probes() -> Vec<Probe> {
+    let mut case = ChaosCase::generate(PROBE_SEED);
     // Duplicate arrivals are what trip the defect; the redundant
     // scheduler guarantees them regardless of the drawn fault plan.
     case.scheduler = "redundant";
@@ -379,11 +372,18 @@ pub fn mutation_check(seed: u64) -> Option<String> {
                 if v.iter().any(|m| m.contains("conservation-delivery"))
         )
     };
-    if !caught(&case) {
-        return None;
-    }
-    let shrunk = shrink_case(case, &mut |cand| caught(cand));
-    Some(shrunk.describe())
+    let flagged = caught(&case);
+    let detail = if flagged {
+        let shrunk = shrink_case(case, &mut |cand| caught(cand));
+        format!("shrunk repro: {}", shrunk.describe())
+    } else {
+        "escaped the conservation oracle".to_string()
+    };
+    vec![Probe {
+        label: "injected double-delivery defect".to_string(),
+        caught: flagged,
+        detail,
+    }]
 }
 
 #[cfg(test)]
@@ -399,24 +399,6 @@ mod tests {
             assert!(!a.plan.clauses.is_empty());
             assert!((2..=3).contains(&a.rtts_ms.len()));
         }
-    }
-
-    #[test]
-    fn small_sweep_is_clean() {
-        let report = sweep(0, 6, &mut |_, _| {});
-        assert_eq!(report.cases, 6);
-        assert!(
-            report.failures.is_empty(),
-            "clean backends must not diverge: {:?}",
-            report.failures
-        );
-    }
-
-    #[test]
-    fn mutation_check_catches_the_injected_defect() {
-        let repro = mutation_check(1);
-        let repro = repro.expect("the conservation oracle must catch double delivery");
-        assert!(repro.contains("scheduler=redundant"));
     }
 
     #[test]

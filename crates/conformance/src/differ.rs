@@ -13,6 +13,9 @@
 //! backend and are deliberately *not* compared.
 
 use crate::gen::{EnvSpec, Generator};
+use crate::shrink::shrink;
+use crate::tier::Report;
+use progmp_core::ast::Program;
 use progmp_core::env::{EffectTrace, RecordingEnv};
 use progmp_core::{Backend, CompileError, ExecError};
 
@@ -110,21 +113,37 @@ pub fn run_differential(source: &str, spec: &EnvSpec) -> Result<Option<Divergenc
 }
 
 /// Generates the program and environment for `seed` and runs the
-/// differential check, panicking on generator bugs (programs that fail to
-/// compile) since those invalidate the harness itself.
-pub fn check_seed(seed: u64) -> Option<Divergence> {
+/// differential check; a divergence is shrunk to a minimal repro, which
+/// the finding carries as a full [`Divergence::report`]. Panics on
+/// generator bugs (programs that fail to compile) since those invalidate
+/// the harness itself.
+pub fn check_seed(seed: u64, out: &mut Report) {
     let mut generator = Generator::new(seed);
     let program = generator.program();
     let spec = generator.env_spec();
     let source = program.to_string();
-    match run_differential(&source, &spec) {
-        Ok(None) => None,
-        Ok(Some(mut d)) => {
-            d.seed = Some(seed);
-            Some(d)
-        }
+    let diverges = |p: &Program, s: &EnvSpec| run_differential(&p.to_string(), s);
+    let divergence = match diverges(&program, &spec) {
+        Ok(None) => return,
+        Ok(Some(d)) => d,
         Err(e) => panic!("seed {seed}: generated program failed to compile: {e}\n{source}"),
-    }
+    };
+    let (program, spec) = shrink(program, spec, &mut |p, s| {
+        matches!(diverges(p, s), Ok(Some(_)))
+    });
+    // Shrinking keeps the predicate true at every step, so the shrunk
+    // case diverges; the original report is the fallback if it does not.
+    let mut minimal = diverges(&program, &spec)
+        .ok()
+        .flatten()
+        .unwrap_or(divergence);
+    minimal.seed = Some(seed);
+    out.finding(
+        seed,
+        "shrunk case on interpreter, aot and vm",
+        "backends disagree on the result, the effect trace or the final environment",
+        minimal.report(),
+    );
 }
 
 #[cfg(test)]

@@ -23,6 +23,7 @@
 //! from the case seed alone.
 
 use crate::rng::Xorshift;
+use crate::tier::Report;
 use mptcp_sim::fleet::conn_seeds;
 use mptcp_sim::time::{SimTime, SECONDS};
 use mptcp_sim::{
@@ -64,22 +65,22 @@ const CLASS_NAMES: [&str; 5] = [
     "native-trapper",
 ];
 
-/// One generated fleet-chaos case, derived purely from `(seed, conns)`.
+/// Connections per fleet: every scheduler class appears at least once.
+pub const CONNS: usize = 8;
+
+/// One generated fleet-chaos case, derived purely from its seed.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetCase {
     /// The generating seed (also the fleet seed).
     pub seed: u64,
-    /// Fleet size; with the default 8, every scheduler class appears at
-    /// least once.
-    pub conns: usize,
 }
 
 impl FleetCase {
     /// One-line replayable description.
     pub fn describe(&self) -> String {
         format!(
-            "seed={} conns={} workers={:?} classes={:?}",
-            self.seed, self.conns, WORKER_COUNTS, CLASS_NAMES
+            "seed={} conns={CONNS} workers={WORKER_COUNTS:?} classes={CLASS_NAMES:?}",
+            self.seed
         )
     }
 
@@ -137,7 +138,7 @@ impl FleetCase {
     /// default containment — the exact configuration every worker count
     /// must agree under.
     pub fn run(&self, workers: usize) -> FleetReport {
-        let cfg = FleetConfig::new(self.conns, self.seed)
+        let cfg = FleetConfig::new(CONNS, self.seed)
             .with_workers(workers)
             .with_horizon(HORIZON)
             .with_oracle(OracleMode::Collect)
@@ -230,7 +231,7 @@ pub fn replay_reproduces(case: &FleetCase, replay: &str) -> bool {
         return false;
     };
     let global = conn as usize;
-    let seeds = conn_seeds(seed, case.conns);
+    let seeds = conn_seeds(seed, CONNS);
     let Some(&conn_seed) = seeds.get(global) else {
         return false;
     };
@@ -251,12 +252,11 @@ pub fn replay_reproduces(case: &FleetCase, replay: &str) -> bool {
         .any(|i| i.conn == conn && i.at == at && i.class.name() == class)
 }
 
-/// Runs `case` at every worker count and classifies the outcome.
-/// `None` means the case is clean: identical digests and incident logs
+/// Classifies the runs of `case` at each of [`WORKER_COUNTS`]. `None`
+/// means the case is clean: identical digests and incident logs
 /// everywhere, every transfer drained, at least one quarantine, and a
 /// reproducing replay string.
-pub fn check_case(case: &FleetCase) -> Option<FleetFailure> {
-    let runs: Vec<FleetReport> = WORKER_COUNTS.iter().map(|&w| case.run(w)).collect();
+fn classify(case: &FleetCase, runs: &[FleetReport]) -> Option<FleetFailure> {
     let render = |r: &FleetReport| -> Vec<String> {
         r.canonical_incidents()
             .iter()
@@ -265,7 +265,7 @@ pub fn check_case(case: &FleetCase) -> Option<FleetFailure> {
     };
     let reference = &runs[0];
     let ref_incidents = render(reference);
-    for (&workers, run) in WORKER_COUNTS.iter().zip(&runs).skip(1) {
+    for (&workers, run) in WORKER_COUNTS.iter().zip(runs).skip(1) {
         if run.digest() != reference.digest() {
             return Some(FleetFailure::DigestMismatch { workers });
         }
@@ -301,47 +301,25 @@ pub fn check_case(case: &FleetCase) -> Option<FleetFailure> {
     None
 }
 
-/// Outcome of a fleet-chaos sweep.
-#[derive(Debug)]
-pub struct FleetSweepReport {
-    /// Cases executed.
-    pub cases: u64,
-    /// Quarantine transitions observed across all reference runs.
-    pub quarantines: u64,
-    /// Canonical (partition-independent) incidents across all cases.
-    pub incidents: u64,
-    /// Failing cases: `(seed, description, failure)`.
-    pub failures: Vec<(u64, String, FleetFailure)>,
-}
-
-/// Sweeps seeds `[start, start + seeds)` with `conns` connections per
-/// fleet, invoking `progress(seed)` after each case.
-pub fn sweep(
-    start: u64,
-    seeds: u64,
-    conns: usize,
-    progress: &mut dyn FnMut(u64),
-) -> FleetSweepReport {
-    let mut report = FleetSweepReport {
-        cases: 0,
-        quarantines: 0,
-        incidents: 0,
-        failures: Vec::new(),
-    };
-    for seed in start..start.wrapping_add(seeds) {
-        let case = FleetCase { seed, conns };
-        // One extra reference run for the tallies keeps check_case pure;
-        // the fleets are small, so the cost is negligible.
-        let reference = case.run(WORKER_COUNTS[0]);
-        report.quarantines += reference.quarantines() as u64;
-        report.incidents += reference.canonical_incidents().len() as u64;
-        if let Some(failure) = check_case(&case) {
-            report.failures.push((seed, case.describe(), failure));
-        }
-        report.cases += 1;
-        progress(seed);
+/// Runs the fleet for `seed` at every worker count, counts the reference
+/// run's quarantine transitions and canonical (partition-independent)
+/// incidents, and records how the case fails, if it does.
+pub fn check_seed(seed: u64, out: &mut Report) {
+    let case = FleetCase { seed };
+    let runs: Vec<FleetReport> = WORKER_COUNTS.iter().map(|&w| case.run(w)).collect();
+    out.count("quarantines", runs[0].quarantines() as u64);
+    out.count(
+        "canonical incidents",
+        runs[0].canonical_incidents().len() as u64,
+    );
+    if let Some(failure) = classify(&case, &runs) {
+        out.finding(
+            seed,
+            "fleet runs compared across worker counts",
+            failure.to_string(),
+            case.describe(),
+        );
     }
-    report
 }
 
 #[cfg(test)]
@@ -349,30 +327,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_sweep_is_clean_and_contains_faults() {
-        let mut swept = 0u64;
-        let report = sweep(0, 2, 8, &mut |_| swept += 1);
-        assert_eq!(swept, 2);
-        assert_eq!(report.cases, 2);
-        assert!(
-            report.failures.is_empty(),
-            "fleet-chaos failures: {:?}",
-            report
-                .failures
-                .iter()
-                .map(|(s, d, f)| format!("seed {s}: {f} ({d})"))
-                .collect::<Vec<_>>()
-        );
-        assert!(
-            report.quarantines > 0,
-            "the faulting scheduler classes must be quarantined"
-        );
-        assert!(report.incidents >= report.quarantines);
-    }
-
-    #[test]
     fn malformed_replay_strings_do_not_reproduce() {
-        let case = FleetCase { seed: 1, conns: 8 };
+        let case = FleetCase { seed: 1 };
         assert!(!replay_reproduces(&case, "not a replay string"));
         assert!(!replay_reproduces(&case, "seed=1 conn=999 class=x at=0"));
     }

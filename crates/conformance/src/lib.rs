@@ -1,20 +1,25 @@
-//! Cross-backend differential conformance harness.
+//! Conformance harness: nine seeded fuzz tiers behind one contract.
 //!
 //! The ProgMP pipeline ships three execution backends (tree-walking
 //! interpreter, AOT closure compiler, bytecode VM) that must be
-//! observationally identical: same effect trace, same final environment
-//! state, same runtime errors, for every well-typed program on every
-//! environment state. This crate enforces that contract by generating
-//! random-but-well-typed scheduler programs from a seed
-//! ([`gen::Generator`]), executing each on randomized mock environments
-//! across all backends ([`differ`]), and shrinking any divergence to a
-//! minimal printable repro ([`shrink`]).
+//! observationally identical, and four static verifiers plus an
+//! optimizer whose claims must hold at run time. Each claim is one
+//! *tier*: a per-seed check over cases from [`gen::Generator`] (or a
+//! generated fault plan or fleet), written against the vocabulary in
+//! [`tier`] — one [`tier::Finding`], one [`tier::Report`], one
+//! [`tier::Probe`] for the injected defects that show the tier bites —
+//! and listed in [`tier::TIERS`]. [`tier::run`] is the only sweep loop;
+//! it shards a seed range over threads and reports the same thing for
+//! any thread count. [`differ`], [`soundness`], [`vm_soundness`],
+//! [`opt_soundness`], [`prop_soundness`], [`chaos`] and [`fleet_chaos`]
+//! hold what is specific to a tier; [`shrink`] reduces a failing case to
+//! a minimal printable repro.
 //!
-//! Everything is deterministic from the seed: `conformance-fuzz --start S
-//! --seeds N` explores seeds `[S, S+N)`, and a reported failure replays
-//! from its seed number alone. See `TESTING.md` at the repository root
-//! for the workflow, including the mutation check that validates the
-//! harness can actually catch backend bugs.
+//! Everything is deterministic from the seed: `conformance-fuzz --tier T
+//! --start S --seeds N` explores seeds `[S, S+N)` of tier `T`, and every
+//! finding ends with the command that replays it. See `TESTING.md` at
+//! the repository root for the workflow, including the mutation check
+//! that validates the harness can actually catch backend bugs.
 
 #![warn(missing_docs)]
 
@@ -28,6 +33,7 @@ pub mod rng;
 pub mod shrink;
 pub mod snapshot;
 pub mod soundness;
+pub mod tier;
 pub mod vm_soundness;
 
 /// Compiles `source` in observe mode: the admission verifier still runs
@@ -47,7 +53,7 @@ pub fn compile_observed(
 }
 
 /// [`compile_observed`] with an explicit octagon-domain toggle, for the
-/// differential soundness sweeps that compare the relational verifier
+/// `*-interval` tiers that compare the relational verifier
 /// against its projection-only (pure interval) fallback.
 pub fn compile_observed_relational(
     source: &str,

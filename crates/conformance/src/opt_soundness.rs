@@ -1,9 +1,9 @@
-//! Differential optimizer-soundness sweep and per-pass sabotage check.
+//! Differential optimizer-soundness tier and per-pass sabotage probes.
 //!
 //! Two complementary directions for the verified bytecode optimizer
 //! ([`progmp_core::opt`]):
 //!
-//! * **Soundness / precision** ([`sweep`]): for every generated program,
+//! * **Soundness / precision** ([`check_seed`]): for every generated program,
 //!   the VM running the *optimized* image must be bit-identical to the
 //!   VM running the unoptimized image — same execution result, same
 //!   effect trace, same environment fingerprint — on the same random
@@ -12,7 +12,7 @@
 //!   rewrite the verifier's loop recognition cannot re-certify on a
 //!   pathological generated program) are counted, not failed: they are
 //!   the validation doing its job.
-//! * **Sensitivity** ([`mutation_check`]): each [`Sabotage`] hook breaks
+//! * **Sensitivity** ([`probes`]): each [`Sabotage`] hook breaks
 //!   one rewrite in one pass class (dropped live guard, deleted live
 //!   increment, CSE over an effectful `POP`, hoisted loop-variant
 //!   update, mis-threaded back edge). Per-pass translation validation
@@ -21,63 +21,11 @@
 //!   proves nothing about the absence of unseeded ones.
 
 use crate::gen::Generator;
+use crate::tier::{Probe, Report};
 use progmp_core::env::RecordingEnv;
 use progmp_core::opt::Sabotage;
 use progmp_core::verify::{Lint, Severity};
 use progmp_core::{Backend, CompileOptions, SchedulerProgram};
-
-/// One optimizer-soundness violation: the optimized VM diverged from the
-/// unoptimized VM, the step bound grew, or a clean compile rolled back.
-#[derive(Debug, Clone)]
-pub struct OptViolation {
-    /// Seed that produced the program.
-    pub seed: u64,
-    /// Program source (canonical printer output).
-    pub source: String,
-    /// Where the violation surfaced.
-    pub context: String,
-    /// Details (diffing both sides, or the offending diagnostics).
-    pub detail: String,
-}
-
-impl std::fmt::Display for OptViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "optimizer-soundness violation at seed {}", self.seed)?;
-        writeln!(f, "context: {}", self.context)?;
-        writeln!(f, "detail: {}", self.detail)?;
-        writeln!(f, "program:\n{}", self.source)
-    }
-}
-
-/// Aggregate results of an optimizer-soundness sweep.
-#[derive(Debug, Clone, Default)]
-pub struct OptSweepReport {
-    /// Seeds checked.
-    pub checked: u64,
-    /// Programs whose optimized VM matched the unoptimized VM exactly.
-    pub clean: u64,
-    /// Total rewrites the optimizer kept across all seeds.
-    pub rewrites: u64,
-    /// Seeds where at least one pass was rolled back fail-open (counted,
-    /// not failed — the validation rejecting an unverifiable rewrite).
-    pub rollbacks: u64,
-    /// Violations found (must be empty for a passing sweep).
-    pub violations: Vec<OptViolation>,
-}
-
-impl OptSweepReport {
-    /// One-line human summary for CI logs.
-    pub fn summary(&self) -> String {
-        format!(
-            "opt-soundness sweep: {} seeds, {} clean, {} rewrites kept, {} rolled back fail-open, {} violations",
-            self.checked,
-            self.clean,
-            self.rewrites,
-            self.rollbacks,
-            self.violations.len()
-        )
-    }
-}
 
 fn compile_pair(source: &str) -> Result<(SchedulerProgram, SchedulerProgram), String> {
     let compile = |optimize: bool| {
@@ -109,10 +57,12 @@ fn run_vm(
 
 /// Checks one seed: compiles the generated program with and without the
 /// bytecode optimizer, runs both images on the VM over the same random
-/// environment, and compares every observable. Returns `(kept rewrites,
-/// rolled back?, violations)`. Panics if the generated program fails to
-/// compile at all (generator bug).
-pub fn check_seed(seed: u64) -> (u64, bool, Vec<OptViolation>) {
+/// environment, and compares every observable. Counts the `rewrites
+/// kept`, whether a pass was `rolled back` fail-open (counted, not
+/// failed — the validation rejecting an unverifiable rewrite) and
+/// whether the seed came out `clean` (no finding, no rollback). Panics
+/// if the generated program fails to compile at all (generator bug).
+pub fn check_seed(seed: u64, out: &mut Report) {
     let mut generator = Generator::new(seed);
     let candidate = generator.program();
     let spec = generator.env_spec();
@@ -120,21 +70,21 @@ pub fn check_seed(seed: u64) -> (u64, bool, Vec<OptViolation>) {
     let (unopt, opt) = compile_pair(&source).unwrap_or_else(|e| {
         panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
     });
-    let mut violations = Vec::new();
+    let findings_before = out.findings.len();
 
     let report = opt
         .opt_report()
         .expect("optimized compile records an OptReport");
     if report.bound_after > report.bound_before {
-        violations.push(OptViolation {
+        out.finding(
             seed,
-            source: source.clone(),
-            context: "step-bound monotonicity".to_string(),
-            detail: format!(
+            "step-bound monotonicity",
+            format!(
                 "model bound grew {} -> {}",
                 report.bound_before, report.bound_after
             ),
-        });
+            &source,
+        );
     }
     // Fail-open rollbacks must still carry a spanned diagnostic — a
     // silent rollback would be unauditable.
@@ -145,12 +95,12 @@ pub fn check_seed(seed: u64) -> (u64, bool, Vec<OptViolation>) {
             .iter()
             .any(|d| d.lint == Lint::Misoptimization && d.pos.line > 0)
     {
-        violations.push(OptViolation {
+        out.finding(
             seed,
-            source: source.clone(),
-            context: "rollback without a spanned misoptimization diagnostic".to_string(),
-            detail: format!("{:?}", report.passes),
-        });
+            "rollback without a spanned misoptimization diagnostic",
+            format!("{:?}", report.passes),
+            &source,
+        );
     }
 
     let (r0, t0, f0) = run_vm(&unopt, &spec);
@@ -170,72 +120,17 @@ pub fn check_seed(seed: u64) -> (u64, bool, Vec<OptViolation>) {
                 "fingerprint:\n--- unoptimized ---\n{f0}--- optimized ---\n{f1}"
             ));
         }
-        violations.push(OptViolation {
+        out.finding(
             seed,
-            source: source.clone(),
-            context: "optimized vs unoptimized VM execution".to_string(),
+            "optimized vs unoptimized VM execution",
             detail,
-        });
+            &source,
+        );
     }
-    (report.total_rewrites(), rolled_back, violations)
-}
-
-/// Runs [`check_seed`] over seeds `[start, start + count)`.
-pub fn sweep(start: u64, count: u64) -> OptSweepReport {
-    let mut report = OptSweepReport::default();
-    for seed in start..start + count {
-        report.checked += 1;
-        let (rewrites, rolled_back, violations) = check_seed(seed);
-        report.rewrites += rewrites;
-        if rolled_back {
-            report.rollbacks += 1;
-        }
-        if violations.is_empty() && !rolled_back {
-            report.clean += 1;
-        }
-        report.violations.extend(violations);
-    }
-    report
-}
-
-/// One injected unsound rewrite and whether validation caught it.
-#[derive(Debug, Clone)]
-pub struct SabotageOutcome {
-    /// Scheduler the sabotage was injected into.
-    pub scheduler: &'static str,
-    /// Stable sabotage name (`sccp-drop-live-guard`, ...).
-    pub sabotage: &'static str,
-    /// Whether the pass was rolled back with a `misoptimization`
-    /// diagnostic.
-    pub caught: bool,
-    /// Whether the diagnostic carried a nonzero source span.
-    pub has_span: bool,
-    /// First rejecting diagnostic, rendered (empty when not caught).
-    pub detail: String,
-}
-
-/// Result of the full per-pass sabotage check.
-#[derive(Debug, Clone, Default)]
-pub struct SabotageReport {
-    /// Every injected sabotage.
-    pub outcomes: Vec<SabotageOutcome>,
-}
-
-impl SabotageReport {
-    /// True iff every sabotage was rolled back with a spanned diagnostic.
-    pub fn all_caught(&self) -> bool {
-        !self.outcomes.is_empty() && self.outcomes.iter().all(|o| o.caught && o.has_span)
-    }
-
-    /// One-line human summary for CI logs.
-    pub fn summary(&self) -> String {
-        let caught = self.outcomes.iter().filter(|o| o.caught).count();
-        format!(
-            "optimizer-sabotage check: {}/{} injected unsound rewrites rolled back",
-            caught,
-            self.outcomes.len()
-        )
-    }
+    out.count("rewrites kept", report.total_rewrites());
+    out.count("rolled back", rolled_back as u64);
+    let clean = !rolled_back && out.findings.len() == findings_before;
+    out.count("clean", clean as u64);
 }
 
 /// Compiles `minRttSimple` once per [`Sabotage`] hook with that unsound
@@ -243,13 +138,13 @@ impl SabotageReport {
 /// rolled it back with a spanned `misoptimization` diagnostic. The
 /// sabotaged compile must also still execute identically to the
 /// unoptimized program (fail-open).
-pub fn mutation_check() -> SabotageReport {
+pub fn probes() -> Vec<Probe> {
     const TARGET: &str = "minRttSimple";
     let (_, source) = progmp_schedulers::sources::ALL
         .iter()
         .find(|(n, _)| *n == TARGET)
         .expect("bundled scheduler minRttSimple exists");
-    let mut report = SabotageReport::default();
+    let mut probes = Vec::new();
     for sabotage in Sabotage::ALL {
         let program = progmp_core::compile_with_options(
             None,
@@ -270,54 +165,11 @@ pub fn mutation_check() -> SabotageReport {
             .iter()
             .find(|d| d.lint == Lint::Misoptimization && d.severity == Severity::Warning);
         let rolled_back = opt_report.passes.iter().any(|p| p.rolled_back);
-        report.outcomes.push(SabotageOutcome {
-            scheduler: TARGET,
-            sabotage: sabotage.name(),
-            caught: rolled_back && diag.is_some(),
-            has_span: diag.map(|d| d.pos.line > 0).unwrap_or(false),
-            detail: diag.map(|d| d.to_string()).unwrap_or_default(),
-        });
+        probes.push(Probe::diagnosed(
+            format!("{} on {TARGET}", sabotage.name()),
+            rolled_back,
+            diag,
+        ));
     }
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_opt_sweep_is_clean() {
-        let report = sweep(0, 32);
-        assert_eq!(report.checked, 32);
-        assert!(
-            report.violations.is_empty(),
-            "{}",
-            report
-                .violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert!(report.rewrites > 0, "{}", report.summary());
-    }
-
-    #[test]
-    fn every_sabotage_class_is_rolled_back_with_a_span() {
-        let report = mutation_check();
-        assert_eq!(report.outcomes.len(), Sabotage::ALL.len());
-        assert!(
-            report.all_caught(),
-            "every injected unsound rewrite rolled back with a spanned diagnostic:\n{}",
-            report
-                .outcomes
-                .iter()
-                .map(|o| format!(
-                    "  caught={} span={} {} — {}",
-                    o.caught, o.has_span, o.sabotage, o.detail
-                ))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
+    probes
 }

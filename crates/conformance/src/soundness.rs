@@ -1,4 +1,4 @@
-//! Verifier-soundness sweep: admitted programs never fail at runtime.
+//! Verifier-soundness tier: admitted programs never fail at runtime.
 //!
 //! The admission verifier ([`progmp_core::verify`]) claims that any
 //! program it admits (a) runs to completion under its certified step
@@ -12,62 +12,28 @@
 //! step count above the certified bound, is a *soundness violation*.
 //!
 //! Rejections are not failures (the verifier is allowed to be
-//! conservative), but the sweep tracks the reject rate so precision
-//! regressions are visible in CI logs.
+//! conservative), but the tier counts them so precision regressions are
+//! visible in CI logs.
 
 use crate::gen::Generator;
+use crate::tier::Report;
 use progmp_core::Backend;
 
 /// Executions run per backend for each admitted program, to exercise
 /// register persistence and repeated queue consumption.
 const RUNS_PER_BACKEND: u32 = 3;
 
-/// A counterexample to verifier soundness: the verifier admitted the
-/// program, yet an execution misbehaved.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Seed that produced the program and environment.
-    pub seed: u64,
-    /// Program source (canonical printer output).
-    pub source: String,
-    /// Backend on which the violation occurred.
-    pub backend: Backend,
-    /// Certified step bound the program was admitted under.
-    pub certified_bound: u64,
-    /// What went wrong.
-    pub detail: String,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "soundness violation at seed {}", self.seed)?;
-        writeln!(f, "backend: {}", self.backend.name())?;
-        writeln!(f, "certified step bound: {}", self.certified_bound)?;
-        writeln!(f, "detail: {}", self.detail)?;
-        writeln!(f, "program:\n{}", self.source)
-    }
-}
-
-/// Result of checking a single seed.
-#[derive(Debug, Clone)]
-pub enum SeedOutcome {
-    /// The verifier rejected the program; nothing was executed.
-    Rejected,
-    /// Admitted and every execution stayed within the certified bound.
-    Sound,
-    /// Admitted, but an execution misbehaved.
-    Unsound(Box<Violation>),
-}
-
 /// Generates the program and environment for `seed` and checks the
-/// soundness contract, panicking on generator bugs (programs that fail
-/// to compile) since those invalidate the harness itself.
+/// soundness contract: counts the program as `admitted` or `rejected`,
+/// and records a finding when an admitted program's execution
+/// misbehaves. Panics on generator bugs (programs that fail to compile)
+/// since those invalidate the harness itself.
 ///
 /// `relational` selects the octagon domain; with it on, the seed is also
 /// compiled with the projection-only fallback and the admission verdict
 /// must move monotonically (anything the weaker domain admits, the
 /// octagon must admit too).
-pub fn check_seed(seed: u64, relational: bool) -> SeedOutcome {
+pub fn check_seed(seed: u64, relational: bool, out: &mut Report) {
     let mut generator = Generator::new(seed);
     let candidate = generator.program();
     let spec = generator.env_spec();
@@ -80,145 +46,39 @@ pub fn check_seed(seed: u64, relational: bool) -> SeedOutcome {
             panic!("seed {seed}: projection-only compile failed: {e}\n{source}")
         });
         if fallback.verdict().admitted() && !program.verdict().admitted() {
-            return SeedOutcome::Unsound(Box::new(Violation {
+            out.count("admitted", 1);
+            out.finding(
                 seed,
+                "octagon-monotonicity",
+                "the projection-only verifier admits the program but the octagon-enabled \
+                 verifier rejects it",
                 source,
-                backend: Backend::ALL[0],
-                certified_bound: 0,
-                detail: "octagon-monotonicity: the projection-only verifier admits the \
-                         program but the octagon-enabled verifier rejects it"
-                    .to_string(),
-            }));
+            );
+            return;
         }
     }
     if !program.verdict().admitted() {
-        return SeedOutcome::Rejected;
+        out.count("rejected", 1);
+        return;
     }
+    out.count("admitted", 1);
     let bound = program.certified_step_bound();
     for backend in Backend::ALL {
         // Instances inherit the certified bound as their step budget.
         let mut instance = program.instantiate(backend);
         let mut env = spec.build();
         for round in 0..RUNS_PER_BACKEND {
-            match instance.execute(&mut env) {
-                Ok(stats) if stats.steps > bound => {
-                    return SeedOutcome::Unsound(Box::new(Violation {
-                        seed,
-                        source,
-                        backend,
-                        certified_bound: bound,
-                        detail: format!(
-                            "execution {round} took {} steps, above the certified bound",
-                            stats.steps
-                        ),
-                    }));
-                }
-                Ok(_) => {}
-                Err(e) => {
-                    return SeedOutcome::Unsound(Box::new(Violation {
-                        seed,
-                        source,
-                        backend,
-                        certified_bound: bound,
-                        detail: format!("execution {round} failed: {e}"),
-                    }));
-                }
-            }
+            let detail = match instance.execute(&mut env) {
+                Ok(stats) if stats.steps > bound => format!(
+                    "execution {round} took {} steps, above the certified bound",
+                    stats.steps
+                ),
+                Ok(_) => continue,
+                Err(e) => format!("execution {round} failed: {e}"),
+            };
+            let context = format!("backend {}, certified step bound {bound}", backend.name());
+            out.finding(seed, context, detail, source);
+            return;
         }
-    }
-    SeedOutcome::Sound
-}
-
-/// Aggregate results of a soundness sweep over a seed range.
-#[derive(Debug, Clone, Default)]
-pub struct SweepReport {
-    /// Seeds checked in total.
-    pub checked: u64,
-    /// Programs the verifier admitted (and which executed soundly).
-    pub admitted: u64,
-    /// Programs the verifier rejected (conservatism, not failure).
-    pub rejected: u64,
-    /// Soundness violations found (must be empty for a passing sweep).
-    pub violations: Vec<Violation>,
-}
-
-impl SweepReport {
-    /// Fraction of checked programs the verifier rejected, in percent.
-    pub fn reject_rate_percent(&self) -> f64 {
-        if self.checked == 0 {
-            0.0
-        } else {
-            100.0 * self.rejected as f64 / self.checked as f64
-        }
-    }
-
-    /// One-line human summary for CI logs.
-    pub fn summary(&self) -> String {
-        format!(
-            "soundness sweep: {} seeds, {} admitted, {} rejected ({:.1}% reject rate), {} violations",
-            self.checked,
-            self.admitted,
-            self.rejected,
-            self.reject_rate_percent(),
-            self.violations.len()
-        )
-    }
-}
-
-/// Runs [`check_seed`] over seeds `[start, start + count)`.
-pub fn sweep(start: u64, count: u64, relational: bool) -> SweepReport {
-    let mut report = SweepReport::default();
-    for seed in start..start + count {
-        report.checked += 1;
-        match check_seed(seed, relational) {
-            SeedOutcome::Rejected => report.rejected += 1,
-            SeedOutcome::Sound => report.admitted += 1,
-            SeedOutcome::Unsound(v) => {
-                report.admitted += 1;
-                report.violations.push(*v);
-            }
-        }
-    }
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_sweep_is_sound() {
-        let report = sweep(0, 32, true);
-        assert_eq!(report.checked, 32);
-        assert!(
-            report.violations.is_empty(),
-            "{}",
-            report
-                .violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        // The generator mostly emits guarded programs; the verifier must
-        // not reject everything wholesale.
-        assert!(report.admitted > 0, "{}", report.summary());
-    }
-
-    #[test]
-    fn projection_only_sweep_is_sound() {
-        // The octagon-disabled fallback must uphold the same contract.
-        let report = sweep(0, 16, false);
-        assert_eq!(report.checked, 16);
-        assert!(
-            report.violations.is_empty(),
-            "{}",
-            report
-                .violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
     }
 }

@@ -1,16 +1,16 @@
-//! Bytecode-verifier soundness sweep and seeded codegen-mutation check.
+//! Bytecode-verifier soundness tier and seeded codegen-mutation probes.
 //!
 //! Two complementary directions for the translation-validation pair
 //! ([`progmp_core::verify::vm`]):
 //!
-//! * **Soundness / precision** ([`sweep`]): for every generated program,
+//! * **Soundness / precision** ([`check_seed`]): for every generated program,
 //!   the bytecode our own compiler emits must validate cleanly against
 //!   the HIR admission certificate — any error-severity finding
 //!   (including a `miscompile`) on correct codegen is a false positive
 //!   that would reject working schedulers at load time. The sweep also
 //!   re-verifies the constant-subflow-count specialized images the VM
 //!   backend actually executes.
-//! * **Sensitivity** ([`mutation_check`]): seeded in-place mutations of
+//! * **Sensitivity** ([`probes`]): seeded in-place mutations of
 //!   the compiled image (broken loop increments, swapped helpers,
 //!   corrupted branch targets, clobbered null-handle initializations)
 //!   simulate real codegen/register-allocator bugs; translation
@@ -19,6 +19,7 @@
 //!   bugs proves nothing about the absence of unseeded ones.
 
 use crate::gen::Generator;
+use crate::tier::{Probe, Report};
 use progmp_core::bytecode::{AluOp, Helper, Insn};
 use progmp_core::exec::NULL_HANDLE;
 use progmp_core::verify::vm::verify_bytecode;
@@ -27,55 +28,6 @@ use progmp_core::verify::{Lint, Severity, VerifyConfig};
 /// Subflow counts the sweep re-specializes each program for, covering
 /// the empty, small, and cap-saturating cases.
 const SPECIALIZE_COUNTS: [i64; 3] = [0, 3, 64];
-
-/// One bytecode-verifier false positive: the verifier flagged code our
-/// own compiler generated.
-#[derive(Debug, Clone)]
-pub struct VmViolation {
-    /// Seed that produced the program.
-    pub seed: u64,
-    /// Program source (canonical printer output).
-    pub source: String,
-    /// Where the violation surfaced.
-    pub context: String,
-    /// The offending diagnostics, rendered.
-    pub detail: String,
-}
-
-impl std::fmt::Display for VmViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "bytecode-verifier violation at seed {}", self.seed)?;
-        writeln!(f, "context: {}", self.context)?;
-        writeln!(f, "detail: {}", self.detail)?;
-        writeln!(f, "program:\n{}", self.source)
-    }
-}
-
-/// Aggregate results of a bytecode-verifier sweep.
-#[derive(Debug, Clone, Default)]
-pub struct VmSweepReport {
-    /// Seeds checked.
-    pub checked: u64,
-    /// Programs whose generated and specialized images all validated.
-    pub clean: u64,
-    /// Bytecode images verified in total (base + specialized).
-    pub images: u64,
-    /// False positives found (must be empty for a passing sweep).
-    pub violations: Vec<VmViolation>,
-}
-
-impl VmSweepReport {
-    /// One-line human summary for CI logs.
-    pub fn summary(&self) -> String {
-        format!(
-            "vm-soundness sweep: {} seeds, {} clean, {} images verified, {} violations",
-            self.checked,
-            self.clean,
-            self.images,
-            self.violations.len()
-        )
-    }
-}
 
 fn error_lines(diags: &[progmp_core::Diagnostic]) -> String {
     diags
@@ -88,29 +40,29 @@ fn error_lines(diags: &[progmp_core::Diagnostic]) -> String {
 
 /// Checks one seed: the compiled bytecode must validate against the HIR
 /// certificate, and every specialized image must pass the standalone
-/// bytecode verifier. Panics if the generated program fails to compile
+/// bytecode verifier. Counts the `images` verified and whether the seed
+/// came out `clean`. Panics if the generated program fails to compile
 /// (generator bug — in enforcing pipelines the new `vm-verify` stage
 /// surfaces there as a `CompileError`, but observe mode records instead).
-pub fn check_seed(seed: u64) -> (u64, Vec<VmViolation>) {
+pub fn check_seed(seed: u64, out: &mut Report) {
     let mut generator = Generator::new(seed);
     let candidate = generator.program();
     let source = candidate.to_string();
     let program = crate::compile_observed(&source).unwrap_or_else(|e| {
         panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
     });
-    let mut images = 1;
-    let mut violations = Vec::new();
+    let mut clean = true;
     let verdict = program.bytecode_verdict();
     if !verdict.admitted() {
-        violations.push(VmViolation {
+        clean = false;
+        out.finding(
             seed,
-            source: source.clone(),
-            context: "translation validation of the generated image".to_string(),
-            detail: error_lines(&verdict.diagnostics),
-        });
+            "translation validation of the generated image",
+            error_lines(&verdict.diagnostics),
+            &source,
+        );
     }
     for n in SPECIALIZE_COUNTS {
-        images += 1;
         let specialized = progmp_core::vm::specialize_subflow_count(program.bytecode(), n);
         let v = verify_bytecode(
             &specialized,
@@ -118,70 +70,17 @@ pub fn check_seed(seed: u64) -> (u64, Vec<VmViolation>) {
             &VerifyConfig::default(),
         );
         if !v.admitted() {
-            violations.push(VmViolation {
+            clean = false;
+            out.finding(
                 seed,
-                source: source.clone(),
-                context: format!("re-verification of the image specialized for {n} subflows"),
-                detail: error_lines(&v.diagnostics),
-            });
+                format!("re-verification of the image specialized for {n} subflows"),
+                error_lines(&v.diagnostics),
+                &source,
+            );
         }
     }
-    (images, violations)
-}
-
-/// Runs [`check_seed`] over seeds `[start, start + count)`.
-pub fn sweep(start: u64, count: u64) -> VmSweepReport {
-    let mut report = VmSweepReport::default();
-    for seed in start..start + count {
-        report.checked += 1;
-        let (images, violations) = check_seed(seed);
-        report.images += images;
-        if violations.is_empty() {
-            report.clean += 1;
-        }
-        report.violations.extend(violations);
-    }
-    report
-}
-
-/// One seeded compiler-bug simulation applied to a compiled scheduler.
-#[derive(Debug, Clone)]
-pub struct MutationOutcome {
-    /// Scheduler the mutation was applied to.
-    pub scheduler: &'static str,
-    /// What was mutated.
-    pub description: String,
-    /// Whether translation validation rejected the mutated image with a
-    /// `miscompile` diagnostic.
-    pub caught: bool,
-    /// Whether the rejecting diagnostic carried a nonzero source span.
-    pub has_span: bool,
-    /// First rejecting diagnostic, rendered (empty when not caught).
-    pub detail: String,
-}
-
-/// Result of the full mutation check.
-#[derive(Debug, Clone, Default)]
-pub struct MutationReport {
-    /// Every applied mutation.
-    pub outcomes: Vec<MutationOutcome>,
-}
-
-impl MutationReport {
-    /// True iff every mutation was rejected with a spanned miscompile.
-    pub fn all_caught(&self) -> bool {
-        !self.outcomes.is_empty() && self.outcomes.iter().all(|o| o.caught && o.has_span)
-    }
-
-    /// One-line human summary for CI logs.
-    pub fn summary(&self) -> String {
-        let caught = self.outcomes.iter().filter(|o| o.caught).count();
-        format!(
-            "codegen-mutation check: {}/{} seeded miscompiles caught statically",
-            caught,
-            self.outcomes.len()
-        )
-    }
+    out.count("images", 1 + SPECIALIZE_COUNTS.len() as u64);
+    out.count("clean", clean as u64);
 }
 
 /// In-place mutations simulating codegen/regalloc bugs. Replacements
@@ -260,13 +159,14 @@ fn mutations(code: &[Insn]) -> Vec<(usize, Insn, String)> {
 
 /// Compiles the named bundled schedulers, applies each seeded mutation
 /// in place, and records whether translation validation against the
-/// *original* program's HIR certificate catches it.
-pub fn mutation_check() -> MutationReport {
+/// *original* program's HIR certificate rejects it with a `miscompile`
+/// diagnostic that carries a real source span.
+pub fn probes() -> Vec<Probe> {
     // minRttSimple exercises the list-minmax scan; redundant exercises
     // multi-push foreach loops — together they cover all four mutation
     // classes.
     const TARGETS: [&str; 2] = ["minRttSimple", "redundant"];
-    let mut report = MutationReport::default();
+    let mut probes = Vec::new();
     for name in TARGETS {
         let (_, source) = progmp_schedulers::sources::ALL
             .iter()
@@ -282,59 +182,12 @@ pub fn mutation_check() -> MutationReport {
                 .diagnostics
                 .iter()
                 .find(|d| d.lint == Lint::Miscompile && d.severity == Severity::Error);
-            report.outcomes.push(MutationOutcome {
-                scheduler: name,
-                description,
-                caught: !verdict.admitted() && miscompile.is_some(),
-                has_span: miscompile.map(|d| d.pos.line > 0).unwrap_or(false),
-                detail: miscompile.map(|d| d.to_string()).unwrap_or_default(),
-            });
+            probes.push(Probe::diagnosed(
+                format!("{name}: {description}"),
+                !verdict.admitted(),
+                miscompile,
+            ));
         }
     }
-    report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn small_vm_sweep_is_clean() {
-        let report = sweep(0, 32);
-        assert_eq!(report.checked, 32);
-        assert!(
-            report.violations.is_empty(),
-            "{}",
-            report
-                .violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-        assert!(report.images >= 32 * 4, "{}", report.summary());
-    }
-
-    #[test]
-    fn seeded_miscompiles_are_caught_with_spans() {
-        let report = mutation_check();
-        assert!(
-            report.outcomes.len() >= 4,
-            "all four mutation classes applied: {:?}",
-            report.outcomes
-        );
-        assert!(
-            report.all_caught(),
-            "every seeded miscompile rejected with a spanned diagnostic:\n{}",
-            report
-                .outcomes
-                .iter()
-                .map(|o| format!(
-                    "  caught={} span={} {} — {}",
-                    o.caught, o.has_span, o.description, o.detail
-                ))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
+    probes
 }
