@@ -25,6 +25,11 @@ done
 ! grep -q 'HExpr::QueueSum' crates/core/src/verify/lints.rs crates/core/src/optimizer.rs crates/core/src/verify/props.rs \
   || { echo "a walker spells out every HExpr variant again (use HProgram::children)"; exit 1; }
 
+echo "==> a scheduler instance is a handle: no per-connection image, closure graph or counters in crates/core/src"
+for gone in 'fn specialize_subflow_count' 'enum BackendState' 'struct InstanceStats' 'Rc<dyn Fn'; do
+  ! grep -rqF "$gone" crates/core/src || { echo "a SchedulerInstance owns compiled state again: $gone"; exit 1; }
+done
+
 echo "==> transport cost independent of backlog: no whole-queue scan of Q or of a path's departure FIFO"
 ! grep -nE 'self\.q\.retain\(|departures\.retain|departures\.iter\(\)\.filter' crates/sim/src/connection.rs crates/sim/src/path.rs \
   || { echo "a linear scan is back on the send/ack path (Q ascends in seq, departures never descend: remove by position)"; exit 1; }

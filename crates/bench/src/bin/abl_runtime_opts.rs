@@ -2,7 +2,6 @@
 //! optimization buys, measured as per-execution cost on the VM backend.
 //!
 //! * HIR optimizer (constant folding / dead branches) on vs off;
-//! * constant-subflow-count specialization on vs off;
 //! * compressed executions: scheduler rounds per trigger capped at 1 vs
 //!   unbounded, measured as simulation goodput (a trigger that can only
 //!   place one packet wastes wall-clock between triggers).
@@ -108,20 +107,7 @@ fn main() {
         unopt_ns
     );
 
-    // 2. Constant-subflow-count specialization.
-    let default =
-        compile_with_options(None, sched::DEFAULT_MIN_RTT, CompileOptions::default()).unwrap();
-    let mut spec_on = default.instantiate(Backend::Vm);
-    let mut spec_off = default.instantiate(Backend::Vm);
-    spec_off.set_specialization(false);
-    let on_ns = measure(&mut spec_on, &env, iters);
-    let off_ns = measure(&mut spec_off, &env, iters);
-    println!(
-        "specialization: {:>7.0} ns specialized vs {:>8.0} ns generic",
-        on_ns, off_ns
-    );
-
-    // 3. Compressed executions (scheduler rounds per trigger).
+    // 2. Compressed executions (scheduler rounds per trigger).
     let goodput = |max_rounds: u32| -> f64 {
         let mut sim = Sim::new(9);
         let mut cfg = ConnectionConfig::new(
@@ -155,11 +141,6 @@ fn main() {
         "  [{}] constant folding + dead-branch elimination speed up execution ({:.0}% of unoptimized)",
         ok(opt_ns < unopt_ns),
         opt_ns / unopt_ns * 100.0
-    );
-    println!(
-        "  [{}] subflow-count specialization does not hurt ({:.0}% of generic)",
-        ok(on_ns <= off_ns * 1.1),
-        on_ns / off_ns * 100.0
     );
     println!(
         "  [{}] compressed executions keep the pipe full ({:.2} vs {:.2} MB/s)",

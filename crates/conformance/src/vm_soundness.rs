@@ -7,9 +7,8 @@
 //!   the bytecode our own compiler emits must validate cleanly against
 //!   the HIR admission certificate — any error-severity finding
 //!   (including a `miscompile`) on correct codegen is a false positive
-//!   that would reject working schedulers at load time. The sweep also
-//!   re-verifies the constant-subflow-count specialized images the VM
-//!   backend actually executes.
+//!   that would reject working schedulers at load time. That image is
+//!   the only one the VM backend executes.
 //! * **Sensitivity** ([`probes`]): seeded in-place mutations of
 //!   the compiled image (broken loop increments, swapped helpers,
 //!   corrupted branch targets, clobbered null-handle initializations)
@@ -22,12 +21,7 @@ use crate::gen::Generator;
 use crate::tier::{Probe, Report};
 use progmp_core::bytecode::{AluOp, Helper, Insn};
 use progmp_core::exec::NULL_HANDLE;
-use progmp_core::verify::vm::verify_bytecode;
-use progmp_core::verify::{Lint, Severity, VerifyConfig};
-
-/// Subflow counts the sweep re-specializes each program for, covering
-/// the empty, small, and cap-saturating cases.
-const SPECIALIZE_COUNTS: [i64; 3] = [0, 3, 64];
+use progmp_core::verify::{Lint, Severity};
 
 fn error_lines(diags: &[progmp_core::Diagnostic]) -> String {
     diags
@@ -39,9 +33,8 @@ fn error_lines(diags: &[progmp_core::Diagnostic]) -> String {
 }
 
 /// Checks one seed: the compiled bytecode must validate against the HIR
-/// certificate, and every specialized image must pass the standalone
-/// bytecode verifier. Counts the `images` verified and whether the seed
-/// came out `clean`. Panics if the generated program fails to compile
+/// certificate. Counts the `images` verified and whether the seed came
+/// out `clean`. Panics if the generated program fails to compile
 /// (generator bug — in enforcing pipelines the new `vm-verify` stage
 /// surfaces there as a `CompileError`, but observe mode records instead).
 pub fn check_seed(seed: u64, out: &mut Report) {
@@ -51,10 +44,8 @@ pub fn check_seed(seed: u64, out: &mut Report) {
     let program = crate::compile_observed(&source).unwrap_or_else(|e| {
         panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
     });
-    let mut clean = true;
     let verdict = program.bytecode_verdict();
     if !verdict.admitted() {
-        clean = false;
         out.finding(
             seed,
             "translation validation of the generated image",
@@ -62,25 +53,8 @@ pub fn check_seed(seed: u64, out: &mut Report) {
             &source,
         );
     }
-    for n in SPECIALIZE_COUNTS {
-        let specialized = progmp_core::vm::specialize_subflow_count(program.bytecode(), n);
-        let v = verify_bytecode(
-            &specialized,
-            Some(program.debug_table()),
-            &VerifyConfig::default(),
-        );
-        if !v.admitted() {
-            clean = false;
-            out.finding(
-                seed,
-                format!("re-verification of the image specialized for {n} subflows"),
-                error_lines(&v.diagnostics),
-                &source,
-            );
-        }
-    }
-    out.count("images", 1 + SPECIALIZE_COUNTS.len() as u64);
-    out.count("clean", clean as u64);
+    out.count("images", 1);
+    out.count("clean", verdict.admitted() as u64);
 }
 
 /// In-place mutations simulating codegen/regalloc bugs. Replacements

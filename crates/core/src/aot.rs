@@ -17,11 +17,13 @@ use crate::env::QueueKind;
 use crate::error::{CompileError, ExecError, Pos, Stage};
 use crate::exec::{ExecCtx, NULL_HANDLE};
 use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId, VarSlot};
-use std::rc::Rc;
+use std::sync::Arc;
 
 type Frame = Vec<i64>;
-type CExpr = Rc<dyn Fn(&mut ExecCtx<'_>, &mut Frame) -> Result<i64, ExecError>>;
-type CStmt = Rc<dyn Fn(&mut ExecCtx<'_>, &mut Frame) -> Result<Flow, ExecError>>;
+// `Send + Sync`: one graph is shared by every AOT instance of a program,
+// across fleet shards. Closures capture ids and constants only.
+type CExpr = Arc<dyn Fn(&mut ExecCtx<'_>, &mut Frame) -> Result<i64, ExecError> + Send + Sync>;
+type CStmt = Arc<dyn Fn(&mut ExecCtx<'_>, &mut Frame) -> Result<Flow, ExecError> + Send + Sync>;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Flow {
@@ -129,11 +131,11 @@ impl<'p> Compiler<'p> {
             HStmt::VarDecl { slot, init } => {
                 if self.prog.slot_ty[slot.0 as usize].is_aggregate() {
                     // Fused at use sites.
-                    Rc::new(|_, _| Ok(Flow::Cont))
+                    Arc::new(|_, _| Ok(Flow::Cont))
                 } else {
                     let e = self.compile_expr(init)?;
                     let s = slot.0 as usize;
-                    Rc::new(move |ctx, frame| {
+                    Arc::new(move |ctx, frame| {
                         ctx.step(1)?;
                         frame[s] = e(ctx, frame)?;
                         Ok(Flow::Cont)
@@ -148,7 +150,7 @@ impl<'p> Compiler<'p> {
                 let c = self.compile_expr(cond)?;
                 let tb = self.compile_block(&then_body)?;
                 let eb = self.compile_block(&else_body)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let branch = if c(ctx, frame)? != 0 { &tb } else { &eb };
                     for s in branch {
@@ -163,7 +165,7 @@ impl<'p> Compiler<'p> {
                 let scan = self.compile_scan(list)?;
                 let b = self.compile_block(&body)?;
                 let s = slot.0 as usize;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let elems = scan.collect(ctx, frame, usize::MAX)?;
                     for e in elems {
@@ -179,7 +181,7 @@ impl<'p> Compiler<'p> {
             }
             HStmt::SetReg { reg, value } => {
                 let v = self.compile_expr(value)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let x = v(ctx, frame)?;
                     ctx.set_reg(reg, x);
@@ -189,7 +191,7 @@ impl<'p> Compiler<'p> {
             HStmt::Push { target, packet } => {
                 let t = self.compile_expr(target)?;
                 let p = self.compile_expr(packet)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let sbf = t(ctx, frame)?;
                     let pkt = p(ctx, frame)?;
@@ -199,14 +201,14 @@ impl<'p> Compiler<'p> {
             }
             HStmt::Drop { packet } => {
                 let p = self.compile_expr(packet)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let pkt = p(ctx, frame)?;
                     ctx.drop_packet(pkt);
                     Ok(Flow::Cont)
                 })
             }
-            HStmt::Return => Rc::new(|_, _| Ok(Flow::Ret)),
+            HStmt::Return => Arc::new(|_, _| Ok(Flow::Ret)),
         })
     }
 
@@ -234,7 +236,7 @@ impl<'p> Compiler<'p> {
         let scan = self.compile_scan(source)?;
         let k = self.compile_expr(key)?;
         let s = var.0 as usize;
-        Ok(Rc::new(move |ctx, frame| {
+        Ok(Arc::new(move |ctx, frame| {
             let elems = scan.collect(ctx, frame, usize::MAX)?;
             let mut best = NULL_HANDLE;
             let mut bestk = 0i64;
@@ -256,22 +258,22 @@ impl<'p> Compiler<'p> {
 
     fn compile_expr(&self, eid: ExprId) -> Result<CExpr, CompileError> {
         Ok(match self.prog.expr(eid).clone() {
-            HExpr::Int(v) => Rc::new(move |ctx, _| {
+            HExpr::Int(v) => Arc::new(move |ctx, _| {
                 ctx.step(1)?;
                 Ok(v)
             }),
             HExpr::Bool(b) => {
                 let v = i64::from(b);
-                Rc::new(move |ctx, _| {
+                Arc::new(move |ctx, _| {
                     ctx.step(1)?;
                     Ok(v)
                 })
             }
-            HExpr::NullPacket | HExpr::NullSubflow => Rc::new(|ctx, _| {
+            HExpr::NullPacket | HExpr::NullSubflow => Arc::new(|ctx, _| {
                 ctx.step(1)?;
                 Ok(NULL_HANDLE)
             }),
-            HExpr::ReadReg(r) => Rc::new(move |ctx, _| {
+            HExpr::ReadReg(r) => Arc::new(move |ctx, _| {
                 ctx.step(1)?;
                 Ok(ctx.get_reg(r))
             }),
@@ -280,7 +282,7 @@ impl<'p> Compiler<'p> {
                     return Err(self.internal_err("aggregate reads are fused at use sites"));
                 }
                 let s = slot.0 as usize;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     Ok(frame[s])
                 })
@@ -293,7 +295,7 @@ impl<'p> Compiler<'p> {
             }
             HExpr::SubflowProp { sbf, prop } => {
                 let s = self.compile_expr(sbf)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let h = s(ctx, frame)?;
                     Ok(ctx.subflow_prop(h, prop))
@@ -301,7 +303,7 @@ impl<'p> Compiler<'p> {
             }
             HExpr::PacketProp { pkt, prop } => {
                 let p = self.compile_expr(pkt)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let h = p(ctx, frame)?;
                     Ok(ctx.packet_prop(h, prop))
@@ -310,7 +312,7 @@ impl<'p> Compiler<'p> {
             HExpr::SentOn { pkt, sbf } => {
                 let p = self.compile_expr(pkt)?;
                 let s = self.compile_expr(sbf)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let ph = p(ctx, frame)?;
                     let sh = s(ctx, frame)?;
@@ -320,7 +322,7 @@ impl<'p> Compiler<'p> {
             HExpr::HasWindowFor { sbf, pkt } => {
                 let s = self.compile_expr(sbf)?;
                 let p = self.compile_expr(pkt)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let sh = s(ctx, frame)?;
                     let ph = p(ctx, frame)?;
@@ -348,7 +350,7 @@ impl<'p> Compiler<'p> {
                 let scan = self.compile_scan(list)?;
                 let k = self.compile_expr(key)?;
                 let s = var.0 as usize;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     let elems = scan.collect(ctx, frame, usize::MAX)?;
                     let mut total = 0i64;
                     for e in elems {
@@ -361,16 +363,16 @@ impl<'p> Compiler<'p> {
             }
             HExpr::ListCount(src) | HExpr::QueueCount(src) => {
                 let scan = self.compile_scan(src)?;
-                Rc::new(move |ctx, frame| Ok(scan.collect(ctx, frame, usize::MAX)?.len() as i64))
+                Arc::new(move |ctx, frame| Ok(scan.collect(ctx, frame, usize::MAX)?.len() as i64))
             }
             HExpr::ListEmpty(src) | HExpr::QueueEmpty(src) => {
                 let scan = self.compile_scan(src)?;
-                Rc::new(move |ctx, frame| Ok(i64::from(scan.collect(ctx, frame, 1)?.is_empty())))
+                Arc::new(move |ctx, frame| Ok(i64::from(scan.collect(ctx, frame, 1)?.is_empty())))
             }
             HExpr::ListGet { list, index } => {
                 let scan = self.compile_scan(list)?;
                 let idx = self.compile_expr(index)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     ctx.step(1)?;
                     let i = idx(ctx, frame)?;
                     if i < 0 {
@@ -382,14 +384,14 @@ impl<'p> Compiler<'p> {
             }
             HExpr::QueueTop(src) => {
                 let scan = self.compile_scan(src)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     let elems = scan.collect(ctx, frame, 1)?;
                     Ok(elems.first().copied().unwrap_or(NULL_HANDLE))
                 })
             }
             HExpr::QueuePop(src) => {
                 let scan = self.compile_scan(src)?;
-                Rc::new(move |ctx, frame| {
+                Arc::new(move |ctx, frame| {
                     let elems = scan.collect(ctx, frame, 1)?;
                     let top = elems.first().copied().unwrap_or(NULL_HANDLE);
                     ctx.pop(top);
@@ -399,11 +401,11 @@ impl<'p> Compiler<'p> {
             HExpr::Unary { op, expr } => {
                 let e = self.compile_expr(expr)?;
                 match op {
-                    UnOp::Not => Rc::new(move |ctx, frame| {
+                    UnOp::Not => Arc::new(move |ctx, frame| {
                         ctx.step(1)?;
                         Ok(i64::from(e(ctx, frame)? == 0))
                     }),
-                    UnOp::Neg => Rc::new(move |ctx, frame| {
+                    UnOp::Neg => Arc::new(move |ctx, frame| {
                         ctx.step(1)?;
                         Ok(e(ctx, frame)?.wrapping_neg())
                     }),
@@ -414,7 +416,7 @@ impl<'p> Compiler<'p> {
                 let r = self.compile_expr(rhs)?;
                 macro_rules! bin {
                     (|$a:ident, $b:ident| $body:expr) => {
-                        Rc::new(move |ctx: &mut ExecCtx<'_>, frame: &mut Frame| {
+                        Arc::new(move |ctx: &mut ExecCtx<'_>, frame: &mut Frame| {
                             ctx.step(1)?;
                             let $a = l(ctx, frame)?;
                             let $b = r(ctx, frame)?;
@@ -434,7 +436,7 @@ impl<'p> Compiler<'p> {
                     BinOp::Le => bin!(|a, b| i64::from(a <= b)),
                     BinOp::Gt => bin!(|a, b| i64::from(a > b)),
                     BinOp::Ge => bin!(|a, b| i64::from(a >= b)),
-                    BinOp::And => Rc::new(move |ctx, frame| {
+                    BinOp::And => Arc::new(move |ctx, frame| {
                         ctx.step(1)?;
                         Ok(if l(ctx, frame)? == 0 {
                             0
@@ -442,7 +444,7 @@ impl<'p> Compiler<'p> {
                             i64::from(r(ctx, frame)? != 0)
                         })
                     }),
-                    BinOp::Or => Rc::new(move |ctx, frame| {
+                    BinOp::Or => Arc::new(move |ctx, frame| {
                         ctx.step(1)?;
                         Ok(if l(ctx, frame)? != 0 {
                             1

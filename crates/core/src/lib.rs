@@ -76,8 +76,8 @@ pub mod vm;
 pub use error::{CompileError, ExecError};
 pub use exec::{ExecCtx, ExecStats, DEFAULT_STEP_BUDGET};
 pub use program::{
-    compile, compile_named, compile_with_options, Backend, CompileOptions, InstanceStats,
-    SchedulerInstance, SchedulerProgram,
+    compile, compile_named, compile_with_options, Backend, CompileOptions, SchedulerInstance,
+    SchedulerProgram,
 };
 pub use types::Type;
 pub use verify::{

@@ -8,10 +8,10 @@
 //! All analyses are sound with respect to the *runtime* semantics of
 //! [`crate::vm`], not just the verifier's model: registers `r1`..`r5`
 //! after a helper call and the initial register file are treated as
-//! unknown (even though the VM zeroes them) so that rewrites stay valid
-//! under [`crate::vm::specialize_subflow_count`], which patches
-//! `Call SubflowCount` into a plain `MovImm` without the call's
-//! clobbering behaviour.
+//! unknown (even though the VM zeroes them): the eBPF calling convention
+//! the bytecode mirrors leaves caller-saved registers undefined after a
+//! call, the verifier marks them unreadable, and a rewrite that leaned on
+//! this VM's zeroing would produce an image the verifier rejects.
 
 use crate::bytecode::{Cond, Helper, Insn, NUM_MACH_REGS};
 use crate::flow::{self, reads, successors, writes, Domain, LiveSet};
@@ -190,9 +190,8 @@ impl Domain for FactFlow<'_> {
                     Helper::SentOn | Helper::HasWindowFor => Interval::BOOL,
                     _ => Interval::TOP,
                 };
-                // The VM zeroes r1..r5, but specialization can replace
-                // this call with a MovImm that does not: model them as
-                // unknown.
+                // The VM zeroes r1..r5, but the calling convention only
+                // says they are clobbered: model them as unknown.
                 for r in 1..=5 {
                     s.regs[r] = Interval::TOP;
                 }

@@ -100,8 +100,8 @@ impl Lvn {
 
     /// A register (preferred) or slot currently holding `vn`, excluding
     /// `exclude`. The frame pointer and helper argument registers are
-    /// never offered: r10 is special and r0..r5 are clobbered by calls in
-    /// ways later rewrites (specialization) may change.
+    /// never offered: r10 is special and r0..r5 are clobbered by calls,
+    /// to values the calling convention leaves undefined.
     fn holder(&self, vn: u32, exclude: Loc) -> Option<Loc> {
         let hs = self.holders.get(&vn)?;
         hs.iter()

@@ -10,11 +10,11 @@
 //!
 //! The two other optimizations the paper names live elsewhere: *late
 //! materialization* of `FILTER` is inherent in all three backends
-//! (predicates run during a single scan), and *constant subflow number*
-//! specialization is implemented at the bytecode level
-//! ([`crate::vm::specialize_subflow_count`]). *Compressed executions* are
+//! (predicates run during a single scan), and *compressed executions* are
 //! provided by the runtime driver
-//! ([`crate::program::SchedulerInstance::run_to_quiescence`]).
+//! ([`crate::program::SchedulerInstance::run_to_quiescence`]). *Constant
+//! subflow number* is not reproduced: `SUBFLOWS.COUNT` is one helper call
+//! on the image every connection shares (see [`crate::vm`]).
 //!
 //! The optimizer rewrites expressions in place (the arena keeps dead
 //! nodes; they are simply unreferenced) and rebuilds statement bodies.

@@ -10,7 +10,9 @@
 //! A [`SchedulerProgram`] is an immutable, reference-counted handle:
 //! cloning it and instantiating from it copy nothing, matching the
 //! paper's model where one loaded scheduler is reused by many
-//! connections (§4.3, "Number of Schedulers").
+//! connections (§4.3, "Number of Schedulers"). Everything compiled —
+//! HIR, the validated bytecode image, the AOT closure graph — lives on
+//! the program; an instance owns none of it.
 
 use crate::aot;
 use crate::bytecode::{BytecodeProgram, DebugTable};
@@ -25,7 +27,7 @@ use crate::regalloc;
 use crate::sema;
 use crate::vm;
 use crate::{codegen, env::QueueKind};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The execution backend for a scheduler instance (paper §4.1 Fig. 6:
 /// interpreter, ahead-of-time compiler, eBPF JIT).
@@ -36,8 +38,8 @@ pub enum Backend {
     /// Ahead-of-time compilation to a closure graph (the "generated C"
     /// analogue).
     Aot,
-    /// The eBPF-flavoured bytecode VM with verifier, linear-scan register
-    /// allocation, and constant-subflow-count specialization.
+    /// The eBPF-flavoured bytecode VM with verifier and linear-scan
+    /// register allocation.
     #[default]
     Vm,
 }
@@ -78,7 +80,18 @@ struct Compiled {
     verdict: crate::verify::Verdict,
     vm_verdict: crate::verify::vm::BytecodeVerdict,
     props: crate::verify::props::PropertyCertificate,
+    /// The AOT closure graph, built from `hir` by the first
+    /// `instantiate(Backend::Aot)` and run by every AOT instance.
+    aot: OnceLock<aot::CompiledProgram>,
 }
+
+// One program — the simulator's `&'static` fallback is the standing
+// case — is instantiated from and executed by every fleet shard's thread.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<SchedulerProgram>();
+    assert_send_sync::<SchedulerInstance>();
+};
 
 /// Compiles scheduler source text.
 ///
@@ -235,6 +248,7 @@ pub fn compile_with_options(
             verdict,
             vm_verdict,
             props,
+            aot: OnceLock::new(),
         }),
     })
 }
@@ -373,7 +387,8 @@ impl SchedulerProgram {
     }
 
     /// Approximate resident size of the loaded program in bytes
-    /// (for the §4.3 memory-overhead table).
+    /// (for the §4.3 memory-overhead table): source, HIR and bytecode
+    /// image, not the AOT closure graph built on first AOT use.
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Compiled>()
             + self.inner.source.len()
@@ -382,47 +397,41 @@ impl SchedulerProgram {
     }
 
     /// Creates a per-connection instance running on `backend`. The
-    /// instance shares this program; nothing is copied.
+    /// instance shares this program; nothing is copied. The first AOT
+    /// instantiation builds the program's closure graph, so no upcall
+    /// pays for it.
     pub fn instantiate(&self, backend: Backend) -> SchedulerInstance {
-        SchedulerInstance::new(self.clone(), backend)
+        if backend == Backend::Aot {
+            self.aot_graph();
+        }
+        SchedulerInstance {
+            program: self.clone(),
+            backend,
+            // The per-program certified bound replaces the blanket default
+            // budget: tight enough to stop runaways early, provably above
+            // any legal execution of *this* program.
+            budget: self.certified_step_bound(),
+        }
+    }
+
+    /// The one AOT closure graph of this program.
+    fn aot_graph(&self) -> &aot::CompiledProgram {
+        self.inner
+            .aot
+            .get_or_init(|| aot::compile(&self.inner.hir).expect("verified programs AOT-compile"))
     }
 }
 
-enum BackendState {
-    Interpreter,
-    Aot(aot::CompiledProgram),
-    Vm {
-        /// Image specialized for a constant subflow count, with the count
-        /// it was specialized for (paper §4.1 "constant subflow number").
-        specialized: Option<(i64, BytecodeProgram)>,
-    },
-}
-
-/// Cumulative counters for one scheduler instance, exposed in the spirit
-/// of the paper's proc-based statistics interface.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct InstanceStats {
-    /// Completed executions.
-    pub executions: u64,
-    /// Total steps across all executions.
-    pub total_steps: u64,
-    /// Total `PUSH` actions emitted.
-    pub total_pushes: u64,
-    /// Total `DROP` actions emitted.
-    pub total_drops: u64,
-    /// Times the VM re-specialized for a new subflow count.
-    pub respecializations: u64,
-}
-
-/// A per-connection scheduler instance: a shared program plus the
-/// backend-specific execution state.
+/// A per-connection scheduler instance: a handle to the shared program,
+/// the backend it runs on and its step budget. It owns nothing compiled,
+/// so it costs `size_of::<SchedulerInstance>()` on every backend, before
+/// and after it runs (the paper's §4.3 per-instantiation figure).
+/// Execution counters belong to whoever drives it ([`ExecStats`] per
+/// execution; the simulator's per-connection statistics).
 pub struct SchedulerInstance {
     program: SchedulerProgram,
     backend: Backend,
-    state: BackendState,
     budget: u64,
-    stats: InstanceStats,
-    specialize: bool,
 }
 
 impl std::fmt::Debug for SchedulerInstance {
@@ -430,34 +439,12 @@ impl std::fmt::Debug for SchedulerInstance {
         f.debug_struct("SchedulerInstance")
             .field("name", &self.program.name())
             .field("backend", &self.backend.name())
-            .field("stats", &self.stats)
+            .field("budget", &self.budget)
             .finish()
     }
 }
 
 impl SchedulerInstance {
-    fn new(program: SchedulerProgram, backend: Backend) -> Self {
-        let state = match backend {
-            Backend::Interpreter => BackendState::Interpreter,
-            Backend::Aot => BackendState::Aot(
-                aot::compile(&program.inner.hir).expect("verified programs AOT-compile"),
-            ),
-            Backend::Vm => BackendState::Vm { specialized: None },
-        };
-        // The per-program certified bound replaces the blanket default
-        // budget: tight enough to stop runaways early, provably above any
-        // legal execution of *this* program.
-        let budget = program.certified_step_bound();
-        SchedulerInstance {
-            program,
-            backend,
-            state,
-            budget,
-            stats: InstanceStats::default(),
-            specialize: true,
-        }
-    }
-
     /// The backend this instance runs on.
     pub fn backend(&self) -> Backend {
         self.backend
@@ -468,37 +455,16 @@ impl SchedulerInstance {
         &self.program
     }
 
-    /// Cumulative statistics.
-    pub fn stats(&self) -> InstanceStats {
-        self.stats
-    }
-
     /// Overrides the per-execution step budget.
     pub fn set_step_budget(&mut self, budget: u64) {
         self.budget = budget.max(1);
     }
 
-    /// Enables/disables the constant-subflow-count specialization of the
-    /// VM backend (paper §4.1); enabled by default. No effect on other
-    /// backends. For the runtime-optimization ablation.
-    pub fn set_specialization(&mut self, enabled: bool) {
-        self.specialize = enabled;
-        if let BackendState::Vm { specialized } = &mut self.state {
-            *specialized = None;
-        }
-    }
-
-    /// Approximate per-instance memory cost in bytes, excluding the shared
-    /// program (the paper reports 328 B per instantiation on top of the
-    /// loaded scheduler).
+    /// Per-instance memory cost in bytes, excluding the shared program
+    /// (the paper reports 328 B per instantiation on top of the loaded
+    /// scheduler).
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + match &self.state {
-                BackendState::Vm {
-                    specialized: Some((_, p)),
-                } => p.size_bytes(),
-                _ => 0,
-            }
     }
 
     /// Executes the scheduler once against `env`, applying buffered
@@ -513,42 +479,21 @@ impl SchedulerInstance {
         self.execute_raw(&mut ctx)?;
         let (regs, actions, stats) = ctx.finish();
         env.apply(&regs, &actions);
-        self.stats.total_steps += stats.steps;
-        self.stats.total_pushes += u64::from(stats.pushes);
-        self.stats.total_drops += u64::from(stats.drops);
         Ok(stats)
     }
 
     /// Runs one execution against an externally managed [`ExecCtx`]
     /// without applying effects — the embedding transport (e.g. the
     /// simulator's meta socket) owns context creation, effect application,
-    /// and statistics. Instance counters are still updated for
-    /// respecialization bookkeeping.
+    /// and statistics. The VM runs the program's one bytecode image, the
+    /// image translation validation admitted; `SUBFLOWS.COUNT` is a
+    /// helper call on it, so a changed subflow count needs no new code.
     pub fn execute_raw(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), ExecError> {
-        match &mut self.state {
-            BackendState::Interpreter => interp::execute(&self.program.inner.hir, ctx)?,
-            BackendState::Aot(compiled) => compiled.execute(ctx)?,
-            BackendState::Vm { specialized } => {
-                if self.specialize {
-                    let n = ctx.subflow_count();
-                    let needs_respec = !matches!(specialized, Some((k, _)) if *k == n);
-                    if needs_respec {
-                        *specialized =
-                            Some((n, vm::specialize_subflow_count(self.program.bytecode(), n)));
-                        self.stats.respecializations += 1;
-                    }
-                    let image = match specialized {
-                        Some((_, p)) => p,
-                        None => unreachable!("specialized image set above"),
-                    };
-                    vm::execute(image, ctx)?;
-                } else {
-                    vm::execute(self.program.bytecode(), ctx)?;
-                }
-            }
+        match self.backend {
+            Backend::Interpreter => interp::execute(&self.program.inner.hir, ctx),
+            Backend::Aot => self.program.aot_graph().execute(ctx),
+            Backend::Vm => vm::execute(self.program.bytecode(), ctx),
         }
-        self.stats.executions += 1;
-        Ok(())
     }
 
     /// Runs one VM execution recording per-instruction hit counts and
@@ -665,23 +610,46 @@ mod tests {
     }
 
     #[test]
-    fn vm_respecializes_on_subflow_change() {
+    fn every_backend_observes_the_live_subflow_count() {
         let prog = compile("SET(R1, SUBFLOWS.COUNT);").unwrap();
-        let mut inst = prog.instantiate(Backend::Vm);
-        let mut env = MockEnv::new();
-        env.add_subflow(0);
-        inst.execute(&mut env).unwrap();
-        assert_eq!(env.register(RegId::R1), 1);
-        assert_eq!(inst.stats().respecializations, 1);
-        inst.execute(&mut env).unwrap();
-        assert_eq!(inst.stats().respecializations, 1, "count unchanged: reuse");
-        env.add_subflow(1);
-        inst.execute(&mut env).unwrap();
-        assert_eq!(env.register(RegId::R1), 2);
-        assert_eq!(
-            inst.stats().respecializations,
-            2,
-            "count changed: respecialize"
+        for backend in Backend::ALL {
+            let mut inst = prog.instantiate(backend);
+            let mut env = MockEnv::new();
+            env.add_subflow(0);
+            inst.execute(&mut env).unwrap();
+            assert_eq!(env.register(RegId::R1), 1, "{}", backend.name());
+            env.add_subflow(1);
+            inst.execute(&mut env).unwrap();
+            assert_eq!(env.register(RegId::R1), 2, "{}", backend.name());
+            env.remove_subflow(0);
+            inst.execute(&mut env).unwrap();
+            assert_eq!(env.register(RegId::R1), 1, "{}", backend.name());
+        }
+    }
+
+    #[test]
+    fn an_instance_owns_nothing_compiled() {
+        let handle = std::mem::size_of::<SchedulerInstance>();
+        let prog = compile(MIN_RTT).unwrap();
+        for backend in Backend::ALL {
+            let mut inst = prog.instantiate(backend);
+            assert_eq!(inst.size_bytes(), handle, "{} fresh", backend.name());
+            let mut env = env_with_packets(10);
+            for _ in 0..10 {
+                inst.execute(&mut env).unwrap();
+            }
+            assert_eq!(inst.size_bytes(), handle, "{} after 10", backend.name());
+            env.remove_subflow(1);
+            inst.execute(&mut env).unwrap();
+            assert_eq!(inst.size_bytes(), handle, "{} after churn", backend.name());
+        }
+        let (a, b) = (
+            prog.instantiate(Backend::Aot),
+            prog.instantiate(Backend::Aot),
+        );
+        assert!(
+            std::ptr::eq(a.program.aot_graph(), b.program.aot_graph()),
+            "two AOT instances of one program execute one closure graph"
         );
     }
 
@@ -743,20 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn instance_stats_accumulate() {
-        let prog = compile(MIN_RTT).unwrap();
-        let mut inst = prog.instantiate(Backend::Aot);
-        let mut env = env_with_packets(3);
-        for _ in 0..3 {
-            inst.execute(&mut env).unwrap();
-        }
-        let s = inst.stats();
-        assert_eq!(s.executions, 3);
-        assert_eq!(s.total_pushes, 3);
-        assert!(s.total_steps > 0);
-    }
-
-    #[test]
     fn profiling_trace_annotates_hit_counts() {
         let prog = compile(MIN_RTT).unwrap();
         let mut inst = prog.instantiate(Backend::Vm);
@@ -808,19 +762,6 @@ mod tests {
             let mut env = MockEnv::new();
             prog.instantiate(Backend::Vm).execute(&mut env).unwrap();
             assert_eq!(env.register(RegId::R1), 5);
-        }
-    }
-
-    #[test]
-    fn specialization_toggle_preserves_semantics() {
-        let prog = compile(MIN_RTT).unwrap();
-        for enabled in [true, false] {
-            let mut inst = prog.instantiate(Backend::Vm);
-            inst.set_specialization(enabled);
-            let mut env = env_with_packets(1);
-            inst.execute(&mut env).unwrap();
-            assert_eq!(env.transmissions.len(), 1);
-            assert_eq!(env.transmissions[0].0 .0, 0);
         }
     }
 

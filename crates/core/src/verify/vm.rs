@@ -122,8 +122,7 @@ impl BytecodeVerdict {
 /// checks, abstract interpretation, helper-signature enforcement,
 /// unreachable-code detection, and loop-bound inference.
 ///
-/// Used directly for hand-built images and for re-verifying the output
-/// of [`crate::vm::specialize_subflow_count`]; the compile pipeline goes
+/// Used directly for hand-built images; the compile pipeline goes
 /// through [`validate_translation`] instead.
 pub fn verify_bytecode(
     prog: &BytecodeProgram,

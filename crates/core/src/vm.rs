@@ -5,10 +5,10 @@
 //! stack bounds, guaranteed termination through the runtime step budget)
 //! and then executed without further checks beyond the step counter.
 //!
-//! Also implements the paper's *constant subflow number* optimization
-//! (§4.1): [`specialize_subflow_count`] patches `SubflowCount` helper
-//! calls to an immediate load for the common case that the number of
-//! subflows has not changed, with the generic image kept as fallback.
+//! The paper's *constant subflow number* optimization (§4.1) is not
+//! reproduced as code patching: `SUBFLOWS.COUNT` stays the `SubflowCount`
+//! helper call of the one image every connection shares, so the only
+//! image that executes is the image that was validated.
 
 use crate::bytecode::{
     AluOp, BytecodeProgram, DebugTable, Helper, Insn, MAX_STACK_SLOTS, NUM_MACH_REGS,
@@ -113,48 +113,6 @@ pub fn verify_with_debug(
         }
     }
     Ok(())
-}
-
-/// Produces a copy of `prog` specialized for a constant subflow count:
-/// every `call SubflowCount` becomes `r0 = n`. The caller must fall back
-/// to the generic image when the live subflow count differs.
-///
-/// In debug builds the patched image is re-verified — structurally and
-/// through the dataflow verifier — so specialized code can never skip
-/// verification.
-pub fn specialize_subflow_count(prog: &BytecodeProgram, n: i64) -> BytecodeProgram {
-    let code = prog
-        .code
-        .iter()
-        .map(|insn| match insn {
-            Insn::Call {
-                helper: Helper::SubflowCount,
-            } => Insn::MovImm { dst: 0, imm: n },
-            other => *other,
-        })
-        .collect();
-    let specialized = BytecodeProgram {
-        code,
-        stack_slots: prog.stack_slots,
-    };
-    debug_assert!(
-        verify(&specialized).is_ok(),
-        "specialized image fails structural verification"
-    );
-    #[cfg(debug_assertions)]
-    {
-        let verdict = crate::verify::vm::verify_bytecode(
-            &specialized,
-            None,
-            &crate::verify::VerifyConfig::default(),
-        );
-        debug_assert!(
-            verdict.admitted(),
-            "specialized image fails bytecode verification: {:?}",
-            verdict.diagnostics
-        );
-    }
-    specialized
 }
 
 /// Executes a verified program against `ctx`, recording per-instruction
@@ -508,52 +466,6 @@ mod tests {
         };
         let err = verify_with_debug(&prog, Some(&debug)).unwrap_err();
         assert_eq!(err.pos, Pos::new(2, 5), "span of the faulty instruction");
-    }
-
-    #[test]
-    fn specialized_images_are_reverified() {
-        // The specialization path re-runs both verifiers in debug builds;
-        // this exercises it over a program with real loops and checks the
-        // patched image still admits.
-        let prog = compile_vm(
-            "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }",
-        );
-        for n in [0, 1, 3, 64] {
-            let spec = specialize_subflow_count(&prog, n);
-            verify(&spec).expect("specialized image verifies structurally");
-            let verdict = crate::verify::vm::verify_bytecode(
-                &spec,
-                None,
-                &crate::verify::VerifyConfig::default(),
-            );
-            assert!(
-                verdict.admitted(),
-                "specialized image (n={n}) rejected: {:?}",
-                verdict.diagnostics
-            );
-        }
-    }
-
-    #[test]
-    fn specialization_replaces_subflow_count() {
-        let prog = compile_vm("SET(R1, SUBFLOWS.COUNT);");
-        let spec = specialize_subflow_count(&prog, 3);
-        assert!(spec.code.iter().all(|i| !matches!(
-            i,
-            Insn::Call {
-                helper: Helper::SubflowCount
-            }
-        )));
-        // Specialized program computes with the constant.
-        let mut env = MockEnv::new();
-        for i in 0..3 {
-            env.add_subflow(i);
-        }
-        let mut ctx = ExecCtx::new(&env, 10_000);
-        execute(&spec, &mut ctx).unwrap();
-        let (regs, actions, _) = ctx.finish();
-        env.apply(&regs, &actions);
-        assert_eq!(env.register(crate::env::RegId::R1), 3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The program lifecycle inside one [`Sim`]: each distinct source
 //! compiles once, every connection naming it shares that program, and
-//! what must stay per connection (budget and certificate overrides, VM
-//! specialization, the parked scheduler of a quarantine) does.
+//! what must stay per connection (budget and certificate overrides, the
+//! parked scheduler of a quarantine) does.
 
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
@@ -9,7 +9,7 @@ use mptcp_sim::{
     PathConfig, SchedulerHandle, SchedulerSpec, Sim, SubflowConfig,
 };
 use progmp_core::env::RegId;
-use progmp_core::{Backend, SchedulerProgram};
+use progmp_core::{Backend, SchedulerInstance, SchedulerProgram};
 
 const MIN_RTT: &str =
     "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
@@ -27,11 +27,15 @@ fn paths(n: usize) -> Vec<SubflowConfig> {
         .collect()
 }
 
-fn program(sim: &Sim, conn: usize) -> &SchedulerProgram {
+fn instance(sim: &Sim, conn: usize) -> &SchedulerInstance {
     match &installed(sim, conn).handle {
-        SchedulerHandle::Dsl(inst) => inst.program(),
+        SchedulerHandle::Dsl(inst) => inst,
         SchedulerHandle::Native(_) => panic!("connection {conn} runs a native scheduler"),
     }
+}
+
+fn program(sim: &Sim, conn: usize) -> &SchedulerProgram {
+    instance(sim, conn).program()
 }
 
 fn installed(sim: &Sim, conn: usize) -> &Installed {
@@ -63,7 +67,15 @@ fn seventy_connections_of_seven_schedulers_load_seven_programs() {
     sim.run_to_completion(120 * SECONDS);
     for c in &sim.connections {
         assert!(c.all_acked(), "connection {} on a shared program", c.id);
+        assert!(c.stats.scheduler_executions > 0);
+        assert_eq!(
+            instance(&sim, c.id).size_bytes(),
+            std::mem::size_of::<SchedulerInstance>(),
+            "connection {} holds a handle, no image of its own",
+            c.id
+        );
     }
+    assert_eq!(sim.loaded_programs(), 7);
 }
 
 #[test]
@@ -146,7 +158,7 @@ fn budget_and_certificate_overrides_stay_per_connection() {
 }
 
 #[test]
-fn vm_specialization_is_per_instance_on_a_shared_program() {
+fn connections_sharing_a_program_each_see_their_own_subflows() {
     let mut sim = Sim::new(3);
     for n in [1, 2] {
         let conn = sim
@@ -167,10 +179,6 @@ fn vm_specialization_is_per_instance_on_a_shared_program() {
             "connection {conn} sends every packet on each of its own subflows: {}",
             c.stats.overhead_ratio()
         );
-        let SchedulerHandle::Dsl(inst) = &installed(&sim, conn).handle else {
-            unreachable!("checked by program()");
-        };
-        assert_eq!(inst.stats().respecializations, 1);
     }
 }
 
@@ -214,6 +222,11 @@ fn readmission_restores_exactly_what_quarantine_parked() {
     );
     assert!(fallback.pops_rq());
 
+    // Re-admission falls between the two sends.
+    sim.run_until(SECONDS - 1);
+    assert_eq!(sim.supervisor().unwrap().state(0), ContainState::Probation);
+    let before_second_send = sim.connections[0].stats.scheduler_executions;
+
     sim.run_to_completion(60 * SECONDS);
     assert!(sim.connections[0].all_acked());
     assert_eq!(sim.supervisor().unwrap().state(0), ContainState::Probation);
@@ -227,11 +240,8 @@ fn readmission_restores_exactly_what_quarantine_parked() {
     assert_eq!(back.cert(), Some(&stolen));
     assert_eq!(back.step_budget, 5_000);
     assert!(!back.pops_rq());
-    let SchedulerHandle::Dsl(inst) = &back.handle else {
-        unreachable!("checked by program()");
-    };
     assert!(
-        inst.stats().executions > 1,
-        "the parked instance itself came back and ran the second send"
+        sim.connections[0].stats.scheduler_executions > before_second_send,
+        "the parked scheduler came back and ran the second send"
     );
 }

@@ -76,8 +76,8 @@ fn main() {
     }
     let stats = api.scheduler_stats(&sim, conn).unwrap();
     println!(
-        "  scheduler: {} executions, {} steps total, backend = vm",
-        stats.executions, c.stats.scheduler_steps
+        "  scheduler: {} executions, {} steps total, {} drops, {} errors, backend = vm",
+        stats.executions, stats.steps, stats.drops, stats.errors
     );
 
     assert!(c.all_acked(), "quickstart transfer must complete");

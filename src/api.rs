@@ -14,7 +14,7 @@
 
 use mptcp_sim::{ConnId, Installed, SchedulerHandle, Sim};
 use progmp_core::env::{RegId, Trigger};
-use progmp_core::{compile_named, Backend, CompileError, InstanceStats, SchedulerProgram};
+use progmp_core::{compile_named, Backend, CompileError, SchedulerProgram};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -45,6 +45,20 @@ impl From<CompileError> for ApiError {
     fn from(e: CompileError) -> Self {
         ApiError::Compile(e)
     }
+}
+
+/// A connection's scheduler execution counters, as
+/// [`ProgMp::scheduler_stats`] reports them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedulerStats {
+    /// Completed executions.
+    pub executions: u64,
+    /// Total steps across all completed executions.
+    pub steps: u64,
+    /// Total `DROP` actions applied.
+    pub drops: u64,
+    /// Executions that ended in an error (their effects were discarded).
+    pub errors: u64,
 }
 
 /// The ProgMP application library: a registry of loaded schedulers plus
@@ -167,13 +181,20 @@ impl ProgMp {
         sim.app_send_at(conn, at, bytes, prop);
     }
 
-    /// Proc-style introspection: the cumulative execution statistics of
-    /// the connection's scheduler instance, when it runs a DSL program.
-    pub fn scheduler_stats(&self, sim: &Sim, conn: ConnId) -> Option<InstanceStats> {
-        match &sim.connections.get(conn)?.installed()?.handle {
-            SchedulerHandle::Dsl(inst) => Some(inst.stats()),
-            SchedulerHandle::Native(_) => None,
-        }
+    /// Proc-style introspection: the scheduler execution counters of
+    /// `conn`, read from the connection's [`mptcp_sim::ConnStats`] — their
+    /// only owner. They are cumulative per connection: a
+    /// [`ProgMp::set_scheduler`] swap or a quarantine and re-admission
+    /// replaces the scheduler, not the counters. `None` for an unknown
+    /// connection.
+    pub fn scheduler_stats(&self, sim: &Sim, conn: ConnId) -> Option<SchedulerStats> {
+        let stats = &sim.connections.get(conn)?.stats;
+        Some(SchedulerStats {
+            executions: stats.scheduler_executions,
+            steps: stats.scheduler_steps,
+            drops: stats.scheduler_drops,
+            errors: stats.scheduler_errors,
+        })
     }
 }
 
@@ -212,6 +233,27 @@ mod tests {
         assert!(sim.connections[conn].all_acked());
         let stats = api.scheduler_stats(&sim, conn).unwrap();
         assert!(stats.executions > 0);
+    }
+
+    #[test]
+    fn scheduler_stats_are_the_connections_counters() {
+        let mut api = ProgMp::new();
+        api.load_scheduler("minRtt", progmp_schedulers::DEFAULT_MIN_RTT)
+            .unwrap();
+        let (mut sim, conn) = sim_with_conn();
+        api.set_scheduler(&mut sim, conn, "minRtt", Backend::Vm)
+            .unwrap();
+        sim.app_send_at(conn, 0, 100_000, 0);
+        sim.run_to_completion(5 * SECONDS);
+        let c = &sim.connections[conn];
+        assert!(c.all_acked());
+        let stats = api.scheduler_stats(&sim, conn).unwrap();
+        assert_eq!(stats.executions, c.stats.scheduler_executions);
+        assert_eq!(stats.steps, c.stats.scheduler_steps);
+        assert_eq!(stats.drops, c.stats.scheduler_drops);
+        assert_eq!(stats.errors, c.stats.scheduler_errors);
+        assert!(stats.executions > 0 && stats.steps > 0, "{stats:?}");
+        assert!(api.scheduler_stats(&sim, conn + 1).is_none());
     }
 
     #[test]

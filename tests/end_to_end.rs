@@ -54,7 +54,8 @@ fn application_defined_scheduler_end_to_end() {
         "strict failover never touches the secondary while the primary lives"
     );
     let stats = api.scheduler_stats(&sim, conn).unwrap();
-    assert!(stats.executions > 100);
+    assert!(stats.executions > 100 && stats.steps > stats.executions);
+    assert_eq!((stats.drops, stats.errors), (0, 0));
 }
 
 #[test]
