@@ -65,13 +65,19 @@ cargo build -q --release -p progmp-conformance --bin conformance-fuzz
 echo "==> containment regression suite (supervisor + end-to-end fault classes)"
 cargo test -q --release -p mptcp-sim --test containment
 
-echo "==> bench smoke: every experiment binary in --smoke mode"
-cargo build -q --release -p progmp-bench --bins
-for bin in crates/bench/src/bin/*.rs; do
-  name="$(basename "$bin" .rs)"
-  echo "    -> $name --smoke"
-  "./target/release/$name" --smoke > /dev/null
+echo "==> one experiment vocabulary: two bench binaries, no per-experiment ok()/smoke switch, every experiment keyed in EXPERIMENTS.md"
+[ "$(ls crates/bench/src/bin | xargs)" = "progmp_exp.rs scale_fleet.rs" ] || { echo "crates/bench/src/bin/ holds more than progmp_exp.rs and scale_fleet.rs (add a row to EXPERIMENTS instead)"; exit 1; }
+stray="$(grep -rlE 'fn ok\(|smoke\(\)' crates/bench/src | grep -v scale || true)"
+[ -z "$stray" ] || { echo "a private ok() or a smoke() switch is back in: $stray (shapes go through Shape, experiments have one size)"; exit 1; }
+for name in $(sed -n 's/^        name: "\(.*\)",$/\1/p' crates/bench/src/experiment.rs); do
+  grep -q "^#.*\`$name\`" EXPERIMENTS.md || { echo "EXPERIMENTS.md has no section keyed \`$name\`"; exit 1; }
 done
+
+echo "==> paper tier: every experiment at full size, deterministic shapes equal to the committed BENCH_paper.json"
+cargo build -q --release -p progmp-bench --bins
+paper_out="$(mktemp)"
+./target/release/progmp-exp --json "$paper_out" --against BENCH_paper.json | tail -n 1
+rm -f "$paper_out"
 
 echo "==> scale tier: full scale_fleet sweep, events and digests equal to the committed BENCH_scale.json"
 scale_out="$(mktemp)"

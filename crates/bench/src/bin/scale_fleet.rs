@@ -13,8 +13,26 @@
 //! the same key in that (committed) file; `--smoke` runs a reduced sweep
 //! that is written only where `--json` says, never over the trajectory.
 
-use progmp_bench::report::{json_out, path_arg, smoke, Json};
+use progmp_bench::report::Json;
 use progmp_bench::scale::{check_against_committed, run_scale, validate_scale_report, ScaleConfig};
+use std::path::PathBuf;
+
+/// Whether the binary was invoked with `--smoke`: run the reduced
+/// CI-speed sweep instead of the full one.
+fn smoke() -> bool {
+    std::env::args().any(|a| a == "--smoke")
+}
+
+/// The path following `flag` on the command line, if given.
+fn path_arg(flag: &str) -> Option<PathBuf> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == flag {
+            return args.next().map(PathBuf::from);
+        }
+    }
+    None
+}
 
 fn main() {
     let cfg = if smoke() {
@@ -33,7 +51,7 @@ fn main() {
     validate_scale_report(&doc).expect("schema-valid scale report");
 
     let default_path = (!smoke()).then(|| "BENCH_scale.json".into());
-    if let Some(path) = json_out().or(default_path) {
+    if let Some(path) = path_arg("--json").or(default_path) {
         std::fs::write(&path, &text).expect("write scale report");
         println!("\nwrote {} (schema-valid)", path.display());
     }

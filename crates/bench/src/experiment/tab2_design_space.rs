@@ -1,11 +1,7 @@
-//! Table 2 — the MPTCP scheduler design space. Every row of the paper's
-//! catalogue maps to a bundled scheduler; this binary lists them, their
-//! specification size (the paper's usability argument: the in-kernel
-//! round robin alone is 301 lines of C), and smoke-runs each of them in
-//! the simulator to prove the whole catalogue is executable.
-
-use mptcp_sim::time::{from_millis, SECONDS};
-use mptcp_sim::{ConnectionConfig, PathConfig, SchedulerSpec, Sim, SubflowConfig};
+use super::{int, text, Outcome, Shape, Table};
+use crate::{path, source_of};
+use mptcp_sim::time::SECONDS;
+use mptcp_sim::{ConnectionConfig, SchedulerSpec, Sim};
 use progmp_core::env::RegId;
 use progmp_schedulers as sched;
 
@@ -79,23 +75,16 @@ const CATALOGUE: &[(&str, &str, &str)] = &[
     ),
 ];
 
-fn smoke_run(name: &str) -> bool {
-    let source = sched::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-        .expect("catalogue names exist");
+/// Whether the scheduler called `name` carries a 50 KB transfer to
+/// completion in the simulator.
+fn delivers(name: &str) -> bool {
     let mut sim = Sim::new(5);
     let cfg = ConnectionConfig::new(
-        vec![
-            SubflowConfig::new(PathConfig::symmetric(from_millis(10), 1_250_000)),
-            SubflowConfig::new(PathConfig::symmetric(from_millis(40), 1_250_000)).with_cost(1),
-        ],
-        SchedulerSpec::dsl(source),
+        vec![path(10, 1_250_000), path(40, 1_250_000).with_cost(1)],
+        SchedulerSpec::dsl(source_of(name)),
     );
-    let conn = match sim.add_connection(cfg) {
-        Ok(c) => c,
-        Err(_) => return false,
+    let Ok(conn) = sim.add_connection(cfg) else {
+        return false;
     };
     // Generic intents so every scheduler has what it needs.
     sim.set_register_at(conn, 0, RegId::R1, 4_000_000);
@@ -106,17 +95,20 @@ fn smoke_run(name: &str) -> bool {
     sim.connections[conn].all_acked()
 }
 
-fn main() {
-    if progmp_bench::report::smoke() {
-        // One bounded run per catalogue entry; already CI-sized.
-        println!("(smoke: full catalogue, already CI-sized)");
-    }
-    println!("=== Table 2: the executable scheduler design-space catalogue ===\n");
-    println!(
-        "{:<18} {:<42} {:<22} {:>5} {:>6} {:>10} {:>6}",
-        "category", "goal / approach", "scheduler", "LOC", "regs", "queues", "runs"
+pub fn run() -> Outcome {
+    let mut table = Table::new(
+        "the executable scheduler design-space catalogue",
+        &[
+            "category",
+            "goal / approach",
+            "scheduler",
+            "LOC",
+            "regs",
+            "queues",
+            "runs",
+        ],
     );
-    let mut all_ok = true;
+    let mut delivered = 0;
     for (cat, goal, name) in CATALOGUE {
         let program = sched::load(name).expect("bundled schedulers compile");
         let loc = program
@@ -126,40 +118,36 @@ fn main() {
             .count();
         // Static audit (the multi-tenancy admission view).
         let audit = program.analyze();
-        let regs: String = audit
+        let regs: Vec<String> = audit
             .registers_read
             .union(&audit.registers_written)
             .map(|r| r.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let queues: String = audit
-            .queues_read
-            .iter()
-            .copied()
-            .collect::<Vec<_>>()
-            .join(",");
-        let ok = smoke_run(name);
-        all_ok &= ok;
-        println!(
-            "{:<18} {:<42} {:<22} {:>5} {:>6} {:>10} {:>6}",
-            cat,
-            goal,
-            name,
-            loc,
-            if regs.is_empty() {
-                "-".into()
+            .collect();
+        let queues: Vec<&str> = audit.queues_read.iter().copied().collect();
+        let ok = delivers(name);
+        delivered += usize::from(ok);
+        table.row(vec![
+            text(*cat),
+            text(*goal),
+            text(*name),
+            int(loc as u64),
+            text(if regs.is_empty() {
+                "-".to_string()
             } else {
-                format!("R{regs}")
-            },
-            queues,
-            if ok { "ok" } else { "FAIL" }
-        );
+                format!("R{}", regs.join(","))
+            }),
+            text(queues.join(",")),
+            text(if ok { "ok" } else { "FAIL" }),
+        ]);
     }
-    println!(
-        "\n  [{}] every design-space entry is specified, compiled, verified, and delivers data end-to-end",
-        if all_ok { "ok" } else { "??" }
-    );
-    println!(
-        "  usability reference: the kernel's C round robin is 301 LOC; the ProgMP versions above are 10-35 lines."
-    );
+    Outcome {
+        tables: vec![table],
+        shapes: vec![Shape::sim(
+        "every design-space entry is specified, compiled, verified, and delivers data end-to-end",
+        "every catalogue entry is expressible; the in-kernel round robin alone is 301 lines of C \
+         (the ProgMP versions are 3-43 lines)",
+        format!("{delivered}/{} deliver", CATALOGUE.len()),
+        delivered == CATALOGUE.len(),
+    )],
+    }
 }

@@ -1,9 +1,9 @@
 //! Before/after measurement of the verified bytecode optimizer
 //! ([`progmp_core::opt`]) over the seven paper schedulers.
 //!
-//! Two benches share these numbers: `tab_upcall_overhead` reports the
-//! per-upcall executed-instruction reduction next to the §4.1
-//! calling-model comparison, and `scale_fleet` pins them into the
+//! Two benches share these numbers: the `tab_upcall_overhead`
+//! experiment reports the per-upcall executed-instruction reduction next
+//! to the §4.1 calling-model comparison, and `scale_fleet` pins them into the
 //! `BENCH_scale.json` meta so the performance-trajectory baseline
 //! records which image generation it was measured against.
 //!
@@ -14,7 +14,7 @@
 
 use crate::report::Json;
 use crate::scale::PAPER_SCHEDULERS;
-use progmp_core::env::{QueueKind, RegId, SubflowProp};
+use progmp_core::env::RegId;
 use progmp_core::exec::ExecCtx;
 use progmp_core::testenv::MockEnv;
 use progmp_core::{Backend, CompileOptions};
@@ -44,15 +44,7 @@ pub struct OptMeasurement {
 /// measured on; `tap`/`targetRtt` get their tuning register set the way
 /// the scale scenarios set it.
 fn bench_env(scheduler: &str) -> MockEnv {
-    let mut env = MockEnv::new();
-    for i in 0..2 {
-        env.add_subflow(i);
-        env.set_subflow_prop(i, SubflowProp::Rtt, 10_000 + i64::from(i) * 5_000);
-        env.set_subflow_prop(i, SubflowProp::Cwnd, 100);
-    }
-    for p in 0..8u64 {
-        env.push_packet(QueueKind::SendQueue, 100 + p, 1400 * p as i64, 1400);
-    }
+    let mut env = crate::mock_env(2, 8);
     match scheduler {
         "tap" => env.set_register(RegId::R1, 1_000_000),
         "targetRtt" => env.set_register(RegId::R1, 40_000),
@@ -74,11 +66,7 @@ fn executed_insns(program: &progmp_core::SchedulerProgram, scheduler: &str) -> u
 /// Compiles `scheduler` with and without the bytecode optimizer and runs
 /// one upcall of each image on the shared decision point.
 pub fn measure(scheduler: &'static str) -> OptMeasurement {
-    let source = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == scheduler)
-        .map(|(_, s)| *s)
-        .unwrap_or_else(|| panic!("bundled scheduler {scheduler} not found"));
+    let source = crate::source_of(scheduler);
     let compile = |optimize: bool| {
         progmp_core::compile_with_options(
             Some(scheduler),

@@ -1,45 +1,14 @@
-//! Shared machine-readable reporting for the experiment binaries.
+//! Shared machine-readable reporting for the two bench binaries.
 //!
-//! Every `src/bin/` binary prints its human-readable table as before;
-//! this module adds the common plumbing around it:
-//!
-//! * [`smoke`] — `--smoke` flag detection, the CI fast path: run a
-//!   drastically reduced parameter sweep that still exercises every
-//!   code path and emits schema-valid output;
-//! * [`json_out`] — `--json PATH` output redirection;
 //! * [`Report`] — a name + metadata + rows document rendered as JSON
 //!   ([`Json`]) with a hand-rolled renderer/parser (the workspace takes
-//!   no serde dependency), so results like `BENCH_scale.json` are
-//!   diffable across commits and parseable by the validation tests;
+//!   no serde dependency), so `BENCH_scale.json` and `BENCH_paper.json`
+//!   are diffable across commits and parseable by the validation tests;
 //! * [`peak_rss_bytes`] — peak resident set size from
 //!   `/proc/self/status` for the memory columns of the scale tier.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::PathBuf;
-
-/// Whether the binary was invoked with `--smoke`: run the reduced
-/// CI-speed sweep instead of the full experiment.
-pub fn smoke() -> bool {
-    std::env::args().any(|a| a == "--smoke")
-}
-
-/// The path following `flag` on the command line, if given.
-pub fn path_arg(flag: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next().map(PathBuf::from);
-        }
-    }
-    None
-}
-
-/// The `--json PATH` argument, if given: where to write the
-/// machine-readable report alongside the printed table.
-pub fn json_out() -> Option<PathBuf> {
-    path_arg("--json")
-}
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`); `None` off Linux or on parse failure.
@@ -406,17 +375,6 @@ impl Report {
         let mut s = self.to_json().render();
         s.push('\n');
         s
-    }
-
-    /// Writes the rendered report to `--json PATH` if the flag was
-    /// given, and says so on stdout. Returns whether a file was written.
-    pub fn write_if_requested(&self) -> std::io::Result<bool> {
-        let Some(path) = json_out() else {
-            return Ok(false);
-        };
-        std::fs::write(&path, self.render())?;
-        println!("\nwrote {} ({} rows)", path.display(), self.rows.len());
-        Ok(true)
     }
 }
 

@@ -82,11 +82,7 @@ impl ScaleConfig {
 /// clean hot path; chaos lives in the soak tier.
 pub fn scale_scenario(global: usize, seed: u64, flow_bytes: u64) -> ConnScenario {
     let scheduler = PAPER_SCHEDULERS[global % PAPER_SCHEDULERS.len()];
-    let source = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == scheduler)
-        .map(|(_, s)| *s)
-        .expect("known scheduler");
+    let source = crate::source_of(scheduler);
     let subflows = vec![
         SubflowConfig::new(PathConfig::symmetric(from_millis(5 + seed % 40), 1_250_000)),
         SubflowConfig::new(PathConfig::symmetric(
