@@ -34,6 +34,15 @@ echo "==> transport cost independent of backlog: no whole-queue scan of Q or of 
 ! grep -nE 'self\.q\.retain\(|departures\.retain|departures\.iter\(\)\.filter' crates/sim/src/connection.rs crates/sim/src/path.rs \
   || { echo "a linear scan is back on the send/ack path (Q ascends in seq, departures never descend: remove by position)"; exit 1; }
 
+echo "==> one scheduler-fault route, one connection clock: the oracle has no containment mode, Supervisor::on_fault and check_properties each have one call in engine.rs, a connection's clock at most two writes"
+! grep -rnE 'contain_scheduler_faults|pending_faults|take_pending_faults|report_scheduler_fault' crates/ \
+  || { echo "the oracle knows about containment again (the engine routes, the oracle only observes: Sim::scheduler_fault)"; exit 1; }
+for call in '\.on_fault(' 'check_properties('; do
+  [ "$(grep -c "$call" crates/sim/src/engine.rs)" -eq 1 ] || { echo "engine.rs must call $call exactly once (Sim::scheduler_fault / Sim::run_round)"; exit 1; }
+done
+[ "$(grep -cE '(connections\[[^]]*\]|\bc)\.now = ' crates/sim/src/engine.rs)" -le 2 ] \
+  || { echo "a connection's clock is written in Sim::step and, for callers outside the event loop, in Sim::run_scheduler: nowhere else"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

@@ -12,7 +12,7 @@
 //!   often than the closed-form duplication bound evaluated at the
 //!   actual subflow count, and a proved-guarded program must never
 //!   observe a `NULL` pop. The dynamic checks are the *simulator
-//!   oracle's own* ([`mptcp_sim::oracle::InvariantOracle::check_properties`]),
+//!   oracle's own* ([`mptcp_sim::oracle::check_properties`]),
 //!   so the sweep cross-validates the static analysis against the same
 //!   code path the chaos tier arms.
 //! * **Sensitivity** ([`probes`]): each
@@ -27,12 +27,12 @@
 
 use crate::gen::{EnvSpec, Generator, SubflowSpec};
 use crate::tier::{Probe, Report};
-use mptcp_sim::oracle::{InvariantOracle, OracleViolation, PropObservation};
+use mptcp_sim::oracle::{check_properties, PropObservation};
 use progmp_core::env::{QueueKind, SubflowProp};
 use progmp_core::exec::ExecCtx;
 use progmp_core::testenv::MockEnv;
 use progmp_core::verify::props::PropWeakening;
-use progmp_core::{Backend, CompileOptions, PropertyCertificate, SchedulerProgram};
+use progmp_core::{Backend, CompileOptions, SchedulerProgram};
 
 /// Runs `program` once on `backend` against a fresh copy of `env`,
 /// returning the oracle observation (or `None` on a runtime error).
@@ -44,14 +44,6 @@ fn observe(program: &SchedulerProgram, backend: Backend, env: &MockEnv) -> Optio
     instance.execute_raw(&mut ctx).ok()?;
     let (_regs, actions, stats) = ctx.finish();
     Some(pre.after(&actions, &stats))
-}
-
-/// Checks one observed execution against `cert` through the simulator
-/// oracle, returning what it flags.
-fn check_observation(cert: &PropertyCertificate, obs: &PropObservation) -> Vec<OracleViolation> {
-    let mut oracle = InvariantOracle::new("prop-soundness", false);
-    oracle.check_properties(0, 0, cert, obs);
-    oracle.violations
 }
 
 /// Checks one seed: generates a program and a random environment,
@@ -112,7 +104,7 @@ pub fn check_seed(seed: u64, relational: bool, out: &mut Report) {
     for backend in Backend::ALL {
         match observe(&program, backend, &spec.build()) {
             Some(obs) => {
-                for v in check_observation(cert, &obs) {
+                for v in check_properties(0, 0, cert, &obs) {
                     let context = format!("backend {}, invariant {}", backend.name(), v.invariant);
                     out.finding(seed, context, v.detail, &source);
                 }
@@ -238,7 +230,7 @@ pub fn probes() -> Vec<Probe> {
         let flagged = |program: &SchedulerProgram, backend: Backend| {
             let obs = observe(program, backend, &spec.build())
                 .unwrap_or_else(|| panic!("weakening case {} must execute", weakening.name()));
-            check_observation(program.property_certificate(), &obs)
+            check_properties(0, 0, program.property_certificate(), &obs)
         };
         let weakened = compile(Some(weakening));
         let clean = compile(None);

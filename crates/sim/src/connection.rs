@@ -4,9 +4,10 @@
 
 use crate::cc::{lia_alpha_x1024, CcAlgo};
 use crate::packet::SegmentSlab;
+use crate::path::TxOutcome;
 use crate::receiver::Receiver;
 use crate::stats::ConnStats;
-use crate::subflow::{Subflow, TxRec};
+use crate::subflow::{Subflow, Timer, TxRec};
 use crate::time::SimTime;
 use progmp_core::env::{
     Action, PacketProp, PacketRef, QueueKind, RegId, SchedulerEnv, SubflowId, SubflowProp,
@@ -139,18 +140,33 @@ impl SendQueue {
     }
 }
 
-/// What an acknowledgement did, so the engine can schedule follow-ups.
+/// What an acknowledgement or a timeout did, so the engine can schedule
+/// follow-ups.
 #[derive(Debug, Default)]
 pub struct AckOutcome {
-    /// Retransmission-timer action.
-    pub rearm_rto_at: Option<SimTime>,
-    /// Disarm the timer (nothing in flight).
+    /// The retransmission timer, when it was re-armed.
+    pub rearm_rto: Option<Timer>,
+    /// The timer was disarmed (nothing in flight).
     pub disarm_rto: bool,
     /// Packets the subflow must auto-retransmit on itself (fast
     /// retransmit), as (packet, existing subflow seq).
     pub auto_retransmit: Vec<(PacketRef, u64)>,
     /// Whether a loss was suspected (packets entered `RQ`).
     pub loss_suspected: bool,
+}
+
+/// What one transmission leaves for the engine to schedule.
+#[derive(Debug)]
+pub struct Transmitted {
+    /// The segment reaches the receiver, as `(at, subflow seq, data seq,
+    /// size)`; `None` when it was lost on the wire or tail-dropped.
+    pub arrival: Option<(SimTime, u64, u64, u32)>,
+    /// When the packet leaves the egress queue; `None` when tail-dropped.
+    pub departs: Option<SimTime>,
+    /// The retransmission timer, when this transmission armed it.
+    pub rto: Option<Timer>,
+    /// The tail-loss probe, when this transmission armed it.
+    pub tlp: Option<Timer>,
 }
 
 /// Sender-side state of one MPTCP connection.
@@ -180,18 +196,14 @@ pub struct Connection {
     pub cc_algo: CcAlgo,
     /// Maximum segment size.
     pub mss: u32,
-    /// Simulation time as seen by property reads; kept current by the
-    /// engine before each scheduler execution.
+    /// Simulation time as seen by property reads: the time of the event
+    /// being handled, written by the engine before it dispatches.
     pub now: SimTime,
     next_data_seq: u64,
     /// Meta-level cumulative acknowledged bytes.
     pub data_acked: u64,
     /// Last advertised receive window (bytes).
     pub adv_rwnd: u64,
-    /// Transmissions requested through [`SchedulerEnv::apply`] and not
-    /// yet taken (the engine bypasses this list, see
-    /// [`Connection::apply_actions`]).
-    pending_tx: Vec<(SubflowId, PacketRef)>,
     /// Measurement state.
     pub stats: ConnStats,
     /// Compressed-execution round limit per trigger.
@@ -238,7 +250,6 @@ impl Connection {
             next_data_seq: 0,
             data_acked: 0,
             adv_rwnd: recv_buf,
-            pending_tx: Vec::new(),
             stats: ConnStats::new(n),
             max_sched_rounds: 256,
             record_timelines: false,
@@ -408,11 +419,10 @@ impl Connection {
                 sbf.cc.on_ack(pkts, factor);
             }
             sbf.cc.maybe_exit_recovery(sbf_ack);
-            sbf.rto_token += 1;
             if sbf.in_flight() > 0 {
-                sbf.rto_armed = true;
-                out.rearm_rto_at = Some(now + sbf.rtt.rto());
+                out.rearm_rto = Some(sbf.arm_rto(now));
             } else {
+                sbf.rto_token += 1;
                 sbf.rto_armed = false;
                 out.disarm_rto = true;
             }
@@ -439,8 +449,9 @@ impl Connection {
 
     /// Handles a retransmission-timeout on `sbf_idx`: every in-flight
     /// segment becomes loss-suspected (entering `RQ`), the window
-    /// collapses, and the oldest segment is retransmitted on the subflow.
-    pub fn handle_rto(&mut self, sbf_idx: usize, _now: SimTime) -> AckOutcome {
+    /// collapses, the oldest segment is retransmitted on the subflow, and
+    /// the timer is re-armed with the backed-off RTO.
+    pub fn handle_rto(&mut self, sbf_idx: usize, now: SimTime) -> AckOutcome {
         let mut out = AckOutcome::default();
         let sbf = &mut self.subflows[sbf_idx];
         if sbf.in_flight() == 0 {
@@ -450,6 +461,7 @@ impl Connection {
         }
         sbf.cc.on_timeout(sbf.next_seq);
         sbf.rtt.backoff();
+        out.rearm_rto = Some(sbf.arm_rto(now));
         self.stats.subflows[sbf_idx].timeouts += 1;
         let in_flight: Vec<(PacketRef, u64)> =
             sbf.sent.iter().map(|r| (r.pkt, r.sbf_seq)).collect();
@@ -525,9 +537,12 @@ impl Connection {
     }
 
     /// Marks a subflow established/closed. In-flight segments of a closing
-    /// subflow become loss-suspected.
-    pub fn set_subflow_established(&mut self, sbf_idx: usize, up: bool) {
-        let sbf = &mut self.subflows[sbf_idx];
+    /// subflow become loss-suspected. Returns `false`, having done
+    /// nothing, when the connection has no subflow `sbf_idx`.
+    pub fn set_subflow_established(&mut self, sbf_idx: usize, up: bool) -> bool {
+        let Some(sbf) = self.subflows.get_mut(sbf_idx) else {
+            return false;
+        };
         sbf.established = up;
         if !up {
             let drained = sbf.drain_in_flight();
@@ -538,16 +553,11 @@ impl Connection {
             }
         }
         self.refresh_active();
-    }
-
-    /// Drains the transmissions requested through [`SchedulerEnv::apply`].
-    pub fn take_pending_tx(&mut self) -> Vec<(SubflowId, PacketRef)> {
-        std::mem::take(&mut self.pending_tx)
+        true
     }
 
     /// Applies the effects of one completed execution, appending the
-    /// transmissions it requests to `tx`. [`SchedulerEnv::apply`] is this
-    /// with the connection's own list; the engine passes one list it
+    /// transmissions it requests to `tx`; the engine passes one list it
     /// reuses for every connection.
     pub fn apply_actions(
         &mut self,
@@ -583,6 +593,60 @@ impl Connection {
                 }
             }
         }
+    }
+
+    /// Puts `pkt` on the wire of subflow `sbf_idx`: the path decides its
+    /// fate (loss and jitter draws come from the path's own stream), the
+    /// subflow records it in flight and arms the timers that were idle.
+    /// `reuse_seq` marks a TCP-level retransmission of an existing
+    /// subflow sequence number. `None` when the segment is unknown or the
+    /// subflow is down.
+    pub fn transmit(
+        &mut self,
+        sbf_idx: usize,
+        pkt: PacketRef,
+        now: SimTime,
+        reuse_seq: Option<u64>,
+    ) -> Option<Transmitted> {
+        let seg = self.segments.get(pkt)?;
+        let (size, data_seq) = (seg.size, seg.seq);
+        if !self.subflows[sbf_idx].established {
+            return None;
+        }
+        let outcome = self.subflows[sbf_idx].path.transmit(now, size);
+        let sbf_seq = self.record_tx(sbf_idx, pkt, size, now, reuse_seq);
+        self.stats.tx_packets += 1;
+        self.stats.tx_bytes += u64::from(size);
+        let ss = &mut self.stats.subflows[sbf_idx];
+        ss.tx_packets += 1;
+        ss.tx_bytes += u64::from(size);
+        if reuse_seq.is_some() {
+            ss.retransmissions += 1;
+        }
+        let (arrival, departs) = match outcome {
+            TxOutcome::Arrives { at, departs } => {
+                (Some((at, sbf_seq, data_seq, size)), Some(departs))
+            }
+            TxOutcome::LostOnWire { departs } => {
+                ss.wire_losses += 1;
+                (None, Some(departs))
+            }
+            TxOutcome::QueueDrop => {
+                ss.queue_drops += 1;
+                (None, None)
+            }
+        };
+        if self.record_timelines {
+            self.stats.tx_timeline.push((now, sbf_idx as u32, size));
+        }
+        let s = &mut self.subflows[sbf_idx];
+        s.last_activity = now;
+        Some(Transmitted {
+            arrival,
+            departs,
+            rto: (!s.rto_armed).then(|| s.arm_rto(now)),
+            tlp: (!s.tlp_armed).then(|| s.arm_tlp(now + s.pto())),
+        })
     }
 
     /// Records a transmission in the subflow's in-flight list; returns the
@@ -706,10 +770,11 @@ impl SchedulerEnv for Connection {
         self.registers
     }
 
+    /// The queue and register effects only: nothing is transmitted. The
+    /// engine goes through [`Connection::apply_actions`] to learn what to
+    /// put on the wire.
     fn apply(&mut self, registers: &[i64; NUM_REGISTERS], actions: &[Action]) {
-        let mut tx = std::mem::take(&mut self.pending_tx);
-        self.apply_actions(registers, actions, &mut tx);
-        self.pending_tx = tx;
+        self.apply_actions(registers, actions, &mut Vec::new());
     }
 }
 
@@ -1031,14 +1096,16 @@ mod tests {
         let pkts = c.enqueue_data(1400, 0, 0);
         c.set_subflow_established(1, false);
         let regs = [0i64; NUM_REGISTERS];
-        c.apply(
+        let mut tx = Vec::new();
+        c.apply_actions(
             &regs,
             &[Action::Push {
                 subflow: SubflowId(1),
                 packet: pkts[0],
             }],
+            &mut tx,
         );
         assert_eq!(c.queue(QueueKind::SendQueue).len(), 1);
-        assert!(c.take_pending_tx().is_empty());
+        assert!(tx.is_empty());
     }
 }

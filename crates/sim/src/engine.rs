@@ -13,11 +13,13 @@ use crate::calendar::CalendarQueue;
 use crate::config::{ConnectionConfig, SchedulerSpec};
 use crate::connection::{Connection, Installed, SchedulerHandle};
 use crate::faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
-use crate::oracle::{InvariantOracle, OracleViolation, PropObservation};
+use crate::oracle::{
+    check_properties, check_quiescent, InvariantOracle, OracleViolation, PropObservation,
+};
 use crate::path::{Path, PathProfileEntry};
 use crate::pathman::{PathManager, PmAction};
 use crate::receiver::Receiver;
-use crate::subflow::Subflow;
+use crate::subflow::{Subflow, Timer};
 use crate::supervisor::{
     classify_exec_error, fallback_program, ContainState, ContainmentConfig, FaultAction,
     FaultClass, IncidentReport, Supervisor,
@@ -25,7 +27,7 @@ use crate::supervisor::{
 use crate::time::SimTime;
 use progmp_core::env::{PacketRef, RegId, SchedulerEnv, SubflowId, Trigger};
 use progmp_core::exec::{ExecCtx, ExecScratch};
-use progmp_core::{compile, subflow_available, Backend, CompileError, SchedulerProgram};
+use progmp_core::{compile, subflow_available, Backend, CompileError, ExecStats, SchedulerProgram};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
@@ -200,26 +202,21 @@ impl Sim {
     /// (the replay seed) and the trailing event log; otherwise violations
     /// collect and are readable via [`Sim::oracle_violations`].
     pub fn enable_oracle(&mut self, label: impl Into<String>, panic_on_violation: bool) {
-        let mut oracle = InvariantOracle::new(label, panic_on_violation);
-        oracle.contain_scheduler_faults = self.supervisor.is_some();
-        self.oracle = Some(oracle);
+        self.oracle = Some(InvariantOracle::new(label, panic_on_violation));
     }
 
     /// Attaches the containment supervisor (see [`crate::supervisor`]):
     /// scheduler faults — backend errors, oracle-detected property
     /// violations, progress stalls — quarantine the offending program
     /// behind the built-in fallback instead of failing the run. Call
-    /// before the simulation starts; an attached oracle switches its
-    /// scheduler-fault invariants to containment routing.
+    /// before the simulation starts, before or after
+    /// [`Sim::enable_oracle`]: neither touches the other's state.
     pub fn enable_containment(&mut self, cfg: ContainmentConfig) {
         let mut sup = Supervisor::new(self.seed, cfg);
         for (i, c) in self.connections.iter().enumerate() {
             sup.register(i, c.identity);
         }
         self.supervisor = Some(sup);
-        if let Some(o) = self.oracle.as_mut() {
-            o.contain_scheduler_faults = true;
-        }
     }
 
     /// The containment supervisor, when attached.
@@ -543,22 +540,23 @@ impl Sim {
         }
     }
 
-    /// Pops the next event, dispatches it, and has the oracle re-check
-    /// the one connection it touched. The connection is resolved only
-    /// with an oracle attached, so an unarmed run pays nothing for it.
-    /// `dispatch` is called from this one place on purpose: an early
-    /// return through a second call for the unarmed case measured 5 %
-    /// slower on the unarmed `fleet_bulk` benchmark workload.
+    /// Pops the next event, stamps its time on the simulator and on the
+    /// one connection it names, dispatches it, and has the oracle re-check
+    /// that connection. `dispatch` is called from this one place on
+    /// purpose: an early return through a second call for the unarmed
+    /// case measured 5 % slower on the unarmed `fleet_bulk` benchmark
+    /// workload.
     fn step(&mut self) {
         let (time, kind) = self.queue.pop().expect("caller peeked");
         self.now = time;
         self.events_processed += 1;
-        let touched = self.oracle.as_mut().map(|oracle| {
+        let conn = kind.conn();
+        self.connections[conn].now = time;
+        if let Some(oracle) = self.oracle.as_mut() {
             oracle.log_event(time, &kind);
-            kind.conn()
-        });
+        }
         self.dispatch(kind);
-        if let (Some(oracle), Some(conn)) = (self.oracle.as_mut(), touched) {
+        if let Some(oracle) = self.oracle.as_mut() {
             oracle.check(time, &self.connections[conn]);
         }
     }
@@ -592,34 +590,25 @@ impl Sim {
 
     /// Runs until the event queue drains or `max_time` is reached. When
     /// the queue fully drains with the oracle attached, the quiescent
-    /// eventual-progress invariant is checked as well.
+    /// eventual-progress invariant is checked as well; a supervisor
+    /// quarantines whoever fails it, and the run goes on for as long as
+    /// a fallback has stranded data to drain.
     pub fn run_to_completion(&mut self, max_time: SimTime) {
         loop {
             self.run_events(max_time);
             self.oracle_sweep();
-            if !self.queue.is_empty() {
-                // Horizon reached with events still pending: quiescent
-                // checks do not apply.
+            if !self.queue.is_empty() || self.oracle.is_none() {
+                // Horizon reached with events still pending, or nobody
+                // watching: quiescent checks do not apply.
                 return;
             }
-            if let Some(oracle) = self.oracle.as_mut() {
-                for conn in &self.connections {
-                    oracle.check_quiescent(self.now, conn);
-                }
-            }
-            // Under containment the quiescent check queued any
-            // eventual-progress violation instead of reporting it; the
-            // supervisor quarantines the offender and the fallback gets
-            // a chance to drain the stranded data.
             let mut swapped = false;
-            if self.supervisor.is_some() {
-                let pending = self
-                    .oracle
-                    .as_mut()
-                    .map(|o| o.take_pending_faults())
-                    .unwrap_or_default();
-                for (conn, invariant) in pending {
-                    if self.contain_fault(conn, FaultClass::OracleViolation { invariant }, None) {
+            for conn in 0..self.connections.len() {
+                if let Some(v) = check_quiescent(self.now, &self.connections[conn]) {
+                    let class = FaultClass::OracleViolation {
+                        invariant: v.invariant,
+                    };
+                    if self.scheduler_fault(conn, class, None, vec![v]) {
                         self.run_scheduler(conn);
                         swapped = true;
                     }
@@ -631,18 +620,12 @@ impl Sim {
         }
     }
 
+    /// Routes the event to its handler; handles nothing itself.
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::AppData { conn, bytes, prop } => {
-                let now = self.now;
-                self.connections[conn].now = now;
-                self.connections[conn].enqueue_data(bytes, prop, now);
-                self.arm_stall_watchdog(conn);
-                self.run_scheduler(conn);
-            }
+            EventKind::AppData { conn, bytes, prop } => self.handle_data(conn, bytes, prop),
             EventKind::SetRegister { conn, reg, value } => {
-                self.connections[conn].set_register_direct(reg, value);
-                self.run_scheduler(conn);
+                self.handle_set_register(conn, reg, value)
             }
             EventKind::Arrival {
                 conn,
@@ -651,339 +634,337 @@ impl Sim {
                 data_seq,
                 pkt,
                 size,
-            } => {
-                let now = self.now;
-                let c = &mut self.connections[conn];
-                let res = c
-                    .receiver
-                    .on_arrival(sbf as usize, sbf_seq, data_seq, pkt, size);
-                if res.delivered_bytes > 0 {
-                    c.stats.delivered_bytes += res.delivered_bytes;
-                    if c.record_timelines {
-                        c.stats
-                            .delivery_timeline
-                            .push((now, c.receiver.delivered_total));
-                    }
-                }
-                let rwnd = c.receiver.rwnd();
-                let rev_delay = c.subflows[sbf as usize].path.rev_delay;
-                self.schedule(
-                    now + rev_delay,
-                    EventKind::Ack {
-                        conn,
-                        sbf,
-                        sbf_ack: res.sbf_ack,
-                        data_ack: res.data_ack,
-                        rwnd,
-                    },
-                );
-            }
+            } => self.handle_arrival(conn, sbf, sbf_seq, data_seq, pkt, size),
             EventKind::Ack {
                 conn,
                 sbf,
                 sbf_ack,
                 data_ack,
                 rwnd,
-            } => {
-                let now = self.now;
-                self.connections[conn].now = now;
-                let out =
-                    self.connections[conn].handle_ack(sbf as usize, sbf_ack, data_ack, rwnd, now);
-                for (pkt, seq) in &out.auto_retransmit {
-                    self.transmit(conn, sbf as usize, *pkt, Some(*seq));
-                }
-                if let Some(at) = out.rearm_rto_at {
-                    let token = self.connections[conn].subflows[sbf as usize].rto_token;
-                    self.schedule(at, EventKind::Rto { conn, sbf, token });
-                }
-                // (Re-)arm the tail-loss probe: each ack pushes the probe
-                // deadline out; it only fires after a quiet period with
-                // data still in flight.
-                {
-                    let s = &mut self.connections[conn].subflows[sbf as usize];
-                    s.tlp_token += 1;
-                    if s.in_flight() > 0 {
-                        s.tlp_armed = true;
-                        let at = now + s.pto();
-                        let token = s.tlp_token;
-                        self.schedule(at, EventKind::Tlp { conn, sbf, token });
-                    } else {
-                        s.tlp_armed = false;
-                    }
-                }
-                self.run_scheduler(conn);
-            }
-            EventKind::Rto { conn, sbf, token } => {
-                let now = self.now;
-                {
-                    let s = &mut self.connections[conn].subflows[sbf as usize];
-                    if !s.rto_armed || s.rto_token != token {
-                        return;
-                    }
-                }
-                self.connections[conn].now = now;
-                let out = self.connections[conn].handle_rto(sbf as usize, now);
-                if out.disarm_rto {
-                    return;
-                }
-                for (pkt, seq) in &out.auto_retransmit {
-                    self.transmit(conn, sbf as usize, *pkt, Some(*seq));
-                }
-                // Re-arm with backed-off RTO.
-                {
-                    let s = &mut self.connections[conn].subflows[sbf as usize];
-                    s.rto_token += 1;
-                    let token = s.rto_token;
-                    let at = now + s.rtt.rto();
-                    s.rto_armed = true;
-                    self.schedule(at, EventKind::Rto { conn, sbf, token });
-                }
-                self.run_scheduler(conn);
-            }
-            EventKind::Tlp { conn, sbf, token } => {
-                let now = self.now;
-                let (probe, rearm) = {
-                    let s = &mut self.connections[conn].subflows[sbf as usize];
-                    if !s.tlp_armed || s.tlp_token != token || s.in_flight() == 0 {
-                        if s.in_flight() == 0 {
-                            s.tlp_armed = false;
-                        }
-                        return;
-                    }
-                    // Probe: retransmit the oldest unacked segment on this
-                    // subflow and flag it loss-suspected at the meta level.
-                    let front = s.sent.front().map(|r| (r.pkt, r.sbf_seq));
-                    s.tlp_token += 1;
-                    let token = s.tlp_token;
-                    // Back off further probes to the full RTO pace.
-                    let at = now + s.rtt.rto();
-                    (front, (at, token))
-                };
-                if let Some((pkt, seq)) = probe {
-                    self.connections[conn].now = now;
-                    let reinjected = self.connections[conn].reinject(pkt);
-                    self.transmit(conn, sbf as usize, pkt, Some(seq));
-                    self.schedule(
-                        rearm.0,
-                        EventKind::Tlp {
-                            conn,
-                            sbf,
-                            token: rearm.1,
-                        },
-                    );
-                    if reinjected {
-                        self.run_scheduler(conn);
-                    }
-                }
-            }
-            EventKind::SubflowUp { conn, sbf } => {
-                self.connections[conn].set_subflow_established(sbf as usize, true);
-                self.run_scheduler(conn);
-            }
-            EventKind::SubflowDown { conn, sbf } => {
-                self.connections[conn].set_subflow_established(sbf as usize, false);
-                self.run_scheduler(conn);
-            }
+            } => self.handle_ack(conn, sbf, sbf_ack, data_ack, rwnd),
+            EventKind::Rto { conn, sbf, token } => self.handle_rto(conn, sbf, token),
+            EventKind::Tlp { conn, sbf, token } => self.handle_tlp(conn, sbf, token),
+            EventKind::SubflowUp { conn, sbf } => self.handle_subflow(conn, sbf, true),
+            EventKind::SubflowDown { conn, sbf } => self.handle_subflow(conn, sbf, false),
             EventKind::PathChange { conn, sbf, entry } => {
-                self.connections[conn].subflows[sbf as usize]
-                    .path
-                    .apply_profile(&entry);
+                self.handle_path(conn, sbf, |p| p.apply_profile(&entry))
             }
-            EventKind::Refill { conn, source } => {
-                self.handle_refill(conn, source);
-            }
-            EventKind::PmTick { conn, manager } => {
-                let actions = {
-                    let c = &self.connections[conn];
-                    self.path_managers[manager].1.tick(c)
-                };
-                let mut register_changed = false;
-                for action in actions {
-                    match action {
-                        PmAction::SubflowUp(i) => {
-                            self.connections[conn].set_subflow_established(i as usize, true);
-                            self.run_scheduler(conn);
-                        }
-                        PmAction::SubflowDown(i) => {
-                            self.connections[conn].set_subflow_established(i as usize, false);
-                            self.run_scheduler(conn);
-                        }
-                        PmAction::SetRegister(reg, value) => {
-                            self.connections[conn].set_register_direct(reg, value);
-                            register_changed = true;
-                        }
-                    }
-                }
-                if register_changed {
-                    self.run_scheduler(conn);
-                }
-                let interval = self.path_managers[manager].1.interval;
-                let at = self.now + interval;
-                self.schedule(at, EventKind::PmTick { conn, manager });
-            }
+            EventKind::Refill { conn, source } => self.handle_refill(conn, source),
+            EventKind::PmTick { conn, manager } => self.handle_pm_tick(conn, manager),
             EventKind::Trigger { conn, .. } => self.run_scheduler(conn),
             EventKind::FaultLoss { conn, sbf, model } => {
-                if let Some(s) = self.connections[conn].subflows.get_mut(sbf as usize) {
-                    s.path.set_fault_loss(model);
-                }
+                self.handle_path(conn, sbf, |p| p.set_fault_loss(model))
             }
             EventKind::FaultJitter {
                 conn,
                 sbf,
                 amplitude,
-            } => {
-                if let Some(s) = self.connections[conn].subflows.get_mut(sbf as usize) {
-                    s.path.set_jitter(amplitude);
-                }
-            }
-            EventKind::RwndStall { conn, stalled } => {
-                // The stall models the receiving application pausing its
-                // reads only as far as the *sender* sees it: the
-                // advertised window collapses to zero immediately (the
-                // zero-window advertisement) and reopens with a window
-                // update when the stall clears, at which point the
-                // scheduler gets a chance to resume.
-                let c = &mut self.connections[conn];
-                c.receiver.set_stalled(stalled);
-                c.adv_rwnd = c.receiver.rwnd();
-                if !stalled {
-                    self.run_scheduler(conn);
-                }
-            }
-            EventKind::Readmit { conn } => {
-                self.handle_readmit(conn);
-            }
-            EventKind::StallCheck { conn } => {
-                self.handle_stall_check(conn);
+            } => self.handle_path(conn, sbf, |p| p.set_jitter(amplitude)),
+            EventKind::RwndStall { conn, stalled } => self.handle_rwnd_stall(conn, stalled),
+            EventKind::Readmit { conn } => self.handle_readmit(conn),
+            EventKind::StallCheck { conn } => self.handle_stall_check(conn),
+        }
+    }
+
+    /// New application data: into `Q`, the stall watchdog armed when
+    /// containment is on (idempotent while armed), the scheduler run.
+    fn handle_data(&mut self, conn: ConnId, bytes: u64, prop: u32) {
+        let now = self.now;
+        self.connections[conn].enqueue_data(bytes, prop, now);
+        if let Some(sup) = self.supervisor.as_mut() {
+            if sup.arm_watchdog(conn, self.connections[conn].data_acked) {
+                let at = now + sup.stall_check_interval();
+                self.schedule(at, EventKind::StallCheck { conn });
             }
         }
+        self.run_scheduler(conn);
     }
 
     fn handle_refill(&mut self, conn: ConnId, source: usize) {
-        let now = self.now;
-        let add = {
-            let s = &self.bulk_sources[source];
-            if s.remaining == 0 {
-                return;
-            }
-            let q_bytes = self.connections[conn].q_bytes();
-            if q_bytes < s.low_watermark {
-                (s.low_watermark * 2 - q_bytes).min(s.remaining)
-            } else {
-                0
-            }
-        };
-        if add > 0 {
-            self.bulk_sources[source].remaining -= add;
-            let prop = self.bulk_sources[source].prop;
-            self.connections[conn].now = now;
-            self.connections[conn].enqueue_data(add, prop, now);
-            self.arm_stall_watchdog(conn);
-            self.run_scheduler(conn);
+        let s = &mut self.bulk_sources[source];
+        if s.remaining == 0 {
+            return;
         }
-        if self.bulk_sources[source].remaining > 0 {
-            let interval = self.bulk_sources[source].interval;
-            self.schedule(now + interval, EventKind::Refill { conn, source });
+        let q_bytes = self.connections[conn].q_bytes();
+        let add = if q_bytes < s.low_watermark {
+            (s.low_watermark * 2 - q_bytes).min(s.remaining)
+        } else {
+            0
+        };
+        s.remaining -= add;
+        let (prop, remaining, interval) = (s.prop, s.remaining, s.interval);
+        if add > 0 {
+            self.handle_data(conn, add, prop);
+        }
+        if remaining > 0 {
+            self.schedule(self.now + interval, EventKind::Refill { conn, source });
         }
     }
 
+    fn handle_set_register(&mut self, conn: ConnId, reg: RegId, value: i64) {
+        self.connections[conn].set_register_direct(reg, value);
+        self.run_scheduler(conn);
+    }
+
+    /// A subflow comes up or goes down. Like every event that names a
+    /// subflow the connection does not have, one for an unknown index is
+    /// ignored.
+    fn handle_subflow(&mut self, conn: ConnId, sbf: u32, up: bool) {
+        if self.connections[conn].set_subflow_established(sbf as usize, up) {
+            self.run_scheduler(conn);
+        }
+    }
+
+    /// A change to the path under a subflow: a profile entry, or a fault
+    /// window opening or closing.
+    fn handle_path(&mut self, conn: ConnId, sbf: u32, change: impl FnOnce(&mut Path)) {
+        if let Some(s) = self.connections[conn].subflows.get_mut(sbf as usize) {
+            change(&mut s.path);
+        }
+    }
+
+    /// The receiving application pauses (or resumes) its reads, as far
+    /// as the *sender* sees it: the advertised window collapses to zero
+    /// at once (the zero-window advertisement) and reopens with a window
+    /// update when the stall clears, at which point the scheduler gets a
+    /// chance to resume.
+    fn handle_rwnd_stall(&mut self, conn: ConnId, stalled: bool) {
+        let c = &mut self.connections[conn];
+        c.receiver.set_stalled(stalled);
+        c.adv_rwnd = c.receiver.rwnd();
+        if !stalled {
+            self.run_scheduler(conn);
+        }
+    }
+
+    fn handle_arrival(
+        &mut self,
+        conn: ConnId,
+        sbf: u32,
+        sbf_seq: u64,
+        data_seq: u64,
+        pkt: PacketRef,
+        size: u32,
+    ) {
+        let now = self.now;
+        let c = &mut self.connections[conn];
+        let res = c
+            .receiver
+            .on_arrival(sbf as usize, sbf_seq, data_seq, pkt, size);
+        if res.delivered_bytes > 0 {
+            c.stats.delivered_bytes += res.delivered_bytes;
+            if c.record_timelines {
+                c.stats
+                    .delivery_timeline
+                    .push((now, c.receiver.delivered_total));
+            }
+        }
+        let ack = EventKind::Ack {
+            conn,
+            sbf,
+            sbf_ack: res.sbf_ack,
+            data_ack: res.data_ack,
+            rwnd: c.receiver.rwnd(),
+        };
+        let at = now + c.subflows[sbf as usize].path.rev_delay;
+        self.schedule(at, ack);
+    }
+
+    fn handle_ack(&mut self, conn: ConnId, sbf: u32, sbf_ack: u64, data_ack: u64, rwnd: u64) {
+        let now = self.now;
+        let out = self.connections[conn].handle_ack(sbf as usize, sbf_ack, data_ack, rwnd, now);
+        for &(pkt, seq) in &out.auto_retransmit {
+            self.transmit(conn, sbf as usize, pkt, Some(seq));
+        }
+        let tlp = self.connections[conn].subflows[sbf as usize].rearm_tlp(now);
+        self.schedule_timers(conn, sbf, out.rearm_rto, tlp);
+        self.run_scheduler(conn);
+    }
+
+    fn handle_rto(&mut self, conn: ConnId, sbf: u32, token: u64) {
+        let now = self.now;
+        let c = &mut self.connections[conn];
+        if !c.subflows[sbf as usize].rto_due(token) {
+            return;
+        }
+        let out = c.handle_rto(sbf as usize, now);
+        if out.disarm_rto {
+            return;
+        }
+        for &(pkt, seq) in &out.auto_retransmit {
+            self.transmit(conn, sbf as usize, pkt, Some(seq));
+        }
+        self.schedule_timers(conn, sbf, out.rearm_rto, None);
+        self.run_scheduler(conn);
+    }
+
+    /// The tail-loss probe: retransmits the oldest unacked segment on its
+    /// subflow and flags it loss-suspected at the meta level.
+    fn handle_tlp(&mut self, conn: ConnId, sbf: u32, token: u64) {
+        let now = self.now;
+        let Some(((pkt, seq), next)) =
+            self.connections[conn].subflows[sbf as usize].fire_tlp(token, now)
+        else {
+            return;
+        };
+        let reinjected = self.connections[conn].reinject(pkt);
+        self.transmit(conn, sbf as usize, pkt, Some(seq));
+        self.schedule_timers(conn, sbf, None, Some(next));
+        if reinjected {
+            self.run_scheduler(conn);
+        }
+    }
+
+    fn handle_pm_tick(&mut self, conn: ConnId, manager: usize) {
+        let actions = self.path_managers[manager].1.tick(&self.connections[conn]);
+        let mut register_changed = false;
+        for action in actions {
+            match action {
+                PmAction::SubflowUp(i) => self.handle_subflow(conn, i, true),
+                PmAction::SubflowDown(i) => self.handle_subflow(conn, i, false),
+                PmAction::SetRegister(reg, value) => {
+                    self.connections[conn].set_register_direct(reg, value);
+                    register_changed = true;
+                }
+            }
+        }
+        if register_changed {
+            self.run_scheduler(conn);
+        }
+        let at = self.now + self.path_managers[manager].1.interval;
+        self.schedule(at, EventKind::PmTick { conn, manager });
+    }
+
     /// Executes the scheduler of `conn` to quiescence (the paper's
-    /// compressed-execution driver), flushing requested transmissions
-    /// after every round so each round observes fresh state.
-    ///
-    /// Every round runs under the containment fault boundary: a backend
-    /// error or an oracle-detected property violation is converted into
-    /// a structured [`FaultClass`] and — when the supervisor is attached
-    /// — handled by quarantining the program behind the fallback, which
-    /// then gets an immediate execution for the same event.
+    /// compressed-execution driver): rounds until one pushes nothing,
+    /// flushing the requested transmissions after each so the next
+    /// observes fresh state. A fault ends the turn and is routed once the
+    /// scheduler is back in place; if that put the fallback in charge, it
+    /// runs at once so the event that found the fault still gets
+    /// scheduled (bounded: a fault while quarantined is recorded, never
+    /// re-swapped).
     pub fn run_scheduler(&mut self, conn: ConnId) {
+        // Callers outside the event loop get no stamp from `step`.
+        self.connections[conn].now = self.now;
         let Some(mut scheduler) = self.connections[conn].installed.take() else {
             return;
         };
-        let max_rounds = self.connections[conn].max_sched_rounds;
-        let mut fault: Option<(FaultClass, Option<String>)> = None;
-        for _ in 0..max_rounds {
-            let pushes;
-            let prop_obs;
-            {
-                let c = &mut self.connections[conn];
-                c.now = self.now;
-                let budget = scheduler.step_budget;
-                // Pre-state for the property certificate's dynamic checks
-                // must be sampled before the execution mutates the views.
-                let watch_props = self.oracle.is_some() && scheduler.cert().is_some();
-                let pre = watch_props.then(|| PropObservation::before(&*c));
-                let t0 = Instant::now();
-                let scratch = std::mem::take(&mut self.exec_scratch);
-                let mut ctx = ExecCtx::with_scratch(&*c, budget, scratch);
-                let result = scheduler.handle.execute_once(&mut ctx);
-                let host_ns = t0.elapsed().as_nanos() as u64;
-                let (regs, stats, scratch) = ctx.finish_scratch();
-                self.exec_scratch = scratch;
-                if let Err(err) = &result {
-                    c.stats.scheduler_errors += 1;
-                    fault = Some((
-                        classify_exec_error(err),
-                        fault_location(&scheduler.handle, err),
-                    ));
-                    break;
-                }
-                let actions = self.exec_scratch.actions();
-                prop_obs = pre.map(|pre| pre.after(actions, &stats));
-                c.apply_actions(&regs, actions, &mut self.tx_scratch);
-                c.stats.scheduler_executions += 1;
-                c.stats.scheduler_steps += stats.steps;
-                c.stats.scheduler_host_ns += host_ns;
-                pushes = stats.pushes;
-            }
-            if let Some(obs) = prop_obs {
-                let oracle = self.oracle.as_mut().expect("checked above");
-                if let Some(cert) = scheduler.cert() {
-                    oracle.check_properties(self.now, conn, cert, &obs);
-                }
-                // Under containment routing the oracle queued any
-                // property violation instead of reporting it; the
-                // supervisor treats it like a backend fault.
-                if self.supervisor.is_some() {
-                    for (fc, invariant) in self
-                        .oracle
-                        .as_mut()
-                        .expect("checked above")
-                        .take_pending_faults()
-                    {
-                        debug_assert_eq!(fc, conn, "property faults arise on the executing conn");
-                        fault = Some((FaultClass::OracleViolation { invariant }, None));
-                    }
-                }
-            }
+        let mut faults = Vec::new();
+        for _ in 0..self.connections[conn].max_sched_rounds {
+            let round = self.run_round(conn, &mut scheduler);
             let mut pending = std::mem::take(&mut self.tx_scratch);
             for (sbf, pkt) in pending.drain(..) {
                 self.transmit(conn, sbf.0 as usize, pkt, None);
             }
             self.tx_scratch = pending;
-            if fault.is_some() || pushes == 0 {
+            // An aborted round ends the turn, and so does anything a
+            // supervisor may swap the scheduler out for. With only an
+            // oracle watching, a round that ran to its end counts like
+            // any other: arming the checker must not change the run.
+            let ends_turn = round
+                .fault
+                .as_ref()
+                .is_some_and(|fault| fault.violations.is_empty() || self.supervisor.is_some());
+            faults.extend(round.fault);
+            if ends_turn || round.stats.pushes == 0 {
                 break;
             }
         }
         self.connections[conn].installed = Some(scheduler);
-        if let Some((class, location)) = fault {
-            if self.contain_fault(conn, class, location) {
-                // The fallback just took over; run it at once so the
-                // event that found the fault still gets scheduled. Recursion is bounded: a fault while
-                // quarantined is recorded, never re-swapped.
+        for fault in faults {
+            if self.scheduler_fault(conn, fault.class, fault.location, fault.violations) {
                 self.run_scheduler(conn);
             }
         }
     }
 
-    /// Routes a classified scheduler fault through the supervisor.
-    /// Returns `true` when the fallback was installed (the caller should
-    /// give it an immediate execution).
-    fn contain_fault(&mut self, conn: ConnId, class: FaultClass, location: Option<String>) -> bool {
+    /// One scheduler round, start to finish: samples the state the
+    /// property certificate's dynamic checks start from (when an oracle
+    /// watches a certified scheduler), executes on the shared scratch,
+    /// applies the actions — transmissions go to `tx_scratch` — bumps the
+    /// connection's counters, and shows the oracle the finished round.
+    fn run_round(&mut self, conn: ConnId, scheduler: &mut Installed) -> Round {
+        let c = &mut self.connections[conn];
+        // The execution mutates the views, so the pre-state comes first.
+        let watched = self.oracle.is_some() && scheduler.cert().is_some();
+        let pre = watched.then(|| PropObservation::before(&*c));
+        // Host timing stays a pair around the execution until the
+        // benchmark stops reading `scheduler_host_ns` (ROADMAP 2a, 7).
+        let t0 = Instant::now();
+        let scratch = std::mem::take(&mut self.exec_scratch);
+        let mut ctx = ExecCtx::with_scratch(&*c, scheduler.step_budget, scratch);
+        let result = scheduler.handle.execute_once(&mut ctx);
+        let host_ns = t0.elapsed().as_nanos() as u64;
+        let (regs, stats, scratch) = ctx.finish_scratch();
+        self.exec_scratch = scratch;
+        if let Err(err) = &result {
+            c.stats.scheduler_errors += 1;
+            let fault = Some(Fault {
+                class: classify_exec_error(err),
+                location: fault_location(&scheduler.handle, err),
+                violations: Vec::new(),
+            });
+            return Round { stats, fault };
+        }
+        let actions = self.exec_scratch.actions();
+        c.apply_actions(&regs, actions, &mut self.tx_scratch);
+        c.stats.scheduler_executions += 1;
+        c.stats.scheduler_steps += stats.steps;
+        c.stats.scheduler_host_ns += host_ns;
+        let violations = match (pre, scheduler.cert()) {
+            (Some(pre), Some(cert)) => {
+                check_properties(self.now, conn, cert, &pre.after(actions, &stats))
+            }
+            _ => Vec::new(),
+        };
+        let breached = violations.last().map(|v| v.invariant);
+        let fault = breached.map(|invariant| Fault {
+            class: FaultClass::OracleViolation { invariant },
+            location: None,
+            violations,
+        });
+        Round { stats, fault }
+    }
+
+    /// The one route a scheduler fault takes, whichever of its four
+    /// sources found it: an aborted execution, a finished round the
+    /// oracle found in breach of its certificate, stranded data at
+    /// quiescence, or the stall watchdog. `violations` is what the oracle
+    /// found, empty for the other two sources.
+    ///
+    /// With a supervisor the violations go on record and the fault is
+    /// contained; returns `true` when that installed the fallback (the
+    /// caller should give it an immediate execution). With only an oracle
+    /// they are reported, an aborted execution as `step-bound`. With
+    /// neither, nothing happens.
+    fn scheduler_fault(
+        &mut self,
+        conn: ConnId,
+        class: FaultClass,
+        location: Option<String>,
+        mut violations: Vec<OracleViolation>,
+    ) -> bool {
         let now = self.now;
         let Some(sup) = self.supervisor.as_mut() else {
+            if let Some(oracle) = self.oracle.as_mut() {
+                if violations.is_empty() {
+                    violations.push(OracleViolation {
+                        at: now,
+                        conn,
+                        invariant: "step-bound",
+                        detail: format!(
+                            "{} scheduler execution(s) aborted on the certified step budget",
+                            self.connections[conn].stats.scheduler_errors
+                        ),
+                    });
+                }
+                violations.into_iter().for_each(|v| oracle.report(v));
+            }
             return false;
         };
+        if let Some(oracle) = self.oracle.as_mut() {
+            violations.into_iter().for_each(|v| oracle.store(v));
+        }
         let action = sup.on_fault(now, conn, class, location);
         if sup.take_breaker_trip() {
             // Fleet-level breaker: from here on the oracle collects
@@ -993,44 +974,20 @@ impl Sim {
                 o.set_panic_on_violation(false);
             }
         }
-        match action {
-            FaultAction::Recorded => false,
-            FaultAction::Quarantine { until } => {
-                self.install_fallback(conn);
-                self.schedule(until, EventKind::Readmit { conn });
-                true
-            }
-            FaultAction::Pin => {
-                self.install_fallback(conn);
-                true
-            }
+        if action == FaultAction::Recorded {
+            return false;
         }
-    }
-
-    /// Installs an instance of the shared fallback and parks what it
-    /// replaced with the supervisor.
-    fn install_fallback(&mut self, conn: ConnId) {
+        // Quarantined or pinned: an instance of the shared fallback takes
+        // over, and what it replaces is parked with the supervisor.
         let fallback = SchedulerHandle::Dsl(fallback_program().instantiate(Backend::Vm));
         let parked = self.connections[conn]
             .install(Installed::new(fallback))
             .expect("scheduler is restored before fault handling");
-        self.supervisor
-            .as_mut()
-            .expect("containment active")
-            .park(conn, parked);
-    }
-
-    /// Arms the per-connection stall watchdog when containment is on and
-    /// new data just arrived (idempotent while armed).
-    fn arm_stall_watchdog(&mut self, conn: ConnId) {
-        let Some(sup) = self.supervisor.as_mut() else {
-            return;
-        };
-        let data_acked = self.connections[conn].data_acked;
-        if sup.arm_watchdog(conn, data_acked) {
-            let at = self.now + sup.stall_check_interval();
-            self.schedule(at, EventKind::StallCheck { conn });
+        sup.park(conn, parked);
+        if let FaultAction::Quarantine { until } = action {
+            self.schedule(until, EventKind::Readmit { conn });
         }
+        true
     }
 
     /// One stall-watchdog tick: faults the scheduler with
@@ -1071,7 +1028,7 @@ impl Sim {
             && c.adv_rwnd > 0
             && c.stats.scheduler_drops == 0
             && matches!(state, ContainState::Healthy | ContainState::Probation);
-        if stalled && self.contain_fault(conn, FaultClass::ProgressStall, None) {
+        if stalled && self.scheduler_fault(conn, FaultClass::ProgressStall, None, Vec::new()) {
             self.run_scheduler(conn);
         }
         self.schedule(self.now + interval, EventKind::StallCheck { conn });
@@ -1090,114 +1047,61 @@ impl Sim {
         }
     }
 
-    /// Transmits `pkt` on subflow `sbf_idx` of `conn`. `reuse_seq` marks a
-    /// TCP-level retransmission of an existing subflow sequence number.
+    /// Transmits `pkt` on subflow `sbf_idx` of `conn` and schedules what
+    /// follows from it. `reuse_seq` marks a TCP-level retransmission of
+    /// an existing subflow sequence number.
     fn transmit(&mut self, conn: ConnId, sbf_idx: usize, pkt: PacketRef, reuse_seq: Option<u64>) {
         let now = self.now;
-        let mut arrival = None;
-        let mut arm_rto = None;
-        let mut arm_tlp = None;
-        let mut departure = None;
-        {
-            let c = &mut self.connections[conn];
-            let Some(seg) = c.segments.get(pkt) else {
-                return;
+        let Some(tx) = self.connections[conn].transmit(sbf_idx, pkt, now, reuse_seq) else {
+            return;
+        };
+        let sbf = sbf_idx as u32;
+        if let Some((at, sbf_seq, data_seq, size)) = tx.arrival {
+            let arrival = EventKind::Arrival {
+                conn,
+                sbf,
+                sbf_seq,
+                data_seq,
+                pkt,
+                size,
             };
-            let (size, data_seq) = (seg.size, seg.seq);
-            if !c.subflows[sbf_idx].established {
-                return;
-            }
-            let is_rtx = reuse_seq.is_some();
-            // Loss and jitter draws happen inside the path, from its own
-            // per-path stream.
-            let outcome = c.subflows[sbf_idx].path.transmit(now, size);
-            let sbf_seq = c.record_tx(sbf_idx, pkt, size, now, reuse_seq);
-            c.subflows[sbf_idx].last_activity = now;
-            // Statistics.
-            c.stats.tx_packets += 1;
-            c.stats.tx_bytes += u64::from(size);
-            let ss = &mut c.stats.subflows[sbf_idx];
-            ss.tx_packets += 1;
-            ss.tx_bytes += u64::from(size);
-            if is_rtx {
-                ss.retransmissions += 1;
-            }
-            match outcome {
-                crate::path::TxOutcome::Arrives { at, departs } => {
-                    arrival = Some((at, sbf_seq, data_seq, size));
-                    departure = Some(departs);
-                }
-                crate::path::TxOutcome::LostOnWire { departs } => {
-                    ss.wire_losses += 1;
-                    departure = Some(departs);
-                }
-                crate::path::TxOutcome::QueueDrop => {
-                    ss.queue_drops += 1;
-                }
-            }
-            if c.record_timelines {
-                c.stats.tx_timeline.push((now, sbf_idx as u32, size));
-            }
-            let s = &mut c.subflows[sbf_idx];
-            if !s.rto_armed {
-                s.rto_armed = true;
-                s.rto_token += 1;
-                arm_rto = Some((now + s.rtt.rto(), s.rto_token));
-            }
-            if !s.tlp_armed {
-                s.tlp_armed = true;
-                s.tlp_token += 1;
-                arm_tlp = Some((now + s.pto(), s.tlp_token));
-            }
+            self.schedule(at, arrival);
         }
-        if let Some((at, sbf_seq, data_seq, size)) = arrival {
-            self.schedule(
-                at,
-                EventKind::Arrival {
-                    conn,
-                    sbf: sbf_idx as u32,
-                    sbf_seq,
-                    data_seq,
-                    pkt,
-                    size,
-                },
-            );
-        }
-        if let Some((at, token)) = arm_rto {
-            self.schedule(
-                at,
-                EventKind::Rto {
-                    conn,
-                    sbf: sbf_idx as u32,
-                    token,
-                },
-            );
-        }
-        if let Some((at, token)) = arm_tlp {
-            self.schedule(
-                at,
-                EventKind::Tlp {
-                    conn,
-                    sbf: sbf_idx as u32,
-                    token,
-                },
-            );
-        }
+        self.schedule_timers(conn, sbf, tx.rto, tx.tlp);
         // Re-invoke the scheduler when the egress queue drains (the
         // Linux TSQ tasklet's role): a TSQ-throttled subflow becomes
         // schedulable again at the packet's departure time.
-        if let Some(departs) = departure {
-            if departs > now {
-                self.schedule(
-                    departs,
-                    EventKind::Trigger {
-                        conn,
-                        trigger: Trigger::Timer,
-                    },
-                );
-            }
+        if let Some(departs) = tx.departs.filter(|&departs| departs > now) {
+            let trigger = Trigger::Timer;
+            self.schedule(departs, EventKind::Trigger { conn, trigger });
         }
     }
+
+    /// Schedules the timers a subflow armed, the retransmission timer
+    /// first.
+    fn schedule_timers(&mut self, conn: ConnId, sbf: u32, rto: Option<Timer>, tlp: Option<Timer>) {
+        if let Some((at, token)) = rto {
+            self.schedule(at, EventKind::Rto { conn, sbf, token });
+        }
+        if let Some((at, token)) = tlp {
+            self.schedule(at, EventKind::Tlp { conn, sbf, token });
+        }
+    }
+}
+
+/// What one scheduler round did: the execution's counters, and the fault
+/// found in it, if any.
+struct Round {
+    stats: ExecStats,
+    fault: Option<Fault>,
+}
+
+/// A scheduler fault on its way to [`Sim::scheduler_fault`].
+struct Fault {
+    class: FaultClass,
+    location: Option<String>,
+    /// What the oracle found; empty when the execution aborted.
+    violations: Vec<OracleViolation>,
 }
 
 /// Source location (`line:col`) of a backend fault, when attributable:
@@ -1392,6 +1296,71 @@ pub(crate) mod tests {
         let c = &sim.connections[conn];
         assert_eq!(c.enqueued_bytes(), 2_000_000);
         assert!(c.all_acked());
+    }
+
+    /// The connection's clock is the time of its latest event, whatever
+    /// the event: one that runs no scheduler must stamp it too, or the
+    /// next reader (the stall watchdog) sees subflow state as of the
+    /// event before.
+    #[test]
+    fn every_event_stamps_the_connections_clock() {
+        let mut sim = Sim::new(7);
+        let mut cfg = two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL));
+        cfg.subflows[0].path.profile.push(PathProfileEntry {
+            at: from_millis(5),
+            fwd_delay: None,
+            rate: Some(2_500_000),
+            loss: None,
+        });
+        let conn = sim.add_connection(cfg).unwrap();
+        sim.run_until(from_millis(10));
+        assert_eq!(sim.events_processed, 1, "the path change and nothing else");
+        assert_eq!(sim.connections[conn].now, from_millis(5));
+
+        let jitter = FaultClause::DelayJitter {
+            sbf: 0,
+            from: from_millis(15),
+            until: from_millis(40),
+            amplitude: from_millis(1),
+        };
+        let plan = FaultPlan {
+            clauses: vec![jitter],
+        };
+        sim.apply_fault_plan(conn, &plan);
+        sim.run_until(from_millis(20));
+        assert_eq!(sim.connections[conn].now, from_millis(15));
+    }
+
+    /// An event naming a subflow the connection does not have is ignored,
+    /// whichever kind it is.
+    #[test]
+    fn events_for_an_unknown_subflow_are_ignored() {
+        let mut sim = Sim::new(7);
+        sim.enable_oracle("unknown-subflow", true);
+        let conn = sim
+            .add_connection(two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)))
+            .unwrap();
+        sim.app_send_at(conn, 0, 100_000, 0);
+        sim.subflow_down_at(conn, 9, from_millis(20));
+        sim.subflow_up_at(conn, 9, from_millis(25));
+        let churn = FaultClause::Churn {
+            sbf: 9,
+            down_at: from_millis(30),
+            up_at: from_millis(60),
+        };
+        let blackout = FaultClause::Blackout {
+            sbf: 9,
+            from: from_millis(30),
+            until: from_millis(60),
+        };
+        let plan = FaultPlan {
+            clauses: vec![churn, blackout],
+        };
+        sim.apply_fault_plan(conn, &plan);
+        sim.run_to_completion(20 * SECONDS);
+        let c = &sim.connections[conn];
+        assert!(c.all_acked());
+        assert_eq!(c.stats.delivered_bytes, 100_000);
     }
 
     #[test]

@@ -116,8 +116,9 @@ pub struct FleetConfig {
     /// Per-connection containment decisions (backoff draws, watchdog
     /// ticks) are pure functions of `(fleet seed, global index)`, so
     /// digests stay bit-identical across worker counts. The fleet-level
-    /// breaker is shard-local and only flips oracle *routing*, never
-    /// simulated behaviour, so it cannot perturb digests either.
+    /// breaker is shard-local and only flips the oracle from abort to
+    /// collect, never simulated behaviour, so it cannot perturb digests
+    /// either.
     pub containment: Option<ContainmentConfig>,
 }
 

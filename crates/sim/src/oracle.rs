@@ -1,6 +1,14 @@
 //! Runtime invariant oracle: checks conservation-of-data, acknowledgement
 //! monotonicity, reorder-queue accounting, and eventual progress.
 //!
+//! The oracle only observes. It never learns whether a containment
+//! supervisor is attached and routes nothing: [`InvariantOracle::check`]
+//! reports what the transport machinery got wrong, while
+//! [`check_properties`] and [`check_quiescent`] — the two checks a
+//! *scheduler* can fail — are plain functions that return what they
+//! found. The engine decides what happens to those (`Sim::scheduler_fault`):
+//! contained and kept on record under a supervisor, reported otherwise.
+//!
 //! ## When the checks run
 //!
 //! After every simulated event, on the one connection that event names:
@@ -10,9 +18,11 @@
 //! whenever a run call (`Sim::run_until`, `Sim::run_to_completion`)
 //! stops, which covers whatever the caller changed between calls through
 //! the public `Sim::connections`, and once more for eventual progress
-//! when the event queue drains. A violating connection's reports are
-//! therefore a function of its own event history and of where the caller
-//! stopped the run, not of how many neighbours it has.
+//! when the event queue drains. Every finished scheduler round that runs
+//! under a property certificate is shown to [`check_properties`]. A
+//! violating connection's reports are therefore a function of its own
+//! event history and of where the caller stopped the run, not of how
+//! many neighbours it has.
 //!
 //! The oracle exists for the chaos tier (TESTING.md): fault plans drive
 //! the simulator through blackouts, burst loss, jitter, window stalls and
@@ -46,11 +56,13 @@
 //!   ([`Connection::queue_invariants`]).
 //! * **step-bound** — no scheduler execution aborted on its certified
 //!   step budget (admitted programs carry a verified worst-case bound;
-//!   exceeding it would starve the connection).
+//!   exceeding it would starve the connection). Nothing here checks it:
+//!   the engine sees the abort itself and reports it under this name
+//!   when no supervisor contains it.
 //! * **property-work-conservation** — a program whose certificate
 //!   *proves* work-conservation must emit at least one effective `PUSH`
 //!   whenever it runs with a non-empty send queue and an established
-//!   subflow ([`InvariantOracle::check_properties`]).
+//!   subflow ([`check_properties`]).
 //! * **property-starvation** — every `PUSH` target id stays inside the
 //!   certificate's statically derived allowed-id set.
 //! * **property-redundancy-bound** — no packet is pushed more often in
@@ -112,7 +124,7 @@ impl std::fmt::Display for OracleViolation {
 /// certificate's dynamic checks are concerned. The engine collects one
 /// observation around every `execute_once` round
 /// ([`PropObservation::before`] the run, [`PropObservation::after`] it)
-/// and hands it to [`InvariantOracle::check_properties`].
+/// and hands it to [`check_properties`].
 #[derive(Debug, Clone, Default)]
 pub struct PropObservation {
     /// Send queue was non-empty *before* the execution.
@@ -172,7 +184,6 @@ struct Marks {
     data_acked: u64,
     expected: u64,
     sbf_acked: Vec<u64>,
-    scheduler_errors: u64,
 }
 
 /// The oracle itself; owned by the engine and consulted after each event.
@@ -190,16 +201,6 @@ pub struct InvariantOracle {
     pub violations: Vec<OracleViolation>,
     /// Violations evicted from the bounded buffer once it filled up.
     pub dropped_violations: u64,
-    /// When true (set by the containment supervisor), scheduler-fault
-    /// invariants — the `property-*` family, `eventual-progress`, and
-    /// `step-bound` — are *routed* instead of reported: recorded in the
-    /// bounded violation buffer and queued as pending faults for the
-    /// engine to quarantine, never panicking even in panicking mode.
-    /// Transport-machinery invariants (conservation, acks, reorder,
-    /// queue structure) are unaffected: the fallback scheduler cannot
-    /// repair an engine bug, so those still abort.
-    pub contain_scheduler_faults: bool,
-    pending_faults: Vec<(usize, &'static str)>,
     log: VecDeque<(SimTime, EventKind)>,
     marks: Vec<Marks>,
     checks: u64,
@@ -215,8 +216,6 @@ impl InvariantOracle {
             log_events: true,
             violations: Vec::new(),
             dropped_violations: 0,
-            contain_scheduler_faults: false,
-            pending_faults: Vec::new(),
             log: VecDeque::with_capacity(EVENT_LOG_CAP),
             marks: Vec::new(),
             checks: 0,
@@ -228,13 +227,6 @@ impl InvariantOracle {
     /// cohort cannot take down the whole fleet run).
     pub fn set_panic_on_violation(&mut self, panic_on_violation: bool) {
         self.panic_on_violation = panic_on_violation;
-    }
-
-    /// Drains the scheduler faults queued while
-    /// [`InvariantOracle::contain_scheduler_faults`] routing was active:
-    /// `(connection, invariant)` pairs for the engine to quarantine.
-    pub fn take_pending_faults(&mut self) -> Vec<(usize, &'static str)> {
-        std::mem::take(&mut self.pending_faults)
     }
 
     /// Appends one event to the bounded replay log (a no-op with
@@ -262,7 +254,9 @@ impl InvariantOracle {
         self.checks
     }
 
-    fn report(&mut self, v: OracleViolation) {
+    /// Reports a violation: aborts with the replay label and the event
+    /// log in panicking mode, keeps it on record otherwise.
+    pub(crate) fn report(&mut self, v: OracleViolation) {
         if self.panic_on_violation {
             let mut msg = format!(
                 "[invariant oracle] {v}\nreplay: {}\nevent log (oldest first):\n",
@@ -279,8 +273,10 @@ impl InvariantOracle {
     }
 
     /// Appends to the bounded violation buffer, evicting the oldest entry
-    /// (and counting it) once [`VIOLATION_CAP`] is reached.
-    fn store(&mut self, v: OracleViolation) {
+    /// (and counting it) once [`VIOLATION_CAP`] is reached. Never aborts:
+    /// the engine keeps a scheduler fault its supervisor contained on
+    /// record this way.
+    pub(crate) fn store(&mut self, v: OracleViolation) {
         if self.violations.len() == VIOLATION_CAP {
             self.violations.remove(0);
             self.dropped_violations += 1;
@@ -288,19 +284,10 @@ impl InvariantOracle {
         self.violations.push(v);
     }
 
-    /// Reports a *scheduler-fault* invariant: under containment routing
-    /// the violation is stored (never panics) and queued for the engine
-    /// to quarantine; otherwise it goes through [`Self::report`] as usual.
-    fn report_scheduler_fault(&mut self, v: OracleViolation) {
-        if self.contain_scheduler_faults {
-            self.pending_faults.push((v.conn, v.invariant));
-            self.store(v);
-        } else {
-            self.report(v);
-        }
-    }
-
-    /// Checks every per-event invariant on `conn` at time `now`.
+    /// Checks every per-event invariant on `conn` at time `now`: the
+    /// transport machinery's own. No fallback scheduler can repair an
+    /// engine bug, so these are reported whether or not a supervisor is
+    /// attached.
     pub fn check(&mut self, now: SimTime, conn: &Connection) {
         self.checks += 1;
         if self.marks.len() <= conn.id {
@@ -404,24 +391,8 @@ impl InvariantOracle {
         if let Err(detail) = conn.queue_invariants() {
             bad.push(("queue-structure", detail));
         }
-        // Delta-based so each aborted execution is reported once, not on
-        // every subsequent event. Skipped entirely under containment:
-        // the supervisor's exec-error boundary already converted the
-        // abort into a structured fault, and reporting it here as well
-        // would charge the connection a second strike for one incident.
-        if conn.stats.scheduler_errors > marks.scheduler_errors && !self.contain_scheduler_faults {
-            bad.push((
-                "step-bound",
-                format!(
-                    "{} scheduler execution(s) aborted on the certified step budget",
-                    conn.stats.scheduler_errors
-                ),
-            ));
-        }
-
         marks.data_acked = conn.data_acked;
         marks.expected = expected;
-        marks.scheduler_errors = conn.stats.scheduler_errors;
         for (i, sbf) in conn.subflows.iter().enumerate() {
             marks.sbf_acked[i] = sbf.acked_seq;
         }
@@ -435,118 +406,118 @@ impl InvariantOracle {
             });
         }
     }
+}
 
-    /// Checks one scheduler execution against the statically derived
-    /// property certificate: every dynamic check enforces a claim the
-    /// verifier *proved* (or a bound it certified), so any violation here
-    /// is an analysis soundness bug, not a scheduler bug.
-    pub fn check_properties(
-        &mut self,
-        now: SimTime,
-        conn: usize,
-        cert: &PropertyCertificate,
-        obs: &PropObservation,
-    ) {
-        let mut bad: Vec<(&'static str, String)> = Vec::new();
-        if cert.work_conservation.status == PropStatus::Proved
-            && obs.pre_q_nonempty
-            && obs.pre_subflows_nonempty
-            && obs.pre_avail_subflow
-            && obs.pushes == 0
-        {
-            bad.push((
-                "property-work-conservation",
-                "proved work-conserving, yet an execution with a non-empty send queue \
-                 and an available subflow pushed nothing"
-                    .to_string(),
-            ));
-        }
-        for &(sbf, _) in &obs.push_targets {
-            if !cert.allowed_ids.contains(i64::from(sbf)) {
-                bad.push((
-                    "property-starvation",
-                    format!(
-                        "PUSH targeted subflow id {sbf}, outside the statically derived \
-                         allowed set {}",
-                        cert.allowed_ids.render()
-                    ),
-                ));
-            }
-        }
-        if !obs.push_targets.is_empty() {
-            let cap = cert.dup_bound.eval(obs.n_subflows);
-            let mut counts: Vec<(PacketRef, u64)> = Vec::new();
-            for &(_, pkt) in &obs.push_targets {
-                match counts.iter_mut().find(|(p, _)| *p == pkt) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((pkt, 1)),
-                }
-            }
-            for (pkt, c) in counts {
-                if c > cap {
-                    bad.push((
-                        "property-redundancy-bound",
-                        format!(
-                            "packet {} was pushed {c} times in one execution; the \
-                             certificate bounds it by {} = {cap} at n={}",
-                            pkt.0,
-                            cert.dup_bound.render(),
-                            obs.n_subflows
-                        ),
-                    ));
-                }
-            }
-        }
-        if cert.pops_fully_guarded && obs.null_pops > 0 {
-            bad.push((
-                "property-reinjection",
+/// Checks one scheduler execution against the statically derived
+/// property certificate and returns what it violated: every dynamic check
+/// enforces a claim the verifier *proved* (or a bound it certified), so
+/// any violation here is an analysis soundness bug, not a scheduler bug.
+pub fn check_properties(
+    now: SimTime,
+    conn: usize,
+    cert: &PropertyCertificate,
+    obs: &PropObservation,
+) -> Vec<OracleViolation> {
+    let mut found = Vec::new();
+    let mut flag = |invariant, detail| {
+        found.push(OracleViolation {
+            at: now,
+            conn,
+            invariant,
+            detail,
+        })
+    };
+    if cert.work_conservation.status == PropStatus::Proved
+        && obs.pre_q_nonempty
+        && obs.pre_subflows_nonempty
+        && obs.pre_avail_subflow
+        && obs.pushes == 0
+    {
+        flag(
+            "property-work-conservation",
+            "proved work-conserving, yet an execution with a non-empty send queue \
+             and an available subflow pushed nothing"
+                .to_string(),
+        );
+    }
+    for &(sbf, _) in &obs.push_targets {
+        if !cert.allowed_ids.contains(i64::from(sbf)) {
+            flag(
+                "property-starvation",
                 format!(
-                    "{} POP(s) observed an empty queue view although every POP site \
-                     was proved guarded",
-                    obs.null_pops
+                    "PUSH targeted subflow id {sbf}, outside the statically derived \
+                     allowed set {}",
+                    cert.allowed_ids.render()
                 ),
-            ));
-        }
-        for (invariant, detail) in bad {
-            self.report_scheduler_fault(OracleViolation {
-                at: now,
-                conn,
-                invariant,
-                detail,
-            });
-        }
-    }
-
-    /// Liveness check run when the event queue drains: with unacked data,
-    /// at least one live subflow, and no scheduler-sanctioned drops, the
-    /// simulation must not be quiescent.
-    pub fn check_quiescent(&mut self, now: SimTime, conn: &Connection) {
-        use progmp_core::env::{QueueKind, SchedulerEnv};
-        let live = conn.subflows.iter().any(|s| s.established);
-        if !conn.all_acked() && live && conn.stats.scheduler_drops == 0 {
-            // Data stranded exclusively in the reinjection queue is
-            // reachable only through `RQ.POP()`; a scheduler that
-            // provably never pops RQ (Fig. 3's minimal example) stalls
-            // there by design, not by an engine bug.
-            let rq_only_strand = conn.queue(QueueKind::SendQueue).is_empty()
-                && !conn.queue(QueueKind::Reinject).is_empty();
-            if rq_only_strand && !conn.pops_rq() {
-                return;
-            }
-            let detail = format!(
-                "event queue drained with {} of {} bytes unacked, {} live subflow(s), no DROPs",
-                conn.enqueued_bytes() - conn.data_acked,
-                conn.enqueued_bytes(),
-                conn.subflows.iter().filter(|s| s.established).count()
             );
-            self.report_scheduler_fault(OracleViolation {
-                at: now,
-                conn: conn.id,
-                invariant: "eventual-progress",
-                detail,
-            });
         }
     }
+    if !obs.push_targets.is_empty() {
+        let cap = cert.dup_bound.eval(obs.n_subflows);
+        let mut counts: Vec<(PacketRef, u64)> = Vec::new();
+        for &(_, pkt) in &obs.push_targets {
+            match counts.iter_mut().find(|(p, _)| *p == pkt) {
+                Some((_, c)) => *c += 1,
+                None => counts.push((pkt, 1)),
+            }
+        }
+        for (pkt, c) in counts {
+            if c > cap {
+                flag(
+                    "property-redundancy-bound",
+                    format!(
+                        "packet {} was pushed {c} times in one execution; the \
+                         certificate bounds it by {} = {cap} at n={}",
+                        pkt.0,
+                        cert.dup_bound.render(),
+                        obs.n_subflows
+                    ),
+                );
+            }
+        }
+    }
+    if cert.pops_fully_guarded && obs.null_pops > 0 {
+        flag(
+            "property-reinjection",
+            format!(
+                "{} POP(s) observed an empty queue view although every POP site \
+                 was proved guarded",
+                obs.null_pops
+            ),
+        );
+    }
+    found
+}
+
+/// Liveness check for when the event queue drains: with unacked data, at
+/// least one live subflow, and no scheduler-sanctioned drops, the
+/// simulation must not be quiescent. Returns the `eventual-progress`
+/// violation if it is.
+pub fn check_quiescent(now: SimTime, conn: &Connection) -> Option<OracleViolation> {
+    let live = conn.subflows.iter().any(|s| s.established);
+    if conn.all_acked() || !live || conn.stats.scheduler_drops != 0 {
+        return None;
+    }
+    // Data stranded exclusively in the reinjection queue is reachable
+    // only through `RQ.POP()`; a scheduler that provably never pops RQ
+    // (Fig. 3's minimal example) stalls there by design, not by an
+    // engine bug.
+    let rq_only_strand =
+        conn.queue(QueueKind::SendQueue).is_empty() && !conn.queue(QueueKind::Reinject).is_empty();
+    if rq_only_strand && !conn.pops_rq() {
+        return None;
+    }
+    Some(OracleViolation {
+        at: now,
+        conn: conn.id,
+        invariant: "eventual-progress",
+        detail: format!(
+            "event queue drained with {} of {} bytes unacked, {} live subflow(s), no DROPs",
+            conn.enqueued_bytes() - conn.data_acked,
+            conn.enqueued_bytes(),
+            conn.subflows.iter().filter(|s| s.established).count()
+        ),
+    })
 }
 
 #[cfg(test)]
@@ -632,29 +603,23 @@ mod tests {
 
     #[test]
     fn quiescent_stall_is_caught_and_drop_exempts() {
-        let mut oracle = InvariantOracle::new("unit", false);
         let mut c = conn();
         c.enqueue_data(1400, 0, 0);
         c.subflows[0].established = true;
-        oracle.check_quiescent(5, &c);
-        assert!(
-            oracle
-                .violations
-                .iter()
-                .any(|v| v.invariant == "eventual-progress"),
+        let found = check_quiescent(5, &c).map(|v| (v.invariant, v.at, v.conn));
+        assert_eq!(
+            found,
+            Some(("eventual-progress", 5, 0)),
             "stranded data with a live subflow is a liveness violation"
         );
         // An explicit scheduler DROP makes the loss sanctioned.
-        oracle.violations.clear();
         c.stats.scheduler_drops = 1;
-        oracle.check_quiescent(6, &c);
-        assert!(oracle.violations.is_empty());
+        assert!(check_quiescent(6, &c).is_none());
     }
 
     #[test]
     fn rq_only_strand_is_exempt_for_non_reinjecting_schedulers() {
         use progmp_core::env::{Action, SchedulerEnv, NUM_REGISTERS};
-        let mut oracle = InvariantOracle::new("unit", false);
         let mut c = conn();
         let pkts = c.enqueue_data(1400, 0, 0);
         // Move the segment Q -> QU (a scheduler PUSH), then into RQ
@@ -678,19 +643,15 @@ mod tests {
                 fig3.instantiate(progmp_core::Backend::Vm),
             )))
             .unwrap();
-        oracle.check_quiescent(5, &c);
+        let found = check_quiescent(5, &c);
         assert!(
-            oracle.violations.is_empty(),
-            "a scheduler with no RQ logic cannot be blamed for an RQ strand: {:?}",
-            oracle.violations
+            found.is_none(),
+            "a scheduler with no RQ logic cannot be blamed for an RQ strand: {found:?}"
         );
         // The same strand under an RQ-capable scheduler is a violation.
         c.install(native);
-        oracle.check_quiescent(6, &c);
-        assert!(oracle
-            .violations
-            .iter()
-            .any(|v| v.invariant == "eventual-progress"));
+        let found = check_quiescent(6, &c).expect("stranded");
+        assert_eq!(found.invariant, "eventual-progress");
     }
 
     #[test]
@@ -707,7 +668,6 @@ mod tests {
             cert.work_conservation.status,
             progmp_core::PropStatus::Proved
         );
-        let mut oracle = InvariantOracle::new("unit", false);
         // A conforming observation passes.
         let ok = PropObservation {
             pre_q_nonempty: true,
@@ -718,38 +678,37 @@ mod tests {
             push_targets: vec![(0, PacketRef(7))],
             n_subflows: 2,
         };
-        oracle.check_properties(1, 0, &cert, &ok);
-        assert!(oracle.violations.is_empty(), "{:?}", oracle.violations);
+        let mut found = check_properties(1, 0, &cert, &ok);
+        assert!(found.is_empty(), "{found:?}");
         // No push despite the precondition: work-conservation violated.
         let silent = PropObservation {
             pushes: 0,
             push_targets: vec![],
             ..ok.clone()
         };
-        oracle.check_properties(2, 0, &cert, &silent);
+        found.extend(check_properties(2, 0, &cert, &silent));
         // The same packet pushed twice busts the dup bound of 1.
         let dup = PropObservation {
             pushes: 2,
             push_targets: vec![(0, PacketRef(7)), (1, PacketRef(7))],
             ..ok.clone()
         };
-        oracle.check_properties(3, 0, &cert, &dup);
+        found.extend(check_properties(3, 0, &cert, &dup));
         // A NULL pop under a fully-guarded certificate.
         let nullpop = PropObservation {
             null_pops: 1,
             ..ok.clone()
         };
-        oracle.check_properties(4, 0, &cert, &nullpop);
-        let names: Vec<&str> = oracle.violations.iter().map(|v| v.invariant).collect();
+        found.extend(check_properties(4, 0, &cert, &nullpop));
+        let names: Vec<(&str, SimTime)> = found.iter().map(|v| (v.invariant, v.at)).collect();
         assert_eq!(
             names,
             vec![
-                "property-work-conservation",
-                "property-redundancy-bound",
-                "property-reinjection"
+                ("property-work-conservation", 2),
+                ("property-redundancy-bound", 3),
+                ("property-reinjection", 4)
             ],
-            "{:?}",
-            oracle.violations
+            "{found:?}"
         );
 
         // A starver certificate restricts the allowed target ids.
@@ -760,19 +719,14 @@ mod tests {
         .unwrap()
         .property_certificate()
         .clone();
-        oracle.violations.clear();
         let stray = PropObservation {
             push_targets: vec![(3, PacketRef(9))],
             ..ok
         };
-        oracle.check_properties(5, 0, &starver, &stray);
+        let found = check_properties(5, 0, &starver, &stray);
         assert!(
-            oracle
-                .violations
-                .iter()
-                .any(|v| v.invariant == "property-starvation"),
-            "{:?}",
-            oracle.violations
+            found.iter().any(|v| v.invariant == "property-starvation"),
+            "{found:?}"
         );
     }
 
@@ -815,85 +769,6 @@ mod tests {
         oracle.log_events = false;
         oracle.log_event(last + 1, &EventKind::Readmit { conn: 3 });
         assert_eq!(oracle.event_log().last(), log.last().cloned());
-    }
-
-    #[test]
-    fn step_bound_fires_once_per_new_error_and_is_skipped_under_containment() {
-        let mut oracle = InvariantOracle::new("unit", false);
-        let mut c = conn();
-        c.stats.scheduler_errors = 1;
-        oracle.check(1, &c);
-        oracle.check(2, &c);
-        assert_eq!(
-            oracle
-                .violations
-                .iter()
-                .filter(|v| v.invariant == "step-bound")
-                .count(),
-            1,
-            "delta-based: one violation per new error, not per event: {:?}",
-            oracle.violations
-        );
-        c.stats.scheduler_errors = 2;
-        oracle.check(3, &c);
-        assert_eq!(oracle.violations.len(), 2);
-
-        // Under containment routing the exec-error boundary owns the
-        // fault; the oracle stays silent.
-        let mut contained = InvariantOracle::new("unit", true);
-        contained.contain_scheduler_faults = true;
-        contained.check(1, &c); // would panic without the skip
-        assert!(contained.violations.is_empty());
-        assert!(contained.take_pending_faults().is_empty());
-    }
-
-    #[test]
-    fn containment_routing_queues_scheduler_faults_instead_of_panicking() {
-        let cert = progmp_core::compile(
-            "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }",
-        )
-        .unwrap()
-        .property_certificate()
-        .clone();
-        let mut oracle = InvariantOracle::new("unit", true); // panicking mode
-        oracle.contain_scheduler_faults = true;
-        let silent = PropObservation {
-            pre_q_nonempty: true,
-            pre_subflows_nonempty: true,
-            pre_avail_subflow: true,
-            pushes: 0,
-            null_pops: 0,
-            push_targets: vec![],
-            n_subflows: 2,
-        };
-        oracle.check_properties(1, 3, &cert, &silent);
-        assert_eq!(
-            oracle.take_pending_faults(),
-            vec![(3, "property-work-conservation")]
-        );
-        assert!(oracle.take_pending_faults().is_empty(), "drained");
-        assert_eq!(oracle.violations.len(), 1, "still recorded for reports");
-
-        // eventual-progress routes the same way.
-        let mut c = conn();
-        c.enqueue_data(1400, 0, 0);
-        c.subflows[0].established = true;
-        oracle.check_quiescent(5, &c);
-        assert_eq!(oracle.take_pending_faults(), vec![(0, "eventual-progress")]);
-
-        // Transport-machinery invariants are NOT contained: a
-        // conservation bug still panics in panicking mode.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut c = conn();
-            c.receiver.inject_double_delivery_bug();
-            let p = progmp_core::env::PacketRef(1);
-            c.enqueue_data(1400, 0, 0);
-            c.receiver.on_arrival(0, 0, 0, p, 1400);
-            c.receiver.on_arrival(0, 1, 0, p, 1400);
-            c.stats.delivered_bytes = c.receiver.delivered_total;
-            oracle.check(7, &c);
-        }));
-        assert!(result.is_err(), "engine bugs must still abort");
     }
 
     #[test]

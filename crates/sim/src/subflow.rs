@@ -22,6 +22,11 @@ pub struct TxRec {
     pub is_rtx: bool,
 }
 
+/// A timer for the engine to schedule: the deadline and the token its
+/// event must carry. A timer fires only while its token is still the
+/// subflow's current one, so (re-)arming invalidates every earlier one.
+pub type Timer = (SimTime, u64);
+
 /// Sender-side state of one subflow.
 #[derive(Debug)]
 pub struct Subflow {
@@ -109,6 +114,53 @@ impl Subflow {
     /// losses of short flows are recovered quickly.
     pub fn pto(&self) -> SimTime {
         (2 * self.rtt.srtt() + 10 * MILLIS).max(30 * MILLIS)
+    }
+
+    /// (Re-)arms the retransmission timer.
+    pub fn arm_rto(&mut self, now: SimTime) -> Timer {
+        self.rto_armed = true;
+        self.rto_token += 1;
+        (now + self.rtt.rto(), self.rto_token)
+    }
+
+    /// Whether the retransmission timer carrying `token` is the armed one.
+    pub fn rto_due(&self, token: u64) -> bool {
+        self.rto_armed && self.rto_token == token
+    }
+
+    /// (Re-)arms the tail-loss probe for `at`.
+    pub fn arm_tlp(&mut self, at: SimTime) -> Timer {
+        self.tlp_armed = true;
+        self.tlp_token += 1;
+        (at, self.tlp_token)
+    }
+
+    /// An acknowledgement arrived: pushes the probe deadline out, so the
+    /// probe only fires after a quiet period with data still in flight.
+    pub fn rearm_tlp(&mut self, now: SimTime) -> Option<Timer> {
+        if self.in_flight() > 0 {
+            Some(self.arm_tlp(now + self.pto()))
+        } else {
+            self.tlp_token += 1;
+            self.tlp_armed = false;
+            None
+        }
+    }
+
+    /// The probe timer carrying `token` fired. Unless it is stale or
+    /// nothing is in flight, returns the oldest unacked segment — the
+    /// probe, as `(packet, subflow seq)` — and the next probe's timer,
+    /// backed off to the full RTO pace.
+    pub fn fire_tlp(&mut self, token: u64, now: SimTime) -> Option<((PacketRef, u64), Timer)> {
+        let Some(front) = self.sent.front() else {
+            self.tlp_armed = false;
+            return None;
+        };
+        if !self.tlp_armed || self.tlp_token != token {
+            return None;
+        }
+        let probe = (front.pkt, front.sbf_seq);
+        Some((probe, self.arm_tlp(now + self.rtt.rto())))
     }
 
     /// Whether the TCP-small-queue condition throttles this subflow.

@@ -6,8 +6,8 @@
 
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
-    ConnectionConfig, ContainAction, ContainState, ContainmentConfig, FaultClass, NativeTrapping,
-    PathConfig, SchedulerSpec, Sim, SubflowConfig,
+    ConnectionConfig, ContainAction, ContainState, ContainmentConfig, FaultClass, FaultClause,
+    FaultPlan, NativeTrapping, PathConfig, SchedulerSpec, Sim, SubflowConfig,
 };
 
 /// A scheduler whose certificate proves work-conservation.
@@ -245,4 +245,244 @@ fn without_containment_faults_surface_the_old_way() {
         sim.oracle_violations()
     );
     assert!(sim.connections[0].stats.scheduler_errors > 0);
+}
+
+// ---- One route for a scheduler fault -----------------------------------
+//
+// The oracle has no containment mode to poke, so what used to be checked
+// by setting its flag is checked by driving the engine: the same three
+// offenders with and without a supervisor, the two arming orders, and a
+// transport defect that no supervisor may swallow.
+
+const STEP_BOUND_1: &str = "1 scheduler execution(s) aborted on the certified step budget";
+const STEP_BOUND_2: &str = "2 scheduler execution(s) aborted on the certified step budget";
+const NOT_WORK_CONSERVING: &str = "proved work-conserving, yet an execution with a non-empty \
+     send queue and an available subflow pushed nothing";
+const STRANDED: &str =
+    "event queue drained with 40000 of 40000 bytes unacked, 2 live subflow(s), no DROPs";
+const OFF_LIMITS: &str =
+    "PUSH targeted subflow id 0, outside the statically derived allowed set {1}";
+
+fn certificate_of(source: &str) -> progmp_core::PropertyCertificate {
+    progmp_core::compile(source)
+        .unwrap()
+        .property_certificate()
+        .clone()
+}
+
+/// A scheduler that aborts every execution, one that breaks a stolen
+/// certificate without ever pushing, one that breaks a stolen certificate
+/// with every push it makes, and one that does nothing at all.
+fn offender(which: &str) -> ConnectionConfig {
+    match which {
+        "bomb" => {
+            let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
+            cfg.step_budget = 3;
+            cfg
+        }
+        "saboteur" => ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(REGISTER_GATED_DSL))
+            .with_cert_override(certificate_of(PROVED_WC_DSL)),
+        "pushing saboteur" => ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL))
+            .with_cert_override(certificate_of(
+                "VAR slow = SUBFLOWS.FILTER(sbf => sbf.ID == 1).MIN(sbf => sbf.RTT);\n\
+                 IF (slow != NULL AND !Q.EMPTY) { slow.PUSH(Q.POP()); }",
+            )),
+        "starver" => ConnectionConfig::new(two_paths(), SchedulerSpec::dsl("RETURN;")),
+        other => panic!("no offender {other}"),
+    }
+}
+
+/// Two sends, 5 ms apart, and a jitter window after them: two events
+/// that run the scheduler and two that do not.
+fn two_sends_then_jitter(sim: &mut Sim) {
+    sim.app_send_at(0, 0, 20_000, 0);
+    sim.app_send_at(0, from_millis(5), 20_000, 0);
+    let jitter = FaultClause::DelayJitter {
+        sbf: 0,
+        from: from_millis(7),
+        until: from_millis(9),
+        amplitude: from_millis(1),
+    };
+    sim.apply_fault_plan(
+        0,
+        &FaultPlan {
+            clauses: vec![jitter],
+        },
+    );
+    sim.run_to_completion(60 * SECONDS);
+}
+
+fn violations(sim: &Sim) -> Vec<(&'static str, u64, String)> {
+    sim.oracle_violations()
+        .iter()
+        .map(|v| (v.invariant, v.at, v.detail.clone()))
+        .collect()
+}
+
+#[test]
+fn uncontained_offenders_are_reported_as_before() {
+    let run = |which: &str, armed: bool| {
+        let mut sim = Sim::new(29);
+        if armed {
+            sim.enable_oracle("seed 29", false);
+        }
+        sim.add_connection(offender(which)).unwrap();
+        two_sends_then_jitter(&mut sim);
+        assert!(sim.incidents().is_empty());
+        sim
+    };
+    let report = |which: &str| {
+        let sim = run(which, true);
+        (violations(&sim), sim.connections[0].all_acked())
+    };
+    let at_5ms = from_millis(5);
+    let quiescent = from_millis(9);
+    // One `step-bound` per aborted execution, at the event that ran it,
+    // none for the events that ran nothing; then the stranded data.
+    let bomb = vec![
+        ("step-bound", 0, STEP_BOUND_1.to_string()),
+        ("step-bound", at_5ms, STEP_BOUND_2.to_string()),
+        ("eventual-progress", quiescent, STRANDED.to_string()),
+    ];
+    assert_eq!(report("bomb"), (bomb, false));
+    let saboteur = vec![
+        (
+            "property-work-conservation",
+            0,
+            NOT_WORK_CONSERVING.to_string(),
+        ),
+        (
+            "property-work-conservation",
+            at_5ms,
+            NOT_WORK_CONSERVING.to_string(),
+        ),
+        ("eventual-progress", quiescent, STRANDED.to_string()),
+    ];
+    assert_eq!(report("saboteur"), (saboteur, false));
+    let starver = vec![("eventual-progress", quiescent, STRANDED.to_string())];
+    assert_eq!(report("starver"), (starver, false));
+    // An oracle alone only observes: the offender keeps its turn, round
+    // after round, exactly as in an unarmed run — one report per push,
+    // fifteen rounds per send, and the transfer completes.
+    let (pushing, all_acked) = report("pushing saboteur");
+    let mut expected = vec![("property-starvation", 0, OFF_LIMITS.to_string()); 15];
+    expected.extend(vec![
+        ("property-starvation", at_5ms, OFF_LIMITS.to_string());
+        15
+    ]);
+    assert_eq!(pushing, expected);
+    assert!(all_acked);
+    assert_eq!(
+        run("pushing saboteur", true).connections[0]
+            .stats
+            .snapshot_text(),
+        run("pushing saboteur", false).connections[0]
+            .stats
+            .snapshot_text()
+    );
+}
+
+#[test]
+fn contained_offenders_cost_one_incident_per_fault_and_stay_on_record() {
+    let contained = |which: &str| {
+        let mut sim = contained_sim(29, offender(which)); // panic-mode oracle
+        two_sends_then_jitter(&mut sim);
+        assert!(
+            sim.connections[0].all_acked(),
+            "{which}: the fallback drains"
+        );
+        sim
+    };
+    let faults = |sim: &Sim| -> Vec<(ContainAction, u64)> {
+        let strikes = [ContainAction::Quarantined, ContainAction::Pinned];
+        sim.incidents()
+            .iter()
+            .filter(|i| strikes.contains(&i.action))
+            .map(|i| (i.action, i.at))
+            .collect()
+    };
+
+    // The engine's own sight of the abort is the only one: three aborted
+    // executions, three strikes, and no `step-bound` on top of them.
+    let bomb = contained("bomb");
+    assert_eq!(bomb.connections[0].stats.scheduler_errors, 3);
+    assert_eq!(faults(&bomb).len(), 3);
+    assert_eq!(faults(&bomb)[0], (ContainAction::Quarantined, 0));
+    assert_eq!(faults(&bomb)[2].0, ContainAction::Pinned);
+    assert_eq!(violations(&bomb), vec![]);
+
+    // A breach of the certificate: quarantined at the first round that
+    // shows it, kept on record, charged once. The offender is back on
+    // probation well after both sends, so nothing else happens.
+    for (which, invariant, detail) in [
+        (
+            "saboteur",
+            "property-work-conservation",
+            NOT_WORK_CONSERVING,
+        ),
+        ("pushing saboteur", "property-starvation", OFF_LIMITS),
+    ] {
+        let sim = contained(which);
+        assert_eq!(faults(&sim), vec![(ContainAction::Quarantined, 0)]);
+        assert_eq!(
+            sim.incidents()[0].class,
+            FaultClass::OracleViolation { invariant }
+        );
+        assert_eq!(violations(&sim), vec![(invariant, 0, detail.to_string())]);
+    }
+
+    // Stranded data the watchdog never saw (it was queued behind the
+    // engine's back, so nothing armed it) surfaces when the event queue
+    // drains, and takes the same route.
+    let mut sim = contained_sim(29, offender("starver"));
+    sim.connections[0].enqueue_data(40_000, 0, 0);
+    sim.run_to_completion(60 * SECONDS);
+    assert!(sim.connections[0].all_acked());
+    assert_eq!(faults(&sim), vec![(ContainAction::Quarantined, 0)]);
+    assert_eq!(
+        sim.incidents()[0].class,
+        FaultClass::OracleViolation {
+            invariant: "eventual-progress"
+        }
+    );
+    assert_eq!(
+        violations(&sim),
+        vec![("eventual-progress", 0, STRANDED.to_string())]
+    );
+}
+
+#[test]
+fn arming_order_does_not_matter() {
+    let run = |which: &str, oracle_first: bool| {
+        let mut sim = Sim::new(29);
+        if oracle_first {
+            sim.enable_oracle("seed 29", true);
+        }
+        sim.enable_containment(ContainmentConfig::default());
+        if !oracle_first {
+            sim.enable_oracle("seed 29", true);
+        }
+        sim.add_connection(offender(which)).unwrap();
+        two_sends_then_jitter(&mut sim);
+        let incidents: Vec<String> = sim.incidents().iter().map(|i| i.to_string()).collect();
+        assert!(!incidents.is_empty(), "{which}");
+        (incidents, violations(&sim))
+    };
+    for which in ["bomb", "saboteur", "pushing saboteur", "starver"] {
+        assert_eq!(run(which, true), run(which, false), "{which}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "conservation-delivery")]
+fn a_transport_defect_is_not_a_scheduler_fault() {
+    // No fallback scheduler can repair the engine, so a supervisor must
+    // not swallow what the transport checks find.
+    const REDUNDANT_DSL: &str = "IF (!Q.EMPTY) { VAR skb = Q.POP(); \
+         FOREACH(VAR sbf IN SUBFLOWS) { sbf.PUSH(skb); } }";
+    let cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(REDUNDANT_DSL));
+    let mut sim = contained_sim(31, cfg);
+    sim.connections[0].receiver.inject_double_delivery_bug();
+    sim.app_send_at(0, 0, 14_000, 0);
+    sim.run_to_completion(10 * SECONDS);
 }

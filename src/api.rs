@@ -317,8 +317,8 @@ mod tests {
         // which the certificate of `default` (one copy per packet)
         // forbids, and `roundRobin` skips a turn where the certificate of
         // `everyPath` proves a push: had a swap left the previous
-        // certificate armed, the oracle — in panic mode, routed through
-        // containment — would quarantine a perfectly good scheduler.
+        // certificate armed, the oracle would find a breach and the
+        // supervisor would quarantine a perfectly good scheduler.
         const EVERY_PATH: &str = "
             IF (!Q.EMPTY) {
                 VAR skb = Q.POP();
