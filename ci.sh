@@ -43,6 +43,14 @@ done
 [ "$(grep -cE '(connections\[[^]]*\]|\bc)\.now = ' crates/sim/src/engine.rs)" -le 2 ] \
   || { echo "a connection's clock is written in Sim::step and, for callers outside the event loop, in Sim::run_scheduler: nowhere else"; exit 1; }
 
+echo "==> one verifier configuration, no miscompile field: CompileOptions is four choices, the sabotaged passes are unit-test code"
+! grep -rnE 'relational_domain|opt_sabotage|prop_weakening|compile_observed_relational|verify_properties_weakened' crates/ src/ tests/ examples/ \
+  || { echo "a caller can ask for a weaker verifier, a miscompile or a false certificate again"; exit 1; }
+! grep -rn 'Sabotage' crates/conformance crates/core/src/opt/{sccp,cse,licm,peephole,dce}.rs \
+  || { echo "a pass takes a sabotage parameter again (swap a pass in the table: crates/core/src/opt/mod.rs tests)"; exit 1; }
+[ "$(sed -n '/^pub struct CompileOptions {/,/^}/p' crates/core/src/program.rs | grep -c '^    pub ')" -eq 4 ] \
+  || { echo "CompileOptions must declare exactly four pub fields (optimize, enforce_admission, optimize_bytecode, strict_optimize)"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

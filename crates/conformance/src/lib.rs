@@ -1,4 +1,4 @@
-//! Conformance harness: nine seeded fuzz tiers behind one contract.
+//! Conformance harness: seven seeded fuzz tiers behind one contract.
 //!
 //! The ProgMP pipeline ships three execution backends (tree-walking
 //! interpreter, AOT closure compiler, bytecode VM) that must be
@@ -49,22 +49,11 @@ pub mod vm_soundness;
 pub fn compile_observed(
     source: &str,
 ) -> Result<progmp_core::SchedulerProgram, progmp_core::CompileError> {
-    compile_observed_relational(source, true)
-}
-
-/// [`compile_observed`] with an explicit octagon-domain toggle, for the
-/// `*-interval` tiers that compare the relational verifier
-/// against its projection-only (pure interval) fallback.
-pub fn compile_observed_relational(
-    source: &str,
-    relational: bool,
-) -> Result<progmp_core::SchedulerProgram, progmp_core::CompileError> {
     progmp_core::compile_with_options(
         None,
         source,
         progmp_core::CompileOptions {
             enforce_admission: false,
-            relational_domain: relational,
             ..progmp_core::CompileOptions::default()
         },
     )

@@ -1,30 +1,24 @@
-//! Differential optimizer-soundness tier and per-pass sabotage probes.
+//! Differential optimizer-soundness tier for the verified bytecode
+//! optimizer ([`progmp_core::opt`]).
 //!
-//! Two complementary directions for the verified bytecode optimizer
-//! ([`progmp_core::opt`]):
+//! For every generated program, the VM running the *optimized* image
+//! must be bit-identical to the VM running the unoptimized image — same
+//! execution result, same effect trace, same environment fingerprint —
+//! on the same random environment, and the optimized image's
+//! bytecode-model step bound must never exceed the unoptimized one.
+//! Fail-open rollbacks (a sound rewrite the verifier's loop recognition
+//! cannot re-certify on a pathological generated program) are counted,
+//! not failed: they are the validation doing its job.
 //!
-//! * **Soundness / precision** ([`check_seed`]): for every generated program,
-//!   the VM running the *optimized* image must be bit-identical to the
-//!   VM running the unoptimized image — same execution result, same
-//!   effect trace, same environment fingerprint — on the same random
-//!   environment, and the optimized image's bytecode-model step bound
-//!   must never exceed the unoptimized one. Fail-open rollbacks (a sound
-//!   rewrite the verifier's loop recognition cannot re-certify on a
-//!   pathological generated program) are counted, not failed: they are
-//!   the validation doing its job.
-//! * **Sensitivity** ([`probes`]): each [`Sabotage`] hook breaks
-//!   one rewrite in one pass class (dropped live guard, deleted live
-//!   increment, CSE over an effectful `POP`, hoisted loop-variant
-//!   update, mis-threaded back edge). Per-pass translation validation
-//!   must roll every one back and surface a spanned `misoptimization`
-//!   diagnostic — a validator that can't catch seeded optimizer bugs
-//!   proves nothing about the absence of unseeded ones.
+//! That per-pass validation catches a seeded optimizer bug is shown
+//! where the passes live: the unit tests of `progmp_core::opt` swap one
+//! unsound pass per pass class into the pipeline and require the
+//! rollback, with a spanned `misoptimization` diagnostic.
 
 use crate::gen::Generator;
-use crate::tier::{Probe, Report};
+use crate::tier::Report;
 use progmp_core::env::RecordingEnv;
-use progmp_core::opt::Sabotage;
-use progmp_core::verify::{Lint, Severity};
+use progmp_core::verify::Lint;
 use progmp_core::{Backend, CompileOptions, SchedulerProgram};
 
 fn compile_pair(source: &str) -> Result<(SchedulerProgram, SchedulerProgram), String> {
@@ -131,45 +125,4 @@ pub fn check_seed(seed: u64, out: &mut Report) {
     out.count("rolled back", rolled_back as u64);
     let clean = !rolled_back && out.findings.len() == findings_before;
     out.count("clean", clean as u64);
-}
-
-/// Compiles `minRttSimple` once per [`Sabotage`] hook with that unsound
-/// rewrite injected, and records whether per-pass translation validation
-/// rolled it back with a spanned `misoptimization` diagnostic. The
-/// sabotaged compile must also still execute identically to the
-/// unoptimized program (fail-open).
-pub fn probes() -> Vec<Probe> {
-    const TARGET: &str = "minRttSimple";
-    let (_, source) = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == TARGET)
-        .expect("bundled scheduler minRttSimple exists");
-    let mut probes = Vec::new();
-    for sabotage in Sabotage::ALL {
-        let program = progmp_core::compile_with_options(
-            None,
-            source,
-            CompileOptions {
-                enforce_admission: false,
-                optimize_bytecode: true,
-                opt_sabotage: Some(sabotage),
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{TARGET} compiles fail-open under sabotage: {e}"));
-        let opt_report = program
-            .opt_report()
-            .expect("optimized compile records an OptReport");
-        let diag = opt_report
-            .diagnostics
-            .iter()
-            .find(|d| d.lint == Lint::Misoptimization && d.severity == Severity::Warning);
-        let rolled_back = opt_report.passes.iter().any(|p| p.rolled_back);
-        probes.push(Probe::diagnosed(
-            format!("{} on {TARGET}", sabotage.name()),
-            rolled_back,
-            diag,
-        ));
-    }
-    probes
 }

@@ -31,8 +31,8 @@ use mptcp_sim::oracle::{check_properties, PropObservation};
 use progmp_core::env::{QueueKind, SubflowProp};
 use progmp_core::exec::ExecCtx;
 use progmp_core::testenv::MockEnv;
-use progmp_core::verify::props::PropWeakening;
-use progmp_core::{Backend, CompileOptions, SchedulerProgram};
+use progmp_core::verify::props::{verify_properties_with, PropWeakening};
+use progmp_core::{Backend, PropertyCertificate, SchedulerProgram};
 
 /// Runs `program` once on `backend` against a fresh copy of `env`,
 /// returning the oracle observation (or `None` on a runtime error).
@@ -53,54 +53,18 @@ fn observe(program: &SchedulerProgram, backend: Backend, env: &MockEnv) -> Optio
 /// refutations`), and the executions skipped because a backend reported
 /// a runtime error (`exec errors`: counted, not failed — admission
 /// soundness is the soundness tier's job).
-///
-/// `relational` selects the octagon domain. With it on, the certificate
-/// is also derived with the projection-only fallback and every verdict
-/// must move monotonically toward PROVED (the octagon may sharpen a
-/// verdict, never lose one).
-pub fn check_seed(seed: u64, relational: bool, out: &mut Report) {
+pub fn check_seed(seed: u64, out: &mut Report) {
     let mut generator = Generator::new(seed);
     let candidate = generator.program();
     let spec = generator.env_spec();
     let source = candidate.to_string();
-    let compile = |rel: bool| {
-        progmp_core::compile_with_options(
-            None,
-            &source,
-            CompileOptions {
-                enforce_admission: false,
-                relational_domain: rel,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap_or_else(|e| {
-            panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
-        })
-    };
-    let program = compile(relational);
+    let program = crate::compile_observed(&source).unwrap_or_else(|e| {
+        panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
+    });
     let cert = program.property_certificate();
     let proved = |status| status == progmp_core::PropStatus::Proved;
     out.count("wc-proved", proved(cert.work_conservation.status) as u64);
     out.count("with refutations", !cert.clean() as u64);
-    if relational {
-        let fallback = compile(false);
-        let cert_off = fallback.property_certificate();
-        for ((lint, on), (_, off)) in cert.outcomes().iter().zip(cert_off.outcomes().iter()) {
-            if proved(off.status) && !proved(on.status) {
-                out.finding(
-                    seed,
-                    "octagon-monotonicity",
-                    format!(
-                        "{}: proved by the projection-only analysis but {} with the \
-                         octagon enabled",
-                        lint.name(),
-                        on.status.name()
-                    ),
-                    &source,
-                );
-            }
-        }
-    }
     for backend in Backend::ALL {
         match observe(&program, backend, &spec.build()) {
             Some(obs) => {
@@ -204,49 +168,45 @@ fn weakening_case(weakening: PropWeakening) -> (&'static str, EnvSpec) {
     }
 }
 
-/// Compiles each crafted scheduler once with its [`PropWeakening`]
-/// injected and once clean, runs both against the crafted environment on
-/// every backend, and records whether the weakened certificate's false
-/// claim is caught dynamically while the unweakened certificate stays
-/// silent (the weakening, not the checker, is what broke).
+/// Compiles each crafted scheduler, derives its certificate once more
+/// with the [`PropWeakening`] injected, runs the program against the
+/// crafted environment on every backend, and records whether the
+/// weakened certificate's false claim is caught dynamically while the
+/// program's own certificate stays silent (the weakening, not the
+/// checker, is what broke).
 pub fn probes() -> Vec<Probe> {
     let mut probes = Vec::new();
     for weakening in PropWeakening::ALL {
         let (source, spec) = weakening_case(weakening);
-        let compile = |weaken: Option<PropWeakening>| {
-            progmp_core::compile_with_options(
-                None,
-                source,
-                CompileOptions {
-                    enforce_admission: false,
-                    prop_weakening: weaken,
-                    ..CompileOptions::default()
-                },
-            )
-            .unwrap_or_else(|e| panic!("weakening case {}: compile failed: {e}", weakening.name()))
-        };
-        // What the oracle says about `program`'s own certificate on one
-        // execution against the crafted environment.
-        let flagged = |program: &SchedulerProgram, backend: Backend| {
-            let obs = observe(program, backend, &spec.build())
+        let program = crate::compile_observed(source)
+            .unwrap_or_else(|e| panic!("weakening case {}: compile failed: {e}", weakening.name()));
+        // The HIR `compile` certified: the weakened analysis reads the
+        // same one.
+        let ast = progmp_core::parser::parse(source).expect("compiled above");
+        let mut hir = progmp_core::sema::lower(&ast).expect("compiled above");
+        progmp_core::optimizer::optimize(&mut hir);
+        let weakened = verify_properties_with(&hir, Some(weakening), true);
+        let clean = program.property_certificate();
+        // What the oracle says about `cert` on one execution against the
+        // crafted environment.
+        let flagged = |cert: &PropertyCertificate, backend: Backend| {
+            let obs = observe(&program, backend, &spec.build())
                 .unwrap_or_else(|| panic!("weakening case {} must execute", weakening.name()));
-            check_properties(0, 0, program.property_certificate(), &obs)
+            check_properties(0, 0, cert, &obs)
         };
-        let weakened = compile(Some(weakening));
-        let clean = compile(None);
         // The same execution under the honest certificate must be
         // violation-free on every backend, pinning the blame on the
         // weakening (and, for the octagon case, the proof's soundness).
         let sound_baseline = Backend::ALL
             .iter()
-            .all(|&backend| flagged(&clean, backend).is_empty());
+            .all(|&backend| flagged(clean, backend).is_empty());
         let (caught, mut detail) = if weakening == PropWeakening::OctagonDropRelations {
             // Not an unsoundness injection: the weakening only discards
             // precision, so the catch is *losing a PROVED* — the clean
             // certificate proves work-conservation via the relational
             // guard contradiction, the weakened one must not.
-            let clean_wc = clean.property_certificate().work_conservation.status;
-            let weak_wc = weakened.property_certificate().work_conservation.status;
+            let clean_wc = clean.work_conservation.status;
+            let weak_wc = weakened.work_conservation.status;
             let caught = clean_wc == progmp_core::PropStatus::Proved
                 && weak_wc != progmp_core::PropStatus::Proved;
             let detail = format!(

@@ -28,35 +28,14 @@ const RUNS_PER_BACKEND: u32 = 3;
 /// and records a finding when an admitted program's execution
 /// misbehaves. Panics on generator bugs (programs that fail to compile)
 /// since those invalidate the harness itself.
-///
-/// `relational` selects the octagon domain; with it on, the seed is also
-/// compiled with the projection-only fallback and the admission verdict
-/// must move monotonically (anything the weaker domain admits, the
-/// octagon must admit too).
-pub fn check_seed(seed: u64, relational: bool, out: &mut Report) {
+pub fn check_seed(seed: u64, out: &mut Report) {
     let mut generator = Generator::new(seed);
     let candidate = generator.program();
     let spec = generator.env_spec();
     let source = candidate.to_string();
-    let program = crate::compile_observed_relational(&source, relational).unwrap_or_else(|e| {
+    let program = crate::compile_observed(&source).unwrap_or_else(|e| {
         panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
     });
-    if relational {
-        let fallback = crate::compile_observed_relational(&source, false).unwrap_or_else(|e| {
-            panic!("seed {seed}: projection-only compile failed: {e}\n{source}")
-        });
-        if fallback.verdict().admitted() && !program.verdict().admitted() {
-            out.count("admitted", 1);
-            out.finding(
-                seed,
-                "octagon-monotonicity",
-                "the projection-only verifier admits the program but the octagon-enabled \
-                 verifier rejects it",
-                source,
-            );
-            return;
-        }
-    }
     if !program.verdict().admitted() {
         out.count("rejected", 1);
         return;

@@ -34,11 +34,8 @@ pub struct Tier {
     pub probes: Option<fn() -> Vec<Probe>>,
 }
 
-/// The nine tiers CI runs, each with the seed count CI uses. The
-/// `*-interval` rows re-run a tier with the verifier's octagon domain
-/// disabled; their probe sets do not read that switch, so they run with
-/// the octagon rows only.
-pub static TIERS: [Tier; 9] = [
+/// The seven tiers CI runs, each with the seed count CI uses.
+pub static TIERS: [Tier; 7] = [
     Tier {
         name: "differential",
         default_seeds: 500,
@@ -52,15 +49,7 @@ pub static TIERS: [Tier; 9] = [
         default_seeds: 500,
         about: "an admitted program fails at run time or exceeds its certified step bound",
         counters: &["admitted", "rejected"],
-        check: |seed, out| soundness::check_seed(seed, true, out),
-        probes: None,
-    },
-    Tier {
-        name: "soundness-interval",
-        default_seeds: 500,
-        about: "the same, admitted by the projection-only (interval) verifier",
-        counters: &["admitted", "rejected"],
-        check: |seed, out| soundness::check_seed(seed, false, out),
+        check: soundness::check_seed,
         probes: None,
     },
     Tier {
@@ -77,23 +66,15 @@ pub static TIERS: [Tier; 9] = [
         about: "the optimized image behaves unlike the unoptimized one, or its step bound grew",
         counters: &["clean", "rewrites kept", "rolled back"],
         check: opt_soundness::check_seed,
-        probes: Some(opt_soundness::probes),
+        probes: None,
     },
     Tier {
         name: "prop-soundness",
         default_seeds: 500,
         about: "a scheduler property the verifier proved fails in an observed execution",
         counters: &["wc-proved", "with refutations", "exec errors"],
-        check: |seed, out| prop_soundness::check_seed(seed, true, out),
+        check: prop_soundness::check_seed,
         probes: Some(prop_soundness::probes),
-    },
-    Tier {
-        name: "prop-soundness-interval",
-        default_seeds: 500,
-        about: "the same, certified by the projection-only (interval) analysis",
-        counters: &["wc-proved", "with refutations", "exec errors"],
-        check: |seed, out| prop_soundness::check_seed(seed, false, out),
-        probes: None,
     },
     Tier {
         name: "chaos",

@@ -30,16 +30,20 @@ fn seed_range_overflow_is_a_usage_error() {
 
 #[test]
 fn unknown_tier_is_a_usage_error_listing_the_valid_names() {
-    let out = fuzz(&["--tier", "soundnes"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("unknown tier \"soundnes\""), "{stderr}");
-    for tier in &TIERS {
-        assert!(
-            stderr.contains(tier.name),
-            "{} missing: {stderr}",
-            tier.name
-        );
+    // A typo, and a tier that went with the interval-only verifier mode.
+    for unknown in ["soundnes", "soundness-interval"] {
+        let out = fuzz(&["--tier", unknown]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let complaint = format!("unknown tier {unknown:?}");
+        assert!(stderr.contains(&complaint), "{stderr}");
+        for tier in &TIERS {
+            assert!(
+                stderr.contains(tier.name),
+                "{} missing: {stderr}",
+                tier.name
+            );
+        }
     }
     // The flags the tiers replaced are gone, not aliased.
     for gone in [&["--soundness"][..], &["--fleet", "8"], &["--no-octagon"]] {

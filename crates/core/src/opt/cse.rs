@@ -13,7 +13,6 @@
 
 use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Helper, Insn, NUM_MACH_REGS};
 use crate::opt::edit::Editor;
-use crate::opt::Sabotage;
 use std::collections::HashMap;
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -153,12 +152,10 @@ fn mov_from(dst: u8, loc: Loc) -> Insn {
 pub(crate) fn run(
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    sabotage: Option<Sabotage>,
 ) -> (BytecodeProgram, DebugTable, u64) {
     let mut ed = Editor::new(prog, debug);
     let leader = crate::flow::leaders(&prog.code);
 
-    let mut sabotaged = sabotage != Some(Sabotage::ImpureCse);
     let mut lvn = Lvn::new();
     for (pc, &is_leader) in leader.iter().enumerate() {
         if is_leader {
@@ -231,17 +228,6 @@ pub(crate) fn run(
                 lvn.bind(Loc::Reg(dst), vn);
             }
             Insn::Call { helper } => {
-                if !sabotaged && helper == Helper::Pop {
-                    // Deliberately unsound: "CSE" the effectful Pop away as
-                    // if it were a repeat of a pure computation, reusing a
-                    // register a preceding call clobbered.
-                    ed.set(pc, Insn::Mov { dst: 0, src: 5 });
-                    sabotaged = true;
-                    for r in 0..=5u8 {
-                        lvn.fresh_bind(Loc::Reg(r));
-                    }
-                    continue;
-                }
                 match pure_key(&mut lvn, helper) {
                     Some(key) => {
                         let (vn, known) = lvn.number(key);

@@ -9,11 +9,9 @@
 //! certificate, and `Exit` instructions are kept so every fallthrough
 //! chain still terminates.
 
-use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Helper, Insn};
-use crate::flow::loops;
+use crate::bytecode::{BytecodeProgram, DebugTable, Helper, Insn};
 use crate::opt::analysis::{liveness, reachable};
 use crate::opt::edit::Editor;
-use crate::opt::Sabotage;
 
 /// True when deleting this instruction can never change observable
 /// behaviour regardless of context.
@@ -86,26 +84,7 @@ fn round(prog: &BytecodeProgram, debug: &DebugTable) -> (BytecodeProgram, DebugT
 pub(crate) fn run(
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    sabotage: Option<Sabotage>,
 ) -> (BytecodeProgram, DebugTable, u64) {
-    if sabotage == Some(Sabotage::DeleteLiveIncrement) {
-        // Deliberately unsound: treat the loop counter increment as dead
-        // and delete it, so the induction variable never advances.
-        let mut ed = Editor::new(prog, debug);
-        let reach = reachable(&prog.code);
-        for lp in loops(&prog.code).into_iter().filter(|l| reach[l.back]) {
-            for pc in lp.head..=lp.back.min(prog.code.len() - 1) {
-                if matches!(prog.code[pc], Insn::AluImm { op: AluOp::Add, .. }) {
-                    ed.delete(pc);
-                    let changes = ed.changes();
-                    let (p, d) = ed.finish();
-                    return (p, d, changes);
-                }
-            }
-        }
-        return (prog.clone(), debug.clone(), 0);
-    }
-
     let mut cur = prog.clone();
     let mut dbg = debug.clone();
     let mut total = 0u64;

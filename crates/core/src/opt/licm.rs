@@ -17,12 +17,10 @@ use crate::bytecode::{BytecodeProgram, DebugTable, Insn, FIRST_ALLOCATABLE};
 use crate::flow::{jump_target, loops, reads, successors, writes};
 use crate::opt::analysis::{dominators, liveness, reachable};
 use crate::opt::edit::{Editor, NewInsn};
-use crate::opt::Sabotage;
 
 pub(crate) fn run(
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    sabotage: Option<Sabotage>,
 ) -> (BytecodeProgram, DebugTable, u64) {
     let mut ed = Editor::new(prog, debug);
     let code = &prog.code;
@@ -30,38 +28,9 @@ pub(crate) fn run(
     let reach = reachable(code);
     let live = liveness(code);
     let dom = dominators(code);
-    let all_loops: Vec<_> = loops(code).into_iter().filter(|l| reach[l.back]).collect();
-
-    if sabotage == Some(Sabotage::LoopVariantHoist) {
-        // Deliberately unsound: hoist the loop-variant induction update —
-        // the `Mov idx, scratch` store feeding the back edge — to the
-        // preheader, so the counter never advances inside the loop.
-        for lp in &all_loops {
-            if lp.back == 0 || lp.back >= n || lp.back - 1 <= lp.head {
-                continue;
-            }
-            let pc = lp.back - 1;
-            if let Insn::Mov { .. } = code[pc] {
-                ed.delete(pc);
-                ed.insert_before(
-                    lp.head,
-                    vec![NewInsn {
-                        insn: code[pc],
-                        span: debug.pos(pc),
-                    }],
-                    Some((lp.head, lp.back)),
-                );
-                let changes = ed.changes();
-                let (p, d) = ed.finish();
-                return (p, d, changes);
-            }
-        }
-        return (prog.clone(), debug.clone(), 0);
-    }
-
     // Hoist innermost-first so a definition is only hoisted once per run.
     let mut hoisted = vec![false; n];
-    let mut order = all_loops;
+    let mut order: Vec<_> = loops(code).into_iter().filter(|l| reach[l.back]).collect();
     order.sort_by_key(|l| l.back - l.head);
 
     for lp in &order {
@@ -249,7 +218,7 @@ mod tests {
             }, // back edge -> pc 2
             Insn::Exit,
         ]);
-        let (np, _, rewrites) = run(&p, &d, None);
+        let (np, _, rewrites) = run(&p, &d);
         assert!(rewrites > 0, "invariant MovImm should hoist");
         // The invariant lands in a preheader; the back edge now targets
         // the increment, skipping it.
@@ -289,7 +258,7 @@ mod tests {
             }, // back edge -> pc 2
             Insn::Exit,
         ]);
-        let (np, _, rewrites) = run(&p, &d, None);
+        let (np, _, rewrites) = run(&p, &d);
         assert_eq!(rewrites, 0, "r7 is live at the head; no hoist");
         assert_eq!(np.code, p.code);
     }

@@ -16,9 +16,9 @@
 //! never to increase, all come from that single verdict. Any
 //! disagreement rolls the pass back and surfaces a spanned
 //! `misoptimization` diagnostic — fail-open to the last good image by
-//! default, fail-closed (a compile error) under strict mode. The
-//! [`Sabotage`] hooks deliberately break one rewrite per pass class so
-//! the conformance suite can prove the validation actually fires.
+//! default, fail-closed (a compile error) under strict mode. This
+//! module's unit tests swap one deliberately unsound pass per pass class
+//! into the pipeline's table to prove the validation actually fires.
 
 pub(crate) mod analysis;
 pub(crate) mod cse;
@@ -34,73 +34,6 @@ use crate::hir::HProgram;
 use crate::verify::props::{PropStatus, PropertyCertificate};
 use crate::verify::vm::{validate_translation, BytecodeVerdict};
 use crate::verify::{Diagnostic, Lint, Severity, VerifyConfig};
-
-/// Test-only hook injecting one deliberately unsound rewrite into a pass,
-/// used by the conformance mutation check to prove per-pass translation
-/// validation catches real optimizer bugs with source spans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sabotage {
-    /// SCCP deletes a loop's live exit guard as if proven never-taken.
-    DropLiveGuard,
-    /// DCE deletes a loop counter increment as if it were dead.
-    DeleteLiveIncrement,
-    /// CSE replaces an effectful `POP` call like a pure repeat.
-    ImpureCse,
-    /// LICM hoists the loop-variant induction update to the preheader.
-    LoopVariantHoist,
-    /// Peephole threads a back edge one instruction past the exit test.
-    BadJumpThread,
-    /// SCCP deletes the live guard in front of an effectful `PUSH`/`POP`
-    /// region as if proven constant, making the effect unconditional.
-    /// Survives every structural/bound/audit check (the call sites are
-    /// unchanged) — only the property-certificate gate catches it.
-    UnguardEffect,
-}
-
-impl Sabotage {
-    /// All sabotage hooks, at least one per pass class.
-    pub const ALL: [Sabotage; 6] = [
-        Sabotage::DropLiveGuard,
-        Sabotage::DeleteLiveIncrement,
-        Sabotage::ImpureCse,
-        Sabotage::LoopVariantHoist,
-        Sabotage::BadJumpThread,
-        Sabotage::UnguardEffect,
-    ];
-
-    /// Stable name, for harness output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Sabotage::DropLiveGuard => "sccp-drop-live-guard",
-            Sabotage::DeleteLiveIncrement => "dce-delete-live-increment",
-            Sabotage::ImpureCse => "cse-impure-pop",
-            Sabotage::LoopVariantHoist => "licm-loop-variant-hoist",
-            Sabotage::BadJumpThread => "peephole-bad-jump-thread",
-            Sabotage::UnguardEffect => "sccp-unguard-effect",
-        }
-    }
-
-    /// The pass the hook is wired into.
-    fn pass(self) -> &'static str {
-        match self {
-            Sabotage::DropLiveGuard | Sabotage::UnguardEffect => "sccp",
-            Sabotage::DeleteLiveIncrement => "dce",
-            Sabotage::ImpureCse => "cse",
-            Sabotage::LoopVariantHoist => "licm",
-            Sabotage::BadJumpThread => "peephole",
-        }
-    }
-}
-
-/// Knobs for [`optimize_bytecode`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OptOptions {
-    /// Fail-closed: a rolled-back pass becomes a compile error instead of
-    /// a warning diagnostic on the report.
-    pub strict: bool,
-    /// Inject one unsound rewrite (testing only; see [`Sabotage`]).
-    pub sabotage: Option<Sabotage>,
-}
 
 /// Per-pass rewrite accounting, aggregated across pipeline rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,10 +137,12 @@ impl OptReport {
     }
 }
 
-type PassFn =
-    fn(&BytecodeProgram, &DebugTable, Option<Sabotage>) -> (BytecodeProgram, DebugTable, u64);
+type PassFn = fn(&BytecodeProgram, &DebugTable) -> (BytecodeProgram, DebugTable, u64);
 
-const PASSES: [(&str, PassFn); 5] = [
+/// The pipeline's passes by report name, in the order a round runs them.
+type PassTable = [(&'static str, PassFn); 5];
+
+const PASSES: PassTable = [
     ("sccp", sccp::run),
     ("cse", cse::run),
     ("licm", licm::run),
@@ -359,8 +294,8 @@ fn check_candidate(
 /// returned unchanged with an empty report and its own verdict. Each
 /// pass's output is validated against the HIR admission certificate
 /// (`hir`, `certified_bound`); a failing pass is rolled back and recorded
-/// as a [`Lint::Misoptimization`] warning, or — under
-/// [`OptOptions::strict`] — becomes the returned [`CompileError`].
+/// as a [`Lint::Misoptimization`] warning, or — when `strict` — becomes
+/// the returned [`CompileError`].
 ///
 /// When `props` carries a [`PropertyCertificate`] with PROVED claims,
 /// per-pass validation additionally enforces the property gate: no pass
@@ -376,11 +311,35 @@ pub fn optimize_bytecode(
     hir: &HProgram,
     certified_bound: u64,
     cfg: &VerifyConfig,
-    options: &OptOptions,
+    strict: bool,
+    props: Option<&PropertyCertificate>,
+) -> Result<(BytecodeProgram, DebugTable, OptReport, BytecodeVerdict), CompileError> {
+    run_pipeline(
+        &PASSES,
+        prog,
+        debug,
+        hir,
+        certified_bound,
+        cfg,
+        strict,
+        props,
+    )
+}
+
+/// [`optimize_bytecode`] over an explicit pass table.
+#[allow(clippy::too_many_arguments)]
+fn run_pipeline(
+    passes: &PassTable,
+    prog: &BytecodeProgram,
+    debug: &DebugTable,
+    hir: &HProgram,
+    certified_bound: u64,
+    cfg: &VerifyConfig,
+    strict: bool,
     props: Option<&PropertyCertificate>,
 ) -> Result<(BytecodeProgram, DebugTable, OptReport, BytecodeVerdict), CompileError> {
     let mut report = OptReport {
-        passes: PASSES
+        passes: passes
             .iter()
             .map(|(name, _)| PassStats {
                 name,
@@ -415,7 +374,6 @@ pub fn optimize_bytecode(
 
     let mut cur = prog.clone();
     let mut dbg = debug.clone();
-    let mut sabotage = options.sabotage;
     // A rolled-back pass is disabled for the rest of the pipeline: passes
     // are deterministic, so re-running one against the same image would
     // reproduce the same rejected candidate (and duplicate diagnostics).
@@ -424,15 +382,11 @@ pub fn optimize_bytecode(
     while report.rounds < MAX_ROUNDS {
         report.rounds += 1;
         let mut kept_this_round = 0u64;
-        for (i, (name, pass)) in PASSES.iter().enumerate() {
+        for (i, (name, pass)) in passes.iter().enumerate() {
             if disabled[i] {
                 continue;
             }
-            let sab = sabotage.filter(|s| s.pass() == *name);
-            let (cand, cand_dbg, rewrites) = pass(&cur, &dbg, sab);
-            if sab.is_some() {
-                sabotage = None; // one-shot: do not re-inject after rollback
-            }
+            let (cand, cand_dbg, rewrites) = pass(&cur, &dbg);
             if rewrites == 0 {
                 continue;
             }
@@ -470,13 +424,9 @@ pub fn optimize_bytecode(
                 Err(Rejection::Failed(pos, why)) => (pos, why),
             };
             report.passes[i].rolled_back = true;
-            // Keep sabotaged passes enabled: the injection was one-shot,
-            // so later rounds run the clean pass.
-            if sab.is_none() {
-                disabled[i] = true;
-            }
+            disabled[i] = true;
             let message = format!("{name} pass rolled back: {why}");
-            if options.strict {
+            if strict {
                 return Err(CompileError::new(
                     Stage::VmVerify,
                     pos,
@@ -503,7 +453,14 @@ pub fn optimize_bytecode(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::{AluOp, Helper, Insn};
+    use crate::flow::{jump_target, loops};
+    use crate::verify::domain::{eval_cond, Interval, Tri};
+    use analysis::{facts, reachable};
+    use edit::{Editor, NewInsn};
 
+    /// The image, certificate and HIR `compile` would hand the pipeline:
+    /// the HIR is the optimized one.
     fn compile_parts(
         src: &str,
     ) -> (
@@ -514,13 +471,231 @@ mod tests {
         PropertyCertificate,
     ) {
         let ast = crate::parser::parse(src).unwrap();
-        let hir = crate::sema::lower(&ast).unwrap();
+        let mut hir = crate::sema::lower(&ast).unwrap();
+        crate::optimizer::optimize(&mut hir);
         let verdict = crate::verify::verify(&hir);
         assert!(verdict.admitted(), "{src}");
         let props = crate::verify::props::verify_properties_with(&hir, None, true);
         let vcode = crate::codegen::generate(&hir).unwrap();
         let (bytecode, debug) = crate::regalloc::allocate_with_debug(&vcode).unwrap();
         (bytecode, debug, hir, verdict.certified_step_bound, props)
+    }
+
+    /// An unsound pass: the one edit `find_site` makes to the image.
+    fn one_edit(
+        prog: &BytecodeProgram,
+        debug: &DebugTable,
+        find_site: impl FnOnce(&mut Editor),
+    ) -> (BytecodeProgram, DebugTable, u64) {
+        let mut ed = Editor::new(prog, debug);
+        find_site(&mut ed);
+        let changes = ed.changes();
+        let (p, d) = ed.finish();
+        (p, d, changes)
+    }
+
+    /// SCCP claims the first conditional guard inside a loop body is
+    /// never taken and deletes it, leaving the loop without its exit
+    /// test.
+    fn drop_live_guard(
+        prog: &BytecodeProgram,
+        debug: &DebugTable,
+    ) -> (BytecodeProgram, DebugTable, u64) {
+        let code = &prog.code;
+        let reach = reachable(code);
+        one_edit(prog, debug, |ed| {
+            let guard = (0..code.len()).find_map(|back| {
+                let head = jump_target(back, &code[back]).filter(|t| *t <= back)?;
+                (head..=back).find(|&pc| {
+                    reach[pc] && matches!(code[pc], Insn::Jmp { .. } | Insn::JmpImm { .. })
+                })
+            });
+            if let Some(pc) = guard {
+                ed.delete(pc);
+            }
+        })
+    }
+
+    /// SCCP claims the first *undecided* forward guard whose guarded
+    /// region contains an effectful PUSH/POP/DROP call is constant and
+    /// deletes it, making the effect unconditional. Every call site
+    /// survives and the bound never grows, so only the
+    /// property-certificate gate can catch this.
+    fn unguard_effect(
+        prog: &BytecodeProgram,
+        debug: &DebugTable,
+    ) -> (BytecodeProgram, DebugTable, u64) {
+        let code = &prog.code;
+        let reach = reachable(code);
+        let f = facts(code, prog.stack_slots).expect("facts converge");
+        let undecided = |pc: usize| {
+            let Some(state) = &f.before[pc] else {
+                return false;
+            };
+            let reg = |r: u8| state.regs[usize::from(r)];
+            match code[pc] {
+                Insn::Jmp { cond, lhs, rhs, .. } => {
+                    eval_cond(cond, reg(lhs), reg(rhs)) == Tri::Unknown
+                }
+                Insn::JmpImm { cond, lhs, imm, .. } => {
+                    eval_cond(cond, reg(lhs), Interval::exact(imm)) == Tri::Unknown
+                }
+                _ => false,
+            }
+        };
+        let guards_effect = |pc: usize| {
+            let target = jump_target(pc, &code[pc]).filter(|t| *t > pc);
+            target.is_some_and(|t| {
+                code[pc + 1..t.min(code.len())].iter().any(|insn| {
+                    matches!(
+                        insn,
+                        Insn::Call {
+                            helper: Helper::Push | Helper::Pop | Helper::DropPkt
+                        }
+                    )
+                })
+            })
+        };
+        one_edit(prog, debug, |ed| {
+            if let Some(pc) =
+                (0..code.len()).find(|&pc| reach[pc] && undecided(pc) && guards_effect(pc))
+            {
+                ed.delete(pc);
+            }
+        })
+    }
+
+    /// CSE replaces the effectful `POP` call like a repeat of a pure
+    /// computation, reusing a register a preceding call clobbered.
+    fn impure_cse(
+        prog: &BytecodeProgram,
+        debug: &DebugTable,
+    ) -> (BytecodeProgram, DebugTable, u64) {
+        let pop = Insn::Call {
+            helper: Helper::Pop,
+        };
+        one_edit(prog, debug, |ed| {
+            if let Some(pc) = prog.code.iter().position(|insn| *insn == pop) {
+                ed.set(pc, Insn::Mov { dst: 0, src: 5 });
+            }
+        })
+    }
+
+    /// LICM hoists the loop-variant induction update — the `Mov idx,
+    /// scratch` store feeding the back edge — to the preheader, so the
+    /// counter never advances inside the loop.
+    fn loop_variant_hoist(
+        prog: &BytecodeProgram,
+        debug: &DebugTable,
+    ) -> (BytecodeProgram, DebugTable, u64) {
+        let code = &prog.code;
+        let reach = reachable(code);
+        one_edit(prog, debug, |ed| {
+            for lp in loops(code).into_iter().filter(|l| reach[l.back]) {
+                if lp.back == 0 || lp.back >= code.len() || lp.back - 1 <= lp.head {
+                    continue;
+                }
+                let pc = lp.back - 1;
+                if let Insn::Mov { .. } = code[pc] {
+                    ed.delete(pc);
+                    let update = NewInsn {
+                        insn: code[pc],
+                        span: debug.pos(pc),
+                    };
+                    ed.insert_before(lp.head, vec![update], Some((lp.head, lp.back)));
+                    return;
+                }
+            }
+        })
+    }
+
+    /// Peephole slides the first back edge one instruction forward, past
+    /// the loop's exit test.
+    fn bad_jump_thread(
+        prog: &BytecodeProgram,
+        debug: &DebugTable,
+    ) -> (BytecodeProgram, DebugTable, u64) {
+        one_edit(prog, debug, |ed| {
+            let back_edge = prog.code.iter().enumerate().find_map(|(pc, insn)| {
+                let t = jump_target(pc, insn).filter(|t| *t <= pc)?;
+                matches!(insn, Insn::Ja { .. }).then_some((pc, t))
+            });
+            if let Some((pc, t)) = back_edge {
+                ed.retarget(pc, t + 1);
+            }
+        })
+    }
+
+    /// DCE treats the first loop's counter increment as dead and deletes
+    /// it, so the induction variable never advances.
+    fn delete_live_increment(
+        prog: &BytecodeProgram,
+        debug: &DebugTable,
+    ) -> (BytecodeProgram, DebugTable, u64) {
+        let code = &prog.code;
+        let reach = reachable(code);
+        one_edit(prog, debug, |ed| {
+            let increment = loops(code)
+                .into_iter()
+                .filter(|l| reach[l.back])
+                .find_map(|lp| {
+                    (lp.head..=lp.back.min(code.len() - 1))
+                        .find(|&pc| matches!(code[pc], Insn::AluImm { op: AluOp::Add, .. }))
+                });
+            if let Some(pc) = increment {
+                ed.delete(pc);
+            }
+        })
+    }
+
+    /// One deliberately unsound stand-in per pass class (two for SCCP):
+    /// its name, the pass it replaces in the table, and the check of
+    /// `check_candidate` that must reject its candidate. One verdict
+    /// feeds every check, so the order they are consulted in decides
+    /// which one speaks; this pins it per class.
+    const SABOTAGES: [(&str, &str, PassFn, &str); 6] = [
+        (
+            "sccp-drop-live-guard",
+            "sccp",
+            drop_live_guard,
+            "re-verification failed: [unbounded-loop]",
+        ),
+        (
+            "dce-delete-live-increment",
+            "dce",
+            delete_live_increment,
+            "re-verification failed: [unbounded-loop]",
+        ),
+        (
+            "cse-impure-pop",
+            "cse",
+            impure_cse,
+            "re-verification failed: [uninit-read]",
+        ),
+        (
+            "licm-loop-variant-hoist",
+            "licm",
+            loop_variant_hoist,
+            "re-verification failed: [unbounded-loop]",
+        ),
+        (
+            "peephole-bad-jump-thread",
+            "peephole",
+            bad_jump_thread,
+            "re-verification failed: [unbounded-loop]",
+        ),
+        (
+            "sccp-unguard-effect",
+            "sccp",
+            unguard_effect,
+            "property-certificate gate:",
+        ),
+    ];
+
+    /// [`PASSES`] with `stand_in` in place of the pass called `pass`.
+    fn sabotaged(pass: &str, stand_in: PassFn) -> PassTable {
+        assert!(PASSES.iter().any(|(name, _)| *name == pass), "{pass}");
+        PASSES.map(|(name, run)| (name, if name == pass { stand_in } else { run }))
     }
 
     const MIN_RTT: &str =
@@ -530,16 +705,8 @@ mod tests {
     fn clean_run_shrinks_and_never_raises_bound() {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
-        let (opt, opt_dbg, report, kept) = optimize_bytecode(
-            &prog,
-            &debug,
-            &hir,
-            cert,
-            &cfg,
-            &OptOptions::default(),
-            Some(&props),
-        )
-        .unwrap();
+        let (opt, opt_dbg, report, kept) =
+            optimize_bytecode(&prog, &debug, &hir, cert, &cfg, false, Some(&props)).unwrap();
         assert!(report.total_rewrites() > 0, "{}", report.render_human());
         assert!(
             opt.code.len() < prog.code.len(),
@@ -561,74 +728,49 @@ mod tests {
     fn every_sabotage_is_caught_and_rolled_back() {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
-        for sab in Sabotage::ALL {
-            let (opt, opt_dbg, report, kept) = optimize_bytecode(
+        for (name, pass, stand_in, _) in SABOTAGES {
+            let (opt, opt_dbg, report, kept) = run_pipeline(
+                &sabotaged(pass, stand_in),
                 &prog,
                 &debug,
                 &hir,
                 cert,
                 &cfg,
-                &OptOptions {
-                    strict: false,
-                    sabotage: Some(sab),
-                },
+                false,
                 Some(&props),
             )
             .unwrap();
             let hit = report
                 .diagnostics
                 .iter()
-                .any(|d| d.lint == Lint::Misoptimization);
-            assert!(hit, "{}: sabotage survived validation", sab.name());
+                .any(|d| d.lint == Lint::Misoptimization && d.severity == Severity::Warning);
+            assert!(hit, "{name}: sabotage survived validation");
+            for stats in &report.passes {
+                assert_eq!(stats.rolled_back, stats.name == pass, "{name}: {stats:?}");
+            }
             // Fail-open: the surviving image is still valid, and the
             // verdict handed back is that image's, not the rejected
             // candidate's.
             let tv = validate_translation(&opt, &opt_dbg, &hir, cert, &cfg);
-            assert!(tv.admitted(), "{}", sab.name());
-            assert_eq!(kept, tv, "{}", sab.name());
+            assert!(tv.admitted(), "{name}");
+            assert_eq!(kept, tv, "{name}");
         }
     }
 
     #[test]
     fn each_sabotage_is_rejected_by_its_pinned_check() {
-        // One verdict feeds every check, so the order they are consulted
-        // in decides which one speaks; pin it per sabotage class.
-        let expected = [
-            (
-                Sabotage::DropLiveGuard,
-                "re-verification failed: [unbounded-loop]",
-            ),
-            (
-                Sabotage::DeleteLiveIncrement,
-                "re-verification failed: [unbounded-loop]",
-            ),
-            (Sabotage::ImpureCse, "re-verification failed: [uninit-read]"),
-            (
-                Sabotage::LoopVariantHoist,
-                "re-verification failed: [unbounded-loop]",
-            ),
-            (
-                Sabotage::BadJumpThread,
-                "re-verification failed: [unbounded-loop]",
-            ),
-            (Sabotage::UnguardEffect, "property-certificate gate:"),
-        ];
-        assert_eq!(expected.map(|(s, _)| s), Sabotage::ALL);
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
-        for (sab, check) in expected {
-            let options = OptOptions {
-                strict: false,
-                sabotage: Some(sab),
-            };
+        for (name, pass, stand_in, check) in SABOTAGES {
+            let table = sabotaged(pass, stand_in);
             let (_, _, report, _) =
-                optimize_bytecode(&prog, &debug, &hir, cert, &cfg, &options, Some(&props)).unwrap();
+                run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, false, Some(&props)).unwrap();
             let [diag] = &report.diagnostics[..] else {
-                panic!("{}: {:?}", sab.name(), report.diagnostics);
+                panic!("{name}: {:?}", report.diagnostics);
             };
-            let prefix = format!("{} pass rolled back: {check}", sab.pass());
-            assert!(diag.message.starts_with(&prefix), "{}: {diag}", sab.name());
-            assert!(diag.pos.line > 0, "{}: {diag}", sab.name());
+            let prefix = format!("{pass} pass rolled back: {check}");
+            assert!(diag.message.starts_with(&prefix), "{name}: {diag}");
+            assert!(diag.pos.line > 0, "{name}: {diag}");
         }
     }
 
@@ -698,12 +840,9 @@ mod tests {
         // gate, and must vanish when no certificate is supplied.
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
-        let sab = OptOptions {
-            strict: false,
-            sabotage: Some(Sabotage::UnguardEffect),
-        };
+        let table = sabotaged("sccp", unguard_effect);
         let (_, _, report, _) =
-            optimize_bytecode(&prog, &debug, &hir, cert, &cfg, &sab, Some(&props)).unwrap();
+            run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, false, Some(&props)).unwrap();
         let diag = report
             .diagnostics
             .iter()
@@ -719,7 +858,7 @@ mod tests {
         // Without the certificate the unsound image sails through every
         // legacy check — the gap this gate closes.
         let (_, _, ungated, _) =
-            optimize_bytecode(&prog, &debug, &hir, cert, &cfg, &sab, None).unwrap();
+            run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, false, None).unwrap();
         assert!(
             !ungated
                 .diagnostics
@@ -734,16 +873,14 @@ mod tests {
     fn strict_mode_turns_rollback_into_error() {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
-        let err = optimize_bytecode(
+        let err = run_pipeline(
+            &sabotaged("sccp", drop_live_guard),
             &prog,
             &debug,
             &hir,
             cert,
             &cfg,
-            &OptOptions {
-                strict: true,
-                sabotage: Some(Sabotage::DropLiveGuard),
-            },
+            true,
             Some(&props),
         )
         .unwrap_err();

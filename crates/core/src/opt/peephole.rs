@@ -11,33 +11,15 @@ use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Insn};
 use crate::flow::jump_target;
 use crate::opt::analysis::liveness;
 use crate::opt::edit::Editor;
-use crate::opt::Sabotage;
 
 pub(crate) fn run(
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    sabotage: Option<Sabotage>,
 ) -> (BytecodeProgram, DebugTable, u64) {
     let mut ed = Editor::new(prog, debug);
     let code = &prog.code;
     let n = code.len();
     let live = liveness(code);
-
-    if sabotage == Some(Sabotage::BadJumpThread) {
-        // Deliberately unsound jump threading: slide the first back edge
-        // one instruction forward, past the loop's exit test.
-        for (pc, insn) in code.iter().enumerate() {
-            if let Some(t) = jump_target(pc, insn) {
-                if t <= pc && matches!(insn, Insn::Ja { .. }) {
-                    ed.retarget(pc, t + 1);
-                    let changes = ed.changes();
-                    let (p, d) = ed.finish();
-                    return (p, d, changes);
-                }
-            }
-        }
-        return (prog.clone(), debug.clone(), 0);
-    }
 
     let mut leader = vec![false; n];
     for (pc, insn) in code.iter().enumerate() {

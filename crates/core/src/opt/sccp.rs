@@ -8,11 +8,9 @@
 //! or disappear. Dead fallthrough/branch code left behind is swept by the
 //! dead-code pass.
 
-use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Helper, Insn};
-use crate::flow::jump_target;
-use crate::opt::analysis::{facts, reachable};
+use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Insn};
+use crate::opt::analysis::facts;
 use crate::opt::edit::Editor;
-use crate::opt::Sabotage;
 use crate::verify::domain::{eval_cond, Interval, Tri};
 
 fn fold(op: AluOp, a: i64, b: i64) -> i64 {
@@ -43,13 +41,11 @@ fn fold(op: AluOp, a: i64, b: i64) -> i64 {
 pub(crate) fn run(
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    sabotage: Option<Sabotage>,
 ) -> (BytecodeProgram, DebugTable, u64) {
     let Some(f) = facts(&prog.code, prog.stack_slots) else {
         return (prog.clone(), debug.clone(), 0);
     };
     let mut ed = Editor::new(prog, debug);
-    let reach = reachable(&prog.code);
 
     for pc in 0..prog.code.len() {
         let Some(state) = &f.before[pc] else { continue };
@@ -112,67 +108,6 @@ pub(crate) fn run(
                 fold_guard(&mut ed, pc, eval_cond(cond, a, Interval::exact(imm)));
             }
             _ => {}
-        }
-    }
-
-    if sabotage == Some(Sabotage::DropLiveGuard) {
-        // Deliberately unsound: claim the first conditional guard inside a
-        // loop body is never taken and delete it, leaving the loop without
-        // its exit test.
-        'outer: for back in 0..prog.code.len() {
-            let Some(head) = jump_target(back, &prog.code[back]).filter(|t| *t <= back) else {
-                continue;
-            };
-            for (pc, &reachable_pc) in reach.iter().enumerate().take(back + 1).skip(head) {
-                if reachable_pc && matches!(prog.code[pc], Insn::Jmp { .. } | Insn::JmpImm { .. }) {
-                    ed.delete(pc);
-                    break 'outer;
-                }
-            }
-        }
-    }
-
-    if sabotage == Some(Sabotage::UnguardEffect) {
-        // Deliberately unsound: claim the first *undecided* forward guard
-        // whose guarded region contains an effectful PUSH/POP/DROP call
-        // is constant and delete it, making the effect unconditional.
-        // Every call site survives and the bound never grows, so only the
-        // property-certificate gate can catch this.
-        for (pc, &reachable) in reach.iter().enumerate() {
-            if !reachable {
-                continue;
-            }
-            let Some(state) = &f.before[pc] else { continue };
-            let undecided = match prog.code[pc] {
-                Insn::Jmp { cond, lhs, rhs, .. } => {
-                    let a = state.regs[usize::from(lhs)];
-                    let b = state.regs[usize::from(rhs)];
-                    eval_cond(cond, a, b) == Tri::Unknown
-                }
-                Insn::JmpImm { cond, lhs, imm, .. } => {
-                    let a = state.regs[usize::from(lhs)];
-                    eval_cond(cond, a, Interval::exact(imm)) == Tri::Unknown
-                }
-                _ => false,
-            };
-            if !undecided {
-                continue;
-            }
-            let Some(target) = jump_target(pc, &prog.code[pc]).filter(|t| *t > pc) else {
-                continue;
-            };
-            let guards_effect = (pc + 1..target.min(prog.code.len())).any(|i| {
-                matches!(
-                    prog.code[i],
-                    Insn::Call {
-                        helper: Helper::Push | Helper::Pop | Helper::DropPkt
-                    }
-                )
-            });
-            if guards_effect {
-                ed.delete(pc);
-                break;
-            }
         }
     }
 

@@ -76,7 +76,6 @@ struct Compiled {
     debug: DebugTable,
     optimizer_rewrites: usize,
     opt_report: Option<crate::opt::OptReport>,
-    verify_cfg: crate::verify::VerifyConfig,
     verdict: crate::verify::Verdict,
     vm_verdict: crate::verify::vm::BytecodeVerdict,
     props: crate::verify::props::PropertyCertificate,
@@ -134,19 +133,6 @@ pub struct CompileOptions {
     /// [`crate::opt::OptReport`]. Only meaningful with
     /// [`CompileOptions::optimize_bytecode`].
     pub strict_optimize: bool,
-    /// Inject one deliberately unsound rewrite into the bytecode
-    /// optimizer (testing only; see [`crate::opt::Sabotage`]).
-    #[doc(hidden)]
-    pub opt_sabotage: Option<crate::opt::Sabotage>,
-    /// Weaken one property analysis (testing only; see
-    /// [`crate::verify::props::PropWeakening`]).
-    #[doc(hidden)]
-    pub prop_weakening: Option<crate::verify::props::PropWeakening>,
-    /// Run the relational octagon domain in the admission and property
-    /// verifiers. Off, both fall back to the projection-only (pure
-    /// interval) analysis — the differential soundness sweeps compare
-    /// the two modes.
-    pub relational_domain: bool,
 }
 
 impl Default for CompileOptions {
@@ -156,9 +142,6 @@ impl Default for CompileOptions {
             enforce_admission: true,
             optimize_bytecode: false,
             strict_optimize: false,
-            opt_sabotage: None,
-            prop_weakening: None,
-            relational_domain: true,
         }
     }
 }
@@ -179,10 +162,7 @@ pub fn compile_with_options(
     // Static admission: the abstract-interpretation verifier runs on the
     // exact HIR the backends execute. Its verdict is always recorded;
     // enforcement turns error-severity findings into compile errors.
-    let verify_cfg = crate::verify::VerifyConfig {
-        relational_domain: options.relational_domain,
-        ..crate::verify::VerifyConfig::default()
-    };
+    let verify_cfg = crate::verify::VerifyConfig::default();
     let verdict = crate::verify::verify_with_config(&hir, &verify_cfg);
     if options.enforce_admission {
         reject_on_error(Stage::Verify, &verdict.diagnostics)?;
@@ -191,11 +171,7 @@ pub fn compile_with_options(
     // redundancy bound, reinjection safety) over the same HIR. Findings
     // never gate admission: they are recorded on the program for the lint
     // CLI and armed as dynamic invariants by the simulator's oracle.
-    let props = crate::verify::props::verify_properties_with(
-        &hir,
-        options.prop_weakening,
-        options.relational_domain,
-    );
+    let props = crate::verify::verify_properties(&hir);
     let vcode = codegen::generate(&hir)?;
     let (bytecode, debug) = regalloc::allocate_with_debug(&vcode)?;
     vm::verify_with_debug(&bytecode, Some(&debug))?;
@@ -215,10 +191,7 @@ pub fn compile_with_options(
             &hir,
             verdict.certified_step_bound,
             &verify_cfg,
-            &crate::opt::OptOptions {
-                strict: options.strict_optimize,
-                sabotage: options.opt_sabotage,
-            },
+            options.strict_optimize,
             Some(&props),
         )?;
         (b, d, Some(r), v)
@@ -244,7 +217,6 @@ pub fn compile_with_options(
             debug,
             optimizer_rewrites,
             opt_report,
-            verify_cfg,
             verdict,
             vm_verdict,
             props,
@@ -350,7 +322,7 @@ impl SchedulerProgram {
         let listing = crate::verify::vm::annotated_listing(
             &self.inner.bytecode,
             Some(&self.inner.debug),
-            &self.inner.verify_cfg,
+            &crate::verify::VerifyConfig::default(),
         );
         format!("{}{listing}", self.inner.vm_verdict.render_human(name))
     }
@@ -367,7 +339,7 @@ impl SchedulerProgram {
             &self.inner.debug,
             &self.inner.hir,
             self.inner.verdict.certified_step_bound,
-            &self.inner.verify_cfg,
+            &crate::verify::VerifyConfig::default(),
         )
     }
 
@@ -678,21 +650,6 @@ mod tests {
             rq.clone().pops_reinjection_queue(),
             "shared by every handle"
         );
-    }
-
-    #[test]
-    fn bytecode_revalidation_uses_the_compile_time_caps() {
-        let prog = compile_with_options(
-            None,
-            MIN_RTT,
-            CompileOptions {
-                relational_domain: false,
-                ..CompileOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(!prog.inner.verify_cfg.relational_domain);
-        assert!(prog.validate_bytecode(prog.bytecode()).admitted());
     }
 
     #[test]

@@ -305,7 +305,7 @@ const FOREACH_WIDEN_AFTER: usize = 4;
 const MAX_LOOP_ITERS: usize = 1000;
 
 /// Runs the abstract interpreter and returns the collected diagnostics.
-pub(super) fn run(prog: &HProgram, relational: bool) -> Vec<Diagnostic> {
+pub(super) fn run(prog: &HProgram) -> Vec<Diagnostic> {
     let mut a = Analyzer {
         prog,
         diags: Vec::new(),
@@ -313,7 +313,7 @@ pub(super) fn run(prog: &HProgram, relational: bool) -> Vec<Diagnostic> {
         assume_avail: false,
         avail_relational: false,
     };
-    let mut st = AbsState::initial_with(prog, relational);
+    let mut st = AbsState::initial_with(prog, true);
     a.exec_block(&mut st, &prog.body);
     a.diags
 }

@@ -46,10 +46,6 @@ pub struct VerifyConfig {
     /// Multiplier applied to the closed-form cost total to absorb
     /// step-accounting differences between backends.
     pub cost_safety_factor: u64,
-    /// Run the relational octagon domain alongside the intervals. Off,
-    /// the verifier falls back to the projection-only (pure interval)
-    /// analysis — used by the differential soundness sweeps.
-    pub relational_domain: bool,
 }
 
 impl Default for VerifyConfig {
@@ -59,7 +55,6 @@ impl Default for VerifyConfig {
             max_queue_len: 65_536,
             max_scan_depth: 8,
             cost_safety_factor: 16,
-            relational_domain: true,
         }
     }
 }
@@ -71,7 +66,7 @@ pub fn verify(prog: &HProgram) -> Verdict {
 
 /// Verifies `prog` under explicit caps, returning the full [`Verdict`].
 pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
-    let mut diagnostics = dataflow::run(prog, cfg.relational_domain);
+    let mut diagnostics = dataflow::run(prog);
     let (lint_diagnostics, analysis) = lints::run(prog, cfg);
     diagnostics.extend(lint_diagnostics);
     diagnostics.sort_by(|a, b| {

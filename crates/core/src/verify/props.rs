@@ -517,18 +517,9 @@ pub fn verify_properties(prog: &HProgram) -> PropertyCertificate {
     verify_properties_with(prog, None, true)
 }
 
-/// Like [`verify_properties`] with an optional sabotage weakening
-/// (conformance harness only).
-#[doc(hidden)]
-pub fn verify_properties_weakened(
-    prog: &HProgram,
-    weaken: Option<PropWeakening>,
-) -> PropertyCertificate {
-    verify_properties_with(prog, weaken, true)
-}
-
 /// Full-control entry point: optional weakening plus the relational
-/// (octagon) domain toggle used by the differential soundness sweeps.
+/// (octagon) domain toggle. `relational: false` is a second spelling of
+/// [`PropWeakening::OctagonDropRelations`]; every caller passes `true`.
 #[doc(hidden)]
 pub fn verify_properties_with(
     prog: &HProgram,
@@ -1526,24 +1517,18 @@ impl<'a> ReinjAnalysis<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{compile_with_options, CompileOptions};
 
     fn cert(source: &str) -> PropertyCertificate {
         cert_weakened(source, None)
     }
 
+    /// The certificate of the HIR `compile` certifies (optimized), with
+    /// `weaken` injected.
     fn cert_weakened(source: &str, weaken: Option<PropWeakening>) -> PropertyCertificate {
-        let prog = compile_with_options(
-            Some("t"),
-            source,
-            CompileOptions {
-                enforce_admission: false,
-                prop_weakening: weaken,
-                ..CompileOptions::default()
-            },
-        )
-        .expect("compiles");
-        prog.property_certificate().clone()
+        let ast = crate::parser::parse(source).expect("parses");
+        let mut hir = crate::sema::lower(&ast).expect("lowers");
+        crate::optimizer::optimize(&mut hir);
+        verify_properties_with(&hir, weaken, true)
     }
 
     const MIN_RTT: &str =

@@ -455,6 +455,7 @@ fn validate_bytecode_rejects_a_foreign_image() {
     )
     .expect("compiles");
     let set_reg = progmp_core::compile("SET(R3, 7);").expect("compiles");
+    assert!(min_rtt.validate_bytecode(min_rtt.bytecode()).admitted());
     let v = min_rtt.validate_bytecode(set_reg.bytecode());
     assert!(!v.admitted(), "foreign image must not validate");
     assert!(

@@ -43,8 +43,8 @@ impl SchedulerHandle {
 /// the oracle arms, whether the liveness check may expect it to drain
 /// `RQ`, and the step budget it runs under. Every install path
 /// (connection creation, quarantine and re-admission,
-/// `ProgMp::set_scheduler`) builds one with [`Installed::new`] and swaps
-/// it in whole with [`Connection::install`].
+/// [`crate::Sim::set_scheduler`]) builds one with [`Installed::new`] and
+/// swaps it in whole.
 pub struct Installed {
     /// The scheduler instance.
     pub handle: SchedulerHandle,
@@ -259,7 +259,7 @@ impl Connection {
 
     /// Installs `scheduler` — instance, certificate and step budget in
     /// one move — and returns what it replaced.
-    pub fn install(&mut self, scheduler: Installed) -> Option<Installed> {
+    pub(crate) fn install(&mut self, scheduler: Installed) -> Option<Installed> {
         self.installed.replace(scheduler)
     }
 

@@ -367,6 +367,25 @@ impl Sim {
         Ok(id)
     }
 
+    /// Swaps the scheduler of `conn` between events: the one install
+    /// path after connection creation. While the supervisor holds `conn`
+    /// on the fallback (quarantined or pinned), `scheduler` replaces what
+    /// is *parked* — what re-admission will restore — never what is
+    /// running, so an application cannot take a connection out of
+    /// containment.
+    ///
+    /// # Panics
+    ///
+    /// If `conn` is not a connection of this simulation.
+    pub fn set_scheduler(&mut self, conn: ConnId, scheduler: Installed) {
+        match self.supervisor.as_mut() {
+            Some(sup) if sup.on_fallback(conn) => sup.park(conn, scheduler),
+            _ => {
+                self.connections[conn].install(scheduler);
+            }
+        }
+    }
+
     /// Schedules `bytes` of application data with property `prop` at `at`.
     pub fn app_send_at(&mut self, conn: ConnId, at: SimTime, bytes: u64, prop: u32) {
         self.schedule(at, EventKind::AppData { conn, bytes, prop });

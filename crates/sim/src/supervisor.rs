@@ -556,10 +556,11 @@ impl Supervisor {
         }
     }
 
-    /// Stores the parked original scheduler for `conn`.
+    /// Stores `parked` as the scheduler re-admission restores on `conn`:
+    /// the original when the fallback takes over, or its replacement
+    /// when the application swaps schedulers while the fallback runs.
     pub fn park(&mut self, conn: usize, parked: Installed) {
         if let Some(entry) = self.conns.get_mut(conn).and_then(|c| c.as_mut()) {
-            debug_assert!(entry.parked.is_none(), "double park");
             entry.parked = Some(parked);
         }
     }

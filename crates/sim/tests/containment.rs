@@ -7,8 +7,10 @@
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
     ConnectionConfig, ContainAction, ContainState, ContainmentConfig, FaultClass, FaultClause,
-    FaultPlan, NativeTrapping, PathConfig, SchedulerSpec, Sim, SubflowConfig,
+    FaultPlan, Installed, NativeTrapping, PathConfig, SchedulerHandle, SchedulerSpec, Sim,
+    SubflowConfig,
 };
+use progmp_core::Backend;
 
 /// A scheduler whose certificate proves work-conservation.
 const PROVED_WC_DSL: &str =
@@ -245,6 +247,94 @@ fn without_containment_faults_surface_the_old_way() {
         sim.oracle_violations()
     );
     assert!(sim.connections[0].stats.scheduler_errors > 0);
+}
+
+// ---- A mid-run scheduler swap under containment -------------------------
+
+/// `PROVED_WC_DSL` under a step budget of 3, which aborts every run.
+fn bomb() -> Installed {
+    let program = progmp_core::compile(PROVED_WC_DSL).unwrap();
+    Installed {
+        step_budget: 3,
+        ..Installed::new(SchedulerHandle::Dsl(program.instantiate(Backend::Vm)))
+    }
+}
+
+fn bombed_connection() -> ConnectionConfig {
+    let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
+    cfg.step_budget = 3;
+    cfg
+}
+
+#[test]
+fn a_swap_under_quarantine_takes_effect_at_readmission_and_stays_supervised() {
+    let mut sim = contained_sim(31, bombed_connection());
+    sim.app_send_at(0, 0, 2_000_000, 0);
+    sim.run_until(from_millis(1));
+    let quarantine = sim.incidents()[0].clone();
+    assert_eq!(quarantine.action, ContainAction::Quarantined);
+
+    // The replacement schedules for a while, then traps forever.
+    let replacement = SchedulerHandle::Native(Box::new(NativeTrapping::new(20)));
+    sim.set_scheduler(0, Installed::new(replacement));
+    let state = |sim: &Sim| sim.supervisor().unwrap().state(0);
+    assert_eq!(state(&sim), ContainState::Quarantined);
+
+    sim.run_until(quarantine.at + quarantine.backoff);
+    assert_eq!(state(&sim), ContainState::Probation);
+    assert!(
+        matches!(
+            &sim.connections[0].installed().unwrap().handle,
+            SchedulerHandle::Native(n) if n.name() == "native-trapping"
+        ),
+        "re-admission restores the replacement, not the bomb it replaced"
+    );
+    assert_eq!(
+        sim.connections[0].stats.scheduler_errors, 1,
+        "the fallback ran the quarantine: only the bomb's one abort so far"
+    );
+
+    sim.run_to_completion(60 * SECONDS);
+    assert!(sim.connections[0].all_acked());
+    let trap = sim
+        .incidents()
+        .iter()
+        .find(|i| matches!(i.class, FaultClass::BackendTrap { .. }))
+        .expect("the replacement's trap is an incident");
+    assert_eq!(
+        (trap.action, trap.strikes),
+        (ContainAction::Quarantined, 2),
+        "a fault of the replacement is a strike against the connection"
+    );
+    assert!(
+        sim.incidents()
+            .iter()
+            .all(|i| i.action != ContainAction::FallbackFault),
+        "{:?}",
+        sim.incidents()
+    );
+}
+
+#[test]
+fn a_swap_on_a_pinned_connection_never_runs() {
+    let mut sim = contained_sim(37, bombed_connection());
+    sim.app_send_at(0, 0, 200_000, 0);
+    sim.run_to_completion(60 * SECONDS);
+    let state = |sim: &Sim| sim.supervisor().unwrap().state(0);
+    assert_eq!(state(&sim), ContainState::Pinned);
+    let incidents = sim.incidents().len();
+    assert_eq!(sim.connections[0].stats.scheduler_errors, 3);
+
+    sim.set_scheduler(0, bomb());
+    sim.app_send_at(0, sim.now, 200_000, 0);
+    sim.run_to_completion(120 * SECONDS);
+    assert!(
+        sim.connections[0].all_acked(),
+        "the fallback keeps the connection"
+    );
+    assert_eq!(state(&sim), ContainState::Pinned);
+    assert_eq!(sim.connections[0].stats.scheduler_errors, 3);
+    assert_eq!(sim.incidents().len(), incidents, "{:?}", sim.incidents());
 }
 
 // ---- One route for a scheduler fault -----------------------------------

@@ -115,7 +115,9 @@ impl ProgMp {
     /// (§3.2); this API allows it but the new instance starts from the
     /// connection's current register state. The program's property
     /// certificate, `RQ` capability and certified step budget replace the
-    /// previous scheduler's along with the instance.
+    /// previous scheduler's along with the instance. On a connection its
+    /// containment supervisor holds on the fallback, the swap takes
+    /// effect at re-admission ([`Sim::set_scheduler`]).
     ///
     /// # Errors
     ///
@@ -131,12 +133,11 @@ impl ProgMp {
             .registry
             .get(name)
             .ok_or_else(|| ApiError::UnknownScheduler(name.to_string()))?;
-        let connection = sim
-            .connections
-            .get_mut(conn)
-            .ok_or(ApiError::UnknownConnection(conn))?;
+        if conn >= sim.connections.len() {
+            return Err(ApiError::UnknownConnection(conn));
+        }
         let instance = program.instantiate(backend);
-        connection.install(Installed::new(SchedulerHandle::Dsl(instance)));
+        sim.set_scheduler(conn, Installed::new(SchedulerHandle::Dsl(instance)));
         Ok(())
     }
 

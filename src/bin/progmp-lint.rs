@@ -26,7 +26,7 @@
 //!   before/after, any `misoptimization` rollback diagnostics, and the
 //!   annotated disassembly of the *optimized* image. With `--json`, the
 //!   report appears as an `"optimizer"` object on each program entry.
-//! * `--strict` (with `--optimize`): escalate any fail-open optimizer
+//! * `--strict` (only with `--optimize`): escalate any fail-open optimizer
 //!   rollback to a hard compile error — the CI posture, where a pass
 //!   that cannot be re-certified on a first-party scheduler is a
 //!   compiler regression, not a shrug.
@@ -71,7 +71,7 @@ fn usage() -> ExitCode {
          \x20 --inspect          also print the static audit report\n\
          \x20 --bytecode         also run and print the bytecode verifier\n\
          \x20 --optimize         run the verified bytecode optimizer and report per-pass counts\n\
-         \x20 --strict           (with --optimize) escalate optimizer rollbacks to hard errors\n\
+         \x20 --strict           (only with --optimize) escalate optimizer rollbacks to hard errors\n\
          \x20 --properties       derive and print the semantic property certificate\n\
          \x20                    (work-conservation, starvation, redundancy bound, reinjection)\n\
          \x20 --strict-warnings  exit 2 when clean of errors but warnings were reported\n\
@@ -121,7 +121,8 @@ fn parse_args() -> Result<Options, ExitCode> {
                 .map(|(name, _)| name.to_string()),
         );
     }
-    if opts.targets.is_empty() {
+    // `--strict` only qualifies `--optimize`: alone it would be ignored.
+    if opts.targets.is_empty() || (opts.strict && !opts.optimize) {
         return Err(usage());
     }
     Ok(opts)

@@ -43,6 +43,11 @@ fn rejected_program_exits_one() {
 fn usage_error_exits_sixtyfour() {
     let out = lint(&["--no-such-flag"]);
     assert_eq!(out.status.code(), Some(64));
+    // `--strict` qualifies `--optimize`; alone it must not be ignored.
+    let out = lint(&["--strict", "minRttSimple"]);
+    assert_eq!(out.status.code(), Some(64));
+    let out = lint(&["--optimize", "--strict", "minRttSimple"]);
+    assert_eq!(out.status.code(), Some(0));
     let out = lint(&[]);
     assert_eq!(out.status.code(), Some(64));
     let stderr = String::from_utf8(out.stderr).unwrap();
