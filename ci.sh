@@ -51,6 +51,14 @@ echo "==> one verifier configuration, no miscompile field: CompileOptions is fou
 [ "$(sed -n '/^pub struct CompileOptions {/,/^}/p' crates/core/src/program.rs | grep -c '^    pub ')" -eq 4 ] \
   || { echo "CompileOptions must declare exactly four pub fields (optimize, enforce_admission, optimize_bytecode, strict_optimize)"; exit 1; }
 
+echo "==> a fleet's report does not depend on its shards: no fleet breaker, no incident filter, the containment record on the Connection, ContainmentConfig is four tunables"
+! grep -rnE 'fleet_breaker|take_breaker_trip|FleetBreakerTripped|set_panic_on_violation|canonical_incidents|OracleMode::Panic' crates/ src/ tests/ examples/ \
+  || { echo "a containment decision or a report depends on how the fleet was sharded again"; exit 1; }
+! grep -nE '^ +(pub )?conns:|fn register' crates/sim/src/supervisor.rs \
+  || { echo "the supervisor keeps a per-connection table again (the record is Connection::contain)"; exit 1; }
+[ "$(sed -n '/^pub struct ContainmentConfig {/,/^}/p' crates/sim/src/supervisor.rs | grep -c '^    pub ')" -eq 4 ] \
+  || { echo "ContainmentConfig must declare exactly four pub fields (base_backoff, max_backoff, max_strikes, stall_check_interval)"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

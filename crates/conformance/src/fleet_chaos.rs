@@ -8,7 +8,7 @@
 //! trapping native code — under the containment supervisor, and runs it
 //! at 1, 2, and 8 workers. A case fails when
 //!
-//! * the fleet digest or the canonical incident log differs between any
+//! * the fleet digest or the incident log differs between any
 //!   two worker counts (containment decisions leaked partition state), or
 //! * any connection fails to acknowledge all of its data (a fault
 //!   escaped containment and permanently stalled the transfer), or
@@ -35,8 +35,8 @@ use mptcp_sim::{
 /// conn seed `n` shares nothing with the chaos case generator.
 const FLEET_CHAOS_SALT: u64 = 0xF1EE_7CA0_5F1E_E7CA;
 
-/// The worker counts every case runs at; digests and canonical incident
-/// logs must be bit-identical across all of them.
+/// The worker counts every case runs at; digests and incident logs must
+/// be bit-identical across all of them.
 pub const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// Simulated-time budget per fleet; generous enough that every
@@ -155,7 +155,7 @@ pub enum FleetFailure {
         /// The worker count whose digest disagrees with 1 worker.
         workers: usize,
     },
-    /// Canonical incident logs differ between worker counts.
+    /// Incident logs differ between worker counts.
     IncidentMismatch {
         /// The worker count whose log disagrees with 1 worker.
         workers: usize,
@@ -188,7 +188,7 @@ impl std::fmt::Display for FleetFailure {
                 first_diff,
             } => write!(
                 f,
-                "canonical incidents at {workers} workers diverge: {:?} != {:?}",
+                "incidents at {workers} workers diverge: {:?} != {:?}",
                 first_diff.0, first_diff.1
             ),
             FleetFailure::Stalled { conn } => {
@@ -239,13 +239,8 @@ pub fn replay_reproduces(case: &FleetCase, replay: &str) -> bool {
     let mut sim = Sim::new(seed);
     sim.enable_containment(ContainmentConfig::default());
     sim.enable_oracle(format!("fleet-chaos replay seed={seed} conn={conn}"), false);
-    let idx = sim
-        .add_connection_with_identity(sc.config, conn)
+    sim.add_scenario(sc, conn)
         .expect("replayed scheduler compiles");
-    let Workload::Bulk { bytes, prop } = sc.workload else {
-        unreachable!("fleet-chaos scenarios are bulk-only");
-    };
-    sim.add_bulk_source(idx, bytes, prop);
     sim.run_to_completion(HORIZON);
     sim.incidents()
         .iter()
@@ -257,12 +252,8 @@ pub fn replay_reproduces(case: &FleetCase, replay: &str) -> bool {
 /// everywhere, every transfer drained, at least one quarantine, and a
 /// reproducing replay string.
 fn classify(case: &FleetCase, runs: &[FleetReport]) -> Option<FleetFailure> {
-    let render = |r: &FleetReport| -> Vec<String> {
-        r.canonical_incidents()
-            .iter()
-            .map(|i| i.to_string())
-            .collect()
-    };
+    let render =
+        |r: &FleetReport| -> Vec<String> { r.incidents.iter().map(|i| i.to_string()).collect() };
     let reference = &runs[0];
     let ref_incidents = render(reference);
     for (&workers, run) in WORKER_COUNTS.iter().zip(runs).skip(1) {
@@ -291,7 +282,7 @@ fn classify(case: &FleetCase, runs: &[FleetReport]) -> Option<FleetFailure> {
     if reference.quarantines() == 0 {
         return Some(FleetFailure::NoContainment);
     }
-    if let Some(incident) = reference.canonical_incidents().first() {
+    if let Some(incident) = reference.incidents.first() {
         if !replay_reproduces(case, &incident.replay) {
             return Some(FleetFailure::ReplayFailed {
                 replay: incident.replay.clone(),
@@ -302,16 +293,13 @@ fn classify(case: &FleetCase, runs: &[FleetReport]) -> Option<FleetFailure> {
 }
 
 /// Runs the fleet for `seed` at every worker count, counts the reference
-/// run's quarantine transitions and canonical (partition-independent)
-/// incidents, and records how the case fails, if it does.
+/// run's quarantine transitions and incidents, and records how the case
+/// fails, if it does.
 pub fn check_seed(seed: u64, out: &mut Report) {
     let case = FleetCase { seed };
     let runs: Vec<FleetReport> = WORKER_COUNTS.iter().map(|&w| case.run(w)).collect();
     out.count("quarantines", runs[0].quarantines() as u64);
-    out.count(
-        "canonical incidents",
-        runs[0].canonical_incidents().len() as u64,
-    );
+    out.count("incidents", runs[0].incidents.len() as u64);
     if let Some(failure) = classify(&case, &runs) {
         out.finding(
             seed,

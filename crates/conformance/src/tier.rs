@@ -88,7 +88,7 @@ pub static TIERS: [Tier; 7] = [
         name: "fleet-chaos",
         default_seeds: 100,
         about: "a fleet of 8 faulting schedulers differs across 1/2/8 workers, stalls or escapes containment",
-        counters: &["quarantines", "canonical incidents"],
+        counters: &["quarantines", "incidents"],
         check: fleet_chaos::check_seed,
         probes: None,
     },

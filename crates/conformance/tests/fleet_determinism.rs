@@ -14,7 +14,9 @@
 
 use mptcp_sim::fleet::{run_fleet, ConnScenario, FleetConfig, FleetReport, OracleMode, Workload};
 use mptcp_sim::time::{from_millis, SECONDS};
-use mptcp_sim::{ConnectionConfig, FaultPlan, PathConfig, SchedulerSpec, SubflowConfig};
+use mptcp_sim::{
+    ConnectionConfig, ContainmentConfig, FaultPlan, PathConfig, SchedulerSpec, SubflowConfig,
+};
 use progmp_conformance::chaos::SCHEDULERS;
 use progmp_core::env::RegId;
 
@@ -72,6 +74,13 @@ fn run_with(workers: usize) -> FleetReport {
     run_fleet(&cfg, scenario)
 }
 
+/// What a report says happened, as printed: incidents, then violations.
+fn rendered(report: &FleetReport) -> Vec<String> {
+    let incidents = report.incidents.iter().map(|i| i.to_string());
+    let violations = report.violations.iter().map(|v| v.to_string());
+    incidents.chain(violations).collect()
+}
+
 #[test]
 fn fleet_is_bit_identical_at_1_2_and_8_workers() {
     let base = run_with(1);
@@ -127,4 +136,33 @@ fn fleet_digest_tracks_the_seed() {
     };
     assert_eq!(small(1), small(1), "replays are stable");
     assert_ne!(small(1), small(2), "the seed actually feeds the fleet");
+}
+
+/// The same fleet with every fifth connection starving its transfer,
+/// under containment: what the report lists — incidents and violations,
+/// unfiltered, in the order reported — is the same at every worker count.
+#[test]
+fn a_contained_fleet_reports_the_same_incidents_at_1_2_and_8_workers() {
+    let faulty = |global: usize, seed: u64| {
+        let mut sc = scenario(global, seed);
+        if global % 5 == 3 {
+            sc.config.scheduler = SchedulerSpec::dsl("RETURN;");
+        }
+        sc
+    };
+    let run = |workers| {
+        let cfg = FleetConfig::new(40, FLEET_SEED)
+            .with_workers(workers)
+            .with_horizon(300 * SECONDS)
+            .with_oracle(OracleMode::Collect)
+            .with_containment(ContainmentConfig::default());
+        run_fleet(&cfg, faulty)
+    };
+    let base = run(1);
+    assert!(base.quarantines() >= 8, "every starver is quarantined");
+    for workers in [2usize, 8] {
+        let other = run(workers);
+        assert_eq!(base.digest(), other.digest(), "{workers} workers");
+        assert_eq!(rendered(&base), rendered(&other), "{workers} workers");
+    }
 }

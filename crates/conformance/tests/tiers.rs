@@ -50,7 +50,7 @@ fn every_tier_is_silent_and_every_probe_set_bites() {
             "fleet-chaos" => {
                 let quarantines = report.counter("quarantines");
                 assert!(quarantines > 0, "the faulting classes must be quarantined");
-                assert!(report.counter("canonical incidents") >= quarantines);
+                assert!(report.counter("incidents") >= quarantines);
             }
             _ => assert!(report.probes.is_none(), "{report}"),
         }

@@ -425,11 +425,9 @@ impl<'p> Compiler<'p> {
                     };
                 }
                 match op {
-                    BinOp::Add => bin!(|a, b| a.wrapping_add(b)),
-                    BinOp::Sub => bin!(|a, b| a.wrapping_sub(b)),
-                    BinOp::Mul => bin!(|a, b| a.wrapping_mul(b)),
-                    BinOp::Div => bin!(|a, b| if b == 0 { 0 } else { a.wrapping_div(b) }),
-                    BinOp::Rem => bin!(|a, b| if b == 0 { 0 } else { a.wrapping_rem(b) }),
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
+                        bin!(|a, b| op.eval_int(a, b).unwrap_or_default())
+                    }
                     BinOp::Eq => bin!(|a, b| i64::from(a == b)),
                     BinOp::Ne => bin!(|a, b| i64::from(a != b)),
                     BinOp::Lt => bin!(|a, b| i64::from(a < b)),

@@ -244,6 +244,24 @@ impl BinOp {
     pub fn is_logic(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)
     }
+
+    /// The language's integer arithmetic, as the interpreter, the AOT
+    /// backend and the constant folder all evaluate it: `+`, `-` and `*`
+    /// wrap, and `x / 0 == x % 0 == 0` (as in eBPF). `None` for the
+    /// comparison and logic operators, whose result is not an integer.
+    #[inline]
+    pub fn eval_int(self, a: i64, b: i64) -> Option<i64> {
+        Some(match self {
+            BinOp::Add => a.wrapping_add(b),
+            BinOp::Sub => a.wrapping_sub(b),
+            BinOp::Mul => a.wrapping_mul(b),
+            BinOp::Div if b == 0 => 0,
+            BinOp::Div => a.wrapping_div(b),
+            BinOp::Rem if b == 0 => 0,
+            BinOp::Rem => a.wrapping_rem(b),
+            _ => return None,
+        })
+    }
 }
 
 #[cfg(test)]

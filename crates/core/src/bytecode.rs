@@ -55,6 +55,27 @@ pub enum AluOp {
     Xor,
 }
 
+impl AluOp {
+    /// Evaluates the operation, as the VM executes it and the bytecode
+    /// optimizer folds it: `Add`, `Sub` and `Mul` wrap, and division or
+    /// remainder by zero yields 0.
+    #[inline]
+    pub fn eval(self, a: i64, b: i64) -> i64 {
+        match self {
+            AluOp::Add => a.wrapping_add(b),
+            AluOp::Sub => a.wrapping_sub(b),
+            AluOp::Mul => a.wrapping_mul(b),
+            AluOp::Div if b == 0 => 0,
+            AluOp::Div => a.wrapping_div(b),
+            AluOp::Rem if b == 0 => 0,
+            AluOp::Rem => a.wrapping_rem(b),
+            AluOp::And => a & b,
+            AluOp::Or => a | b,
+            AluOp::Xor => a ^ b,
+        }
+    }
+}
+
 /// Branch conditions (signed comparisons).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Cond {

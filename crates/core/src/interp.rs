@@ -456,25 +456,8 @@ impl<'p> Interp<'p> {
                 let l = self.eval(lhs, ctx)?;
                 let r = self.eval(rhs, ctx)?;
                 match op {
-                    BinOp::Add => Value::Int(l.as_int().wrapping_add(r.as_int())),
-                    BinOp::Sub => Value::Int(l.as_int().wrapping_sub(r.as_int())),
-                    BinOp::Mul => Value::Int(l.as_int().wrapping_mul(r.as_int())),
-                    BinOp::Div => {
-                        let d = r.as_int();
-                        // Division by zero yields 0, as in eBPF.
-                        Value::Int(if d == 0 {
-                            0
-                        } else {
-                            l.as_int().wrapping_div(d)
-                        })
-                    }
-                    BinOp::Rem => {
-                        let d = r.as_int();
-                        Value::Int(if d == 0 {
-                            0
-                        } else {
-                            l.as_int().wrapping_rem(d)
-                        })
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
+                        Value::Int(op.eval_int(l.as_int(), r.as_int()).unwrap_or_default())
                     }
                     BinOp::Eq | BinOp::Ne => {
                         let equal = if operand_ty.is_nullable() {

@@ -8,35 +8,10 @@
 //! or disappear. Dead fallthrough/branch code left behind is swept by the
 //! dead-code pass.
 
-use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Insn};
+use crate::bytecode::{BytecodeProgram, DebugTable, Insn};
 use crate::opt::analysis::facts;
 use crate::opt::edit::Editor;
 use crate::verify::domain::{eval_cond, Interval, Tri};
-
-fn fold(op: AluOp, a: i64, b: i64) -> i64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        AluOp::Rem => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-    }
-}
 
 pub(crate) fn run(
     prog: &BytecodeProgram,
@@ -61,7 +36,7 @@ pub(crate) fn run(
                     pc,
                     Insn::MovImm {
                         dst,
-                        imm: fold(op, a, b),
+                        imm: op.eval(a, b),
                     },
                 ),
                 (None, Some(b)) => ed.set(pc, Insn::AluImm { op, dst, imm: b }),
@@ -73,7 +48,7 @@ pub(crate) fn run(
                         pc,
                         Insn::MovImm {
                             dst,
-                            imm: fold(op, a, imm),
+                            imm: op.eval(a, imm),
                         },
                     );
                 }

@@ -117,26 +117,7 @@ fn fold_expr(prog: &mut HProgram, id: ExprId) -> usize {
         } => match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
                 match (const_int(prog, lhs), const_int(prog, rhs)) {
-                    (Some(a), Some(b)) => Some(HExpr::Int(match op {
-                        BinOp::Add => a.wrapping_add(b),
-                        BinOp::Sub => a.wrapping_sub(b),
-                        BinOp::Mul => a.wrapping_mul(b),
-                        BinOp::Div => {
-                            if b == 0 {
-                                0
-                            } else {
-                                a.wrapping_div(b)
-                            }
-                        }
-                        BinOp::Rem => {
-                            if b == 0 {
-                                0
-                            } else {
-                                a.wrapping_rem(b)
-                            }
-                        }
-                        _ => unreachable!(),
-                    })),
+                    (Some(a), Some(b)) => op.eval_int(a, b).map(HExpr::Int),
                     // Identity: x + 0, x - 0, x * 1, x / 1.
                     (None, Some(0)) if matches!(op, BinOp::Add | BinOp::Sub) => {
                         Some(prog.expr(lhs).clone())

@@ -10,9 +10,7 @@
 //! helper call of the one image every connection shares, so the only
 //! image that executes is the image that was validated.
 
-use crate::bytecode::{
-    AluOp, BytecodeProgram, DebugTable, Helper, Insn, MAX_STACK_SLOTS, NUM_MACH_REGS,
-};
+use crate::bytecode::{BytecodeProgram, DebugTable, Helper, Insn, MAX_STACK_SLOTS, NUM_MACH_REGS};
 use crate::env::{PacketProp, QueueKind, RegId, SubflowProp};
 use crate::error::{CompileError, ExecError, Pos, Stage};
 use crate::exec::{ExecCtx, NULL_HANDLE};
@@ -198,11 +196,11 @@ fn run(
             Insn::Alu { op, dst, src } => {
                 let a = reg(&regs, dst, at)?;
                 let b = reg(&regs, src, at)?;
-                *reg_mut(&mut regs, dst, at)? = alu(op, a, b);
+                *reg_mut(&mut regs, dst, at)? = op.eval(a, b);
             }
             Insn::AluImm { op, dst, imm } => {
                 let a = reg(&regs, dst, at)?;
-                *reg_mut(&mut regs, dst, at)? = alu(op, a, imm);
+                *reg_mut(&mut regs, dst, at)? = op.eval(a, imm);
             }
             Insn::Neg { dst } => {
                 let a = reg(&regs, dst, at)?;
@@ -267,32 +265,6 @@ fn run(
 #[inline]
 fn jump(pc: usize, off: i32) -> usize {
     (pc as i64 + i64::from(off)) as usize
-}
-
-#[inline]
-fn alu(op: AluOp, a: i64, b: i64) -> i64 {
-    match op {
-        AluOp::Add => a.wrapping_add(b),
-        AluOp::Sub => a.wrapping_sub(b),
-        AluOp::Mul => a.wrapping_mul(b),
-        AluOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        AluOp::Rem => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
-        AluOp::And => a & b,
-        AluOp::Or => a | b,
-        AluOp::Xor => a ^ b,
-    }
 }
 
 #[inline]

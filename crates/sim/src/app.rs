@@ -13,8 +13,6 @@ use crate::time::{SimTime, MILLIS};
 /// queue topped up to a low watermark until `remaining` is exhausted.
 #[derive(Debug, Clone)]
 pub struct BulkState {
-    /// Target connection.
-    pub conn: usize,
     /// Bytes not yet handed to the transport.
     pub remaining: u64,
     /// Packet property for enqueued data.
@@ -27,9 +25,8 @@ pub struct BulkState {
 
 impl BulkState {
     /// A bulk source with a 64 KiB watermark polled every millisecond.
-    pub fn new(conn: usize, total_bytes: u64, prop: u32) -> Self {
+    pub fn new(total_bytes: u64, prop: u32) -> Self {
         BulkState {
-            conn,
             remaining: total_bytes,
             prop,
             low_watermark: 64 * 1024,
@@ -64,7 +61,7 @@ mod tests {
 
     #[test]
     fn bulk_defaults() {
-        let b = BulkState::new(0, 1 << 20, 7);
+        let b = BulkState::new(1 << 20, 7);
         assert_eq!(b.low_watermark, 64 * 1024);
         assert_eq!(b.prop, 7);
     }

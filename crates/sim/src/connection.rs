@@ -8,6 +8,7 @@ use crate::path::TxOutcome;
 use crate::receiver::Receiver;
 use crate::stats::ConnStats;
 use crate::subflow::{Subflow, Timer, TxRec};
+use crate::supervisor::{ConnContain, ContainState};
 use crate::time::SimTime;
 use progmp_core::env::{
     Action, PacketProp, PacketRef, QueueKind, RegId, SchedulerEnv, SubflowId, SubflowProp,
@@ -190,6 +191,10 @@ pub struct Connection {
     registers: [i64; NUM_REGISTERS],
     /// The installed scheduler (taken while executing).
     pub(crate) installed: Option<Installed>,
+    /// The containment record, when a supervisor is attached: where the
+    /// connection stands, and what is parked while the fallback runs.
+    /// Boxed, so an uncontained connection pays one pointer.
+    pub(crate) contain: Option<Box<ConnContain>>,
     /// Receiver-side state.
     pub receiver: Receiver,
     /// Congestion-control algorithm.
@@ -243,6 +248,7 @@ impl Connection {
             rq: Vec::new(),
             registers: [0; NUM_REGISTERS],
             installed: Some(scheduler),
+            contain: None,
             receiver,
             cc_algo,
             mss,
@@ -258,9 +264,22 @@ impl Connection {
     }
 
     /// Installs `scheduler` — instance, certificate and step budget in
-    /// one move — and returns what it replaced.
-    pub(crate) fn install(&mut self, scheduler: Installed) -> Option<Installed> {
-        self.installed.replace(scheduler)
+    /// one move — unless the fallback holds the connection (quarantined
+    /// or pinned): then `scheduler` replaces what is *parked*, what
+    /// re-admission will restore, never what is running.
+    pub(crate) fn set_scheduler(&mut self, scheduler: Installed) {
+        match self.contain.as_mut().and_then(|c| c.parked.as_mut()) {
+            Some((parked, _)) => *parked = scheduler,
+            None => self.installed = Some(scheduler),
+        }
+    }
+
+    /// Where the connection sits in the containment state machine;
+    /// `Healthy` without containment.
+    pub fn contain_state(&self) -> ContainState {
+        self.contain
+            .as_ref()
+            .map_or(ContainState::Healthy, |c| c.state)
     }
 
     /// The installed scheduler (`None` only while it executes).

@@ -21,13 +21,13 @@ use crate::pathman::{PathManager, PmAction};
 use crate::receiver::Receiver;
 use crate::subflow::{Subflow, Timer};
 use crate::supervisor::{
-    classify_exec_error, fallback_program, ContainState, ContainmentConfig, FaultAction,
-    FaultClass, IncidentReport, Supervisor,
+    classify_exec_error, ContainState, ContainmentConfig, FaultAction, FaultClass, IncidentReport,
+    Supervisor,
 };
 use crate::time::SimTime;
 use progmp_core::env::{PacketRef, RegId, SchedulerEnv, SubflowId, Trigger};
 use progmp_core::exec::{ExecCtx, ExecScratch};
-use progmp_core::{compile, subflow_available, Backend, CompileError, ExecStats, SchedulerProgram};
+use progmp_core::{compile, subflow_available, CompileError, ExecStats, SchedulerProgram};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
@@ -161,7 +161,7 @@ pub struct Sim {
     /// All connections, indexed by [`ConnId`].
     pub connections: Vec<Connection>,
     bulk_sources: Vec<BulkState>,
-    path_managers: Vec<(ConnId, PathManager)>,
+    path_managers: Vec<PathManager>,
     /// Total events processed (engine health metric).
     pub events_processed: u64,
     oracle: Option<InvariantOracle>,
@@ -212,9 +212,9 @@ impl Sim {
     /// before the simulation starts, before or after
     /// [`Sim::enable_oracle`]: neither touches the other's state.
     pub fn enable_containment(&mut self, cfg: ContainmentConfig) {
-        let mut sup = Supervisor::new(self.seed, cfg);
-        for (i, c) in self.connections.iter().enumerate() {
-            sup.register(i, c.identity);
+        let sup = Supervisor::new(self.seed, cfg);
+        for c in &mut self.connections {
+            c.contain = Some(sup.admit(c.identity));
         }
         self.supervisor = Some(sup);
     }
@@ -358,12 +358,10 @@ impl Sim {
             cfg.recv_buf,
         );
         conn.identity = identity;
+        conn.contain = self.supervisor.as_ref().map(|sup| sup.admit(identity));
         conn.max_sched_rounds = cfg.max_sched_rounds;
         conn.record_timelines = cfg.record_timelines;
         self.connections.push(conn);
-        if let Some(sup) = self.supervisor.as_mut() {
-            sup.register(id, identity);
-        }
         Ok(id)
     }
 
@@ -378,12 +376,7 @@ impl Sim {
     ///
     /// If `conn` is not a connection of this simulation.
     pub fn set_scheduler(&mut self, conn: ConnId, scheduler: Installed) {
-        match self.supervisor.as_mut() {
-            Some(sup) if sup.on_fallback(conn) => sup.park(conn, scheduler),
-            _ => {
-                self.connections[conn].install(scheduler);
-            }
-        }
+        self.connections[conn].set_scheduler(scheduler);
     }
 
     /// Schedules `bytes` of application data with property `prop` at `at`.
@@ -523,7 +516,7 @@ impl Sim {
     pub fn attach_path_manager(&mut self, conn: ConnId, manager: PathManager) -> usize {
         let idx = self.path_managers.len();
         let first = self.now + manager.interval;
-        self.path_managers.push((conn, manager));
+        self.path_managers.push(manager);
         self.schedule(first, EventKind::PmTick { conn, manager: idx });
         idx
     }
@@ -532,8 +525,7 @@ impl Sim {
     /// iPerf-style source). Returns the source index.
     pub fn add_bulk_source(&mut self, conn: ConnId, total_bytes: u64, prop: u32) -> usize {
         let idx = self.bulk_sources.len();
-        self.bulk_sources
-            .push(BulkState::new(conn, total_bytes, prop));
+        self.bulk_sources.push(BulkState::new(total_bytes, prop));
         self.schedule(0, EventKind::Refill { conn, source: idx });
         idx
     }
@@ -689,9 +681,10 @@ impl Sim {
     /// containment is on (idempotent while armed), the scheduler run.
     fn handle_data(&mut self, conn: ConnId, bytes: u64, prop: u32) {
         let now = self.now;
-        self.connections[conn].enqueue_data(bytes, prop, now);
-        if let Some(sup) = self.supervisor.as_mut() {
-            if sup.arm_watchdog(conn, self.connections[conn].data_acked) {
+        let c = &mut self.connections[conn];
+        c.enqueue_data(bytes, prop, now);
+        if let (Some(sup), Some(record)) = (&self.supervisor, c.contain.as_mut()) {
+            if record.arm_watchdog(c.data_acked) {
                 let at = now + sup.stall_check_interval();
                 self.schedule(at, EventKind::StallCheck { conn });
             }
@@ -835,7 +828,7 @@ impl Sim {
     }
 
     fn handle_pm_tick(&mut self, conn: ConnId, manager: usize) {
-        let actions = self.path_managers[manager].1.tick(&self.connections[conn]);
+        let actions = self.path_managers[manager].tick(&self.connections[conn]);
         let mut register_changed = false;
         for action in actions {
             match action {
@@ -850,7 +843,7 @@ impl Sim {
         if register_changed {
             self.run_scheduler(conn);
         }
-        let at = self.now + self.path_managers[manager].1.interval;
+        let at = self.now + self.path_managers[manager].interval;
         self.schedule(at, EventKind::PmTick { conn, manager });
     }
 
@@ -932,7 +925,8 @@ impl Sim {
         c.stats.scheduler_host_ns += host_ns;
         let violations = match (pre, scheduler.cert()) {
             (Some(pre), Some(cert)) => {
-                check_properties(self.now, conn, cert, &pre.after(actions, &stats))
+                let identity = c.identity as usize;
+                check_properties(self.now, identity, cert, &pre.after(actions, &stats))
             }
             _ => Vec::new(),
         };
@@ -969,7 +963,7 @@ impl Sim {
                 if violations.is_empty() {
                     violations.push(OracleViolation {
                         at: now,
-                        conn,
+                        conn: self.connections[conn].identity as usize,
                         invariant: "step-bound",
                         detail: format!(
                             "{} scheduler execution(s) aborted on the certified step budget",
@@ -984,29 +978,16 @@ impl Sim {
         if let Some(oracle) = self.oracle.as_mut() {
             violations.into_iter().for_each(|v| oracle.store(v));
         }
-        let action = sup.on_fault(now, conn, class, location);
-        if sup.take_breaker_trip() {
-            // Fleet-level breaker: from here on the oracle collects
-            // instead of aborting, so one bad cohort cannot take down
-            // the connections that are still healthy.
-            if let Some(o) = self.oracle.as_mut() {
-                o.set_panic_on_violation(false);
+        // On a strike an instance of the shared fallback has taken over,
+        // and what it replaced is parked on the connection.
+        match sup.on_fault(now, &mut self.connections[conn], class, location) {
+            FaultAction::Recorded => false,
+            FaultAction::Pin => true,
+            FaultAction::Quarantine { until } => {
+                self.schedule(until, EventKind::Readmit { conn });
+                true
             }
         }
-        if action == FaultAction::Recorded {
-            return false;
-        }
-        // Quarantined or pinned: an instance of the shared fallback takes
-        // over, and what it replaces is parked with the supervisor.
-        let fallback = SchedulerHandle::Dsl(fallback_program().instantiate(Backend::Vm));
-        let parked = self.connections[conn]
-            .install(Installed::new(fallback))
-            .expect("scheduler is restored before fault handling");
-        sup.park(conn, parked);
-        if let FaultAction::Quarantine { until } = action {
-            self.schedule(until, EventKind::Readmit { conn });
-        }
-        true
     }
 
     /// One stall-watchdog tick: faults the scheduler with
@@ -1018,17 +999,19 @@ impl Sim {
     /// fleet is sharded.
     fn handle_stall_check(&mut self, conn: ConnId) {
         use progmp_core::env::QueueKind;
-        let Some(sup) = self.supervisor.as_mut() else {
+        let c = &mut self.connections[conn];
+        let all_acked = c.all_acked();
+        let (Some(sup), Some(record)) = (&self.supervisor, c.contain.as_mut()) else {
             return;
         };
-        let c = &self.connections[conn];
-        if c.all_acked() {
-            sup.disarm_watchdog(conn);
+        if all_acked {
+            record.disarm_watchdog();
             return;
         }
-        let progressed = sup.watchdog_progressed(conn, c.data_acked);
+        let progressed = record.watchdog_progressed(c.data_acked);
         let interval = sup.stall_check_interval();
-        let state = sup.state(conn);
+        let state = record.state;
+        let c = &self.connections[conn];
         let live = c.subflows.iter().any(|s| s.established);
         // Schedulable work: data reachable through Q or RQ (the fallback
         // pops RQ even when the original program does not).
@@ -1060,8 +1043,7 @@ impl Sim {
         let Some(sup) = self.supervisor.as_mut() else {
             return;
         };
-        if let Some(parked) = sup.unpark(now, conn) {
-            self.connections[conn].install(parked);
+        if sup.readmit(now, &mut self.connections[conn]) {
             self.run_scheduler(conn);
         }
     }

@@ -14,7 +14,10 @@
 //!   ([`Sim::add_connection_with_identity`]), so per-path loss/jitter
 //!   streams never depend on the partition;
 //! * connections in one shard share an event queue but no state, so
-//!   their interleaving cannot influence each other's counters.
+//!   their interleaving cannot influence each other's counters;
+//! * containment incidents and oracle violations name a connection by
+//!   its global index and are merged in `(connection, time)` order, so
+//!   the [`FleetReport`] lists them identically at every worker count.
 //!
 //! The determinism conformance test
 //! (`crates/conformance/tests/fleet_determinism.rs`) pins this by
@@ -24,12 +27,13 @@
 //! [`ConnStats::snapshot_text`]: crate::stats::ConnStats::snapshot_text
 
 use crate::config::ConnectionConfig;
-use crate::engine::Sim;
+use crate::engine::{ConnId, Sim};
 use crate::faults::{ChaosRng, FaultPlan};
 use crate::oracle::OracleViolation;
 use crate::supervisor::{ContainAction, ContainmentConfig, IncidentReport};
 use crate::time::SimTime;
 use progmp_core::env::RegId;
+use progmp_core::CompileError;
 use std::time::{Duration, Instant};
 
 /// Application workload of one fleet connection.
@@ -95,8 +99,6 @@ pub enum OracleMode {
     /// Collect violations into the [`FleetReport`] (the scale-bench
     /// configuration).
     Collect,
-    /// Panic on the first violation, with the replay log in the message.
-    Panic,
 }
 
 /// Parameters of a fleet run.
@@ -113,12 +115,10 @@ pub struct FleetConfig {
     /// Oracle arming mode.
     pub oracle: OracleMode,
     /// Containment supervisor configuration; `None` runs uncontained.
-    /// Per-connection containment decisions (backoff draws, watchdog
-    /// ticks) are pure functions of `(fleet seed, global index)`, so
-    /// digests stay bit-identical across worker counts. The fleet-level
-    /// breaker is shard-local and only flips the oracle from abort to
-    /// collect, never simulated behaviour, so it cannot perturb digests
-    /// either.
+    /// Every containment decision (backoff draws, watchdog ticks,
+    /// strikes) is a pure function of `(fleet seed, global index)` and
+    /// of that one connection's history, so digests and incident logs
+    /// stay bit-identical across worker counts.
     pub containment: Option<ContainmentConfig>,
 }
 
@@ -208,10 +208,16 @@ pub struct FleetReport {
     /// Total events processed across all shards (invariant under the
     /// worker count: each connection's event count is its own).
     pub events_processed: u64,
-    /// Oracle violations across all shards (empty unless armed).
+    /// Oracle violations of the whole fleet (empty unless armed), each
+    /// naming its connection's global index, in `(conn, at)` order. Like
+    /// [`FleetReport::incidents`] a function of `(seed, scenario)` alone,
+    /// whatever the worker count — as long as no shard's
+    /// [`crate::oracle::VIOLATION_CAP`] evicted anything, since which
+    /// connections share a capped buffer does depend on the partition.
     pub violations: Vec<OracleViolation>,
-    /// Containment incidents across all shards (empty unless the
-    /// supervisor is enabled), concatenated in shard order.
+    /// Containment incidents of the whole fleet (empty unless the
+    /// supervisor is enabled), in `(conn, at)` order: the same list at
+    /// every worker count.
     pub incidents: Vec<IncidentReport>,
     /// Wall-clock time of the parallel section.
     pub wall: Duration,
@@ -262,21 +268,6 @@ impl FleetReport {
             .filter(|i| matches!(i.action, ContainAction::Quarantined | ContainAction::Pinned))
             .count()
     }
-
-    /// Containment incidents in the partition-independent canonical
-    /// order — sorted by `(conn, at)` with shard-local fleet-breaker
-    /// trips excluded (the breaker depends on which connections share a
-    /// shard, by design). Two runs of the same fleet at different worker
-    /// counts must produce identical canonical incident logs.
-    pub fn canonical_incidents(&self) -> Vec<&IncidentReport> {
-        let mut out: Vec<&IncidentReport> = self
-            .incidents
-            .iter()
-            .filter(|i| i.action != ContainAction::FleetBreakerTripped)
-            .collect();
-        out.sort_by_key(|i| (i.conn, i.at));
-        out
-    }
 }
 
 /// FNV-1a 64-bit hash (the digest primitive; stable forever).
@@ -304,8 +295,7 @@ pub fn conn_seeds(seed: u64, n: usize) -> Vec<u64> {
 ///
 /// # Panics
 ///
-/// Panics if a scenario's scheduler fails to compile, or (in
-/// [`OracleMode::Panic`]) on the first invariant violation.
+/// Panics if a scenario's scheduler fails to compile.
 pub fn run_fleet<F>(cfg: &FleetConfig, scenario: F) -> FleetReport
 where
     F: Fn(usize, u64) -> ConnScenario + Sync,
@@ -350,7 +340,48 @@ where
         report.incidents.extend(shard.incidents);
     }
     debug_assert!(report.per_conn.windows(2).all(|w| w[0].conn < w[1].conn));
+    // Each connection's entries come from one shard, in time order, so a
+    // stable sort by global index is the `(conn, at)` order.
+    report.violations.sort_by_key(|v| v.conn);
+    report.incidents.sort_by_key(|i| i.conn);
     report
+}
+
+impl Sim {
+    /// Installs one fleet connection under its global `identity`: the
+    /// connection itself ([`Sim::add_connection_with_identity`]), its
+    /// workload, its register signals and its fault plan.
+    pub fn add_scenario(
+        &mut self,
+        sc: ConnScenario,
+        identity: u64,
+    ) -> Result<ConnId, CompileError> {
+        let conn = self.add_connection_with_identity(sc.config, identity)?;
+        match sc.workload {
+            Workload::Bulk { bytes, prop } => {
+                self.add_bulk_source(conn, bytes, prop);
+            }
+            Workload::SendAt(sends) => {
+                for (at, bytes, prop) in sends {
+                    self.app_send_at(conn, at, bytes, prop);
+                }
+            }
+            Workload::Cbr {
+                start,
+                end,
+                rate,
+                chunk,
+                prop,
+            } => self.add_cbr_source(conn, start, end, rate, chunk, prop),
+        }
+        for (at, reg, value) in sc.registers {
+            self.set_register_at(conn, at, reg, value);
+        }
+        if let Some(plan) = &sc.fault_plan {
+            self.apply_fault_plan(conn, plan);
+        }
+        Ok(conn)
+    }
 }
 
 struct ShardResult {
@@ -376,41 +407,11 @@ where
         sim.enable_containment(contain.clone());
     }
     if cfg.oracle != OracleMode::Off {
-        sim.enable_oracle(
-            format!("fleet seed={} shard={shard}", cfg.seed),
-            cfg.oracle == OracleMode::Panic,
-        );
+        sim.enable_oracle(format!("fleet seed={} shard={shard}", cfg.seed), false);
     }
     for (global, &seed) in seeds.iter().enumerate().take(hi).skip(lo) {
-        let sc = scenario(global, seed);
-        let conn = sim
-            .add_connection_with_identity(sc.config, global as u64)
+        sim.add_scenario(scenario(global, seed), global as u64)
             .expect("fleet scheduler compiles");
-        match sc.workload {
-            Workload::Bulk { bytes, prop } => {
-                sim.add_bulk_source(conn, bytes, prop);
-            }
-            Workload::SendAt(sends) => {
-                for (at, bytes, prop) in sends {
-                    sim.app_send_at(conn, at, bytes, prop);
-                }
-            }
-            Workload::Cbr {
-                start,
-                end,
-                rate,
-                chunk,
-                prop,
-            } => {
-                sim.add_cbr_source(conn, start, end, rate, chunk, prop);
-            }
-        }
-        for (at, reg, value) in sc.registers {
-            sim.set_register_at(conn, at, reg, value);
-        }
-        if let Some(plan) = &sc.fault_plan {
-            sim.apply_fault_plan(conn, plan);
-        }
     }
     sim.run_to_completion(cfg.horizon);
     let per_conn = (lo..hi)
@@ -505,8 +506,8 @@ mod tests {
     #[test]
     fn containment_is_invariant_under_sharding() {
         // Every third connection is a starver the supervisor must
-        // quarantine; the rest are healthy. Digests and the canonical
-        // incident log must not depend on the partition.
+        // quarantine; the rest are healthy. Digests and the incident log,
+        // as reported, must not depend on the partition.
         let chaotic = |global: usize, seed: u64| {
             let dsl = if global % 3 == 2 {
                 "RETURN;"
@@ -544,15 +545,59 @@ mod tests {
         assert!(one.quarantines() > 0, "the starvers must be contained");
         assert_eq!(one.digest(), three.digest());
         let render = |r: &FleetReport| -> Vec<String> {
-            r.canonical_incidents()
-                .iter()
-                .map(|i| i.to_string())
-                .collect()
+            r.incidents.iter().map(|i| i.to_string()).collect()
         };
         assert_eq!(render(&one), render(&three));
         for c in &one.per_conn {
             assert!(c.all_acked, "conn {} completed via fallback", c.conn);
         }
+    }
+
+    #[test]
+    fn violations_name_the_global_connection_at_every_worker_count() {
+        // Connection 4 never pushes, under a stolen certificate that
+        // proves work-conservation: the oracle catches it, the supervisor
+        // contains it. At three workers it is the first of its shard.
+        const PROVED: &str =
+            "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
+        const GATED: &str =
+            "IF (R1 > 0 AND !Q.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
+        let stolen = progmp_core::compile(PROVED)
+            .unwrap()
+            .property_certificate()
+            .clone();
+        let with_saboteur = |global: usize, seed: u64| {
+            let mut sc = scenario(global, seed);
+            if global == 4 {
+                sc.config.scheduler = SchedulerSpec::dsl(GATED);
+                sc.config = sc.config.with_cert_override(stolen.clone());
+            }
+            sc
+        };
+        let run = |workers| {
+            let cfg = FleetConfig::new(6, 21)
+                .with_workers(workers)
+                .with_horizon(120 * SECONDS)
+                .with_oracle(OracleMode::Collect)
+                .with_containment(ContainmentConfig::default());
+            run_fleet(&cfg, with_saboteur)
+        };
+        let render = |r: &FleetReport| -> Vec<String> {
+            r.violations.iter().map(|v| v.to_string()).collect()
+        };
+        let (one, three) = (run(1), run(3));
+        assert!(!one.violations.is_empty(), "the saboteur is caught");
+        assert!(
+            one.violations.iter().all(|v| v.conn == 4),
+            "{:?}",
+            one.violations
+        );
+        assert_eq!(render(&one), render(&three));
+        assert!(
+            one.incidents.iter().all(|i| i.conn == 4),
+            "{:?}",
+            one.incidents
+        );
     }
 
     #[test]

@@ -102,7 +102,10 @@ pub const VIOLATION_CAP: usize = 256;
 pub struct OracleViolation {
     /// Simulation time of the violating event.
     pub at: SimTime,
-    /// Connection the violation occurred on.
+    /// Connection the violation occurred on, by its global identity
+    /// (the fleet index; equals the local id in a standalone
+    /// [`crate::Sim`]) — the same name an
+    /// [`crate::IncidentReport`] gives it.
     pub conn: usize,
     /// Which invariant failed (catalogue name).
     pub invariant: &'static str,
@@ -178,7 +181,9 @@ impl PropObservation {
     }
 }
 
-/// Per-connection high-water marks for monotonicity checks.
+/// Per-connection high-water marks for monotonicity checks, indexed by
+/// the connection's local id. Kept here rather than on the connection: a
+/// checker's marks do not belong inside the object it checks.
 #[derive(Debug, Default, Clone)]
 struct Marks {
     data_acked: u64,
@@ -220,13 +225,6 @@ impl InvariantOracle {
             marks: Vec::new(),
             checks: 0,
         }
-    }
-
-    /// Switches abort-vs-collect at runtime (the fleet-level circuit
-    /// breaker flips a panicking oracle to collect mode so one bad
-    /// cohort cannot take down the whole fleet run).
-    pub fn set_panic_on_violation(&mut self, panic_on_violation: bool) {
-        self.panic_on_violation = panic_on_violation;
     }
 
     /// Appends one event to the bounded replay log (a no-op with
@@ -400,7 +398,7 @@ impl InvariantOracle {
         for (invariant, detail) in bad {
             self.report(OracleViolation {
                 at: now,
-                conn: conn.id,
+                conn: conn.identity as usize,
                 invariant,
                 detail,
             });
@@ -509,7 +507,7 @@ pub fn check_quiescent(now: SimTime, conn: &Connection) -> Option<OracleViolatio
     }
     Some(OracleViolation {
         at: now,
-        conn: conn.id,
+        conn: conn.identity as usize,
         invariant: "eventual-progress",
         detail: format!(
             "event queue drained with {} of {} bytes unacked, {} live subflow(s), no DROPs",
@@ -521,7 +519,7 @@ pub fn check_quiescent(now: SimTime, conn: &Connection) -> Option<OracleViolatio
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cc::CcAlgo;
     use crate::connection::{Installed, SchedulerHandle};
@@ -531,7 +529,8 @@ mod tests {
     use crate::time::from_millis;
     use progmp_core::env::SubflowId;
 
-    fn conn() -> Connection {
+    /// One subflow, a native min-RTT scheduler, nothing enqueued.
+    pub(crate) fn conn() -> Connection {
         let subflows = vec![Subflow::new(
             SubflowId(0),
             Path::new(&PathConfig::symmetric(from_millis(10), 1_250_000)),
@@ -638,18 +637,17 @@ mod tests {
             "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }",
         )
         .unwrap();
-        let native = c
-            .install(Installed::new(SchedulerHandle::Dsl(
-                fig3.instantiate(progmp_core::Backend::Vm),
-            )))
-            .unwrap();
+        let fig3 = Installed::new(SchedulerHandle::Dsl(
+            fig3.instantiate(progmp_core::Backend::Vm),
+        ));
+        let native = c.installed.replace(fig3).unwrap();
         let found = check_quiescent(5, &c);
         assert!(
             found.is_none(),
             "a scheduler with no RQ logic cannot be blamed for an RQ strand: {found:?}"
         );
         // The same strand under an RQ-capable scheduler is a violation.
-        c.install(native);
+        c.installed = Some(native);
         let found = check_quiescent(6, &c).expect("stranded");
         assert_eq!(found.invariant, "eventual-progress");
     }

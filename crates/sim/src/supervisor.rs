@@ -23,22 +23,27 @@
 //!    across;
 //! 3. trips a per-connection **circuit breaker** after
 //!    [`ContainmentConfig::max_strikes`] faults, pinning the fallback
-//!    permanently; and
-//! 4. above a configurable fleet-wide fault rate, trips a **fleet-level
-//!    breaker** that flips the remaining connections' invariant oracle
-//!    from panic to collect mode. The fleet breaker only changes how
-//!    violations are *routed* — never the simulated behaviour — so it
-//!    cannot perturb digests.
+//!    permanently.
+//!
+//! Nothing here looks beyond the one connection that faulted, and none of
+//! it touches the invariant oracle: what the transport checks find is
+//! reported the same way whether or not a supervisor is attached.
+//!
+//! A connection's containment record — state, strikes, jitter stream,
+//! the parked scheduler, the stall watchdog's mark — is a field of the
+//! [`Connection`] it describes, next to the scheduler that is running.
+//! The supervisor keeps what is per-[`crate::Sim`]: the configuration,
+//! the seed and the incident log.
 //!
 //! Every transition emits a seed-replayable [`IncidentReport`], rendered
 //! in the integer-only replay style of [`crate::faults`]: re-running the
 //! same scenario with the same seed reproduces the same incident at the
 //! same simulated time.
 
-use crate::connection::Installed;
+use crate::connection::{Connection, Installed, SchedulerHandle};
 use crate::faults::ChaosRng;
 use crate::time::{SimTime, MILLIS, SECONDS};
-use progmp_core::{ExecError, SchedulerProgram};
+use progmp_core::{Backend, ExecError, SchedulerProgram};
 use std::sync::OnceLock;
 
 /// Domain separation for the supervisor's backoff streams: keeps the
@@ -173,13 +178,6 @@ pub struct ContainmentConfig {
     /// Faults before the per-connection circuit breaker pins the
     /// fallback permanently. Must be at least 1.
     pub max_strikes: u32,
-    /// Percentage of registered connections that must fault before the
-    /// fleet-level breaker trips (flipping the oracle from panic to
-    /// collect routing). Values above 100 disable the breaker.
-    pub fleet_breaker_pct: u32,
-    /// The fleet breaker never trips below this many registered
-    /// connections (a single faulty connection is not a fleet incident).
-    pub fleet_breaker_min_conns: usize,
     /// Period of the per-connection stall watchdog. The watchdog fires a
     /// [`FaultClass::ProgressStall`] when a full period passes with
     /// schedulable work, an available subflow, and zero forward progress.
@@ -195,8 +193,6 @@ impl Default for ContainmentConfig {
             base_backoff: 200 * MILLIS,
             max_backoff: 30 * SECONDS,
             max_strikes: 3,
-            fleet_breaker_pct: 50,
-            fleet_breaker_min_conns: 4,
             stall_check_interval: SECONDS,
         }
     }
@@ -220,13 +216,13 @@ pub enum ContainState {
 /// What the engine must do in response to a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Park the original scheduler, install the fallback, and schedule a
+    /// The original scheduler is parked behind the fallback; schedule a
     /// re-admission at `until`.
     Quarantine {
         /// Absolute simulated time of the probationary re-admission.
         until: SimTime,
     },
-    /// Park the original scheduler and install the fallback permanently.
+    /// The original scheduler is parked behind the fallback for good.
     Pin,
     /// The connection is already running the fallback (or pinned); the
     /// incident was recorded and nothing is swapped.
@@ -245,8 +241,6 @@ pub enum ContainAction {
     /// A fault occurred while the fallback was already active (recorded,
     /// no swap).
     FallbackFault,
-    /// The fleet-level breaker tripped (oracle flipped to collect mode).
-    FleetBreakerTripped,
 }
 
 impl ContainAction {
@@ -257,7 +251,6 @@ impl ContainAction {
             ContainAction::Pinned => "pinned",
             ContainAction::Readmitted => "readmitted",
             ContainAction::FallbackFault => "fallback-fault",
-            ContainAction::FleetBreakerTripped => "fleet-breaker",
         }
     }
 }
@@ -307,32 +300,58 @@ impl std::fmt::Display for IncidentReport {
     }
 }
 
-/// Per-connection containment record.
-struct ConnContain {
-    state: ContainState,
+/// Per-connection containment record: a field of the [`Connection`] it
+/// describes, created by [`Supervisor::admit`].
+pub(crate) struct ConnContain {
+    pub(crate) state: ContainState,
     strikes: u32,
     rng: ChaosRng,
-    identity: u64,
-    /// The original scheduler, while the fallback holds the connection.
-    parked: Option<Installed>,
+    /// While the fallback holds the connection (quarantined or pinned):
+    /// the scheduler re-admission restores, and the fault that put it
+    /// here. `None` in every other state.
+    pub(crate) parked: Option<(Installed, FaultClass)>,
     watchdog_armed: bool,
     progress_mark: u64,
 }
+
+impl ConnContain {
+    /// Arms the stall watchdog, snapshotting `data_acked` as the progress
+    /// mark. Returns `false` when already armed (the engine schedules a
+    /// check event only on a fresh arm).
+    pub(crate) fn arm_watchdog(&mut self, data_acked: u64) -> bool {
+        let fresh = !self.watchdog_armed;
+        if fresh {
+            self.watchdog_armed = true;
+            self.progress_mark = data_acked;
+        }
+        fresh
+    }
+
+    /// One watchdog tick: returns `true` if the connection made forward
+    /// progress since the previous tick, and advances the mark either way.
+    pub(crate) fn watchdog_progressed(&mut self, data_acked: u64) -> bool {
+        let progressed = data_acked > self.progress_mark;
+        self.progress_mark = data_acked;
+        progressed
+    }
+
+    /// Retires the watchdog (transfer complete); the next data-arrival
+    /// event re-arms it.
+    pub(crate) fn disarm_watchdog(&mut self) {
+        self.watchdog_armed = false;
+    }
+}
+
+/// Why a missing record is a bug: `Sim` admits every connection it
+/// creates while a supervisor is attached.
+const SUPERVISED: &str = "a supervised connection carries its containment record";
 
 /// The containment supervisor owned by one [`crate::Sim`].
 pub struct Supervisor {
     cfg: ContainmentConfig,
     seed: u64,
-    conns: Vec<Option<ConnContain>>,
     /// Every containment transition, in simulated-time order.
     pub incidents: Vec<IncidentReport>,
-    /// Distinct connections that have ever faulted.
-    faulted: usize,
-    /// Registered connections (the fleet-breaker denominator).
-    total: usize,
-    /// Whether the fleet-level breaker has tripped.
-    pub fleet_breaker_tripped: bool,
-    breaker_just_tripped: bool,
 }
 
 impl Supervisor {
@@ -344,52 +363,22 @@ impl Supervisor {
                 ..cfg
             },
             seed,
-            conns: Vec::new(),
             incidents: Vec::new(),
-            faulted: 0,
-            total: 0,
-            fleet_breaker_tripped: false,
-            breaker_just_tripped: false,
         }
     }
 
-    /// Registers connection `conn` (local index) with its global
-    /// `identity`; idempotent.
-    pub fn register(&mut self, conn: usize, identity: u64) {
-        if self.conns.len() <= conn {
-            self.conns.resize_with(conn + 1, || None);
-        }
-        if self.conns[conn].is_none() {
-            self.conns[conn] = Some(ConnContain {
-                state: ContainState::Healthy,
-                strikes: 0,
-                // Jitter draws are a pure function of (seed, identity):
-                // independent of sharding and of other connections.
-                rng: ChaosRng::for_path(self.seed ^ SUPERVISOR_SALT, identity, 0),
-                identity,
-                parked: None,
-                watchdog_armed: false,
-                progress_mark: 0,
-            });
-            self.total += 1;
-        }
-    }
-
-    /// Containment state of `conn` (Healthy when never registered).
-    pub fn state(&self, conn: usize) -> ContainState {
-        self.conns
-            .get(conn)
-            .and_then(|c| c.as_ref())
-            .map(|c| c.state)
-            .unwrap_or(ContainState::Healthy)
-    }
-
-    /// Whether the connection is currently running the fallback.
-    pub fn on_fallback(&self, conn: usize) -> bool {
-        matches!(
-            self.state(conn),
-            ContainState::Quarantined | ContainState::Pinned
-        )
+    /// The record a connection with global `identity` starts under.
+    pub(crate) fn admit(&self, identity: u64) -> Box<ConnContain> {
+        Box::new(ConnContain {
+            state: ContainState::Healthy,
+            strikes: 0,
+            // Jitter draws are a pure function of (seed, identity):
+            // independent of sharding and of other connections.
+            rng: ChaosRng::for_path(self.seed ^ SUPERVISOR_SALT, identity, 0),
+            parked: None,
+            watchdog_armed: false,
+            progress_mark: 0,
+        })
     }
 
     /// Number of quarantine transitions recorded so far.
@@ -400,54 +389,43 @@ impl Supervisor {
             .count()
     }
 
-    fn replay_string(&self, identity: u64, class: &FaultClass, at: SimTime) -> String {
-        format!(
-            "seed={} conn={} class={} at={}",
-            self.seed,
-            identity,
-            class.name(),
-            at
-        )
+    /// The configured stall-watchdog period.
+    pub fn stall_check_interval(&self) -> SimTime {
+        self.cfg.stall_check_interval
     }
 
-    /// Handles a fault on `conn` at `now`. Returns what the engine must
-    /// do with the scheduler handles; the swap itself happens in the
-    /// engine via [`Supervisor::park`] / [`Supervisor::unpark`].
-    pub fn on_fault(
+    fn replay_string(&self, identity: u64, class: &FaultClass, at: SimTime) -> String {
+        let (seed, class) = (self.seed, class.name());
+        format!("seed={seed} conn={identity} class={class} at={at}")
+    }
+
+    /// Handles a fault on `conn` at `now`. On a strike the shared
+    /// fallback takes over and what it replaces is parked on the
+    /// connection; the return value tells the engine whether that
+    /// happened and when to schedule the re-admission.
+    pub(crate) fn on_fault(
         &mut self,
         now: SimTime,
-        conn: usize,
+        conn: &mut Connection,
         class: FaultClass,
         location: Option<String>,
     ) -> FaultAction {
-        let Some(entry) = self.conns.get_mut(conn).and_then(|c| c.as_mut()) else {
-            return FaultAction::Recorded;
-        };
-        let identity = entry.identity;
-        match entry.state {
+        let entry = conn.contain.as_deref_mut().expect(SUPERVISED);
+        let (action, contain_action, backoff) = match entry.state {
+            // The fallback itself faulted (or a stale violation arrived
+            // after the swap): record, never double-park.
             ContainState::Quarantined | ContainState::Pinned => {
-                // The fallback itself faulted (or a stale violation
-                // arrived after the swap): record, never double-park.
-                let strikes = entry.strikes;
-                let replay = self.replay_string(identity, &class, now);
-                self.incidents.push(IncidentReport {
-                    at: now,
-                    conn: identity,
-                    class,
-                    location,
-                    strikes,
-                    action: ContainAction::FallbackFault,
-                    backoff: 0,
-                    replay,
-                });
-                FaultAction::Recorded
+                (FaultAction::Recorded, ContainAction::FallbackFault, 0)
             }
             ContainState::Healthy | ContainState::Probation => {
-                let first_fault = entry.strikes == 0;
                 entry.strikes += 1;
-                let strikes = entry.strikes;
-                let pin = strikes >= self.cfg.max_strikes;
-                let (action, contain_action, backoff) = if pin {
+                let fallback = SchedulerHandle::Dsl(fallback_program().instantiate(Backend::Vm));
+                let original = conn
+                    .installed
+                    .replace(Installed::new(fallback))
+                    .expect("scheduler is restored before fault handling");
+                entry.parked = Some((original, class.clone()));
+                if entry.strikes >= self.cfg.max_strikes {
                     entry.state = ContainState::Pinned;
                     (FaultAction::Pin, ContainAction::Pinned, 0)
                 } else {
@@ -457,139 +435,52 @@ impl Supervisor {
                     // and spread re-admissions so a fleet of identical
                     // faulters does not thunder back in lockstep.
                     let base = self.cfg.base_backoff.max(1);
-                    let exp = base.saturating_shl((strikes - 1).min(30));
+                    let exp = base.saturating_mul(1 << (entry.strikes - 1).min(30));
                     let jitter = entry.rng.below(base / 2 + 1);
                     let backoff = exp.min(self.cfg.max_backoff).saturating_add(jitter);
+                    let until = now + backoff;
                     (
-                        FaultAction::Quarantine {
-                            until: now + backoff,
-                        },
+                        FaultAction::Quarantine { until },
                         ContainAction::Quarantined,
                         backoff,
                     )
-                };
-                let replay = self.replay_string(identity, &class, now);
-                self.incidents.push(IncidentReport {
-                    at: now,
-                    conn: identity,
-                    class: class.clone(),
-                    location,
-                    strikes,
-                    action: contain_action,
-                    backoff,
-                    replay,
-                });
-                if first_fault {
-                    self.faulted += 1;
-                    self.maybe_trip_fleet_breaker(now, identity, &class);
                 }
-                action
             }
-        }
-    }
-
-    fn maybe_trip_fleet_breaker(&mut self, now: SimTime, identity: u64, class: &FaultClass) {
-        if self.fleet_breaker_tripped
-            || self.cfg.fleet_breaker_pct > 100
-            || self.total < self.cfg.fleet_breaker_min_conns
-        {
-            return;
-        }
-        if self.faulted * 100 >= self.total * self.cfg.fleet_breaker_pct as usize {
-            self.fleet_breaker_tripped = true;
-            self.breaker_just_tripped = true;
-            let replay = self.replay_string(identity, class, now);
-            self.incidents.push(IncidentReport {
-                at: now,
-                conn: identity,
-                class: class.clone(),
-                location: None,
-                strikes: 0,
-                action: ContainAction::FleetBreakerTripped,
-                backoff: 0,
-                replay,
-            });
-        }
-    }
-
-    /// Consumes the breaker-trip edge (the engine flips the oracle once).
-    pub fn take_breaker_trip(&mut self) -> bool {
-        std::mem::take(&mut self.breaker_just_tripped)
-    }
-
-    /// The configured stall-watchdog period.
-    pub fn stall_check_interval(&self) -> SimTime {
-        self.cfg.stall_check_interval
-    }
-
-    /// Arms the stall watchdog for `conn`, snapshotting `data_acked` as
-    /// the progress mark. Returns `false` when already armed (the engine
-    /// schedules a check event only on a fresh arm).
-    pub fn arm_watchdog(&mut self, conn: usize, data_acked: u64) -> bool {
-        let Some(entry) = self.conns.get_mut(conn).and_then(|c| c.as_mut()) else {
-            return false;
         };
-        if entry.watchdog_armed {
-            return false;
-        }
-        entry.watchdog_armed = true;
-        entry.progress_mark = data_acked;
-        true
-    }
-
-    /// One watchdog tick: returns `true` if `conn` made forward progress
-    /// since the previous tick, and advances the mark either way.
-    pub fn watchdog_progressed(&mut self, conn: usize, data_acked: u64) -> bool {
-        let Some(entry) = self.conns.get_mut(conn).and_then(|c| c.as_mut()) else {
-            return true;
-        };
-        let progressed = data_acked > entry.progress_mark;
-        entry.progress_mark = data_acked;
-        progressed
-    }
-
-    /// Retires the watchdog (transfer complete); the next data-arrival
-    /// event re-arms it.
-    pub fn disarm_watchdog(&mut self, conn: usize) {
-        if let Some(entry) = self.conns.get_mut(conn).and_then(|c| c.as_mut()) {
-            entry.watchdog_armed = false;
-        }
-    }
-
-    /// Stores `parked` as the scheduler re-admission restores on `conn`:
-    /// the original when the fallback takes over, or its replacement
-    /// when the application swaps schedulers while the fallback runs.
-    pub fn park(&mut self, conn: usize, parked: Installed) {
-        if let Some(entry) = self.conns.get_mut(conn).and_then(|c| c.as_mut()) {
-            entry.parked = Some(parked);
-        }
-    }
-
-    /// Handles the re-admission timer for `conn`: in `Quarantined` the
-    /// parked scheduler is returned (state moves to `Probation`) and a
-    /// `Readmitted` incident is emitted; in any other state (e.g. the
-    /// connection was pinned while the timer was in flight) returns
-    /// `None`.
-    pub fn unpark(&mut self, now: SimTime, conn: usize) -> Option<Installed> {
-        let entry = self.conns.get_mut(conn).and_then(|c| c.as_mut())?;
-        if entry.state != ContainState::Quarantined {
-            return None;
-        }
-        let parked = entry.parked.take()?;
-        entry.state = ContainState::Probation;
-        let identity = entry.identity;
         let strikes = entry.strikes;
-        let class = self
-            .incidents
-            .iter()
-            .rev()
-            .find(|i| i.conn == identity && i.action == ContainAction::Quarantined)
-            .map(|i| i.class.clone())
-            .unwrap_or(FaultClass::ProgressStall);
-        let replay = self.replay_string(identity, &class, now);
+        let replay = self.replay_string(conn.identity, &class, now);
         self.incidents.push(IncidentReport {
             at: now,
-            conn: identity,
+            conn: conn.identity,
+            class,
+            location,
+            strikes,
+            action: contain_action,
+            backoff,
+            replay,
+        });
+        action
+    }
+
+    /// Handles the re-admission timer of `conn`: in `Quarantined` the
+    /// parked scheduler is installed again (state moves to `Probation`),
+    /// a `Readmitted` incident restates the fault that caused the
+    /// quarantine, and `true` is returned; in any other state (e.g. the
+    /// connection was pinned while the timer was in flight) nothing
+    /// happens.
+    pub(crate) fn readmit(&mut self, now: SimTime, conn: &mut Connection) -> bool {
+        let entry = conn.contain.as_deref_mut().expect(SUPERVISED);
+        if entry.state != ContainState::Quarantined {
+            return false;
+        }
+        let (parked, class) = entry.parked.take().expect("quarantine parks a scheduler");
+        entry.state = ContainState::Probation;
+        conn.installed = Some(parked);
+        let strikes = entry.strikes;
+        let replay = self.replay_string(conn.identity, &class, now);
+        self.incidents.push(IncidentReport {
+            at: now,
+            conn: conn.identity,
             class,
             location: None,
             strikes,
@@ -597,25 +488,7 @@ impl Supervisor {
             backoff: 0,
             replay,
         });
-        Some(parked)
-    }
-}
-
-/// `u64::checked_shl` with saturation (backoff doubling must not wrap).
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> u64 {
-        if self == 0 {
-            return 0;
-        }
-        if rhs >= self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << rhs
-        }
+        true
     }
 }
 
@@ -624,22 +497,31 @@ mod tests {
     use super::*;
     use progmp_core::PropStatus;
 
-    fn sup(cfg: ContainmentConfig) -> Supervisor {
-        let mut s = Supervisor::new(42, cfg);
-        s.register(0, 0);
-        s
+    /// A supervisor seeded with 42, and a connection admitted under it
+    /// as identity 0.
+    fn sup(cfg: ContainmentConfig) -> (Supervisor, Connection) {
+        let s = Supervisor::new(42, cfg);
+        let c = conn(&s, 0, 0);
+        (s, c)
+    }
+
+    /// A supervised connection whose scheduler runs under a step budget
+    /// of 7, which tells it apart from the fallback.
+    fn conn(s: &Supervisor, id: usize, identity: u64) -> Connection {
+        let mut c = crate::oracle::tests::conn();
+        c.installed.as_mut().unwrap().step_budget = 7;
+        c.id = id;
+        c.identity = identity;
+        c.contain = Some(s.admit(identity));
+        c
     }
 
     fn budget_fault() -> FaultClass {
         FaultClass::StepBudget { budget: 5 }
     }
 
-    fn native_with_budget(step_budget: u64) -> Installed {
-        let native = Box::new(crate::native::NativeMinRtt);
-        Installed {
-            step_budget,
-            ..Installed::new(crate::connection::SchedulerHandle::Native(native))
-        }
+    fn running_budget(c: &Connection) -> u64 {
+        c.installed().unwrap().step_budget
     }
 
     #[test]
@@ -682,28 +564,27 @@ mod tests {
 
     #[test]
     fn strike_ladder_quarantines_then_pins() {
-        let mut s = sup(ContainmentConfig {
+        let (mut s, mut c) = sup(ContainmentConfig {
             max_strikes: 3,
             ..ContainmentConfig::default()
         });
-        assert_eq!(s.state(0), ContainState::Healthy);
+        assert_eq!(c.contain_state(), ContainState::Healthy);
+        let fallback_budget = fallback_program().certified_step_bound();
 
-        let a1 = s.on_fault(1_000, 0, budget_fault(), None);
+        let a1 = s.on_fault(1_000, &mut c, budget_fault(), None);
         let until1 = match a1 {
             FaultAction::Quarantine { until } => until,
             other => panic!("first fault must quarantine, got {other:?}"),
         };
         assert!(until1 > 1_000);
-        assert_eq!(s.state(0), ContainState::Quarantined);
+        assert_eq!(c.contain_state(), ContainState::Quarantined);
+        assert_eq!(running_budget(&c), fallback_budget, "the fallback runs");
 
-        assert!(s.unpark(until1, 0).is_none(), "nothing parked yet");
-        // (engine normally parks before the timer; emulate it)
-        s.park(0, native_with_budget(7));
-        let parked = s.unpark(until1, 0).expect("re-admitted");
-        assert_eq!(parked.step_budget, 7);
-        assert_eq!(s.state(0), ContainState::Probation);
+        assert!(s.readmit(until1, &mut c), "re-admitted");
+        assert_eq!(running_budget(&c), 7, "what was parked is back");
+        assert_eq!(c.contain_state(), ContainState::Probation);
 
-        let a2 = s.on_fault(until1 + 5, 0, budget_fault(), None);
+        let a2 = s.on_fault(until1 + 5, &mut c, budget_fault(), None);
         let until2 = match a2 {
             FaultAction::Quarantine { until } => until,
             other => panic!("probation fault must re-quarantine, got {other:?}"),
@@ -711,16 +592,16 @@ mod tests {
         // Exponential: the second backoff window is at least the base
         // doubled (jitter only adds).
         assert!(until2 - (until1 + 5) >= 2 * s.cfg.base_backoff);
-        s.park(0, native_with_budget(7));
-        s.unpark(until2, 0).expect("second probation");
+        assert!(s.readmit(until2, &mut c), "second probation");
 
-        let a3 = s.on_fault(until2 + 5, 0, budget_fault(), None);
+        let a3 = s.on_fault(until2 + 5, &mut c, budget_fault(), None);
         assert_eq!(a3, FaultAction::Pin, "third strike trips the breaker");
-        assert_eq!(s.state(0), ContainState::Pinned);
+        assert_eq!(c.contain_state(), ContainState::Pinned);
         assert!(
-            s.unpark(until2 + 10_000_000, 0).is_none(),
+            !s.readmit(until2 + 10_000_000, &mut c),
             "pinned connections are never re-admitted"
         );
+        assert_eq!(running_budget(&c), fallback_budget);
 
         let actions: Vec<ContainAction> = s.incidents.iter().map(|i| i.action).collect();
         assert_eq!(
@@ -738,121 +619,92 @@ mod tests {
 
     #[test]
     fn fallback_faults_are_recorded_without_double_parking() {
-        let mut s = sup(ContainmentConfig::default());
-        s.on_fault(0, 0, budget_fault(), None);
-        assert_eq!(s.state(0), ContainState::Quarantined);
+        let (mut s, mut c) = sup(ContainmentConfig::default());
+        s.on_fault(0, &mut c, budget_fault(), None);
+        assert_eq!(c.contain_state(), ContainState::Quarantined);
         let again = s.on_fault(
             10,
-            0,
+            &mut c,
             FaultClass::OracleViolation {
                 invariant: "property-work-conservation",
             },
             None,
         );
         assert_eq!(again, FaultAction::Recorded);
-        assert_eq!(s.state(0), ContainState::Quarantined, "state unchanged");
+        assert_eq!(
+            c.contain_state(),
+            ContainState::Quarantined,
+            "state unchanged"
+        );
         assert_eq!(
             s.incidents.last().unwrap().action,
             ContainAction::FallbackFault
         );
+        // The original is still what is parked, and the re-admission
+        // restates the fault that parked it, not the fallback's.
+        assert!(s.readmit(20, &mut c));
+        assert_eq!(running_budget(&c), 7);
+        assert_eq!(s.incidents.last().unwrap().class, budget_fault());
     }
 
     #[test]
     fn backoff_is_deterministic_per_seed_and_identity() {
-        let run = |seed: u64, identity: u64| {
+        let run = |seed: u64, id: usize, identity: u64| {
             let mut s = Supervisor::new(seed, ContainmentConfig::default());
-            s.register(3, identity);
-            match s.on_fault(0, 3, budget_fault(), None) {
+            let mut c = conn(&s, id, identity);
+            match s.on_fault(0, &mut c, budget_fault(), None) {
                 FaultAction::Quarantine { until } => until,
                 other => panic!("{other:?}"),
             }
         };
-        assert_eq!(run(1, 9), run(1, 9), "pure function of (seed, identity)");
+        assert_eq!(
+            run(1, 3, 9),
+            run(1, 3, 9),
+            "pure function of (seed, identity)"
+        );
         assert_ne!(
-            run(1, 9),
-            run(2, 9),
+            run(1, 3, 9),
+            run(2, 3, 9),
             "different seeds draw different jitter"
         );
         // Identity — not the local index — keys the stream: the local
         // index differing must not matter.
-        let mut a = Supervisor::new(7, ContainmentConfig::default());
-        a.register(0, 11);
-        let mut b = Supervisor::new(7, ContainmentConfig::default());
-        b.register(5, 11);
         assert_eq!(
-            a.on_fault(0, 0, budget_fault(), None),
-            b.on_fault(0, 5, budget_fault(), None),
+            run(7, 0, 11),
+            run(7, 5, 11),
             "backoff keyed by identity, invariant under sharding"
         );
     }
 
     #[test]
-    fn fleet_breaker_trips_at_the_configured_rate() {
-        let mut s = Supervisor::new(
-            5,
-            ContainmentConfig {
-                fleet_breaker_pct: 50,
-                fleet_breaker_min_conns: 4,
-                ..ContainmentConfig::default()
-            },
-        );
-        for i in 0..4 {
-            s.register(i, i as u64);
+    fn backoff_doubles_per_strike_up_to_the_ceiling() {
+        let (mut s, mut c) = sup(ContainmentConfig {
+            base_backoff: SECONDS,
+            max_backoff: 3 * SECONDS,
+            max_strikes: 64,
+            ..ContainmentConfig::default()
+        });
+        let mut now = 0;
+        for strike in 1..=40 {
+            let FaultAction::Quarantine { until } = s.on_fault(now, &mut c, budget_fault(), None)
+            else {
+                panic!("strike {strike} of 64 must quarantine");
+            };
+            // 1 s, 2 s, then the 3 s ceiling; jitter adds at most half the
+            // base.
+            let floor = (SECONDS << (strike - 1).min(2)).min(3 * SECONDS);
+            assert!((floor..=floor + SECONDS / 2).contains(&(until - now)));
+            assert!(s.readmit(until, &mut c));
+            now = until;
         }
-        s.on_fault(0, 0, budget_fault(), None);
-        assert!(!s.fleet_breaker_tripped, "1/4 < 50%");
-        assert!(!s.take_breaker_trip());
-        s.on_fault(1, 1, budget_fault(), None);
-        assert!(s.fleet_breaker_tripped, "2/4 >= 50%");
-        assert!(s.take_breaker_trip(), "edge fires once");
-        assert!(!s.take_breaker_trip(), "and only once");
-        // Repeated faults on already-faulted connections don't re-count.
-        s.on_fault(2, 2, budget_fault(), None);
-        assert_eq!(
-            s.incidents
-                .iter()
-                .filter(|i| i.action == ContainAction::FleetBreakerTripped)
-                .count(),
-            1
-        );
-    }
-
-    #[test]
-    fn breaker_respects_min_conns_and_disable() {
-        let mut small = Supervisor::new(5, ContainmentConfig::default());
-        small.register(0, 0);
-        small.on_fault(0, 0, budget_fault(), None);
-        assert!(!small.fleet_breaker_tripped, "below min_conns");
-
-        let mut off = Supervisor::new(
-            5,
-            ContainmentConfig {
-                fleet_breaker_pct: 101,
-                fleet_breaker_min_conns: 1,
-                ..ContainmentConfig::default()
-            },
-        );
-        for i in 0..8 {
-            off.register(i, i as u64);
-            off.on_fault(0, i, budget_fault(), None);
-        }
-        assert!(!off.fleet_breaker_tripped, "pct > 100 disables");
     }
 
     #[test]
     fn replay_strings_are_integer_only_and_seeded() {
-        let mut s = sup(ContainmentConfig::default());
-        s.on_fault(123, 0, budget_fault(), None);
+        let (mut s, mut c) = sup(ContainmentConfig::default());
+        s.on_fault(123, &mut c, budget_fault(), None);
         let inc = &s.incidents[0];
         assert_eq!(inc.replay, "seed=42 conn=0 class=step-budget at=123");
         assert!(inc.to_string().contains("quarantined"));
-    }
-
-    #[test]
-    fn saturating_shl_saturates() {
-        assert_eq!(1u64.saturating_shl(3), 8);
-        assert_eq!(0u64.saturating_shl(63), 0);
-        assert_eq!(u64::MAX.saturating_shl(1), u64::MAX);
-        assert_eq!((1u64 << 62).saturating_shl(5), u64::MAX);
     }
 }

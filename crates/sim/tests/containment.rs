@@ -50,8 +50,11 @@ fn step_budget_bomb_completes_via_fallback_and_pins() {
         sim.connections[0].all_acked(),
         "the fallback must drain the transfer the bombed scheduler cannot"
     );
-    let sup = sim.supervisor().unwrap();
-    assert_eq!(sup.state(0), ContainState::Pinned, "persistent fault pins");
+    assert_eq!(
+        sim.connections[0].contain_state(),
+        ContainState::Pinned,
+        "persistent fault pins"
+    );
     let first = &sim.incidents()[0];
     assert_eq!(first.action, ContainAction::Quarantined);
     assert_eq!(first.class, FaultClass::StepBudget { budget: 3 });
@@ -129,9 +132,8 @@ fn transient_fault_survives_probationary_readmission() {
     sim.run_to_completion(60 * SECONDS);
 
     assert!(sim.connections[0].all_acked());
-    let sup = sim.supervisor().unwrap();
     assert_eq!(
-        sup.state(0),
+        sim.connections[0].contain_state(),
         ContainState::Probation,
         "one transient trap must not pin: the original scheduler is back"
     );
@@ -234,6 +236,7 @@ fn without_containment_faults_surface_the_old_way() {
     sim.run_to_completion(10 * SECONDS);
 
     assert!(sim.supervisor().is_none());
+    assert_eq!(sim.connections[0].contain_state(), ContainState::Healthy);
     assert!(sim.incidents().is_empty());
     assert!(
         !sim.connections[0].all_acked(),
@@ -277,7 +280,7 @@ fn a_swap_under_quarantine_takes_effect_at_readmission_and_stays_supervised() {
     // The replacement schedules for a while, then traps forever.
     let replacement = SchedulerHandle::Native(Box::new(NativeTrapping::new(20)));
     sim.set_scheduler(0, Installed::new(replacement));
-    let state = |sim: &Sim| sim.supervisor().unwrap().state(0);
+    let state = |sim: &Sim| sim.connections[0].contain_state();
     assert_eq!(state(&sim), ContainState::Quarantined);
 
     sim.run_until(quarantine.at + quarantine.backoff);
@@ -320,7 +323,7 @@ fn a_swap_on_a_pinned_connection_never_runs() {
     let mut sim = contained_sim(37, bombed_connection());
     sim.app_send_at(0, 0, 200_000, 0);
     sim.run_to_completion(60 * SECONDS);
-    let state = |sim: &Sim| sim.supervisor().unwrap().state(0);
+    let state = |sim: &Sim| sim.connections[0].contain_state();
     assert_eq!(state(&sim), ContainState::Pinned);
     let incidents = sim.incidents().len();
     assert_eq!(sim.connections[0].stats.scheduler_errors, 3);
@@ -574,5 +577,30 @@ fn a_transport_defect_is_not_a_scheduler_fault() {
     let mut sim = contained_sim(31, cfg);
     sim.connections[0].receiver.inject_double_delivery_bug();
     sim.app_send_at(0, 0, 14_000, 0);
+    sim.run_to_completion(10 * SECONDS);
+}
+
+#[test]
+#[should_panic(expected = "conservation-delivery")]
+fn quarantined_neighbours_do_not_silence_a_transport_defect() {
+    // Four connections, two of them quarantined before the defect shows:
+    // however many neighbours have faulted, the oracle still aborts on
+    // what the transport checks find.
+    const REDUNDANT_DSL: &str = "IF (!Q.EMPTY) { VAR skb = Q.POP(); \
+         FOREACH(VAR sbf IN SUBFLOWS) { sbf.PUSH(skb); } }";
+    let mut sim = contained_sim(31, offender("bomb"));
+    sim.add_connection(offender("bomb")).unwrap();
+    for _ in 0..2 {
+        let cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(REDUNDANT_DSL));
+        sim.add_connection(cfg).unwrap();
+    }
+    sim.app_send_at(0, 0, 14_000, 0);
+    sim.app_send_at(1, 0, 14_000, 0);
+    sim.run_until(from_millis(1));
+    let quarantined = [0, 1].map(|c| sim.connections[c].contain_state());
+    assert_eq!(quarantined, [ContainState::Quarantined; 2]);
+
+    sim.connections[3].receiver.inject_double_delivery_bug();
+    sim.app_send_at(3, sim.now, 14_000, 0);
     sim.run_to_completion(10 * SECONDS);
 }

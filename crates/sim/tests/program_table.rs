@@ -207,7 +207,7 @@ fn readmission_restores_exactly_what_quarantine_parked() {
 
     sim.run_until(from_millis(150));
     assert_eq!(
-        sim.supervisor().unwrap().state(0),
+        sim.connections[0].contain_state(),
         ContainState::Quarantined
     );
     let fallback = installed(&sim, 0);
@@ -224,12 +224,12 @@ fn readmission_restores_exactly_what_quarantine_parked() {
 
     // Re-admission falls between the two sends.
     sim.run_until(SECONDS - 1);
-    assert_eq!(sim.supervisor().unwrap().state(0), ContainState::Probation);
+    assert_eq!(sim.connections[0].contain_state(), ContainState::Probation);
     let before_second_send = sim.connections[0].stats.scheduler_executions;
 
     sim.run_to_completion(60 * SECONDS);
     assert!(sim.connections[0].all_acked());
-    assert_eq!(sim.supervisor().unwrap().state(0), ContainState::Probation);
+    assert_eq!(sim.connections[0].contain_state(), ContainState::Probation);
     let actions: Vec<ContainAction> = sim.incidents().iter().map(|i| i.action).collect();
     assert_eq!(
         actions,
