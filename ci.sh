@@ -83,6 +83,16 @@ for def in 'fn sweep' 'struct .*SweepReport' 'struct .*Violation' 'fn all_caught
   [ "$(grep -rn "$def" crates/conformance/src | wc -l)" -le 1 ] || { echo "a tier grew its own copy of: $def (use tier.rs)"; exit 1; }
 done
 
+echo "==> one generated case per seed: four tiers, four check_seeds, one program generator"
+[ "$(grep -c '^    Tier {$' crates/conformance/src/tier.rs)" -eq 4 ] \
+  || { echo "TIERS must have four rows (program, opt-soundness, chaos, fleet-chaos): ask a new per-program question in program.rs"; exit 1; }
+[ "$(grep -rn 'fn check_seed' crates/conformance/src | wc -l)" -eq 4 ] \
+  || { echo "fn check_seed must be defined exactly four times under crates/conformance/src (one per tier)"; exit 1; }
+! grep -rnwE 'GenConfig|with_config' crates/ src/ tests/ examples/ \
+  || { echo "the generator grew tunables again (its limits are constants of gen.rs)"; exit 1; }
+[ ! -e crates/core/tests/backend_equivalence.rs ] \
+  || { echo "a second program generator is back: crates/core/tests/backend_equivalence.rs (the program tier checks its properties)"; exit 1; }
+
 echo "==> conformance-fuzz: every tier at its CI seed count, seeds sharded over the cores"
 cargo build -q --release -p progmp-conformance --bin conformance-fuzz
 ./target/release/conformance-fuzz

@@ -1,5 +1,5 @@
 use super::{int, text, Outcome, Shape, Table};
-use crate::{path, source_of};
+use crate::path;
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{ConnectionConfig, SchedulerSpec, Sim};
 use progmp_core::env::RegId;
@@ -19,7 +19,10 @@ pub fn run() -> Outcome {
                 path(8 + (i as u64 % 7) * 4, 1_250_000),
                 path(25 + (i as u64 % 5) * 9, 1_250_000).with_cost(1),
             ],
-            SchedulerSpec::dsl_on(source_of(names[i % names.len()]), Backend::ALL[i % 3]),
+            SchedulerSpec::dsl_on(
+                sched::source(names[i % names.len()]).expect("bundled scheduler"),
+                Backend::ALL[i % 3],
+            ),
         )
         .with_timelines();
         let conn = sim.add_connection(cfg).expect("bundled schedulers compile");

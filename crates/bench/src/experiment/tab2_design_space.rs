@@ -1,5 +1,5 @@
 use super::{int, text, Outcome, Shape, Table};
-use crate::{path, source_of};
+use crate::path;
 use mptcp_sim::time::SECONDS;
 use mptcp_sim::{ConnectionConfig, SchedulerSpec, Sim};
 use progmp_core::env::RegId;
@@ -81,7 +81,7 @@ fn delivers(name: &str) -> bool {
     let mut sim = Sim::new(5);
     let cfg = ConnectionConfig::new(
         vec![path(10, 1_250_000), path(40, 1_250_000).with_cost(1)],
-        SchedulerSpec::dsl(source_of(name)),
+        SchedulerSpec::dsl(sched::source(name).expect("bundled scheduler")),
     );
     let Ok(conn) = sim.add_connection(cfg) else {
         return false;

@@ -34,15 +34,6 @@ pub fn path(rtt_ms: u64, rate: u64) -> SubflowConfig {
     SubflowConfig::new(PathConfig::symmetric(from_millis(rtt_ms), rate))
 }
 
-/// Source text of the bundled scheduler called `name`.
-pub fn source_of(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-        .unwrap_or_else(|| panic!("bundled scheduler {name} not found"))
-}
-
 /// A simulation seeded with `seed` holding one connection of `scheduler`
 /// over `subflows`, timelines recorded.
 pub fn one_connection(

@@ -13,11 +13,11 @@
 //! deterministic, not a timing.
 
 use crate::report::Json;
-use crate::scale::PAPER_SCHEDULERS;
 use progmp_core::env::RegId;
 use progmp_core::exec::ExecCtx;
 use progmp_core::testenv::MockEnv;
 use progmp_core::{Backend, CompileOptions};
+use progmp_schedulers::PAPER;
 
 /// Optimizer before/after numbers for one bundled scheduler.
 #[derive(Debug, Clone)]
@@ -66,7 +66,7 @@ fn executed_insns(program: &progmp_core::SchedulerProgram, scheduler: &str) -> u
 /// Compiles `scheduler` with and without the bytecode optimizer and runs
 /// one upcall of each image on the shared decision point.
 pub fn measure(scheduler: &'static str) -> OptMeasurement {
-    let source = crate::source_of(scheduler);
+    let source = progmp_schedulers::source(scheduler).expect("bundled scheduler");
     let compile = |optimize: bool| {
         progmp_core::compile_with_options(
             Some(scheduler),
@@ -97,7 +97,7 @@ pub fn measure(scheduler: &'static str) -> OptMeasurement {
 
 /// [`measure`] over all seven paper schedulers.
 pub fn measure_all() -> Vec<OptMeasurement> {
-    PAPER_SCHEDULERS.iter().map(|s| measure(s)).collect()
+    PAPER.iter().map(|s| measure(s)).collect()
 }
 
 /// Renders measurements as the `optimizer` meta object shared by the
@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn optimizer_reduces_upcall_insns_for_most_paper_schedulers() {
         let measurements = measure_all();
-        assert_eq!(measurements.len(), PAPER_SCHEDULERS.len());
+        assert_eq!(measurements.len(), PAPER.len());
         let mut reduced = 0;
         for m in &measurements {
             assert!(

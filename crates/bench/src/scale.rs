@@ -18,17 +18,7 @@ use mptcp_sim::fleet::{run_fleet, ConnScenario, FleetConfig, OracleMode, Workloa
 use mptcp_sim::time::{from_millis, SimTime, SECONDS};
 use mptcp_sim::{ConnectionConfig, PathConfig, SchedulerSpec, SubflowConfig};
 use progmp_core::env::RegId;
-
-/// The seven paper schedulers the sweep cycles through (§3.4/§5).
-pub const PAPER_SCHEDULERS: [&str; 7] = [
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
+use progmp_schedulers::PAPER;
 
 /// Parameters of one scale sweep.
 #[derive(Debug, Clone)]
@@ -77,12 +67,12 @@ impl ScaleConfig {
 }
 
 /// Scenario of fleet connection `global`: scheduler cycles through
-/// [`PAPER_SCHEDULERS`], the two-path mix varies with the frozen
+/// [`PAPER`], the two-path mix varies with the frozen
 /// per-connection seed. No fault plans — the scale tier measures the
 /// clean hot path; chaos lives in the soak tier.
 pub fn scale_scenario(global: usize, seed: u64, flow_bytes: u64) -> ConnScenario {
-    let scheduler = PAPER_SCHEDULERS[global % PAPER_SCHEDULERS.len()];
-    let source = crate::source_of(scheduler);
+    let scheduler = PAPER[global % PAPER.len()];
+    let source = progmp_schedulers::source(scheduler).expect("bundled scheduler");
     let subflows = vec![
         SubflowConfig::new(PathConfig::symmetric(from_millis(5 + seed % 40), 1_250_000)),
         SubflowConfig::new(PathConfig::symmetric(
@@ -124,7 +114,7 @@ pub fn run_scale(cfg: &ScaleConfig, progress: &mut dyn FnMut(&str)) -> Report {
         )
         .meta(
             "schedulers",
-            Json::Arr(PAPER_SCHEDULERS.iter().map(|s| Json::from(*s)).collect()),
+            Json::Arr(PAPER.iter().map(|s| Json::from(*s)).collect()),
         )
         // The image generation this trajectory point was measured
         // against: per-scheduler dynamic/static instruction counts and
@@ -152,9 +142,9 @@ pub fn run_scale(cfg: &ScaleConfig, progress: &mut dyn FnMut(&str)) -> Report {
             // Per-scheduler interpreter cost, from the host-time counters
             // the snapshot digest deliberately excludes.
             let mut sched_ns = Vec::new();
-            for (i, name) in PAPER_SCHEDULERS.iter().enumerate() {
+            for (i, name) in PAPER.iter().enumerate() {
                 let (mut ns, mut execs) = (0u64, 0u64);
-                for c in run.per_conn.iter().skip(i).step_by(PAPER_SCHEDULERS.len()) {
+                for c in run.per_conn.iter().skip(i).step_by(PAPER.len()) {
                     ns += c.scheduler_host_ns;
                     execs += c.scheduler_executions;
                 }
@@ -272,7 +262,7 @@ pub fn validate_scale_report(doc: &Json) -> Result<(), String> {
         .get("meta")
         .and_then(|m| m.get("optimizer"))
         .ok_or("meta is missing the 'optimizer' before/after object")?;
-    for name in PAPER_SCHEDULERS {
+    for name in PAPER {
         let entry = optimizer
             .get(name)
             .ok_or_else(|| format!("optimizer meta is missing scheduler {name:?}"))?;
@@ -313,7 +303,7 @@ pub fn validate_scale_report(doc: &Json) -> Result<(), String> {
             .and_then(Json::as_str)
             .ok_or_else(|| format!("row {i}: missing 'fleet_digest'"))?;
         match row.get("sched_exec_ns") {
-            Some(Json::Obj(pairs)) if pairs.len() == PAPER_SCHEDULERS.len() => {}
+            Some(Json::Obj(pairs)) if pairs.len() == PAPER.len() => {}
             _ => return Err(format!("row {i}: bad 'sched_exec_ns'")),
         }
         if row.get("violations").and_then(Json::as_f64) != Some(0.0) {

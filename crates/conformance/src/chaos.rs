@@ -30,21 +30,6 @@ use progmp_core::Backend;
 /// nothing with program-generator seed `n`.
 const CHAOS_SALT: u64 = 0x51AB_0C4A_0551_AB0C;
 
-/// The backends every case runs on.
-pub const BACKENDS: [Backend; 3] = [Backend::Interpreter, Backend::Aot, Backend::Vm];
-
-/// The paper schedulers the sweep draws from (§3.4/§5): each must behave
-/// identically on every backend under every fault plan.
-pub const SCHEDULERS: [&str; 7] = [
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
-
 /// Simulated-time budget per run; transfers that miss it count as a
 /// liveness failure for the case.
 const HORIZON: SimTime = 300 * SECONDS;
@@ -55,7 +40,8 @@ const HORIZON: SimTime = 300 * SECONDS;
 pub struct ChaosCase {
     /// The generating seed (also the simulator seed).
     pub seed: u64,
-    /// Scheduler name in [`progmp_schedulers::sources::ALL`].
+    /// One of the paper's schedulers, [`progmp_schedulers::PAPER`]: each
+    /// must behave identically on every backend under every fault plan.
     pub scheduler: &'static str,
     /// Per-path round-trip times (milliseconds).
     pub rtts_ms: Vec<u64>,
@@ -75,7 +61,7 @@ impl ChaosCase {
     /// Derives a case from `seed`. Pure: equal seeds give equal cases.
     pub fn generate(seed: u64) -> ChaosCase {
         let mut rng = Xorshift::new(seed ^ CHAOS_SALT);
-        let scheduler = SCHEDULERS[rng.below(SCHEDULERS.len() as u64) as usize];
+        let scheduler = *rng.pick(&progmp_schedulers::PAPER);
         let n_paths = 2 + rng.below(2); // 2..=3
         let rtts_ms: Vec<u64> = (0..n_paths).map(|_| 5 + rng.below(75)).collect();
         let loss = rng.below(20) as f64 / 1000.0; // 0..2%
@@ -136,11 +122,7 @@ pub struct BackendRun {
 /// Runs `case` on `backend`. With `inject_bug` the receiver's hidden
 /// double-delivery defect is enabled (the mutation check's target).
 pub fn run_backend(case: &ChaosCase, backend: Backend, inject_bug: bool) -> BackendRun {
-    let source = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == case.scheduler)
-        .map(|(_, s)| *s)
-        .expect("known scheduler");
+    let source = progmp_schedulers::source(case.scheduler).expect("known scheduler");
     let mut sim = Sim::new(case.seed);
     sim.enable_oracle(format!("chaos seed {}", case.seed), false);
     let subflows = case
@@ -233,7 +215,7 @@ impl std::fmt::Display for ChaosFailure {
 /// Runs `case` on every backend (optionally with the injected receiver
 /// bug) and classifies the outcome. `None` means the case is clean.
 pub fn check_case(case: &ChaosCase, inject_bug: bool) -> Option<ChaosFailure> {
-    let runs: Vec<BackendRun> = BACKENDS
+    let runs: Vec<BackendRun> = Backend::ALL
         .iter()
         .map(|b| run_backend(case, *b, inject_bug))
         .collect();
@@ -243,7 +225,7 @@ pub fn check_case(case: &ChaosCase, inject_bug: bool) -> Option<ChaosFailure> {
         }
     }
     let reference = &runs[0];
-    for (backend, run) in BACKENDS.iter().zip(&runs).skip(1) {
+    for (backend, run) in Backend::ALL.iter().zip(&runs).skip(1) {
         if run.digest != reference.digest {
             let first_diff = reference
                 .digest

@@ -100,12 +100,7 @@ impl FleetCase {
         ];
         let mut cfg = match global % 5 {
             0 => {
-                let source = progmp_schedulers::sources::ALL
-                    .iter()
-                    .find(|(n, _)| *n == "minRttSimple")
-                    .map(|(_, s)| *s)
-                    .expect("paper scheduler exists");
-                ConnectionConfig::new(paths, SchedulerSpec::dsl(source))
+                ConnectionConfig::new(paths, SchedulerSpec::dsl(progmp_schedulers::MIN_RTT_SIMPLE))
             }
             1 => ConnectionConfig::new(paths, SchedulerSpec::dsl(PROVED_WC_DSL)),
             2 => ConnectionConfig::new(paths, SchedulerSpec::dsl("RETURN;")),
@@ -123,7 +118,7 @@ impl FleetCase {
             ),
         };
         if global % 5 == 1 {
-            cfg.step_budget = 3; // far below the certified bound: every run aborts
+            cfg.step_budget = Some(3); // far below the certified bound: every run aborts
         }
         ConnScenario::new(
             cfg,

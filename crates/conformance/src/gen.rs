@@ -39,31 +39,16 @@ fn stmt(kind: StmtKind) -> Stmt {
     Stmt { pos: pos(), kind }
 }
 
-/// Tuning knobs of the generator; defaults produce small, dense programs.
-#[derive(Debug, Clone)]
-pub struct GenConfig {
-    /// Maximum statements per block.
-    pub max_block_len: usize,
-    /// Maximum expression depth.
-    pub max_expr_depth: u32,
-    /// Maximum statement nesting depth (IF/FOREACH).
-    pub max_stmt_depth: u32,
-}
-
-impl Default for GenConfig {
-    fn default() -> Self {
-        GenConfig {
-            max_block_len: 5,
-            max_expr_depth: 4,
-            max_stmt_depth: 3,
-        }
-    }
-}
+/// Maximum statements per block: programs stay small and dense.
+const MAX_BLOCK_LEN: usize = 5;
+/// Maximum expression depth.
+const MAX_EXPR_DEPTH: u32 = 4;
+/// Maximum statement nesting depth (IF/FOREACH).
+const MAX_STMT_DEPTH: u32 = 3;
 
 /// The program/environment generator. One instance per seed.
 pub struct Generator {
     rng: Xorshift,
-    config: GenConfig,
     next_name: u32,
     /// Lexical scope stack: each frame holds `(name, type)` bindings.
     scopes: Vec<Vec<(String, Type)>>,
@@ -94,14 +79,8 @@ const BOOL_SUBFLOW_PROPS: [SubflowProp; 3] = [
 impl Generator {
     /// Creates a generator for `seed`.
     pub fn new(seed: u64) -> Self {
-        Generator::with_config(seed, GenConfig::default())
-    }
-
-    /// Creates a generator with explicit tuning.
-    pub fn with_config(seed: u64, config: GenConfig) -> Self {
         Generator {
             rng: Xorshift::new(seed),
-            config,
             next_name: 0,
             scopes: vec![Vec::new()],
         }
@@ -118,7 +97,7 @@ impl Generator {
         for _ in 0..64 {
             self.next_name = 0;
             self.scopes = vec![Vec::new()];
-            let len = 1 + self.rng.below(self.config.max_block_len as u64) as usize;
+            let len = 1 + self.rng.below(MAX_BLOCK_LEN as u64) as usize;
             let candidate = Program {
                 body: self.block(len, 0),
             };
@@ -218,7 +197,7 @@ impl Generator {
     }
 
     fn statement(&mut self, depth: u32) -> Stmt {
-        let nested_ok = depth < self.config.max_stmt_depth;
+        let nested_ok = depth < MAX_STMT_DEPTH;
         loop {
             let roll = self.rng.below(100);
             let kind = match roll {
@@ -228,7 +207,7 @@ impl Generator {
                 55..=69 => self.set_reg(),
                 70..=87 => self.push(),
                 88..=95 => StmtKind::Drop {
-                    packet: self.packet_expr(self.config.max_expr_depth, true),
+                    packet: self.packet_expr(MAX_EXPR_DEPTH, true),
                 },
                 96..=97 => StmtKind::Return,
                 _ => continue, // re-roll when nesting is capped
@@ -238,7 +217,7 @@ impl Generator {
     }
 
     fn var_decl(&mut self) -> StmtKind {
-        let d = self.config.max_expr_depth;
+        let d = MAX_EXPR_DEPTH;
         let roll = self.rng.below(100);
         // POP() is allowed here (effect position), so packet declarations
         // get extra weight: they are the idiomatic ProgMP shape
@@ -256,11 +235,11 @@ impl Generator {
     }
 
     fn if_stmt(&mut self, depth: u32) -> StmtKind {
-        let cond = self.bool_expr(self.config.max_expr_depth);
-        let then_len = 1 + self.rng.below(self.config.max_block_len as u64 / 2 + 1) as usize;
+        let cond = self.bool_expr(MAX_EXPR_DEPTH);
+        let then_len = 1 + self.rng.below(MAX_BLOCK_LEN as u64 / 2 + 1) as usize;
         let then_body = self.block(then_len, depth + 1);
         let else_body = if self.rng.chance(40) {
-            let else_len = 1 + self.rng.below(self.config.max_block_len as u64 / 2 + 1) as usize;
+            let else_len = 1 + self.rng.below(MAX_BLOCK_LEN as u64 / 2 + 1) as usize;
             self.block(else_len, depth + 1)
         } else {
             Vec::new()
@@ -273,7 +252,7 @@ impl Generator {
     }
 
     fn foreach(&mut self, depth: u32) -> StmtKind {
-        let list = self.list_expr(self.config.max_expr_depth);
+        let list = self.list_expr(MAX_EXPR_DEPTH);
         // The binder lives in the body scope; sema opens one scope for the
         // binder itself, then blocks inside open their own.
         self.scopes.push(Vec::new());
@@ -289,16 +268,16 @@ impl Generator {
             .expect("register index in range");
         StmtKind::SetReg {
             reg,
-            value: self.int_expr(self.config.max_expr_depth, false),
+            value: self.int_expr(MAX_EXPR_DEPTH, false),
         }
     }
 
     fn push(&mut self) -> StmtKind {
-        let target = self.subflow_expr(self.config.max_expr_depth);
+        let target = self.subflow_expr(MAX_EXPR_DEPTH);
         let packet = if self.rng.chance(5) {
             expr(ExprKind::Null)
         } else {
-            self.packet_expr(self.config.max_expr_depth, true)
+            self.packet_expr(MAX_EXPR_DEPTH, true)
         };
         StmtKind::Push { target, packet }
     }

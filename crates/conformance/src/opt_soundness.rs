@@ -3,8 +3,9 @@
 //!
 //! For every generated program, the VM running the *optimized* image
 //! must be bit-identical to the VM running the unoptimized image — same
-//! execution result, same effect trace, same environment fingerprint —
-//! on the same random environment, and the optimized image's
+//! result in each of the differential's rounds, same effect trace, same
+//! environment fingerprint — on the same random environment, and the
+//! optimized image's
 //! bytecode-model step bound must never exceed the unoptimized one.
 //! Fail-open rollbacks (a sound rewrite the verifier's loop recognition
 //! cannot re-certify on a pathological generated program) are counted,
@@ -15,38 +16,26 @@
 //! unsound pass per pass class into the pipeline and require the
 //! rollback, with a spanned `misoptimization` diagnostic.
 
+use crate::differ::BackendOutcome;
 use crate::gen::Generator;
 use crate::tier::Report;
-use progmp_core::env::RecordingEnv;
 use progmp_core::verify::Lint;
 use progmp_core::{Backend, CompileOptions, SchedulerProgram};
 
 fn compile_pair(source: &str) -> Result<(SchedulerProgram, SchedulerProgram), String> {
-    let compile = |optimize: bool| {
-        progmp_core::compile_with_options(
-            None,
-            source,
-            CompileOptions {
-                enforce_admission: false,
-                optimize_bytecode: optimize,
-                ..CompileOptions::default()
-            },
-        )
-    };
-    let unopt = compile(false).map_err(|e| format!("unoptimized compile failed: {e}"))?;
-    let opt = compile(true).map_err(|e| format!("optimized compile failed: {e}"))?;
+    let unopt =
+        crate::compile_observed(source).map_err(|e| format!("unoptimized compile failed: {e}"))?;
+    let opt = progmp_core::compile_with_options(
+        None,
+        source,
+        CompileOptions {
+            enforce_admission: false,
+            optimize_bytecode: true,
+            ..CompileOptions::default()
+        },
+    )
+    .map_err(|e| format!("optimized compile failed: {e}"))?;
     Ok((unopt, opt))
-}
-
-/// Runs one program on the VM backend, returning the observable outcome.
-fn run_vm(
-    program: &SchedulerProgram,
-    spec: &crate::gen::EnvSpec,
-) -> (Result<(), progmp_core::ExecError>, String, String) {
-    let mut env = RecordingEnv::new(spec.build());
-    let mut instance = program.instantiate(Backend::Vm);
-    let result = instance.execute(&mut env).map(|_| ());
-    (result, env.trace.render(), env.inner.state_fingerprint())
 }
 
 /// Checks one seed: compiles the generated program with and without the
@@ -97,23 +86,12 @@ pub fn check_seed(seed: u64, out: &mut Report) {
         );
     }
 
-    let (r0, t0, f0) = run_vm(&unopt, &spec);
-    let (r1, t1, f1) = run_vm(&opt, &spec);
-    if r0 != r1 || t0 != t1 || f0 != f1 {
-        let mut detail = String::new();
-        if r0 != r1 {
-            detail.push_str(&format!("result: {r0:?} vs {r1:?}\n"));
-        }
-        if t0 != t1 {
-            detail.push_str(&format!(
-                "trace:\n--- unoptimized ---\n{t0}--- optimized ---\n{t1}"
-            ));
-        }
-        if f0 != f1 {
-            detail.push_str(&format!(
-                "fingerprint:\n--- unoptimized ---\n{f0}--- optimized ---\n{f1}"
-            ));
-        }
+    let run_vm =
+        |p: &SchedulerProgram| BackendOutcome::run(p, Backend::Vm, &spec, p.certified_step_bound());
+    let (before, after) = (run_vm(&unopt), run_vm(&opt));
+    if !after.agrees_with(&before) {
+        let (before, after) = (before.render(), after.render());
+        let detail = format!("--- unoptimized ---\n{before}--- optimized ---\n{after}");
         out.finding(
             seed,
             "optimized vs unoptimized VM execution",

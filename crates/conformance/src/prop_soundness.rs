@@ -1,20 +1,20 @@
-//! Property-soundness tier and analysis-weakening sensitivity probes.
+//! Analysis-weakening sensitivity probes for the scheduler-property
+//! verifier ([`progmp_core::verify::props`]).
 //!
-//! Two complementary directions for the scheduler-property verifier
-//! ([`progmp_core::verify::props`]):
-//!
-//! * **Soundness** ([`check_seed`]): for every generated program, derive the
+//! * **Soundness** is a check of the `program` tier
+//!   ([`crate::tier::TIERS`]): for every generated program, derive the
 //!   property certificate and run the program on all three backends over
-//!   the same random environment. Every claim the verifier *proved* must
-//!   hold in the observed execution — a proved-work-conserving program
-//!   must push when the precondition held, no `PUSH` may target an id
-//!   outside the certificate's allowed set, no packet may be pushed more
-//!   often than the closed-form duplication bound evaluated at the
-//!   actual subflow count, and a proved-guarded program must never
-//!   observe a `NULL` pop. The dynamic checks are the *simulator
-//!   oracle's own* ([`mptcp_sim::oracle::check_properties`]),
-//!   so the sweep cross-validates the static analysis against the same
-//!   code path the chaos tier arms.
+//!   the same random environment.
+//!   Every claim the verifier *proved* must hold in every observed
+//!   round — a proved-work-conserving program must push when the
+//!   precondition held, no `PUSH` may target an id outside the
+//!   certificate's allowed set, no packet may be pushed more often than
+//!   the closed-form duplication bound evaluated at the actual subflow
+//!   count, and a proved-guarded program must never observe a `NULL`
+//!   pop. The dynamic checks are the *simulator oracle's own*
+//!   ([`mptcp_sim::oracle::check_properties`]), so the sweep
+//!   cross-validates the static analysis against the same code path the
+//!   chaos tier arms.
 //! * **Sensitivity** ([`probes`]): each
 //!   [`progmp_core::verify::props::PropWeakening`] hook
 //!   deliberately weakens one analysis step (loops assumed to iterate,
@@ -25,58 +25,13 @@
 //!   dynamic check must catch it. An oracle that can't catch seeded
 //!   analysis bugs proves nothing about the absence of unseeded ones.
 
-use crate::gen::{EnvSpec, Generator, SubflowSpec};
-use crate::tier::{Probe, Report};
-use mptcp_sim::oracle::{check_properties, PropObservation};
+use crate::differ::BackendOutcome;
+use crate::gen::{EnvSpec, SubflowSpec};
+use crate::tier::Probe;
+use mptcp_sim::oracle::check_properties;
 use progmp_core::env::{QueueKind, SubflowProp};
-use progmp_core::exec::ExecCtx;
-use progmp_core::testenv::MockEnv;
 use progmp_core::verify::props::{verify_properties_with, PropWeakening};
-use progmp_core::{Backend, PropertyCertificate, SchedulerProgram};
-
-/// Runs `program` once on `backend` against a fresh copy of `env`,
-/// returning the oracle observation (or `None` on a runtime error).
-fn observe(program: &SchedulerProgram, backend: Backend, env: &MockEnv) -> Option<PropObservation> {
-    // Sampled pre-round, exactly as the simulator engine samples it.
-    let pre = PropObservation::before(env);
-    let mut ctx = ExecCtx::new(env, program.certified_step_bound());
-    let mut instance = program.instantiate(backend);
-    instance.execute_raw(&mut ctx).ok()?;
-    let (_regs, actions, stats) = ctx.finish();
-    Some(pre.after(&actions, &stats))
-}
-
-/// Checks one seed: generates a program and a random environment,
-/// derives the property certificate, and validates it against the
-/// observed execution on every backend. Counts whether work-conservation
-/// was proved (`wc-proved`), whether any property was refuted (`with
-/// refutations`), and the executions skipped because a backend reported
-/// a runtime error (`exec errors`: counted, not failed — admission
-/// soundness is the soundness tier's job).
-pub fn check_seed(seed: u64, out: &mut Report) {
-    let mut generator = Generator::new(seed);
-    let candidate = generator.program();
-    let spec = generator.env_spec();
-    let source = candidate.to_string();
-    let program = crate::compile_observed(&source).unwrap_or_else(|e| {
-        panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
-    });
-    let cert = program.property_certificate();
-    let proved = |status| status == progmp_core::PropStatus::Proved;
-    out.count("wc-proved", proved(cert.work_conservation.status) as u64);
-    out.count("with refutations", !cert.clean() as u64);
-    for backend in Backend::ALL {
-        match observe(&program, backend, &spec.build()) {
-            Some(obs) => {
-                for v in check_properties(0, 0, cert, &obs) {
-                    let context = format!("backend {}, invariant {}", backend.name(), v.invariant);
-                    out.finding(seed, context, v.detail, &source);
-                }
-            }
-            None => out.count("exec errors", 1),
-        }
-    }
-}
+use progmp_core::{Backend, PropertyCertificate};
 
 /// A crafted scheduler + environment that exposes one weakening: the
 /// weakened analysis makes a claim the execution falsifies.
@@ -187,12 +142,15 @@ pub fn probes() -> Vec<Probe> {
         progmp_core::optimizer::optimize(&mut hir);
         let weakened = verify_properties_with(&hir, Some(weakening), true);
         let clean = program.property_certificate();
-        // What the oracle says about `cert` on one execution against the
-        // crafted environment.
+        // What the oracle says about `cert` on the first round against
+        // the crafted environment.
         let flagged = |cert: &PropertyCertificate, backend: Backend| {
-            let obs = observe(&program, backend, &spec.build())
-                .unwrap_or_else(|| panic!("weakening case {} must execute", weakening.name()));
-            check_properties(0, 0, cert, &obs)
+            let bound = program.certified_step_bound();
+            let outcome = BackendOutcome::run(&program, backend, &spec, bound);
+            let Ok((_, obs)) = &outcome.rounds[0] else {
+                panic!("weakening case {} must execute", weakening.name())
+            };
+            check_properties(0, 0, cert, obs)
         };
         // The same execution under the honest certificate must be
         // violation-free on every backend, pinning the blame on the

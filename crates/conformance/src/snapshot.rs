@@ -91,18 +91,7 @@ mod tests {
 
     #[test]
     fn family_guard_accepts_the_committed_optimizer_set() {
-        assert_family_covers(
-            "optimized_",
-            &[
-                "minRttSimple",
-                "default",
-                "roundRobin",
-                "redundant",
-                "opportunisticRedundant",
-                "tap",
-                "targetRtt",
-            ],
-        );
+        assert_family_covers("optimized_", &progmp_schedulers::PAPER);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! so the report is the same for every thread count. What a tier
 //! checks, and why, is documented on its module.
 
-use crate::{chaos, differ, fleet_chaos, opt_soundness, prop_soundness, soundness, vm_soundness};
+use crate::{chaos, fleet_chaos, opt_soundness, program};
 use progmp_core::Diagnostic;
 use std::fmt;
 use std::ops::Range;
@@ -34,31 +34,23 @@ pub struct Tier {
     pub probes: Option<fn() -> Vec<Probe>>,
 }
 
-/// The seven tiers CI runs, each with the seed count CI uses.
-pub static TIERS: [Tier; 7] = [
+/// The four tiers CI runs, each with the seed count CI uses.
+pub static TIERS: [Tier; 4] = [
     Tier {
-        name: "differential",
+        name: "program",
         default_seeds: 500,
-        about: "interpreter, AOT and VM disagree on a generated program",
-        counters: &[],
-        check: differ::check_seed,
-        probes: None,
-    },
-    Tier {
-        name: "soundness",
-        default_seeds: 500,
-        about: "an admitted program fails at run time or exceeds its certified step bound",
-        counters: &["admitted", "rejected"],
-        check: soundness::check_seed,
-        probes: None,
-    },
-    Tier {
-        name: "vm-soundness",
-        default_seeds: 500,
-        about: "the bytecode verifier rejects an image our own compiler generated",
-        counters: &["clean", "images"],
-        check: vm_soundness::check_seed,
-        probes: Some(vm_soundness::probes),
+        about: "backends disagree on a generated program, or it breaks a claim its compile made",
+        counters: &[
+            "admitted",
+            "rejected",
+            "clean images",
+            "wc-proved",
+            "with refutations",
+            "exec errors",
+            "unoptimized over limits",
+        ],
+        check: program::check_seed,
+        probes: Some(program::probes),
     },
     Tier {
         name: "opt-soundness",
@@ -67,14 +59,6 @@ pub static TIERS: [Tier; 7] = [
         counters: &["clean", "rewrites kept", "rolled back"],
         check: opt_soundness::check_seed,
         probes: None,
-    },
-    Tier {
-        name: "prop-soundness",
-        default_seeds: 500,
-        about: "a scheduler property the verifier proved fails in an observed execution",
-        counters: &["wc-proved", "with refutations", "exec errors"],
-        check: prop_soundness::check_seed,
-        probes: Some(prop_soundness::probes),
     },
     Tier {
         name: "chaos",

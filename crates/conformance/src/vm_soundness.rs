@@ -1,11 +1,10 @@
-//! Bytecode-verifier soundness tier and seeded codegen-mutation probes.
+//! Seeded codegen-mutation probes for translation validation
+//! ([`progmp_core::verify::vm`]).
 //!
-//! Two complementary directions for the translation-validation pair
-//! ([`progmp_core::verify::vm`]):
-//!
-//! * **Soundness / precision** ([`check_seed`]): for every generated program,
-//!   the bytecode our own compiler emits must validate cleanly against
-//!   the HIR admission certificate — any error-severity finding
+//! * **Soundness / precision** is the `clean images` check of the
+//!   `program` tier ([`crate::tier::TIERS`]): for every generated
+//!   program, the bytecode our own compiler emits must validate cleanly
+//!   against the HIR admission certificate — any error-severity finding
 //!   (including a `miscompile`) on correct codegen is a false positive
 //!   that would reject working schedulers at load time. That image is
 //!   the only one the VM backend executes.
@@ -17,45 +16,10 @@
 //!   carrying a real source span. A harness that can't catch seeded
 //!   bugs proves nothing about the absence of unseeded ones.
 
-use crate::gen::Generator;
-use crate::tier::{Probe, Report};
+use crate::tier::Probe;
 use progmp_core::bytecode::{AluOp, Helper, Insn};
 use progmp_core::exec::NULL_HANDLE;
 use progmp_core::verify::{Lint, Severity};
-
-fn error_lines(diags: &[progmp_core::Diagnostic]) -> String {
-    diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Checks one seed: the compiled bytecode must validate against the HIR
-/// certificate. Counts the `images` verified and whether the seed came
-/// out `clean`. Panics if the generated program fails to compile
-/// (generator bug — in enforcing pipelines the new `vm-verify` stage
-/// surfaces there as a `CompileError`, but observe mode records instead).
-pub fn check_seed(seed: u64, out: &mut Report) {
-    let mut generator = Generator::new(seed);
-    let candidate = generator.program();
-    let source = candidate.to_string();
-    let program = crate::compile_observed(&source).unwrap_or_else(|e| {
-        panic!("seed {seed}: generated program failed to compile: {e}\n{source}")
-    });
-    let verdict = program.bytecode_verdict();
-    if !verdict.admitted() {
-        out.finding(
-            seed,
-            "translation validation of the generated image",
-            error_lines(&verdict.diagnostics),
-            &source,
-        );
-    }
-    out.count("images", 1);
-    out.count("clean", verdict.admitted() as u64);
-}
 
 /// In-place mutations simulating codegen/regalloc bugs. Replacements
 /// keep instruction indices stable so the debug side table stays
@@ -142,10 +106,7 @@ pub fn probes() -> Vec<Probe> {
     const TARGETS: [&str; 2] = ["minRttSimple", "redundant"];
     let mut probes = Vec::new();
     for name in TARGETS {
-        let (_, source) = progmp_schedulers::sources::ALL
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("bundled scheduler {name} exists"));
+        let source = progmp_schedulers::source(name).expect("bundled scheduler");
         let program =
             crate::compile_observed(source).unwrap_or_else(|e| panic!("{name} compiles: {e}"));
         for (pc, replacement, description) in mutations(&program.bytecode().code) {

@@ -1,6 +1,6 @@
 //! The conformance contract on the bundled schedulers, and the generator
 //! properties the seeded sweep rests on (the 600-seed sweep itself is the
-//! `differential` row of `tests/tiers.rs`).
+//! `program` row of `tests/tiers.rs`).
 
 use progmp_conformance::differ::run_differential;
 use progmp_conformance::gen::Generator;
@@ -24,7 +24,8 @@ fn generated_programs_print_idempotently() {
 #[test]
 fn bundled_schedulers_agree_across_backends() {
     // The hand-written schedulers exercise idioms the generator may
-    // under-sample; run each on a spread of random environments.
+    // under-sample; run each for the differential's three rounds on a
+    // spread of random environments.
     for (name, source) in progmp_schedulers::sources::ALL {
         for env_seed in [1u64, 42, 1000, 123_456] {
             let mut generator = Generator::new(env_seed);

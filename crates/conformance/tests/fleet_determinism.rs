@@ -17,7 +17,6 @@ use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
     ConnectionConfig, ContainmentConfig, FaultPlan, PathConfig, SchedulerSpec, SubflowConfig,
 };
-use progmp_conformance::chaos::SCHEDULERS;
 use progmp_core::env::RegId;
 
 const FLEET_SIZE: usize = 100;
@@ -27,12 +26,8 @@ const FLEET_SEED: u64 = 0xF1EE7u64;
 /// seed: scheduler round-robins through all seven paper programs, the
 /// path mix / flow size / fault plan all derive from the seed alone.
 fn scenario(global: usize, seed: u64) -> ConnScenario {
-    let scheduler = SCHEDULERS[global % SCHEDULERS.len()];
-    let source = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == scheduler)
-        .map(|(_, s)| *s)
-        .expect("known scheduler");
+    let scheduler = progmp_schedulers::PAPER[global % progmp_schedulers::PAPER.len()];
+    let source = progmp_schedulers::source(scheduler).expect("known scheduler");
     let n_paths = 2 + (seed % 2) as usize;
     let subflows = (0..n_paths)
         .map(|p| {

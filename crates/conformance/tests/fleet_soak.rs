@@ -12,18 +12,14 @@
 use mptcp_sim::fleet::{run_fleet, ConnScenario, FleetConfig, OracleMode, Workload};
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{ConnectionConfig, FaultPlan, PathConfig, SchedulerSpec, SubflowConfig};
-use progmp_conformance::chaos::SCHEDULERS;
 use progmp_core::env::RegId;
 
 /// Chaotic scenario for connection `global`: everything derives from
 /// the frozen per-connection seed.
 fn chaos_scenario(global: usize, seed: u64) -> ConnScenario {
-    let scheduler = SCHEDULERS[(seed % SCHEDULERS.len() as u64) as usize];
-    let source = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == scheduler)
-        .map(|(_, s)| *s)
-        .expect("known scheduler");
+    let paper = progmp_schedulers::PAPER;
+    let scheduler = paper[(seed % paper.len() as u64) as usize];
+    let source = progmp_schedulers::source(scheduler).expect("known scheduler");
     let n_paths = 2 + (seed >> 3) % 2;
     let subflows = (0..n_paths)
         .map(|p| {

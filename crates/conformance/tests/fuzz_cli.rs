@@ -16,7 +16,7 @@ fn fuzz(args: &[&str]) -> Output {
 fn seed_range_overflow_is_a_usage_error() {
     let out = fuzz(&[
         "--tier",
-        "differential",
+        "program",
         "--start",
         "18446744073709551615",
         "--seeds",
@@ -30,8 +30,17 @@ fn seed_range_overflow_is_a_usage_error() {
 
 #[test]
 fn unknown_tier_is_a_usage_error_listing_the_valid_names() {
-    // A typo, and a tier that went with the interval-only verifier mode.
-    for unknown in ["soundnes", "soundness-interval"] {
+    // A typo, a tier that went with the interval-only verifier mode, and
+    // the four per-program tiers `program` replaced.
+    let unknowns = [
+        "soundnes",
+        "soundness-interval",
+        "differential",
+        "soundness",
+        "vm-soundness",
+        "prop-soundness",
+    ];
+    for unknown in unknowns {
         let out = fuzz(&["--tier", unknown]);
         assert_eq!(out.status.code(), Some(2));
         let stderr = String::from_utf8(out.stderr).unwrap();
@@ -55,9 +64,9 @@ fn unknown_tier_is_a_usage_error_listing_the_valid_names() {
 fn a_tier_named_twice_runs_once_and_reports_what_it_checked() {
     let out = fuzz(&[
         "--tier",
-        "soundness",
+        "program",
         "--tier",
-        "soundness",
+        "program",
         "--start",
         "18446744073709551613",
         "--seeds",
@@ -65,7 +74,7 @@ fn a_tier_named_twice_runs_once_and_reports_what_it_checked() {
     ]);
     assert_eq!(out.status.code(), Some(0), "{:?}", out.stderr);
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert_eq!(stdout.matches("soundness: seeds").count(), 1, "{stdout}");
+    assert_eq!(stdout.matches("program: seeds").count(), 1, "{stdout}");
     assert!(
         stdout.contains("seeds [18446744073709551613, 18446744073709551615), 2 checked"),
         "{stdout}"

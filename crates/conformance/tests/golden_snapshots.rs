@@ -14,26 +14,7 @@
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{ConnectionConfig, PathConfig, SchedulerSpec, Sim, SubflowConfig};
 use progmp_conformance::snapshot::assert_snapshot;
-
-/// The schedulers snapshotted: the paper's running examples plus the
-/// application-defined ones its evaluation features.
-const SNAPSHOT_SCHEDULERS: [&str; 7] = [
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
-
-fn source_of(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, src)| *src)
-        .unwrap_or_else(|| panic!("bundled scheduler `{name}` missing"))
-}
+use progmp_schedulers::{source, PAPER};
 
 /// Fixed scenario: a fast 10 ms / 10 Mbit/s path and a slow 40 ms path,
 /// one 50 kB bulk transfer, timelines on, simulation seed 1.
@@ -58,14 +39,14 @@ fn run_scenario(scheduler_source: &str) -> String {
 
 #[test]
 fn paper_schedulers_match_golden_timelines() {
-    for name in SNAPSHOT_SCHEDULERS {
-        let text = run_scenario(source_of(name));
+    for name in PAPER {
+        let text = run_scenario(source(name).unwrap());
         assert_snapshot(name, &text);
     }
 }
 
 #[test]
 fn scenario_is_deterministic() {
-    let src = source_of("minRttSimple");
+    let src = source("minRttSimple").unwrap();
     assert_eq!(run_scenario(src), run_scenario(src));
 }

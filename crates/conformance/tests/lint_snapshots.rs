@@ -9,30 +9,12 @@
 //! lint_snapshots`.
 
 use progmp_conformance::{compile_observed, snapshot::assert_snapshot};
-
-/// The seven schedulers highlighted in the paper's evaluation.
-const SNAPSHOT_SCHEDULERS: &[&str] = &[
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
-
-fn source_of(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("bundled scheduler {name} not found"))
-        .1
-}
+use progmp_schedulers::{source, PAPER};
 
 #[test]
 fn bundled_schedulers_verify_clean_with_pinned_bounds() {
-    for &name in SNAPSHOT_SCHEDULERS {
-        let program = compile_observed(source_of(name))
+    for name in PAPER {
+        let program = compile_observed(source(name).unwrap())
             .unwrap_or_else(|e| panic!("bundled scheduler {name} must compile: {e}"));
         let verdict = program.verdict();
         assert!(
@@ -53,7 +35,7 @@ fn bundled_schedulers_verify_clean_with_pinned_bounds() {
 /// seven paper schedulers.
 #[test]
 fn lint_goldens_cover_exactly_the_paper_schedulers() {
-    progmp_conformance::snapshot::assert_family_covers("lint_", SNAPSHOT_SCHEDULERS);
+    progmp_conformance::snapshot::assert_family_covers("lint_", &PAPER);
 }
 
 /// Every bundled scheduler — not just the seven snapshot targets — must

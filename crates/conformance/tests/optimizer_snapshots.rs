@@ -13,32 +13,14 @@
 
 use progmp_conformance::snapshot::assert_snapshot;
 use progmp_core::CompileOptions;
-
-/// The seven schedulers highlighted in the paper's evaluation.
-const SNAPSHOT_SCHEDULERS: &[&str] = &[
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
-
-fn source_of(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("bundled scheduler {name} not found"))
-        .1
-}
+use progmp_schedulers::{source, PAPER};
 
 #[test]
 fn bundled_schedulers_optimize_clean_with_pinned_stats() {
-    for &name in SNAPSHOT_SCHEDULERS {
+    for name in PAPER {
         let program = progmp_core::compile_with_options(
             Some(name),
-            source_of(name),
+            source(name).unwrap(),
             CompileOptions {
                 optimize_bytecode: true,
                 ..CompileOptions::default()
@@ -74,5 +56,5 @@ fn bundled_schedulers_optimize_clean_with_pinned_stats() {
 /// otherwise silently stop being checked.
 #[test]
 fn optimizer_goldens_cover_exactly_the_paper_schedulers() {
-    progmp_conformance::snapshot::assert_family_covers("optimized_", SNAPSHOT_SCHEDULERS);
+    progmp_conformance::snapshot::assert_family_covers("optimized_", &PAPER);
 }

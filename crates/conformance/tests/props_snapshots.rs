@@ -13,25 +13,7 @@
 
 use progmp_conformance::{compile_observed, snapshot::assert_snapshot};
 use progmp_core::PropStatus;
-
-/// The seven schedulers highlighted in the paper's evaluation.
-const SNAPSHOT_SCHEDULERS: &[&str] = &[
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
-
-fn source_of(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .unwrap_or_else(|| panic!("bundled scheduler {name} not found"))
-        .1
-}
+use progmp_schedulers::{source, PAPER};
 
 fn starver_source() -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -41,8 +23,8 @@ fn starver_source() -> String {
 
 #[test]
 fn bundled_schedulers_have_pinned_property_certificates() {
-    for &name in SNAPSHOT_SCHEDULERS {
-        let program = compile_observed(source_of(name))
+    for name in PAPER {
+        let program = compile_observed(source(name).unwrap())
             .unwrap_or_else(|e| panic!("bundled scheduler {name} must compile: {e}"));
         let cert = program.property_certificate();
         assert_snapshot(&format!("props_{name}"), &cert.render_human(name));
@@ -55,7 +37,7 @@ fn bundled_schedulers_have_pinned_property_certificates() {
 /// exactly the subflow count.
 #[test]
 fn headline_certificates_match_the_paper_semantics() {
-    let min_rtt = compile_observed(source_of("minRttSimple")).expect("compiles");
+    let min_rtt = compile_observed(source("minRttSimple").unwrap()).expect("compiles");
     let cert = min_rtt.property_certificate();
     assert_eq!(
         cert.work_conservation.status,
@@ -67,7 +49,7 @@ fn headline_certificates_match_the_paper_semantics() {
     assert_eq!(cert.dup_cap, 1);
     assert!(cert.pops_fully_guarded);
 
-    let redundant = compile_observed(source_of("redundant")).expect("compiles");
+    let redundant = compile_observed(source("redundant").unwrap()).expect("compiles");
     let cert = redundant.property_certificate();
     assert_eq!(
         cert.dup_bound.render(),
@@ -107,7 +89,7 @@ fn starver_is_refuted_with_a_spanned_witness() {
 /// seven paper schedulers plus the bundled `starver` example.
 #[test]
 fn props_goldens_cover_exactly_the_snapshot_set() {
-    let mut expected: Vec<&str> = SNAPSHOT_SCHEDULERS.to_vec();
+    let mut expected = PAPER.to_vec();
     expected.push("starver");
     progmp_conformance::snapshot::assert_family_covers("props_", &expected);
 }

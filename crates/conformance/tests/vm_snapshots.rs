@@ -13,30 +13,12 @@
 //! ```
 
 use progmp_conformance::snapshot::assert_snapshot;
-
-/// Same scheduler set as the simulator golden timelines.
-const SNAPSHOT_SCHEDULERS: [&str; 7] = [
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
-
-fn source_of(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, src)| *src)
-        .unwrap_or_else(|| panic!("bundled scheduler `{name}` missing"))
-}
+use progmp_schedulers::{source, PAPER};
 
 #[test]
 fn paper_schedulers_match_golden_bytecode_verdicts() {
-    for name in SNAPSHOT_SCHEDULERS {
-        let program = progmp_core::compile_named(Some(name), source_of(name))
+    for name in PAPER {
+        let program = progmp_core::compile_named(Some(name), source(name).unwrap())
             .unwrap_or_else(|e| panic!("{name} compiles: {e}"));
         assert_snapshot(&format!("bytecode_{name}"), &program.bytecode_report());
     }
@@ -46,12 +28,12 @@ fn paper_schedulers_match_golden_bytecode_verdicts() {
 /// the seven paper schedulers.
 #[test]
 fn bytecode_goldens_cover_exactly_the_paper_schedulers() {
-    progmp_conformance::snapshot::assert_family_covers("bytecode_", &SNAPSHOT_SCHEDULERS);
+    progmp_conformance::snapshot::assert_family_covers("bytecode_", &PAPER);
 }
 
 #[test]
 fn bytecode_report_is_deterministic() {
-    let src = source_of("redundant");
+    let src = source("redundant").unwrap();
     let a = progmp_core::compile_named(Some("redundant"), src).expect("compiles");
     let b = progmp_core::compile_named(Some("redundant"), src).expect("compiles");
     assert_eq!(a.bytecode_report(), b.bytecode_report());

@@ -11,10 +11,10 @@
 //! The two other optimizations the paper names live elsewhere: *late
 //! materialization* of `FILTER` is inherent in all three backends
 //! (predicates run during a single scan), and *compressed executions* are
-//! provided by the runtime driver
-//! ([`crate::program::SchedulerInstance::run_to_quiescence`]). *Constant
-//! subflow number* is not reproduced: `SUBFLOWS.COUNT` is one helper call
-//! on the image every connection shares (see [`crate::vm`]).
+//! the simulator's (`mptcp_sim::Sim::run_scheduler`, measured by the
+//! `abl_runtime_opts` experiment). *Constant subflow number* is not
+//! reproduced: `SUBFLOWS.COUNT` is one helper call on the image every
+//! connection shares (see [`crate::vm`]).
 //!
 //! The optimizer rewrites expressions in place (the arena keeps dead
 //! nodes; they are simply unreferenced) and rebuilds statement bodies.

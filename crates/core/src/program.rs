@@ -16,6 +16,7 @@
 
 use crate::aot;
 use crate::bytecode::{BytecodeProgram, DebugTable};
+use crate::codegen;
 use crate::env::SchedulerEnv;
 use crate::error::{CompileError, ExecError, Stage};
 use crate::exec::{ExecCtx, ExecStats};
@@ -26,7 +27,6 @@ use crate::parser;
 use crate::regalloc;
 use crate::sema;
 use crate::vm;
-use crate::{codegen, env::QueueKind};
 use std::sync::{Arc, OnceLock};
 
 /// The execution backend for a scheduler instance (paper §4.1 Fig. 6:
@@ -488,42 +488,6 @@ impl SchedulerInstance {
         }
         Some(out)
     }
-
-    /// Repeatedly executes the scheduler while it makes progress — the
-    /// runtime realization of the paper's *compressed executions*: one
-    /// trigger may schedule several packets, each execution seeing fresh
-    /// state. Stops when an execution emits no `PUSH`/`DROP`, when the
-    /// sending and reinjection queues are exhausted, or after
-    /// `max_rounds`.
-    ///
-    /// Returns the number of rounds executed and the aggregated stats.
-    pub fn run_to_quiescence(
-        &mut self,
-        env: &mut dyn SchedulerEnv,
-        max_rounds: u32,
-    ) -> Result<(u32, ExecStats), ExecError> {
-        let mut total = ExecStats::default();
-        let mut rounds = 0;
-        while rounds < max_rounds {
-            let stats = self.execute(env)?;
-            rounds += 1;
-            total.steps += stats.steps;
-            total.pushes += stats.pushes;
-            total.drops += stats.drops;
-            total.pops += stats.pops;
-            total.null_pops += stats.null_pops;
-            total.reg_writes += stats.reg_writes;
-            if stats.pushes == 0 && stats.drops == 0 {
-                break;
-            }
-            if env.queue(QueueKind::SendQueue).is_empty()
-                && env.queue(QueueKind::Reinject).is_empty()
-            {
-                break;
-            }
-        }
-        Ok((rounds, total))
-    }
 }
 
 #[cfg(test)]
@@ -557,28 +521,6 @@ mod tests {
             assert_eq!(env.transmissions.len(), 1, "backend {}", backend.name());
             assert_eq!(env.transmissions[0].0 .0, 0, "backend {}", backend.name());
         }
-    }
-
-    #[test]
-    fn run_to_quiescence_drains_queue() {
-        let prog = compile(MIN_RTT).unwrap();
-        let mut inst = prog.instantiate(Backend::Vm);
-        let mut env = env_with_packets(5);
-        let (rounds, total) = inst.run_to_quiescence(&mut env, 64).unwrap();
-        assert_eq!(total.pushes, 5);
-        assert!(rounds >= 5);
-        assert!(env.queue_contents(QueueKind::SendQueue).is_empty());
-    }
-
-    #[test]
-    fn run_to_quiescence_stops_without_progress() {
-        // A scheduler that never pushes must not loop.
-        let prog = compile("SET(R1, R1 + 1);").unwrap();
-        let mut inst = prog.instantiate(Backend::Interpreter);
-        let mut env = env_with_packets(3);
-        let (rounds, _) = inst.run_to_quiescence(&mut env, 64).unwrap();
-        assert_eq!(rounds, 1);
-        assert_eq!(env.register(RegId::R1), 1);
     }
 
     #[test]

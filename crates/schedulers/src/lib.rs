@@ -37,6 +37,26 @@ use progmp_core::{compile_named, Backend, CompileError, SchedulerInstance, Sched
 
 pub use sources::*;
 
+/// The seven schedulers of the paper's evaluation, in the order the
+/// golden snapshots, the chaos tiers and the scale fleets assign them.
+pub const PAPER: [&str; 7] = [
+    "minRttSimple",
+    "default",
+    "roundRobin",
+    "redundant",
+    "opportunisticRedundant",
+    "tap",
+    "targetRtt",
+];
+
+/// The source text of the bundled scheduler called `name`.
+pub fn source(name: &str) -> Option<&'static str> {
+    sources::ALL
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, s)| *s)
+}
+
 /// Compiles the named scheduler from the registry.
 ///
 /// # Errors
@@ -44,15 +64,11 @@ pub use sources::*;
 /// Returns the compile error of the scheduler source (never expected for
 /// the bundled sources — covered by tests) or an unknown-name error.
 pub fn load(name: &str) -> Result<SchedulerProgram, CompileError> {
-    let source = sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-        .ok_or_else(|| CompileError {
-            stage: progmp_core::error::Stage::Sema,
-            pos: progmp_core::error::Pos { line: 0, col: 0 },
-            message: format!("unknown scheduler `{name}`"),
-        })?;
+    let source = source(name).ok_or_else(|| CompileError {
+        stage: progmp_core::error::Stage::Sema,
+        pos: progmp_core::error::Pos { line: 0, col: 0 },
+        message: format!("unknown scheduler `{name}`"),
+    })?;
     compile_named(Some(name), source)
 }
 

@@ -133,11 +133,11 @@ pub struct ConnectionConfig {
     pub mss: u32,
     /// Receive buffer capacity in bytes (bounds the advertised window).
     pub recv_buf: u64,
-    /// Per-execution scheduler step budget. Leaving the default
-    /// ([`progmp_core::DEFAULT_STEP_BUDGET`]) means "use the admission
-    /// verifier's certified per-program bound" for DSL schedulers; any
-    /// other value is honoured verbatim.
-    pub step_budget: u64,
+    /// Per-execution scheduler step budget, honoured verbatim when set.
+    /// `None` means the admission verifier's certified per-program bound
+    /// for a DSL scheduler and [`progmp_core::DEFAULT_STEP_BUDGET`] for a
+    /// native one.
+    pub step_budget: Option<u64>,
     /// Maximum scheduler re-executions per trigger (compressed-execution
     /// rounds).
     pub max_sched_rounds: u32,
@@ -163,7 +163,7 @@ impl ConnectionConfig {
             receiver_mode: ReceiverMode::Improved,
             mss: 1400,
             recv_buf: 4 << 20,
-            step_budget: progmp_core::DEFAULT_STEP_BUDGET,
+            step_budget: None,
             max_sched_rounds: 256,
             record_timelines: false,
             cert_override: None,

@@ -303,12 +303,12 @@ impl Sim {
             }
             SchedulerSpec::Native(n) => SchedulerHandle::Native(n),
         };
-        // What stays per connection even when the program is shared. The
-        // config's default budget is a sentinel meaning "let the
-        // admission verifier pick", which `Installed::new` just did.
+        // What stays per connection even when the program is shared.
+        // Without an explicit budget, the one `Installed::new` picked
+        // stands.
         let mut scheduler = Installed::new(handle);
-        if cfg.step_budget != progmp_core::DEFAULT_STEP_BUDGET {
-            scheduler.step_budget = cfg.step_budget;
+        if let Some(budget) = cfg.step_budget {
+            scheduler.step_budget = budget;
         }
         scheduler.cert_override = cfg.cert_override.map(Box::new);
         let mut subflows = Vec::new();

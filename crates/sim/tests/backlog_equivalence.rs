@@ -15,17 +15,7 @@ use mptcp_sim::fleet::{run_fleet, ConnScenario, FleetConfig, OracleMode, Workloa
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{ConnectionConfig, PathConfig, SchedulerSpec, SubflowConfig};
 use progmp_core::env::RegId;
-
-/// The seven paper schedulers (§3.4/§5), one connection each.
-const SCHEDULERS: [&str; 7] = [
-    "minRttSimple",
-    "default",
-    "roundRobin",
-    "redundant",
-    "opportunisticRedundant",
-    "tap",
-    "targetRtt",
-];
+use progmp_schedulers::PAPER;
 
 const SEED: u64 = 0xBAC_106;
 const BACKLOG_BYTES: u64 = 1_000_000;
@@ -38,12 +28,8 @@ enum Variant {
 }
 
 fn scenario(global: usize, variant: Variant) -> ConnScenario {
-    let scheduler = SCHEDULERS[global];
-    let source = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == scheduler)
-        .map(|(_, s)| *s)
-        .expect("known scheduler");
+    let scheduler = PAPER[global];
+    let source = progmp_schedulers::source(scheduler).expect("known scheduler");
     let loss = match variant {
         Variant::Lossy => 0.02,
         Variant::Clean | Variant::Churn => 0.0,
@@ -80,7 +66,7 @@ fn scenario(global: usize, variant: Variant) -> ConnScenario {
 /// their backlog, and per-connection digests to the recorded values.
 fn check(variant: Variant, events: u64, completed: usize, digests: [u64; 7]) {
     for workers in [1, 2] {
-        let fleet = FleetConfig::new(SCHEDULERS.len(), SEED)
+        let fleet = FleetConfig::new(PAPER.len(), SEED)
             .with_workers(workers)
             .with_horizon(120 * SECONDS)
             .with_oracle(OracleMode::Collect);

@@ -8,14 +8,6 @@ use mptcp_sim::{
     ConnectionConfig, FaultClause, FaultPlan, PathConfig, SchedulerSpec, Sim, SubflowConfig,
 };
 
-fn scheduler_src(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-        .expect("known scheduler")
-}
-
 fn lossy_cfg(rtts_ms: &[u64], loss: f64, scheduler: &str) -> ConnectionConfig {
     ConnectionConfig::new(
         rtts_ms
@@ -26,7 +18,7 @@ fn lossy_cfg(rtts_ms: &[u64], loss: f64, scheduler: &str) -> ConnectionConfig {
                 )
             })
             .collect(),
-        SchedulerSpec::dsl(scheduler_src(scheduler)),
+        SchedulerSpec::dsl(progmp_schedulers::source(scheduler).unwrap()),
     )
 }
 

@@ -41,7 +41,7 @@ fn contained_sim(seed: u64, cfg: ConnectionConfig) -> Sim {
 #[test]
 fn step_budget_bomb_completes_via_fallback_and_pins() {
     let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
-    cfg.step_budget = 3; // certified bound is far larger; 3 aborts every run
+    cfg.step_budget = Some(3); // certified bound is far larger; 3 aborts every run
     let mut sim = contained_sim(7, cfg);
     sim.app_send_at(0, 0, 200_000, 0);
     sim.run_to_completion(60 * SECONDS);
@@ -182,7 +182,7 @@ fn certificate_violation_is_quarantined_not_panicked() {
 fn incident_replay_string_reproduces_the_fault() {
     let build = || {
         let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
-        cfg.step_budget = 3;
+        cfg.step_budget = Some(3);
         cfg
     };
     let mut sim = contained_sim(23, build());
@@ -228,7 +228,7 @@ fn incident_replay_string_reproduces_the_fault() {
 #[test]
 fn without_containment_faults_surface_the_old_way() {
     let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
-    cfg.step_budget = 3;
+    cfg.step_budget = Some(3);
     let mut sim = Sim::new(29);
     sim.enable_oracle("seed 29", false); // collect, not panic
     sim.add_connection(cfg).unwrap();
@@ -265,7 +265,7 @@ fn bomb() -> Installed {
 
 fn bombed_connection() -> ConnectionConfig {
     let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
-    cfg.step_budget = 3;
+    cfg.step_budget = Some(3);
     cfg
 }
 
@@ -370,7 +370,7 @@ fn offender(which: &str) -> ConnectionConfig {
     match which {
         "bomb" => {
             let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
-            cfg.step_budget = 3;
+            cfg.step_budget = Some(3);
             cfg
         }
         "saboteur" => ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(REGISTER_GATED_DSL))

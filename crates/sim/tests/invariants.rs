@@ -16,14 +16,6 @@ const SCHEDULERS: [&str; 5] = [
     "opportunisticRedundant",
 ];
 
-fn scheduler_src(name: &str) -> &'static str {
-    progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-        .expect("known scheduler")
-}
-
 #[derive(Debug, Clone)]
 struct Scenario {
     seed: u64,
@@ -78,7 +70,8 @@ proptest! {
                 )
             })
             .collect();
-        let mut cfg = ConnectionConfig::new(subflows, SchedulerSpec::dsl(scheduler_src(sc.scheduler)));
+        let source = progmp_schedulers::source(sc.scheduler).unwrap();
+        let mut cfg = ConnectionConfig::new(subflows, SchedulerSpec::dsl(source));
         if sc.coupled {
             cfg = cfg.with_cc(CcAlgo::Lia);
         }
@@ -113,7 +106,7 @@ proptest! {
             vec![SubflowConfig::new(
                 PathConfig::symmetric(from_millis(20), 1_250_000).with_loss(loss),
             )],
-            SchedulerSpec::dsl(scheduler_src("default")),
+            SchedulerSpec::dsl(progmp_schedulers::source("default").unwrap()),
         );
         let conn = sim.add_connection(cfg).unwrap();
         sim.app_send_at(conn, 0, 100_000, 0);
@@ -134,7 +127,7 @@ proptest! {
                     SubflowConfig::new(PathConfig::symmetric(from_millis(10), 1_250_000).with_loss(0.03)),
                     SubflowConfig::new(PathConfig::symmetric(from_millis(35), 1_250_000).with_loss(0.03)),
                 ],
-                SchedulerSpec::dsl(scheduler_src("default")),
+                SchedulerSpec::dsl(progmp_schedulers::source("default").unwrap()),
             );
             let conn = sim.add_connection(cfg).unwrap();
             sim.app_send_at(conn, 0, 60_000, 0);

@@ -8,11 +8,7 @@ use mptcp_sim::time::{from_millis, SimTime, SECONDS};
 use mptcp_sim::{ConnectionConfig, PathConfig, SchedulerSpec, Sim, SubflowConfig};
 
 fn cfg(scheduler: &str) -> ConnectionConfig {
-    let source = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(n, _)| *n == scheduler)
-        .map(|(_, s)| *s)
-        .expect("known scheduler");
+    let source = progmp_schedulers::source(scheduler).expect("known scheduler");
     ConnectionConfig::new(
         [10, 40]
             .iter()

@@ -289,20 +289,12 @@ mod blackout {
         (sim, conn)
     }
 
-    fn scheduler_src(name: &str) -> &'static str {
-        progmp_schedulers::sources::ALL
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| *s)
-            .expect("known scheduler")
-    }
-
     /// Full blackout of the best subflow for the remainder of the run:
     /// the redundant scheduler sends every packet on every subflow, so
     /// delivery must still complete over the surviving slow subflow.
     #[test]
     fn redundant_survives_permanent_blackout_of_best_subflow() {
-        let (mut sim, conn) = two_path_sim(7, scheduler_src("redundant"));
+        let (mut sim, conn) = two_path_sim(7, progmp_schedulers::source("redundant").unwrap());
         sim.apply_fault_plan(
             conn,
             &FaultPlan {

@@ -128,7 +128,7 @@ fn budget_and_certificate_overrides_stay_per_connection() {
     let mut sim = Sim::new(3);
     let plain = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED));
     let mut tight = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED));
-    tight.step_budget = 77;
+    tight.step_budget = Some(77);
     let overridden = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED))
         .with_cert_override(stolen.clone());
     for cfg in [plain, tight, overridden] {
@@ -155,6 +155,16 @@ fn budget_and_certificate_overrides_stay_per_connection() {
         std::ptr::eq(certs[0], own),
         "without an override the certificate is the program's, not a copy"
     );
+}
+
+#[test]
+fn a_budget_equal_to_the_blanket_default_is_honoured() {
+    let mut cfg = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(MIN_RTT));
+    cfg.step_budget = Some(progmp_core::DEFAULT_STEP_BUDGET);
+    let mut sim = Sim::new(3);
+    sim.add_connection(cfg).unwrap();
+    assert_ne!(program(&sim, 0).certified_step_bound(), 1_000_000);
+    assert_eq!(installed(&sim, 0).step_budget, 1_000_000);
 }
 
 #[test]
@@ -193,7 +203,7 @@ fn readmission_restores_exactly_what_quarantine_parked() {
         .clone();
     let mut cfg = ConnectionConfig::new(paths(2), SchedulerSpec::dsl(REGISTER_GATED))
         .with_cert_override(stolen.clone());
-    cfg.step_budget = 5_000;
+    cfg.step_budget = Some(5_000);
     let mut sim = Sim::new(19);
     sim.enable_containment(ContainmentConfig::default());
     sim.enable_oracle("seed 19", true);

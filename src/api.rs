@@ -178,8 +178,23 @@ impl ProgMp {
 
     /// Sends application data annotated with packet property `prop`
     /// (per-packet scheduling intents, §3.2) at simulation time `at`.
-    pub fn send_with_property(&self, sim: &mut Sim, conn: ConnId, at: u64, bytes: u64, prop: u32) {
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::UnknownConnection`], with nothing scheduled.
+    pub fn send_with_property(
+        &self,
+        sim: &mut Sim,
+        conn: ConnId,
+        at: u64,
+        bytes: u64,
+        prop: u32,
+    ) -> Result<(), ApiError> {
+        if conn >= sim.connections.len() {
+            return Err(ApiError::UnknownConnection(conn));
+        }
         sim.app_send_at(conn, at, bytes, prop);
+        Ok(())
     }
 
     /// Proc-style introspection: the scheduler execution counters of
@@ -277,6 +292,18 @@ mod tests {
             api.set_register(&mut sim, 99, RegId::R1, 1),
             Err(ApiError::UnknownConnection(99))
         ));
+    }
+
+    #[test]
+    fn sending_on_an_unknown_connection_schedules_nothing() {
+        let api = ProgMp::new();
+        let (mut sim, conn) = sim_with_conn();
+        assert!(matches!(
+            api.send_with_property(&mut sim, conn + 1, 0, 1400, 1),
+            Err(ApiError::UnknownConnection(c)) if c == conn + 1
+        ));
+        sim.run_to_completion(SECONDS);
+        assert_eq!(sim.events_processed, 0);
     }
 
     #[test]

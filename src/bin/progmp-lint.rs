@@ -131,11 +131,8 @@ fn parse_args() -> Result<Options, ExitCode> {
 /// Resolves a target to `(display name, source text)`: bundled scheduler
 /// names take precedence, anything else is read as a file path.
 fn resolve(target: &str) -> Result<(String, String), String> {
-    if let Some((name, src)) = progmp_schedulers::sources::ALL
-        .iter()
-        .find(|(name, _)| *name == target)
-    {
-        return Ok((name.to_string(), src.to_string()));
+    if let Some(src) = progmp_schedulers::source(target) {
+        return Ok((target.to_string(), src.to_string()));
     }
     match std::fs::read_to_string(target) {
         Ok(src) => Ok((target.to_string(), src)),

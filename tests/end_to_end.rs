@@ -160,7 +160,8 @@ fn packet_properties_flow_from_api_to_scheduler() {
     let conn = sim
         .add_connection(two_path_cfg(SchedulerSpec::dsl(schedulers::HTTP2_AWARE)))
         .unwrap();
-    api.send_with_property(&mut sim, conn, 0, 10 * 1400, 1);
+    api.send_with_property(&mut sim, conn, 0, 10 * 1400, 1)
+        .unwrap();
     sim.run_to_completion(10 * SECONDS);
     let c = &sim.connections[conn];
     assert!(c.all_acked());
@@ -198,7 +199,7 @@ fn step_budget_violation_is_contained() {
     // the transfer still completes thanks to later executions.
     let mut sim = Sim::new(4);
     let mut cfg = two_path_cfg(SchedulerSpec::dsl(schedulers::DEFAULT_MIN_RTT));
-    cfg.step_budget = 10_000;
+    cfg.step_budget = Some(10_000);
     let conn = sim.add_connection(cfg).unwrap();
     sim.app_send_at(conn, 0, 100_000, 0);
     sim.run_to_completion(30 * SECONDS);
@@ -266,11 +267,7 @@ fn fifty_connection_multi_tenancy_stress() {
     let mut conns = Vec::new();
     for i in 0..50usize {
         let name = names[i % names.len()];
-        let source = progmp_schedulers::sources::ALL
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| *s)
-            .unwrap();
+        let source = progmp_schedulers::source(name).unwrap();
         let backend = Backend::ALL[i % 3];
         let conn = sim
             .add_connection(
