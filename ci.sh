@@ -43,6 +43,14 @@ done
 [ "$(grep -cE '(connections\[[^]]*\]|\bc)\.now = ' crates/sim/src/engine.rs)" -le 2 ] \
   || { echo "a connection's clock is written in Sim::step and, for callers outside the event loop, in Sim::run_scheduler: nowhere else"; exit 1; }
 
+echo "==> a connection handles its own events: no transport handler, transmit or timer scheduling on Sim, no outcome structs, one dispatch call"
+! grep -nE 'fn (handle_|transmit\b|schedule_timers)' crates/sim/src/engine.rs \
+  || { echo "a transport handler is back on Sim (it belongs on the Connection, Subflow, bulk source or path manager it mutates)"; exit 1; }
+! grep -rnwE 'AckOutcome|Transmitted|bulk_sources|path_managers' crates/ src/ tests/ examples/ \
+  || { echo "the engine unpacks a connection's decision again, or keeps per-connection state in a fleet-global table"; exit 1; }
+[ "$(grep -c 'self\.dispatch(' crates/sim/src/engine.rs)" -eq 1 ] \
+  || { echo "Sim::dispatch must be called from Sim::step only (a second call site measured 5 % slower on fleet_bulk)"; exit 1; }
+
 echo "==> one verifier configuration, no miscompile field: CompileOptions is four choices, the sabotaged passes are unit-test code"
 ! grep -rnE 'relational_domain|opt_sabotage|prop_weakening|compile_observed_relational|verify_properties_weakened' crates/ src/ tests/ examples/ \
   || { echo "a caller can ask for a weaker verifier, a miscompile or a false certificate again"; exit 1; }

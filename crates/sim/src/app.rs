@@ -3,9 +3,10 @@
 //! The evaluation scenarios of the paper use: backlogged bulk transfers
 //! (iPerf), constant-bitrate interactive streams with bitrate switches
 //! (Fig. 1/13), short request/response flows (Fig. 10b/12), and bursty
-//! sources (Fig. 10c). CBR and one-shot flows are precomputed event
-//! schedules on [`crate::Sim`]; the backlogged bulk source needs feedback
-//! (refill when the sending queue drains) and keeps its state here.
+//! sources (Fig. 10c). CBR, bursty and one-shot flows are precomputed
+//! event schedules on [`crate::Sim`]; the backlogged bulk source needs
+//! feedback (refill when the sending queue drains), so its state lives on
+//! the [`crate::Connection`] it feeds.
 
 use crate::time::{SimTime, MILLIS};
 
@@ -35,29 +36,9 @@ impl BulkState {
     }
 }
 
-/// Builds an on/off bursty schedule: bursts of `burst_bytes` every
-/// `period`, for `count` bursts starting at `start`. Returns
-/// `(time, bytes)` pairs to feed [`crate::Sim::app_send_at`].
-pub fn bursty_schedule(
-    start: SimTime,
-    period: SimTime,
-    burst_bytes: u64,
-    count: usize,
-) -> Vec<(SimTime, u64)> {
-    (0..count)
-        .map(|i| (start + period * i as u64, burst_bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bursty_schedule_spacing() {
-        let s = bursty_schedule(100, 50, 2000, 3);
-        assert_eq!(s, vec![(100, 2000), (150, 2000), (200, 2000)]);
-    }
 
     #[test]
     fn bulk_defaults() {

@@ -1,21 +1,32 @@
 //! The MPTCP meta socket: sending queues, subflow bookkeeping, acknowledge
 //! processing, loss recovery, and the [`SchedulerEnv`] implementation the
 //! scheduler programming model executes against.
+//!
+//! A connection handles every transport event that names it — data, an
+//! arrival, an ack, a timer, a subflow or path change, a bulk-source poll,
+//! a path-manager action — and every transmission a scheduler round asks
+//! for. Each handler reads the connection's clock ([`Connection::now`]),
+//! pushes the events that follow under the connection's own id, and
+//! returns whether the scheduler should run; running it is the engine's
+//! job, since a round needs the oracle and the supervisor.
 
+use crate::app::BulkState;
 use crate::cc::{lia_alpha_x1024, CcAlgo};
+use crate::engine::{EventKind, Events};
 use crate::packet::SegmentSlab;
-use crate::path::TxOutcome;
+use crate::path::{Path, TxOutcome};
+use crate::pathman::{PathManager, PmAction};
 use crate::receiver::Receiver;
 use crate::stats::ConnStats;
-use crate::subflow::{Subflow, Timer, TxRec};
+use crate::subflow::{Subflow, TxRec};
 use crate::supervisor::{ConnContain, ContainState};
 use crate::time::SimTime;
 use progmp_core::env::{
-    Action, PacketProp, PacketRef, QueueKind, RegId, SchedulerEnv, SubflowId, SubflowProp,
+    Action, PacketProp, PacketRef, QueueKind, RegId, SchedulerEnv, SubflowId, SubflowProp, Trigger,
     NUM_REGISTERS,
 };
 use progmp_core::exec::ExecCtx;
-use progmp_core::{ExecError, PropertyCertificate, SchedulerInstance};
+use progmp_core::{subflow_available, ExecError, PropertyCertificate, SchedulerInstance};
 
 /// The scheduler bound to a connection: a compiled ProgMP program or a
 /// native Rust scheduler.
@@ -141,35 +152,6 @@ impl SendQueue {
     }
 }
 
-/// What an acknowledgement or a timeout did, so the engine can schedule
-/// follow-ups.
-#[derive(Debug, Default)]
-pub struct AckOutcome {
-    /// The retransmission timer, when it was re-armed.
-    pub rearm_rto: Option<Timer>,
-    /// The timer was disarmed (nothing in flight).
-    pub disarm_rto: bool,
-    /// Packets the subflow must auto-retransmit on itself (fast
-    /// retransmit), as (packet, existing subflow seq).
-    pub auto_retransmit: Vec<(PacketRef, u64)>,
-    /// Whether a loss was suspected (packets entered `RQ`).
-    pub loss_suspected: bool,
-}
-
-/// What one transmission leaves for the engine to schedule.
-#[derive(Debug)]
-pub struct Transmitted {
-    /// The segment reaches the receiver, as `(at, subflow seq, data seq,
-    /// size)`; `None` when it was lost on the wire or tail-dropped.
-    pub arrival: Option<(SimTime, u64, u64, u32)>,
-    /// When the packet leaves the egress queue; `None` when tail-dropped.
-    pub departs: Option<SimTime>,
-    /// The retransmission timer, when this transmission armed it.
-    pub rto: Option<Timer>,
-    /// The tail-loss probe, when this transmission armed it.
-    pub tlp: Option<Timer>,
-}
-
 /// Sender-side state of one MPTCP connection.
 pub struct Connection {
     /// Connection index within the simulation.
@@ -218,6 +200,10 @@ pub struct Connection {
     /// Default packet property for newly enqueued data (set through the
     /// extended API).
     pub default_prop: u32,
+    /// Backlogged bulk sources feeding `Q`, indexed by `Refill::source`.
+    pub(crate) sources: Vec<BulkState>,
+    /// Attached path managers, indexed by `PmTick::manager`.
+    pub(crate) managers: Vec<PathManager>,
 }
 
 impl Connection {
@@ -260,6 +246,8 @@ impl Connection {
             max_sched_rounds: 256,
             record_timelines: false,
             default_prop: 0,
+            sources: Vec::new(),
+            managers: Vec::new(),
         }
     }
 
@@ -345,6 +333,56 @@ impl Connection {
         out
     }
 
+    /// New application data: into `Q`, and the stall watchdog armed when
+    /// containment is on (idempotent while armed). Returns whether the
+    /// scheduler should run: always.
+    pub(crate) fn on_data(&mut self, queue: &mut Events, bytes: u64, prop: u32) -> bool {
+        self.enqueue_data(bytes, prop, self.now);
+        if let Some(record) = self.contain.as_mut() {
+            if record.arm_watchdog(self.data_acked) {
+                let at = self.now + record.watchdog_period;
+                queue.push(at, EventKind::StallCheck { conn: self.id });
+            }
+        }
+        true
+    }
+
+    /// Bulk source `source` polls: while `Q` holds less than its low
+    /// watermark, it tops `Q` up to twice that as new data. Returns
+    /// whether the scheduler should run: when data was added. The poll is
+    /// re-armed after that run ([`Connection::rearm_refill`]).
+    pub(crate) fn on_refill(&mut self, queue: &mut Events, source: usize) -> bool {
+        if self.sources[source].remaining == 0 {
+            return false;
+        }
+        let q_bytes = self.q_bytes();
+        let s = &mut self.sources[source];
+        let add = if q_bytes < s.low_watermark {
+            (s.low_watermark * 2 - q_bytes).min(s.remaining)
+        } else {
+            0
+        };
+        s.remaining -= add;
+        let prop = s.prop;
+        if add == 0 {
+            return false;
+        }
+        self.on_data(queue, add, prop)
+    }
+
+    /// Polls bulk source `source` again one interval from now, unless it
+    /// has handed over everything.
+    pub(crate) fn rearm_refill(&self, queue: &mut Events, source: usize) {
+        let s = &self.sources[source];
+        if s.remaining > 0 {
+            let refill = EventKind::Refill {
+                conn: self.id,
+                source,
+            };
+            queue.push(self.now + s.interval, refill);
+        }
+    }
+
     /// Removes all segments fully covered by the meta cumulative ack from
     /// every queue ("acknowledged packets are automatically removed from
     /// *all* queues", paper §3.1). `Q` is ascending in `seq`, so what the
@@ -388,17 +426,53 @@ impl Connection {
         in_q.is_some() || in_rq.is_some()
     }
 
-    /// Processes an acknowledgement arriving on subflow `sbf_idx`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_ack(
+    /// A segment reaches the receiver over subflow `sbf`: the receiver
+    /// takes it in, and its acknowledgement is scheduled one reverse-path
+    /// delay later. Returns whether the scheduler should run: never.
+    pub(crate) fn on_arrival(
         &mut self,
-        sbf_idx: usize,
+        queue: &mut Events,
+        sbf: u32,
+        sbf_seq: u64,
+        data_seq: u64,
+        pkt: PacketRef,
+        size: u32,
+    ) -> bool {
+        let res = self
+            .receiver
+            .on_arrival(sbf as usize, sbf_seq, data_seq, pkt, size);
+        if res.delivered_bytes > 0 {
+            self.stats.delivered_bytes += res.delivered_bytes;
+            if self.record_timelines {
+                let delivered = (self.now, self.receiver.delivered_total);
+                self.stats.delivery_timeline.push(delivered);
+            }
+        }
+        let ack = EventKind::Ack {
+            conn: self.id,
+            sbf,
+            sbf_ack: res.sbf_ack,
+            data_ack: res.data_ack,
+            rwnd: self.receiver.rwnd(),
+        };
+        queue.push(self.now + self.subflows[sbf as usize].path.rev_delay, ack);
+        false
+    }
+
+    /// An acknowledgement arrives on subflow `sbf`: the meta and subflow
+    /// acks advance, or a third duplicate fast-retransmits the oldest
+    /// segment (which also enters `RQ`); the retransmission timer is
+    /// re-armed or disarmed, then the tail-loss probe. Returns whether the
+    /// scheduler should run: always.
+    pub(crate) fn on_ack(
+        &mut self,
+        queue: &mut Events,
+        sbf: u32,
         sbf_ack: u64,
         data_ack: u64,
         rwnd: u64,
-        now: SimTime,
-    ) -> AckOutcome {
-        let mut out = AckOutcome::default();
+    ) -> bool {
+        let (sbf_idx, now, conn) = (sbf as usize, self.now, self.id);
         self.adv_rwnd = rwnd;
         self.meta_ack(data_ack);
 
@@ -407,8 +481,8 @@ impl Connection {
         // window when the flow was actually using it; an app-limited
         // subflow must not inflate cwnd without bound.
         let was_cwnd_limited = {
-            let sbf = &self.subflows[sbf_idx];
-            sbf.in_flight() as u64 >= sbf.cc.cwnd
+            let s = &self.subflows[sbf_idx];
+            s.in_flight() as u64 >= s.cc.cwnd
         };
         // LIA couples over the windows and RTTs as they stand before
         // this ack's RTT sample.
@@ -423,75 +497,97 @@ impl Connection {
             _ => 1024,
         };
 
-        let sbf = &mut self.subflows[sbf_idx];
-        sbf.last_activity = now;
+        let s = &mut self.subflows[sbf_idx];
+        s.last_activity = now;
 
         if advances {
-            let (pkts, bytes, sample) = sbf.take_acked(sbf_ack, now);
-            sbf.acked_seq = sbf_ack;
-            sbf.dupacks = 0;
+            let (pkts, bytes, sample) = s.take_acked(sbf_ack, now);
+            s.acked_seq = sbf_ack;
+            s.dupacks = 0;
             if let Some(rtt) = sample {
-                sbf.rtt.sample(rtt);
+                s.rtt.sample(rtt);
             }
-            sbf.record_delivered(now, bytes);
+            s.record_delivered(now, bytes);
             if was_cwnd_limited {
-                sbf.cc.on_ack(pkts, factor);
+                s.cc.on_ack(pkts, factor);
             }
-            sbf.cc.maybe_exit_recovery(sbf_ack);
-            if sbf.in_flight() > 0 {
-                out.rearm_rto = Some(sbf.arm_rto(now));
+            s.cc.maybe_exit_recovery(sbf_ack);
+            if s.in_flight() > 0 {
+                s.arm_rto(queue, conn, now);
             } else {
-                sbf.rto_token += 1;
-                sbf.rto_armed = false;
-                out.disarm_rto = true;
+                s.rto_token += 1;
+                s.rto_armed = false;
             }
-        } else if sbf.in_flight() > 0 {
-            sbf.dupacks += 1;
-            if sbf.dupacks >= 3 {
-                sbf.dupacks = 0;
+        } else if s.in_flight() > 0 {
+            s.dupacks += 1;
+            if s.dupacks >= 3 {
+                s.dupacks = 0;
                 // Fast retransmit: the subflow retransmits its oldest
                 // unacked segment on itself (TCP semantics) and the meta
                 // level adds the segment to the reinjection queue for the
                 // scheduler to recover across subflows.
-                if let Some(front) = sbf.sent.front() {
+                if let Some(front) = s.sent.front() {
                     let (pkt, seq) = (front.pkt, front.sbf_seq);
-                    sbf.lost_skbs += 1;
-                    sbf.cc.on_fast_retransmit(sbf_ack, sbf.next_seq);
+                    s.lost_skbs += 1;
+                    s.cc.on_fast_retransmit(sbf_ack, s.next_seq);
                     self.stats.subflows[sbf_idx].fast_retransmits += 1;
-                    out.auto_retransmit.push((pkt, seq));
-                    out.loss_suspected = self.reinject(pkt);
+                    self.reinject(pkt);
+                    self.transmit(queue, sbf_idx, pkt, Some(seq));
                 }
             }
         }
-        out
+        self.subflows[sbf_idx].rearm_tlp(queue, conn, now);
+        true
     }
 
-    /// Handles a retransmission-timeout on `sbf_idx`: every in-flight
-    /// segment becomes loss-suspected (entering `RQ`), the window
-    /// collapses, the oldest segment is retransmitted on the subflow, and
-    /// the timer is re-armed with the backed-off RTO.
-    pub fn handle_rto(&mut self, sbf_idx: usize, now: SimTime) -> AckOutcome {
-        let mut out = AckOutcome::default();
-        let sbf = &mut self.subflows[sbf_idx];
-        if sbf.in_flight() == 0 {
-            sbf.rto_armed = false;
-            out.disarm_rto = true;
-            return out;
+    /// The retransmission timer carrying `token` fires on subflow `sbf`.
+    /// Unless it is stale or nothing is in flight (then it disarms and
+    /// nothing else happens), every in-flight segment becomes
+    /// loss-suspected (entering `RQ`), the window collapses, the oldest
+    /// segment is retransmitted on the subflow, and the timer is re-armed
+    /// with the backed-off RTO. Returns whether the scheduler should run.
+    pub(crate) fn on_rto(&mut self, queue: &mut Events, sbf: u32, token: u64) -> bool {
+        let sbf_idx = sbf as usize;
+        let s = &mut self.subflows[sbf_idx];
+        if !s.rto_due(token) {
+            return false;
         }
-        sbf.cc.on_timeout(sbf.next_seq);
-        sbf.rtt.backoff();
-        out.rearm_rto = Some(sbf.arm_rto(now));
+        let Some(front) = s.sent.front() else {
+            s.rto_armed = false;
+            return false;
+        };
+        let (pkt, seq) = (front.pkt, front.sbf_seq);
+        s.cc.on_timeout(s.next_seq);
+        s.rtt.backoff();
         self.stats.subflows[sbf_idx].timeouts += 1;
-        let in_flight: Vec<(PacketRef, u64)> =
-            sbf.sent.iter().map(|r| (r.pkt, r.sbf_seq)).collect();
-        sbf.lost_skbs += in_flight.len() as u64;
-        if let Some(&(pkt, seq)) = in_flight.first() {
-            out.auto_retransmit.push((pkt, seq));
+        let in_flight = s.in_flight();
+        s.lost_skbs += in_flight as u64;
+        for i in 0..in_flight {
+            let lost = self.subflows[sbf_idx].sent[i].pkt;
+            self.reinject(lost);
         }
-        for &(pkt, _) in &in_flight {
-            out.loss_suspected |= self.reinject(pkt);
-        }
-        out
+        self.transmit(queue, sbf_idx, pkt, Some(seq));
+        // Armed after the retransmission, whose own arming it leaves
+        // alone: the timer was armed when it fired.
+        self.subflows[sbf_idx].arm_rto(queue, self.id, self.now);
+        true
+    }
+
+    /// The tail-loss probe carrying `token` fires on subflow `sbf`: unless
+    /// it is stale, the oldest unacked segment is retransmitted and
+    /// flagged loss-suspected at the meta level, and the next probe is
+    /// armed at the full RTO pace. Returns whether the scheduler should
+    /// run: when the probe put something into `RQ`.
+    pub(crate) fn on_tlp(&mut self, queue: &mut Events, sbf: u32, token: u64) -> bool {
+        let sbf_idx = sbf as usize;
+        let Some((pkt, seq)) = self.subflows[sbf_idx].fire_tlp(token) else {
+            return false;
+        };
+        let reinjected = self.reinject(pkt);
+        self.transmit(queue, sbf_idx, pkt, Some(seq));
+        let s = &mut self.subflows[sbf_idx];
+        s.arm_tlp(queue, self.id, self.now + s.rtt.rto());
+        reinjected
     }
 
     /// Adds a segment to the reinjection queue if it is still
@@ -575,6 +671,93 @@ impl Connection {
         true
     }
 
+    /// A change to the path under subflow `sbf`: a profile entry, or a
+    /// fault window opening or closing. Like every event that names a
+    /// subflow the connection does not have, one for an unknown index is
+    /// ignored. Returns whether the scheduler should run: never.
+    pub(crate) fn change_path(&mut self, sbf: u32, change: impl FnOnce(&mut Path)) -> bool {
+        if let Some(s) = self.subflows.get_mut(sbf as usize) {
+            change(&mut s.path);
+        }
+        false
+    }
+
+    /// The receiving application pauses (or resumes) its reads, as far
+    /// as the *sender* sees it: the advertised window collapses to zero
+    /// at once (the zero-window advertisement) and reopens with a window
+    /// update when the stall clears. Returns whether the scheduler should
+    /// run: on the reopening, so it gets a chance to resume.
+    pub(crate) fn on_rwnd_stall(&mut self, stalled: bool) -> bool {
+        self.receiver.set_stalled(stalled);
+        self.adv_rwnd = self.receiver.rwnd();
+        !stalled
+    }
+
+    /// Applies one path-manager action. Returns whether the scheduler
+    /// should run: at once after a subflow that came up or went down; not
+    /// after a register write, since the tick runs it once after all of
+    /// them.
+    pub(crate) fn apply_pm_action(&mut self, action: PmAction) -> bool {
+        match action {
+            PmAction::SubflowUp(i) => self.set_subflow_established(i as usize, true),
+            PmAction::SubflowDown(i) => self.set_subflow_established(i as usize, false),
+            PmAction::SetRegister(reg, value) => {
+                self.set_register_direct(reg, value);
+                false
+            }
+        }
+    }
+
+    /// Ticks path manager `manager` again one interval from now.
+    pub(crate) fn rearm_pm(&self, queue: &mut Events, manager: usize) {
+        let at = self.now + self.managers[manager].interval;
+        queue.push(
+            at,
+            EventKind::PmTick {
+                conn: self.id,
+                manager,
+            },
+        );
+    }
+
+    /// One stall-watchdog tick under containment. `None` without a
+    /// containment record, or once every byte is acknowledged: the
+    /// watchdog retires until new data arms it again. Otherwise whether
+    /// the connection stalled — a full period passed with schedulable
+    /// work, an available subflow, an open receive window, and zero
+    /// forward progress — and when the next check is due. All inputs are
+    /// this connection's own state, and the checks fall at multiples of
+    /// the period from its own first data, so the verdict is the same
+    /// however a fleet is sharded.
+    pub(crate) fn watchdog_tick(&mut self) -> Option<(bool, SimTime)> {
+        let all_acked = self.all_acked();
+        let record = self.contain.as_mut()?;
+        if all_acked {
+            record.disarm_watchdog();
+            return None;
+        }
+        let progressed = record.watchdog_progressed(self.data_acked);
+        let (state, next) = (record.state, self.now + record.watchdog_period);
+        let live = self.subflows.iter().any(|s| s.established);
+        // Schedulable work: data reachable through Q or RQ (the fallback
+        // pops RQ even when the original program does not).
+        let work = !self.q.as_slice().is_empty() || !self.rq.is_empty();
+        // An execution right now could actually push: the
+        // work-conservation availability precondition. Without this, a
+        // path blackout or an exhausted congestion window would be blamed
+        // on the scheduler.
+        let env: &dyn SchedulerEnv = self;
+        let avail = env.subflows().iter().any(|&s| subflow_available(env, s));
+        let stalled = !progressed
+            && live
+            && work
+            && avail
+            && self.adv_rwnd > 0
+            && self.stats.scheduler_drops == 0
+            && matches!(state, ContainState::Healthy | ContainState::Probation);
+        Some((stalled, next))
+    }
+
     /// Applies the effects of one completed execution, appending the
     /// transmissions it requests to `tx`; the engine passes one list it
     /// reuses for every connection.
@@ -614,23 +797,28 @@ impl Connection {
         }
     }
 
-    /// Puts `pkt` on the wire of subflow `sbf_idx`: the path decides its
-    /// fate (loss and jitter draws come from the path's own stream), the
-    /// subflow records it in flight and arms the timers that were idle.
-    /// `reuse_seq` marks a TCP-level retransmission of an existing
-    /// subflow sequence number. `None` when the segment is unknown or the
-    /// subflow is down.
-    pub fn transmit(
+    /// Puts `pkt` on the wire of subflow `sbf_idx` and schedules what
+    /// follows, in this order: its arrival (the path decides its fate;
+    /// loss and jitter draws come from the path's own stream), the
+    /// retransmission timer and the tail-loss probe when they were idle,
+    /// and a scheduler trigger at its departure from the egress queue —
+    /// the Linux TSQ tasklet's role: a TSQ-throttled subflow becomes
+    /// schedulable again then. `reuse_seq` marks a TCP-level
+    /// retransmission of an existing subflow sequence number. Does
+    /// nothing when the segment is unknown or the subflow is down.
+    pub(crate) fn transmit(
         &mut self,
+        queue: &mut Events,
         sbf_idx: usize,
         pkt: PacketRef,
-        now: SimTime,
         reuse_seq: Option<u64>,
-    ) -> Option<Transmitted> {
-        let seg = self.segments.get(pkt)?;
-        let (size, data_seq) = (seg.size, seg.seq);
+    ) {
+        let Some(seg) = self.segments.get(pkt) else {
+            return;
+        };
+        let (size, data_seq, now, conn) = (seg.size, seg.seq, self.now, self.id);
         if !self.subflows[sbf_idx].established {
-            return None;
+            return;
         }
         let outcome = self.subflows[sbf_idx].path.transmit(now, size);
         let sbf_seq = self.record_tx(sbf_idx, pkt, size, now, reuse_seq);
@@ -642,30 +830,44 @@ impl Connection {
         if reuse_seq.is_some() {
             ss.retransmissions += 1;
         }
-        let (arrival, departs) = match outcome {
+        let sbf = sbf_idx as u32;
+        let departs = match outcome {
             TxOutcome::Arrives { at, departs } => {
-                (Some((at, sbf_seq, data_seq, size)), Some(departs))
+                let arrival = EventKind::Arrival {
+                    conn,
+                    sbf,
+                    sbf_seq,
+                    data_seq,
+                    pkt,
+                    size,
+                };
+                queue.push(at, arrival);
+                Some(departs)
             }
             TxOutcome::LostOnWire { departs } => {
                 ss.wire_losses += 1;
-                (None, Some(departs))
+                Some(departs)
             }
             TxOutcome::QueueDrop => {
                 ss.queue_drops += 1;
-                (None, None)
+                None
             }
         };
         if self.record_timelines {
-            self.stats.tx_timeline.push((now, sbf_idx as u32, size));
+            self.stats.tx_timeline.push((now, sbf, size));
         }
         let s = &mut self.subflows[sbf_idx];
         s.last_activity = now;
-        Some(Transmitted {
-            arrival,
-            departs,
-            rto: (!s.rto_armed).then(|| s.arm_rto(now)),
-            tlp: (!s.tlp_armed).then(|| s.arm_tlp(now + s.pto())),
-        })
+        if !s.rto_armed {
+            s.arm_rto(queue, conn, now);
+        }
+        if !s.tlp_armed {
+            s.arm_tlp(queue, conn, now + s.pto());
+        }
+        if let Some(departs) = departs.filter(|&departs| departs > now) {
+            let trigger = Trigger::Timer;
+            queue.push(departs, EventKind::Trigger { conn, trigger });
+        }
     }
 
     /// Records a transmission in the subflow's in-flight list; returns the
@@ -800,7 +1002,7 @@ impl SchedulerEnv for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::path::{Path, PathConfig};
+    use crate::path::PathConfig;
     use crate::receiver::ReceiverMode;
     use crate::time::from_millis;
 
@@ -860,28 +1062,54 @@ mod tests {
         assert!(c.all_acked());
     }
 
+    /// The events left on `queue`, in the order they would fire.
+    fn drain(queue: &mut Events) -> Vec<EventKind> {
+        std::iter::from_fn(|| queue.pop())
+            .map(|(_, kind)| kind)
+            .collect()
+    }
+
     #[test]
     fn triple_dupack_triggers_fast_retransmit_and_reinjection() {
         let mut c = make_conn();
         let pkts = c.enqueue_data(4200, 0, 0);
-        for (i, &p) in pkts.iter().enumerate() {
+        for &p in &pkts {
             c.qu.push(p);
             c.record_tx(0, p, 1400, 0, None);
-            let _ = i;
         }
         c.q = SendQueue::default();
-        let mut loss = false;
-        for _ in 0..3 {
-            let out = c.handle_ack(0, 0, 0, 1 << 20, from_millis(15));
-            loss |= out.loss_suspected;
-            if loss {
-                assert_eq!(out.auto_retransmit.len(), 1);
-                assert_eq!(out.auto_retransmit[0].0, pkts[0]);
-            }
+        c.now = from_millis(15);
+        let mut queue = Events::new();
+        for _ in 0..2 {
+            assert!(
+                c.on_ack(&mut queue, 0, 0, 0, 1 << 20),
+                "an ack runs the scheduler"
+            );
+            assert!(matches!(drain(&mut queue)[..], [EventKind::Tlp { .. }]));
         }
-        assert!(loss, "third dupack suspects loss");
-        assert_eq!(c.queue(QueueKind::Reinject), &[pkts[0]]);
+        assert!(c.queue(QueueKind::Reinject).is_empty());
+        assert!(c.on_ack(&mut queue, 0, 0, 0, 1 << 20));
+        assert_eq!(c.queue(QueueKind::Reinject), &[pkts[0]], "third dupack");
         assert!(c.subflows[0].cc.lossy());
+        assert_eq!(c.stats.subflows[0].fast_retransmits, 1);
+        assert_eq!(c.stats.subflows[0].retransmissions, 1);
+        // The retransmission under its old subflow seq leaves the egress
+        // queue, arrives, and arms the idle retransmission timer; the ack
+        // pushes the probe out.
+        assert!(matches!(
+            drain(&mut queue)[..],
+            [
+                EventKind::Trigger { .. },
+                EventKind::Arrival {
+                    sbf: 0,
+                    sbf_seq: 0,
+                    data_seq: 0,
+                    ..
+                },
+                EventKind::Tlp { sbf: 0, .. },
+                EventKind::Rto { sbf: 0, .. },
+            ]
+        ));
     }
 
     #[test]
@@ -889,8 +1117,11 @@ mod tests {
         let mut c = make_conn();
         let pkts = c.enqueue_data(1400, 0, 0);
         c.record_tx(0, pkts[0], 1400, 0, None);
-        let out = c.handle_ack(0, 1, 1400, 1 << 20, from_millis(12));
-        assert!(out.disarm_rto);
+        c.now = from_millis(12);
+        let mut queue = Events::new();
+        assert!(c.on_ack(&mut queue, 0, 1, 1400, 1 << 20));
+        assert!(!c.subflows[0].rto_armed && !c.subflows[0].tlp_armed);
+        assert!(queue.is_empty(), "nothing in flight, nothing to time");
         assert_eq!(c.subflows[0].rtt.srtt(), from_millis(12));
         assert_eq!(c.subflows[0].in_flight(), 0);
         assert!(c.all_acked());
@@ -905,11 +1136,40 @@ mod tests {
             c.record_tx(0, p, 1400, 0, None);
         }
         c.q = SendQueue::default();
-        let out = c.handle_rto(0, from_millis(300));
-        assert!(out.loss_suspected);
+        let mut queue = Events::new();
+        c.subflows[0].arm_rto(&mut queue, 0, 0);
+        let Some((_, EventKind::Rto { token, .. })) = queue.pop() else {
+            panic!("arming schedules the timer");
+        };
+        c.now = from_millis(300);
+        assert!(
+            c.on_rto(&mut queue, 0, token),
+            "a timeout runs the scheduler"
+        );
         assert_eq!(c.queue(QueueKind::Reinject).len(), 3);
         assert_eq!(c.subflows[0].cc.cwnd, 1);
-        assert_eq!(out.auto_retransmit.len(), 1);
+        assert_eq!(c.stats.subflows[0].timeouts, 1);
+        assert_eq!(c.stats.subflows[0].retransmissions, 1);
+        let events = drain(&mut queue);
+        assert!(matches!(
+            events[..],
+            [
+                EventKind::Trigger { .. },
+                EventKind::Arrival { sbf_seq: 0, .. },
+                EventKind::Tlp { .. },
+                EventKind::Rto { .. },
+            ]
+        ));
+        let EventKind::Rto { token: rearmed, .. } = events[3] else {
+            unreachable!()
+        };
+        assert_eq!(rearmed, token + 1, "re-armed under a fresh token");
+        assert!(
+            !c.on_rto(&mut queue, 0, token),
+            "the stale timer does nothing"
+        );
+        assert!(queue.is_empty());
+        assert_eq!(c.stats.subflows[0].timeouts, 1);
     }
 
     #[test]

@@ -1,7 +1,14 @@
 //! The discrete-event simulation engine.
 //!
-//! Owns the virtual clock, the event queue, and the connections. All
-//! randomness lives in per-path xorshift64* streams derived from the
+//! Owns the virtual clock, the event queue, the connections, the program
+//! table, and the scheduler round. Every other piece of work belongs to
+//! the state it changes: `Sim::dispatch` hands each transport event to
+//! the [`Connection`] it names, which schedules its own follow-ups and
+//! says whether the scheduler should run; only the scheduler round, the
+//! re-admission and the stall watchdog, which need the oracle or the
+//! supervisor, stay here.
+//!
+//! All randomness lives in per-path xorshift64* streams derived from the
 //! simulation seed and the `(connection, subflow)` pair (see
 //! [`crate::faults`]), so every simulation is deterministic and
 //! reproducible per seed — the simulator's substitute for the paper's
@@ -19,15 +26,14 @@ use crate::oracle::{
 use crate::path::{Path, PathProfileEntry};
 use crate::pathman::{PathManager, PmAction};
 use crate::receiver::Receiver;
-use crate::subflow::{Subflow, Timer};
+use crate::subflow::Subflow;
 use crate::supervisor::{
-    classify_exec_error, ContainState, ContainmentConfig, FaultAction, FaultClass, IncidentReport,
-    Supervisor,
+    classify_exec_error, ContainmentConfig, FaultAction, FaultClass, IncidentReport, Supervisor,
 };
 use crate::time::SimTime;
-use progmp_core::env::{PacketRef, RegId, SchedulerEnv, SubflowId, Trigger};
+use progmp_core::env::{PacketRef, RegId, SubflowId, Trigger};
 use progmp_core::exec::{ExecCtx, ExecScratch};
-use progmp_core::{compile, subflow_available, CompileError, ExecStats, SchedulerProgram};
+use progmp_core::{compile, CompileError, ExecStats, SchedulerProgram};
 use std::collections::hash_map::{Entry, HashMap};
 use std::time::Instant;
 
@@ -125,6 +131,9 @@ pub(crate) enum EventKind {
     },
 }
 
+/// The event queue: every follow-up a connection schedules goes here.
+pub(crate) type Events = CalendarQueue<EventKind>;
+
 impl EventKind {
     /// The one connection this event can mutate: [`Sim::dispatch`] never
     /// writes to another, which is what lets the oracle re-check only
@@ -153,15 +162,16 @@ impl EventKind {
 }
 
 /// The discrete-event MPTCP simulator.
+///
+/// Every method that takes a [`ConnId`] panics, naming it, unless it is a
+/// connection of this simulation.
 pub struct Sim {
     /// Current simulation time (ns).
     pub now: SimTime,
-    queue: CalendarQueue<EventKind>,
+    queue: Events,
     seed: u64,
     /// All connections, indexed by [`ConnId`].
     pub connections: Vec<Connection>,
-    bulk_sources: Vec<BulkState>,
-    path_managers: Vec<PathManager>,
     /// Total events processed (engine health metric).
     pub events_processed: u64,
     oracle: Option<InvariantOracle>,
@@ -186,8 +196,6 @@ impl Sim {
             queue: CalendarQueue::new(),
             seed,
             connections: Vec::new(),
-            bulk_sources: Vec::new(),
-            path_managers: Vec::new(),
             events_processed: 0,
             oracle: None,
             supervisor: None,
@@ -211,6 +219,10 @@ impl Sim {
     /// behind the built-in fallback instead of failing the run. Call
     /// before the simulation starts, before or after
     /// [`Sim::enable_oracle`]: neither touches the other's state.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.stall_check_interval` is zero (see [`Supervisor::new`]).
     pub fn enable_containment(&mut self, cfg: ContainmentConfig) {
         let sup = Supervisor::new(self.seed, cfg);
         for c in &mut self.connections {
@@ -249,6 +261,18 @@ impl Sim {
 
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
         self.queue.push(time, kind);
+    }
+
+    /// Panics, naming `conn`, unless it is a connection of this
+    /// simulation: every public method that takes a [`ConnId`] checks it
+    /// on entry, so a bad index fails at the call instead of at its
+    /// event's time, deep inside a run.
+    fn check_conn(&self, conn: ConnId) {
+        let n = self.connections.len();
+        assert!(
+            conn < n,
+            "unknown connection {conn}: this simulation has {n}"
+        );
     }
 
     /// The program for `source`: compiled on first sight, shared from
@@ -376,31 +400,37 @@ impl Sim {
     ///
     /// If `conn` is not a connection of this simulation.
     pub fn set_scheduler(&mut self, conn: ConnId, scheduler: Installed) {
+        self.check_conn(conn);
         self.connections[conn].set_scheduler(scheduler);
     }
 
     /// Schedules `bytes` of application data with property `prop` at `at`.
     pub fn app_send_at(&mut self, conn: ConnId, at: SimTime, bytes: u64, prop: u32) {
+        self.check_conn(conn);
         self.schedule(at, EventKind::AppData { conn, bytes, prop });
     }
 
     /// Schedules a register write (the extended API's `setRegister`) at `at`.
     pub fn set_register_at(&mut self, conn: ConnId, at: SimTime, reg: RegId, value: i64) {
+        self.check_conn(conn);
         self.schedule(at, EventKind::SetRegister { conn, reg, value });
     }
 
     /// Schedules a scheduler trigger (e.g. a timer-driven probe) at `at`.
     pub fn trigger_at(&mut self, conn: ConnId, at: SimTime, trigger: Trigger) {
+        self.check_conn(conn);
         self.schedule(at, EventKind::Trigger { conn, trigger });
     }
 
     /// Tears a subflow down at `at` (connection break / handover).
     pub fn subflow_down_at(&mut self, conn: ConnId, sbf: u32, at: SimTime) {
+        self.check_conn(conn);
         self.schedule(at, EventKind::SubflowDown { conn, sbf });
     }
 
     /// (Re-)establishes a subflow at `at`.
     pub fn subflow_up_at(&mut self, conn: ConnId, sbf: u32, at: SimTime) {
+        self.check_conn(conn);
         self.schedule(at, EventKind::SubflowUp { conn, sbf });
     }
 
@@ -409,25 +439,19 @@ impl Sim {
     /// the path's baseline behaviour at the window end. Composable —
     /// plans and manual event scheduling mix freely.
     pub fn apply_fault_plan(&mut self, conn: ConnId, plan: &FaultPlan) {
+        self.check_conn(conn);
+        let loss = |sbf, model| EventKind::FaultLoss { conn, sbf, model };
+        let jitter = |sbf, amplitude| EventKind::FaultJitter {
+            conn,
+            sbf,
+            amplitude,
+        };
+        let stall = |stalled| EventKind::RwndStall { conn, stalled };
         for clause in &plan.clauses {
-            match *clause {
+            let ((from, install), (until, restore)) = match *clause {
                 FaultClause::Blackout { sbf, from, until } => {
-                    self.schedule(
-                        from,
-                        EventKind::FaultLoss {
-                            conn,
-                            sbf,
-                            model: Some(LossModel::blackout()),
-                        },
-                    );
-                    self.schedule(
-                        until,
-                        EventKind::FaultLoss {
-                            conn,
-                            sbf,
-                            model: None,
-                        },
-                    );
+                    let blackout = Some(LossModel::blackout());
+                    ((from, loss(sbf, blackout)), (until, loss(sbf, None)))
                 }
                 FaultClause::BurstLoss {
                     sbf,
@@ -437,101 +461,83 @@ impl Sim {
                     p_exit_bad,
                     loss_bad,
                 } => {
-                    self.schedule(
-                        from,
-                        EventKind::FaultLoss {
-                            conn,
-                            sbf,
-                            model: Some(LossModel::GilbertElliott {
-                                p_enter_bad,
-                                p_exit_bad,
-                                loss_good: 0,
-                                loss_bad,
-                                bad: false,
-                            }),
-                        },
-                    );
-                    self.schedule(
-                        until,
-                        EventKind::FaultLoss {
-                            conn,
-                            sbf,
-                            model: None,
-                        },
-                    );
+                    let burst = LossModel::GilbertElliott {
+                        p_enter_bad,
+                        p_exit_bad,
+                        loss_good: 0,
+                        loss_bad,
+                        bad: false,
+                    };
+                    ((from, loss(sbf, Some(burst))), (until, loss(sbf, None)))
                 }
                 FaultClause::DelayJitter {
                     sbf,
                     from,
                     until,
                     amplitude,
-                } => {
-                    self.schedule(
-                        from,
-                        EventKind::FaultJitter {
-                            conn,
-                            sbf,
-                            amplitude: Some(amplitude),
-                        },
-                    );
-                    self.schedule(
-                        until,
-                        EventKind::FaultJitter {
-                            conn,
-                            sbf,
-                            amplitude: None,
-                        },
-                    );
-                }
+                } => (
+                    (from, jitter(sbf, Some(amplitude))),
+                    (until, jitter(sbf, None)),
+                ),
                 FaultClause::RwndStall { from, until } => {
-                    self.schedule(
-                        from,
-                        EventKind::RwndStall {
-                            conn,
-                            stalled: true,
-                        },
-                    );
-                    self.schedule(
-                        until,
-                        EventKind::RwndStall {
-                            conn,
-                            stalled: false,
-                        },
-                    );
+                    ((from, stall(true)), (until, stall(false)))
                 }
                 FaultClause::Churn {
                     sbf,
                     down_at,
                     up_at,
-                } => {
-                    self.subflow_down_at(conn, sbf, down_at);
-                    self.subflow_up_at(conn, sbf, up_at);
-                }
-            }
+                } => (
+                    (down_at, EventKind::SubflowDown { conn, sbf }),
+                    (up_at, EventKind::SubflowUp { conn, sbf }),
+                ),
+            };
+            self.schedule(from, install);
+            self.schedule(until, restore);
         }
     }
 
     /// Attaches a path manager to `conn`; its policy is evaluated every
-    /// `manager.interval` starting now. Returns the manager index.
-    pub fn attach_path_manager(&mut self, conn: ConnId, manager: PathManager) -> usize {
-        let idx = self.path_managers.len();
-        let first = self.now + manager.interval;
-        self.path_managers.push(manager);
-        self.schedule(first, EventKind::PmTick { conn, manager: idx });
-        idx
+    /// `manager.interval` starting now.
+    ///
+    /// # Panics
+    ///
+    /// If `manager.interval` is zero: the tick would re-arm at the
+    /// instant it fires, and the run would never advance.
+    pub fn attach_path_manager(&mut self, conn: ConnId, manager: PathManager) {
+        self.check_conn(conn);
+        assert!(
+            manager.interval > 0,
+            "PathManager::interval must be positive"
+        );
+        let at = self.now + manager.interval;
+        let managers = &mut self.connections[conn].managers;
+        let pm_tick = EventKind::PmTick {
+            conn,
+            manager: managers.len(),
+        };
+        managers.push(manager);
+        self.schedule(at, pm_tick);
     }
 
     /// Adds a backlogged bulk sender that keeps `Q` topped up (an
-    /// iPerf-style source). Returns the source index.
-    pub fn add_bulk_source(&mut self, conn: ConnId, total_bytes: u64, prop: u32) -> usize {
-        let idx = self.bulk_sources.len();
-        self.bulk_sources.push(BulkState::new(total_bytes, prop));
-        self.schedule(0, EventKind::Refill { conn, source: idx });
-        idx
+    /// iPerf-style source).
+    pub fn add_bulk_source(&mut self, conn: ConnId, total_bytes: u64, prop: u32) {
+        self.check_conn(conn);
+        let sources = &mut self.connections[conn].sources;
+        let refill = EventKind::Refill {
+            conn,
+            source: sources.len(),
+        };
+        sources.push(BulkState::new(total_bytes, prop));
+        self.schedule(0, refill);
     }
 
     /// Adds a constant-bitrate source: every `chunk_interval`, enqueues
     /// `rate * chunk_interval` bytes, from `start` until `end`.
+    ///
+    /// # Panics
+    ///
+    /// If `chunk_interval` is zero: there would be no end to the chunks.
     pub fn add_cbr_source(
         &mut self,
         conn: ConnId,
@@ -541,6 +547,11 @@ impl Sim {
         chunk_interval: SimTime,
         prop: u32,
     ) {
+        self.check_conn(conn);
+        assert!(
+            chunk_interval > 0,
+            "add_cbr_source: chunk_interval must be positive"
+        );
         let mut t = start;
         while t < end {
             let bytes = rate_bytes_per_sec.saturating_mul(chunk_interval) / crate::time::SECONDS;
@@ -551,14 +562,13 @@ impl Sim {
         }
     }
 
-    /// Pops the next event, stamps its time on the simulator and on the
-    /// one connection it names, dispatches it, and has the oracle re-check
-    /// that connection. `dispatch` is called from this one place on
-    /// purpose: an early return through a second call for the unarmed
-    /// case measured 5 % slower on the unarmed `fleet_bulk` benchmark
-    /// workload.
-    fn step(&mut self) {
-        let (time, kind) = self.queue.pop().expect("caller peeked");
+    /// Handles one event popped at `time`: stamps the time on the
+    /// simulator and on the one connection it names, dispatches it, and
+    /// has the oracle re-check that connection. `dispatch` is called from
+    /// this one place on purpose: an early return through a second call
+    /// for the unarmed case measured 5 % slower on the unarmed
+    /// `fleet_bulk` benchmark workload.
+    fn step(&mut self, time: SimTime, kind: EventKind) {
         self.now = time;
         self.events_processed += 1;
         let conn = kind.conn();
@@ -566,7 +576,7 @@ impl Sim {
         if let Some(oracle) = self.oracle.as_mut() {
             oracle.log_event(time, &kind);
         }
-        self.dispatch(kind);
+        self.dispatch(conn, kind);
         if let Some(oracle) = self.oracle.as_mut() {
             oracle.check(time, &self.connections[conn]);
         }
@@ -575,7 +585,8 @@ impl Sim {
     /// Steps through every event due by `horizon`.
     fn run_events(&mut self, horizon: SimTime) {
         while self.queue.next_time().is_some_and(|t| t <= horizon) {
-            self.step();
+            let (time, kind) = self.queue.pop().expect("peeked");
+            self.step(time, kind);
         }
     }
 
@@ -631,220 +642,89 @@ impl Sim {
         }
     }
 
-    /// Routes the event to its handler; handles nothing itself.
-    fn dispatch(&mut self, kind: EventKind) {
-        match kind {
-            EventKind::AppData { conn, bytes, prop } => self.handle_data(conn, bytes, prop),
-            EventKind::SetRegister { conn, reg, value } => {
-                self.handle_set_register(conn, reg, value)
+    /// Routes the event to the connection it names, which handles it and
+    /// says whether the scheduler should run, and runs it when told to.
+    /// Two kinds do more around the run: a bulk-source poll re-arms after
+    /// it, and a path-manager tick runs it after each subflow it changes
+    /// and once after its register writes, then re-arms. The re-admission
+    /// and the stall watchdog, which need the supervisor, are handled
+    /// here.
+    fn dispatch(&mut self, conn: ConnId, kind: EventKind) {
+        let c = &mut self.connections[conn];
+        let queue = &mut self.queue;
+        let run = match kind {
+            EventKind::AppData { bytes, prop, .. } => c.on_data(queue, bytes, prop),
+            EventKind::SetRegister { reg, value, .. } => {
+                c.set_register_direct(reg, value);
+                true
             }
             EventKind::Arrival {
-                conn,
                 sbf,
                 sbf_seq,
                 data_seq,
                 pkt,
                 size,
-            } => self.handle_arrival(conn, sbf, sbf_seq, data_seq, pkt, size),
+                ..
+            } => c.on_arrival(queue, sbf, sbf_seq, data_seq, pkt, size),
             EventKind::Ack {
-                conn,
                 sbf,
                 sbf_ack,
                 data_ack,
                 rwnd,
-            } => self.handle_ack(conn, sbf, sbf_ack, data_ack, rwnd),
-            EventKind::Rto { conn, sbf, token } => self.handle_rto(conn, sbf, token),
-            EventKind::Tlp { conn, sbf, token } => self.handle_tlp(conn, sbf, token),
-            EventKind::SubflowUp { conn, sbf } => self.handle_subflow(conn, sbf, true),
-            EventKind::SubflowDown { conn, sbf } => self.handle_subflow(conn, sbf, false),
-            EventKind::PathChange { conn, sbf, entry } => {
-                self.handle_path(conn, sbf, |p| p.apply_profile(&entry))
+                ..
+            } => c.on_ack(queue, sbf, sbf_ack, data_ack, rwnd),
+            EventKind::Rto { sbf, token, .. } => c.on_rto(queue, sbf, token),
+            EventKind::Tlp { sbf, token, .. } => c.on_tlp(queue, sbf, token),
+            EventKind::SubflowUp { sbf, .. } => c.set_subflow_established(sbf as usize, true),
+            EventKind::SubflowDown { sbf, .. } => c.set_subflow_established(sbf as usize, false),
+            EventKind::PathChange { sbf, entry, .. } => {
+                c.change_path(sbf, |p| p.apply_profile(&entry))
             }
-            EventKind::Refill { conn, source } => self.handle_refill(conn, source),
-            EventKind::PmTick { conn, manager } => self.handle_pm_tick(conn, manager),
-            EventKind::Trigger { conn, .. } => self.run_scheduler(conn),
-            EventKind::FaultLoss { conn, sbf, model } => {
-                self.handle_path(conn, sbf, |p| p.set_fault_loss(model))
+            EventKind::FaultLoss { sbf, model, .. } => {
+                c.change_path(sbf, |p| p.set_fault_loss(model))
             }
-            EventKind::FaultJitter {
-                conn,
-                sbf,
-                amplitude,
-            } => self.handle_path(conn, sbf, |p| p.set_jitter(amplitude)),
-            EventKind::RwndStall { conn, stalled } => self.handle_rwnd_stall(conn, stalled),
-            EventKind::Readmit { conn } => self.handle_readmit(conn),
-            EventKind::StallCheck { conn } => self.handle_stall_check(conn),
-        }
-    }
-
-    /// New application data: into `Q`, the stall watchdog armed when
-    /// containment is on (idempotent while armed), the scheduler run.
-    fn handle_data(&mut self, conn: ConnId, bytes: u64, prop: u32) {
-        let now = self.now;
-        let c = &mut self.connections[conn];
-        c.enqueue_data(bytes, prop, now);
-        if let (Some(sup), Some(record)) = (&self.supervisor, c.contain.as_mut()) {
-            if record.arm_watchdog(c.data_acked) {
-                let at = now + sup.stall_check_interval();
-                self.schedule(at, EventKind::StallCheck { conn });
+            EventKind::FaultJitter { sbf, amplitude, .. } => {
+                c.change_path(sbf, |p| p.set_jitter(amplitude))
             }
-        }
-        self.run_scheduler(conn);
-    }
-
-    fn handle_refill(&mut self, conn: ConnId, source: usize) {
-        let s = &mut self.bulk_sources[source];
-        if s.remaining == 0 {
-            return;
-        }
-        let q_bytes = self.connections[conn].q_bytes();
-        let add = if q_bytes < s.low_watermark {
-            (s.low_watermark * 2 - q_bytes).min(s.remaining)
-        } else {
-            0
-        };
-        s.remaining -= add;
-        let (prop, remaining, interval) = (s.prop, s.remaining, s.interval);
-        if add > 0 {
-            self.handle_data(conn, add, prop);
-        }
-        if remaining > 0 {
-            self.schedule(self.now + interval, EventKind::Refill { conn, source });
-        }
-    }
-
-    fn handle_set_register(&mut self, conn: ConnId, reg: RegId, value: i64) {
-        self.connections[conn].set_register_direct(reg, value);
-        self.run_scheduler(conn);
-    }
-
-    /// A subflow comes up or goes down. Like every event that names a
-    /// subflow the connection does not have, one for an unknown index is
-    /// ignored.
-    fn handle_subflow(&mut self, conn: ConnId, sbf: u32, up: bool) {
-        if self.connections[conn].set_subflow_established(sbf as usize, up) {
-            self.run_scheduler(conn);
-        }
-    }
-
-    /// A change to the path under a subflow: a profile entry, or a fault
-    /// window opening or closing.
-    fn handle_path(&mut self, conn: ConnId, sbf: u32, change: impl FnOnce(&mut Path)) {
-        if let Some(s) = self.connections[conn].subflows.get_mut(sbf as usize) {
-            change(&mut s.path);
-        }
-    }
-
-    /// The receiving application pauses (or resumes) its reads, as far
-    /// as the *sender* sees it: the advertised window collapses to zero
-    /// at once (the zero-window advertisement) and reopens with a window
-    /// update when the stall clears, at which point the scheduler gets a
-    /// chance to resume.
-    fn handle_rwnd_stall(&mut self, conn: ConnId, stalled: bool) {
-        let c = &mut self.connections[conn];
-        c.receiver.set_stalled(stalled);
-        c.adv_rwnd = c.receiver.rwnd();
-        if !stalled {
-            self.run_scheduler(conn);
-        }
-    }
-
-    fn handle_arrival(
-        &mut self,
-        conn: ConnId,
-        sbf: u32,
-        sbf_seq: u64,
-        data_seq: u64,
-        pkt: PacketRef,
-        size: u32,
-    ) {
-        let now = self.now;
-        let c = &mut self.connections[conn];
-        let res = c
-            .receiver
-            .on_arrival(sbf as usize, sbf_seq, data_seq, pkt, size);
-        if res.delivered_bytes > 0 {
-            c.stats.delivered_bytes += res.delivered_bytes;
-            if c.record_timelines {
-                c.stats
-                    .delivery_timeline
-                    .push((now, c.receiver.delivered_total));
-            }
-        }
-        let ack = EventKind::Ack {
-            conn,
-            sbf,
-            sbf_ack: res.sbf_ack,
-            data_ack: res.data_ack,
-            rwnd: c.receiver.rwnd(),
-        };
-        let at = now + c.subflows[sbf as usize].path.rev_delay;
-        self.schedule(at, ack);
-    }
-
-    fn handle_ack(&mut self, conn: ConnId, sbf: u32, sbf_ack: u64, data_ack: u64, rwnd: u64) {
-        let now = self.now;
-        let out = self.connections[conn].handle_ack(sbf as usize, sbf_ack, data_ack, rwnd, now);
-        for &(pkt, seq) in &out.auto_retransmit {
-            self.transmit(conn, sbf as usize, pkt, Some(seq));
-        }
-        let tlp = self.connections[conn].subflows[sbf as usize].rearm_tlp(now);
-        self.schedule_timers(conn, sbf, out.rearm_rto, tlp);
-        self.run_scheduler(conn);
-    }
-
-    fn handle_rto(&mut self, conn: ConnId, sbf: u32, token: u64) {
-        let now = self.now;
-        let c = &mut self.connections[conn];
-        if !c.subflows[sbf as usize].rto_due(token) {
-            return;
-        }
-        let out = c.handle_rto(sbf as usize, now);
-        if out.disarm_rto {
-            return;
-        }
-        for &(pkt, seq) in &out.auto_retransmit {
-            self.transmit(conn, sbf as usize, pkt, Some(seq));
-        }
-        self.schedule_timers(conn, sbf, out.rearm_rto, None);
-        self.run_scheduler(conn);
-    }
-
-    /// The tail-loss probe: retransmits the oldest unacked segment on its
-    /// subflow and flags it loss-suspected at the meta level.
-    fn handle_tlp(&mut self, conn: ConnId, sbf: u32, token: u64) {
-        let now = self.now;
-        let Some(((pkt, seq), next)) =
-            self.connections[conn].subflows[sbf as usize].fire_tlp(token, now)
-        else {
-            return;
-        };
-        let reinjected = self.connections[conn].reinject(pkt);
-        self.transmit(conn, sbf as usize, pkt, Some(seq));
-        self.schedule_timers(conn, sbf, None, Some(next));
-        if reinjected {
-            self.run_scheduler(conn);
-        }
-    }
-
-    fn handle_pm_tick(&mut self, conn: ConnId, manager: usize) {
-        let actions = self.path_managers[manager].tick(&self.connections[conn]);
-        let mut register_changed = false;
-        for action in actions {
-            match action {
-                PmAction::SubflowUp(i) => self.handle_subflow(conn, i, true),
-                PmAction::SubflowDown(i) => self.handle_subflow(conn, i, false),
-                PmAction::SetRegister(reg, value) => {
-                    self.connections[conn].set_register_direct(reg, value);
-                    register_changed = true;
+            EventKind::RwndStall { stalled, .. } => c.on_rwnd_stall(stalled),
+            EventKind::Trigger { .. } => true,
+            EventKind::Refill { source, .. } => {
+                if c.on_refill(queue, source) {
+                    self.run_scheduler(conn);
                 }
+                self.connections[conn].rearm_refill(&mut self.queue, source);
+                false
             }
-        }
-        if register_changed {
+            EventKind::PmTick { manager, .. } => {
+                let actions = c.managers[manager].tick(&c.subflows);
+                let wrote = actions
+                    .iter()
+                    .any(|a| matches!(a, PmAction::SetRegister(..)));
+                for action in actions {
+                    if self.connections[conn].apply_pm_action(action) {
+                        self.run_scheduler(conn);
+                    }
+                }
+                if wrote {
+                    self.run_scheduler(conn);
+                }
+                self.connections[conn].rearm_pm(&mut self.queue, manager);
+                false
+            }
+            EventKind::Readmit { .. } => {
+                let now = self.now;
+                self.supervisor
+                    .as_mut()
+                    .is_some_and(|sup| sup.readmit(now, c))
+            }
+            EventKind::StallCheck { .. } => {
+                self.stall_check(conn);
+                false
+            }
+        };
+        if run {
             self.run_scheduler(conn);
         }
-        let at = self.now + self.path_managers[manager].interval;
-        self.schedule(at, EventKind::PmTick { conn, manager });
     }
 
     /// Executes the scheduler of `conn` to quiescence (the paper's
@@ -864,11 +744,10 @@ impl Sim {
         let mut faults = Vec::new();
         for _ in 0..self.connections[conn].max_sched_rounds {
             let round = self.run_round(conn, &mut scheduler);
-            let mut pending = std::mem::take(&mut self.tx_scratch);
-            for (sbf, pkt) in pending.drain(..) {
-                self.transmit(conn, sbf.0 as usize, pkt, None);
+            let c = &mut self.connections[conn];
+            for (sbf, pkt) in self.tx_scratch.drain(..) {
+                c.transmit(&mut self.queue, sbf.0 as usize, pkt, None);
             }
-            self.tx_scratch = pending;
             // An aborted round ends the turn, and so does anything a
             // supervisor may swap the scheduler out for. With only an
             // oracle watching, a round that ran to its end counts like
@@ -990,103 +869,17 @@ impl Sim {
         }
     }
 
-    /// One stall-watchdog tick: faults the scheduler with
-    /// [`FaultClass::ProgressStall`] when a full period passed with
-    /// schedulable work, an available subflow, an open receive window,
-    /// and zero forward progress. All inputs are per-connection state and
-    /// the tick times are multiples of the period from the connection's
-    /// own first-data event, so the decision is identical no matter how a
-    /// fleet is sharded.
-    fn handle_stall_check(&mut self, conn: ConnId) {
-        use progmp_core::env::QueueKind;
-        let c = &mut self.connections[conn];
-        let all_acked = c.all_acked();
-        let (Some(sup), Some(record)) = (&self.supervisor, c.contain.as_mut()) else {
+    /// One stall-watchdog tick ([`Connection::watchdog_tick`]): a stall
+    /// is a [`FaultClass::ProgressStall`] scheduler fault, and the next
+    /// check is armed after whatever the fault set off.
+    fn stall_check(&mut self, conn: ConnId) {
+        let Some((stalled, next)) = self.connections[conn].watchdog_tick() else {
             return;
         };
-        if all_acked {
-            record.disarm_watchdog();
-            return;
-        }
-        let progressed = record.watchdog_progressed(c.data_acked);
-        let interval = sup.stall_check_interval();
-        let state = record.state;
-        let c = &self.connections[conn];
-        let live = c.subflows.iter().any(|s| s.established);
-        // Schedulable work: data reachable through Q or RQ (the fallback
-        // pops RQ even when the original program does not).
-        let env: &dyn SchedulerEnv = c;
-        let work = !env.queue(QueueKind::SendQueue).is_empty()
-            || !env.queue(QueueKind::Reinject).is_empty();
-        // An execution right now could actually push: the
-        // work-conservation availability precondition. Without this, a
-        // path blackout or an exhausted congestion window would be blamed
-        // on the scheduler.
-        let avail = env.subflows().iter().any(|&s| subflow_available(env, s));
-        let stalled = !progressed
-            && live
-            && work
-            && avail
-            && c.adv_rwnd > 0
-            && c.stats.scheduler_drops == 0
-            && matches!(state, ContainState::Healthy | ContainState::Probation);
         if stalled && self.scheduler_fault(conn, FaultClass::ProgressStall, None, Vec::new()) {
             self.run_scheduler(conn);
         }
-        self.schedule(self.now + interval, EventKind::StallCheck { conn });
-    }
-
-    /// Handles the supervisor's re-admission timer: restores the parked
-    /// scheduler on probation and gives it an immediate execution.
-    fn handle_readmit(&mut self, conn: ConnId) {
-        let now = self.now;
-        let Some(sup) = self.supervisor.as_mut() else {
-            return;
-        };
-        if sup.readmit(now, &mut self.connections[conn]) {
-            self.run_scheduler(conn);
-        }
-    }
-
-    /// Transmits `pkt` on subflow `sbf_idx` of `conn` and schedules what
-    /// follows from it. `reuse_seq` marks a TCP-level retransmission of
-    /// an existing subflow sequence number.
-    fn transmit(&mut self, conn: ConnId, sbf_idx: usize, pkt: PacketRef, reuse_seq: Option<u64>) {
-        let now = self.now;
-        let Some(tx) = self.connections[conn].transmit(sbf_idx, pkt, now, reuse_seq) else {
-            return;
-        };
-        let sbf = sbf_idx as u32;
-        if let Some((at, sbf_seq, data_seq, size)) = tx.arrival {
-            let arrival = EventKind::Arrival {
-                conn,
-                sbf,
-                sbf_seq,
-                data_seq,
-                pkt,
-                size,
-            };
-            self.schedule(at, arrival);
-        }
-        self.schedule_timers(conn, sbf, tx.rto, tx.tlp);
-        // Re-invoke the scheduler when the egress queue drains (the
-        // Linux TSQ tasklet's role): a TSQ-throttled subflow becomes
-        // schedulable again at the packet's departure time.
-        if let Some(departs) = tx.departs.filter(|&departs| departs > now) {
-            let trigger = Trigger::Timer;
-            self.schedule(departs, EventKind::Trigger { conn, trigger });
-        }
-    }
-
-    /// Schedules the timers a subflow armed, the retransmission timer
-    /// first.
-    fn schedule_timers(&mut self, conn: ConnId, sbf: u32, rto: Option<Timer>, tlp: Option<Timer>) {
-        if let Some((at, token)) = rto {
-            self.schedule(at, EventKind::Rto { conn, sbf, token });
-        }
-        if let Some((at, token)) = tlp {
-            self.schedule(at, EventKind::Tlp { conn, sbf, token });
-        }
+        self.schedule(next, EventKind::StallCheck { conn });
     }
 }
 
@@ -1377,5 +1170,162 @@ pub(crate) mod tests {
         let c = &sim.connections[conn];
         assert!(c.register_direct(RegId::R1) >= 2, "executions accumulated");
         assert!(c.all_acked());
+    }
+
+    /// One connection driven through all 17 event kinds: a bulk source,
+    /// app sends, a CBR stream, a register write, a path-profile entry, a
+    /// fault plan with every clause, a handover path manager, a scheduler
+    /// that traps once under containment (quarantined, then re-admitted),
+    /// and loss enough for retransmission timeouts and tail-loss probes.
+    /// The event count, the stats digest (timelines included) and the
+    /// incidents are pinned: a handler that pushes its follow-ups in
+    /// another order, or runs the scheduler at another point, moves them.
+    #[test]
+    fn every_event_kind_fires_and_the_run_is_pinned() {
+        use crate::fleet::fnv1a64;
+        use crate::native::NativeTrapping;
+        use crate::pathman::PathManagerPolicy;
+        use std::collections::HashMap;
+
+        let mut sim = Sim::new(26);
+        sim.enable_containment(ContainmentConfig::default());
+        let profile = PathProfileEntry {
+            at: from_millis(700),
+            rate: Some(2_500_000),
+            loss: None,
+            fwd_delay: None,
+        };
+        let primary = PathConfig::symmetric(from_millis(10), 1_250_000)
+            .with_loss(0.02)
+            .with_profile_entry(profile);
+        let standby = PathConfig::symmetric(from_millis(40), 1_250_000);
+        let cfg = ConnectionConfig::new(
+            vec![
+                SubflowConfig::new(primary),
+                SubflowConfig::new(standby).starting_at(3 * SECONDS),
+            ],
+            SchedulerSpec::Native(Box::new(NativeTrapping::one_shot(40))),
+        )
+        .with_timelines();
+        let conn = sim.add_connection(cfg).unwrap();
+        sim.add_bulk_source(conn, 1_500_000, 0);
+        sim.app_send_at(conn, from_millis(300), 20_000, 1);
+        sim.add_cbr_source(
+            conn,
+            from_millis(500),
+            from_millis(900),
+            200_000,
+            from_millis(50),
+            2,
+        );
+        sim.set_register_at(conn, from_millis(400), RegId::R1, 7);
+        let plan = FaultPlan {
+            clauses: vec![
+                FaultClause::Blackout {
+                    sbf: 0,
+                    from: from_millis(600),
+                    until: from_millis(1_200),
+                },
+                FaultClause::BurstLoss {
+                    sbf: 1,
+                    from: from_millis(800),
+                    until: from_millis(1_500),
+                    p_enter_bad: 200_000,
+                    p_exit_bad: 300_000,
+                    loss_bad: 800_000,
+                },
+                FaultClause::DelayJitter {
+                    sbf: 1,
+                    from: from_millis(700),
+                    until: from_millis(1_400),
+                    amplitude: from_millis(5),
+                },
+                FaultClause::RwndStall {
+                    from: from_millis(400),
+                    until: from_millis(450),
+                },
+                FaultClause::Churn {
+                    sbf: 1,
+                    down_at: from_millis(1_600),
+                    up_at: from_millis(1_800),
+                },
+            ],
+        };
+        sim.apply_fault_plan(conn, &plan);
+        // Brings the standby up long before its configured start.
+        let handover = PathManagerPolicy::Handover {
+            primary: 0,
+            standby: 1,
+            rtt_threshold: from_millis(60),
+            loss_delta_threshold: 3,
+            recovery_ticks: 3,
+        };
+        sim.attach_path_manager(conn, PathManager::new(handover, from_millis(100)));
+
+        let mut kinds = HashMap::new();
+        while sim.queue.next_time().is_some_and(|t| t <= 10 * SECONDS) {
+            let (time, kind) = sim.queue.pop().expect("peeked");
+            *kinds.entry(std::mem::discriminant(&kind)).or_insert(0u64) += 1;
+            sim.step(time, kind);
+        }
+        assert_eq!(kinds.len(), 17, "every one of the 17 event kinds occurred");
+        let c = &sim.connections[conn];
+        assert!(c.all_acked());
+        assert_eq!(sim.events_processed, 8189);
+        let digest = fnv1a64(c.stats.snapshot_text().as_bytes());
+        assert_eq!(digest, 0x64ee_1f31_6b9d_421d);
+        let incidents: Vec<String> = sim.incidents().iter().map(|i| i.to_string()).collect();
+        assert_eq!(
+            incidents,
+            [
+                "conn 0 quarantined at t=17920000 (strike 1): trap in native-trapping: \
+                 deliberate trap on call 41 [seed=26 conn=0 class=backend-trap at=17920000]",
+                "conn 0 readmitted at t=268797937 (strike 1): trap in native-trapping: \
+                 deliberate trap on call 41 [seed=26 conn=0 class=backend-trap at=268797937]",
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown connection 9")]
+    fn an_unknown_connection_panics_at_the_call() {
+        Sim::new(1).app_send_at(9, 0, 1400, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk_interval")]
+    fn a_zero_cbr_chunk_interval_is_rejected() {
+        let mut sim = Sim::new(3);
+        let conn = sim
+            .add_connection(two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)))
+            .unwrap();
+        sim.add_cbr_source(conn, 0, SECONDS, 1_000_000, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "PathManager::interval")]
+    fn a_zero_path_manager_interval_is_rejected() {
+        use crate::pathman::PathManagerPolicy;
+        let mut sim = Sim::new(3);
+        let conn = sim
+            .add_connection(two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)))
+            .unwrap();
+        sim.attach_path_manager(conn, PathManager::new(PathManagerPolicy::Static, 0));
+        sim.run_to_completion(SECONDS);
+    }
+
+    #[test]
+    #[should_panic(expected = "stall_check_interval")]
+    fn a_zero_stall_check_interval_is_rejected() {
+        let mut sim = Sim::new(3);
+        sim.enable_containment(ContainmentConfig {
+            stall_check_interval: 0,
+            ..ContainmentConfig::default()
+        });
+        let conn = sim
+            .add_connection(two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)))
+            .unwrap();
+        sim.app_send_at(conn, 0, 100_000, 0);
+        sim.run_to_completion(10 * SECONDS);
     }
 }

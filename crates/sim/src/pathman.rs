@@ -13,7 +13,7 @@
 //!   register `R3` is signaled so a handover-aware scheduler starts
 //!   compensating; once the primary recovers, the signal is cleared.
 
-use crate::connection::Connection;
+use crate::subflow::Subflow;
 use crate::time::SimTime;
 use progmp_core::env::RegId;
 
@@ -40,7 +40,7 @@ pub enum PathManagerPolicy {
     },
 }
 
-/// An action the engine applies on behalf of the path manager.
+/// An action the connection applies on behalf of its path manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PmAction {
     /// Establish subflow `idx`.
@@ -80,9 +80,9 @@ impl PathManager {
         self.handover_active
     }
 
-    /// Evaluates the policy against the connection's current state and
-    /// returns the actions to apply.
-    pub fn tick(&mut self, conn: &Connection) -> Vec<PmAction> {
+    /// Evaluates the policy against the connection's subflows as they
+    /// stand and returns the actions to apply.
+    pub fn tick(&mut self, subflows: &[Subflow]) -> Vec<PmAction> {
         match self.policy {
             PathManagerPolicy::Static => Vec::new(),
             PathManagerPolicy::Handover {
@@ -93,7 +93,7 @@ impl PathManager {
                 recovery_ticks,
             } => {
                 let mut actions = Vec::new();
-                let Some(p) = conn.subflows.get(primary as usize) else {
+                let Some(p) = subflows.get(primary as usize) else {
                     return actions;
                 };
                 let lost = p.lost_skbs;
@@ -101,8 +101,7 @@ impl PathManager {
                 self.last_lost = lost;
                 let degraded = p.established
                     && (p.rtt.srtt() > rtt_threshold || loss_delta >= loss_delta_threshold);
-                let standby_up = conn
-                    .subflows
+                let standby_up = subflows
                     .get(standby as usize)
                     .map(|s| s.established)
                     .unwrap_or(false);
@@ -186,13 +185,13 @@ mod tests {
     #[test]
     fn static_policy_never_acts() {
         let mut pm = PathManager::new(PathManagerPolicy::Static, 100 * MILLIS);
-        assert!(pm.tick(&conn()).is_empty());
+        assert!(pm.tick(&conn().subflows).is_empty());
     }
 
     #[test]
     fn healthy_primary_no_action() {
         let mut pm = handover_pm();
-        assert!(pm.tick(&conn()).is_empty());
+        assert!(pm.tick(&conn().subflows).is_empty());
         assert!(!pm.handover_active());
     }
 
@@ -203,7 +202,7 @@ mod tests {
         for _ in 0..20 {
             c.subflows[0].rtt.sample(from_millis(200));
         }
-        let actions = pm.tick(&c);
+        let actions = pm.tick(&c.subflows);
         assert!(actions.contains(&PmAction::SubflowUp(1)));
         assert!(actions.contains(&PmAction::SetRegister(RegId::R3, 1)));
         assert!(pm.handover_active());
@@ -214,10 +213,10 @@ mod tests {
         let mut pm = handover_pm();
         let mut c = conn();
         c.subflows[0].lost_skbs = 10;
-        let actions = pm.tick(&c);
+        let actions = pm.tick(&c.subflows);
         assert!(actions.contains(&PmAction::SetRegister(RegId::R3, 1)));
         // Loss delta resets: the next tick without new losses is healthy.
-        let actions = pm.tick(&c);
+        let actions = pm.tick(&c.subflows);
         assert!(actions.is_empty(), "recovery streak building: {actions:?}");
     }
 
@@ -226,10 +225,10 @@ mod tests {
         let mut pm = handover_pm();
         let mut c = conn();
         c.subflows[0].lost_skbs = 10;
-        pm.tick(&c); // handover
+        pm.tick(&c.subflows); // handover
         c.subflows[1].established = true;
-        assert!(pm.tick(&c).is_empty(), "first healthy tick");
-        let actions = pm.tick(&c);
+        assert!(pm.tick(&c.subflows).is_empty(), "first healthy tick");
+        let actions = pm.tick(&c.subflows);
         assert_eq!(actions, vec![PmAction::SetRegister(RegId::R3, 0)]);
         assert!(!pm.handover_active());
     }
@@ -239,10 +238,10 @@ mod tests {
         let mut pm = handover_pm();
         let mut c = conn();
         c.subflows[0].lost_skbs = 10;
-        pm.tick(&c);
+        pm.tick(&c.subflows);
         c.subflows[1].established = true;
         c.subflows[0].lost_skbs = 20;
-        let actions = pm.tick(&c);
+        let actions = pm.tick(&c.subflows);
         assert!(
             !actions.contains(&PmAction::SubflowUp(1)),
             "standby already up: {actions:?}"

@@ -1,6 +1,7 @@
 //! Sender-side subflow state: one TCP subflow of an MPTCP connection.
 
 use crate::cc::CcState;
+use crate::engine::{ConnId, EventKind, Events};
 use crate::path::Path;
 use crate::rtt::RttEstimator;
 use crate::time::{SimTime, MILLIS, SECONDS};
@@ -21,11 +22,6 @@ pub struct TxRec {
     /// Whether this was a retransmission (excluded from RTT sampling).
     pub is_rtx: bool,
 }
-
-/// A timer for the engine to schedule: the deadline and the token its
-/// event must carry. A timer fires only while its token is still the
-/// subflow's current one, so (re-)arming invalidates every earlier one.
-pub type Timer = (SimTime, u64);
 
 /// Sender-side state of one subflow.
 #[derive(Debug)]
@@ -116,11 +112,15 @@ impl Subflow {
         (2 * self.rtt.srtt() + 10 * MILLIS).max(30 * MILLIS)
     }
 
-    /// (Re-)arms the retransmission timer.
-    pub fn arm_rto(&mut self, now: SimTime) -> Timer {
+    /// (Re-)arms the retransmission timer: schedules this subflow's `Rto`
+    /// event of connection `conn` under a fresh token. A timer fires only
+    /// while its token is still the subflow's current one, so (re-)arming
+    /// invalidates every earlier one.
+    pub(crate) fn arm_rto(&mut self, queue: &mut Events, conn: ConnId, now: SimTime) {
         self.rto_armed = true;
         self.rto_token += 1;
-        (now + self.rtt.rto(), self.rto_token)
+        let (sbf, token) = (self.id.0, self.rto_token);
+        queue.push(now + self.rtt.rto(), EventKind::Rto { conn, sbf, token });
     }
 
     /// Whether the retransmission timer carrying `token` is the armed one.
@@ -128,30 +128,31 @@ impl Subflow {
         self.rto_armed && self.rto_token == token
     }
 
-    /// (Re-)arms the tail-loss probe for `at`.
-    pub fn arm_tlp(&mut self, at: SimTime) -> Timer {
+    /// (Re-)arms the tail-loss probe for `at`, under a fresh token like
+    /// [`Subflow::arm_rto`].
+    pub(crate) fn arm_tlp(&mut self, queue: &mut Events, conn: ConnId, at: SimTime) {
         self.tlp_armed = true;
         self.tlp_token += 1;
-        (at, self.tlp_token)
+        let (sbf, token) = (self.id.0, self.tlp_token);
+        queue.push(at, EventKind::Tlp { conn, sbf, token });
     }
 
     /// An acknowledgement arrived: pushes the probe deadline out, so the
     /// probe only fires after a quiet period with data still in flight.
-    pub fn rearm_tlp(&mut self, now: SimTime) -> Option<Timer> {
+    pub(crate) fn rearm_tlp(&mut self, queue: &mut Events, conn: ConnId, now: SimTime) {
         if self.in_flight() > 0 {
-            Some(self.arm_tlp(now + self.pto()))
+            self.arm_tlp(queue, conn, now + self.pto());
         } else {
             self.tlp_token += 1;
             self.tlp_armed = false;
-            None
         }
     }
 
     /// The probe timer carrying `token` fired. Unless it is stale or
     /// nothing is in flight, returns the oldest unacked segment — the
-    /// probe, as `(packet, subflow seq)` — and the next probe's timer,
-    /// backed off to the full RTO pace.
-    pub fn fire_tlp(&mut self, token: u64, now: SimTime) -> Option<((PacketRef, u64), Timer)> {
+    /// probe — as `(packet, subflow seq)`; the caller sends it and then
+    /// arms the next probe at the full RTO pace.
+    pub fn fire_tlp(&mut self, token: u64) -> Option<(PacketRef, u64)> {
         let Some(front) = self.sent.front() else {
             self.tlp_armed = false;
             return None;
@@ -159,8 +160,7 @@ impl Subflow {
         if !self.tlp_armed || self.tlp_token != token {
             return None;
         }
-        let probe = (front.pkt, front.sbf_seq);
-        Some((probe, self.arm_tlp(now + self.rtt.rto())))
+        Some((front.pkt, front.sbf_seq))
     }
 
     /// Whether the TCP-small-queue condition throttles this subflow.
@@ -210,12 +210,6 @@ impl Subflow {
             }
         }
         (pkts, bytes, sample)
-    }
-
-    /// Removes and returns the oldest unacknowledged transmission (the
-    /// fast-retransmit victim). Returns `None` when nothing is in flight.
-    pub fn take_oldest_unacked(&mut self) -> Option<TxRec> {
-        self.sent.pop_front()
     }
 
     /// Drains all in-flight transmissions (RTO recovery).
@@ -381,16 +375,24 @@ mod tests {
         let pkts = c.enqueue_data(1400, 0, 0);
         c.record_tx(0, pkts[0], 1400, 0, None);
 
-        // Spurious timeout at 1 s: retransmit + reinjection queued.
-        let out = c.handle_rto(0, from_millis(1000));
-        assert_eq!(out.auto_retransmit.len(), 1);
-        assert!(out.loss_suspected, "segment entered RQ");
-        c.record_tx(0, pkts[0], 1400, from_millis(1000), Some(0));
+        // Spurious timeout at 1 s: the segment is retransmitted on the
+        // subflow and queued for reinjection.
+        let mut queue = Events::new();
+        c.subflows[0].arm_rto(&mut queue, 0, 0);
+        c.now = from_millis(1000);
+        assert!(c.on_rto(&mut queue, 0, c.subflows[0].rto_token));
+        assert_eq!(
+            c.queue(progmp_core::env::QueueKind::Reinject),
+            &[pkts[0]],
+            "segment entered RQ"
+        );
         assert!(c.subflows[0].sent[0].is_rtx, "record marked ambiguous");
         assert_eq!(c.stats.subflows[0].timeouts, 1);
+        assert_eq!(c.stats.subflows[0].retransmissions, 1);
 
         // The original ack finally lands.
-        c.handle_ack(0, 1, 1400, 1 << 20, from_millis(1100));
+        c.now = from_millis(1100);
+        c.on_ack(&mut queue, 0, 1, 1400, 1 << 20);
         assert_eq!(
             c.subflows[0].rtt.srtt(),
             srtt_before,

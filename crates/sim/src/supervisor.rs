@@ -310,14 +310,17 @@ pub(crate) struct ConnContain {
     /// the scheduler re-admission restores, and the fault that put it
     /// here. `None` in every other state.
     pub(crate) parked: Option<(Installed, FaultClass)>,
+    /// The stall watchdog's period
+    /// ([`ContainmentConfig::stall_check_interval`]).
+    pub(crate) watchdog_period: SimTime,
     watchdog_armed: bool,
     progress_mark: u64,
 }
 
 impl ConnContain {
     /// Arms the stall watchdog, snapshotting `data_acked` as the progress
-    /// mark. Returns `false` when already armed (the engine schedules a
-    /// check event only on a fresh arm).
+    /// mark. Returns `false` when already armed (the connection schedules
+    /// a check event only on a fresh arm).
     pub(crate) fn arm_watchdog(&mut self, data_acked: u64) -> bool {
         let fresh = !self.watchdog_armed;
         if fresh {
@@ -356,7 +359,16 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Creates a supervisor for a simulation seeded with `seed`.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.stall_check_interval` is zero: every watchdog check would
+    /// re-arm at the instant it fires, and the run would never advance.
     pub fn new(seed: u64, cfg: ContainmentConfig) -> Self {
+        assert!(
+            cfg.stall_check_interval > 0,
+            "ContainmentConfig::stall_check_interval must be positive"
+        );
         Supervisor {
             cfg: ContainmentConfig {
                 max_strikes: cfg.max_strikes.max(1),
@@ -376,6 +388,7 @@ impl Supervisor {
             // independent of sharding and of other connections.
             rng: ChaosRng::for_path(self.seed ^ SUPERVISOR_SALT, identity, 0),
             parked: None,
+            watchdog_period: self.cfg.stall_check_interval,
             watchdog_armed: false,
             progress_mark: 0,
         })
@@ -387,11 +400,6 @@ impl Supervisor {
             .iter()
             .filter(|i| matches!(i.action, ContainAction::Quarantined | ContainAction::Pinned))
             .count()
-    }
-
-    /// The configured stall-watchdog period.
-    pub fn stall_check_interval(&self) -> SimTime {
-        self.cfg.stall_check_interval
     }
 
     fn replay_string(&self, identity: u64, class: &FaultClass, at: SimTime) -> String {
