@@ -41,7 +41,7 @@ for call in '\.on_fault(' 'check_properties('; do
   [ "$(grep -c "$call" crates/sim/src/engine.rs)" -eq 1 ] || { echo "engine.rs must call $call exactly once (Sim::scheduler_fault / Sim::run_round)"; exit 1; }
 done
 [ "$(grep -cE '(connections\[[^]]*\]|\bc)\.now = ' crates/sim/src/engine.rs)" -le 2 ] \
-  || { echo "a connection's clock is written in Sim::step and, for callers outside the event loop, in Sim::run_scheduler: nowhere else"; exit 1; }
+  || { echo "a connection's clock is written in Sim::step and, for the quiescence path of run_to_completion, in Sim::run_scheduler: nowhere else"; exit 1; }
 
 echo "==> a connection handles its own events: no transport handler, transmit or timer scheduling on Sim, no outcome structs, one dispatch call"
 ! grep -nE 'fn (handle_|transmit\b|schedule_timers)' crates/sim/src/engine.rs \
@@ -66,6 +66,14 @@ echo "==> a fleet's report does not depend on its shards: no fleet breaker, no i
   || { echo "the supervisor keeps a per-connection table again (the record is Connection::contain)"; exit 1; }
 [ "$(sed -n '/^pub struct ContainmentConfig {/,/^}/p' crates/sim/src/supervisor.rs | grep -c '^    pub ')" -eq 4 ] \
   || { echo "ContainmentConfig must declare exactly four pub fields (base_backoff, max_backoff, max_strikes, stall_check_interval)"; exit 1; }
+
+echo "==> a source compiles once per process: one program table behind SchedulerSpec::Dsl, none per Sim, none private, none in the compile pipeline"
+! grep -rnE 'loaded_programs|OnceLock<SchedulerProgram>' crates/ src/ tests/ examples/ \
+  || { echo "a second program table is back (SchedulerSpec::Dsl resolves through config::load)"; exit 1; }
+[ "$(grep -rn 'HashMap<String, SchedulerProgram>' crates/sim/src | wc -l)" -eq 1 ] \
+  || { echo "crates/sim/src must declare exactly one HashMap<String, SchedulerProgram> (config::PROGRAMS)"; exit 1; }
+! grep -nE '^ *(pub(\([a-z]+\))? )?static ' crates/core/src/program.rs \
+  || { echo "crates/core/src/program.rs declares a static: progmp_core::compile, which compile_load times, must stay uncached"; exit 1; }
 
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps

@@ -43,7 +43,7 @@
 //! Property findings never feed the admission verdict: a refuted property
 //! is a warning-severity lint surfaced through `progmp-lint --properties`,
 //! not a rejection. The conformance sweep (`conformance-fuzz
-//! --tier prop-soundness`) cross-validates every *proved* certificate against
+//! --tier program`) cross-validates every *proved* certificate against
 //! the runtime oracle on all three backends, with
 //! [`PropWeakening`]-sabotaged analyses as the mutation control group.
 

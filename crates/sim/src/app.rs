@@ -3,10 +3,10 @@
 //! The evaluation scenarios of the paper use: backlogged bulk transfers
 //! (iPerf), constant-bitrate interactive streams with bitrate switches
 //! (Fig. 1/13), short request/response flows (Fig. 10b/12), and bursty
-//! sources (Fig. 10c). CBR, bursty and one-shot flows are precomputed
-//! event schedules on [`crate::Sim`]; the backlogged bulk source needs
-//! feedback (refill when the sending queue drains), so its state lives on
-//! the [`crate::Connection`] it feeds.
+//! sources (Fig. 10c). CBR and one-shot flows (Fig. 10c's bursts too) are
+//! precomputed event schedules on [`crate::Sim`]; the backlogged bulk
+//! source needs feedback (refill when the sending queue drains), so its
+//! state lives on the [`crate::Connection`] it feeds.
 
 use crate::time::{SimTime, MILLIS};
 

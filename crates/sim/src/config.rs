@@ -5,7 +5,9 @@ use crate::native::NativeScheduler;
 use crate::path::PathConfig;
 use crate::receiver::ReceiverMode;
 use crate::time::SimTime;
-use progmp_core::{Backend, SchedulerProgram};
+use progmp_core::{compile, Backend, CompileError, SchedulerProgram};
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex};
 
 /// Configuration of one subflow of a connection.
 #[derive(Debug, Clone)]
@@ -52,9 +54,12 @@ impl SubflowConfig {
 
 /// Which scheduler a connection runs.
 pub enum SchedulerSpec {
-    /// ProgMP source text, run on `backend`. The [`crate::Sim`] compiles
-    /// each distinct source once (default [`progmp_core::CompileOptions`])
-    /// and binds the shared program to every connection that names it.
+    /// ProgMP source text, run on `backend`. Each distinct source compiles
+    /// once per process (default [`progmp_core::CompileOptions`]) and stays
+    /// loaded for its life, like a loaded kernel scheduler: every connection
+    /// naming it, in any [`crate::Sim`], binds the one program. A caller
+    /// generating sources without bound should compile them itself and
+    /// bind them with [`SchedulerSpec::Program`].
     Dsl {
         /// Scheduler source text.
         source: String,
@@ -118,6 +123,24 @@ impl SchedulerSpec {
     }
 }
 
+/// Every distinct [`SchedulerSpec::Dsl`] source, compiled once under the
+/// default options, so the source text is the whole key.
+static PROGRAMS: LazyLock<Mutex<HashMap<String, SchedulerProgram>>> =
+    LazyLock::new(Default::default);
+
+/// The program for `source`, compiled on first sight. The lock is never
+/// held across the compile: threads racing on a first compile all get the
+/// handle inserted first. A failed compile inserts nothing, so every
+/// attempt reports the error afresh.
+pub(crate) fn load(source: &str) -> Result<SchedulerProgram, CompileError> {
+    let table = || PROGRAMS.lock().expect("no thread panics holding the table");
+    if let Some(program) = table().get(source) {
+        return Ok(program.clone());
+    }
+    let program = compile(source)?;
+    Ok(table().entry(source.to_owned()).or_insert(program).clone())
+}
+
 /// Configuration of one MPTCP connection.
 #[derive(Debug)]
 pub struct ConnectionConfig {
@@ -129,7 +152,7 @@ pub struct ConnectionConfig {
     pub cc: CcAlgo,
     /// Receiver delivery mode (paper §4.2).
     pub receiver_mode: ReceiverMode,
-    /// Maximum segment size in bytes.
+    /// Maximum segment size in bytes; must be positive.
     pub mss: u32,
     /// Receive buffer capacity in bytes (bounds the advertised window).
     pub recv_buf: u64,
@@ -184,7 +207,7 @@ impl ConnectionConfig {
 
     /// Sets the MSS.
     pub fn with_mss(mut self, mss: u32) -> Self {
-        self.mss = mss.max(1);
+        self.mss = mss;
         self
     }
 
@@ -234,5 +257,23 @@ mod tests {
         assert_eq!(cfg.subflows[0].cost, 5);
         assert_eq!(cfg.subflows[0].start_at, from_millis(100));
         assert!(cfg.record_timelines);
+    }
+
+    #[test]
+    fn a_rejected_source_is_never_loaded_and_one_byte_makes_another_entry() {
+        let in_table = |source: &str| PROGRAMS.lock().unwrap().contains_key(source);
+        let rejected = "VAR x = ;";
+        for _ in 0..3 {
+            assert!(load(rejected).is_err(), "reported on every attempt");
+            assert!(!in_table(rejected));
+        }
+
+        let source = "IF (!Q.EMPTY) { SUBFLOWS.MAX(sbf => sbf.CWND).PUSH(Q.POP()); }";
+        let padded = format!("{source} ");
+        let first = load(source).unwrap();
+        assert!(first.ptr_eq(&load(source).unwrap()), "shared once loaded");
+        let second = load(&padded).unwrap();
+        assert!(!first.ptr_eq(&second));
+        assert!(in_table(source) && in_table(&padded));
     }
 }

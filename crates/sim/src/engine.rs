@@ -1,10 +1,10 @@
 //! The discrete-event simulation engine.
 //!
-//! Owns the virtual clock, the event queue, the connections, the program
-//! table, and the scheduler round. Every other piece of work belongs to
-//! the state it changes: `Sim::dispatch` hands each transport event to
-//! the [`Connection`] it names, which schedules its own follow-ups and
-//! says whether the scheduler should run; only the scheduler round, the
+//! Owns the virtual clock, the event queue, the connections, and the
+//! scheduler round. Every other piece of work belongs to the state it
+//! changes: `Sim::dispatch` hands each transport event to the
+//! [`Connection`] it names, which schedules its own follow-ups and says
+//! whether the scheduler should run; only the scheduler round, the
 //! re-admission and the stall watchdog, which need the oracle or the
 //! supervisor, stay here.
 //!
@@ -17,7 +17,7 @@
 
 use crate::app::BulkState;
 use crate::calendar::CalendarQueue;
-use crate::config::{ConnectionConfig, SchedulerSpec};
+use crate::config::{load, ConnectionConfig, SchedulerSpec};
 use crate::connection::{Connection, Installed, SchedulerHandle};
 use crate::faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
 use crate::oracle::{
@@ -33,8 +33,7 @@ use crate::supervisor::{
 use crate::time::SimTime;
 use progmp_core::env::{PacketRef, RegId, SubflowId, Trigger};
 use progmp_core::exec::{ExecCtx, ExecScratch};
-use progmp_core::{compile, CompileError, ExecStats, SchedulerProgram};
-use std::collections::hash_map::{Entry, HashMap};
+use progmp_core::{CompileError, ExecStats};
 use std::time::Instant;
 
 /// Identifier of a connection within a [`Sim`].
@@ -176,10 +175,6 @@ pub struct Sim {
     pub events_processed: u64,
     oracle: Option<InvariantOracle>,
     supervisor: Option<Supervisor>,
-    /// Every distinct [`SchedulerSpec::Dsl`] source this simulator was
-    /// handed, compiled once. All of them compile under the default
-    /// options, so the source text is the whole key.
-    programs: HashMap<String, SchedulerProgram>,
     /// Buffers every scheduler execution of this simulator reuses: one
     /// set per `Sim` (per fleet shard), whichever connection runs, so a
     /// warmed-up round allocates nothing and idle connections hold none.
@@ -199,7 +194,6 @@ impl Sim {
             events_processed: 0,
             oracle: None,
             supervisor: None,
-            programs: HashMap::new(),
             exec_scratch: ExecScratch::default(),
             tx_scratch: Vec::new(),
         }
@@ -275,27 +269,8 @@ impl Sim {
         );
     }
 
-    /// The program for `source`: compiled on first sight, shared from
-    /// then on. A source that fails to compile leaves no entry, so every
-    /// attempt reports the error afresh.
-    fn load(&mut self, source: String) -> Result<SchedulerProgram, CompileError> {
-        Ok(match self.programs.entry(source) {
-            Entry::Occupied(e) => e.get().clone(),
-            Entry::Vacant(e) => {
-                let program = compile(e.key())?;
-                e.insert(program).clone()
-            }
-        })
-    }
-
-    /// Number of distinct programs compiled from [`SchedulerSpec::Dsl`]
-    /// sources so far.
-    pub fn loaded_programs(&self) -> usize {
-        self.programs.len()
-    }
-
     /// Creates a connection from `cfg`. Fails if a DSL scheduler does not
-    /// compile.
+    /// compile; panics as [`Sim::add_connection_with_identity`] does.
     ///
     /// The connection's per-path chaos streams are keyed by its local
     /// [`ConnId`]; use [`Sim::add_connection_with_identity`] when the
@@ -312,15 +287,21 @@ impl Sim {
     /// loss/jitter draw a pure function of `(sim seed, identity,
     /// subflow)` — bit-identical no matter how many shards the fleet is
     /// split into.
+    ///
+    /// # Panics
+    ///
+    /// If `cfg.mss` is zero: the connection could never split data into
+    /// segments, and the first send would allocate without end.
     pub fn add_connection_with_identity(
         &mut self,
         cfg: ConnectionConfig,
         identity: u64,
     ) -> Result<ConnId, CompileError> {
+        assert!(cfg.mss > 0, "ConnectionConfig::mss must be positive");
         let id = self.connections.len();
         let handle = match cfg.scheduler {
             SchedulerSpec::Dsl { source, backend } => {
-                SchedulerHandle::Dsl(self.load(source)?.instantiate(backend))
+                SchedulerHandle::Dsl(load(&source)?.instantiate(backend))
             }
             SchedulerSpec::Program { program, backend } => {
                 SchedulerHandle::Dsl(program.instantiate(backend))
@@ -592,8 +573,8 @@ impl Sim {
 
     /// Re-checks every connection. Runs whenever a run call stops, so
     /// whatever the caller did since the last one through the public
-    /// [`Sim::connections`] or [`Sim::run_scheduler`] — where no event
-    /// names the connection touched — is still checked.
+    /// [`Sim::connections`] — where no event names the connection touched
+    /// — is still checked.
     fn oracle_sweep(&mut self) {
         if let Some(oracle) = self.oracle.as_mut() {
             for conn in &self.connections {
@@ -602,11 +583,12 @@ impl Sim {
         }
     }
 
-    /// Runs all events up to and including `until`, then sets the clock
-    /// to `until`.
+    /// Runs all events up to and including `until`, then advances the
+    /// clock to `until`, never back: events scheduled from [`Sim::now`]
+    /// must not land behind ones already handled.
     pub fn run_until(&mut self, until: SimTime) {
         self.run_events(until);
-        self.now = until;
+        self.now = self.now.max(until);
         self.oracle_sweep();
     }
 
@@ -735,8 +717,8 @@ impl Sim {
     /// runs at once so the event that found the fault still gets
     /// scheduled (bounded: a fault while quarantined is recorded, never
     /// re-swapped).
-    pub fn run_scheduler(&mut self, conn: ConnId) {
-        // Callers outside the event loop get no stamp from `step`.
+    fn run_scheduler(&mut self, conn: ConnId) {
+        // `run_to_completion`'s quiescence path gets no stamp from `step`.
         self.connections[conn].now = self.now;
         let Some(mut scheduler) = self.connections[conn].installed.take() else {
             return;
@@ -1290,6 +1272,29 @@ pub(crate) mod tests {
     #[should_panic(expected = "unknown connection 9")]
     fn an_unknown_connection_panics_at_the_call() {
         Sim::new(1).app_send_at(9, 0, 1400, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ConnectionConfig::mss")]
+    fn a_zero_mss_is_rejected() {
+        let cfg = two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)).with_mss(0);
+        Sim::new(3).add_connection(cfg).unwrap();
+    }
+
+    #[test]
+    fn run_until_never_moves_the_clock_back() {
+        let mut sim = Sim::new(7);
+        let conn = sim
+            .add_connection(two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)))
+            .unwrap();
+        sim.app_send_at(conn, 0, 200_000, 0);
+        sim.run_to_completion(20 * SECONDS);
+        let finished = sim.now;
+        assert!(finished > from_millis(100));
+        sim.run_until(from_millis(100));
+        assert_eq!(sim.now, finished);
+        sim.run_until(finished + SECONDS);
+        assert_eq!(sim.now, finished + SECONDS);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   scheduler hook implementing [`progmp_core::env::SchedulerEnv`];
 //! * the **receiver**: per-subflow and meta reordering with both the
 //!   stock-Linux (legacy) and the paper's improved delivery (§4.2);
-//! * **applications**: bulk, constant-bitrate, bursty, and short-flow
-//!   sources, plus register signalling through the extended API.
+//! * **applications**: bulk and constant-bitrate sources and one-shot
+//!   sends, plus register signalling through the extended API.
 //!
 //! ## Quick example
 //!

@@ -12,8 +12,7 @@
 //!    scheduler is parked whole (the [`Installed`] value: instance,
 //!    property certificate, `RQ` capability flag, and step budget) and a
 //!    built-in safe default with minRtt semantics ([`fallback_program`],
-//!    compiled once and shared across all quarantined connections) takes
-//!    over;
+//!    one program per process, like any DSL source) takes over;
 //! 2. schedules **probationary re-admission** after a deterministic
 //!    exponential backoff. Backoff jitter is drawn from a per-connection
 //!    xorshift stream keyed by `(simulation seed, connection identity)`
@@ -40,11 +39,11 @@
 //! same scenario with the same seed reproduces the same incident at the
 //! same simulated time.
 
+use crate::config::load;
 use crate::connection::{Connection, Installed, SchedulerHandle};
 use crate::faults::ChaosRng;
 use crate::time::{SimTime, MILLIS, SECONDS};
 use progmp_core::{Backend, ExecError, SchedulerProgram};
-use std::sync::OnceLock;
 
 /// Domain separation for the supervisor's backoff streams: keeps the
 /// jitter draws disjoint from the path chaos streams derived from the
@@ -71,15 +70,10 @@ pub const FALLBACK_DSL: &str = "
         avail.MIN(sbf => sbf.RTT).PUSH(Q.POP());
     }";
 
-static FALLBACK: OnceLock<SchedulerProgram> = OnceLock::new();
-
-/// The shared fallback program, compiled once per process. Quarantined
-/// connections each instantiate it, so the compiled image (and its
-/// certificates) is never duplicated.
-pub fn fallback_program() -> &'static SchedulerProgram {
-    FALLBACK.get_or_init(|| {
-        progmp_core::compile(FALLBACK_DSL).expect("built-in fallback scheduler compiles")
-    })
+/// The shared fallback program, loaded like any [`crate::SchedulerSpec::Dsl`]
+/// source: quarantined connections each instantiate the one compiled image.
+pub fn fallback_program() -> SchedulerProgram {
+    load(FALLBACK_DSL).expect("built-in fallback scheduler compiles")
 }
 
 /// The structured fault a scheduler upcall (or its oracle watchdog)
@@ -535,7 +529,7 @@ mod tests {
     #[test]
     fn fallback_compiles_once_and_proves_its_claims() {
         let p = fallback_program();
-        assert!(p.ptr_eq(fallback_program()), "compiled once, shared");
+        assert!(p.ptr_eq(&fallback_program()), "compiled once, shared");
         assert!(p.pops_reinjection_queue());
         assert_eq!(
             p.property_certificate().work_conservation.status,

@@ -1,7 +1,10 @@
-//! The program lifecycle inside one [`Sim`]: each distinct source
-//! compiles once, every connection naming it shares that program, and
-//! what must stay per connection (budget and certificate overrides, the
-//! parked scheduler of a quarantine) does.
+//! The program lifecycle: each distinct source compiles once per process,
+//! every connection naming it — in any [`Sim`], on any thread — shares
+//! that program, and what must stay per connection (budget and
+//! certificate overrides, the parked scheduler of a quarantine) does.
+//!
+//! Every test here shares one process-wide table, so none counts its
+//! entries: sharing is asserted by pointer-equal programs.
 
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
@@ -10,6 +13,7 @@ use mptcp_sim::{
 };
 use progmp_core::env::RegId;
 use progmp_core::{Backend, SchedulerInstance, SchedulerProgram};
+use std::sync::Barrier;
 
 const MIN_RTT: &str =
     "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
@@ -44,18 +48,21 @@ fn installed(sim: &Sim, conn: usize) -> &Installed {
         .expect("no execution in flight")
 }
 
+/// The first seven bundled sources: the paper's schedulers.
+fn seven_sources() -> impl Iterator<Item = &'static str> + Clone {
+    progmp_schedulers::sources::ALL[..7].iter().map(|&(_, s)| s)
+}
+
 #[test]
-fn seventy_connections_of_seven_schedulers_load_seven_programs() {
+fn seventy_connections_of_seven_schedulers_share_seven_programs() {
     let mut sim = Sim::new(3);
-    for i in 0..70 {
-        let (_, source) = progmp_schedulers::sources::ALL[i % 7];
+    for (i, source) in seven_sources().cycle().take(70).enumerate() {
         let backend = Backend::ALL[i % 3];
         let cfg = ConnectionConfig::new(paths(2), SchedulerSpec::dsl_on(source, backend));
         let conn = sim.add_connection(cfg).unwrap();
         sim.set_register_at(conn, 0, RegId::R1, 1_000_000);
         sim.app_send_at(conn, 0, 20_000, 0);
     }
-    assert_eq!(sim.loaded_programs(), 7);
     for i in 7..70 {
         assert!(
             program(&sim, i).ptr_eq(program(&sim, i % 7)),
@@ -75,18 +82,46 @@ fn seventy_connections_of_seven_schedulers_load_seven_programs() {
             c.id
         );
     }
-    assert_eq!(sim.loaded_programs(), 7);
+}
+
+#[test]
+fn two_simulators_on_two_threads_share_one_program_per_source() {
+    // Both threads start binding at once, so on a cold table they race to
+    // compile the same first source.
+    let start = Barrier::new(2);
+    let bind_all = || {
+        start.wait();
+        let mut sim = Sim::new(3);
+        for source in seven_sources() {
+            let cfg = ConnectionConfig::new(paths(2), SchedulerSpec::dsl(source));
+            sim.add_connection(cfg).unwrap();
+        }
+        (0..7).map(|c| program(&sim, c).clone()).collect::<Vec<_>>()
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(bind_all), s.spawn(bind_all));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for (i, (a, b)) in a.iter().zip(&b).enumerate() {
+        assert!(a.ptr_eq(b), "source {i} compiled once for both simulators");
+    }
 }
 
 #[test]
 fn sources_differing_by_one_byte_are_two_programs() {
-    let mut sim = Sim::new(3);
+    let bind = |sim: &mut Sim, source: String| {
+        let cfg = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(source));
+        sim.add_connection(cfg).unwrap()
+    };
+    let (mut sim, mut again) = (Sim::new(3), Sim::new(4));
     for source in [MIN_RTT.to_string(), format!("{MIN_RTT} ")] {
-        sim.add_connection(ConnectionConfig::new(paths(1), SchedulerSpec::dsl(source)))
-            .unwrap();
+        bind(&mut sim, source.clone());
+        bind(&mut again, source);
     }
-    assert_eq!(sim.loaded_programs(), 2);
     assert!(!program(&sim, 0).ptr_eq(program(&sim, 1)));
+    for conn in [0, 1] {
+        assert!(program(&sim, conn).ptr_eq(program(&again, conn)));
+    }
 }
 
 #[test]
@@ -97,9 +132,11 @@ fn a_rejected_source_is_reported_every_time_and_never_loaded() {
     for _ in 0..3 {
         let bad = ConnectionConfig::new(paths(1), SchedulerSpec::dsl("VAR x = ;"));
         assert!(sim.add_connection(bad).is_err());
-        assert_eq!(sim.loaded_programs(), 1);
         assert_eq!(sim.connections.len(), 1);
     }
+    let good = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(MIN_RTT));
+    sim.add_connection(good).unwrap();
+    assert!(program(&sim, 1).ptr_eq(program(&sim, 0)));
 }
 
 #[test]
@@ -114,7 +151,12 @@ fn a_precompiled_program_binds_without_entering_the_table() {
         sim.app_send_at(conn, 0, 20_000, 0);
         assert!(program(&sim, conn).ptr_eq(&loaded));
     }
-    assert_eq!(sim.loaded_programs(), 0);
+    let from_source = ConnectionConfig::new(paths(2), SchedulerSpec::dsl(MIN_RTT));
+    let conn = sim.add_connection(from_source).unwrap();
+    assert!(
+        !program(&sim, conn).ptr_eq(&loaded),
+        "the same source through the table is the table's own program"
+    );
     sim.run_to_completion(30 * SECONDS);
     assert!(sim.connections.iter().all(|c| c.all_acked()));
 }
@@ -134,7 +176,6 @@ fn budget_and_certificate_overrides_stay_per_connection() {
     for cfg in [plain, tight, overridden] {
         sim.add_connection(cfg).unwrap();
     }
-    assert_eq!(sim.loaded_programs(), 1);
     let shared = program(&sim, 0);
     assert!(program(&sim, 1).ptr_eq(shared) && program(&sim, 2).ptr_eq(shared));
 
@@ -221,7 +262,7 @@ fn readmission_restores_exactly_what_quarantine_parked() {
         ContainState::Quarantined
     );
     let fallback = installed(&sim, 0);
-    assert!(program(&sim, 0).ptr_eq(fallback_program()));
+    assert!(program(&sim, 0).ptr_eq(&fallback_program()));
     assert_eq!(
         fallback.cert(),
         Some(fallback_program().property_certificate())
