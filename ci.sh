@@ -51,13 +51,13 @@ echo "==> a connection handles its own events: no transport handler, transmit or
 [ "$(grep -c 'self\.dispatch(' crates/sim/src/engine.rs)" -eq 1 ] \
   || { echo "Sim::dispatch must be called from Sim::step only (a second call site measured 5 % slower on fleet_bulk)"; exit 1; }
 
-echo "==> one verifier configuration, no miscompile field: CompileOptions is four choices, the sabotaged passes are unit-test code"
+echo "==> one verifier configuration, no miscompile field: CompileOptions is three choices, the sabotaged passes are unit-test code"
 ! grep -rnE 'relational_domain|opt_sabotage|prop_weakening|compile_observed_relational|verify_properties_weakened' crates/ src/ tests/ examples/ \
   || { echo "a caller can ask for a weaker verifier, a miscompile or a false certificate again"; exit 1; }
 ! grep -rn 'Sabotage' crates/conformance crates/core/src/opt/{sccp,cse,licm,peephole,dce}.rs \
   || { echo "a pass takes a sabotage parameter again (swap a pass in the table: crates/core/src/opt/mod.rs tests)"; exit 1; }
-[ "$(sed -n '/^pub struct CompileOptions {/,/^}/p' crates/core/src/program.rs | grep -c '^    pub ')" -eq 4 ] \
-  || { echo "CompileOptions must declare exactly four pub fields (optimize, enforce_admission, optimize_bytecode, strict_optimize)"; exit 1; }
+[ "$(sed -n '/^pub struct CompileOptions {/,/^}/p' crates/core/src/program.rs | grep -c '^    pub ')" -eq 3 ] \
+  || { echo "CompileOptions must declare exactly three pub fields (optimize, enforce_admission, optimize_bytecode)"; exit 1; }
 
 echo "==> a fleet's report does not depend on its shards: no fleet breaker, no incident filter, the containment record on the Connection, ContainmentConfig is four tunables"
 ! grep -rnE 'fleet_breaker|take_breaker_trip|FleetBreakerTripped|set_panic_on_violation|canonical_incidents|OracleMode::Panic' crates/ src/ tests/ examples/ \
@@ -99,15 +99,23 @@ for def in 'fn sweep' 'struct .*SweepReport' 'struct .*Violation' 'fn all_caught
   [ "$(grep -rn "$def" crates/conformance/src | wc -l)" -le 1 ] || { echo "a tier grew its own copy of: $def (use tier.rs)"; exit 1; }
 done
 
-echo "==> one generated case per seed: four tiers, four check_seeds, one program generator"
-[ "$(grep -c '^    Tier {$' crates/conformance/src/tier.rs)" -eq 4 ] \
-  || { echo "TIERS must have four rows (program, opt-soundness, chaos, fleet-chaos): ask a new per-program question in program.rs"; exit 1; }
-[ "$(grep -rn 'fn check_seed' crates/conformance/src | wc -l)" -eq 4 ] \
-  || { echo "fn check_seed must be defined exactly four times under crates/conformance/src (one per tier)"; exit 1; }
+echo "==> one generated case per seed: three tiers, three check_seeds, one program generator"
+[ "$(grep -c '^    Tier {$' crates/conformance/src/tier.rs)" -eq 3 ] \
+  || { echo "TIERS must have three rows (program, chaos, fleet-chaos): ask a new per-program question in program.rs"; exit 1; }
+[ "$(grep -rn 'fn check_seed' crates/conformance/src | wc -l)" -eq 3 ] \
+  || { echo "fn check_seed must be defined exactly three times under crates/conformance/src (one per tier)"; exit 1; }
 ! grep -rnwE 'GenConfig|with_config' crates/ src/ tests/ examples/ \
   || { echo "the generator grew tunables again (its limits are constants of gen.rs)"; exit 1; }
 [ ! -e crates/core/tests/backend_equivalence.rs ] \
   || { echo "a second program generator is back: crates/core/tests/backend_equivalence.rs (the program tier checks its properties)"; exit 1; }
+
+echo "==> the optimizer is checked once and recorded once: a program claim, the optimized_*.snap goldens, one xorshift64*, no strict mode"
+! grep -rnE 'opt_soundness|strict_optimize|measure_all|meta_json|NativeRoundRobin|set_step_budget' crates/ src/ tests/ examples/ \
+  || { echo "a second check or record of the bytecode optimizer, or dead public code, is back (the check is program.rs, the record optimized_*.snap)"; exit 1; }
+! grep -q '"optimizer"' BENCH_scale.json \
+  || { echo "BENCH_scale.json records the optimizer again (the scale fleet never runs optimized images)"; exit 1; }
+[ "$(grep -rn '0x2545_F491_4F6C_DD1D' crates/ | wc -l)" -eq 1 ] \
+  || { echo "xorshift64* must be defined once under crates/ (mptcp_sim::ChaosRng)"; exit 1; }
 
 echo "==> conformance-fuzz: every tier at its CI seed count, seeds sharded over the cores"
 cargo build -q --release -p progmp-conformance --bin conformance-fuzz

@@ -252,11 +252,8 @@ pub static EXPERIMENTS: [Experiment; 20] = [
         about: "\"Scheduler Location and Calling Model\" — the design-decision measurement behind \
             the in-kernel runtime. The architectural analogue here: dispatching each scheduling \
             decision to another thread over channels (context switch + wakeup, like a netlink \
-            round trip) versus executing the scheduler in-process. The second half of the upcall \
-            story is how much work each upcall does: the verified bytecode optimizer trims the \
-            per-decision dynamic instruction count without touching the certified step bound, and \
-            the second table pins the before/after numbers for all seven paper schedulers. The \
-            third prices the containment supervisor's clean path: a healthy transfer with and \
+            round trip) versus executing the scheduler in-process. The second table prices the \
+            containment supervisor's clean path: a healthy transfer with and \
             without the supervisor enabled, compared per scheduling decision. The fault boundary \
             only pays when a fault actually fires; on the clean path the supervisor adds a \
             per-upcall branch and a once-per-second watchdog tick.",
@@ -738,7 +735,7 @@ mod tests {
         }
         assert_eq!(
             rows.iter().map(|r| arr(r, "shapes").len()).sum::<usize>(),
-            50
+            49
         );
     }
 }

@@ -1,5 +1,5 @@
 use super::{int, num, text, Outcome, Shape, Table};
-use crate::{mock_env, ns_per_upcall, optimizer, path};
+use crate::{mock_env, ns_per_upcall, path};
 use mptcp_sim::time::SECONDS;
 use mptcp_sim::{ConnectionConfig, ContainmentConfig, SchedulerSpec, Sim};
 use progmp_core::exec::ExecCtx;
@@ -76,38 +76,6 @@ pub fn run() -> Outcome {
         calling.row(vec![text(model), num(ns / 1000.0, 2).unit(" µs")]);
     }
 
-    // Per-upcall work: the verified bytecode optimizer's effect on the
-    // dynamic instruction count of one scheduling decision.
-    let measurements = optimizer::measure_all();
-    let mut insns = Table::new(
-        "verified bytecode optimizer: per-upcall instruction count",
-        &[
-            "scheduler",
-            "insns before",
-            "insns after",
-            "change",
-            "model bound before",
-            "after",
-            "certified",
-        ],
-    );
-    for m in &measurements {
-        let (before, after) = (m.upcall_insns_before as f64, m.upcall_insns_after as f64);
-        insns.row(vec![
-            text(m.scheduler),
-            int(m.upcall_insns_before),
-            int(m.upcall_insns_after),
-            num(100.0 * (after - before) / before, 1).unit("%"),
-            int(m.model_bound_before),
-            int(m.model_bound_after),
-            int(m.certified_bound),
-        ]);
-    }
-    let reduced = measurements
-        .iter()
-        .filter(|m| m.upcall_insns_after < m.upcall_insns_before)
-        .count();
-
     // Clean-path cost of the containment supervisor: same healthy
     // transfer, supervisor off vs on, best of five to shed scheduler noise.
     let best = |contained: bool| {
@@ -129,7 +97,7 @@ pub fn run() -> Outcome {
     }
 
     Outcome {
-        tables: vec![calling, insns, containment],
+        tables: vec![calling, containment],
         shapes: vec![
             Shape::timed(
                 "the up-call model is many times more expensive — the reason the runtime lives in \
@@ -145,15 +113,10 @@ pub fn run() -> Outcome {
                 upcall_ns > 3.0 * in_process_ns,
             )
             .deviation(
-                "the factor is ~4x rather than 12x: a Rust channel round trip is cheaper than a \
+                "the factor follows the host's thread wake-up latency (3x to 13x on shared \
+                 2-CPU containers, against the paper's 12x): a Rust channel round trip is not a \
                  netlink syscall pair, and our in-process execution is slower than a hot kernel \
                  path; the architectural conclusion is unchanged",
-            ),
-            Shape::sim(
-                "paper schedulers retire fewer instructions per upcall; no model bound grew",
-                "not in the paper (checked: >= 5 of 7 reduced)",
-                format!("{reduced}/{}", measurements.len()),
-                reduced >= 5,
             ),
             Shape::timed(
                 "clean-path containment overhead",

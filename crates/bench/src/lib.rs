@@ -14,7 +14,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiment;
-pub mod optimizer;
 pub mod report;
 pub mod scale;
 

@@ -115,13 +115,6 @@ pub fn run_scale(cfg: &ScaleConfig, progress: &mut dyn FnMut(&str)) -> Report {
         .meta(
             "schedulers",
             Json::Arr(PAPER.iter().map(|s| Json::from(*s)).collect()),
-        )
-        // The image generation this trajectory point was measured
-        // against: per-scheduler dynamic/static instruction counts and
-        // step bounds before and after the verified bytecode optimizer.
-        .meta(
-            "optimizer",
-            crate::optimizer::meta_json(&crate::optimizer::measure_all()),
         );
     let mut ran: Vec<(usize, usize)> = Vec::new();
     for &size in &cfg.sizes {
@@ -257,29 +250,6 @@ pub fn validate_scale_report(doc: &Json) -> Result<(), String> {
     }
     if !matches!(mode(doc), Some("full" | "smoke")) {
         return Err("meta.mode is neither \"full\" nor \"smoke\"".into());
-    }
-    let optimizer = doc
-        .get("meta")
-        .and_then(|m| m.get("optimizer"))
-        .ok_or("meta is missing the 'optimizer' before/after object")?;
-    for name in PAPER {
-        let entry = optimizer
-            .get(name)
-            .ok_or_else(|| format!("optimizer meta is missing scheduler {name:?}"))?;
-        let field = |key: &str| {
-            entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("optimizer meta for {name:?}: missing numeric {key:?}"))
-        };
-        if field("model_bound_after")? > field("model_bound_before")? {
-            return Err(format!("optimizer meta for {name:?}: model bound grew"));
-        }
-        if field("upcall_insns_after")? > field("upcall_insns_before")? {
-            return Err(format!(
-                "optimizer meta for {name:?}: per-upcall instruction count grew"
-            ));
-        }
     }
     let rows = doc.get("rows").and_then(Json::as_arr).ok_or("no rows")?;
     if rows.is_empty() {

@@ -19,10 +19,12 @@
 //! path mix — keeping whatever still fails, until nothing smaller does.
 //! Everything replays from the case seed alone.
 
-use crate::rng::Xorshift;
+use crate::rng::Draw;
 use crate::tier::{Probe, Report};
 use mptcp_sim::time::{from_millis, SimTime, SECONDS};
-use mptcp_sim::{ConnectionConfig, FaultPlan, PathConfig, SchedulerSpec, Sim, SubflowConfig};
+use mptcp_sim::{
+    ChaosRng, ConnectionConfig, FaultPlan, PathConfig, SchedulerSpec, Sim, SubflowConfig,
+};
 use progmp_core::env::RegId;
 use progmp_core::Backend;
 
@@ -60,7 +62,7 @@ pub struct ChaosCase {
 impl ChaosCase {
     /// Derives a case from `seed`. Pure: equal seeds give equal cases.
     pub fn generate(seed: u64) -> ChaosCase {
-        let mut rng = Xorshift::new(seed ^ CHAOS_SALT);
+        let mut rng = ChaosRng::new(seed ^ CHAOS_SALT);
         let scheduler = *rng.pick(&progmp_schedulers::PAPER);
         let n_paths = 2 + rng.below(2); // 2..=3
         let rtts_ms: Vec<u64> = (0..n_paths).map(|_| 5 + rng.below(75)).collect();

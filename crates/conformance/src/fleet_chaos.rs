@@ -22,13 +22,13 @@
 //! a panic anywhere fails the whole sweep process. Everything replays
 //! from the case seed alone.
 
-use crate::rng::Xorshift;
 use crate::tier::Report;
 use mptcp_sim::fleet::conn_seeds;
 use mptcp_sim::time::{SimTime, SECONDS};
 use mptcp_sim::{
-    run_fleet, ConnScenario, ConnectionConfig, ContainmentConfig, FleetConfig, FleetReport,
-    NativeTrapping, OracleMode, PathConfig, SchedulerSpec, Sim, SubflowConfig, Workload,
+    run_fleet, ChaosRng, ConnScenario, ConnectionConfig, ContainmentConfig, FleetConfig,
+    FleetReport, NativeTrapping, OracleMode, PathConfig, SchedulerSpec, Sim, SubflowConfig,
+    Workload,
 };
 
 /// Domain separation for per-connection shape draws, so fleet-chaos
@@ -88,7 +88,7 @@ impl FleetCase {
     /// `global % 5`, path/flow shape from the connection seed. Pure, so
     /// the incident-replay path can rebuild any single connection.
     pub fn scenario(&self, global: usize, conn_seed: u64) -> ConnScenario {
-        let mut rng = Xorshift::new(conn_seed ^ FLEET_CHAOS_SALT);
+        let mut rng = ChaosRng::new(conn_seed ^ FLEET_CHAOS_SALT);
         let rtt_a = mptcp_sim::time::from_millis(5 + rng.below(40));
         let rtt_b = mptcp_sim::time::from_millis(20 + rng.below(60));
         let loss = rng.below(10) as f64 / 1000.0; // 0..0.9%

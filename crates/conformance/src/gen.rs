@@ -20,7 +20,8 @@
 //! compiled from source, so every case also exercises the lexer, parser,
 //! and printer round-trip, not just the backend pipeline.
 
-use crate::rng::Xorshift;
+use crate::rng::Draw;
+use mptcp_sim::ChaosRng;
 use progmp_core::ast::{BinOp, Expr, ExprKind, Program, Stmt, StmtKind, UnOp};
 use progmp_core::env::{PacketProp, QueueKind, RegId, SubflowProp, NUM_REGISTERS};
 use progmp_core::error::Pos;
@@ -48,7 +49,7 @@ const MAX_STMT_DEPTH: u32 = 3;
 
 /// The program/environment generator. One instance per seed.
 pub struct Generator {
-    rng: Xorshift,
+    rng: ChaosRng,
     next_name: u32,
     /// Lexical scope stack: each frame holds `(name, type)` bindings.
     scopes: Vec<Vec<(String, Type)>>,
@@ -80,7 +81,7 @@ impl Generator {
     /// Creates a generator for `seed`.
     pub fn new(seed: u64) -> Self {
         Generator {
-            rng: Xorshift::new(seed),
+            rng: ChaosRng::new(seed),
             next_name: 0,
             scopes: vec![Vec::new()],
         }

@@ -1,4 +1,4 @@
-//! Conformance harness: four seeded fuzz tiers behind one contract.
+//! Conformance harness: three seeded fuzz tiers behind one contract.
 //!
 //! The ProgMP pipeline ships three execution backends (tree-walking
 //! interpreter, AOT closure compiler, bytecode VM) that must be
@@ -9,13 +9,12 @@
 //! injected defects that show the tier bites — and listed in
 //! [`tier::TIERS`]. [`tier::run`] is the only sweep loop; it shards a
 //! seed range over threads and reports the same thing for any thread
-//! count. `program` asks every per-program claim of one compile and
-//! one set of executions of a program from [`gen::Generator`] (the
-//! executions are [`differ`]'s, the probes [`vm_soundness`]'s and
-//! [`prop_soundness`]'s); [`opt_soundness`], [`chaos`] and
-//! [`fleet_chaos`] each check a bytecode-optimized image, a fault plan
-//! or a fleet; [`shrink`] reduces a failing case to a minimal printable
-//! repro.
+//! count. `program` asks every per-program claim, the bytecode
+//! optimizer's included, of one compile and one set of executions of a
+//! program from [`gen::Generator`] (the executions are [`differ`]'s, the
+//! probes [`vm_soundness`]'s and [`prop_soundness`]'s); [`chaos`] and
+//! [`fleet_chaos`] each check a fault plan or a fleet; [`shrink`] reduces
+//! a failing case to a minimal printable repro.
 //!
 //! Everything is deterministic from the seed: `conformance-fuzz --tier T
 //! --start S --seeds N` explores seeds `[S, S+N)` of tier `T`, and every
@@ -29,10 +28,9 @@ pub mod chaos;
 pub mod differ;
 pub mod fleet_chaos;
 pub mod gen;
-pub mod opt_soundness;
 mod program;
 pub mod prop_soundness;
-pub mod rng;
+mod rng;
 pub mod shrink;
 pub mod snapshot;
 pub mod tier;

@@ -21,6 +21,12 @@
 //!   [`check_properties`];
 //! * **HIR optimizer** — a compile with `optimize: false` reads the same
 //!   on the VM (one over a backend resource limit is counted, not failed);
+//! * **bytecode optimizer** — the image [`progmp_core::opt`] keeps reads
+//!   the same on the VM, its model step bound never grows, and a
+//!   fail-open rollback (counted, not failed) carries a spanned
+//!   `misoptimization` diagnostic; that the per-pass validation catches
+//!   an unsound pass is shown by that module's unit tests, which swap one
+//!   into the pipeline;
 //! * **no vanished packet** — every packet in `Q` before the first round
 //!   is afterwards still queued, transmitted or dropped;
 //! * **tiny budget** — under a 7-step budget every backend stops with a
@@ -39,6 +45,7 @@ use mptcp_sim::oracle::check_properties;
 use progmp_core::ast::Program;
 use progmp_core::env::{PacketRef, QueueKind};
 use progmp_core::error::Stage;
+use progmp_core::verify::Lint;
 use progmp_core::{Backend, CompileOptions, PropStatus};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -116,6 +123,8 @@ pub fn check_seed(seed: u64, out: &mut Report) {
         }
     }
 
+    // `Backend::ALL` ends with the VM.
+    let vm = &outcomes[outcomes.len() - 1];
     let unoptimized = progmp_core::compile_with_options(
         None,
         &source,
@@ -128,8 +137,6 @@ pub fn check_seed(seed: u64, out: &mut Report) {
     match unoptimized {
         Ok(raw) => {
             let raw_vm = BackendOutcome::run(&raw, Backend::Vm, &spec, raw.certified_step_bound());
-            // `Backend::ALL` ends with the VM.
-            let vm = &outcomes[outcomes.len() - 1];
             if !raw_vm.agrees_with(vm) {
                 let (raw_vm, vm) = (raw_vm.render(), vm.render());
                 let detail =
@@ -140,6 +147,7 @@ pub fn check_seed(seed: u64, out: &mut Report) {
         Err(e) if e.stage == Stage::Codegen => out.count("unoptimized over limits", 1),
         Err(e) => out.finding(seed, "unoptimized compile", e.to_string(), &source),
     }
+    check_bytecode_optimizer(seed, &source, &spec, vm, out);
 
     for backend in Backend::ALL {
         let tiny = catch_unwind(AssertUnwindSafe(|| {
@@ -168,6 +176,60 @@ pub fn check_seed(seed: u64, out: &mut Report) {
             "backends disagree on a round's result, the effect trace or the final environment";
         out.finding(seed, context, detail, minimal.report());
     }
+}
+
+/// Asks the bytecode-optimizer claim of `source`, whose unoptimized image
+/// ran on the VM as `vm`. Counts the `rewrites kept`, whether a pass was
+/// `rolled back`, and whether the image came out `optimized clean` (no
+/// rollback, no finding of this claim).
+fn check_bytecode_optimizer(
+    seed: u64,
+    source: &str,
+    spec: &EnvSpec,
+    vm: &BackendOutcome,
+    out: &mut Report,
+) {
+    let options = CompileOptions {
+        enforce_admission: false,
+        optimize_bytecode: true,
+        ..CompileOptions::default()
+    };
+    let opt = match progmp_core::compile_with_options(None, source, options) {
+        Ok(opt) => opt,
+        Err(e) => return out.finding(seed, "bytecode-optimized compile", e.to_string(), source),
+    };
+    let findings_before = out.findings.len();
+    let report = opt
+        .opt_report()
+        .expect("optimized compile records an OptReport");
+    if report.bound_after > report.bound_before {
+        let detail = format!(
+            "model bound grew {} -> {}",
+            report.bound_before, report.bound_after
+        );
+        out.finding(seed, "bytecode optimizer, step bound", detail, source);
+    }
+    // A fail-open rollback must still say why, at a source span: a
+    // silent one would be unauditable.
+    let rolled_back = report.passes.iter().any(|p| p.rolled_back);
+    let spanned = report
+        .diagnostics
+        .iter()
+        .any(|d| d.lint == Lint::Misoptimization && d.pos.line > 0);
+    if rolled_back && !spanned {
+        let context = "rollback without a spanned misoptimization diagnostic";
+        out.finding(seed, context, format!("{:?}", report.passes), source);
+    }
+    let opt_vm = BackendOutcome::run(&opt, Backend::Vm, spec, opt.certified_step_bound());
+    if !opt_vm.agrees_with(vm) {
+        let (vm, opt_vm) = (vm.render(), opt_vm.render());
+        let detail = format!("--- unoptimized image ---\n{vm}--- optimized image ---\n{opt_vm}");
+        out.finding(seed, "bytecode optimizer, on the vm", detail, source);
+    }
+    out.count("rewrites kept", report.total_rewrites());
+    out.count("rolled back", rolled_back as u64);
+    let clean = !rolled_back && out.findings.len() == findings_before;
+    out.count("optimized clean", clean as u64);
 }
 
 /// The static pipeline's probes: seeded codegen mutations translation

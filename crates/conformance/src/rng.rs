@@ -1,61 +1,35 @@
-//! Self-contained deterministic PRNG for the conformance harness.
-//!
-//! The harness must not depend on external crates (the build environment
-//! has no registry access) and must reproduce a failing case from nothing
-//! but a seed number, so the generator is a fixed xorshift64* — simple,
-//! fast, and stable forever. Changing this algorithm invalidates every
+//! The harness's draws. Every generator here draws from the simulator's
+//! frozen xorshift64* ([`ChaosRng`]), so a failing case reproduces from
+//! nothing but a seed number. Changing that algorithm invalidates every
 //! recorded seed; don't.
 
-/// xorshift64* generator (Vigna, "An experimental exploration of
-/// Marsaglia's xorshift generators, scrambled").
-#[derive(Debug, Clone)]
-pub struct Xorshift {
-    state: u64,
+use mptcp_sim::ChaosRng;
+
+/// The draws the program and fault-plan generators make, each from
+/// [`ChaosRng::below`].
+pub(crate) trait Draw {
+    /// Uniform integer in `[lo, hi]` (inclusive).
+    fn range_i64(&mut self, lo: i64, hi: i64) -> i64;
+
+    /// True with probability `percent`/100.
+    fn chance(&mut self, percent: u64) -> bool;
+
+    /// Uniformly picks one element of a non-empty slice.
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T;
 }
 
-impl Xorshift {
-    /// Creates a generator from `seed`. Seed 0 is remapped (xorshift has
-    /// an all-zero fixed point).
-    pub fn new(seed: u64) -> Self {
-        Xorshift {
-            state: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
-        }
-    }
-
-    /// Next 64 random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// Uniform integer in `[0, bound)`; `bound` must be non-zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        self.next_u64() % bound
-    }
-
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    pub fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
+impl Draw for ChaosRng {
+    fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
         debug_assert!(lo <= hi);
         let span = (hi - lo) as u64 + 1;
         lo + self.below(span) as i64
     }
 
-    /// True with probability `percent`/100.
-    pub fn chance(&mut self, percent: u64) -> bool {
+    fn chance(&mut self, percent: u64) -> bool {
         self.below(100) < percent
     }
 
-    /// Uniformly picks one element of a non-empty slice.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+    fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.below(items.len() as u64) as usize]
     }
 }
@@ -65,35 +39,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn deterministic_per_seed() {
-        let mut a = Xorshift::new(7);
-        let mut b = Xorshift::new(7);
-        for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn seeds_diverge() {
-        let mut a = Xorshift::new(1);
-        let mut b = Xorshift::new(2);
-        assert_ne!(
-            (0..8).map(|_| a.next_u64()).collect::<Vec<_>>(),
-            (0..8).map(|_| b.next_u64()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn zero_seed_is_usable() {
-        let mut r = Xorshift::new(0);
-        assert_ne!(r.next_u64(), r.next_u64());
-    }
-
-    #[test]
     fn helpers_stay_in_bounds() {
-        let mut r = Xorshift::new(3);
+        let mut r = ChaosRng::new(3);
         for _ in 0..1000 {
-            assert!(r.below(7) < 7);
             let v = r.range_i64(-5, 5);
             assert!((-5..=5).contains(&v));
         }
@@ -107,7 +55,9 @@ mod tests {
     fn algorithm_is_frozen() {
         // Recorded output of xorshift64* seed 1: changing the algorithm
         // breaks every recorded repro seed, so this test pins it.
-        let mut r = Xorshift::new(1);
+        let mut r = ChaosRng::new(1);
         assert_eq!(r.next_u64(), 0x47E4_CE4B_896C_DD1D, "first output changed");
+        let mut zero = ChaosRng::new(0);
+        assert_ne!(zero.next_u64(), zero.next_u64(), "seed 0 is remapped");
     }
 }

@@ -9,7 +9,7 @@
 //! so the report is the same for every thread count. What a tier
 //! checks, and why, is documented on its module.
 
-use crate::{chaos, fleet_chaos, opt_soundness, program};
+use crate::{chaos, fleet_chaos, program};
 use progmp_core::Diagnostic;
 use std::fmt;
 use std::ops::Range;
@@ -34,11 +34,11 @@ pub struct Tier {
     pub probes: Option<fn() -> Vec<Probe>>,
 }
 
-/// The four tiers CI runs, each with the seed count CI uses.
-pub static TIERS: [Tier; 4] = [
+/// The three tiers CI runs, each with the seed count CI uses.
+pub static TIERS: [Tier; 3] = [
     Tier {
         name: "program",
-        default_seeds: 500,
+        default_seeds: 1000,
         about: "backends disagree on a generated program, or it breaks a claim its compile made",
         counters: &[
             "admitted",
@@ -48,17 +48,12 @@ pub static TIERS: [Tier; 4] = [
             "with refutations",
             "exec errors",
             "unoptimized over limits",
+            "optimized clean",
+            "rewrites kept",
+            "rolled back",
         ],
         check: program::check_seed,
         probes: Some(program::probes),
-    },
-    Tier {
-        name: "opt-soundness",
-        default_seeds: 1000,
-        about: "the optimized image behaves unlike the unoptimized one, or its step bound grew",
-        counters: &["clean", "rewrites kept", "rolled back"],
-        check: opt_soundness::check_seed,
-        probes: None,
     },
     Tier {
         name: "chaos",

@@ -31,7 +31,7 @@ fn seed_range_overflow_is_a_usage_error() {
 #[test]
 fn unknown_tier_is_a_usage_error_listing_the_valid_names() {
     // A typo, a tier that went with the interval-only verifier mode, and
-    // the four per-program tiers `program` replaced.
+    // the five per-program tiers `program` replaced.
     let unknowns = [
         "soundnes",
         "soundness-interval",
@@ -39,6 +39,7 @@ fn unknown_tier_is_a_usage_error_listing_the_valid_names() {
         "soundness",
         "vm-soundness",
         "prop-soundness",
+        "opt-soundness",
     ];
     for unknown in unknowns {
         let out = fuzz(&["--tier", unknown]);

@@ -2,20 +2,18 @@
 //! a clean tree, every probe set caught, and the precision floors each
 //! tier has always been held to.
 //!
-//! The `program` row is the crate's large `cargo test` sweep (600
-//! seeds); the rest run the bounded counts that keep a debug build
-//! quick. `conformance-fuzz` explores further.
+//! Each row runs a bounded count that keeps a debug build quick;
+//! `conformance-fuzz` (1 000 `program` seeds in CI) explores further.
 
 use progmp_conformance::tier::{run, TIERS};
 
 #[test]
 fn every_tier_is_silent_and_every_probe_set_bites() {
-    assert_eq!(TIERS.len(), 4);
+    assert_eq!(TIERS.len(), 3);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     for tier in &TIERS {
         let seeds = match tier.name {
-            "program" => 600,
-            "opt-soundness" => 32,
+            "program" => 128,
             "chaos" => 6,
             "fleet-chaos" => 2,
             other => panic!("tier {other} has no row in this test"),
@@ -32,14 +30,13 @@ fn every_tier_is_silent_and_every_probe_set_bites() {
                 // uselessly conservative.
                 assert!(report.counter("admitted") * 2 > seeds, "{report}");
                 assert_eq!(report.counter("clean images"), seeds, "{report}");
+                // The bytecode optimizer must keep rewrites, or its claim
+                // checks nothing. Its own sensitivity check is
+                // `progmp_core::opt`'s unit tests.
+                assert!(report.counter("rewrites kept") > 0, "{report}");
                 // Four codegen mutation classes on each of two
                 // schedulers, and six certificate weakenings.
                 assert_eq!(probes.len(), 14, "{report}");
-            }
-            // Its sensitivity check is `progmp_core::opt`'s unit tests.
-            "opt-soundness" => {
-                assert!(report.counter("rewrites kept") > 0, "{report}");
-                assert!(report.probes.is_none(), "{report}");
             }
             "chaos" => {
                 assert_eq!(probes.len(), 1, "{report}");

@@ -14,10 +14,9 @@
 //! dataflow verifier's findings, the cross-check against the HIR
 //! admission certificate, and the model step bound, which is required
 //! never to increase, all come from that single verdict. Any
-//! disagreement rolls the pass back and surfaces a spanned
-//! `misoptimization` diagnostic — fail-open to the last good image by
-//! default, fail-closed (a compile error) under strict mode. This
-//! module's unit tests swap one deliberately unsound pass per pass class
+//! disagreement rolls the pass back to the last good image and surfaces
+//! a spanned `misoptimization` warning (fail-open). This module's unit
+//! tests swap one deliberately unsound pass per pass class
 //! into the pipeline's table to prove the validation actually fires.
 
 pub(crate) mod analysis;
@@ -29,7 +28,7 @@ pub(crate) mod peephole;
 pub(crate) mod sccp;
 
 use crate::bytecode::{BytecodeProgram, DebugTable};
-use crate::error::{CompileError, Pos, Stage};
+use crate::error::Pos;
 use crate::hir::HProgram;
 use crate::verify::props::{PropStatus, PropertyCertificate};
 use crate::verify::vm::{validate_translation, BytecodeVerdict};
@@ -294,40 +293,24 @@ fn check_candidate(
 /// returned unchanged with an empty report and its own verdict. Each
 /// pass's output is validated against the HIR admission certificate
 /// (`hir`, `certified_bound`); a failing pass is rolled back and recorded
-/// as a [`Lint::Misoptimization`] warning, or — when `strict` — becomes
-/// the returned [`CompileError`].
+/// as a [`Lint::Misoptimization`] warning.
 ///
 /// When `props` carries a [`PropertyCertificate`] with PROVED claims,
 /// per-pass validation additionally enforces the property gate: no pass
 /// may change which effectful helper sites execute unconditionally
 /// (`check_candidate`).
-///
-/// # Errors
-///
-/// Only in strict mode, and only when a pass fails validation.
 pub fn optimize_bytecode(
     prog: &BytecodeProgram,
     debug: &DebugTable,
     hir: &HProgram,
     certified_bound: u64,
     cfg: &VerifyConfig,
-    strict: bool,
     props: Option<&PropertyCertificate>,
-) -> Result<(BytecodeProgram, DebugTable, OptReport, BytecodeVerdict), CompileError> {
-    run_pipeline(
-        &PASSES,
-        prog,
-        debug,
-        hir,
-        certified_bound,
-        cfg,
-        strict,
-        props,
-    )
+) -> (BytecodeProgram, DebugTable, OptReport, BytecodeVerdict) {
+    run_pipeline(&PASSES, prog, debug, hir, certified_bound, cfg, props)
 }
 
 /// [`optimize_bytecode`] over an explicit pass table.
-#[allow(clippy::too_many_arguments)]
 fn run_pipeline(
     passes: &PassTable,
     prog: &BytecodeProgram,
@@ -335,9 +318,8 @@ fn run_pipeline(
     hir: &HProgram,
     certified_bound: u64,
     cfg: &VerifyConfig,
-    strict: bool,
     props: Option<&PropertyCertificate>,
-) -> Result<(BytecodeProgram, DebugTable, OptReport, BytecodeVerdict), CompileError> {
+) -> (BytecodeProgram, DebugTable, OptReport, BytecodeVerdict) {
     let mut report = OptReport {
         passes: passes
             .iter()
@@ -357,7 +339,7 @@ fn run_pipeline(
     // passes through untouched.
     let mut verdict = validate_translation(prog, debug, hir, certified_bound, cfg);
     let Some(mut bound) = verdict.step_bound.filter(|_| verdict.admitted()) else {
-        return Ok((prog.clone(), debug.clone(), report, verdict));
+        return (prog.clone(), debug.clone(), report, verdict);
     };
     // Arm the property gate only for certificates with PROVED claims.
     let gate = props.filter(|c| cert_armed(c));
@@ -366,7 +348,7 @@ fn run_pipeline(
         profile = analysis::effect_profile(&prog.code, prog.stack_slots);
         if profile.is_none() {
             // No baseline to gate against: rewrite nothing.
-            return Ok((prog.clone(), debug.clone(), report, verdict));
+            return (prog.clone(), debug.clone(), report, verdict);
         }
     }
     report.bound_before = bound;
@@ -425,19 +407,11 @@ fn run_pipeline(
             };
             report.passes[i].rolled_back = true;
             disabled[i] = true;
-            let message = format!("{name} pass rolled back: {why}");
-            if strict {
-                return Err(CompileError::new(
-                    Stage::VmVerify,
-                    pos,
-                    format!("[misoptimization] {message}"),
-                ));
-            }
             report.diagnostics.push(Diagnostic {
                 lint: Lint::Misoptimization,
                 severity: Severity::Warning,
                 pos,
-                message,
+                message: format!("{name} pass rolled back: {why}"),
             });
         }
         if kept_this_round == 0 {
@@ -447,7 +421,7 @@ fn run_pipeline(
 
     report.insns_after = cur.code.len();
     report.bound_after = bound;
-    Ok((cur, dbg, report, verdict))
+    (cur, dbg, report, verdict)
 }
 
 #[cfg(test)]
@@ -706,7 +680,7 @@ mod tests {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
         let (opt, opt_dbg, report, kept) =
-            optimize_bytecode(&prog, &debug, &hir, cert, &cfg, false, Some(&props)).unwrap();
+            optimize_bytecode(&prog, &debug, &hir, cert, &cfg, Some(&props));
         assert!(report.total_rewrites() > 0, "{}", report.render_human());
         assert!(
             opt.code.len() < prog.code.len(),
@@ -736,10 +710,8 @@ mod tests {
                 &hir,
                 cert,
                 &cfg,
-                false,
                 Some(&props),
-            )
-            .unwrap();
+            );
             let hit = report
                 .diagnostics
                 .iter()
@@ -764,7 +736,7 @@ mod tests {
         for (name, pass, stand_in, check) in SABOTAGES {
             let table = sabotaged(pass, stand_in);
             let (_, _, report, _) =
-                run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, false, Some(&props)).unwrap();
+                run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, Some(&props));
             let [diag] = &report.diagnostics[..] else {
                 panic!("{name}: {:?}", report.diagnostics);
             };
@@ -841,8 +813,7 @@ mod tests {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
         let table = sabotaged("sccp", unguard_effect);
-        let (_, _, report, _) =
-            run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, false, Some(&props)).unwrap();
+        let (_, _, report, _) = run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, Some(&props));
         let diag = report
             .diagnostics
             .iter()
@@ -857,8 +828,7 @@ mod tests {
 
         // Without the certificate the unsound image sails through every
         // legacy check — the gap this gate closes.
-        let (_, _, ungated, _) =
-            run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, false, None).unwrap();
+        let (_, _, ungated, _) = run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, None);
         assert!(
             !ungated
                 .diagnostics
@@ -867,23 +837,5 @@ mod tests {
             "{:?}",
             ungated.diagnostics
         );
-    }
-
-    #[test]
-    fn strict_mode_turns_rollback_into_error() {
-        let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
-        let cfg = VerifyConfig::default();
-        let err = run_pipeline(
-            &sabotaged("sccp", drop_live_guard),
-            &prog,
-            &debug,
-            &hir,
-            cert,
-            &cfg,
-            true,
-            Some(&props),
-        )
-        .unwrap_err();
-        assert!(err.message.contains("misoptimization"), "{}", err.message);
     }
 }

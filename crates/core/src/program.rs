@@ -126,13 +126,9 @@ pub struct CompileOptions {
     /// Run the verified bytecode optimizer (see [`crate::opt`]) between
     /// codegen and the final bytecode verification. Off by default: the
     /// unoptimized image is the reference the conformance differ runs
-    /// against.
+    /// against. A pass that fails validation is rolled back and reported
+    /// as a `misoptimization` warning on the [`crate::opt::OptReport`].
     pub optimize_bytecode: bool,
-    /// Fail-closed bytecode optimization: a rolled-back pass becomes a
-    /// compile error instead of a `misoptimization` warning on the
-    /// [`crate::opt::OptReport`]. Only meaningful with
-    /// [`CompileOptions::optimize_bytecode`].
-    pub strict_optimize: bool,
 }
 
 impl Default for CompileOptions {
@@ -141,7 +137,6 @@ impl Default for CompileOptions {
             optimize: true,
             enforce_admission: true,
             optimize_bytecode: false,
-            strict_optimize: false,
         }
     }
 }
@@ -191,9 +186,8 @@ pub fn compile_with_options(
             &hir,
             verdict.certified_step_bound,
             &verify_cfg,
-            options.strict_optimize,
             Some(&props),
-        )?;
+        );
         (b, d, Some(r), v)
     } else {
         let v = crate::verify::vm::validate_translation(
@@ -425,11 +419,6 @@ impl SchedulerInstance {
     /// The shared program.
     pub fn program(&self) -> &SchedulerProgram {
         &self.program
-    }
-
-    /// Overrides the per-execution step budget.
-    pub fn set_step_budget(&mut self, budget: u64) {
-        self.budget = budget.max(1);
     }
 
     /// Per-instance memory cost in bytes, excluding the shared program

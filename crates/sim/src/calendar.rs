@@ -14,10 +14,18 @@
 //! **Ordering is bit-compatible with the binary heap it replaced**: pop
 //! order is the strict total order `(time, seq)` where `seq` is the
 //! insertion sequence number — ties in simulated time resolve in
-//! insertion order. The conformance tier pins this with a side-by-side
-//! property test against a reference `BinaryHeap`
-//! (`crates/sim/tests/event_queue.rs`); golden snapshots across the
-//! repo depend on it.
+//! insertion order. `crates/sim/tests/event_queue.rs` pins this with a
+//! side-by-side property test against a reference `BinaryHeap`; golden
+//! snapshots across the repo depend on it.
+//!
+//! **Measured, not guessed.** With this type's body swapped for a
+//! `BinaryHeap` keyed by `(time, seq)` — same API, same order, so the
+//! benchmark's `fleet_bulk` still read 918 665 events and digest
+//! `523b6e9fffea18c7` — `benchmark/run.sh --workload fleet_bulk
+//! --seconds 3 --trace 0` read a wall of 0.726–0.760 s with the heap
+//! against 0.619–0.633 s with the wheel (three alternating runs each,
+//! 2-CPU container): the heap is ≈18 % slower end to end. It is smaller:
+//! peak RSS read 24.2–24.3 MB against 27.5–27.6 MB.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;

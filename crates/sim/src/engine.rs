@@ -253,8 +253,11 @@ impl Sim {
         self.oracle.as_mut()
     }
 
+    /// Queues `kind` at `time`, or now if `time` has already passed: the
+    /// clock never runs backwards, so every public scheduling method
+    /// reads a past time as now.
     fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        self.queue.push(time, kind);
+        self.queue.push(time.max(self.now), kind);
     }
 
     /// Panics, naming `conn`, unless it is a connection of this
@@ -287,6 +290,9 @@ impl Sim {
     /// loss/jitter draw a pure function of `(sim seed, identity,
     /// subflow)` — bit-identical no matter how many shards the fleet is
     /// split into.
+    ///
+    /// A subflow start or path-profile time that has already passed takes
+    /// effect now.
     ///
     /// # Panics
     ///
@@ -385,31 +391,35 @@ impl Sim {
         self.connections[conn].set_scheduler(scheduler);
     }
 
-    /// Schedules `bytes` of application data with property `prop` at `at`.
+    /// Schedules `bytes` of application data with property `prop` at `at`
+    /// (now, if `at` has passed).
     pub fn app_send_at(&mut self, conn: ConnId, at: SimTime, bytes: u64, prop: u32) {
         self.check_conn(conn);
         self.schedule(at, EventKind::AppData { conn, bytes, prop });
     }
 
-    /// Schedules a register write (the extended API's `setRegister`) at `at`.
+    /// Schedules a register write (the extended API's `setRegister`) at
+    /// `at` (now, if `at` has passed).
     pub fn set_register_at(&mut self, conn: ConnId, at: SimTime, reg: RegId, value: i64) {
         self.check_conn(conn);
         self.schedule(at, EventKind::SetRegister { conn, reg, value });
     }
 
-    /// Schedules a scheduler trigger (e.g. a timer-driven probe) at `at`.
+    /// Schedules a scheduler trigger (e.g. a timer-driven probe) at `at`
+    /// (now, if `at` has passed).
     pub fn trigger_at(&mut self, conn: ConnId, at: SimTime, trigger: Trigger) {
         self.check_conn(conn);
         self.schedule(at, EventKind::Trigger { conn, trigger });
     }
 
-    /// Tears a subflow down at `at` (connection break / handover).
+    /// Tears a subflow down at `at` (connection break / handover), or now
+    /// if `at` has passed.
     pub fn subflow_down_at(&mut self, conn: ConnId, sbf: u32, at: SimTime) {
         self.check_conn(conn);
         self.schedule(at, EventKind::SubflowDown { conn, sbf });
     }
 
-    /// (Re-)establishes a subflow at `at`.
+    /// (Re-)establishes a subflow at `at`, or now if `at` has passed.
     pub fn subflow_up_at(&mut self, conn: ConnId, sbf: u32, at: SimTime) {
         self.check_conn(conn);
         self.schedule(at, EventKind::SubflowUp { conn, sbf });
@@ -417,8 +427,9 @@ impl Sim {
 
     /// Expands a [`FaultPlan`] into scheduled events against `conn`:
     /// each clause installs its fault at the window start and restores
-    /// the path's baseline behaviour at the window end. Composable —
-    /// plans and manual event scheduling mix freely.
+    /// the path's baseline behaviour at the window end; a window bound
+    /// that has passed means now. Composable — plans and manual event
+    /// scheduling mix freely.
     pub fn apply_fault_plan(&mut self, conn: ConnId, plan: &FaultPlan) {
         self.check_conn(conn);
         let loss = |sbf, model| EventKind::FaultLoss { conn, sbf, model };
@@ -501,7 +512,7 @@ impl Sim {
     }
 
     /// Adds a backlogged bulk sender that keeps `Q` topped up (an
-    /// iPerf-style source).
+    /// iPerf-style source), starting now.
     pub fn add_bulk_source(&mut self, conn: ConnId, total_bytes: u64, prop: u32) {
         self.check_conn(conn);
         let sources = &mut self.connections[conn].sources;
@@ -514,7 +525,8 @@ impl Sim {
     }
 
     /// Adds a constant-bitrate source: every `chunk_interval`, enqueues
-    /// `rate * chunk_interval` bytes, from `start` until `end`.
+    /// `rate * chunk_interval` bytes, from `start` until `end`. Chunks
+    /// due before now are enqueued now.
     ///
     /// # Panics
     ///
@@ -1295,6 +1307,30 @@ pub(crate) mod tests {
         assert_eq!(sim.now, finished);
         sim.run_until(finished + SECONDS);
         assert_eq!(sim.now, finished + SECONDS);
+    }
+
+    /// A bulk source added mid-run, and a send or register write at a time
+    /// that has passed, start now: no event moves the clock back.
+    #[test]
+    fn scheduling_in_the_past_never_moves_the_clock_back() {
+        let mut sim = Sim::new(7);
+        let conn = sim
+            .add_connection(two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)))
+            .unwrap();
+        sim.run_until(SECONDS);
+        sim.add_bulk_source(conn, 200_000, 0);
+        sim.app_send_at(conn, from_millis(500), 1400, 0);
+        sim.set_register_at(conn, 0, RegId::R1, 1);
+        let mut clock = sim.now;
+        while sim.queue.next_time().is_some_and(|t| t <= 30 * SECONDS) {
+            let (time, kind) = sim.queue.pop().expect("peeked");
+            sim.step(time, kind);
+            assert!(sim.now >= clock, "the clock moved back to {time}");
+            clock = sim.now;
+        }
+        let c = &sim.connections[conn];
+        assert!(c.all_acked());
+        assert_eq!(c.enqueued_bytes(), 201_400);
     }
 
     #[test]

@@ -236,16 +236,15 @@ impl FleetReport {
     }
 
     /// Order-sensitive fold of all per-connection digests: one number
-    /// that witnesses the whole fleet's bit-identity.
+    /// that witnesses the whole fleet's bit-identity ([`fnv1a64`] over
+    /// their little-endian bytes, in connection order).
     pub fn digest(&self) -> u64 {
-        let mut acc = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
-        for c in &self.per_conn {
-            for b in c.digest.to_le_bytes() {
-                acc ^= u64::from(b);
-                acc = acc.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        acc
+        let bytes: Vec<u8> = self
+            .per_conn
+            .iter()
+            .flat_map(|c| c.digest.to_le_bytes())
+            .collect();
+        fnv1a64(&bytes)
     }
 
     /// Total host nanoseconds spent inside scheduler executions.

@@ -77,7 +77,7 @@ pub use faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
 pub use fleet::{
     run_fleet, ConnReport, ConnScenario, FleetConfig, FleetReport, OracleMode, Workload,
 };
-pub use native::{NativeMinRtt, NativeRoundRobin, NativeScheduler, NativeTrapping};
+pub use native::{NativeMinRtt, NativeScheduler, NativeTrapping};
 pub use oracle::{InvariantOracle, OracleViolation};
 pub use path::{PathConfig, PathProfileEntry};
 pub use pathman::{PathManager, PathManagerPolicy, PmAction};

@@ -122,50 +122,6 @@ pub fn first_visible(ctx: &ExecCtx<'_>, queue: QueueKind) -> i64 {
     NULL_HANDLE
 }
 
-/// Native round-robin over non-throttled subflows (cyclic state kept in
-/// the struct rather than a register).
-#[derive(Debug, Default, Clone)]
-pub struct NativeRoundRobin {
-    next: usize,
-}
-
-impl NativeScheduler for NativeRoundRobin {
-    fn name(&self) -> &str {
-        "native-rr"
-    }
-
-    fn schedule(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), ExecError> {
-        ctx.step(1)?;
-        let n = ctx.subflow_count();
-        if n == 0 {
-            return Ok(());
-        }
-        let pkt = first_visible(ctx, QueueKind::SendQueue);
-        if pkt == NULL_HANDLE {
-            return Ok(());
-        }
-        for off in 0..n {
-            let idx = (self.next as i64 + off) % n;
-            let s = ctx.subflow_at(idx);
-            if ctx.subflow_prop(s, SubflowProp::TsqThrottled) != 0
-                || ctx.subflow_prop(s, SubflowProp::Lossy) != 0
-            {
-                continue;
-            }
-            let cwnd = ctx.subflow_prop(s, SubflowProp::Cwnd);
-            let used = ctx.subflow_prop(s, SubflowProp::SkbsInFlight)
-                + ctx.subflow_prop(s, SubflowProp::Queued);
-            if cwnd > used {
-                ctx.pop(pkt);
-                ctx.push(s, pkt);
-                self.next = ((idx + 1) % n) as usize;
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-}
-
 /// A scheduler that behaves like [`NativeMinRtt`] for its first
 /// `trap_after` executions and then raises a structured
 /// [`ExecError::Trap`] on every subsequent call. Exercises the
@@ -305,17 +261,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn native_round_robin_cycles() {
-        let mut env = env2();
-        env.push_packet(QueueKind::SendQueue, 1, 0, 1400);
-        env.push_packet(QueueKind::SendQueue, 2, 1, 1400);
-        let mut rr = NativeRoundRobin::default();
-        run_native(&mut rr, &mut env);
-        run_native(&mut rr, &mut env);
-        assert_eq!(env.transmissions[0].0 .0, 0);
-        assert_eq!(env.transmissions[1].0 .0, 1);
     }
 }

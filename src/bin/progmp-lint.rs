@@ -26,10 +26,6 @@
 //!   before/after, any `misoptimization` rollback diagnostics, and the
 //!   annotated disassembly of the *optimized* image. With `--json`, the
 //!   report appears as an `"optimizer"` object on each program entry.
-//! * `--strict` (only with `--optimize`): escalate any fail-open optimizer
-//!   rollback to a hard compile error — the CI posture, where a pass
-//!   that cannot be re-certified on a first-party scheduler is a
-//!   compiler regression, not a shrug.
 //! * `--properties`: additionally derive and print the semantic property
 //!   certificate (work-conservation, per-subflow starvation, redundancy
 //!   bound, reinjection safety; see `progmp_core::verify::props`). A
@@ -55,7 +51,6 @@ struct Options {
     inspect: bool,
     bytecode: bool,
     optimize: bool,
-    strict: bool,
     properties: bool,
     strict_warnings: bool,
     targets: Vec<String>,
@@ -63,7 +58,7 @@ struct Options {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: progmp-lint [--json] [--inspect] [--bytecode] [--optimize [--strict]] [--properties] [--strict-warnings] <file.progmp | scheduler-name>...\n\
+        "usage: progmp-lint [--json] [--inspect] [--bytecode] [--optimize] [--properties] [--strict-warnings] <file.progmp | scheduler-name>...\n\
          \x20      progmp-lint [... same flags ...] --all\n\
          \n\
          flags:\n\
@@ -71,7 +66,6 @@ fn usage() -> ExitCode {
          \x20 --inspect          also print the static audit report\n\
          \x20 --bytecode         also run and print the bytecode verifier\n\
          \x20 --optimize         run the verified bytecode optimizer and report per-pass counts\n\
-         \x20 --strict           (only with --optimize) escalate optimizer rollbacks to hard errors\n\
          \x20 --properties       derive and print the semantic property certificate\n\
          \x20                    (work-conservation, starvation, redundancy bound, reinjection)\n\
          \x20 --strict-warnings  exit 2 when clean of errors but warnings were reported\n\
@@ -93,7 +87,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         inspect: false,
         bytecode: false,
         optimize: false,
-        strict: false,
         properties: false,
         strict_warnings: false,
         targets: Vec::new(),
@@ -105,7 +98,6 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--inspect" => opts.inspect = true,
             "--bytecode" => opts.bytecode = true,
             "--optimize" => opts.optimize = true,
-            "--strict" => opts.strict = true,
             "--properties" => opts.properties = true,
             "--strict-warnings" => opts.strict_warnings = true,
             "--all" => all = true,
@@ -121,8 +113,7 @@ fn parse_args() -> Result<Options, ExitCode> {
                 .map(|(name, _)| name.to_string()),
         );
     }
-    // `--strict` only qualifies `--optimize`: alone it would be ignored.
-    if opts.targets.is_empty() || (opts.strict && !opts.optimize) {
+    if opts.targets.is_empty() {
         return Err(usage());
     }
     Ok(opts)
@@ -197,7 +188,6 @@ fn main() -> ExitCode {
             CompileOptions {
                 enforce_admission: false,
                 optimize_bytecode: opts.optimize,
-                strict_optimize: opts.strict,
                 ..CompileOptions::default()
             },
         );
