@@ -10,10 +10,16 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> one flow kernel: jump_target and WIDEN_AFTER are each defined once in crates/core/src"
+echo "==> one flow kernel: jump_target and WIDEN_AFTER are each defined once in crates/core/src, one worklist, no transfer returns whole states"
 for def in 'fn jump_target' 'const WIDEN_AFTER'; do
   [ "$(grep -rn "$def" crates/core/src | wc -l)" -eq 1 ] || { echo "duplicate or missing definition: $def"; exit 1; }
 done
+[ "$(grep -rl 'VecDeque' crates/core/src)" = crates/core/src/flow.rs ] \
+  || { echo "a worklist outside crates/core/src/flow.rs (run the analysis on flow::solve)"; exit 1; }
+! grep -rn -A4 'fn transfer' crates/core/src | grep -q -- '-> Vec<' \
+  || { echo "a Domain::transfer returns a Vec again (emit edges and their writes into flow::Edges)"; exit 1; }
+! grep -rnE 'struct FactState|fn merge_into|Vec<Option<State>>' crates/core/src \
+  || { echo "a per-pc whole state or a whole-state join is back (flow::solve keeps one arena and joins sparsely)"; exit 1; }
 
 echo "==> one HIR traversal: view_chain is defined once, aggregate_init is indexed only by it, sema and the stateful refiners, no private resolver survives"
 [ "$(grep -rn 'fn view_chain' crates/core/src | wc -l)" -eq 1 ] || { echo "duplicate or missing definition: fn view_chain"; exit 1; }

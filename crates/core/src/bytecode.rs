@@ -30,6 +30,13 @@ pub const FIRST_ALLOCATABLE: u8 = 6;
 /// Number of allocatable registers (`r6`..`r9`).
 pub const NUM_ALLOCATABLE: usize = 4;
 
+/// Whether `r` is one of the [`NUM_ALLOCATABLE`] registers from
+/// [`FIRST_ALLOCATABLE`] on: the ones the register allocator hands out,
+/// and so the ones a value keeps its home in across helper calls.
+pub fn is_allocatable(r: u8) -> bool {
+    (FIRST_ALLOCATABLE..FIRST_ALLOCATABLE + NUM_ALLOCATABLE as u8).contains(&r)
+}
+
 /// Maximum stack slots (each 8 bytes). The eBPF stack is 512 bytes; we
 /// keep the same budget: 64 slots.
 pub const MAX_STACK_SLOTS: usize = 64;

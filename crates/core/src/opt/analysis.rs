@@ -13,34 +13,37 @@
 //! call, the verifier marks them unreadable, and a rewrite that leaned on
 //! this VM's zeroing would produce an image the verifier rejects.
 
-use crate::bytecode::{Cond, Helper, Insn, NUM_MACH_REGS};
-use crate::flow::{self, reads, successors, writes, Domain, LiveSet};
+use crate::bytecode::{Cond, Helper, Insn};
+use crate::flow::{self, reads, slot_loc, successors, writes, Domain, Edges, LiveSet, Solution};
 use crate::verify::domain::{alu, assume, negate, Interval};
 
-/// Syntactic reachability: the flow problem with no state at all.
+/// Syntactic reachability: the flow problem with no locations at all.
 struct Cfg<'a>(&'a [Insn]);
 
 impl Domain for Cfg<'_> {
-    type State = ();
+    type Val = ();
 
-    fn entry(&self) {}
-
-    fn transfer(&mut self, pc: usize, _: &()) -> Vec<(usize, ())> {
-        successors(self.0, pc)
-            .into_iter()
-            .map(|s| (s, ()))
-            .collect()
+    fn width(&self) -> usize {
+        0
     }
 
-    fn join(&self, _: &mut (), _: &(), _: bool) -> bool {
-        false
+    fn entry(&self, _: &mut [()]) {}
+
+    fn transfer(&mut self, pc: usize, _: &[()], out: &mut Edges<()>) {
+        for s in successors(self.0, pc) {
+            out.push(s, []);
+        }
     }
+
+    fn join(&self, _: (), _: (), _: bool) {}
 }
 
 /// Pcs reachable from entry.
 pub(crate) fn reachable(code: &[Insn]) -> Vec<bool> {
     let solution = flow::solve(&mut Cfg(code), code.len());
-    solution.before.iter().map(Option::is_some).collect()
+    (0..code.len())
+        .map(|pc| solution.before(pc).is_some())
+        .collect()
 }
 
 /// Backward register/slot liveness. `live_in[pc]` / `live_out[pc]` hold
@@ -128,149 +131,115 @@ pub(crate) fn dominators(code: &[Insn]) -> Dominators {
     Dominators { sets }
 }
 
-/// Abstract machine state before one instruction.
-#[derive(Clone, PartialEq, Eq)]
-pub(crate) struct FactState {
-    pub regs: [Interval; NUM_MACH_REGS],
-    pub slots: Vec<Interval>,
-}
-
-/// The optimizer's lattice: one interval per register and stack slot.
+/// The optimizer's lattice: one interval per register and stack slot,
+/// laid out as `flow::slot_loc` says.
 struct FactFlow<'a> {
     code: &'a [Insn],
     stack_slots: u16,
 }
 
 impl Domain for FactFlow<'_> {
-    type State = FactState;
+    type Val = Interval;
 
-    fn entry(&self) -> FactState {
-        // Initial registers are unknown (see module docs); the read-only
-        // frame pointer r10 is exactly 0 for the whole execution.
-        let mut init = FactState {
-            regs: [Interval::TOP; NUM_MACH_REGS],
-            slots: vec![Interval::TOP; usize::from(self.stack_slots)],
-        };
-        init.regs[10] = Interval::exact(0);
-        init
+    fn width(&self) -> usize {
+        slot_loc(self.stack_slots)
     }
 
-    fn transfer(&mut self, pc: usize, state: &FactState) -> Vec<(usize, FactState)> {
+    fn entry(&self, row: &mut [Interval]) {
+        // Initial registers are unknown (see module docs); the read-only
+        // frame pointer r10 is exactly 0 for the whole execution.
+        row.fill(Interval::TOP);
+        row[10] = Interval::exact(0);
+    }
+
+    fn transfer(&mut self, pc: usize, s: &[Interval], out: &mut Edges<Interval>) {
         let insn = &self.code[pc];
-        let mut s = state.clone();
-        match *insn {
-            Insn::Exit => return Vec::new(),
+        let reg = |r: u8| s[usize::from(r)];
+        let (dst, v) = match *insn {
+            Insn::Exit => return,
             Insn::Ja { .. } => {
-                return flow::jump_target(pc, insn)
-                    .map(|t| vec![(t, s)])
-                    .unwrap_or_default()
+                if let Some(t) = flow::jump_target(pc, insn) {
+                    out.push(t, []);
+                }
+                return;
             }
             Insn::Jmp { cond, lhs, rhs, .. } => {
-                return self.branch(pc, state, cond, lhs, s.regs[usize::from(rhs)], Some(rhs))
+                return self.branch(pc, s, cond, lhs, reg(rhs), Some(rhs), out)
             }
             Insn::JmpImm { cond, lhs, imm, .. } => {
-                return self.branch(pc, state, cond, lhs, Interval::exact(imm), None)
+                return self.branch(pc, s, cond, lhs, Interval::exact(imm), None, out)
             }
-            Insn::MovImm { dst, imm } => s.regs[usize::from(dst)] = Interval::exact(imm),
-            Insn::Mov { dst, src } => s.regs[usize::from(dst)] = s.regs[usize::from(src)],
-            Insn::Alu { op, dst, src } => {
-                let d = usize::from(dst);
-                s.regs[d] = alu(op, s.regs[d], s.regs[usize::from(src)]);
-            }
-            Insn::AluImm { op, dst, imm } => {
-                let d = usize::from(dst);
-                s.regs[d] = alu(op, s.regs[d], Interval::exact(imm));
-            }
-            Insn::Neg { dst } => {
-                let d = usize::from(dst);
-                s.regs[d] = s.regs[d].neg();
-            }
+            Insn::MovImm { dst, imm } => (dst, Interval::exact(imm)),
+            Insn::Mov { dst, src } => (dst, reg(src)),
+            Insn::Alu { op, dst, src } => (dst, alu(op, reg(dst), reg(src))),
+            Insn::AluImm { op, dst, imm } => (dst, alu(op, reg(dst), Interval::exact(imm))),
+            Insn::Neg { dst } => (dst, reg(dst).neg()),
             Insn::Call { helper } => {
-                s.regs[0] = match helper {
+                let ret = match helper {
                     Helper::SentOn | Helper::HasWindowFor => Interval::BOOL,
                     _ => Interval::TOP,
                 };
                 // The VM zeroes r1..r5, but the calling convention only
                 // says they are clobbered: model them as unknown.
-                for r in 1..=5 {
-                    s.regs[r] = Interval::TOP;
-                }
+                let clobbered = (1..=5).map(|r| (r, Interval::TOP));
+                out.push(pc + 1, std::iter::once((0, ret)).chain(clobbered));
+                return;
             }
             Insn::Ld { dst, slot } => {
-                s.regs[usize::from(dst)] = s
-                    .slots
-                    .get(usize::from(slot))
-                    .copied()
-                    .unwrap_or(Interval::TOP);
+                (dst, s.get(slot_loc(slot)).copied().unwrap_or(Interval::TOP))
             }
             Insn::St { slot, src } => {
-                let v = s.regs[usize::from(src)];
-                if let Some(slot) = s.slots.get_mut(usize::from(slot)) {
-                    *slot = v;
-                }
-            }
-        }
-        vec![(pc + 1, s)]
-    }
-
-    fn join(&self, at: &mut FactState, incoming: &FactState, widen: bool) -> bool {
-        let merge = |old: Interval, new: Interval| {
-            let joined = old.join(new);
-            if widen {
-                old.widen(joined)
-            } else {
-                joined
+                let loc = slot_loc(slot);
+                out.push(pc + 1, (loc < s.len()).then_some((loc, reg(src))));
+                return;
             }
         };
-        // Both halves must run: no short-circuit.
-        flow::merge_into(&mut at.regs, &incoming.regs, merge)
-            | flow::merge_into(&mut at.slots, &incoming.slots, merge)
+        out.push(pc + 1, [(usize::from(dst), v)]);
+    }
+
+    fn join(&self, old: Interval, new: Interval, widen: bool) -> Interval {
+        let joined = old.join(new);
+        if widen {
+            old.widen(joined)
+        } else {
+            joined
+        }
     }
 }
 
 impl FactFlow<'_> {
     /// The feasible edges of `if lhs cond rhs` at `pc`, operands refined
     /// on each (`rhs_reg` is the register `rhs` came from, if any).
+    #[allow(clippy::too_many_arguments)]
     fn branch(
         &self,
         pc: usize,
-        state: &FactState,
+        state: &[Interval],
         cond: Cond,
         lhs: u8,
         rhs: Interval,
         rhs_reg: Option<u8>,
-    ) -> Vec<(usize, FactState)> {
-        let a = state.regs[usize::from(lhs)];
+        out: &mut Edges<Interval>,
+    ) {
+        let a = state[usize::from(lhs)];
         let taken = flow::jump_target(pc, &self.code[pc]).zip(assume(cond, a, rhs));
         let fallthrough = assume(negate(cond), a, rhs).map(|refined| (pc + 1, refined));
-        taken
-            .into_iter()
-            .chain(fallthrough)
-            .map(|(to, (ra, rb))| {
-                let mut s = state.clone();
-                s.regs[usize::from(lhs)] = ra;
-                if let Some(r) = rhs_reg {
-                    s.regs[usize::from(r)] = rb;
-                }
-                (to, s)
-            })
-            .collect()
+        for (to, (ra, rb)) in taken.into_iter().chain(fallthrough) {
+            let rhs_w = rhs_reg.map(|r| (usize::from(r), rb));
+            out.push(to, std::iter::once((usize::from(lhs), ra)).chain(rhs_w));
+        }
     }
 }
 
 /// Result of the forward interval analysis: the abstract state *before*
-/// each pc (`None` = unreachable).
-pub(crate) struct Facts {
-    pub before: Vec<Option<FactState>>,
-}
+/// each pc (`None` = unreachable), registers then stack slots.
+pub(crate) type Facts = Solution<Interval>;
 
 /// Runs the forward interval analysis over `code`; `None` when it did not
 /// converge (callers must then rewrite nothing).
 pub(crate) fn facts(code: &[Insn], stack_slots: u16) -> Option<Facts> {
     let solution = flow::solve(&mut FactFlow { code, stack_slots }, code.len());
-    solution.diverged_at.is_none().then_some(Facts {
-        before: solution.before,
-    })
+    solution.diverged_at.is_none().then_some(solution)
 }
 
 /// Index of an effectful helper in [`EffectProfile::must`] order
@@ -314,33 +283,37 @@ struct MustSites<'a> {
     /// Bit index of the effectful call at each pc, if it is one.
     bit_of: Vec<Option<usize>>,
     words: usize,
+    /// Reused buffer for `feasible`'s edges.
+    edges: Edges<Interval>,
 }
 
 impl Domain for MustSites<'_> {
-    type State = Vec<u64>;
+    /// One word of the site bitset.
+    type Val = u64;
 
-    fn entry(&self) -> Vec<u64> {
-        vec![0; self.words]
+    fn width(&self) -> usize {
+        self.words
     }
 
-    fn transfer(&mut self, pc: usize, state: &Vec<u64>) -> Vec<(usize, Vec<u64>)> {
-        let Some(fact) = &self.facts.before[pc] else {
-            return Vec::new();
+    fn entry(&self, row: &mut [u64]) {
+        row.fill(0);
+    }
+
+    fn transfer(&mut self, pc: usize, state: &[u64], out: &mut Edges<u64>) {
+        let Some(fact) = self.facts.before(pc) else {
+            return;
         };
-        let mut out = state.clone();
-        if let Some(bit) = self.bit_of[pc] {
-            out[bit / 64] |= 1 << (bit % 64);
-        }
+        let site = self.bit_of[pc].map(|bit| (bit / 64, state[bit / 64] | 1 << (bit % 64)));
         // Feasible successors under the interval facts at `pc`.
-        self.feasible
-            .transfer(pc, fact)
-            .into_iter()
-            .map(|(to, _)| (to, out.clone()))
-            .collect()
+        self.edges.clear();
+        self.feasible.transfer(pc, fact, &mut self.edges);
+        for (to, _) in self.edges.iter() {
+            out.push(to, site);
+        }
     }
 
-    fn join(&self, at: &mut Vec<u64>, incoming: &Vec<u64>, _widen: bool) -> bool {
-        flow::merge_into(at, incoming, |a, b| a & b)
+    fn join(&self, old: u64, new: u64, _widen: bool) -> u64 {
+        old & new
     }
 }
 
@@ -365,6 +338,7 @@ pub(crate) fn effect_profile(code: &[Insn], stack_slots: u16) -> Option<EffectPr
             facts: &f,
             bit_of,
             words: sites.len().div_ceil(64).max(1),
+            edges: Edges::default(),
         },
         n,
     );
@@ -375,7 +349,7 @@ pub(crate) fn effect_profile(code: &[Insn], stack_slots: u16) -> Option<EffectPr
     // Sites on every path = intersection over all reached exits.
     let at_exit = (0..n)
         .filter(|&pc| matches!(code[pc], Insn::Exit))
-        .filter_map(|pc| solution.before[pc].clone())
+        .filter_map(|pc| solution.before(pc).map(<[u64]>::to_vec))
         .reduce(|acc, set| acc.iter().zip(&set).map(|(a, b)| a & b).collect());
     let mut profile = EffectProfile {
         must: [(0, None); 3],

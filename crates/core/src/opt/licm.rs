@@ -13,7 +13,7 @@
 //! pays off under the step-bound model is the pipeline's call: it drops,
 //! without a rollback, a hoist that raises the bound.
 
-use crate::bytecode::{BytecodeProgram, DebugTable, Insn, FIRST_ALLOCATABLE};
+use crate::bytecode::{is_allocatable, BytecodeProgram, DebugTable, Insn, FIRST_ALLOCATABLE};
 use crate::flow::{jump_target, loops, reads, successors, writes};
 use crate::opt::analysis::{dominators, liveness, reachable};
 use crate::opt::edit::{Editor, NewInsn};
@@ -78,7 +78,7 @@ pub(crate) fn run(
             }
             match code[pc] {
                 // MovImm into an allocatable home register.
-                Insn::MovImm { dst, imm: _ } if (FIRST_ALLOCATABLE..10).contains(&dst) => {
+                Insn::MovImm { dst, imm: _ } if is_allocatable(dst) => {
                     if !reg_clear(dst, &[pc]) {
                         continue;
                     }

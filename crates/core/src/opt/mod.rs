@@ -503,10 +503,10 @@ mod tests {
         let reach = reachable(code);
         let f = facts(code, prog.stack_slots).expect("facts converge");
         let undecided = |pc: usize| {
-            let Some(state) = &f.before[pc] else {
+            let Some(state) = f.before(pc) else {
                 return false;
             };
-            let reg = |r: u8| state.regs[usize::from(r)];
+            let reg = |r: u8| state[usize::from(r)];
             match code[pc] {
                 Insn::Jmp { cond, lhs, rhs, .. } => {
                     eval_cond(cond, reg(lhs), reg(rhs)) == Tri::Unknown

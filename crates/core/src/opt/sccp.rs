@@ -9,6 +9,7 @@
 //! dead-code pass.
 
 use crate::bytecode::{BytecodeProgram, DebugTable, Insn};
+use crate::flow::slot_loc;
 use crate::opt::analysis::facts;
 use crate::opt::edit::Editor;
 use crate::verify::domain::{eval_cond, Interval, Tri};
@@ -23,8 +24,8 @@ pub(crate) fn run(
     let mut ed = Editor::new(prog, debug);
 
     for pc in 0..prog.code.len() {
-        let Some(state) = &f.before[pc] else { continue };
-        let exact = |r: u8| state.regs[usize::from(r)].as_exact();
+        let Some(state) = f.before(pc) else { continue };
+        let exact = |r: u8| state[usize::from(r)].as_exact();
         match prog.code[pc] {
             Insn::Mov { dst, src } => {
                 if let Some(v) = exact(src) {
@@ -65,21 +66,17 @@ pub(crate) fn run(
                 }
             }
             Insn::Ld { dst, slot } => {
-                if let Some(v) = state
-                    .slots
-                    .get(usize::from(slot))
-                    .and_then(|iv| iv.as_exact())
-                {
+                if let Some(v) = state.get(slot_loc(slot)).and_then(|iv| iv.as_exact()) {
                     ed.set(pc, Insn::MovImm { dst, imm: v });
                 }
             }
             Insn::Jmp { cond, lhs, rhs, .. } => {
-                let a = state.regs[usize::from(lhs)];
-                let b = state.regs[usize::from(rhs)];
+                let a = state[usize::from(lhs)];
+                let b = state[usize::from(rhs)];
                 fold_guard(&mut ed, pc, eval_cond(cond, a, b));
             }
             Insn::JmpImm { cond, lhs, imm, .. } => {
-                let a = state.regs[usize::from(lhs)];
+                let a = state[usize::from(lhs)];
                 fold_guard(&mut ed, pc, eval_cond(cond, a, Interval::exact(imm)));
             }
             _ => {}

@@ -164,15 +164,21 @@ fn live_intervals(code: &[VInsn]) -> Vec<Interval> {
     out
 }
 
+/// The registers linear scan starts with, handed out from the back
+/// (`r6` first).
+fn free_registers() -> Vec<u8> {
+    (0..NUM_ALLOCATABLE as u8)
+        .map(|i| FIRST_ALLOCATABLE + i)
+        .rev()
+        .collect()
+}
+
 /// Linear scan with hole reuse and furthest-end spilling.
 fn linear_scan(intervals: &[Interval]) -> Result<HashMap<VReg, Loc>, CompileError> {
     let mut assignment: HashMap<VReg, Loc> = HashMap::new();
     // Active intervals currently holding a register, kept sorted by end.
     let mut active: Vec<(Interval, u8)> = Vec::new();
-    let mut free: Vec<u8> = (0..NUM_ALLOCATABLE as u8)
-        .map(|i| FIRST_ALLOCATABLE + i)
-        .rev()
-        .collect();
+    let mut free = free_registers();
     // Spill slots are shared between spilled intervals with disjoint
     // lifetimes (the binpacking applies to stack slots too): slot_ends[s]
     // is the end of the last interval assigned to slot s.
@@ -576,6 +582,19 @@ mod tests {
             let target = (ja_idx as i64 + 1 + i64::from(off)) as usize;
             assert!(matches!(prog.code[target], Insn::Exit));
         }
+    }
+
+    #[test]
+    fn free_list_is_exactly_the_allocatable_registers() {
+        // The verifier resolves a loop variable's home through
+        // `is_allocatable`: a register linear scan hands out that it
+        // rejects would turn every loop counted in it "unbounded".
+        let mut free = free_registers();
+        free.sort_unstable();
+        let allocatable: Vec<u8> = (0..crate::bytecode::NUM_MACH_REGS as u8)
+            .filter(|&r| crate::bytecode::is_allocatable(r))
+            .collect();
+        assert_eq!(free, allocatable);
     }
 
     #[test]

@@ -18,6 +18,13 @@ pub struct Interval {
     pub hi: i64,
 }
 
+/// No information: [`Interval::TOP`].
+impl Default for Interval {
+    fn default() -> Interval {
+        Interval::TOP
+    }
+}
+
 impl Interval {
     /// The full `i64` range (no information).
     pub const TOP: Interval = Interval {

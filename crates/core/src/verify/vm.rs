@@ -50,12 +50,12 @@ use super::diag::{Diagnostic, Lint, Severity};
 use super::domain::{alu, assume, negate, Interval, Nullability, Tri};
 use super::VerifyConfig;
 use crate::analysis;
-use crate::bytecode::{AluOp, MAX_STACK_SLOTS};
+use crate::bytecode::{is_allocatable, AluOp, MAX_STACK_SLOTS};
 use crate::bytecode::{BytecodeProgram, Cond, DebugTable, Helper, Insn, NUM_MACH_REGS};
 use crate::env::{PacketProp, QueueKind, SubflowProp};
 use crate::error::Pos;
 use crate::exec::NULL_HANDLE;
-use crate::flow::{self, jump_target, read_regs, writes, Domain, Loop};
+use crate::flow::{self, jump_target, read_regs, slot_loc, writes, Domain, Edges, Loop, Solution};
 use crate::hir::HProgram;
 
 /// Granularity slack of the step-bound cross-check: the bytecode-level
@@ -224,9 +224,10 @@ impl HandleKind {
 }
 
 /// Abstract value of one register or stack slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum AbsVal {
     /// Never written on some path reaching here.
+    #[default]
     Uninit,
     /// An integer in the interval.
     Scalar(Interval),
@@ -301,39 +302,6 @@ impl AbsVal {
     }
 }
 
-/// Abstract machine state at one program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    regs: [AbsVal; NUM_MACH_REGS],
-    slots: Vec<AbsVal>,
-}
-
-impl State {
-    fn entry(stack_slots: u16) -> State {
-        let mut regs = [AbsVal::Uninit; NUM_MACH_REGS];
-        // r10 is the (read-only) frame pointer; model it as the concrete
-        // zero the VM initializes registers to.
-        regs[10] = AbsVal::Scalar(Interval::exact(0));
-        State {
-            regs,
-            slots: vec![AbsVal::Uninit; usize::from(stack_slots).min(MAX_STACK_SLOTS)],
-        }
-    }
-
-    fn join_into(&mut self, other: &State, widen: bool) -> bool {
-        let merge = |old: AbsVal, new: AbsVal| {
-            if widen {
-                old.widen_join(new)
-            } else {
-                old.join(new)
-            }
-        };
-        // Both halves must run: no short-circuit.
-        flow::merge_into(&mut self.regs, &other.regs, merge)
-            | flow::merge_into(&mut self.slots, &other.slots, merge)
-    }
-}
-
 /// Argument kind of one helper parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ArgKind {
@@ -390,8 +358,9 @@ struct Analyzer<'a> {
     prog: &'a BytecodeProgram,
     debug: Option<&'a DebugTable>,
     cfg: &'a VerifyConfig,
-    /// Entry state per pc; `None` = not reachable.
-    states: Vec<Option<State>>,
+    /// The abstract machine state before each pc: registers at their
+    /// numbers, then the stack slots (`flow::slot_loc`).
+    states: Solution<AbsVal>,
     /// Findings, keyed for dedup across fixpoint iterations.
     findings: BTreeSet<(usize, Lint, String)>,
     loops: Vec<LoopInfo>,
@@ -409,7 +378,7 @@ fn run<'a>(
         prog,
         debug,
         cfg,
-        states: vec![None; prog.code.len()],
+        states: Solution::default(),
         findings: BTreeSet::new(),
         loops: Vec::new(),
         step_bound: None,
@@ -451,9 +420,8 @@ impl<'a> Analyzer<'a> {
 
     fn fixpoint(&mut self) {
         let n = self.prog.code.len();
-        let solution = flow::solve(self, n);
-        self.states = solution.before;
-        if let Some(pc) = solution.diverged_at {
+        self.states = flow::solve(self, n);
+        if let Some(pc) = self.states.diverged_at {
             // A runaway here is a verifier bug, never a property of the
             // image: fail closed.
             self.report(
@@ -465,8 +433,8 @@ impl<'a> Analyzer<'a> {
     }
 
     /// Reads a register, flagging uninitialized reads.
-    fn read_reg(&mut self, pc: usize, st: &State, r: u8) -> AbsVal {
-        let v = st.regs[usize::from(r)];
+    fn read_reg(&mut self, pc: usize, st: &[AbsVal], r: u8) -> AbsVal {
+        let v = st[usize::from(r)];
         if v == AbsVal::Uninit {
             self.report(
                 pc,
@@ -497,63 +465,67 @@ impl<'a> Analyzer<'a> {
     }
 }
 
+/// The abstract value `imm` loads: `NULL_HANDLE` is the NULL literal.
+fn imm_val(imm: i64) -> AbsVal {
+    if imm == NULL_HANDLE {
+        AbsVal::Null
+    } else {
+        AbsVal::Scalar(Interval::exact(imm))
+    }
+}
+
 /// The verifier's lattice, solved by the crate's flow kernel.
 impl Domain for Analyzer<'_> {
-    type State = State;
+    type Val = AbsVal;
 
-    fn entry(&self) -> State {
-        State::entry(self.prog.stack_slots)
+    fn width(&self) -> usize {
+        slot_loc(self.prog.stack_slots.min(MAX_STACK_SLOTS as u16))
     }
 
-    fn transfer(&mut self, pc: usize, st: &State) -> Vec<(usize, State)> {
+    fn entry(&self, row: &mut [AbsVal]) {
+        row.fill(AbsVal::Uninit);
+        // r10 is the (read-only) frame pointer; model it as the concrete
+        // zero the VM initializes registers to.
+        row[10] = AbsVal::Scalar(Interval::exact(0));
+    }
+
+    fn transfer(&mut self, pc: usize, st: &[AbsVal], out: &mut Edges<AbsVal>) {
         let insn = self.prog.code[pc];
-        let mut next = st.clone();
+        let next = pc + 1;
         match insn {
-            Insn::MovImm { dst, imm } => {
-                next.regs[usize::from(dst)] = if imm == NULL_HANDLE {
-                    AbsVal::Null
-                } else {
-                    AbsVal::Scalar(Interval::exact(imm))
-                };
-                vec![(pc + 1, next)]
-            }
+            Insn::MovImm { dst, imm } => out.push(next, [(usize::from(dst), imm_val(imm))]),
             Insn::Mov { dst, src } => {
-                next.regs[usize::from(dst)] = self.read_reg(pc, st, src);
-                vec![(pc + 1, next)]
+                let v = self.read_reg(pc, st, src);
+                out.push(next, [(usize::from(dst), v)]);
             }
             Insn::Alu { op, dst, src } => {
                 let a = self.read_reg(pc, st, dst);
                 let b = self.read_reg(pc, st, src);
                 let a = self.as_scalar(pc, a, "arithmetic");
                 let b = self.as_scalar(pc, b, "arithmetic");
-                next.regs[usize::from(dst)] = AbsVal::Scalar(alu(op, a, b));
-                vec![(pc + 1, next)]
+                out.push(next, [(usize::from(dst), AbsVal::Scalar(alu(op, a, b)))]);
             }
             Insn::AluImm { op, dst, imm } => {
                 let a = self.read_reg(pc, st, dst);
                 let a = self.as_scalar(pc, a, "arithmetic");
-                next.regs[usize::from(dst)] = AbsVal::Scalar(alu(op, a, Interval::exact(imm)));
-                vec![(pc + 1, next)]
+                let v = AbsVal::Scalar(alu(op, a, Interval::exact(imm)));
+                out.push(next, [(usize::from(dst), v)]);
             }
             Insn::Neg { dst } => {
                 let a = self.read_reg(pc, st, dst);
                 let a = self.as_scalar(pc, a, "arithmetic");
-                next.regs[usize::from(dst)] = AbsVal::Scalar(a.neg());
-                vec![(pc + 1, next)]
+                out.push(next, [(usize::from(dst), AbsVal::Scalar(a.neg()))]);
             }
-            Insn::Ja { .. } => {
-                let t = jump_target(pc, &insn).unwrap_or(pc + 1);
-                vec![(t, next)]
-            }
+            Insn::Ja { .. } => out.push(jump_target(pc, &insn).unwrap_or(next), []),
             Insn::Jmp {
                 cond,
                 lhs,
                 rhs,
                 off: _,
             } => {
-                let t = jump_target(pc, &insn).unwrap_or(pc + 1);
+                let t = jump_target(pc, &insn).unwrap_or(next);
                 let rv = self.read_reg(pc, st, rhs);
-                self.branch(pc, st, cond, lhs, rv, Some(rhs), t)
+                self.branch(pc, st, cond, lhs, rv, Some(rhs), t, out);
             }
             Insn::JmpImm {
                 cond,
@@ -561,61 +533,50 @@ impl Domain for Analyzer<'_> {
                 imm,
                 off: _,
             } => {
-                let t = jump_target(pc, &insn).unwrap_or(pc + 1);
-                let rv = if imm == NULL_HANDLE {
-                    AbsVal::Null
-                } else {
-                    AbsVal::Scalar(Interval::exact(imm))
-                };
-                self.branch(pc, st, cond, lhs, rv, None, t)
+                let t = jump_target(pc, &insn).unwrap_or(next);
+                self.branch(pc, st, cond, lhs, imm_val(imm), None, t, out);
             }
             Insn::Call { helper } => {
                 self.check_call(pc, st, helper);
-                next.regs[0] = helper_ret(helper, self.cfg);
-                for r in 1..=5 {
-                    // Strict clobber discipline: stale argument registers
-                    // must never be read after a call.
-                    next.regs[r] = AbsVal::Uninit;
-                }
-                vec![(pc + 1, next)]
+                let ret = (0, helper_ret(helper, self.cfg));
+                // Strict clobber discipline: stale argument registers
+                // must never be read after a call.
+                let clobbered = (1..=5).map(|r| (r, AbsVal::Uninit));
+                out.push(next, std::iter::once(ret).chain(clobbered));
             }
             Insn::Ld { dst, slot } => {
-                let v = st
-                    .slots
-                    .get(usize::from(slot))
-                    .copied()
-                    .unwrap_or(AbsVal::Uninit);
+                let mut v = st.get(slot_loc(slot)).copied().unwrap_or(AbsVal::Uninit);
                 if v == AbsVal::Uninit {
                     self.report(
                         pc,
                         Lint::UninitRead,
                         format!("read of uninitialized stack slot {slot}"),
                     );
-                    next.regs[usize::from(dst)] = AbsVal::Scalar(Interval::TOP);
-                } else {
-                    next.regs[usize::from(dst)] = v;
+                    v = AbsVal::Scalar(Interval::TOP);
                 }
-                vec![(pc + 1, next)]
+                out.push(next, [(usize::from(dst), v)]);
             }
             Insn::St { slot, src } => {
                 let v = self.read_reg(pc, st, src);
-                if let Some(s) = next.slots.get_mut(usize::from(slot)) {
-                    *s = v;
-                }
-                vec![(pc + 1, next)]
+                let loc = slot_loc(slot);
+                out.push(next, (loc < st.len()).then_some((loc, v)));
             }
-            Insn::Exit => Vec::new(),
+            Insn::Exit => {}
         }
     }
 
-    fn join(&self, at: &mut State, incoming: &State, widen: bool) -> bool {
-        at.join_into(incoming, widen)
+    fn join(&self, old: AbsVal, new: AbsVal, widen: bool) -> AbsVal {
+        if widen {
+            old.widen_join(new)
+        } else {
+            old.join(new)
+        }
     }
 }
 
 impl Analyzer<'_> {
     /// Checks one helper call's arguments against its typed signature.
-    fn check_call(&mut self, pc: usize, st: &State, helper: Helper) {
+    fn check_call(&mut self, pc: usize, st: &[AbsVal], helper: Helper) {
         for (i, kind) in helper_sig(helper).iter().enumerate() {
             let reg = (i + 1) as u8;
             let v = self.read_reg(pc, st, reg);
@@ -670,13 +631,14 @@ impl Analyzer<'_> {
     fn branch(
         &mut self,
         pc: usize,
-        st: &State,
+        st: &[AbsVal],
         cond: Cond,
         lhs: u8,
         rhs_val: AbsVal,
         rhs_reg: Option<u8>,
         target: usize,
-    ) -> Vec<(usize, State)> {
+        out: &mut Edges<AbsVal>,
+    ) {
         let lhs_val = self.read_reg(pc, st, lhs);
         let ordered = matches!(cond, Cond::Lt | Cond::Le | Cond::Gt | Cond::Ge);
 
@@ -692,9 +654,11 @@ impl Analyzer<'_> {
                     format!("ordered comparison ({cond:?}) on a handle"),
                 );
                 // Degrade: both edges feasible, no refinement.
-                return vec![(target, st.clone()), (pc + 1, st.clone())];
+                out.push(target, []);
+                out.push(pc + 1, []);
+                return;
             }
-            return self.branch_handle_eq(pc, st, cond, lhs, lhs_val, rhs_val, rhs_reg, target);
+            return self.branch_handle_eq(pc, cond, lhs, lhs_val, rhs_val, rhs_reg, target, out);
         }
 
         // Pure scalar comparison: an edge is feasible exactly when its
@@ -703,22 +667,17 @@ impl Analyzer<'_> {
         let b = self.as_scalar(pc, rhs_val, "comparison");
         let taken = assume(cond, a, b).map(|refined| (target, refined));
         let fallthrough = assume(negate(cond), a, b).map(|refined| (pc + 1, refined));
-        taken
-            .into_iter()
-            .chain(fallthrough)
-            .map(|(to, (ra, rb))| {
-                let mut s = st.clone();
-                // Only refine locations that were scalars to begin with;
-                // NULL stays the polymorphic literal.
-                if matches!(lhs_val, AbsVal::Scalar(_)) {
-                    s.regs[usize::from(lhs)] = AbsVal::Scalar(ra);
-                }
-                if let (Some(r), AbsVal::Scalar(_)) = (rhs_reg, rhs_val) {
-                    s.regs[usize::from(r)] = AbsVal::Scalar(rb);
-                }
-                (to, s)
-            })
-            .collect()
+        for (to, (ra, rb)) in taken.into_iter().chain(fallthrough) {
+            // Only refine locations that were scalars to begin with;
+            // NULL stays the polymorphic literal.
+            let lhs_w = matches!(lhs_val, AbsVal::Scalar(_))
+                .then_some((usize::from(lhs), AbsVal::Scalar(ra)));
+            let rhs_w = match (rhs_reg, rhs_val) {
+                (Some(r), AbsVal::Scalar(_)) => Some((usize::from(r), AbsVal::Scalar(rb))),
+                _ => None,
+            };
+            out.push(to, lhs_w.into_iter().chain(rhs_w));
+        }
     }
 
     /// Eq/Ne branch where at least one side is a handle.
@@ -726,14 +685,14 @@ impl Analyzer<'_> {
     fn branch_handle_eq(
         &mut self,
         pc: usize,
-        st: &State,
         cond: Cond,
         lhs: u8,
         lhs_val: AbsVal,
         rhs_val: AbsVal,
         rhs_reg: Option<u8>,
         target: usize,
-    ) -> Vec<(usize, State)> {
+        out: &mut Edges<AbsVal>,
+    ) {
         // Is one side the NULL literal (or the exact -1 scalar)?
         let is_null_lit = |v: AbsVal| match v {
             AbsVal::Null => true,
@@ -770,30 +729,22 @@ impl Analyzer<'_> {
         } else {
             eq_tri.not()
         };
-        let refine = |s: &mut State, null_side: bool| {
-            if let Some((r, k, _)) = vs_null {
-                s.regs[usize::from(r)] = AbsVal::Handle(
-                    k,
-                    if null_side {
-                        Nullability::Null
-                    } else {
-                        Nullability::NonNull
-                    },
-                );
-            }
+        let refine = |null_side: bool| {
+            vs_null.map(|(r, k, _)| {
+                let n = if null_side {
+                    Nullability::Null
+                } else {
+                    Nullability::NonNull
+                };
+                (usize::from(r), AbsVal::Handle(k, n))
+            })
         };
-        let mut out = Vec::new();
         if tri != Tri::False {
-            let mut s = st.clone();
-            refine(&mut s, cond == Cond::Eq);
-            out.push((target, s));
+            out.push(target, refine(cond == Cond::Eq));
         }
         if tri != Tri::True {
-            let mut s = st.clone();
-            refine(&mut s, cond == Cond::Ne);
-            out.push((pc + 1, s));
+            out.push(pc + 1, refine(cond == Cond::Ne));
         }
-        out
     }
 
     // ---- loop-bound inference ----------------------------------------
@@ -840,7 +791,7 @@ impl Analyzer<'_> {
         // cap for the element fetch when it realizes a scan, one trip
         // when it realizes an O(1)-charged construct) and skip the
         // monotonicity obligations no state can discharge.
-        if self.states[head].is_none() {
+        if self.states.before(head).is_none() {
             let cap = self.prog.code[head..=back]
                 .iter()
                 .find_map(|i| match i {
@@ -894,8 +845,7 @@ impl Analyzer<'_> {
                     rhs,
                     ..
                 } => {
-                    let st = self.states[p].clone();
-                    let n_iv = match st.as_ref().map(|s| s.regs[usize::from(rhs)]) {
+                    let n_iv = match self.states.before(p).map(|s| s[usize::from(rhs)]) {
                         Some(AbsVal::Scalar(iv)) => iv,
                         Some(AbsVal::Null) => Interval::exact(NULL_HANDLE),
                         _ => {
@@ -944,8 +894,7 @@ impl Analyzer<'_> {
                     rhs,
                     ..
                 } => {
-                    let st = self.states[back].clone();
-                    let n_hi = match st.as_ref().map(|s| s.regs[usize::from(rhs)]) {
+                    let n_hi = match self.states.before(back).map(|s| s[usize::from(rhs)]) {
                         Some(AbsVal::Scalar(iv)) => iv.hi,
                         _ => {
                             return unbounded(
@@ -1053,7 +1002,7 @@ impl Analyzer<'_> {
     /// Lower bound of the value at `reg`'s home location in the head
     /// state (for bottom-test trip counting).
     fn loop_var_lo(&self, head: usize, reg: u8) -> i64 {
-        match self.states[head].as_ref().map(|s| s.regs[usize::from(reg)]) {
+        match self.states.before(head).map(|s| s[usize::from(reg)]) {
             Some(AbsVal::Scalar(iv)) => iv.lo,
             _ => 0,
         }
@@ -1063,7 +1012,7 @@ impl Analyzer<'_> {
     /// registers are their own home; scratch registers trace back to the
     /// `Ld` that filled them within the head block.
     fn resolve_loc(&self, head: usize, test_pc: usize, reg: u8) -> Option<Loc> {
-        if (6..=9).contains(&reg) {
+        if is_allocatable(reg) {
             return Some(Loc::Reg(reg));
         }
         for q in (head..test_pc).rev() {
@@ -1138,12 +1087,12 @@ impl Analyzer<'_> {
         let n = self.prog.code.len();
         let mut pc = 0;
         while pc < n {
-            if self.states[pc].is_some() {
+            if self.states.before(pc).is_some() {
                 pc += 1;
                 continue;
             }
             let start = pc;
-            while pc < n && self.states[pc].is_none() {
+            while pc < n && self.states.before(pc).is_none() {
                 pc += 1;
             }
             let end = pc - 1;
@@ -1255,18 +1204,14 @@ impl Analyzer<'_> {
                 let p = self.pos_at(pc);
                 notes.push(format!("{}:{}", p.line, p.col));
             }
-            match &self.states[pc] {
+            match self.states.before(pc) {
                 None => notes.push("unreachable".to_string()),
                 Some(st) => {
                     for r in read_regs(insn) {
-                        notes.push(format!("r{r}={}", st.regs[usize::from(r)].render()));
+                        notes.push(format!("r{r}={}", st[usize::from(r)].render()));
                     }
                     if let Insn::Ld { slot, .. } = insn {
-                        let v = st
-                            .slots
-                            .get(usize::from(*slot))
-                            .copied()
-                            .unwrap_or(AbsVal::Uninit);
+                        let v = st.get(slot_loc(*slot)).copied().unwrap_or(AbsVal::Uninit);
                         notes.push(format!("s{slot}={}", v.render()));
                     }
                 }
@@ -1508,10 +1453,10 @@ fn audit_helpers(
             _ => None,
         };
         let Some(arg_reg) = code_arg else { continue };
-        let Some(state) = analyzer.states.get(pc).and_then(|s| s.as_ref()) else {
+        let Some(state) = analyzer.states.before(pc) else {
             continue;
         };
-        let code = match state.regs[usize::from(arg_reg)] {
+        let code = match state[usize::from(arg_reg)] {
             AbsVal::Scalar(iv) => iv.as_exact(),
             AbsVal::Null => Some(NULL_HANDLE),
             _ => None,
@@ -2079,6 +2024,57 @@ mod tests {
         // Without a side table the spans go, the states stay.
         let bare = annotated_listing(&prog, None, &cfg);
         assert!(!bare.contains("; 1:") && bare.contains("r1="), "{bare}");
+    }
+
+    #[test]
+    fn abs_val_join_meets_the_sparse_kernel_conditions() {
+        // `flow`'s module docs: the solver skips a location whose value
+        // already covers the incoming one, which is exact only if a join
+        // covers what it joined, keeps covering it through later joins
+        // and widenings, and is idempotent.
+        let prog = BytecodeProgram {
+            code: vec![Insn::Exit],
+            stack_slots: 0,
+        };
+        let cfg = VerifyConfig::default();
+        let lattice = run(&prog, None, &cfg);
+        let join = |a, b, w| Domain::join(&lattice, a, b, w);
+        let s = |lo, hi| AbsVal::Scalar(Interval::new(lo, hi));
+        let h = |k, n| AbsVal::Handle(k, n);
+        let samples = [
+            AbsVal::Uninit,
+            AbsVal::Null,
+            s(0, 0),
+            s(-1, 5),
+            s(3, 9),
+            s(i64::MIN, 0),
+            s(i64::MIN, i64::MAX),
+            h(HandleKind::Subflow, Nullability::NonNull),
+            h(HandleKind::Subflow, Nullability::Null),
+            h(HandleKind::Subflow, Nullability::MaybeNull),
+            h(HandleKind::Packet, Nullability::NonNull),
+            h(HandleKind::Packet, Nullability::MaybeNull),
+        ];
+        for a in samples {
+            for w in [false, true] {
+                assert_eq!(join(a, a, w), a, "idempotent: {a:?}");
+            }
+            for x in samples {
+                for (w1, w2, w3) in [
+                    (false, false, false),
+                    (true, true, true),
+                    (false, true, false),
+                    (true, false, true),
+                ] {
+                    let covering = join(a, x, w1);
+                    assert_eq!(join(covering, x, w2), covering, "{a:?} then {x:?}");
+                    for y in samples {
+                        let later = join(covering, y, w2);
+                        assert_eq!(join(later, x, w3), later, "{a:?}, {x:?}, {y:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
