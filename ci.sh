@@ -81,6 +81,16 @@ echo "==> a source compiles once per process: one program table behind Scheduler
 ! grep -nE '^ *(pub(\([a-z]+\))? )?static ' crates/core/src/program.rs \
   || { echo "crates/core/src/program.rs declares a static: progmp_core::compile, which compile_load times, must stay uncached"; exit 1; }
 
+echo "==> a scheduler is installed one way: SchedulerSpec names it, Installed::resolve builds it, the oracle arms the running program's own certificate"
+! grep -rn 'cert_override' crates/ src/ tests/ examples/ \
+  || { echo "a certificate override is back (forge a program with SchedulerProgram::with_property_certificate and bind it through SchedulerSpec::Program)"; exit 1; }
+! grep -nwE 'Installed|SchedulerHandle' crates/sim/src/lib.rs \
+  || { echo "mptcp_sim re-exports Installed or SchedulerHandle again (callers name a scheduler with SchedulerSpec)"; exit 1; }
+! grep -rn 'Installed::new' crates/ src/ tests/ examples/ \
+  || { echo "Installed::new is back (Installed::resolve builds every install)"; exit 1; }
+[ "$(for f in crates/sim/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} /Installed \{/ && !/(struct|impl) Installed \{/' "$f"; done | wc -l)" -eq 1 ] \
+  || { echo "an Installed is built outside Installed::resolve in crates/sim/src"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

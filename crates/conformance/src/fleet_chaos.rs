@@ -30,6 +30,8 @@ use mptcp_sim::{
     FleetReport, NativeTrapping, OracleMode, PathConfig, SchedulerSpec, Sim, SubflowConfig,
     Workload,
 };
+use progmp_core::{Backend, SchedulerProgram};
+use std::sync::LazyLock;
 
 /// Domain separation for per-connection shape draws, so fleet-chaos
 /// conn seed `n` shares nothing with the chaos case generator.
@@ -54,6 +56,14 @@ const PROVED_WC_DSL: &str =
 /// above, it fakes a verifier soundness gap the oracle must catch.
 const REGISTER_GATED_DSL: &str =
     "IF (R1 > 0 AND !Q.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
+
+/// The certificate saboteur's program: the register-gated scheduler
+/// wearing the proved-WC certificate as its own, forged once per process.
+static CERT_SABOTEUR: LazyLock<SchedulerProgram> = LazyLock::new(|| {
+    let compile = |source| progmp_core::compile(source).expect("saboteur sources compile");
+    let proved = compile(PROVED_WC_DSL).property_certificate().clone();
+    compile(REGISTER_GATED_DSL).with_property_certificate(proved)
+});
 
 /// The five scheduler classes a fleet cycles through by global index.
 /// Classes 1–4 are deliberate faults, one per supervisor fault class.
@@ -104,14 +114,7 @@ impl FleetCase {
             }
             1 => ConnectionConfig::new(paths, SchedulerSpec::dsl(PROVED_WC_DSL)),
             2 => ConnectionConfig::new(paths, SchedulerSpec::dsl("RETURN;")),
-            3 => {
-                let proved = progmp_core::compile(PROVED_WC_DSL)
-                    .expect("proved-WC scheduler compiles")
-                    .property_certificate()
-                    .clone();
-                ConnectionConfig::new(paths, SchedulerSpec::dsl(REGISTER_GATED_DSL))
-                    .with_cert_override(proved)
-            }
+            3 => ConnectionConfig::new(paths, SchedulerSpec::program(&CERT_SABOTEUR, Backend::Vm)),
             _ => ConnectionConfig::new(
                 paths,
                 SchedulerSpec::Native(Box::new(NativeTrapping::new(trap_after))),

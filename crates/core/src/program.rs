@@ -285,6 +285,26 @@ impl SchedulerProgram {
         &self.inner.props
     }
 
+    /// A new handle to a copy of this program wearing `props` as its own
+    /// certificate: a verifier soundness gap, forged for containment tests.
+    #[doc(hidden)]
+    pub fn with_property_certificate(&self, props: crate::PropertyCertificate) -> Self {
+        let inner = Arc::new(Compiled {
+            name: self.inner.name.clone(),
+            source: self.inner.source.clone(),
+            hir: self.inner.hir.clone(),
+            bytecode: self.inner.bytecode.clone(),
+            debug: self.inner.debug.clone(),
+            optimizer_rewrites: self.inner.optimizer_rewrites,
+            opt_report: self.inner.opt_report.clone(),
+            verdict: self.inner.verdict.clone(),
+            vm_verdict: self.inner.vm_verdict.clone(),
+            props,
+            aot: OnceLock::new(),
+        });
+        SchedulerProgram { inner }
+    }
+
     /// Bytecode disassembly (the proc-style debug listing of §4.1).
     pub fn disassemble(&self) -> String {
         self.inner.bytecode.disassemble()

@@ -166,12 +166,6 @@ pub struct ConnectionConfig {
     pub max_sched_rounds: u32,
     /// Whether to record per-packet timelines (costs memory).
     pub record_timelines: bool,
-    /// Replaces the compiled program's property certificate with this
-    /// one. Testing hook for the containment tier: pairing a scheduler
-    /// with a *stronger* certificate than it earns fakes a verifier
-    /// soundness gap, driving the oracle's `property-*` checks — and the
-    /// supervisor's quarantine path — on demand.
-    pub cert_override: Option<progmp_core::PropertyCertificate>,
 }
 
 impl ConnectionConfig {
@@ -189,7 +183,6 @@ impl ConnectionConfig {
             step_budget: None,
             max_sched_rounds: 256,
             record_timelines: false,
-            cert_override: None,
         }
     }
 
@@ -220,13 +213,6 @@ impl ConnectionConfig {
     /// Enables timeline recording.
     pub fn with_timelines(mut self) -> Self {
         self.record_timelines = true;
-        self
-    }
-
-    /// Overrides the property certificate (containment-tier testing
-    /// hook; see [`ConnectionConfig::cert_override`]).
-    pub fn with_cert_override(mut self, cert: progmp_core::PropertyCertificate) -> Self {
-        self.cert_override = Some(cert);
         self
     }
 }
@@ -275,5 +261,55 @@ mod tests {
         let second = load(&padded).unwrap();
         assert!(!first.ptr_eq(&second));
         assert!(in_table(source) && in_table(&padded));
+    }
+
+    /// A swap to a source that does not compile reports the error and
+    /// changes nothing: not what runs, not what a quarantine parked, not
+    /// the program table.
+    #[test]
+    fn a_rejected_swap_changes_nothing() {
+        use crate::connection::Connection;
+        use crate::engine::tests::MIN_RTT_DSL;
+        use crate::supervisor::{ContainState, ContainmentConfig};
+
+        // What runs, then what is parked: program and step budget.
+        let bound = |c: &Connection| -> Vec<(SchedulerProgram, u64)> {
+            let parked = c.contain.as_ref().and_then(|r| r.parked.as_ref());
+            [c.installed.as_ref(), parked.map(|(p, _)| p)]
+                .into_iter()
+                .flatten()
+                .map(|s| (s.program().unwrap().clone(), s.step_budget))
+                .collect()
+        };
+        let mut sim = crate::Sim::new(5);
+        sim.enable_containment(ContainmentConfig::default());
+        let path = PathConfig::symmetric(from_millis(10), 1_000_000);
+        // The second connection aborts every run: quarantined at once.
+        for budget in [None, Some(3)] {
+            let spec = SchedulerSpec::dsl(MIN_RTT_DSL);
+            let mut cfg = ConnectionConfig::new(vec![SubflowConfig::new(path.clone())], spec);
+            cfg.step_budget = budget;
+            let conn = sim.add_connection(cfg).unwrap();
+            sim.app_send_at(conn, 0, 14_000, 0);
+        }
+        sim.run_until(from_millis(1));
+        let states = [0, 1].map(|c| sim.connections[c].contain_state());
+        assert_eq!(states, [ContainState::Healthy, ContainState::Quarantined]);
+
+        let rejected = "VAR x = ;";
+        for (conn, held) in [(0, 1), (1, 2)] {
+            let before = bound(&sim.connections[conn]);
+            assert_eq!(before.len(), held);
+            assert!(sim
+                .set_scheduler(conn, SchedulerSpec::dsl(rejected))
+                .is_err());
+            let after = bound(&sim.connections[conn]);
+            assert_eq!(after.len(), held);
+            for ((was, was_budget), (is, budget)) in before.iter().zip(&after) {
+                assert!(is.ptr_eq(was), "connection {conn}");
+                assert_eq!(budget, was_budget);
+            }
+        }
+        assert!(!PROGRAMS.lock().unwrap().contains_key(rejected));
     }
 }

@@ -12,6 +12,7 @@
 
 use crate::app::BulkState;
 use crate::cc::{lia_alpha_x1024, CcAlgo};
+use crate::config::{load, SchedulerSpec};
 use crate::engine::{EventKind, Events};
 use crate::packet::SegmentSlab;
 use crate::path::{Path, TxOutcome};
@@ -26,11 +27,14 @@ use progmp_core::env::{
     NUM_REGISTERS,
 };
 use progmp_core::exec::ExecCtx;
-use progmp_core::{subflow_available, ExecError, PropertyCertificate, SchedulerInstance};
+use progmp_core::{
+    subflow_available, CompileError, ExecError, PropertyCertificate, SchedulerInstance,
+    SchedulerProgram,
+};
 
 /// The scheduler bound to a connection: a compiled ProgMP program or a
 /// native Rust scheduler.
-pub enum SchedulerHandle {
+pub(crate) enum SchedulerHandle {
     /// DSL program instance.
     Dsl(SchedulerInstance),
     /// Native Rust scheduler.
@@ -39,7 +43,7 @@ pub enum SchedulerHandle {
 
 impl SchedulerHandle {
     /// Runs one scheduler execution against `ctx`.
-    pub fn execute_once(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), ExecError> {
+    pub(crate) fn execute_once(&mut self, ctx: &mut ExecCtx<'_>) -> Result<(), ExecError> {
         match self {
             // The instance-level execute() applies effects itself; here we
             // need the raw execution because the connection applies
@@ -50,61 +54,59 @@ impl SchedulerHandle {
     }
 }
 
-/// A scheduler as installed on a connection: the instance together with
-/// what must always describe *that* instance — the property certificate
-/// the oracle arms, whether the liveness check may expect it to drain
-/// `RQ`, and the step budget it runs under. Every install path
-/// (connection creation, quarantine and re-admission,
-/// [`crate::Sim::set_scheduler`]) builds one with [`Installed::new`] and
-/// swaps it in whole.
-pub struct Installed {
+/// A scheduler as installed on a connection: the instance and the step
+/// budget it runs under; the property certificate the oracle arms and the
+/// `RQ` capability are its program's. Every install path (connection
+/// creation, [`crate::Sim::set_scheduler`], quarantine) builds one with
+/// [`Installed::resolve`]; re-admission restores the one quarantine parked.
+pub(crate) struct Installed {
     /// The scheduler instance.
-    pub handle: SchedulerHandle,
-    /// Stands in for the program's own certificate when set (the
-    /// [`crate::ConnectionConfig::cert_override`] testing hook). Boxed:
-    /// the engine moves the whole `Installed` out and back around every
-    /// execution, and a certificate is large and almost never there.
-    pub cert_override: Option<Box<PropertyCertificate>>,
+    pub(crate) handle: SchedulerHandle,
     /// Per-execution step budget.
-    pub step_budget: u64,
+    pub(crate) step_budget: u64,
 }
 
 impl Installed {
-    /// A DSL instance runs under its program's certified step bound;
-    /// native schedulers are opaque, so they get the blanket budget.
-    pub fn new(handle: SchedulerHandle) -> Self {
-        let step_budget = match &handle {
+    /// Binds `spec`, looking a source up in the process-wide table.
+    /// Without `step_budget` a DSL instance runs under its program's
+    /// certified step bound; native schedulers are opaque, so they get
+    /// the blanket budget.
+    pub(crate) fn resolve(
+        spec: SchedulerSpec,
+        step_budget: Option<u64>,
+    ) -> Result<Installed, CompileError> {
+        let handle = match spec {
+            SchedulerSpec::Dsl { source, backend } => {
+                SchedulerHandle::Dsl(load(&source)?.instantiate(backend))
+            }
+            SchedulerSpec::Program { program, backend } => {
+                SchedulerHandle::Dsl(program.instantiate(backend))
+            }
+            SchedulerSpec::Native(n) => SchedulerHandle::Native(n),
+        };
+        let step_budget = step_budget.unwrap_or_else(|| match &handle {
             SchedulerHandle::Dsl(inst) => inst.program().certified_step_bound(),
             SchedulerHandle::Native(_) => progmp_core::DEFAULT_STEP_BUDGET,
-        };
-        Installed {
+        });
+        Ok(Installed {
             handle,
-            cert_override: None,
             step_budget,
+        })
+    }
+
+    /// The program the instance runs; `None` for a native scheduler.
+    pub(crate) fn program(&self) -> Option<&SchedulerProgram> {
+        match &self.handle {
+            SchedulerHandle::Dsl(inst) => Some(inst.program()),
+            SchedulerHandle::Native(_) => None,
         }
     }
 
     /// The property certificate the oracle checks every execution
-    /// against: the override when set, else the (shared) program's own;
-    /// native schedulers have none.
-    pub fn cert(&self) -> Option<&PropertyCertificate> {
-        match (&self.cert_override, &self.handle) {
-            (Some(cert), _) => Some(cert.as_ref()),
-            (None, SchedulerHandle::Dsl(inst)) => Some(inst.program().property_certificate()),
-            (None, SchedulerHandle::Native(_)) => None,
-        }
-    }
-
-    /// Whether the scheduler can pop the reinjection queue. Programs that
-    /// provably never read `RQ` — like the paper's Fig. 3 minimal
-    /// example — cannot recover reinjected segments, so the liveness
-    /// oracle must not hold them to that standard; native schedulers are
-    /// assumed fully capable (the strict standard).
-    pub fn pops_rq(&self) -> bool {
-        match &self.handle {
-            SchedulerHandle::Dsl(inst) => inst.program().pops_reinjection_queue(),
-            SchedulerHandle::Native(_) => true,
-        }
+    /// against: always the running program's own; native schedulers have
+    /// none.
+    pub(crate) fn cert(&self) -> Option<&PropertyCertificate> {
+        self.program().map(SchedulerProgram::property_certificate)
     }
 }
 
@@ -208,7 +210,7 @@ pub struct Connection {
 
 impl Connection {
     /// Creates a connection; the engine populates subflows and receiver.
-    pub fn new(
+    pub(crate) fn new(
         id: usize,
         subflows: Vec<Subflow>,
         receiver: Receiver,
@@ -251,10 +253,10 @@ impl Connection {
         }
     }
 
-    /// Installs `scheduler` — instance, certificate and step budget in
-    /// one move — unless the fallback holds the connection (quarantined
-    /// or pinned): then `scheduler` replaces what is *parked*, what
-    /// re-admission will restore, never what is running.
+    /// Installs `scheduler` — instance (and with it the certificate) and
+    /// step budget in one move — unless the fallback holds the connection
+    /// (quarantined or pinned): then `scheduler` replaces what is
+    /// *parked*, what re-admission will restore, never what is running.
     pub(crate) fn set_scheduler(&mut self, scheduler: Installed) {
         match self.contain.as_mut().and_then(|c| c.parked.as_mut()) {
             Some((parked, _)) => *parked = scheduler,
@@ -270,15 +272,27 @@ impl Connection {
             .map_or(ContainState::Healthy, |c| c.state)
     }
 
-    /// The installed scheduler (`None` only while it executes).
-    pub fn installed(&self) -> Option<&Installed> {
-        self.installed.as_ref()
+    /// The program the connection runs, whose property certificate the
+    /// oracle arms: `None` for a native scheduler and while a round
+    /// executes.
+    pub fn program(&self) -> Option<&SchedulerProgram> {
+        self.installed.as_ref()?.program()
     }
 
-    /// Whether the installed scheduler can pop the reinjection queue
-    /// (see [`Installed::pops_rq`]).
+    /// The step budget the running scheduler executes under; `None` while
+    /// a round executes.
+    pub fn step_budget(&self) -> Option<u64> {
+        self.installed.as_ref().map(|s| s.step_budget)
+    }
+
+    /// Whether the running scheduler can pop the reinjection queue.
+    /// Programs that provably never read `RQ` — like the paper's Fig. 3
+    /// minimal example — cannot recover reinjected segments, so the
+    /// liveness oracle must not hold them to that standard; native
+    /// schedulers are assumed fully capable (the strict standard).
     pub fn pops_rq(&self) -> bool {
-        self.installed.as_ref().is_none_or(Installed::pops_rq)
+        self.program()
+            .is_none_or(SchedulerProgram::pops_reinjection_queue)
     }
 
     /// Refreshes the established-subflow cache after a path change.
@@ -1024,9 +1038,11 @@ mod tests {
             0,
             subflows,
             receiver,
-            Installed::new(SchedulerHandle::Native(Box::new(
-                crate::native::NativeMinRtt,
-            ))),
+            Installed::resolve(
+                SchedulerSpec::Native(Box::new(crate::native::NativeMinRtt)),
+                None,
+            )
+            .unwrap(),
             CcAlgo::Reno,
             1400,
             1 << 20,

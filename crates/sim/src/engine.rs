@@ -17,8 +17,8 @@
 
 use crate::app::BulkState;
 use crate::calendar::CalendarQueue;
-use crate::config::{load, ConnectionConfig, SchedulerSpec};
-use crate::connection::{Connection, Installed, SchedulerHandle};
+use crate::config::{ConnectionConfig, SchedulerSpec};
+use crate::connection::{Connection, Installed};
 use crate::faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
 use crate::oracle::{
     check_properties, check_quiescent, InvariantOracle, OracleViolation, PropObservation,
@@ -33,7 +33,7 @@ use crate::supervisor::{
 use crate::time::SimTime;
 use progmp_core::env::{PacketRef, RegId, SubflowId, Trigger};
 use progmp_core::exec::{ExecCtx, ExecScratch};
-use progmp_core::{CompileError, ExecStats};
+use progmp_core::{CompileError, ExecError, ExecStats, SchedulerProgram};
 use std::time::Instant;
 
 /// Identifier of a connection within a [`Sim`].
@@ -216,8 +216,12 @@ impl Sim {
     ///
     /// # Panics
     ///
-    /// If `cfg.stall_check_interval` is zero (see [`Supervisor::new`]).
+    /// If containment is already enabled: a second supervisor would drop
+    /// the first's incident log and re-admit every connection as healthy,
+    /// losing for good the scheduler a quarantined one has parked. Also
+    /// if `cfg.stall_check_interval` is zero (see [`Supervisor::new`]).
     pub fn enable_containment(&mut self, cfg: ContainmentConfig) {
+        assert!(self.supervisor.is_none(), "enable_containment called twice");
         let sup = Supervisor::new(self.seed, cfg);
         for c in &mut self.connections {
             c.contain = Some(sup.admit(c.identity));
@@ -305,23 +309,7 @@ impl Sim {
     ) -> Result<ConnId, CompileError> {
         assert!(cfg.mss > 0, "ConnectionConfig::mss must be positive");
         let id = self.connections.len();
-        let handle = match cfg.scheduler {
-            SchedulerSpec::Dsl { source, backend } => {
-                SchedulerHandle::Dsl(load(&source)?.instantiate(backend))
-            }
-            SchedulerSpec::Program { program, backend } => {
-                SchedulerHandle::Dsl(program.instantiate(backend))
-            }
-            SchedulerSpec::Native(n) => SchedulerHandle::Native(n),
-        };
-        // What stays per connection even when the program is shared.
-        // Without an explicit budget, the one `Installed::new` picked
-        // stands.
-        let mut scheduler = Installed::new(handle);
-        if let Some(budget) = cfg.step_budget {
-            scheduler.step_budget = budget;
-        }
-        scheduler.cert_override = cfg.cert_override.map(Box::new);
+        let scheduler = Installed::resolve(cfg.scheduler, cfg.step_budget)?;
         let mut subflows = Vec::new();
         for (i, sc) in cfg.subflows.iter().enumerate() {
             let mut sbf = Subflow::new(SubflowId(i as u32), Path::new(&sc.path), cfg.mss);
@@ -377,18 +365,24 @@ impl Sim {
     }
 
     /// Swaps the scheduler of `conn` between events: the one install
-    /// path after connection creation. While the supervisor holds `conn`
-    /// on the fallback (quarantined or pinned), `scheduler` replaces what
+    /// path after connection creation. `spec` binds as at creation, under
+    /// the program's certified step bound. While the supervisor holds
+    /// `conn` on the fallback (quarantined or pinned), it replaces what
     /// is *parked* — what re-admission will restore — never what is
     /// running, so an application cannot take a connection out of
     /// containment.
     ///
+    /// # Errors
+    ///
+    /// A DSL source that does not compile; nothing changes.
+    ///
     /// # Panics
     ///
     /// If `conn` is not a connection of this simulation.
-    pub fn set_scheduler(&mut self, conn: ConnId, scheduler: Installed) {
+    pub fn set_scheduler(&mut self, conn: ConnId, spec: SchedulerSpec) -> Result<(), CompileError> {
         self.check_conn(conn);
-        self.connections[conn].set_scheduler(scheduler);
+        self.connections[conn].set_scheduler(Installed::resolve(spec, None)?);
+        Ok(())
     }
 
     /// Schedules `bytes` of application data with property `prop` at `at`
@@ -786,7 +780,7 @@ impl Sim {
             c.stats.scheduler_errors += 1;
             let fault = Some(Fault {
                 class: classify_exec_error(err),
-                location: fault_location(&scheduler.handle, err),
+                location: fault_location(scheduler.program(), err),
                 violations: Vec::new(),
             });
             return Round { stats, fault };
@@ -895,14 +889,11 @@ struct Fault {
 /// Source location (`line:col`) of a backend fault, when attributable:
 /// a `MalformedBytecode` fault carries its program counter, which the
 /// compiled program's debug table maps back to the DSL span.
-fn fault_location(handle: &SchedulerHandle, err: &progmp_core::ExecError) -> Option<String> {
-    let SchedulerHandle::Dsl(inst) = handle else {
+fn fault_location(program: Option<&SchedulerProgram>, err: &ExecError) -> Option<String> {
+    let (Some(program), ExecError::MalformedBytecode { pc, .. }) = (program, err) else {
         return None;
     };
-    let progmp_core::ExecError::MalformedBytecode { pc, .. } = err else {
-        return None;
-    };
-    let pos = inst.program().debug_table().pos(*pc);
+    let pos = program.debug_table().pos(*pc);
     (pos.line > 0).then(|| format!("{}:{}", pos.line, pos.col))
 }
 
@@ -1353,6 +1344,28 @@ pub(crate) mod tests {
             .unwrap();
         sim.attach_path_manager(conn, PathManager::new(PathManagerPolicy::Static, 0));
         sim.run_to_completion(SECONDS);
+    }
+
+    /// A second supervisor would re-admit the quarantined connection as
+    /// healthy, so the pending re-admission would find nothing parked and
+    /// the fallback would run on as if it were the original.
+    #[test]
+    #[should_panic(expected = "enable_containment called twice")]
+    fn enabling_containment_twice_panics_at_the_call() {
+        let mut sim = Sim::new(3);
+        sim.enable_containment(ContainmentConfig::default());
+        let conn = sim
+            .add_connection(two_path_config(SchedulerSpec::Native(Box::new(
+                crate::native::NativeTrapping::new(0),
+            ))))
+            .unwrap();
+        sim.app_send_at(conn, 0, 100_000, 0);
+        sim.run_until(from_millis(1));
+        assert_eq!(
+            sim.connections[conn].contain_state(),
+            crate::supervisor::ContainState::Quarantined
+        );
+        sim.enable_containment(ContainmentConfig::default());
     }
 
     #[test]

@@ -554,9 +554,10 @@ mod tests {
 
     #[test]
     fn violations_name_the_global_connection_at_every_worker_count() {
-        // Connection 4 never pushes, under a stolen certificate that
-        // proves work-conservation: the oracle catches it, the supervisor
-        // contains it. At three workers it is the first of its shard.
+        // Connection 4 never pushes, yet its program wears a forged
+        // certificate that proves work-conservation: the oracle catches
+        // it, the supervisor contains it. At three workers it is the
+        // first of its shard.
         const PROVED: &str =
             "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
         const GATED: &str =
@@ -565,11 +566,13 @@ mod tests {
             .unwrap()
             .property_certificate()
             .clone();
+        let saboteur = progmp_core::compile(GATED)
+            .unwrap()
+            .with_property_certificate(stolen);
         let with_saboteur = |global: usize, seed: u64| {
             let mut sc = scenario(global, seed);
             if global == 4 {
-                sc.config.scheduler = SchedulerSpec::dsl(GATED);
-                sc.config = sc.config.with_cert_override(stolen.clone());
+                sc.config.scheduler = SchedulerSpec::program(&saboteur, progmp_core::Backend::Vm);
             }
             sc
         };

@@ -71,7 +71,7 @@ pub mod time;
 pub use calendar::CalendarQueue;
 pub use cc::CcAlgo;
 pub use config::{ConnectionConfig, SchedulerSpec, SubflowConfig};
-pub use connection::{Connection, Installed, SchedulerHandle};
+pub use connection::Connection;
 pub use engine::{ConnId, Sim};
 pub use faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
 pub use fleet::{

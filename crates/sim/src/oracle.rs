@@ -522,7 +522,8 @@ pub fn check_quiescent(now: SimTime, conn: &Connection) -> Option<OracleViolatio
 pub(crate) mod tests {
     use super::*;
     use crate::cc::CcAlgo;
-    use crate::connection::{Installed, SchedulerHandle};
+    use crate::config::SchedulerSpec;
+    use crate::connection::Installed;
     use crate::path::{Path, PathConfig};
     use crate::receiver::{Receiver, ReceiverMode};
     use crate::subflow::Subflow;
@@ -541,9 +542,11 @@ pub(crate) mod tests {
             0,
             subflows,
             receiver,
-            Installed::new(SchedulerHandle::Native(Box::new(
-                crate::native::NativeMinRtt,
-            ))),
+            Installed::resolve(
+                SchedulerSpec::Native(Box::new(crate::native::NativeMinRtt)),
+                None,
+            )
+            .unwrap(),
             CcAlgo::Reno,
             1400,
             1 << 20,
@@ -637,9 +640,8 @@ pub(crate) mod tests {
             "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }",
         )
         .unwrap();
-        let fig3 = Installed::new(SchedulerHandle::Dsl(
-            fig3.instantiate(progmp_core::Backend::Vm),
-        ));
+        let fig3 = SchedulerSpec::program(&fig3, progmp_core::Backend::Vm);
+        let fig3 = Installed::resolve(fig3, None).unwrap();
         let native = c.installed.replace(fig3).unwrap();
         let found = check_quiescent(5, &c);
         assert!(

@@ -133,7 +133,8 @@ impl PathManager {
 mod tests {
     use super::*;
     use crate::cc::CcAlgo;
-    use crate::connection::{Connection, Installed, SchedulerHandle};
+    use crate::config::SchedulerSpec;
+    use crate::connection::{Connection, Installed};
     use crate::native::NativeMinRtt;
     use crate::path::{Path, PathConfig};
     use crate::receiver::{Receiver, ReceiverMode};
@@ -160,7 +161,7 @@ mod tests {
             0,
             subflows,
             Receiver::new(ReceiverMode::Improved, 2, 1 << 20),
-            Installed::new(SchedulerHandle::Native(Box::new(NativeMinRtt))),
+            Installed::resolve(SchedulerSpec::Native(Box::new(NativeMinRtt)), None).unwrap(),
             CcAlgo::Reno,
             1400,
             1 << 20,

@@ -349,7 +349,8 @@ mod tests {
         // The ambiguous RTT must not be sampled, so the pre-RTO estimate
         // survives; the data still completes.
         use crate::cc::CcAlgo;
-        use crate::connection::{Connection, Installed, SchedulerHandle};
+        use crate::config::SchedulerSpec;
+        use crate::connection::{Connection, Installed};
         use crate::receiver::{Receiver, ReceiverMode};
         use progmp_core::env::SchedulerEnv;
 
@@ -363,9 +364,11 @@ mod tests {
             0,
             subflows,
             receiver,
-            Installed::new(SchedulerHandle::Native(Box::new(
-                crate::native::NativeMinRtt,
-            ))),
+            Installed::resolve(
+                SchedulerSpec::Native(Box::new(crate::native::NativeMinRtt)),
+                None,
+            )
+            .unwrap(),
             CcAlgo::Reno,
             1400,
             1 << 20,

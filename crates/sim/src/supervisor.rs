@@ -9,8 +9,8 @@
 //! log line, and never `catch_unwind`. On a fault the supervisor
 //!
 //! 1. **quarantines** the program for that connection: the faulting
-//!    scheduler is parked whole (the [`Installed`] value: instance,
-//!    property certificate, `RQ` capability flag, and step budget) and a
+//!    scheduler is parked whole (instance and step budget; the property
+//!    certificate and `RQ` capability are its program's) and a
 //!    built-in safe default with minRtt semantics ([`fallback_program`],
 //!    one program per process, like any DSL source) takes over;
 //! 2. schedules **probationary re-admission** after a deterministic
@@ -39,8 +39,8 @@
 //! same scenario with the same seed reproduces the same incident at the
 //! same simulated time.
 
-use crate::config::load;
-use crate::connection::{Connection, Installed, SchedulerHandle};
+use crate::config::{load, SchedulerSpec};
+use crate::connection::{Connection, Installed};
 use crate::faults::ChaosRng;
 use crate::time::{SimTime, MILLIS, SECONDS};
 use progmp_core::{Backend, ExecError, SchedulerProgram};
@@ -421,10 +421,11 @@ impl Supervisor {
             }
             ContainState::Healthy | ContainState::Probation => {
                 entry.strikes += 1;
-                let fallback = SchedulerHandle::Dsl(fallback_program().instantiate(Backend::Vm));
+                let fallback = SchedulerSpec::program(&fallback_program(), Backend::Vm);
+                let fallback = Installed::resolve(fallback, None).expect("a loaded program binds");
                 let original = conn
                     .installed
-                    .replace(Installed::new(fallback))
+                    .replace(fallback)
                     .expect("scheduler is restored before fault handling");
                 entry.parked = Some((original, class.clone()));
                 if entry.strikes >= self.cfg.max_strikes {
@@ -523,7 +524,7 @@ mod tests {
     }
 
     fn running_budget(c: &Connection) -> u64 {
-        c.installed().unwrap().step_budget
+        c.step_budget().unwrap()
     }
 
     #[test]

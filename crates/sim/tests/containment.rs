@@ -7,8 +7,7 @@
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
     ConnectionConfig, ContainAction, ContainState, ContainmentConfig, FaultClass, FaultClause,
-    FaultPlan, Installed, NativeTrapping, PathConfig, SchedulerHandle, SchedulerSpec, Sim,
-    SubflowConfig,
+    FaultPlan, NativeTrapping, PathConfig, SchedulerSpec, Sim, SubflowConfig,
 };
 use progmp_core::Backend;
 
@@ -148,15 +147,10 @@ fn transient_fault_survives_probationary_readmission() {
 
 #[test]
 fn certificate_violation_is_quarantined_not_panicked() {
-    // Pair a never-pushing scheduler with a stolen proved-WC certificate:
-    // a faked verifier soundness gap. The oracle is in panicking mode, so
+    // A never-pushing program wearing a stolen proved-WC certificate: a
+    // faked verifier soundness gap. The oracle is in panicking mode, so
     // without containment routing this test would abort.
-    let proved_cert = progmp_core::compile(PROVED_WC_DSL)
-        .unwrap()
-        .property_certificate()
-        .clone();
-    let cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(REGISTER_GATED_DSL))
-        .with_cert_override(proved_cert);
+    let cfg = ConnectionConfig::new(two_paths(), forged(REGISTER_GATED_DSL, PROVED_WC_DSL));
     let mut sim = contained_sim(19, cfg);
     sim.app_send_at(0, 0, 150_000, 0);
     sim.run_to_completion(60 * SECONDS);
@@ -255,14 +249,6 @@ fn without_containment_faults_surface_the_old_way() {
 // ---- A mid-run scheduler swap under containment -------------------------
 
 /// `PROVED_WC_DSL` under a step budget of 3, which aborts every run.
-fn bomb() -> Installed {
-    let program = progmp_core::compile(PROVED_WC_DSL).unwrap();
-    Installed {
-        step_budget: 3,
-        ..Installed::new(SchedulerHandle::Dsl(program.instantiate(Backend::Vm)))
-    }
-}
-
 fn bombed_connection() -> ConnectionConfig {
     let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
     cfg.step_budget = Some(3);
@@ -278,19 +264,21 @@ fn a_swap_under_quarantine_takes_effect_at_readmission_and_stays_supervised() {
     assert_eq!(quarantine.action, ContainAction::Quarantined);
 
     // The replacement schedules for a while, then traps forever.
-    let replacement = SchedulerHandle::Native(Box::new(NativeTrapping::new(20)));
-    sim.set_scheduler(0, Installed::new(replacement));
+    let replacement = SchedulerSpec::Native(Box::new(NativeTrapping::new(20)));
+    sim.set_scheduler(0, replacement).unwrap();
     let state = |sim: &Sim| sim.connections[0].contain_state();
     assert_eq!(state(&sim), ContainState::Quarantined);
 
     sim.run_until(quarantine.at + quarantine.backoff);
     assert_eq!(state(&sim), ContainState::Probation);
     assert!(
-        matches!(
-            &sim.connections[0].installed().unwrap().handle,
-            SchedulerHandle::Native(n) if n.name() == "native-trapping"
-        ),
-        "re-admission restores the replacement, not the bomb it replaced"
+        sim.connections[0].program().is_none(),
+        "re-admission restores the native replacement, not the bomb program it replaced"
+    );
+    assert_eq!(
+        sim.connections[0].step_budget(),
+        Some(progmp_core::DEFAULT_STEP_BUDGET),
+        "with the replacement's own budget, not the bomb's"
     );
     assert_eq!(
         sim.connections[0].stats.scheduler_errors, 1,
@@ -328,7 +316,9 @@ fn a_swap_on_a_pinned_connection_never_runs() {
     let incidents = sim.incidents().len();
     assert_eq!(sim.connections[0].stats.scheduler_errors, 3);
 
-    sim.set_scheduler(0, bomb());
+    // Traps on every call: one run would be an error and an incident.
+    let trapper = SchedulerSpec::Native(Box::new(NativeTrapping::new(0)));
+    sim.set_scheduler(0, trapper).unwrap();
     sim.app_send_at(0, sim.now, 200_000, 0);
     sim.run_to_completion(120 * SECONDS);
     assert!(
@@ -363,26 +353,32 @@ fn certificate_of(source: &str) -> progmp_core::PropertyCertificate {
         .clone()
 }
 
+/// `source`, compiled and wearing the certificate of `proves` as its
+/// own: a forged verifier soundness gap.
+fn forged(source: &str, proves: &str) -> SchedulerSpec {
+    let program = progmp_core::compile(source).unwrap();
+    SchedulerSpec::program(
+        &program.with_property_certificate(certificate_of(proves)),
+        Backend::Vm,
+    )
+}
+
 /// A scheduler that aborts every execution, one that breaks a stolen
 /// certificate without ever pushing, one that breaks a stolen certificate
 /// with every push it makes, and one that does nothing at all.
 fn offender(which: &str) -> ConnectionConfig {
-    match which {
-        "bomb" => {
-            let mut cfg = ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL));
-            cfg.step_budget = Some(3);
-            cfg
-        }
-        "saboteur" => ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(REGISTER_GATED_DSL))
-            .with_cert_override(certificate_of(PROVED_WC_DSL)),
-        "pushing saboteur" => ConnectionConfig::new(two_paths(), SchedulerSpec::dsl(PROVED_WC_DSL))
-            .with_cert_override(certificate_of(
-                "VAR slow = SUBFLOWS.FILTER(sbf => sbf.ID == 1).MIN(sbf => sbf.RTT);\n\
-                 IF (slow != NULL AND !Q.EMPTY) { slow.PUSH(Q.POP()); }",
-            )),
-        "starver" => ConnectionConfig::new(two_paths(), SchedulerSpec::dsl("RETURN;")),
+    let scheduler = match which {
+        "bomb" => return bombed_connection(),
+        "saboteur" => forged(REGISTER_GATED_DSL, PROVED_WC_DSL),
+        "pushing saboteur" => forged(
+            PROVED_WC_DSL,
+            "VAR slow = SUBFLOWS.FILTER(sbf => sbf.ID == 1).MIN(sbf => sbf.RTT);\n\
+             IF (slow != NULL AND !Q.EMPTY) { slow.PUSH(Q.POP()); }",
+        ),
+        "starver" => SchedulerSpec::dsl("RETURN;"),
         other => panic!("no offender {other}"),
-    }
+    };
+    ConnectionConfig::new(two_paths(), scheduler)
 }
 
 /// Two sends, 5 ms apart, and a jitter window after them: two events

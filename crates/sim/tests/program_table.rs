@@ -1,18 +1,19 @@
 //! The program lifecycle: each distinct source compiles once per process,
 //! every connection naming it — in any [`Sim`], on any thread — shares
-//! that program, and what must stay per connection (budget and
-//! certificate overrides, the parked scheduler of a quarantine) does.
+//! that program, and what must stay per connection (a budget override,
+//! the parked scheduler of a quarantine) does. The certificate the
+//! oracle arms is always the running program's own.
 //!
 //! Every test here shares one process-wide table, so none counts its
 //! entries: sharing is asserted by pointer-equal programs.
 
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
-    fallback_program, ConnectionConfig, ContainAction, ContainState, ContainmentConfig, Installed,
-    PathConfig, SchedulerHandle, SchedulerSpec, Sim, SubflowConfig,
+    fallback_program, ConnectionConfig, ContainAction, ContainState, ContainmentConfig, PathConfig,
+    SchedulerSpec, Sim, SubflowConfig,
 };
 use progmp_core::env::RegId;
-use progmp_core::{Backend, SchedulerInstance, SchedulerProgram};
+use progmp_core::{Backend, PropertyCertificate, SchedulerProgram};
 use std::sync::Barrier;
 
 const MIN_RTT: &str =
@@ -31,21 +32,33 @@ fn paths(n: usize) -> Vec<SubflowConfig> {
         .collect()
 }
 
-fn instance(sim: &Sim, conn: usize) -> &SchedulerInstance {
-    match &installed(sim, conn).handle {
-        SchedulerHandle::Dsl(inst) => inst,
-        SchedulerHandle::Native(_) => panic!("connection {conn} runs a native scheduler"),
-    }
-}
-
 fn program(sim: &Sim, conn: usize) -> &SchedulerProgram {
-    instance(sim, conn).program()
+    sim.connections[conn]
+        .program()
+        .unwrap_or_else(|| panic!("connection {conn} runs a native scheduler"))
 }
 
-fn installed(sim: &Sim, conn: usize) -> &Installed {
-    sim.connections[conn]
-        .installed()
-        .expect("no execution in flight")
+/// Asserts that `conn` runs `expected`, and so that the certificate the
+/// oracle arms is `expected`'s own — not an equal copy.
+fn runs(sim: &Sim, conn: usize, expected: &SchedulerProgram) {
+    let running = program(sim, conn);
+    assert!(running.ptr_eq(expected), "connection {conn}");
+    let cert = running.property_certificate();
+    assert!(std::ptr::eq(cert, expected.property_certificate()));
+}
+
+fn certificate_of(source: &str) -> PropertyCertificate {
+    progmp_core::compile(source)
+        .unwrap()
+        .property_certificate()
+        .clone()
+}
+
+/// `source`, compiled outside the table and wearing the certificate of
+/// `MIN_RTT`, which proves work-conservation, as its own.
+fn forged(source: &str) -> SchedulerProgram {
+    let program = progmp_core::compile(source).unwrap();
+    program.with_property_certificate(certificate_of(MIN_RTT))
 }
 
 /// The first seven bundled sources: the paper's schedulers.
@@ -75,12 +88,6 @@ fn seventy_connections_of_seven_schedulers_share_seven_programs() {
     for c in &sim.connections {
         assert!(c.all_acked(), "connection {} on a shared program", c.id);
         assert!(c.stats.scheduler_executions > 0);
-        assert_eq!(
-            instance(&sim, c.id).size_bytes(),
-            std::mem::size_of::<SchedulerInstance>(),
-            "connection {} holds a handle, no image of its own",
-            c.id
-        );
     }
 }
 
@@ -162,40 +169,51 @@ fn a_precompiled_program_binds_without_entering_the_table() {
 }
 
 #[test]
-fn budget_and_certificate_overrides_stay_per_connection() {
-    let stolen = progmp_core::compile(MIN_RTT)
-        .unwrap()
-        .property_certificate()
-        .clone();
+fn a_budget_override_stays_per_connection() {
     let mut sim = Sim::new(3);
     let plain = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED));
     let mut tight = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED));
     tight.step_budget = Some(77);
-    let overridden = ConnectionConfig::new(paths(1), SchedulerSpec::dsl(REGISTER_GATED))
-        .with_cert_override(stolen.clone());
-    for cfg in [plain, tight, overridden] {
+    for cfg in [plain, tight] {
         sim.add_connection(cfg).unwrap();
     }
     let shared = program(&sim, 0);
-    assert!(program(&sim, 1).ptr_eq(shared) && program(&sim, 2).ptr_eq(shared));
+    runs(&sim, 1, shared);
+    let budgets: Vec<_> = (0..2).map(|c| sim.connections[c].step_budget()).collect();
+    assert_eq!(budgets, [Some(shared.certified_step_bound()), Some(77)]);
+}
 
-    let budgets: Vec<u64> = (0..3).map(|c| installed(&sim, c).step_budget).collect();
+/// The forgery hook copies a program and replaces its certificate, and
+/// nothing else: the source program, and the table's entry for its
+/// source text, stay honest.
+#[test]
+fn a_forged_certificate_is_a_program_of_its_own() {
+    let mut sim = Sim::new(3);
+    let spec = || SchedulerSpec::dsl(REGISTER_GATED);
+    sim.add_connection(ConnectionConfig::new(paths(1), spec()))
+        .unwrap();
+    let honest = program(&sim, 0).clone();
+    let stolen = certificate_of(MIN_RTT);
+    assert_ne!(honest.property_certificate(), &stolen);
+
+    let forged = honest.with_property_certificate(stolen.clone());
+    assert!(!forged.ptr_eq(&honest));
+    assert_eq!(forged.bytecode(), honest.bytecode());
+    assert_eq!(forged.certified_step_bound(), honest.certified_step_bound());
+    assert_eq!(forged.property_certificate(), &stolen);
     assert_eq!(
-        budgets,
-        [
-            shared.certified_step_bound(),
-            77,
-            shared.certified_step_bound()
-        ]
+        honest.property_certificate(),
+        &certificate_of(REGISTER_GATED),
+        "the source's own certificate is untouched"
     );
-    let own = shared.property_certificate();
-    assert_ne!(own, &stolen);
-    let certs: Vec<_> = (0..3).map(|c| installed(&sim, c).cert().unwrap()).collect();
-    assert_eq!(certs, [own, own, &stolen]);
-    assert!(
-        std::ptr::eq(certs[0], own),
-        "without an override the certificate is the program's, not a copy"
-    );
+
+    let bound = SchedulerSpec::program(&forged, Backend::Vm);
+    for scheduler in [bound, spec()] {
+        sim.add_connection(ConnectionConfig::new(paths(1), scheduler))
+            .unwrap();
+    }
+    runs(&sim, 1, &forged);
+    runs(&sim, 2, &honest);
 }
 
 #[test]
@@ -205,7 +223,7 @@ fn a_budget_equal_to_the_blanket_default_is_honoured() {
     let mut sim = Sim::new(3);
     sim.add_connection(cfg).unwrap();
     assert_ne!(program(&sim, 0).certified_step_bound(), 1_000_000);
-    assert_eq!(installed(&sim, 0).step_budget, 1_000_000);
+    assert_eq!(sim.connections[0].step_budget(), Some(1_000_000));
 }
 
 #[test]
@@ -236,21 +254,17 @@ fn connections_sharing_a_program_each_see_their_own_subflows() {
 #[test]
 fn readmission_restores_exactly_what_quarantine_parked() {
     // A stolen proved-work-conservation certificate makes the gated
-    // scheduler fault on its first execution; by re-admission the
+    // program fault on its first execution; by re-admission the
     // application has opened the gate, so the original stays.
-    let stolen = progmp_core::compile(MIN_RTT)
-        .unwrap()
-        .property_certificate()
-        .clone();
-    let mut cfg = ConnectionConfig::new(paths(2), SchedulerSpec::dsl(REGISTER_GATED))
-        .with_cert_override(stolen.clone());
+    let original = forged(REGISTER_GATED);
+    let mut cfg = ConnectionConfig::new(paths(2), SchedulerSpec::program(&original, Backend::Vm));
     cfg.step_budget = Some(5_000);
     let mut sim = Sim::new(19);
     sim.enable_containment(ContainmentConfig::default());
     sim.enable_oracle("seed 19", true);
     sim.add_connection(cfg).unwrap();
-    let original = program(&sim, 0).clone();
-    assert!(!installed(&sim, 0).pops_rq());
+    runs(&sim, 0, &original);
+    assert!(!sim.connections[0].pops_rq());
 
     sim.app_send_at(0, 0, 50_000, 0);
     sim.set_register_at(0, from_millis(100), RegId::R1, 1);
@@ -261,17 +275,12 @@ fn readmission_restores_exactly_what_quarantine_parked() {
         sim.connections[0].contain_state(),
         ContainState::Quarantined
     );
-    let fallback = installed(&sim, 0);
-    assert!(program(&sim, 0).ptr_eq(&fallback_program()));
+    runs(&sim, 0, &fallback_program());
     assert_eq!(
-        fallback.cert(),
-        Some(fallback_program().property_certificate())
+        sim.connections[0].step_budget(),
+        Some(fallback_program().certified_step_bound())
     );
-    assert_eq!(
-        fallback.step_budget,
-        fallback_program().certified_step_bound()
-    );
-    assert!(fallback.pops_rq());
+    assert!(sim.connections[0].pops_rq());
 
     // Re-admission falls between the two sends.
     sim.run_until(SECONDS - 1);
@@ -286,11 +295,9 @@ fn readmission_restores_exactly_what_quarantine_parked() {
         actions,
         [ContainAction::Quarantined, ContainAction::Readmitted]
     );
-    let back = installed(&sim, 0);
-    assert!(program(&sim, 0).ptr_eq(&original));
-    assert_eq!(back.cert(), Some(&stolen));
-    assert_eq!(back.step_budget, 5_000);
-    assert!(!back.pops_rq());
+    runs(&sim, 0, &original);
+    assert_eq!(sim.connections[0].step_budget(), Some(5_000));
+    assert!(!sim.connections[0].pops_rq());
     assert!(
         sim.connections[0].stats.scheduler_executions > before_second_send,
         "the parked scheduler came back and ran the second send"

@@ -12,7 +12,7 @@
 //! In the paper these operations travel through `sockopts` into the
 //! kernel runtime; here they operate on a [`Sim`] connection.
 
-use mptcp_sim::{ConnId, Installed, SchedulerHandle, Sim};
+use mptcp_sim::{ConnId, SchedulerSpec, Sim};
 use progmp_core::env::{RegId, Trigger};
 use progmp_core::{compile_named, Backend, CompileError, SchedulerProgram};
 use std::collections::HashMap;
@@ -136,8 +136,7 @@ impl ProgMp {
         if conn >= sim.connections.len() {
             return Err(ApiError::UnknownConnection(conn));
         }
-        let instance = program.instantiate(backend);
-        sim.set_scheduler(conn, Installed::new(SchedulerHandle::Dsl(instance)));
+        sim.set_scheduler(conn, SchedulerSpec::program(program, backend))?;
         Ok(())
     }
 
@@ -218,9 +217,13 @@ impl ProgMp {
 mod tests {
     use super::*;
     use mptcp_sim::time::{from_millis, SECONDS};
-    use mptcp_sim::{ConnectionConfig, PathConfig, SchedulerSpec, SubflowConfig};
+    use mptcp_sim::{ConnectionConfig, PathConfig, SubflowConfig};
 
     fn sim_with_conn() -> (Sim, ConnId) {
+        sim_with(SchedulerSpec::dsl(progmp_schedulers::DEFAULT_MIN_RTT))
+    }
+
+    fn sim_with(scheduler: SchedulerSpec) -> (Sim, ConnId) {
         let mut sim = Sim::new(1);
         let conn = sim
             .add_connection(ConnectionConfig::new(
@@ -228,7 +231,7 @@ mod tests {
                     SubflowConfig::new(PathConfig::symmetric(from_millis(10), 1_250_000)),
                     SubflowConfig::new(PathConfig::symmetric(from_millis(40), 1_250_000)),
                 ],
-                SchedulerSpec::dsl(progmp_schedulers::DEFAULT_MIN_RTT),
+                scheduler,
             ))
             .unwrap();
         (sim, conn)
@@ -353,12 +356,26 @@ mod tests {
                 FOREACH (VAR sbf IN SUBFLOWS) { sbf.PUSH(skb); }
             }";
         let mut api = ProgMp::new();
+        api.load_scheduler("default", progmp_schedulers::DEFAULT_MIN_RTT)
+            .unwrap();
         api.load_scheduler("redundant", progmp_schedulers::REDUNDANT)
             .unwrap();
         api.load_scheduler("everyPath", EVERY_PATH).unwrap();
         api.load_scheduler("roundRobin", progmp_schedulers::ROUND_ROBIN)
             .unwrap();
-        let (mut sim, conn) = sim_with_conn();
+        // The certificate the oracle arms is the running program's own,
+        // the very one the registry holds: on creation and on each swap.
+        let armed = |c: &mptcp_sim::Connection, name: &str| {
+            let program = api.program(name).unwrap();
+            let running = c.program().unwrap();
+            assert!(running.ptr_eq(program), "{name} runs");
+            let cert = running.property_certificate();
+            assert!(std::ptr::eq(cert, program.property_certificate()));
+            assert_eq!(c.step_budget(), Some(program.certified_step_bound()));
+        };
+        let default = api.program("default").unwrap();
+        let (mut sim, conn) = sim_with(SchedulerSpec::program(default, Backend::Vm));
+        armed(&sim.connections[conn], "default");
         sim.enable_containment(mptcp_sim::ContainmentConfig::default());
         sim.enable_oracle("swap", true);
         sim.app_send_at(conn, 0, 100_000, 0);
@@ -366,10 +383,7 @@ mod tests {
         for name in ["redundant", "everyPath", "roundRobin"] {
             api.set_scheduler(&mut sim, conn, name, Backend::Vm)
                 .unwrap();
-            let installed = sim.connections[conn].installed().unwrap();
-            let program = api.program(name).unwrap();
-            assert_eq!(installed.cert(), Some(program.property_certificate()));
-            assert_eq!(installed.step_budget, program.certified_step_bound());
+            armed(&sim.connections[conn], name);
             sim.app_send_at(conn, sim.now, 100_000, 0);
             sim.run_until(sim.now + from_millis(30));
         }
@@ -400,7 +414,7 @@ mod tests {
                 SchedulerSpec::dsl("SET(R1, R1 + 1);"),
             ))
             .unwrap();
-        let small = sim.connections[conn].installed().unwrap().step_budget;
+        let small = sim.connections[conn].step_budget().unwrap();
         api.set_scheduler(&mut sim, conn, "scan", Backend::Vm)
             .unwrap();
         sim.app_send_at(conn, 0, 1_000_000, 0);
