@@ -157,6 +157,12 @@ rm -f "$paper_out"
 echo "==> scale tier: full scale_fleet sweep, events and digests equal to the committed BENCH_scale.json"
 scale_out="$(mktemp)"
 ./target/release/scale_fleet --json "$scale_out" --against BENCH_scale.json | tail -n 1
+
+echo "==> fleet memory does not grow with fleet size: the 10k x 1 row peaks at no more than twice the 1k x 1 row's RSS"
+rss_of() { grep -o "{\"connections\":$1,\"workers\":1,[^}]*" "$scale_out" | grep -o '"peak_rss_bytes":[0-9]*' | cut -d: -f2; }
+rss_1k="$(rss_of 1000)"; rss_10k="$(rss_of 10000)"
+[ -n "$rss_1k" ] && [ -n "$rss_10k" ] && [ "$rss_10k" -le $((2 * rss_1k)) ] \
+  || { echo "peak RSS 10k x 1: ${rss_10k:-?} B, 1k x 1: ${rss_1k:-?} B (a fleet keeps every connection's state until it ends again)"; exit 1; }
 rm -f "$scale_out"
 
 echo "==> fleet soak: 1k connections, oracle armed, zero violations"

@@ -1,5 +1,5 @@
-//! The scale-benchmark tier: sharded fleet sweeps over
-//! `{1,10,100,1k,10k}` connections × worker counts × all seven paper
+//! The scale-benchmark tier: batched fleet sweeps over
+//! `{1,10,100,1k,10k,100k}` connections × worker counts × all seven paper
 //! schedulers, with the invariant oracle armed in collect mode.
 //!
 //! Output is the machine-readable `BENCH_scale.json` (validated by

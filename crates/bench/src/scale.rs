@@ -34,17 +34,17 @@ pub struct ScaleConfig {
     pub seed: u64,
     /// Bytes each connection transfers.
     pub flow_bytes: u64,
-    /// Simulated-time horizon per shard.
+    /// Simulated-time horizon per batch.
     pub horizon: SimTime,
 }
 
 impl ScaleConfig {
-    /// The full sweep: `{1,10,100,1k,10k}` connections across 1/2/4
+    /// The full sweep: `{1,10,100,1k,10k,100k}` connections across 1/2/4
     /// workers, ~20 KB per connection.
     pub fn full() -> ScaleConfig {
         ScaleConfig {
             mode: "full",
-            sizes: vec![1, 10, 100, 1_000, 10_000],
+            sizes: vec![1, 10, 100, 1_000, 10_000, 100_000],
             workers: vec![1, 2, 4],
             seed: 0x5CA1E,
             flow_bytes: 20_000,
@@ -389,7 +389,7 @@ mod tests {
     }
 
     /// The file at the repository root is the trajectory: a full sweep,
-    /// 10k connections included, never the output of a `--smoke` run.
+    /// 100k connections included, never the output of a `--smoke` run.
     #[test]
     fn committed_trajectory_is_a_full_sweep() {
         let doc = Json::parse(include_str!("../../../BENCH_scale.json")).expect("parses");
@@ -403,24 +403,33 @@ mod tests {
                 assert!(keys.contains(&key), "row {key:?} is missing");
             }
         }
-        // Per-event cost is flat in the fleet size: one worker simulates
-        // 10k connections at no less than half its 100-connection rate.
-        let rate = |connections: f64| {
+        // Neither per-event cost nor memory grows with the fleet size: at
+        // one worker the 10k row runs at least at the 1k row's event rate
+        // and peaks at no more than twice its resident set.
+        let one_worker = |connections: f64, c: &str| {
             let rows = doc.get("rows").unwrap().as_arr().unwrap();
             let col = |row: &Json, c| row.get(c).and_then(Json::as_f64).unwrap();
             rows.iter()
                 .find(|r| col(r, "connections") == connections && col(r, "workers") == 1.0)
                 .map(|r| {
                     assert_eq!(col(r, "completion_rate"), 1.0);
-                    col(r, "events_per_sec")
+                    col(r, c)
                 })
                 .unwrap()
         };
+        let rate = |connections| one_worker(connections, "events_per_sec");
+        let rss = |connections| one_worker(connections, "peak_rss_bytes");
         assert!(
-            rate(10_000.0) * 2.0 >= rate(100.0),
-            "10k: {} ev/s, 100: {} ev/s",
+            rate(10_000.0) >= rate(1_000.0),
+            "10k: {} ev/s, 1k: {} ev/s",
             rate(10_000.0),
-            rate(100.0)
+            rate(1_000.0)
+        );
+        assert!(
+            rss(10_000.0) <= 2.0 * rss(1_000.0),
+            "10k: {} B peak RSS, 1k: {} B",
+            rss(10_000.0),
+            rss(1_000.0)
         );
     }
 }

@@ -18,7 +18,7 @@
 //!   fault class at the same simulated time in a fresh single-connection
 //!   simulation.
 //!
-//! Zero panics is implicit: every shard runs with the oracle armed, and
+//! Zero panics is implicit: every batch runs with the oracle armed, and
 //! a panic anywhere fails the whole sweep process. Everything replays
 //! from the case seed alone.
 

@@ -1,26 +1,34 @@
-//! Determinism-under-parallelism tier: the sharded fleet runtime must
+//! Determinism-under-parallelism tier: the batched fleet runtime must
 //! produce bit-identical per-connection results no matter how many
-//! worker threads carve up the fleet.
+//! worker threads share out the batches.
 //!
 //! The same 100-connection fleet — all seven paper schedulers, chaotic
 //! path mixes, per-connection fault plans — runs at 1, 2, and 8
 //! workers. Every connection's [`ConnStats::snapshot_text`] digest must
-//! match byte-for-byte across the three partitions, as must the derived
+//! match byte-for-byte across the three runs, as must the derived
 //! counters. This is the contract that makes the scale-benchmark tier
 //! trustworthy: worker count is a pure performance knob, never a
-//! behavioral one.
+//! behavioral one. Batching itself is held to one `Sim` per connection
+//! at fleet sizes around the batch bounds.
 //!
 //! [`ConnStats::snapshot_text`]: mptcp_sim::stats::ConnStats::snapshot_text
 
-use mptcp_sim::fleet::{run_fleet, ConnScenario, FleetConfig, FleetReport, OracleMode, Workload};
+use mptcp_sim::fleet::{
+    conn_seeds, fnv1a64, run_fleet, ConnScenario, FleetConfig, FleetReport, OracleMode, Workload,
+};
+use mptcp_sim::oracle::VIOLATION_CAP;
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
-    ConnectionConfig, ContainmentConfig, FaultPlan, PathConfig, SchedulerSpec, SubflowConfig,
+    ConnectionConfig, ContainmentConfig, FaultPlan, PathConfig, SchedulerSpec, Sim, SubflowConfig,
 };
 use progmp_core::env::RegId;
 
 const FLEET_SIZE: usize = 100;
 const FLEET_SEED: u64 = 0xF1EE7u64;
+/// Connections per batch `Sim`: the private constant `BATCH` of
+/// `mptcp_sim::fleet`, which the batch-boundary tests are written
+/// against.
+const BATCH: usize = 16;
 
 /// Builds connection `global`'s scenario from its frozen per-connection
 /// seed: scheduler round-robins through all seven paper programs, the
@@ -159,5 +167,114 @@ fn a_contained_fleet_reports_the_same_incidents_at_1_2_and_8_workers() {
         let other = run(workers);
         assert_eq!(base.digest(), other.digest(), "{workers} workers");
         assert_eq!(rendered(&base), rendered(&other), "{workers} workers");
+    }
+}
+
+/// Two connections wear a forged work-conservation certificate yet
+/// never push, and no supervisor contains them, so each overflows its
+/// oracle buffer. They sit in different batches, so what the report
+/// keeps of their violations is the same at every worker count.
+#[test]
+fn capped_violations_are_the_same_at_1_2_and_8_workers() {
+    const PROVED: &str =
+        "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
+    const GATED: &str = "IF (R1 > 0 AND !Q.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
+    const SABOTEURS: [usize; 2] = [3, BATCH + 5];
+    let stolen = progmp_core::compile(PROVED)
+        .unwrap()
+        .property_certificate()
+        .clone();
+    let saboteur = progmp_core::compile(GATED)
+        .unwrap()
+        .with_property_certificate(stolen);
+    let sabotaged = |global: usize, seed: u64| {
+        if !SABOTEURS.contains(&global) {
+            return scenario(global, seed);
+        }
+        let paths = vec![SubflowConfig::new(PathConfig::symmetric(
+            from_millis(20),
+            1_250_000,
+        ))];
+        let spec = SchedulerSpec::program(&saboteur, progmp_core::Backend::Vm);
+        // Every 10 ms chunk runs the scheduler, which pushes nothing.
+        let cbr = Workload::Cbr {
+            start: 0,
+            end: 5 * SECONDS,
+            rate: 100_000,
+            chunk: from_millis(10),
+            prop: 0,
+        };
+        ConnScenario::new(ConnectionConfig::new(paths, spec), cbr)
+    };
+    let run = |workers| {
+        let cfg = FleetConfig::new(2 * BATCH, FLEET_SEED)
+            .with_workers(workers)
+            .with_horizon(60 * SECONDS)
+            .with_oracle(OracleMode::Collect);
+        run_fleet(&cfg, sabotaged)
+    };
+    let base = run(1);
+    for conn in SABOTEURS {
+        let kept = base.violations.iter().filter(|v| v.conn == conn).count();
+        assert_eq!(kept, VIOLATION_CAP, "conn {conn} fills a buffer of its own");
+    }
+    assert_eq!(
+        base.violations.len(),
+        2 * VIOLATION_CAP,
+        "only the saboteurs"
+    );
+    for workers in [2usize, 8] {
+        assert_eq!(
+            rendered(&base),
+            rendered(&run(workers)),
+            "{workers} workers"
+        );
+    }
+}
+
+/// Connection `global` simulated alone, in a `Sim` of its own, as
+/// `run_fleet` installs it: `(digest, tx_packets, scheduler_steps)`.
+fn alone(global: usize, seed: u64) -> (u64, u64, u64) {
+    let mut sim = Sim::new(FLEET_SEED);
+    sim.add_scenario(scenario(global, seed), global as u64)
+        .expect("scheduler compiles");
+    sim.run_to_completion(300 * SECONDS);
+    let stats = &sim.connections[0].stats;
+    (
+        fnv1a64(stats.snapshot_text().as_bytes()),
+        stats.tx_packets,
+        stats.scheduler_steps,
+    )
+}
+
+/// Connections in one batch share a `Sim` but nothing else: at fleet
+/// sizes around the batch bounds, every connection reports what it
+/// reports alone, none is missing and none is counted twice.
+#[test]
+fn batching_is_invisible_to_each_connection() {
+    for n in [0, 1, BATCH - 1, BATCH, BATCH + 1, 2 * BATCH + 3] {
+        let reference: Vec<_> = conn_seeds(FLEET_SEED, n)
+            .into_iter()
+            .enumerate()
+            .map(|(global, seed)| alone(global, seed))
+            .collect();
+        for workers in [1usize, 3] {
+            let cfg = FleetConfig::new(n, FLEET_SEED)
+                .with_workers(workers)
+                .with_horizon(300 * SECONDS);
+            let run = run_fleet(&cfg, scenario);
+            let conns: Vec<usize> = run.per_conn.iter().map(|c| c.conn).collect();
+            assert_eq!(
+                conns,
+                (0..n).collect::<Vec<_>>(),
+                "{n} conns, {workers} workers"
+            );
+            let got: Vec<_> = run
+                .per_conn
+                .iter()
+                .map(|c| (c.digest, c.tx_packets, c.scheduler_steps))
+                .collect();
+            assert_eq!(got, reference, "{n} conns, {workers} workers");
+        }
     }
 }

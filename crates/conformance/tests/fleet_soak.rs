@@ -1,7 +1,7 @@
 //! Oracle-armed fleet soak: a large fleet of chaotic connections —
 //! random fault plans, all seven paper schedulers, mixed path
 //! qualities — runs to its horizon with the runtime invariant oracle
-//! armed in collect mode on every shard. The pass condition is zero
+//! armed in collect mode on every batch. The pass condition is zero
 //! violations: no sequence-space regression, no queue-accounting drift,
 //! no liveness stall, on any connection, under any generated fault mix.
 //!

@@ -176,7 +176,7 @@ pub struct Sim {
     oracle: Option<InvariantOracle>,
     supervisor: Option<Supervisor>,
     /// Buffers every scheduler execution of this simulator reuses: one
-    /// set per `Sim` (per fleet shard), whichever connection runs, so a
+    /// set per `Sim` (per fleet batch), whichever connection runs, so a
     /// warmed-up round allocates nothing and idle connections hold none.
     exec_scratch: ExecScratch,
     /// Transmissions requested by the round in progress, likewise reused.
@@ -281,7 +281,7 @@ impl Sim {
     ///
     /// The connection's per-path chaos streams are keyed by its local
     /// [`ConnId`]; use [`Sim::add_connection_with_identity`] when the
-    /// connection is one shard's slice of a larger fleet and its random
+    /// connection is one batch's slice of a larger fleet and its random
     /// streams must not depend on how the fleet was partitioned.
     pub fn add_connection(&mut self, cfg: ConnectionConfig) -> Result<ConnId, CompileError> {
         let identity = self.connections.len() as u64;
@@ -289,11 +289,10 @@ impl Sim {
     }
 
     /// Creates a connection whose per-path random streams are keyed by
-    /// `identity` instead of the local connection index. A fleet shard
+    /// `identity` instead of the local connection index. A fleet batch
     /// passes the *global* connection index here, which makes every
     /// loss/jitter draw a pure function of `(sim seed, identity,
-    /// subflow)` — bit-identical no matter how many shards the fleet is
-    /// split into.
+    /// subflow)` — bit-identical however the fleet is split up.
     ///
     /// A subflow start or path-profile time that has already passed takes
     /// effect now.

@@ -1,19 +1,23 @@
-//! Sharded multi-connection simulation: the fleet runner.
+//! Batched multi-connection simulation: the fleet runner.
 //!
-//! A [`run_fleet`] call simulates `N` independent MPTCP connections,
-//! partitioned into contiguous shards across worker threads. Each shard
-//! owns a private [`Sim`] (no shared mutable state, no locks on the
-//! event hot path), and **results are bit-identical regardless of the
-//! worker count**:
+//! A [`run_fleet`] call simulates `N` independent MPTCP connections in
+//! fixed batches of consecutive global indices. Worker threads pull the
+//! next batch from one shared counter; each batch runs to the horizon in
+//! a fresh [`Sim`] of its own (no shared mutable state, no locks on the
+//! event hot path), which is dropped once its reports are read. Memory
+//! therefore scales with the batch size times the worker count, not with
+//! `N`, and **results are bit-identical regardless of the worker
+//! count**:
 //!
 //! * every connection's scenario is built from a per-connection seed
 //!   drawn from the frozen xorshift64\* stream
 //!   ([`conn_seeds`]) — a pure function of `(fleet seed, global index)`;
-//! * every shard `Sim` uses the fleet seed, and registers each
+//! * every batch `Sim` uses the fleet seed, and registers each
 //!   connection under its *global* index
 //!   ([`Sim::add_connection_with_identity`]), so per-path loss/jitter
 //!   streams never depend on the partition;
-//! * connections in one shard share an event queue but no state, so
+//! * batch bounds are a function of the global index alone, and
+//!   connections in one batch share an event queue but no state, so
 //!   their interleaving cannot influence each other's counters;
 //! * containment incidents and oracle violations name a connection by
 //!   its global index and are merged in `(connection, time)` order, so
@@ -21,8 +25,9 @@
 //!
 //! The determinism conformance test
 //! (`crates/conformance/tests/fleet_determinism.rs`) pins this by
-//! running the same fleet at 1, 2, and 8 workers and comparing
-//! per-connection [`ConnStats::snapshot_text`] digests byte-for-byte.
+//! running the same fleet at 1, 2, and 8 workers, and against one `Sim`
+//! per connection, comparing per-connection
+//! [`ConnStats::snapshot_text`] digests byte-for-byte.
 //!
 //! [`ConnStats::snapshot_text`]: crate::stats::ConnStats::snapshot_text
 
@@ -34,7 +39,13 @@ use crate::supervisor::{ContainAction, ContainmentConfig, IncidentReport};
 use crate::time::SimTime;
 use progmp_core::env::RegId;
 use progmp_core::CompileError;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+/// Connections per batch `Sim`, picked from a sweep over 8–64 on the
+/// 10k-connection scale row and the `fleet_bulk` benchmark workload.
+/// `crates/conformance/tests/fleet_determinism.rs` mirrors this value.
+const BATCH: usize = 16;
 
 /// Application workload of one fleet connection.
 #[derive(Debug, Clone)]
@@ -91,7 +102,7 @@ impl ConnScenario {
     }
 }
 
-/// How fleet shards arm the runtime invariant oracle.
+/// How fleet batches arm the runtime invariant oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleMode {
     /// No oracle (fastest).
@@ -110,7 +121,7 @@ pub struct FleetConfig {
     pub workers: usize,
     /// Fleet seed: the root of every derived stream.
     pub seed: u64,
-    /// Simulated-time bound per shard.
+    /// Simulated-time bound per batch.
     pub horizon: SimTime,
     /// Oracle arming mode.
     pub oracle: OracleMode,
@@ -154,7 +165,7 @@ impl FleetConfig {
         self
     }
 
-    /// Enables the containment supervisor on every shard.
+    /// Enables the containment supervisor on every batch.
     pub fn with_containment(mut self, cfg: ContainmentConfig) -> Self {
         self.containment = Some(cfg);
         self
@@ -205,15 +216,14 @@ pub struct ConnReport {
 pub struct FleetReport {
     /// Per-connection outcomes, ordered by global index.
     pub per_conn: Vec<ConnReport>,
-    /// Total events processed across all shards (invariant under the
+    /// Total events processed across all batches (invariant under the
     /// worker count: each connection's event count is its own).
     pub events_processed: u64,
     /// Oracle violations of the whole fleet (empty unless armed), each
     /// naming its connection's global index, in `(conn, at)` order. Like
     /// [`FleetReport::incidents`] a function of `(seed, scenario)` alone,
-    /// whatever the worker count — as long as no shard's
-    /// [`crate::oracle::VIOLATION_CAP`] evicted anything, since which
-    /// connections share a capped buffer does depend on the partition.
+    /// whatever the worker count: each batch keeps its own
+    /// [`crate::oracle::VIOLATION_CAP`] buffer.
     pub violations: Vec<OracleViolation>,
     /// Containment incidents of the whole fleet (empty unless the
     /// supervisor is enabled), in `(conn, at)` order: the same list at
@@ -288,9 +298,15 @@ pub fn conn_seeds(seed: u64, n: usize) -> Vec<u64> {
 }
 
 /// Runs the fleet: builds each connection's scenario from
-/// `scenario(global_index, conn_seed)`, partitions the connections into
-/// contiguous shards across worker threads, simulates every shard to
-/// its horizon, and collects per-connection reports in global order.
+/// `scenario(global_index, conn_seed)`, splits the fleet into batches of
+/// `BATCH` consecutive global indices, and lets every worker thread pull
+/// the next batch index from one shared counter until none is left. A
+/// batch runs to the horizon in a fresh [`Sim`] that is dropped once its
+/// reports are read, so a connection's state lives only as long as its
+/// batch. Per-connection reports come back in global order.
+///
+/// Connections meet only inside a batch: connections that share a link
+/// run in one batch.
 ///
 /// # Panics
 ///
@@ -299,48 +315,46 @@ pub fn run_fleet<F>(cfg: &FleetConfig, scenario: F) -> FleetReport
 where
     F: Fn(usize, u64) -> ConnScenario + Sync,
 {
-    let n = cfg.connections;
     let workers = cfg.effective_workers();
-    let seeds = conn_seeds(cfg.seed, n);
-    // Contiguous shards, sizes differing by at most one.
-    let mut bounds = Vec::with_capacity(workers + 1);
-    for w in 0..=workers {
-        bounds.push(w * n / workers);
-    }
-
-    let scenario = &scenario;
-    let seeds = &seeds;
-    let t0 = Instant::now();
-    let mut shard_results: Vec<Option<ShardResult>> = (0..workers).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
-            handles.push(scope.spawn(move || run_shard(cfg, scenario, seeds, w, lo, hi)));
+    let seeds = conn_seeds(cfg.seed, cfg.connections);
+    let next_batch = AtomicUsize::new(0);
+    // Each worker fills a report of its own, batch after batch.
+    let run_batches = || {
+        let mut part = FleetReport {
+            per_conn: Vec::new(),
+            events_processed: 0,
+            violations: Vec::new(),
+            incidents: Vec::new(),
+            wall: Duration::ZERO,
+            workers,
+        };
+        loop {
+            let batch = next_batch.fetch_add(1, Ordering::Relaxed);
+            if batch * BATCH >= seeds.len() {
+                return part;
+            }
+            run_batch(cfg, &scenario, &seeds, batch, &mut part);
         }
-        for (w, h) in handles.into_iter().enumerate() {
-            shard_results[w] = Some(h.join().expect("fleet shard panicked"));
-        }
-    });
-    let wall = t0.elapsed();
-
-    let mut report = FleetReport {
-        per_conn: Vec::with_capacity(n),
-        events_processed: 0,
-        violations: Vec::new(),
-        incidents: Vec::new(),
-        wall,
-        workers,
     };
-    for shard in shard_results.into_iter().flatten() {
-        report.per_conn.extend(shard.per_conn);
-        report.events_processed += shard.events_processed;
-        report.violations.extend(shard.violations);
-        report.incidents.extend(shard.incidents);
-    }
-    debug_assert!(report.per_conn.windows(2).all(|w| w[0].conn < w[1].conn));
-    // Each connection's entries come from one shard, in time order, so a
+    let t0 = Instant::now();
+    let mut report = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(run_batches)).collect();
+        let mut parts = handles
+            .into_iter()
+            .map(|h| h.join().expect("fleet batch panicked"));
+        let mut report = parts.next().expect("at least one worker");
+        for part in parts {
+            report.per_conn.extend(part.per_conn);
+            report.events_processed += part.events_processed;
+            report.violations.extend(part.violations);
+            report.incidents.extend(part.incidents);
+        }
+        report
+    });
+    report.wall = t0.elapsed();
+    // Each connection's entries come from one batch, in time order, so a
     // stable sort by global index is the `(conn, at)` order.
+    report.per_conn.sort_unstable_by_key(|c| c.conn);
     report.violations.sort_by_key(|v| v.conn);
     report.incidents.sort_by_key(|i| i.conn);
     report
@@ -383,40 +397,33 @@ impl Sim {
     }
 }
 
-struct ShardResult {
-    per_conn: Vec<ConnReport>,
-    events_processed: u64,
-    violations: Vec<OracleViolation>,
-    incidents: Vec<IncidentReport>,
-}
-
-fn run_shard<F>(
-    cfg: &FleetConfig,
-    scenario: &F,
-    seeds: &[u64],
-    shard: usize,
-    lo: usize,
-    hi: usize,
-) -> ShardResult
+/// Runs batch `batch` — global indices `batch * BATCH` onwards, at most
+/// `BATCH` of them — to the horizon in a fresh [`Sim`], appends what it
+/// reports to `out`, and drops the `Sim`.
+fn run_batch<F>(cfg: &FleetConfig, scenario: &F, seeds: &[u64], batch: usize, out: &mut FleetReport)
 where
     F: Fn(usize, u64) -> ConnScenario + Sync,
 {
+    let lo = batch * BATCH;
+    let hi = (lo + BATCH).min(seeds.len());
     let mut sim = Sim::new(cfg.seed);
     if let Some(contain) = &cfg.containment {
         sim.enable_containment(contain.clone());
     }
     if cfg.oracle != OracleMode::Off {
-        sim.enable_oracle(format!("fleet seed={} shard={shard}", cfg.seed), false);
+        let label = format!("fleet seed={} batch={batch} conns={lo}..{hi}", cfg.seed);
+        sim.enable_oracle(label, false);
     }
     for (global, &seed) in seeds.iter().enumerate().take(hi).skip(lo) {
         sim.add_scenario(scenario(global, seed), global as u64)
             .expect("fleet scheduler compiles");
     }
     sim.run_to_completion(cfg.horizon);
-    let per_conn = (lo..hi)
-        .map(|global| {
-            let c = &sim.connections[global - lo];
-            ConnReport {
+    out.per_conn.extend(
+        sim.connections
+            .iter()
+            .zip(lo..)
+            .map(|(c, global)| ConnReport {
                 conn: global,
                 digest: fnv1a64(c.stats.snapshot_text().as_bytes()),
                 delivered_bytes: c.stats.delivered_bytes,
@@ -426,15 +433,11 @@ where
                 scheduler_steps: c.stats.scheduler_steps,
                 scheduler_host_ns: c.stats.scheduler_host_ns,
                 all_acked: c.all_acked(),
-            }
-        })
-        .collect();
-    ShardResult {
-        per_conn,
-        events_processed: sim.events_processed,
-        violations: sim.oracle_violations().to_vec(),
-        incidents: sim.incidents().to_vec(),
-    }
+            }),
+    );
+    out.events_processed += sim.events_processed;
+    out.violations.extend_from_slice(sim.oracle_violations());
+    out.incidents.extend_from_slice(sim.incidents());
 }
 
 #[cfg(test)]
@@ -556,8 +559,7 @@ mod tests {
     fn violations_name_the_global_connection_at_every_worker_count() {
         // Connection 4 never pushes, yet its program wears a forged
         // certificate that proves work-conservation: the oracle catches
-        // it, the supervisor contains it. At three workers it is the
-        // first of its shard.
+        // it, the supervisor contains it.
         const PROVED: &str =
             "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP()); }";
         const GATED: &str =
