@@ -91,6 +91,12 @@ echo "==> a scheduler is installed one way: SchedulerSpec names it, Installed::r
 [ "$(for f in crates/sim/src/*.rs; do awk '/#\[cfg\(test\)\]/{exit} /Installed \{/ && !/(struct|impl) Installed \{/' "$f"; done | wc -l)" -eq 1 ] \
   || { echo "an Installed is built outside Installed::resolve in crates/sim/src"; exit 1; }
 
+echo "==> one step bound: the HIR cost model times one constant, checked against the bytecode model with no slack, no floor, no O(1) loop exemption; VerifyConfig is three caps"
+! grep -rnE 'cost_safety_factor|TRANSLATION_SLACK|MIN_BOUND|o1_equivalent' crates/ src/ \
+  || { echo "a step-bound fudge factor is back (certified bound = HIR model x K in verify/cost.rs; the bytecode model must stay under it)"; exit 1; }
+[ "$(sed -n '/^pub struct VerifyConfig {/,/^}/p' crates/core/src/verify/mod.rs | grep -c '^    pub ')" -eq 3 ] \
+  || { echo "VerifyConfig must declare exactly three pub fields (max_subflows, max_queue_len, max_scan_depth)"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

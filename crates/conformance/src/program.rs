@@ -30,7 +30,14 @@
 //! * **no vanished packet** — every packet in `Q` before the first round
 //!   is afterwards still queued, transmitted or dropped;
 //! * **tiny budget** — under a 7-step budget every backend stops with a
-//!   result, never a panic.
+//!   result, never a panic;
+//! * **at the caps** — the generator's environments are small, so every
+//!   backend of an admitted program also runs one round on [`at_caps`],
+//!   48 subflows and 128 packets in `Q`: each stays under its budget,
+//!   the VM under the bytecode model its image was validated with. The
+//!   summary prints the largest steps ÷ budget per backend and the
+//!   largest bytecode model ÷ certified bound, the model's ratio to the
+//!   HIR model over the one constant between them.
 //!
 //! The probe set shows the static checks bite: the codegen mutations of
 //! [`vm_soundness::probes`] and the certificate weakenings of
@@ -43,11 +50,82 @@ use crate::tier::{Probe, Report};
 use crate::{prop_soundness, vm_soundness};
 use mptcp_sim::oracle::check_properties;
 use progmp_core::ast::Program;
-use progmp_core::env::{PacketRef, QueueKind};
+use progmp_core::env::{PacketProp, PacketRef, QueueKind, RegId, SubflowProp};
 use progmp_core::error::Stage;
+use progmp_core::exec::ExecCtx;
+use progmp_core::testenv::MockEnv;
 use progmp_core::verify::Lint;
-use progmp_core::{Backend, CompileOptions, PropStatus};
+use progmp_core::{Backend, CompileOptions, PropStatus, SchedulerProgram};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::LazyLock;
+
+/// The fixed environment of the at-the-caps round: 48 subflows of mixed
+/// RTT, window and flags, 128 packets in `Q` and 32 in `QU` and `RQ`
+/// (each sent on one subflow), and every register set. A generated
+/// program nests up to four scans over the subflows, which at the
+/// verifier's cap of 64 take seconds per seed: 48 keeps the round
+/// within half the tier's wall time.
+fn at_caps() -> &'static MockEnv {
+    static ENV: LazyLock<MockEnv> = LazyLock::new(|| {
+        let mut env = MockEnv::new();
+        let subflows = 48;
+        for i in 0..subflows {
+            env.add_subflow(i);
+            let props = [
+                (SubflowProp::Rtt, 10_000 + i64::from(i % 7) * 3_000),
+                (SubflowProp::Cwnd, 20),
+                (SubflowProp::SkbsInFlight, i64::from(i % 24)),
+                (SubflowProp::IsBackup, i64::from(i % 8 == 0)),
+                (SubflowProp::Lossy, i64::from(i % 16 == 5)),
+            ];
+            for (prop, value) in props {
+                env.set_subflow_prop(i, prop, value);
+            }
+            env.set_has_window(i, i % 4 != 3);
+        }
+        let mut id = 0;
+        for (queue, packets) in QueueKind::ALL.into_iter().zip([128, 32, 32]) {
+            for k in 0..packets {
+                id += 1;
+                env.push_packet(queue, id, k as i64 * 1400, 1 + (k as i64 * 97) % 1460);
+                env.set_packet_prop(id, PacketProp::UserProp, (k % 7) as i64);
+                if queue != QueueKind::SendQueue {
+                    env.mark_sent_on(id, (k % u64::from(subflows)) as u32);
+                }
+            }
+        }
+        for (i, reg) in (1..=8).filter_map(RegId::new).enumerate() {
+            env.set_register(reg, [1, 50, 1_000_000, -1, 7, 100, 0, 3][i]);
+        }
+        env
+    });
+    &ENV
+}
+
+/// Runs one round of the admitted `program` on every backend in
+/// [`at_caps`], recording steps ÷ budget per backend and bytecode model
+/// ÷ certified bound.
+fn check_at_caps(seed: u64, program: &SchedulerProgram, source: &str, out: &mut Report) {
+    let budget = program.certified_step_bound();
+    let model = program.bytecode_verdict().step_bound.unwrap_or(u64::MAX);
+    out.at_least("bytecode model/certified", model, budget);
+    for backend in Backend::ALL {
+        let mut instance = program.instantiate(backend);
+        let mut ctx = ExecCtx::new(at_caps(), budget);
+        let context = format!("backend {}, at the caps", backend.name());
+        if let Err(e) = instance.execute_raw(&mut ctx) {
+            let detail = format!("certified step bound {budget}: {e}");
+            out.finding(seed, context, detail, source);
+            continue;
+        }
+        let steps = ctx.finish().2.steps;
+        out.at_least(&format!("{} steps/budget", backend.name()), steps, budget);
+        if backend == Backend::Vm && steps > model {
+            let detail = format!("{steps} steps, over the bytecode model {model}");
+            out.finding(seed, context, detail, source);
+        }
+    }
+}
 
 /// Checks every claim on the case of `seed`. Panics if the generated
 /// program does not compile (a generator bug, which invalidates the
@@ -92,6 +170,9 @@ pub fn check_seed(seed: u64, out: &mut Report) {
         let bound = program.certified_step_bound();
         let context = format!("backend {}, certified step bound {bound}", backend.name());
         out.finding(seed, context, format!("round {i} failed: {e}"), &source);
+    }
+    if admitted {
+        check_at_caps(seed, &program, &source, out);
     }
     for o in &outcomes {
         for (i, round) in o.rounds.iter().enumerate() {

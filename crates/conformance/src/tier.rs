@@ -25,6 +25,8 @@ pub struct Tier {
     pub about: &'static str,
     /// The counters the check increments, in report order.
     pub counters: &'static [&'static str],
+    /// The ratios the check reports the largest of, in report order.
+    pub(crate) maxima: &'static [&'static str],
     /// Checks one seed, recording counters and findings in the report.
     /// Panics on a generator bug (a generated program that does not
     /// compile), since that invalidates the harness itself.
@@ -52,6 +54,12 @@ pub static TIERS: [Tier; 3] = [
             "rewrites kept",
             "rolled back",
         ],
+        maxima: &[
+            "interpreter steps/budget",
+            "aot steps/budget",
+            "vm steps/budget",
+            "bytecode model/certified",
+        ],
         check: program::check_seed,
         probes: Some(program::probes),
     },
@@ -60,6 +68,7 @@ pub static TIERS: [Tier; 3] = [
         default_seeds: 200,
         about: "a transfer under a fault plan diverges across backends, trips the oracle or stalls",
         counters: &[],
+        maxima: &[],
         check: chaos::check_seed,
         probes: Some(chaos::probes),
     },
@@ -68,6 +77,7 @@ pub static TIERS: [Tier; 3] = [
         default_seeds: 100,
         about: "a fleet of 8 faulting schedulers differs across 1/2/8 workers, stalls or escapes containment",
         counters: &["quarantines", "incidents"],
+        maxima: &[],
         check: fleet_chaos::check_seed,
         probes: None,
     },
@@ -148,6 +158,8 @@ pub struct Report {
     pub checked: u64,
     /// The tier's counters, summed over the checked seeds.
     pub counters: Vec<(&'static str, u64)>,
+    /// The tier's maxima over the checked seeds, in millionths.
+    pub(crate) maxima: Vec<(&'static str, u64)>,
     /// Every failed check, in seed order.
     pub findings: Vec<Finding>,
     /// The probe outcomes; `None` for a tier without a probe set.
@@ -161,6 +173,7 @@ impl Report {
             seeds,
             checked: 0,
             counters: tier.counters.iter().map(|&name| (name, 0)).collect(),
+            maxima: tier.maxima.iter().map(|&name| (name, 0)).collect(),
             findings: Vec::new(),
             probes: None,
         }
@@ -178,6 +191,20 @@ impl Report {
     pub fn count(&mut self, name: &str, n: u64) {
         let slot = self.slot(name);
         self.counters[slot].1 += n;
+    }
+
+    /// Raises the maximum called `name` to `numerator / denominator`
+    /// if that is larger (a zero denominator counts as one).
+    ///
+    /// # Panics
+    /// If the tier does not declare `name` in [`Tier::maxima`].
+    pub(crate) fn at_least(&mut self, name: &str, numerator: u64, denominator: u64) {
+        let millionths = u128::from(numerator) * 1_000_000 / u128::from(denominator.max(1));
+        let slot = self.maxima.iter().position(|(m, _)| *m == name);
+        let slot =
+            slot.unwrap_or_else(|| panic!("tier {} declares no maximum {name:?}", self.tier));
+        let max = &mut self.maxima[slot].1;
+        *max = (*max).max(u64::try_from(millionths).unwrap_or(u64::MAX));
     }
 
     /// The summed value of the counter called `name`.
@@ -230,6 +257,10 @@ impl fmt::Display for Report {
             write!(f, ", {value} {name}")?;
         }
         write!(f, ", {} findings", self.findings.len())?;
+        for (i, (name, millionths)) in self.maxima.iter().enumerate() {
+            let lead = if i == 0 { "\n  largest" } else { "," };
+            write!(f, "{lead} {name} {:.3}", *millionths as f64 / 1e6)?;
+        }
         if let Some(probes) = &self.probes {
             let caught = probes.iter().filter(|p| p.caught).count();
             write!(f, "\n  probes: {caught}/{} caught", probes.len())?;
@@ -280,6 +311,9 @@ pub fn run(tier: &Tier, seeds: Range<u64>, threads: usize) -> Report {
             for (total, (_, n)) in report.counters.iter_mut().zip(part.counters) {
                 total.1 += n;
             }
+            for (max, (_, n)) in report.maxima.iter_mut().zip(part.maxima) {
+                max.1 = max.1.max(n);
+            }
             report.findings.extend(part.findings);
         }
     });
@@ -312,6 +346,7 @@ mod tests {
         default_seeds: 1,
         about: "driver test",
         counters: &["weight", "odd"],
+        maxima: &[],
         check: stub_check,
         probes: None,
     };

@@ -10,8 +10,9 @@
 //!   the only one the VM backend executes.
 //! * **Sensitivity** ([`probes`]): seeded in-place mutations of
 //!   the compiled image (broken loop increments, swapped helpers,
-//!   corrupted branch targets, clobbered null-handle initializations)
-//!   simulate real codegen/register-allocator bugs; translation
+//!   corrupted branch targets, clobbered null-handle initializations, a
+//!   first-element walk that lost its break) simulate real
+//!   codegen/register-allocator bugs; translation
 //!   validation must reject every one with a `miscompile` diagnostic
 //!   carrying a real source span. A harness that can't catch seeded
 //!   bugs proves nothing about the absence of unseeded ones.
@@ -95,21 +96,36 @@ fn mutations(code: &[Insn]) -> Vec<(usize, Insn, String)> {
     out
 }
 
+/// (e) The break out of the walk that feeds the first `Pop` rewritten to
+/// `ja +0`: the walk runs on and pops the last packet instead of the
+/// first. Only the bound sees it, since the walk becomes a full scan.
+fn walk_break(code: &[Insn]) -> Option<(usize, Insn, String)> {
+    let pops = |i: &Insn| matches!(i, Insn::Call { helper } if *helper == Helper::Pop);
+    let pop = code.iter().position(pops)?;
+    let pc = (0..pop)
+        .rev()
+        .find(|&pc| matches!(code[pc], Insn::Ja { off } if off > 0))?;
+    let description = format!("pc {pc}: the POP walk's break rewritten to ja +0");
+    Some((pc, Insn::Ja { off: 0 }, description))
+}
+
 /// Compiles the named bundled schedulers, applies each seeded mutation
 /// in place, and records whether translation validation against the
 /// *original* program's HIR certificate rejects it with a `miscompile`
 /// diagnostic that carries a real source span.
 pub fn probes() -> Vec<Probe> {
     // minRttSimple exercises the list-minmax scan; redundant exercises
-    // multi-push foreach loops — together they cover all four mutation
-    // classes.
+    // multi-push foreach loops — together they cover the first four
+    // mutation classes. The walk break is probed once, on minRttSimple.
     const TARGETS: [&str; 2] = ["minRttSimple", "redundant"];
     let mut probes = Vec::new();
     for name in TARGETS {
         let source = progmp_schedulers::source(name).expect("bundled scheduler");
         let program =
             crate::compile_observed(source).unwrap_or_else(|e| panic!("{name} compiles: {e}"));
-        for (pc, replacement, description) in mutations(&program.bytecode().code) {
+        let code = &program.bytecode().code;
+        let walk = (name == TARGETS[0]).then(|| walk_break(code)).flatten();
+        for (pc, replacement, description) in mutations(code).into_iter().chain(walk) {
             let mut image = program.bytecode().clone();
             image.code[pc] = replacement;
             let verdict = program.validate_bytecode(&image);

@@ -46,11 +46,14 @@ pub struct Analysis {
     pub uses_sent_on: bool,
     /// Whether `HAS_WINDOW_FOR` is used (receive-window awareness).
     pub uses_window_check: bool,
-    /// Maximum static nesting depth of true scans (`FILTER`/`MIN`/`MAX`/
-    /// `SUM`/`FOREACH`): each level multiplies worst-case cost by the
-    /// element count. O(1) queue operations (`COUNT`/`EMPTY`/`TOP`/`GET`
-    /// and a plain `POP`) do not deepen it; popping *through* a filter
-    /// still counts via the `FILTER` node itself.
+    /// Maximum static nesting depth of scans with per-element work
+    /// (`FILTER`/`MIN`/`MAX`/`SUM`/`FOREACH`): each level multiplies
+    /// worst-case cost by the element count. Unfiltered `COUNT`/`GET`
+    /// walk their view but nest no work inside it, and `EMPTY`/`TOP`/a
+    /// plain `POP` stop at the first live element, so none of them
+    /// deepens it; the step-cost model still charges their walks, so a
+    /// `COUNT` at the deepest admitted level can saturate the certified
+    /// bound. Popping *through* a filter counts via the `FILTER` node.
     pub max_scan_depth: usize,
 }
 
@@ -298,7 +301,7 @@ mod tests {
 
     #[test]
     fn constant_time_queue_ops_are_not_scans() {
-        // COUNT/EMPTY/TOP/GET and a plain POP are O(1): no scan level.
+        // COUNT/EMPTY/TOP/GET and a plain POP nest no work: no scan level.
         let a = analysis_of(
             "SET(R1, Q.COUNT);
              IF (!QU.EMPTY AND RQ.TOP != NULL) { SUBFLOWS.GET(0).PUSH(Q.POP()); }",

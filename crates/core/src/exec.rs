@@ -35,12 +35,12 @@ pub const NULL_HANDLE: i64 = -1;
 /// bounds scheduler executions the way the eBPF verifier bounds program
 /// runtime.
 ///
-/// Compiled programs normally run under the much tighter per-program
-/// bound certified by the admission verifier
+/// Compiled programs run under the per-program bound certified by the
+/// admission verifier instead, charged at the verifier's caps and so
+/// above or below this value
 /// ([`crate::program::SchedulerProgram::certified_step_bound`]); this
-/// blanket value remains as the sentinel default for raw
-/// [`ExecCtx`]-level execution and for callers that opt out of
-/// admission.
+/// blanket value remains the sentinel default for raw
+/// [`ExecCtx`]-level execution and for native schedulers.
 pub const DEFAULT_STEP_BUDGET: u64 = 1_000_000;
 
 /// Statistics describing one completed scheduler execution.

@@ -391,14 +391,6 @@ fn run_pipeline(
                     kept_this_round += rewrites;
                     continue;
                 }
-                // Model-profitability: the step-bound model charges a
-                // loop's exit-test block per iteration but dead-ends the
-                // body fallthrough at the back edge, so for top-test
-                // loops a hoisted body instruction buys nothing back
-                // while the preheader copy is charged once. Such a hoist
-                // is sound but unprofitable under the certificate — drop
-                // it rather than roll back a semantically valid rewrite.
-                Err(Rejection::BoundGrew(_)) if *name == "licm" => continue,
                 Err(Rejection::BoundGrew(grown)) => (
                     Pos::new(0, 0),
                     format!("step bound increased: {bound} -> {grown}"),

@@ -1,34 +1,58 @@
 //! Closed-form worst-case step-cost certification.
 //!
-//! Computes an upper bound on the number of accounting steps one
-//! execution can take on *any* backend, assuming the environment stays
-//! within the configured cardinality caps ([`VerifyConfig::max_subflows`]
-//! subflows, [`VerifyConfig::max_queue_len`] packets per queue view). The
-//! model charges one abstract unit per statement and expression node and
-//! a full scan (`elements × per-element work`) for every aggregate
-//! consumption: filtered `COUNT`/`EMPTY`/`TOP`/`POP`, any
-//! `MIN`/`MAX`/`SUM`/`GET`, and `FOREACH` iteration. Aggregate variables
-//! are resolved through their initializer chains, and every consumption
-//! site re-charges the full re-expansion — exactly how the compiled
-//! backends execute fused aggregates. The result is multiplied by
-//! [`VerifyConfig::cost_safety_factor`] to absorb differences between the
-//! three backends' step-accounting granularities; the conformance
-//! soundness sweep checks the certified bound empirically.
+//! Computes an upper bound on the number of steps one execution can take
+//! on *any* backend, assuming the environment stays within the
+//! configured cardinality caps ([`VerifyConfig::max_subflows`] subflows,
+//! [`VerifyConfig::max_queue_len`] packets per queue view). The model
+//! charges one unit per statement and expression node, one for the exit,
+//! and `elements × per-element work` for every loop a backend runs: a
+//! `FOREACH`, any `MIN`/`MAX`/`SUM`/`GET`/`COUNT`, anything through a
+//! filter, and an unfiltered queue `EMPTY`/`TOP`/`POP`, which walks to
+//! the first live packet past at most the ones removed earlier in the
+//! execution. Aggregate variables are resolved through their initializer
+//! chains, and every consumption site re-charges the full re-expansion,
+//! exactly how the compiled backends execute fused aggregates. The total
+//! times [`K`] is the certified bound: `super::vm` charges the bytecode
+//! the same way, and translation validation holds its model to it.
 
 use crate::hir::{Children, ExprId, HExpr, HProgram, HStmt, StmtId, ViewBase};
 use crate::types::Type;
 
 use super::VerifyConfig;
 
-/// Minimum certified bound, so trivial programs keep headroom for
-/// per-execution bookkeeping steps.
-const MIN_BOUND: u64 = 1024;
+/// VM instructions per HIR cost unit, the one constant between the two
+/// models. The largest ratio of the bytecode model to the HIR model is
+/// 13.36 over the 18 shipped programs, 18.57 over the `program` tier's
+/// 1 000 seeds and 18.86 over 20 000 (optimized and unoptimized HIR,
+/// admitted or not): `K` leaves 27 % headroom. The interpreter and AOT
+/// take at most 2 steps per unit.
+const K: u64 = 24;
 
 /// The certified worst-case step bound for `prog` under `cfg`'s caps.
 pub(super) fn certified_step_bound(prog: &HProgram, cfg: &VerifyConfig) -> u64 {
-    let c = Coster { prog, cfg };
-    let total = c.block_cost(&prog.body);
-    total.saturating_mul(cfg.cost_safety_factor).max(MIN_BOUND)
+    let pops = removals(prog, &prog.body, cfg.max_subflows);
+    let c = Coster { prog, cfg, pops };
+    // One unit for the exit every execution ends in.
+    c.block_cost(&prog.body).saturating_add(1).saturating_mul(K)
+}
+
+/// Weighted count of the `POP` / `DROP` sites in `body`: an upper bound
+/// on the packets one execution removes from the queue views. A `POP`
+/// anywhere in a statement's operands counts (keys and predicates are
+/// pure, so none runs per element of a scan).
+fn removals(prog: &HProgram, body: &[StmtId], subflows: u64) -> u64 {
+    body.iter().fold(0u64, |acc, &s| {
+        let [first, second] = prog.blocks(s).map(|b| removals(prog, b, subflows));
+        let nested = match prog.stmt(s) {
+            HStmt::Foreach { .. } => subflows.saturating_mul(first),
+            HStmt::Drop { .. } => 1,
+            _ => first.saturating_add(second),
+        };
+        let exprs = prog.stmt_operands(s).iter().flat_map(|e| prog.subexprs(e));
+        let pops = exprs.filter(|&e| matches!(prog.expr(e), HExpr::QueuePop(_)));
+        acc.saturating_add(nested)
+            .saturating_add(pops.count() as u64)
+    })
 }
 
 /// Worst-case shape of one aggregate view chain.
@@ -44,6 +68,8 @@ struct ViewShape {
 struct Coster<'a> {
     prog: &'a HProgram,
     cfg: &'a VerifyConfig,
+    /// [`removals`] of the whole program.
+    pops: u64,
 }
 
 impl<'a> Coster<'a> {
@@ -59,6 +85,12 @@ impl<'a> Coster<'a> {
     fn stmt_cost(&self, sid: StmtId) -> u64 {
         let [first, second] = self.prog.blocks(sid);
         let nested = match self.prog.stmt(sid) {
+            // The interpreter filters a subflow list where it is declared.
+            HStmt::VarDecl { init, .. }
+                if matches!(self.prog.expr(*init), HExpr::ListFilter { .. }) =>
+            {
+                self.scan_cost(*init, None, u64::MAX)
+            }
             HStmt::Foreach { list, .. } => {
                 let view = self.view_shape(*list);
                 let per_elem = view
@@ -84,20 +116,26 @@ impl<'a> Coster<'a> {
     /// charged at the consuming node.
     fn expr_cost(&self, id: ExprId) -> u64 {
         match *self.prog.expr(id) {
-            // O(1) on an unfiltered view; a full scan through filters.
+            // An unfiltered EMPTY stops at the first subflow, and one over
+            // a queue at the first packet past at most the removed ones.
+            HExpr::ListEmpty(view) if !self.view_shape(view).filtered => {
+                self.node_cost(self.prog.children(id))
+            }
+            HExpr::QueueEmpty(view) | HExpr::QueueTop(view) | HExpr::QueuePop(view)
+                if !self.view_shape(view).filtered =>
+            {
+                self.scan_cost(view, None, self.pops.saturating_add(1))
+            }
+            // COUNT, and anything through a filter, scans the view.
             HExpr::ListCount(view)
             | HExpr::QueueCount(view)
             | HExpr::ListEmpty(view)
             | HExpr::QueueEmpty(view)
             | HExpr::QueueTop(view)
-            | HExpr::QueuePop(view)
-                if self.view_shape(view).filtered =>
-            {
-                self.scan_cost(view, None)
-            }
+            | HExpr::QueuePop(view) => self.scan_cost(view, None, u64::MAX),
             // GET is charged as a scan even unfiltered (index walk).
             HExpr::ListGet { list, index } => self
-                .scan_cost(list, None)
+                .scan_cost(list, None, u64::MAX)
                 .saturating_add(self.expr_cost(index)),
             // A FILTER node by itself builds a lazy view; the predicate is
             // charged once here (loosely) and per element at consumers.
@@ -106,20 +144,20 @@ impl<'a> Coster<'a> {
             }
             _ => match self.prog.children(id) {
                 // MIN / MAX / SUM.
-                Children::Scan { source, body, .. } => self.scan_cost(source, Some(body)),
+                Children::Scan { source, body, .. } => self.scan_cost(source, Some(body), u64::MAX),
                 operands => self.node_cost(operands),
             },
         }
     }
 
-    /// Cost of one full scan over the view `e`, optionally evaluating a
-    /// per-element `key` expression.
-    fn scan_cost(&self, e: ExprId, key: Option<ExprId>) -> u64 {
+    /// Cost of one scan over at most `limit` elements of the view `e`,
+    /// optionally evaluating a per-element `key` expression.
+    fn scan_cost(&self, e: ExprId, key: Option<ExprId>, limit: u64) -> u64 {
         let view = self.view_shape(e);
         let key_cost = key.map_or(0, |k| self.expr_cost(k));
         let per_elem = view.pred_cost.saturating_add(key_cost).saturating_add(1);
         1u64.saturating_add(self.expr_cost(e))
-            .saturating_add(view.elems.saturating_mul(per_elem))
+            .saturating_add(view.elems.min(limit).saturating_mul(per_elem))
     }
 
     /// Resolves the worst-case shape of a view chain, following aggregate
@@ -141,5 +179,29 @@ impl<'a> Coster<'a> {
             }),
             filtered: !filters.is_empty(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::removals;
+    use crate::{parser, sema};
+
+    fn removals_of(src: &str) -> u64 {
+        let hir = sema::lower(&parser::parse(src).expect("parse")).expect("sema");
+        removals(&hir, &hir.body, 64)
+    }
+
+    #[test]
+    fn a_pop_anywhere_in_an_operand_is_a_removal() {
+        // The bytecode counts every `Pop` call, not only those whose
+        // packet a statement takes whole.
+        assert_eq!(removals_of("VAR n = Q.POP().SIZE;"), 1);
+        assert_eq!(
+            removals_of("DROP(Q.POP()); VAR n = Q.POP().SIZE + Q.POP().SIZE;"),
+            4
+        );
+        let per_subflow = "FOREACH (VAR s IN SUBFLOWS) { VAR n = Q.POP().SIZE; }";
+        assert_eq!(removals_of(per_subflow), 64);
     }
 }

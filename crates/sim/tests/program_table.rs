@@ -226,6 +226,27 @@ fn a_budget_equal_to_the_blanket_default_is_honoured() {
     assert_eq!(sim.connections[0].step_budget(), Some(1_000_000));
 }
 
+/// `Q.COUNT` scans the whole send queue, so a 1 MB send is hundreds of
+/// packets to count on every execution: the certified bound charges the
+/// scan, and the connection runs under it without a single error.
+#[test]
+fn a_count_gated_scheduler_delivers_a_full_send_queue() {
+    const COUNT_GATED: &str = "IF (Q.COUNT > 0 AND !SUBFLOWS.EMPTY) {
+                                   SUBFLOWS.MIN(s => s.RTT).PUSH(Q.POP());
+                               }";
+    let mut sim = Sim::new(3);
+    let spec = SchedulerSpec::dsl_on(COUNT_GATED, Backend::Vm);
+    let conn = sim
+        .add_connection(ConnectionConfig::new(paths(2), spec))
+        .unwrap();
+    sim.app_send_at(conn, 0, 1_000_000, 0);
+    sim.run_to_completion(60 * SECONDS);
+    let c = &sim.connections[conn];
+    assert_eq!(c.stats.scheduler_errors, 0);
+    assert_eq!(c.stats.delivered_bytes, 1_000_000);
+    assert!(c.all_acked());
+}
+
 #[test]
 fn connections_sharing_a_program_each_see_their_own_subflows() {
     let mut sim = Sim::new(3);

@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn swap_to_a_costlier_program_raises_the_step_budget() {
         // Scanning a 700-packet send queue takes more steps than the
-        // 1024 the connection's first, trivial program is certified for.
+        // connection's first, trivial program is certified for.
         const QUEUE_SCAN: &str = "
             SET(R2, Q.FILTER(p => p.SIZE > 0).COUNT);
             IF (!Q.EMPTY) {
