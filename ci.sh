@@ -97,6 +97,16 @@ echo "==> one step bound: the HIR cost model times one constant, checked against
 [ "$(sed -n '/^pub struct VerifyConfig {/,/^}/p' crates/core/src/verify/mod.rs | grep -c '^    pub ')" -eq 3 ] \
   || { echo "VerifyConfig must declare exactly three pub fields (max_subflows, max_queue_len, max_scan_depth)"; exit 1; }
 
+echo "==> a round is skipped only on its program's own guard: Quiescence::holds defined once in crates/core/src, called once in engine.rs, no elision option"
+[ "$(grep -rn 'fn holds(&self, env: &dyn SchedulerEnv)' crates/core/src | wc -l)" -eq 1 ] \
+  || { echo "Quiescence::holds must be defined exactly once under crates/core/src (the one evaluation of a guard)"; exit 1; }
+[ "$(grep -c '\.holds(' crates/sim/src/engine.rs)" -eq 1 ] \
+  || { echo "engine.rs must evaluate a quiescence guard in exactly one place (run_scheduler)"; exit 1; }
+for spec in 'crates/core/src/program.rs:CompileOptions' 'crates/sim/src/config.rs:ConnectionConfig' 'crates/sim/src/fleet.rs:FleetConfig'; do
+  ! sed -n "/^pub struct ${spec#*:} {/,/^}/p" "${spec%%:*}" | grep -iE '^ *pub [a-z_]*(elid|quiescen)' \
+    || { echo "${spec#*:} has a field that switches quiescent-round skipping (it is always on)"; exit 1; }
+done
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

@@ -21,7 +21,7 @@ use mptcp_sim::oracle::PropObservation;
 use progmp_core::env::{RecordingEnv, SchedulerEnv};
 use progmp_core::exec::{ExecCtx, ExecStats};
 use progmp_core::testenv::MockEnv;
-use progmp_core::{Backend, CompileError, ExecError, SchedulerProgram};
+use progmp_core::{Backend, CompileError, ExecError, Quiescence, SchedulerProgram};
 
 /// Rounds each backend runs per case: enough for a register one round
 /// writes to be read by the next, and for a queue to be consumed twice.
@@ -34,6 +34,8 @@ pub struct BackendOutcome {
     pub backend: Backend,
     /// Each round's statistics and property observation, or its error.
     pub(crate) rounds: Vec<Result<(ExecStats, PropObservation), ExecError>>,
+    /// The quiescence atoms that held before each round.
+    pub(crate) quiet: Vec<Quiescence>,
     /// The environment after the last round, with the trace of every
     /// effect applied to it.
     pub(crate) env: RecordingEnv<MockEnv>,
@@ -52,9 +54,11 @@ impl BackendOutcome {
         let mut env = RecordingEnv::new(spec.build());
         let mut instance = program.instantiate(backend);
         let mut rounds = Vec::with_capacity(ROUNDS);
+        let mut quiet = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
             // Sampled pre-round, exactly as the simulator engine samples it.
             let pre = PropObservation::before(&env);
+            quiet.push(held_atoms(&env));
             let mut ctx = ExecCtx::new(&env, budget);
             rounds.push(match instance.execute_raw(&mut ctx) {
                 Ok(()) => {
@@ -68,6 +72,7 @@ impl BackendOutcome {
         BackendOutcome {
             backend,
             rounds,
+            quiet,
             env,
         }
     }
@@ -97,6 +102,12 @@ impl BackendOutcome {
         out.push_str(&self.env.inner.state_fingerprint());
         out
     }
+}
+
+/// The quiescence atoms that hold on `env`, as one guard.
+pub(crate) fn held_atoms(env: &dyn SchedulerEnv) -> Quiescence {
+    let held = Quiescence::ATOMS.into_iter().filter(|atom| atom.holds(env));
+    held.fold(Quiescence::NEVER, Quiescence::or)
 }
 
 /// Runs `program` under every backend, in [`Backend::ALL`] order, each

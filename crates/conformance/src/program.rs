@@ -37,11 +37,19 @@
 //!   the VM under the bytecode model its image was validated with. The
 //!   summary prints the largest steps ÷ budget per backend and the
 //!   largest bytecode model ÷ certified bound, the model's ratio to the
-//!   HIR model over the one constant between them.
+//!   HIR model over the one constant between them;
+//! * **quiescence** — every round that started where the program's
+//!   certified [`Quiescence`] guard held (the rounds the simulator does
+//!   not run) decided nothing on every backend: no push, drop or register
+//!   write, and no error. Each admitted program also runs one round on
+//!   [`idle`], where every atom holds; the summary counts the rounds
+//!   checked under each atom.
 //!
 //! The probe set shows the static checks bite: the codegen mutations of
-//! [`vm_soundness::probes`] and the certificate weakenings of
-//! [`prop_soundness::probes`].
+//! [`vm_soundness::probes`], the certificate weakenings of
+//! [`prop_soundness::probes`], and a forged guard that claims every atom
+//! for every program, which the quiescence check must catch within the
+//! tier's CI seed count.
 
 use crate::differ::{self, BackendOutcome, Divergence, ROUNDS};
 use crate::gen::{EnvSpec, Generator};
@@ -52,10 +60,10 @@ use mptcp_sim::oracle::check_properties;
 use progmp_core::ast::Program;
 use progmp_core::env::{PacketProp, PacketRef, QueueKind, RegId, SubflowProp};
 use progmp_core::error::Stage;
-use progmp_core::exec::ExecCtx;
+use progmp_core::exec::{ExecCtx, ExecStats};
 use progmp_core::testenv::MockEnv;
 use progmp_core::verify::Lint;
-use progmp_core::{Backend, CompileOptions, PropStatus, SchedulerProgram};
+use progmp_core::{Backend, CompileOptions, ExecError, PropStatus, Quiescence, SchedulerProgram};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::LazyLock;
 
@@ -100,6 +108,101 @@ fn at_caps() -> &'static MockEnv {
         env
     });
     &ENV
+}
+
+/// The fixed environment of the idle round: four subflows whose
+/// congestion windows are full (one also TSQ-throttled, one lossy),
+/// every queue empty, and every register set. All three quiescence atoms
+/// hold on it.
+fn idle() -> &'static MockEnv {
+    static ENV: LazyLock<MockEnv> = LazyLock::new(|| {
+        let mut env = MockEnv::new();
+        for i in 0..4 {
+            env.add_subflow(i);
+            let props = [
+                (SubflowProp::Rtt, 10_000 + i64::from(i) * 15_000),
+                (SubflowProp::Cwnd, 10),
+                (SubflowProp::SkbsInFlight, 10 - i64::from(i % 2)),
+                (SubflowProp::Queued, i64::from(i % 2)),
+                (SubflowProp::TsqThrottled, i64::from(i == 2)),
+                (SubflowProp::Lossy, i64::from(i == 3)),
+                (SubflowProp::IsBackup, i64::from(i == 1)),
+            ];
+            for (prop, value) in props {
+                env.set_subflow_prop(i, prop, value);
+            }
+        }
+        for (i, reg) in (1..=8).filter_map(RegId::new).enumerate() {
+            env.set_register(reg, [1, 50, 1_000_000, -1, 7, 100, 0, 3][i]);
+        }
+        env
+    });
+    &ENV
+}
+
+/// The counter of rounds checked under each atom of
+/// [`Quiescence::ATOMS`], in that order.
+const QUIET_COUNTERS: [&str; 3] = [
+    "quiet rounds Q,RQ empty",
+    "quiet rounds Q,RQ,QU empty",
+    "quiet rounds no window",
+];
+
+/// Checks the claim of `guard` on `program`: every round of `outcomes`
+/// that started where an atom of `guard` held, and, for an admitted
+/// program, one round per backend on [`idle`], decided nothing. Returns
+/// the rounds checked under each atom and the first broken claim as a
+/// finding's context and detail.
+fn quiet_rounds(
+    program: &SchedulerProgram,
+    guard: Quiescence,
+    outcomes: &[BackendOutcome],
+) -> ([u64; 3], Option<(String, String)>) {
+    let mut checked = [0; 3];
+    let mut broken = None;
+    let mut check = |held: Quiescence, result: Result<ExecStats, &ExecError>, context| {
+        let atoms = held
+            .atoms()
+            .filter(|&atom| guard.atoms().any(|g| g == atom));
+        let mut claimed = false;
+        for atom in atoms {
+            checked[Quiescence::ATOMS.iter().position(|&a| a == atom).unwrap()] += 1;
+            claimed = true;
+        }
+        if !claimed {
+            return;
+        }
+        let detail = match result {
+            Err(e) => format!("the round failed: {e}"),
+            Ok(s) if s.pushes + s.drops + s.reg_writes > 0 => format!(
+                "{} push(es), {} drop(s), {} register write(s)",
+                s.pushes, s.drops, s.reg_writes
+            ),
+            Ok(_) => return,
+        };
+        let guard = guard.render();
+        broken.get_or_insert_with(|| (context, format!("quiescent when {guard}, yet {detail}")));
+    };
+    for o in outcomes {
+        for (i, (round, &held)) in o.rounds.iter().zip(&o.quiet).enumerate() {
+            let context = format!("backend {}, round {i}, quiescence", o.backend.name());
+            check(held, round.as_ref().map(|(stats, _)| *stats), context);
+        }
+    }
+    if program.verdict().admitted() && guard.holds(idle()) {
+        for backend in Backend::ALL {
+            let mut ctx = ExecCtx::new(idle(), program.certified_step_bound());
+            let result = program.instantiate(backend).execute_raw(&mut ctx);
+            let stats = ctx.finish().2;
+            let context = format!("backend {}, idle round, quiescence", backend.name());
+            check(
+                differ::held_atoms(idle()),
+                result.as_ref().map(|()| stats),
+                context,
+            );
+        }
+    }
+    (checked, broken)
 }
 
 /// Runs one round of the admitted `program` on every backend in
@@ -173,6 +276,13 @@ pub fn check_seed(seed: u64, out: &mut Report) {
     }
     if admitted {
         check_at_caps(seed, &program, &source, out);
+    }
+    let (checked, broken) = quiet_rounds(&program, program.quiescence(), &outcomes);
+    for (name, n) in QUIET_COUNTERS.into_iter().zip(checked) {
+        out.count(name, n);
+    }
+    if let Some((context, detail)) = broken {
+        out.finding(seed, context, detail, &source);
     }
     for o in &outcomes {
         for (i, round) in o.rounds.iter().enumerate() {
@@ -314,10 +424,41 @@ fn check_bytecode_optimizer(
 }
 
 /// The static pipeline's probes: seeded codegen mutations translation
-/// validation must reject, and certificate weakenings the property
-/// oracle must catch.
+/// validation must reject, certificate weakenings the property oracle
+/// must catch, and a forged quiescence guard.
 pub fn probes() -> Vec<Probe> {
     let mut probes = vm_soundness::probes();
     probes.extend(prop_soundness::probes());
+    probes.push(forged_guard_probe());
     probes
+}
+
+/// A guard that claims every atom for every program: the quiescence
+/// check must catch it on one of the tier's CI seeds.
+fn forged_guard_probe() -> Probe {
+    let label = "forged quiescence guard (every atom, every program)".to_string();
+    let forged = Quiescence::ATOMS
+        .into_iter()
+        .fold(Quiescence::NEVER, Quiescence::or);
+    let seeds = crate::tier::find("program").map_or(0, |tier| tier.default_seeds);
+    for seed in 0..seeds {
+        let mut generator = Generator::new(seed);
+        let source = generator.program().to_string();
+        let spec = generator.env_spec();
+        let program = crate::compile_observed(&source)
+            .unwrap_or_else(|e| panic!("seed {seed}: generated program failed to compile: {e}"));
+        let outcomes = differ::run_backends(&program, &spec);
+        if let (_, Some((context, detail))) = quiet_rounds(&program, forged, &outcomes) {
+            return Probe {
+                label,
+                caught: true,
+                detail: format!("seed {seed}, {context}: {detail}"),
+            };
+        }
+    }
+    Probe {
+        label,
+        caught: false,
+        detail: format!("no round broke the forged guard in {seeds} seeds"),
+    }
 }

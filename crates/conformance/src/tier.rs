@@ -53,6 +53,9 @@ pub static TIERS: [Tier; 3] = [
             "optimized clean",
             "rewrites kept",
             "rolled back",
+            "quiet rounds Q,RQ empty",
+            "quiet rounds Q,RQ,QU empty",
+            "quiet rounds no window",
         ],
         maxima: &[
             "interpreter steps/budget",

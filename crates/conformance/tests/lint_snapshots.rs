@@ -3,8 +3,9 @@
 //! Each of the seven headline schedulers from the paper must pass the
 //! admission verifier *clean* — admitted, with a finite certified step
 //! bound — and the full human-readable verdict (including the bound) is
-//! pinned as a snapshot so any change to the verifier's precision or
-//! cost model shows up as a reviewable diff. Regenerate with
+//! pinned as a snapshot, followed by the certified quiescence guard the
+//! simulator skips rounds on, so any change to the verifier's precision
+//! or cost model shows up as a reviewable diff. Regenerate with
 //! `UPDATE_SNAPSHOTS=1 cargo test -p progmp-conformance --test
 //! lint_snapshots`.
 
@@ -27,7 +28,9 @@ fn bundled_schedulers_verify_clean_with_pinned_bounds() {
             bound > 0 && bound < u64::MAX,
             "bundled scheduler {name} must have a finite certified bound, got {bound}"
         );
-        assert_snapshot(&format!("lint_{name}"), &verdict.render_human(name));
+        let guard = program.quiescence().render();
+        let golden = format!("{}quiescent when: {guard}\n", verdict.render_human(name));
+        assert_snapshot(&format!("lint_{name}"), &golden);
     }
 }
 

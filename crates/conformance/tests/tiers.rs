@@ -34,10 +34,19 @@ fn every_tier_is_silent_and_every_probe_set_bites() {
                 // checks nothing. Its own sensitivity check is
                 // `progmp_core::opt`'s unit tests.
                 assert!(report.counter("rewrites kept") > 0, "{report}");
+                // Every quiescence atom is certified by some program and
+                // checked on some round, the idle round at least.
+                for atom in [
+                    "quiet rounds Q,RQ empty",
+                    "quiet rounds Q,RQ,QU empty",
+                    "quiet rounds no window",
+                ] {
+                    assert!(report.counter(atom) > 0, "{report}");
+                }
                 // Four codegen mutation classes on each of two
-                // schedulers, a walk that lost its break, and six
-                // certificate weakenings.
-                assert_eq!(probes.len(), 15, "{report}");
+                // schedulers, a walk that lost its break, six
+                // certificate weakenings and a forged quiescence guard.
+                assert_eq!(probes.len(), 16, "{report}");
             }
             "chaos" => {
                 assert_eq!(probes.len(), 1, "{report}");

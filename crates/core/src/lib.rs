@@ -81,6 +81,6 @@ pub use program::{
 };
 pub use types::Type;
 pub use verify::{
-    subflow_available, Diagnostic, IdSet, Lint, PropStatus, PropertyCertificate, Severity, Verdict,
-    VerifyConfig,
+    subflow_available, Diagnostic, IdSet, Lint, PropStatus, PropertyCertificate, Quiescence,
+    Severity, Verdict, VerifyConfig,
 };

@@ -12,7 +12,9 @@
 //! materialization* of `FILTER` is inherent in all three backends
 //! (predicates run during a single scan), and *compressed executions* are
 //! the simulator's (`mptcp_sim::Sim::run_scheduler`, measured by the
-//! `abl_runtime_opts` experiment). *Constant subflow number* is not
+//! `abl_runtime_opts` experiment): it re-runs the whole program until a
+//! round pushes nothing, and skips a round that starts where the
+//! program's certified [`crate::verify::props::Quiescence`] guard holds. *Constant subflow number* is not
 //! reproduced: `SUBFLOWS.COUNT` is one helper call on the image every
 //! connection shares (see [`crate::vm`]).
 //!

@@ -79,6 +79,7 @@ struct Compiled {
     verdict: crate::verify::Verdict,
     vm_verdict: crate::verify::vm::BytecodeVerdict,
     props: crate::verify::props::PropertyCertificate,
+    quiescence: crate::verify::props::Quiescence,
     /// The AOT closure graph, built from `hir` by the first
     /// `instantiate(Backend::Aot)` and run by every AOT instance.
     aot: OnceLock<aot::CompiledProgram>,
@@ -167,6 +168,9 @@ pub fn compile_with_options(
     // never gate admission: they are recorded on the program for the lint
     // CLI and armed as dynamic invariants by the simulator's oracle.
     let props = crate::verify::verify_properties(&hir);
+    // The quiescence guard sits beside the certificate, not in it: a
+    // forged certificate must not change which rounds are skipped.
+    let quiescence = crate::verify::props::certify_quiescence(&hir);
     let vcode = codegen::generate(&hir)?;
     let (bytecode, debug) = regalloc::allocate_with_debug(&vcode)?;
     vm::verify_with_debug(&bytecode, Some(&debug))?;
@@ -214,6 +218,7 @@ pub fn compile_with_options(
             verdict,
             vm_verdict,
             props,
+            quiescence,
             aot: OnceLock::new(),
         }),
     })
@@ -278,6 +283,14 @@ impl SchedulerProgram {
         self.inner.verdict.certified_step_bound
     }
 
+    /// The certified quiescence guard: a round that starts where it
+    /// [holds](crate::verify::props::Quiescence::holds) provably decides
+    /// nothing, provided it runs under at least
+    /// [`Self::certified_step_bound`]. See [`crate::verify::props`].
+    pub fn quiescence(&self) -> crate::verify::props::Quiescence {
+        self.inner.quiescence
+    }
+
     /// The semantic property certificate (work-conservation, starvation,
     /// redundancy bound, reinjection safety); always computed, never
     /// gates admission. See [`crate::verify::props`].
@@ -300,6 +313,7 @@ impl SchedulerProgram {
             verdict: self.inner.verdict.clone(),
             vm_verdict: self.inner.vm_verdict.clone(),
             props,
+            quiescence: self.inner.quiescence,
             aot: OnceLock::new(),
         });
         SchedulerProgram { inner }

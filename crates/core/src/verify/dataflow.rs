@@ -298,6 +298,14 @@ impl AbsState {
     }
 }
 
+/// The availability conjuncts of [`crate::verify::props::subflow_available`],
+/// one bit each: `!TSQ_THROTTLED`, `!LOSSY`, `CWND > SKBS_IN_FLIGHT +
+/// QUEUED`.
+const AVAIL_TSQ: u8 = 1;
+const AVAIL_LOSSY: u8 = 2;
+const AVAIL_CWND: u8 = 4;
+const AVAIL_ALL: u8 = AVAIL_TSQ | AVAIL_LOSSY | AVAIL_CWND;
+
 /// Plain joins of one `FOREACH` body before its state is widened (the HIR
 /// interpreter's own threshold; the bytecode kernel's is
 /// `crate::flow::WIDEN_AFTER`).
@@ -312,6 +320,9 @@ pub(super) fn run(prog: &HProgram) -> Vec<Diagnostic> {
         collect: true,
         assume_avail: false,
         avail_relational: false,
+        assume_no_window: false,
+        quiescence: false,
+        effect_reached: false,
     };
     let mut st = AbsState::initial_with(prog, true);
     a.exec_block(&mut st, &prog.body);
@@ -330,6 +341,17 @@ pub(super) struct Analyzer<'a> {
     /// cwnd-room conjunct (`CWND > SKBS_IN_FLIGHT + QUEUED`); tied to
     /// the octagon domain being enabled.
     pub(super) avail_relational: bool,
+    /// Assume no subflow is *available*: a `SUBFLOWS` view whose filter
+    /// chain carries all three availability conjuncts is empty (the
+    /// `NO_WINDOW` quiescence atom, set by `super::props`).
+    pub(super) assume_no_window: bool,
+    /// A quiescence pass: a `FOREACH` over a provably empty view runs no
+    /// iteration, and reaching an effect (a `SET`, a `DROP` of a
+    /// possibly non-`NULL` packet, a `PUSH` whose operands may both be
+    /// non-`NULL`) sets `effect_reached` and ends the pass.
+    pub(super) quiescence: bool,
+    /// Set once a quiescence pass reaches an effect.
+    pub(super) effect_reached: bool,
 }
 
 impl<'a> Analyzer<'a> {
@@ -343,6 +365,9 @@ impl<'a> Analyzer<'a> {
             collect: false,
             assume_avail: false,
             avail_relational: false,
+            assume_no_window: false,
+            quiescence: false,
+            effect_reached: false,
         }
     }
 
@@ -370,11 +395,16 @@ impl<'a> Analyzer<'a> {
 
     pub(super) fn exec_block(&mut self, st: &mut AbsState, body: &[StmtId]) {
         for &sid in body {
-            if !st.reachable {
+            if !st.reachable || self.effect_reached {
                 return;
             }
             self.exec_stmt(st, sid);
         }
+    }
+
+    /// Records, in a quiescence pass, that an effect is reachable.
+    fn effect(&mut self) {
+        self.effect_reached |= self.quiescence;
     }
 
     pub(super) fn exec_stmt(&mut self, st: &mut AbsState, sid: StmtId) {
@@ -433,6 +463,9 @@ impl<'a> Analyzer<'a> {
             }
             HStmt::Foreach { slot, list, body } => {
                 let _ = self.eval(st, list);
+                if self.quiescence && self.view_emptiness(st, list) == Emptiness::Empty {
+                    return;
+                }
                 // Fixpoint over 0..n iterations, lints muted.
                 let was_collecting = self.collect;
                 self.collect = false;
@@ -469,6 +502,7 @@ impl<'a> Analyzer<'a> {
                 let v = self.eval(st, value).interval();
                 let v = self.oct_assign(st, reg.index(), value, v);
                 st.regs[reg.index()] = v;
+                self.effect();
             }
             HStmt::Push { target, packet } => {
                 let t = self.eval(st, target);
@@ -507,11 +541,15 @@ impl<'a> Analyzer<'a> {
                     ),
                     Nullability::NonNull => {}
                 }
+                if t.nullability() != Nullability::Null && p.nullability() != Nullability::Null {
+                    self.effect();
+                }
             }
             HStmt::Drop { packet } => {
                 let p = self.eval(st, packet);
                 if p.nullability() != Nullability::Null {
                     st.invalidate_removal(self.prog);
+                    self.effect();
                 }
             }
             HStmt::Return => st.reachable = false,
@@ -829,6 +867,10 @@ impl<'a> Analyzer<'a> {
             // The availability witness is a member of every view filtered
             // only by conjuncts each available subflow satisfies.
             return Emptiness::NonEmpty;
+        }
+        if self.assume_no_window && self.unavail_view(e) {
+            // Every member of this view would be available.
+            return Emptiness::Empty;
         }
         match self.prog.expr(e) {
             HExpr::Queue(k) => st.queues[queue_index(*k)],
@@ -1301,6 +1343,21 @@ impl<'a> Analyzer<'a> {
         })
     }
 
+    /// The converse of [`Self::avail_view`]: true when `e` is a
+    /// `SUBFLOWS` view whose filter chain carries all three availability
+    /// conjuncts (in any order, alongside any others), so that every
+    /// member is an available subflow.
+    fn unavail_view(&self, e: ExprId) -> bool {
+        self.prog.view_chain(e).is_some_and(|chain| {
+            chain.base == ViewBase::Subflows
+                && chain
+                    .filters
+                    .iter()
+                    .fold(0, |found, &(var, pred)| found | self.avail_mask(var, pred))
+                    == AVAIL_ALL
+        })
+    }
+
     /// True when every conjunct of the filter predicate `e` (over lambda
     /// variable `var`) is satisfied by an available subflow:
     /// `!TSQ_THROTTLED`, `!LOSSY`, and — only when the relational domain
@@ -1313,33 +1370,58 @@ impl<'a> Analyzer<'a> {
                 rhs,
                 ..
             } => self.avail_conjuncts(var, *lhs) && self.avail_conjuncts(var, *rhs),
+            _ => match self.avail_conjunct(var, e) {
+                AVAIL_CWND => self.avail_relational,
+                found => found != 0,
+            },
+        }
+    }
+
+    /// The availability conjuncts among the top-level conjuncts of the
+    /// filter predicate `e` over lambda variable `var`, as a bit set.
+    fn avail_mask(&self, var: VarSlot, e: ExprId) -> u8 {
+        match self.prog.expr(e) {
+            HExpr::Binary {
+                op: BinOp::And,
+                lhs,
+                rhs,
+                ..
+            } => self.avail_mask(var, *lhs) | self.avail_mask(var, *rhs),
+            _ => self.avail_conjunct(var, e),
+        }
+    }
+
+    /// Which availability conjunct the non-`AND` predicate `e` over
+    /// lambda variable `var` is, as one bit; 0 for none.
+    fn avail_conjunct(&self, var: VarSlot, e: ExprId) -> u8 {
+        match self.prog.expr(e) {
             HExpr::Unary {
                 op: UnOp::Not,
                 expr,
             } => match self.prog.expr(*expr) {
                 HExpr::SubflowProp {
                     sbf,
-                    prop: SubflowProp::TsqThrottled | SubflowProp::Lossy,
-                } => self.is_lambda_var(*sbf, var),
-                _ => false,
+                    prop: SubflowProp::TsqThrottled,
+                } if self.is_lambda_var(*sbf, var) => AVAIL_TSQ,
+                HExpr::SubflowProp {
+                    sbf,
+                    prop: SubflowProp::Lossy,
+                } if self.is_lambda_var(*sbf, var) => AVAIL_LOSSY,
+                _ => 0,
             },
             HExpr::Binary {
                 op: BinOp::Gt,
                 lhs,
                 rhs,
                 ..
-            } if self.avail_relational => {
-                self.is_cwnd(var, *lhs) && self.is_inflight_sum(var, *rhs)
-            }
+            } if self.is_cwnd(var, *lhs) && self.is_inflight_sum(var, *rhs) => AVAIL_CWND,
             HExpr::Binary {
                 op: BinOp::Lt,
                 lhs,
                 rhs,
                 ..
-            } if self.avail_relational => {
-                self.is_inflight_sum(var, *lhs) && self.is_cwnd(var, *rhs)
-            }
-            _ => false,
+            } if self.is_inflight_sum(var, *lhs) && self.is_cwnd(var, *rhs) => AVAIL_CWND,
+            _ => 0,
         }
     }
 

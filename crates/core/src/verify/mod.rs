@@ -26,7 +26,9 @@ pub mod vm;
 
 pub use diag::{Diagnostic, Lint, Severity, Verdict};
 pub use domain::IdSet;
-pub use props::{subflow_available, verify_properties, PropStatus, PropertyCertificate};
+pub use props::{
+    subflow_available, verify_properties, PropStatus, PropertyCertificate, Quiescence,
+};
 
 use crate::hir::HProgram;
 

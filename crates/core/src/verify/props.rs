@@ -6,7 +6,8 @@
 //! that never services subflow 2, duplicates every segment onto all
 //! paths, or refuses to send despite an open window passes every check in
 //! `super::dataflow`. This module derives, per program, a
-//! [`PropertyCertificate`] over four semantic properties:
+//! [`PropertyCertificate`] over four semantic properties, and beside it a
+//! fifth fact, the [`Quiescence`] guard:
 //!
 //! 1. **Work-conservation** — under the assumption that the send queue is
 //!    non-empty and at least one *available* subflow exists (not
@@ -39,6 +40,21 @@
 //!    domain. The per-program flag [`PropertyCertificate::pops_fully_guarded`]
 //!    additionally records whether *every* pop (any queue) is guarded,
 //!    which arms the `null_pops == 0` dynamic check.
+//! 5. **Quiescence guard** — a disjunction of up to three atoms (`Q` and
+//!    `RQ` empty; `Q`, `RQ` and `QU` empty; no subflow available) under
+//!    which no effect is reachable: no `SET`, no `DROP` of a possibly
+//!    non-`NULL` packet, no `PUSH` whose operands may both be
+//!    non-`NULL`. Each atom is certified by one forward pass of the
+//!    abstract interpreter from the initial state refined by the atom,
+//!    a may-reachability question: the pass over-approximates every
+//!    execution that starts where the atom holds, so an effect it never
+//!    reaches is reached by none of them, and such a round leaves the
+//!    connection as it found it (a packet popped but neither pushed nor
+//!    dropped stays queued). The simulator skips such rounds
+//!    ([`Quiescence::holds`]), and the conformance tier runs them anyway
+//!    to check they decide nothing. The guard lives on the compiled
+//!    program, not in the certificate, so a forged certificate cannot
+//!    widen what is skipped.
 //!
 //! Property findings never feed the admission verdict: a refuted property
 //! is a warning-severity lint surfaced through `progmp-lint --properties`,
@@ -543,6 +559,115 @@ pub fn verify_properties_with(
         allowed_ids,
         pops_fully_guarded,
     }
+}
+
+// ---------------------------------------------------------------------
+// The quiescence guard.
+// ---------------------------------------------------------------------
+
+/// A fact about a connection under which a round of one program provably
+/// decides nothing: no `SET`, no `DROP` of a possibly non-`NULL` packet,
+/// no `PUSH` whose operands may both be non-`NULL` is reachable. A
+/// disjunction of up to three atoms, each certified by one pass of the
+/// abstract interpreter when the program is compiled;
+/// [`Quiescence::NEVER`] when none is. The simulator does not run a round
+/// whose program's guard [holds](Quiescence::holds).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct Quiescence(u8);
+
+impl Quiescence {
+    /// No atom: every round runs.
+    pub const NEVER: Quiescence = Quiescence(0);
+    /// `Q` and `RQ` are empty.
+    pub const EMPTY_Q_RQ: Quiescence = Quiescence(1);
+    /// `Q`, `RQ` and `QU` are empty.
+    pub const EMPTY_ALL: Quiescence = Quiescence(2);
+    /// No subflow is [available](subflow_available).
+    pub const NO_WINDOW: Quiescence = Quiescence(4);
+    /// The three atoms, in menu order.
+    pub const ATOMS: [Quiescence; 3] = [
+        Quiescence::EMPTY_Q_RQ,
+        Quiescence::EMPTY_ALL,
+        Quiescence::NO_WINDOW,
+    ];
+
+    /// The guard that holds when `self` or `other` does.
+    pub fn or(self, other: Quiescence) -> Quiescence {
+        Quiescence(self.0 | other.0)
+    }
+
+    /// The atoms of this guard, each as a one-atom guard.
+    pub fn atoms(self) -> impl Iterator<Item = Quiescence> {
+        Quiescence::ATOMS
+            .into_iter()
+            .filter(move |atom| self.0 & atom.0 != 0)
+    }
+
+    /// Whether the guard holds on `env` before a round starts. Nothing
+    /// has been popped yet, so the queue atoms test raw emptiness. The
+    /// one evaluation of a guard: the simulator and the conformance
+    /// tier both call it.
+    pub fn holds(&self, env: &dyn SchedulerEnv) -> bool {
+        let empty = |queue| env.queue(queue).is_empty();
+        let queues = Quiescence::EMPTY_Q_RQ.0 | Quiescence::EMPTY_ALL.0;
+        (self.0 & queues != 0
+            && empty(QueueKind::SendQueue)
+            && empty(QueueKind::Reinject)
+            && (self.0 & Quiescence::EMPTY_Q_RQ.0 != 0 || empty(QueueKind::Unacked)))
+            || (self.0 & Quiescence::NO_WINDOW.0 != 0
+                && !env.subflows().iter().any(|&s| subflow_available(env, s)))
+    }
+
+    /// The guard as `progmp-lint --inspect` prints it, e.g.
+    /// `Q,RQ empty | no subflow available`, or `never`.
+    pub fn render(self) -> String {
+        let names: Vec<&str> = self
+            .atoms()
+            .map(|atom| match atom {
+                Quiescence::EMPTY_Q_RQ => "Q,RQ empty",
+                Quiescence::EMPTY_ALL => "Q,RQ,QU empty",
+                _ => "no subflow available",
+            })
+            .collect();
+        if names.is_empty() {
+            "never".to_string()
+        } else {
+            names.join(" | ")
+        }
+    }
+}
+
+/// Derives the quiescence guard of `prog`: each atom for which one
+/// forward pass of the abstract interpreter, started from the initial
+/// state refined by the atom, reaches no effect. `EMPTY_ALL` is tried
+/// only when `EMPTY_Q_RQ`, which it implies, is not certified.
+pub(crate) fn certify_quiescence(prog: &HProgram) -> Quiescence {
+    let quiet = |atom: Quiescence| {
+        let mut st = AbsState::initial_with(prog, true);
+        let mut az = Analyzer::quiet(prog);
+        az.quiescence = true;
+        az.assume_no_window = atom == Quiescence::NO_WINDOW;
+        let emptied: &[QueueKind] = match atom {
+            Quiescence::EMPTY_Q_RQ => &[QueueKind::SendQueue, QueueKind::Reinject],
+            Quiescence::EMPTY_ALL => &QueueKind::ALL,
+            _ => &[],
+        };
+        for &queue in emptied {
+            st.queues[dataflow::queue_index(queue)] = Emptiness::Empty;
+        }
+        az.exec_block(&mut st, &prog.body);
+        !az.effect_reached
+    };
+    let mut guard = Quiescence::NEVER;
+    if quiet(Quiescence::EMPTY_Q_RQ) {
+        guard = guard.or(Quiescence::EMPTY_Q_RQ);
+    } else if quiet(Quiescence::EMPTY_ALL) {
+        guard = guard.or(Quiescence::EMPTY_ALL);
+    }
+    if quiet(Quiescence::NO_WINDOW) {
+        guard = guard.or(Quiescence::NO_WINDOW);
+    }
+    guard
 }
 
 // ---------------------------------------------------------------------
@@ -1784,6 +1909,79 @@ mod tests {
             .unwrap();
         let counted = available.iter().filter(|a| **a).count() as i64;
         assert_eq!(env.register(RegId::R1), counted);
+    }
+
+    fn guard(source: &str) -> Quiescence {
+        crate::program::compile(source).unwrap().quiescence()
+    }
+
+    #[test]
+    fn quiescence_atoms_are_certified_by_reachability() {
+        // An emptiness guard in front of every effect: both queue atoms
+        // make it unreachable, so only the weaker one is kept.
+        assert_eq!(guard(MIN_RTT), Quiescence::EMPTY_Q_RQ);
+        // A write reachable on every path certifies nothing.
+        assert_eq!(guard("SET(R1, 1);"), Quiescence::NEVER);
+        // QU feeds a push, so only the atom that empties it holds.
+        let catch_up = "FOREACH (VAR sbf IN SUBFLOWS) {
+                VAR skb = QU.FILTER(s => !s.SENT_ON(sbf)).TOP;
+                IF (skb != NULL) { sbf.PUSH(skb); }
+            }";
+        assert_eq!(guard(catch_up), Quiescence::EMPTY_ALL);
+        // A drop whose operand may be non-NULL is an effect; one that
+        // pops a provably empty queue is not.
+        assert_eq!(guard("DROP(QU.POP());"), Quiescence::EMPTY_ALL);
+        assert_eq!(guard("DROP(Q.POP());"), Quiescence::EMPTY_Q_RQ);
+    }
+
+    #[test]
+    fn no_window_needs_all_three_conjuncts_anywhere_in_the_chain() {
+        // Split over two filters, in another order, beside other
+        // conjuncts, and through a variable: still empty when no subflow
+        // is available, including the loop over it.
+        let split = "VAR open = SUBFLOWS.FILTER(s => s.SKBS_IN_FLIGHT + s.QUEUED < s.CWND
+                AND s.COST == 0);
+            VAR ok = open.FILTER(s => !s.LOSSY AND s.RTT < 100 AND !s.TSQ_THROTTLED);
+            FOREACH (VAR sbf IN ok) { sbf.PUSH(QU.TOP); }
+            VAR best = ok.MIN(s => s.RTT);
+            IF (best != NULL) { SET(R2, 1); best.PUSH(Q.POP()); }";
+        assert_eq!(guard(split), Quiescence::NO_WINDOW);
+        // Without `!LOSSY` a lossy subflow with window may still be
+        // chosen; only emptying `QU` silences the push.
+        let partial = "VAR s = SUBFLOWS.FILTER(s => !s.TSQ_THROTTLED
+                AND s.CWND > s.SKBS_IN_FLIGHT + s.QUEUED).MIN(s => s.RTT);
+            IF (s != NULL) { s.PUSH(QU.TOP); }";
+        assert_eq!(guard(partial), Quiescence::EMPTY_ALL);
+        // A conjunct under OR does not count.
+        let or = "VAR s = SUBFLOWS.FILTER(s => !s.TSQ_THROTTLED AND !s.LOSSY
+                AND (s.CWND > s.SKBS_IN_FLIGHT + s.QUEUED OR s.RTT < 5)).MIN(s => s.RTT);
+            IF (s != NULL) { s.PUSH(QU.TOP); }";
+        assert_eq!(guard(or), Quiescence::EMPTY_ALL);
+    }
+
+    #[test]
+    fn a_guard_holds_on_raw_emptiness_or_no_available_subflow() {
+        use crate::testenv::MockEnv;
+        use SubflowProp::{Cwnd, SkbsInFlight};
+        let all = Quiescence::ATOMS
+            .into_iter()
+            .fold(Quiescence::NEVER, Quiescence::or);
+        let mut env = MockEnv::new();
+        env.add_subflow(0);
+        env.set_subflow_prop(0, Cwnd, 10);
+        assert!(Quiescence::EMPTY_Q_RQ.holds(&env) && Quiescence::EMPTY_ALL.holds(&env));
+        assert!(!Quiescence::NO_WINDOW.holds(&env) && !Quiescence::NEVER.holds(&env));
+        env.push_packet(QueueKind::Unacked, 1, 0, 1400);
+        assert!(Quiescence::EMPTY_Q_RQ.holds(&env) && !Quiescence::EMPTY_ALL.holds(&env));
+        env.push_packet(QueueKind::SendQueue, 2, 0, 1400);
+        assert!(!all.holds(&env));
+        env.set_subflow_prop(0, SkbsInFlight, 10);
+        assert!(Quiescence::NO_WINDOW.holds(&env) && all.holds(&env));
+        assert_eq!(Quiescence::NEVER.render(), "never");
+        assert_eq!(
+            all.render(),
+            "Q,RQ empty | Q,RQ,QU empty | no subflow available"
+        );
     }
 
     #[test]

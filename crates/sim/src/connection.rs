@@ -28,7 +28,7 @@ use progmp_core::env::{
 };
 use progmp_core::exec::ExecCtx;
 use progmp_core::{
-    subflow_available, CompileError, ExecError, PropertyCertificate, SchedulerInstance,
+    subflow_available, CompileError, ExecError, PropertyCertificate, Quiescence, SchedulerInstance,
     SchedulerProgram,
 };
 
@@ -92,6 +92,22 @@ impl Installed {
             handle,
             step_budget,
         })
+    }
+
+    /// The guard under which a round of this scheduler provably decides
+    /// nothing: its program's certified [`Quiescence`], provided the
+    /// budget is at least the certified step bound (a round under a
+    /// smaller budget may fault, and a fault is a decision). A native
+    /// scheduler is opaque, so its guard never holds.
+    pub(crate) fn quiescence(&self) -> Quiescence {
+        match &self.handle {
+            SchedulerHandle::Dsl(inst)
+                if self.step_budget >= inst.program().certified_step_bound() =>
+            {
+                inst.program().quiescence()
+            }
+            _ => Quiescence::NEVER,
+        }
     }
 
     /// The program the instance runs; `None` for a native scheduler.

@@ -722,14 +722,32 @@ impl Sim {
     /// runs at once so the event that found the fault still gets
     /// scheduled (bounded: a fault while quarantined is recorded, never
     /// re-swapped).
+    ///
+    /// The loop also stops *before* a round that starts where its
+    /// program's certified quiescence guard holds, exactly as if that
+    /// round had run and pushed nothing: the guard proves no `SET`,
+    /// `DROP` or effective `PUSH` is reachable, and it is armed only
+    /// under a budget of at least the certified step bound, so the round
+    /// cannot fault either. Only the execution and step counters see the
+    /// difference. The oracle loses nothing, because a skipped round
+    /// could not have violated any certificate property:
+    /// work-conservation needs a non-empty `Q` and an available subflow,
+    /// and each atom of the guard rules out one of them; starvation and
+    /// the redundancy bound need a push; and `null_pops` is armed only
+    /// when every pop is guarded. The guard is the program's own, never
+    /// the certificate's, so a forged certificate cannot widen the skip.
     fn run_scheduler(&mut self, conn: ConnId) {
         // `run_to_completion`'s quiescence path gets no stamp from `step`.
         self.connections[conn].now = self.now;
         let Some(mut scheduler) = self.connections[conn].installed.take() else {
             return;
         };
+        let guard = scheduler.quiescence();
         let mut faults = Vec::new();
         for _ in 0..self.connections[conn].max_sched_rounds {
+            if guard.holds(&self.connections[conn]) {
+                break;
+            }
             let round = self.run_round(conn, &mut scheduler);
             let c = &mut self.connections[conn];
             for (sbf, pkt) in self.tx_scratch.drain(..) {
@@ -1257,7 +1275,7 @@ pub(crate) mod tests {
         assert!(c.all_acked());
         assert_eq!(sim.events_processed, 8189);
         let digest = fnv1a64(c.stats.snapshot_text().as_bytes());
-        assert_eq!(digest, 0x64ee_1f31_6b9d_421d);
+        assert_eq!(digest, 0xef62_ba5a_dff4_9156);
         let incidents: Vec<String> = sim.incidents().iter().map(|i| i.to_string()).collect();
         assert_eq!(
             incidents,

@@ -24,6 +24,24 @@
 //! event history and of where the caller stopped the run, not of how
 //! many neighbours it has.
 //!
+//! ## What a check costs
+//!
+//! The per-event check does not grow with the number of connections,
+//! but it does grow with the checked connection's backlog. It walks `Q`,
+//! `QU` and `RQ` once each (a segment lookup per packet), copies each
+//! queue into a fresh `Vec` and sorts it to find duplicates (one
+//! allocation and O(n log n) per queue), tests every packet of `Q` for
+//! membership in `RQ` (O(|Q| · |RQ|)), and recounts the receiver's
+//! reorder queue (`ooo_recount`, O(entries)). Measured on a 2-CPU
+//! container, 14 connections (two per paper scheduler) on one worker:
+//! wall with the oracle on is 1.2× the wall with it off at 20 KB per
+//! connection, 1.9× at 2 MB and 2.8× at 20 MB. At the benchmark fleets'
+//! backlogs the check is smaller: 9.3 ms of an 82 ms traced
+//! `fleet_checked` run. [`check_properties`] costs O(pushes²) per
+//! finished round (each push target is counted by a linear scan). A
+//! round the engine skips because its program's quiescence guard holds
+//! is shown to nobody; it could not have violated a certificate.
+//!
 //! The oracle exists for the chaos tier (TESTING.md): fault plans drive
 //! the simulator through blackouts, burst loss, jitter, window stalls and
 //! churn, and the oracle asserts that the transport machinery never

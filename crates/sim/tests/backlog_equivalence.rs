@@ -94,13 +94,13 @@ fn one_megabyte_backlog_on_clean_paths() {
         28_659,
         7,
         [
-            0xe74a053392a1bc4a,
-            0x47000d56813a941d,
+            0x296f4b8347e524c3,
+            0x18ae588102078758,
             0x29955b144fe17fff,
-            0x9f9256606475fc0b,
-            0x9fa454738dc910fc,
-            0x80f2aace0c7440b6,
-            0xfcb46602ddad2547,
+            0x969063c10c65149a,
+            0x7141a8d2c33af532,
+            0xf2bbd15b67336440,
+            0xa45f54a45b61f0bd,
         ],
     );
 }
@@ -114,13 +114,13 @@ fn one_megabyte_backlog_with_two_percent_loss() {
         27_883,
         6,
         [
-            0x3429e737cf60d86d,
-            0xefb720736ea1229a,
+            0x2472bee2d523e26f,
+            0x2831fee704ffa535,
             0xfae50941af09e85f,
-            0xb07752f9bba3fe60,
-            0x128f16b588404e83,
-            0xc37fd0f03df1bce9,
-            0x470e661e48bafce6,
+            0x0ad021f7ef45128c,
+            0xf091783b568fc90b,
+            0x4fc82cecc23bc3ec,
+            0xa36dd89d5c23c878,
         ],
     );
 }
@@ -132,13 +132,13 @@ fn one_megabyte_backlog_with_subflow_down_and_up_mid_transfer() {
         26_368,
         7,
         [
-            0xe400c9592d8e607d,
-            0x335c0f523a92de14,
+            0x18322838f32f07d1,
+            0xba6b49f88e4ce16c,
             0xd85b148ccd03f191,
-            0x0156b6ad4e6bbf14,
-            0xc51687f66cfaa832,
-            0x6a7f266c84c87ca3,
-            0x5d007f6cf13bb99d,
+            0x399c7ccd55f6b20f,
+            0xc743115d9ff13fc6,
+            0x6832486dcb7f045c,
+            0x79efa8f021ac57ec,
         ],
     );
 }

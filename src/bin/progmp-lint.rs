@@ -15,7 +15,9 @@
 //!   certified step bound);
 //! * `--json`: one JSON object per program, machine-readable;
 //! * `--inspect`: additionally print the static audit report
-//!   (`progmp_core::analysis`) next to each verdict;
+//!   (`progmp_core::analysis`) next to each verdict, ending in the
+//!   certified quiescence guard (`quiescent when: Q,RQ empty | no subflow
+//!   available`, or `never`; see `progmp_core::verify::props`);
 //! * `--bytecode`: additionally print the bytecode verifier's verdict
 //!   and annotated register-state listing — each instruction with its
 //!   source span and the abstract values (intervals, handle kinds,
@@ -247,6 +249,7 @@ fn main() -> ExitCode {
                 if opts.inspect && !opts.json {
                     println!("--- static audit: {name} ---");
                     println!("{}", program.analyze());
+                    println!("quiescent when:     {}", program.quiescence().render());
                     println!();
                 }
                 if opts.bytecode {

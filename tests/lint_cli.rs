@@ -28,6 +28,22 @@ fn clean_scheduler_exits_zero() {
 }
 
 #[test]
+fn inspect_prints_the_quiescence_guard() {
+    let out = lint(&["--inspect", "default", "roundRobin"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {:?}", out.stderr);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        stdout.contains("quiescent when:     Q,RQ empty | no subflow available"),
+        "stdout: {stdout}"
+    );
+    // roundRobin may write R4 whatever the queues and windows hold.
+    assert!(
+        stdout.contains("quiescent when:     never"),
+        "stdout: {stdout}"
+    );
+}
+
+#[test]
 fn rejected_program_exits_one() {
     // An unguarded POP whose packet is pushed on a provably-NULL subflow
     // is an admission error even in observe mode.
