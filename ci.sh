@@ -107,6 +107,10 @@ for spec in 'crates/core/src/program.rs:CompileOptions' 'crates/sim/src/config.r
     || { echo "${spec#*:} has a field that switches quiescent-round skipping (it is always on)"; exit 1; }
 done
 
+echo "==> one abstract domain product: no octagon"
+! grep -rnE 'Octagon|struct Oct\b|fn oct_|MAX_OCT_VARS|OctagonDropRelations|fn initial_with' crates/ src/ \
+  || { echo "a relational domain is back in the HIR verifier (its state is interval x nullability x emptiness)"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

@@ -103,23 +103,6 @@ fn weakening_case(weakening: PropWeakening) -> (&'static str, EnvSpec) {
             "VAR p = RQ.POP();\nIF (p != NULL AND !SUBFLOWS.EMPTY) { SUBFLOWS.MIN(s => s.RTT).PUSH(p); }",
             spec,
         ),
-        // The contradictory relational guard pair (R1 < R2 then
-        // R1 >= R2) makes the no-push RETURN path infeasible only while
-        // the octagon tracks the R1/R2 relation: dropping relations must
-        // lose the work-conservation proof (checked statically in
-        // `probes`), while the concrete run (registers default
-        // to 0, taking the ELSE push) keeps the clean baseline silent.
-        PropWeakening::OctagonDropRelations => (
-            "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) {\n\
-             IF (R1 < R2) {\n\
-             IF (R1 >= R2) { RETURN; }\n\
-             SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP());\n\
-             } ELSE {\n\
-             SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP());\n\
-             }\n\
-             }",
-            spec,
-        ),
     }
 }
 
@@ -154,42 +137,24 @@ pub fn probes() -> Vec<Probe> {
         };
         // The same execution under the honest certificate must be
         // violation-free on every backend, pinning the blame on the
-        // weakening (and, for the octagon case, the proof's soundness).
+        // weakening.
         let sound_baseline = Backend::ALL
             .iter()
             .all(|&backend| flagged(clean, backend).is_empty());
-        let (caught, mut detail) = if weakening == PropWeakening::OctagonDropRelations {
-            // Not an unsoundness injection: the weakening only discards
-            // precision, so the catch is *losing a PROVED* — the clean
-            // certificate proves work-conservation via the relational
-            // guard contradiction, the weakened one must not.
-            let clean_wc = clean.work_conservation.status;
-            let weak_wc = weakened.work_conservation.status;
-            let caught = clean_wc == progmp_core::PropStatus::Proved
-                && weak_wc != progmp_core::PropStatus::Proved;
-            let detail = format!(
-                "work-conservation {} -> {} when the relational domain is dropped",
-                clean_wc.name(),
-                weak_wc.name()
-            );
-            (caught, detail)
-        } else {
-            let mut caught_everywhere = true;
-            let mut detail = String::new();
-            for backend in Backend::ALL {
-                match flagged(&weakened, backend).first() {
-                    Some(v) if detail.is_empty() => {
-                        detail = format!("{}: {}", v.invariant, v.detail);
-                    }
-                    Some(_) => {}
-                    None => caught_everywhere = false,
+        let mut caught = true;
+        let mut detail = String::new();
+        for backend in Backend::ALL {
+            match flagged(&weakened, backend).first() {
+                Some(v) if detail.is_empty() => {
+                    detail = format!("{}: {}", v.invariant, v.detail);
                 }
+                Some(_) => {}
+                None => caught = false,
             }
-            if !caught_everywhere {
-                detail.push_str(" (no dynamic violation on some backend)");
-            }
-            (caught_everywhere, detail)
-        };
+        }
+        if !caught {
+            detail.push_str(" (no dynamic violation on some backend)");
+        }
         if !sound_baseline {
             detail.push_str(" (the honest certificate is violated on the same execution)");
         }

@@ -44,9 +44,9 @@ fn every_tier_is_silent_and_every_probe_set_bites() {
                     assert!(report.counter(atom) > 0, "{report}");
                 }
                 // Four codegen mutation classes on each of two
-                // schedulers, a walk that lost its break, six
+                // schedulers, a walk that lost its break, five
                 // certificate weakenings and a forged quiescence guard.
-                assert_eq!(probes.len(), 16, "{report}");
+                assert_eq!(probes.len(), 15, "{report}");
             }
             "chaos" => {
                 assert_eq!(probes.len(), 1, "{report}");

@@ -22,7 +22,7 @@ use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId, VarSlot, ViewBase};
 use crate::types::Type;
 
 use super::diag::{Diagnostic, Lint, Severity};
-use super::domain::{Emptiness, Interval, Nullability, Octagon, Tri};
+use super::domain::{Emptiness, Interval, Nullability, Tri};
 
 /// Where a reference value was drawn from, for guard back-propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,82 +109,6 @@ impl SlotAbs {
     }
 }
 
-/// The relational half of the reduced product: a DBM [`Octagon`] plus
-/// the slot→variable mapping. Octagon variables are registers
-/// (`0..NUM_REGISTERS`), then `SUBFLOWS.COUNT` at [`OCT_SUBFLOW_VAR`],
-/// then int/bool slots in declaration order.
-#[derive(Debug, Clone, PartialEq)]
-pub(super) struct Oct {
-    dbm: Octagon,
-    /// Slot index → octagon variable, `-1` for untracked (ref/agg) slots.
-    slot_var: Vec<i32>,
-}
-
-/// Octagon variable holding `SUBFLOWS.COUNT`.
-const OCT_SUBFLOW_VAR: usize = NUM_REGISTERS;
-
-/// Programs tracking more variables than this run interval-only: the
-/// cubic DBM closure would dominate analysis time.
-const MAX_OCT_VARS: usize = 48;
-
-impl Oct {
-    fn new(prog: &HProgram) -> Option<Oct> {
-        let mut slot_var = vec![-1i32; prog.n_slots];
-        let mut next = NUM_REGISTERS + 1;
-        for (i, ty) in prog.slot_ty.iter().enumerate() {
-            if matches!(ty, Type::Int | Type::Bool) {
-                slot_var[i] = next as i32;
-                next += 1;
-            }
-        }
-        if next > MAX_OCT_VARS {
-            return None;
-        }
-        let mut dbm = Octagon::top(next);
-        dbm.clamp(OCT_SUBFLOW_VAR, Interval::new(0, i64::MAX));
-        dbm.close();
-        Some(Oct { dbm, slot_var })
-    }
-}
-
-/// The interval currently stored (outside the octagon) for octagon
-/// variable `v`.
-fn oct_var_interval(st: &AbsState, v: usize) -> Interval {
-    if v < NUM_REGISTERS {
-        return st.regs[v];
-    }
-    if v == OCT_SUBFLOW_VAR {
-        return st.subflow_count;
-    }
-    match &st.oct {
-        Some(oct) => oct
-            .slot_var
-            .iter()
-            .position(|&sv| sv == v as i32)
-            .map(|slot| st.slots[slot].int)
-            .unwrap_or(Interval::TOP),
-        None => Interval::TOP,
-    }
-}
-
-fn oct_set_var_interval(st: &mut AbsState, v: usize, iv: Interval) {
-    if v < NUM_REGISTERS {
-        st.regs[v] = iv;
-        return;
-    }
-    if v == OCT_SUBFLOW_VAR {
-        st.subflow_count = iv;
-        return;
-    }
-    let slot = st
-        .oct
-        .as_ref()
-        .and_then(|o| o.slot_var.iter().position(|&sv| sv == v as i32));
-    if let Some(slot) = slot {
-        st.slots[slot].int = iv;
-    }
-}
-
 /// The abstract machine state at one program point.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct AbsState {
@@ -195,28 +119,17 @@ pub(super) struct AbsState {
     pub(super) queues: [Emptiness; 3],
     /// Range of `SUBFLOWS.COUNT` (constant during one execution).
     pub(super) subflow_count: Interval,
-    /// Relational octagon over registers, the subflow count, and
-    /// int/bool slots; `None` when the relational domain is disabled
-    /// (or the program tracks too many variables).
-    pub(super) oct: Option<Oct>,
 }
 
 impl AbsState {
-    pub(super) fn initial_with(prog: &HProgram, relational: bool) -> AbsState {
+    pub(super) fn initial(prog: &HProgram) -> AbsState {
         AbsState {
             reachable: true,
             regs: [Interval::TOP; NUM_REGISTERS],
             slots: vec![SlotAbs::default(); prog.n_slots],
             queues: [Emptiness::Unknown; 3],
             subflow_count: Interval::new(0, i64::MAX),
-            oct: if relational { Oct::new(prog) } else { None },
         }
-    }
-
-    /// The octagon variable tracking int/bool slot `slot`, if any.
-    fn oct_slot_var(&self, slot: usize) -> Option<usize> {
-        let v = *self.oct.as_ref()?.slot_var.get(slot)?;
-        (v >= 0).then_some(v as usize)
     }
 
     pub(super) fn join(&self, other: &AbsState) -> AbsState {
@@ -245,13 +158,6 @@ impl AbsState {
                 self.queues[2].join(other.queues[2]),
             ],
             subflow_count: self.subflow_count.join(other.subflow_count),
-            oct: match (&self.oct, &other.oct) {
-                (Some(a), Some(b)) => Some(Oct {
-                    dbm: a.dbm.join(&b.dbm),
-                    slot_var: a.slot_var.clone(),
-                }),
-                _ => None,
-            },
         }
     }
 
@@ -269,13 +175,6 @@ impl AbsState {
             o.int = a.int.widen(b.int);
         }
         out.subflow_count = self.subflow_count.widen(next.subflow_count);
-        out.oct = match (&self.oct, &next.oct) {
-            (Some(a), Some(b)) => Some(Oct {
-                dbm: a.dbm.widen(&b.dbm),
-                slot_var: a.slot_var.clone(),
-            }),
-            _ => None,
-        };
         out
     }
 
@@ -319,12 +218,11 @@ pub(super) fn run(prog: &HProgram) -> Vec<Diagnostic> {
         diags: Vec::new(),
         collect: true,
         assume_avail: false,
-        avail_relational: false,
         assume_no_window: false,
         quiescence: false,
         effect_reached: false,
     };
-    let mut st = AbsState::initial_with(prog, true);
+    let mut st = AbsState::initial(prog);
     a.exec_block(&mut st, &prog.body);
     a.diags
 }
@@ -337,10 +235,6 @@ pub(super) struct Analyzer<'a> {
     /// `!LOSSY`, and congestion-window room): the work-conservation
     /// precondition witness, set by `super::props`.
     pub(super) assume_avail: bool,
-    /// Whether the availability witness may match the relational
-    /// cwnd-room conjunct (`CWND > SKBS_IN_FLIGHT + QUEUED`); tied to
-    /// the octagon domain being enabled.
-    pub(super) avail_relational: bool,
     /// Assume no subflow is *available*: a `SUBFLOWS` view whose filter
     /// chain carries all three availability conjuncts is empty (the
     /// `NO_WINDOW` quiescence atom, set by `super::props`).
@@ -364,7 +258,6 @@ impl<'a> Analyzer<'a> {
             diags: Vec::new(),
             collect: false,
             assume_avail: false,
-            avail_relational: false,
             assume_no_window: false,
             quiescence: false,
             effect_reached: false,
@@ -413,13 +306,7 @@ impl<'a> Analyzer<'a> {
                 let v = self.eval(st, init);
                 let ty = self.prog.slot_ty[slot.0 as usize];
                 match v {
-                    AbsVal::Int(iv) => {
-                        let iv = match st.oct_slot_var(slot.0 as usize) {
-                            Some(var) => self.oct_assign(st, var, init, iv),
-                            None => iv,
-                        };
-                        st.slots[slot.0 as usize].int = iv;
-                    }
+                    AbsVal::Int(iv) => st.slots[slot.0 as usize].int = iv,
                     AbsVal::Ref { null, origin } => {
                         let s = &mut st.slots[slot.0 as usize];
                         s.null = null;
@@ -499,9 +386,7 @@ impl<'a> Analyzer<'a> {
                 *st = cur.join(&s);
             }
             HStmt::SetReg { reg, value } => {
-                let v = self.eval(st, value).interval();
-                let v = self.oct_assign(st, reg.index(), value, v);
-                st.regs[reg.index()] = v;
+                st.regs[reg.index()] = self.eval(st, value).interval();
                 self.effect();
             }
             HStmt::Push { target, packet } => {
@@ -1032,14 +917,7 @@ impl<'a> Analyzer<'a> {
             HExpr::ReadVar(slot) if self.prog.slot_ty[slot.0 as usize] == Type::Bool => {
                 let want = Interval::exact(i64::from(truth));
                 match st.slots[slot.0 as usize].int.meet(want) {
-                    Some(iv) => {
-                        st.slots[slot.0 as usize].int = iv;
-                        if let Some(var) = st.oct_slot_var(slot.0 as usize) {
-                            if let Some(oct) = st.oct.as_mut() {
-                                oct.dbm.clamp(var, iv);
-                            }
-                        }
-                    }
+                    Some(iv) => st.slots[slot.0 as usize].int = iv,
                     None => st.reachable = false,
                 }
             }
@@ -1132,8 +1010,6 @@ impl<'a> Analyzer<'a> {
                 let (ra, rb) = if flip { (rb, ra) } else { (ra, rb) };
                 self.write_back_interval(st, lhs, ra);
                 self.write_back_interval(st, rhs, rb);
-                let (le, re) = if flip { (rhs, lhs) } else { (lhs, rhs) };
-                self.oct_assume(st, op, le, re);
             }
             _ => {}
         }
@@ -1169,167 +1045,6 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// The octagon variable denoted by `e` when it reads a tracked place
-    /// directly (register, int/bool slot, or `SUBFLOWS.COUNT`).
-    fn oct_place_base(&self, st: &AbsState, e: ExprId) -> Option<usize> {
-        match self.prog.expr(e) {
-            HExpr::ReadReg(r) => Some(r.index()),
-            HExpr::ReadVar(slot)
-                if matches!(self.prog.slot_ty[slot.0 as usize], Type::Int | Type::Bool) =>
-            {
-                st.oct_slot_var(slot.0 as usize)
-            }
-            HExpr::ListCount(v) | HExpr::QueueCount(v)
-                if matches!(self.prog.expr(*v), HExpr::Subflows) =>
-            {
-                Some(OCT_SUBFLOW_VAR)
-            }
-            _ => None,
-        }
-    }
-
-    /// `e` as octagon variable + constant offset, when `e` is a tracked
-    /// place or `place ± c`. Offset forms resolve only when the base's
-    /// current interval proves the concrete (wrapping) addition cannot
-    /// overflow — otherwise the syntactic `v + c` is not the
-    /// mathematical sum and no relation may be recorded.
-    fn oct_place(&self, st: &AbsState, e: ExprId) -> Option<(usize, i64)> {
-        st.oct.as_ref()?;
-        if let Some(v) = self.oct_place_base(st, e) {
-            return Some((v, 0));
-        }
-        let HExpr::Binary {
-            op,
-            lhs,
-            rhs,
-            operand_ty: Type::Int,
-        } = self.prog.expr(e)
-        else {
-            return None;
-        };
-        let (base, off) = match op {
-            BinOp::Add => match (self.prog.expr(*lhs), self.prog.expr(*rhs)) {
-                (_, HExpr::Int(c)) => (*lhs, *c),
-                (HExpr::Int(c), _) => (*rhs, *c),
-                _ => return None,
-            },
-            BinOp::Sub => match self.prog.expr(*rhs) {
-                HExpr::Int(c) => (*lhs, c.checked_neg()?),
-                _ => return None,
-            },
-            _ => return None,
-        };
-        let v = self.oct_place_base(st, base)?;
-        let iv = oct_var_interval(st, v);
-        iv.lo.checked_add(off)?;
-        iv.hi.checked_add(off)?;
-        Some((v, off))
-    }
-
-    /// Octagon transfer for `var := value` (already evaluated to `iv`):
-    /// records an exact relation when `value` is a tracked place ± const
-    /// (no-overflow proved), forgets `var` otherwise, and returns `iv`
-    /// narrowed by the relational projection.
-    fn oct_assign(
-        &mut self,
-        st: &mut AbsState,
-        var: usize,
-        value: ExprId,
-        iv: Interval,
-    ) -> Interval {
-        if st.oct.is_none() {
-            return iv;
-        }
-        let place = self.oct_place(st, value);
-        let oct = st.oct.as_mut().unwrap();
-        match place {
-            Some((src, off)) => oct.dbm.assign_offset(var, src, off),
-            None => oct.dbm.forget(var),
-        }
-        oct.dbm.clamp(var, iv);
-        oct.dbm.close();
-        if oct.dbm.is_bottom() {
-            st.reachable = false;
-            return iv;
-        }
-        match oct.dbm.project(var).and_then(|p| p.meet(iv)) {
-            Some(m) => m,
-            None => {
-                st.reachable = false;
-                iv
-            }
-        }
-    }
-
-    /// Octagon refinement for an assumed integer relation `le ⟨op⟩ re`
-    /// (`op` normalized to `Lt`/`Le`/`Eq`/`Ne`): syncs the freshly
-    /// refined unary intervals into the DBM, records the joint
-    /// constraint when both sides are tracked places, then closes and
-    /// reduces every projection back into the interval stores.
-    fn oct_assume(&mut self, st: &mut AbsState, op: BinOp, le: ExprId, re: ExprId) {
-        if st.oct.is_none() || !st.reachable {
-            return;
-        }
-        let pa = self.oct_place(st, le);
-        let pb = self.oct_place(st, re);
-        if pa.is_none() && pb.is_none() {
-            return;
-        }
-        for (v, off) in [pa, pb].into_iter().flatten() {
-            if off == 0 {
-                let iv = oct_var_interval(st, v);
-                st.oct.as_mut().unwrap().dbm.clamp(v, iv);
-            }
-        }
-        if let (Some((a, oa)), Some((b, ob))) = (pa, pb) {
-            // Normalized: (v_a + oa) ⟨op⟩ (v_b + ob)  ⇒  v_a - v_b ≤ c.
-            let c = match op {
-                BinOp::Lt => ob.checked_sub(oa).and_then(|d| d.checked_sub(1)),
-                BinOp::Le | BinOp::Eq => ob.checked_sub(oa),
-                _ => None, // Ne carries no octagon constraint
-            };
-            if let Some(c) = c {
-                let oct = st.oct.as_mut().unwrap();
-                oct.dbm.add_diff_le(a, b, c);
-                if op == BinOp::Eq {
-                    if let Some(neg) = c.checked_neg() {
-                        oct.dbm.add_diff_le(b, a, neg);
-                    }
-                }
-            }
-        }
-        self.oct_close_reduce(st);
-    }
-
-    /// Closes the octagon and reduces every variable's projection back
-    /// into its interval store (the reduced-product step). Marks the
-    /// state unreachable when the constraint system is infeasible.
-    fn oct_close_reduce(&mut self, st: &mut AbsState) {
-        let dim = {
-            let Some(oct) = st.oct.as_mut() else { return };
-            oct.dbm.close();
-            if oct.dbm.is_bottom() {
-                st.reachable = false;
-                return;
-            }
-            oct.dbm.dim()
-        };
-        for v in 0..dim {
-            let Some(proj) = st.oct.as_ref().unwrap().dbm.project(v) else {
-                st.reachable = false;
-                return;
-            };
-            let cur = oct_var_interval(st, v);
-            match cur.meet(proj) {
-                Some(m) => oct_set_var_interval(st, v, m),
-                None => {
-                    st.reachable = false;
-                    return;
-                }
-            }
-        }
-    }
-
     /// True when `e` denotes a view the work-conservation availability
     /// witness guarantees non-empty: `SUBFLOWS` filtered only by
     /// conjuncts every *available* subflow satisfies.
@@ -1360,8 +1075,7 @@ impl<'a> Analyzer<'a> {
 
     /// True when every conjunct of the filter predicate `e` (over lambda
     /// variable `var`) is satisfied by an available subflow:
-    /// `!TSQ_THROTTLED`, `!LOSSY`, and — only when the relational domain
-    /// backs the claim — `CWND > SKBS_IN_FLIGHT + QUEUED`.
+    /// `!TSQ_THROTTLED`, `!LOSSY`, or `CWND > SKBS_IN_FLIGHT + QUEUED`.
     fn avail_conjuncts(&self, var: VarSlot, e: ExprId) -> bool {
         match self.prog.expr(e) {
             HExpr::Binary {
@@ -1370,10 +1084,7 @@ impl<'a> Analyzer<'a> {
                 rhs,
                 ..
             } => self.avail_conjuncts(var, *lhs) && self.avail_conjuncts(var, *rhs),
-            _ => match self.avail_conjunct(var, e) {
-                AVAIL_CWND => self.avail_relational,
-                found => found != 0,
-            },
+            _ => self.avail_conjunct(var, e) != 0,
         }
     }
 
@@ -1507,157 +1218,5 @@ pub(super) fn queue_index(k: QueueKind) -> usize {
         QueueKind::SendQueue => 0,
         QueueKind::Unacked => 1,
         QueueKind::Reinject => 2,
-    }
-}
-
-/// Precision-regression tier for the relational domain: the reduced
-/// product with the octagon must never be *less* precise than the pure
-/// interval analysis (randomized over straight-line register programs),
-/// and on a curated corpus of `a < b`-guarded programs it must be
-/// *strictly* tighter, with the improved bounds pinned so regressions
-/// show up as exact-value diffs.
-#[cfg(test)]
-mod precision_tests {
-    use super::*;
-    use crate::optimizer;
-    use crate::parser;
-    use crate::sema;
-    use proptest::prelude::*;
-
-    /// Final abstract register file (and exit reachability) after
-    /// analyzing `src` with the relational domain on or off.
-    fn final_regs(src: &str, relational: bool) -> ([Interval; NUM_REGISTERS], bool) {
-        let ast = parser::parse(src).expect("parse");
-        let mut hir = sema::lower(&ast).expect("sema");
-        optimizer::optimize(&mut hir);
-        let mut az = Analyzer::quiet(&hir);
-        let mut st = AbsState::initial_with(&hir, relational);
-        az.exec_block(&mut st, &hir.body);
-        (st.regs, st.reachable)
-    }
-
-    fn subset(inner: Interval, outer: Interval) -> bool {
-        outer.lo <= inner.lo && inner.hi <= outer.hi
-    }
-
-    #[test]
-    fn lt_guard_bounds_the_smaller_operand() {
-        // R1 < R2 and R2 ≤ 50 pin R1 ≤ 49; intervals alone only learn
-        // R1 ≤ i64::MAX - 1 from the strict comparison.
-        let src = "IF (R1 >= R2) { RETURN; }
-                   IF (R2 > 50) { RETURN; }
-                   SET(R3, R1);";
-        let (rel, _) = final_regs(src, true);
-        let (off, _) = final_regs(src, false);
-        assert_eq!(rel[2].hi, 49);
-        assert_eq!(off[2].hi, i64::MAX - 1);
-        assert!(rel[2].hi < off[2].hi, "octagon must be strictly tighter");
-    }
-
-    #[test]
-    fn lt_chain_is_transitive_through_closure() {
-        // R1 < R2 < R3 ≤ 10 pins R1 ≤ 8 — the canonical fact only a
-        // relational domain can see.
-        let src = "IF (R1 >= R2) { RETURN; }
-                   IF (R2 >= R3) { RETURN; }
-                   IF (R3 > 10) { RETURN; }
-                   SET(R4, R1);";
-        let (rel, _) = final_regs(src, true);
-        let (off, _) = final_regs(src, false);
-        assert_eq!(rel[3].hi, 8);
-        assert_eq!(off[3].hi, i64::MAX - 1);
-    }
-
-    #[test]
-    fn equality_guard_transfers_later_narrowing() {
-        // R1 == R2 lets the later R2 ∈ [3, 7] narrowing flow to R1.
-        let src = "IF (R1 != R2) { RETURN; }
-                   IF (R2 < 3) { RETURN; }
-                   IF (R2 > 7) { RETURN; }
-                   SET(R5, R1);";
-        let (rel, _) = final_regs(src, true);
-        let (off, _) = final_regs(src, false);
-        assert_eq!(rel[4], Interval::new(3, 7));
-        assert_eq!(off[4], Interval::TOP);
-    }
-
-    #[test]
-    fn assignment_offset_relation_survives_later_guards() {
-        // R3 := R2 - 1 records an exact difference, so the later
-        // R2 ≤ 20 guard retroactively bounds R3 (and thus R4) at 19.
-        let src = "IF (R1 >= R2) { RETURN; }
-                   SET(R3, R2 - 1);
-                   IF (R2 > 20) { RETURN; }
-                   SET(R4, R3);";
-        let (rel, _) = final_regs(src, true);
-        let (off, _) = final_regs(src, false);
-        assert_eq!(rel[3].hi, 19);
-        assert_eq!(off[3].hi, i64::MAX - 1);
-    }
-
-    /// One statement of a generated straight-line register program.
-    #[derive(Debug, Clone)]
-    enum Op {
-        /// `SET(Rr, c);`
-        SetConst(u8, i64),
-        /// `SET(Rd, Rs + c);`
-        SetOffset(u8, u8, i64),
-        /// `IF (Ra >= Rb) { RETURN; }` — fallthrough knows `Ra < Rb`.
-        GuardLt(u8, u8),
-        /// `IF (Rr > c) { RETURN; }` — fallthrough knows `Rr ≤ c`.
-        GuardLeConst(u8, i64),
-    }
-
-    fn render(ops: &[Op]) -> String {
-        let mut src = String::new();
-        for op in ops {
-            match op {
-                Op::SetConst(r, c) => src.push_str(&format!("SET(R{r}, {c});\n")),
-                Op::SetOffset(d, s, c) => src.push_str(&format!("SET(R{d}, R{s} + {c});\n")),
-                Op::GuardLt(a, b) => src.push_str(&format!("IF (R{a} >= R{b}) {{ RETURN; }}\n")),
-                Op::GuardLeConst(r, c) => src.push_str(&format!("IF (R{r} > {c}) {{ RETURN; }}\n")),
-            }
-        }
-        src
-    }
-
-    fn op_strategy() -> BoxedStrategy<Op> {
-        let reg = 1u8..=4u8;
-        let small = 0i64..=100i64;
-        prop_oneof![
-            (reg.clone(), small.clone()).prop_map(|(r, c)| Op::SetConst(r, c)),
-            (reg.clone(), reg.clone(), small.clone()).prop_map(|(d, s, c)| Op::SetOffset(d, s, c)),
-            (reg.clone(), reg.clone()).prop_map(|(a, b)| Op::GuardLt(a, b)),
-            (reg, small).prop_map(|(r, c)| Op::GuardLeConst(r, c)),
-        ]
-        .boxed()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn octagon_projection_refines_pure_intervals(
-            ops in proptest::collection::vec(op_strategy(), 1..8),
-        ) {
-            let src = render(&ops);
-            let (rel, rel_reach) = final_regs(&src, true);
-            let (off, off_reach) = final_regs(&src, false);
-            // Reachability is monotone: anything the weaker analysis
-            // proves dead, the stronger one must too.
-            if rel_reach {
-                prop_assert!(off_reach, "octagon revived a dead exit:\n{src}");
-                for r in 0..NUM_REGISTERS {
-                    prop_assert!(
-                        subset(rel[r], off[r]),
-                        "R{} widened from {:?} to {:?} with the octagon on:\n{}",
-                        r + 1,
-                        off[r],
-                        rel[r],
-                        src
-                    );
-                }
-            }
-        }
     }
 }

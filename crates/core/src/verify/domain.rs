@@ -347,7 +347,7 @@ pub fn assume(cond: Cond, lhs: Interval, rhs: Interval) -> Option<(Interval, Int
 }
 
 /// A set of `i64` values represented as normalized disjoint inclusive
-/// ranges — the relational extension of the plain interval domain used by
+/// ranges — the disjunctive extension of the plain interval domain used by
 /// the property verifier (`super::props`) to solve guard satisfiability
 /// over subflow identities.
 ///
@@ -543,398 +543,6 @@ impl Emptiness {
     }
 }
 
-/// Absent-constraint sentinel for [`Octagon`] bounds (`+∞`).
-const OCT_INF: i64 = i64::MAX;
-
-/// Adds two DBM bounds with `+∞` absorbing. Finite sums saturate, which
-/// stays sound in both directions: saturating high lands on `OCT_INF`
-/// (the constraint is dropped), saturating low rounds an upper bound *up*
-/// toward the representable range (a weaker constraint than the real
-/// path sum implies).
-fn oct_add(a: i64, b: i64) -> i64 {
-    if a == OCT_INF || b == OCT_INF {
-        OCT_INF
-    } else {
-        a.saturating_add(b)
-    }
-}
-
-/// An octagon abstract element: conjunctions of `±x ± y ≤ c` constraints
-/// over `n` integer variables, stored as a difference-bound matrix in
-/// Miné's encoding — variable `k` contributes the positive form `V_2k =
-/// +v_k` and the negative form `V_2k+1 = -v_k`, and entry `m[i][j]`
-/// bounds `V_j - V_i`. Unary bounds ride along as `v ≤ c ⇔ 2v ≤ 2c`.
-///
-/// The element is the relational half of the verifier's reduced product:
-/// intervals are recovered from it by [`Octagon::project`] and every
-/// non-relational consumer keeps reading plain [`Interval`]s. All
-/// operations saturate at the `i64` rim (see [`oct_add`]) so constraints
-/// near `Interval::TOP`'s endpoints degrade to "unconstrained" instead of
-/// wrapping.
-///
-/// Every operation except [`Octagon::widen`] leaves the matrix strongly
-/// closed; widening must not close its result or termination breaks, so
-/// equality comparison re-closes clones (strong closure is a normal form
-/// for non-empty octagons).
-#[derive(Debug, Clone)]
-pub struct Octagon {
-    /// Number of program variables (the matrix is `2n × 2n`).
-    n: usize,
-    /// Row-major bound matrix; `m[i * 2n + j]` bounds `V_j - V_i`.
-    m: Vec<i64>,
-    /// True once a negative cycle proved the constraint system empty.
-    bottom: bool,
-    /// True while the matrix is known strongly closed (perf only).
-    closed: bool,
-}
-
-impl Octagon {
-    /// The unconstrained octagon over `n` variables.
-    pub fn top(n: usize) -> Octagon {
-        let d = 2 * n;
-        let mut m = vec![OCT_INF; d * d];
-        for i in 0..d {
-            m[i * d + i] = 0;
-        }
-        Octagon {
-            n,
-            m,
-            bottom: false,
-            closed: true,
-        }
-    }
-
-    /// The empty octagon over `n` variables. Analysis states reach `⊥`
-    /// through [`Octagon::close`] instead, so this constructor is
-    /// exercised by the lattice test suite only.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn bottom(n: usize) -> Octagon {
-        let mut o = Octagon::top(n);
-        o.bottom = true;
-        o
-    }
-
-    /// True when no valuation satisfies the constraints.
-    pub fn is_bottom(&self) -> bool {
-        self.bottom
-    }
-
-    /// Number of tracked variables.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn d(&self) -> usize {
-        2 * self.n
-    }
-
-    fn get(&self, i: usize, j: usize) -> i64 {
-        self.m[i * self.d() + j]
-    }
-
-    fn tighten(&mut self, i: usize, j: usize, c: i64) {
-        let d = self.d();
-        if c < self.m[i * d + j] {
-            self.m[i * d + j] = c;
-            self.closed = false;
-        }
-    }
-
-    /// Records `v_a - v_b ≤ c` (with its coherent mirror). No closure.
-    pub fn add_diff_le(&mut self, a: usize, b: usize, c: i64) {
-        if a == b {
-            if c < 0 {
-                self.bottom = true;
-            }
-            return;
-        }
-        self.tighten(2 * b, 2 * a, c);
-        self.tighten(2 * a + 1, 2 * b + 1, c);
-    }
-
-    /// Intersects variable `k` with `iv` (unary bounds; skipped at the
-    /// rim where doubling would overflow). No closure.
-    pub fn clamp(&mut self, k: usize, iv: Interval) {
-        if let Some(two_hi) = iv.hi.checked_mul(2) {
-            self.tighten(2 * k + 1, 2 * k, two_hi);
-        }
-        if let Some(neg_two_lo) = iv.lo.checked_mul(-2) {
-            self.tighten(2 * k, 2 * k + 1, neg_two_lo);
-        }
-    }
-
-    /// The interval implied for variable `k`; `None` when the bounds are
-    /// contradictory (callers should treat the state as unreachable).
-    /// Precise on strongly-closed matrices, sound on any matrix.
-    pub fn project(&self, k: usize) -> Option<Interval> {
-        if self.bottom {
-            return None;
-        }
-        let up = self.get(2 * k + 1, 2 * k); // 2v ≤ c
-        let dn = self.get(2 * k, 2 * k + 1); // -2v ≤ c
-        let hi = if up == OCT_INF {
-            i64::MAX
-        } else {
-            up.div_euclid(2)
-        };
-        let lo = if dn == OCT_INF {
-            i64::MIN
-        } else {
-            dn.div_euclid(2).checked_neg()?
-        };
-        (lo <= hi).then_some(Interval { lo, hi })
-    }
-
-    /// Drops every constraint mentioning variable `k` (closure is
-    /// restored first so facts implied *through* `k` survive).
-    pub fn forget(&mut self, k: usize) {
-        if self.bottom {
-            return;
-        }
-        self.close();
-        let d = self.d();
-        for row in [2 * k, 2 * k + 1] {
-            for j in 0..d {
-                self.m[row * d + j] = OCT_INF;
-                self.m[j * d + row] = OCT_INF;
-            }
-            self.m[row * d + row] = 0;
-        }
-        // Removing rows/columns from a closed matrix keeps it closed.
-        self.closed = true;
-    }
-
-    /// `v_k := c` (exact constant assignment). The caller closes. The
-    /// analyzer's assignment transfer inlines this as forget + clamp
-    /// with the evaluated interval, so this is test-suite surface.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn assign_const(&mut self, k: usize, c: i64) {
-        self.forget(k);
-        self.clamp(k, Interval::exact(c));
-    }
-
-    /// `v_dest := v_src + c` where the caller has proved the concrete
-    /// (wrapping) addition cannot overflow. `dest == src` shifts in
-    /// place; otherwise the old `dest` constraints are forgotten. The
-    /// caller closes.
-    pub fn assign_offset(&mut self, dest: usize, src: usize, c: i64) {
-        if self.bottom {
-            return;
-        }
-        if dest == src {
-            self.shift(dest, c);
-            return;
-        }
-        self.forget(dest);
-        self.add_diff_le(dest, src, c);
-        if let Some(neg) = c.checked_neg() {
-            self.add_diff_le(src, dest, neg);
-        }
-    }
-
-    /// `v_k := v_k + c` (no-overflow proved by the caller): bounds
-    /// through `+v_k` rise by `c`, bounds through `-v_k` fall by `c`.
-    /// Adjusted bounds are computed exactly in `i128`; where the result
-    /// leaves the representable range it is weakened (dropped to `+∞`
-    /// above, pinned to `i64::MIN` below — both are `≥` the true bound,
-    /// so upper-bound semantics stay sound).
-    fn shift(&mut self, k: usize, c: i64) {
-        let d = self.d();
-        let (pos, neg) = (2 * k, 2 * k + 1);
-        let c = c as i128;
-        let mut saturated = false;
-        let mut adjust = |m: &mut Vec<i64>, i: usize, j: usize, delta: i128| {
-            let v = m[i * d + j];
-            if v == OCT_INF {
-                return;
-            }
-            let s = v as i128 + delta;
-            m[i * d + j] = if s >= OCT_INF as i128 {
-                saturated = true;
-                OCT_INF
-            } else if s < i64::MIN as i128 {
-                saturated = true;
-                i64::MIN
-            } else {
-                s as i64
-            };
-        };
-        for j in 0..d {
-            if j == pos || j == neg {
-                continue;
-            }
-            // m[pos][j] bounds V_j - v_k: after the shift it loosens by -c.
-            adjust(&mut self.m, pos, j, -c);
-            adjust(&mut self.m, j, pos, c);
-            adjust(&mut self.m, neg, j, c);
-            adjust(&mut self.m, j, neg, -c);
-        }
-        adjust(&mut self.m, neg, pos, 2 * c);
-        adjust(&mut self.m, pos, neg, -2 * c);
-        // An exact uniform shift of one variable preserves strong
-        // closure; weakened entries may leave slack for re-closing.
-        if saturated {
-            self.closed = false;
-        }
-    }
-
-    /// Strong closure: Floyd–Warshall shortest paths, integer tightening
-    /// of unary bounds, then the octagonal strengthening step
-    /// `m[i][j] ← min(m[i][j], (m[i][ī] + m[j̄][j]) / 2)`. Detects
-    /// emptiness via negative diagonals (including the unary parity
-    /// case).
-    pub fn close(&mut self) {
-        if self.bottom || self.closed {
-            return;
-        }
-        let d = self.d();
-        for k in 0..d {
-            for i in 0..d {
-                let ik = self.m[i * d + k];
-                if ik == OCT_INF {
-                    continue;
-                }
-                for j in 0..d {
-                    let kj = self.m[k * d + j];
-                    if kj == OCT_INF {
-                        continue;
-                    }
-                    let sum = oct_add(ik, kj);
-                    if sum < self.m[i * d + j] {
-                        self.m[i * d + j] = sum;
-                    }
-                }
-            }
-        }
-        // Integer tightening: 2v ≤ c ⇒ 2v ≤ 2⌊c/2⌋.
-        for i in 0..d {
-            let b = self.m[i * d + (i ^ 1)];
-            if b != OCT_INF {
-                self.m[i * d + (i ^ 1)] = b.div_euclid(2).saturating_mul(2);
-            }
-        }
-        // Strengthening: combine the two unary chains through i and j.
-        for i in 0..d {
-            let a = self.m[i * d + (i ^ 1)];
-            if a == OCT_INF {
-                continue;
-            }
-            for j in 0..d {
-                let b = self.m[(j ^ 1) * d + j];
-                if b == OCT_INF {
-                    continue;
-                }
-                let half = oct_add(a, b);
-                let half = if half == OCT_INF {
-                    OCT_INF
-                } else {
-                    half.div_euclid(2)
-                };
-                if half < self.m[i * d + j] {
-                    self.m[i * d + j] = half;
-                }
-            }
-        }
-        for i in 0..d {
-            if self.m[i * d + i] < 0
-                || oct_add(self.m[i * d + (i ^ 1)], self.m[(i ^ 1) * d + i]) < 0
-            {
-                self.bottom = true;
-                return;
-            }
-        }
-        self.closed = true;
-    }
-
-    /// Least upper bound (pointwise max of strongly-closed matrices,
-    /// which is itself strongly closed).
-    pub fn join(&self, other: &Octagon) -> Octagon {
-        debug_assert_eq!(self.n, other.n);
-        if self.bottom {
-            return other.clone();
-        }
-        if other.bottom {
-            return self.clone();
-        }
-        let mut a = self.clone();
-        a.close();
-        let mut b = other.clone();
-        b.close();
-        if a.bottom {
-            return b;
-        }
-        if b.bottom {
-            return a;
-        }
-        for (x, y) in a.m.iter_mut().zip(&b.m) {
-            *x = (*x).max(*y);
-        }
-        a.closed = true;
-        a
-    }
-
-    /// Greatest lower bound (pointwise min, then closure). The reduced
-    /// product refines through [`Octagon::clamp`] + [`Octagon::close`]
-    /// instead, so this is exercised by the lattice test suite only.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn meet(&self, other: &Octagon) -> Octagon {
-        debug_assert_eq!(self.n, other.n);
-        if self.bottom || other.bottom {
-            let mut o = self.clone();
-            o.bottom = true;
-            return o;
-        }
-        let mut out = self.clone();
-        for (x, y) in out.m.iter_mut().zip(&other.m) {
-            *x = (*x).min(*y);
-        }
-        out.closed = false;
-        out.close();
-        out
-    }
-
-    /// Standard octagon widening: every bound `next` fails to keep is
-    /// dropped to `+∞`. The result is deliberately *not* closed —
-    /// closing a widened matrix can resurrect dropped bounds and break
-    /// termination. Each entry either stays or jumps to `+∞`, so a
-    /// widening chain stabilizes after finitely many steps.
-    pub fn widen(&self, next: &Octagon) -> Octagon {
-        debug_assert_eq!(self.n, next.n);
-        if self.bottom {
-            return next.clone();
-        }
-        if next.bottom {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        for (x, y) in out.m.iter_mut().zip(&next.m) {
-            if *y > *x {
-                *x = OCT_INF;
-            }
-        }
-        out.closed = false;
-        out
-    }
-}
-
-/// Semantic equality: strong closure is a normal form for non-empty
-/// octagons, so clones are closed before the matrices are compared.
-impl PartialEq for Octagon {
-    fn eq(&self, other: &Octagon) -> bool {
-        if self.n != other.n {
-            return false;
-        }
-        let mut a = self.clone();
-        a.close();
-        let mut b = other.clone();
-        b.close();
-        if a.bottom || b.bottom {
-            return a.bottom == b.bottom;
-        }
-        a.m == b.m
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,7 +716,7 @@ mod boundary_props {
     use proptest::prelude::*;
 
     /// `i64` values heavily biased toward the overflow-prone extremes.
-    pub(super) fn boundary_i64() -> BoxedStrategy<i64> {
+    fn boundary_i64() -> BoxedStrategy<i64> {
         prop_oneof![
             Just(i64::MIN),
             Just(i64::MIN + 1),
@@ -1127,7 +735,7 @@ mod boundary_props {
     }
 
     /// An interval together with one concrete member of it.
-    pub(super) fn interval_and_member() -> BoxedStrategy<(Interval, i64)> {
+    fn interval_and_member() -> BoxedStrategy<(Interval, i64)> {
         (boundary_i64(), boundary_i64(), boundary_i64())
             .prop_map(|(a, b, m)| {
                 let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
@@ -1219,301 +827,6 @@ mod boundary_props {
                     a.contains(p) && b.contains(p)
                 );
                 prop_assert_eq!(a.complement().contains(p), !a.contains(p));
-            }
-        }
-    }
-}
-
-/// Unit tests for the octagon element, mirroring the interval-domain
-/// boundary tests: saturation at `Interval`'s endpoints, `⊥` propagation
-/// through the lattice operations, and widening termination on a loop
-/// that diverges concretely.
-#[cfg(test)]
-mod octagon_tests {
-    use super::*;
-
-    #[test]
-    fn oct_add_saturates_and_absorbs_infinity() {
-        assert_eq!(oct_add(OCT_INF, -5), OCT_INF);
-        assert_eq!(oct_add(-5, OCT_INF), OCT_INF);
-        assert_eq!(oct_add(OCT_INF, OCT_INF), OCT_INF);
-        // A finite sum that saturates upward collides with the marker:
-        // the constraint is simply dropped, which is the sound direction.
-        assert_eq!(oct_add(i64::MAX - 1, i64::MAX - 1), OCT_INF);
-        // Downward saturation rounds an upper bound *up*, also sound.
-        assert_eq!(oct_add(i64::MIN + 1, -2), i64::MIN);
-    }
-
-    #[test]
-    fn clamp_skips_doubling_overflow_at_interval_bounds() {
-        // Unary bounds are stored doubled; at the rim the doubling would
-        // overflow, so the constraint is dropped (sound: weaker) rather
-        // than wrapped (unsound).
-        let mut o = Octagon::top(2);
-        o.clamp(0, Interval::new(i64::MIN, i64::MAX - 1));
-        o.close();
-        assert_eq!(o.project(0), Some(Interval::TOP));
-        // Away from the rim the round trip is exact.
-        let mut p = Octagon::top(2);
-        p.clamp(1, Interval::new(-3, 7));
-        p.close();
-        assert_eq!(p.project(1), Some(Interval::new(-3, 7)));
-    }
-
-    #[test]
-    fn shift_saturates_instead_of_wrapping() {
-        // v0 = 1, then v0 := v0 + (i64::MAX - 1): the doubled unary bound
-        // saturates below OCT_INF and the projection stays an
-        // overapproximation instead of wrapping negative.
-        let mut o = Octagon::top(1);
-        o.assign_const(0, 1);
-        o.close();
-        o.assign_offset(0, 0, i64::MAX - 1);
-        o.close();
-        assert!(!o.is_bottom());
-        let iv = o.project(0).expect("still satisfiable");
-        assert!(iv.contains(i64::MAX), "{iv:?} must cover the true value");
-    }
-
-    #[test]
-    fn contradictory_constraints_collapse_to_bottom() {
-        // a < b and b < a cannot both hold.
-        let mut o = Octagon::top(2);
-        o.add_diff_le(0, 1, -1);
-        o.add_diff_le(1, 0, -1);
-        o.close();
-        assert!(o.is_bottom());
-        assert_eq!(o.project(0), None);
-        // Unary parity emptiness: 2v ≤ 1 tightens to v ≤ 0 while
-        // -2v ≤ -1 demands v ≥ 1 — no integer satisfies both.
-        let mut p = Octagon::top(1);
-        p.tighten(1, 0, 1);
-        p.tighten(0, 1, -1);
-        p.close();
-        assert!(p.is_bottom(), "no integer lies in [0.5, 0.5]");
-        // Self-difference with a negative bound is immediately empty.
-        let mut s = Octagon::top(1);
-        s.add_diff_le(0, 0, -1);
-        assert!(s.is_bottom());
-    }
-
-    #[test]
-    fn bottom_propagates_through_lattice_operations() {
-        let bot = Octagon::bottom(2);
-        assert!(bot.is_bottom());
-        let mut top = Octagon::top(2);
-        top.clamp(0, Interval::new(0, 9));
-        top.close();
-        // ⊥ is the identity of join and absorbing for meet.
-        assert_eq!(top.join(&bot), top);
-        assert_eq!(bot.join(&top), top);
-        assert!(top.meet(&bot).is_bottom());
-        assert!(bot.meet(&top).is_bottom());
-        // Widening from ⊥ jumps to the next state; into ⊥ keeps self.
-        assert_eq!(bot.widen(&top), top);
-        assert_eq!(top.widen(&bot), top);
-        // forget and assign_const keep ⊥ empty.
-        let mut b = Octagon::bottom(2);
-        b.forget(0);
-        assert!(b.is_bottom());
-        let mut c = Octagon::bottom(2);
-        c.assign_const(0, 3);
-        assert!(c.is_bottom());
-    }
-
-    #[test]
-    fn meet_recovers_relations_join_loses_them_soundly() {
-        // x ∈ [0, 10] meets x ∈ [5, 20] at [5, 10].
-        let mut a = Octagon::top(2);
-        a.clamp(0, Interval::new(0, 10));
-        a.close();
-        let mut b = Octagon::top(2);
-        b.clamp(0, Interval::new(5, 20));
-        b.close();
-        assert_eq!(a.meet(&b).project(0), Some(Interval::new(5, 10)));
-        // Disjoint boxes meet at ⊥.
-        let mut c = Octagon::top(2);
-        c.clamp(0, Interval::new(50, 60));
-        c.close();
-        assert!(a.meet(&c).is_bottom());
-        // Join covers both operands.
-        let j = a.join(&c);
-        assert_eq!(j.project(0), Some(Interval::new(0, 60)));
-    }
-
-    #[test]
-    fn relational_assume_refines_both_operands() {
-        // a ∈ [0, 10], b ∈ [0, 5], a < b: closure narrows both sides
-        // exactly as the interval guard refinement does.
-        let mut o = Octagon::top(2);
-        o.clamp(0, Interval::new(0, 10));
-        o.clamp(1, Interval::new(0, 5));
-        o.add_diff_le(0, 1, -1);
-        o.close();
-        assert_eq!(o.project(0), Some(Interval::new(0, 4)));
-        assert_eq!(o.project(1), Some(Interval::new(1, 5)));
-    }
-
-    #[test]
-    fn closure_is_transitive_across_variables() {
-        // a < b, b < c, c ≤ 10 ⇒ a ≤ 8 — the fact the pure interval
-        // domain cannot see and the reason the octagon exists.
-        let mut o = Octagon::top(3);
-        o.clamp(2, Interval::new(i64::MIN, 10));
-        o.add_diff_le(0, 1, -1);
-        o.add_diff_le(1, 2, -1);
-        o.close();
-        assert_eq!(o.project(0).expect("satisfiable").hi, 8);
-        assert_eq!(o.project(1).expect("satisfiable").hi, 9);
-    }
-
-    #[test]
-    fn assign_const_and_offset_track_exact_values() {
-        let mut o = Octagon::top(2);
-        o.assign_const(0, 7);
-        o.close();
-        o.assign_offset(1, 0, 3);
-        o.close();
-        assert_eq!(o.project(0), Some(Interval::exact(7)));
-        assert_eq!(o.project(1), Some(Interval::exact(10)));
-        // The difference constraint v1 - v0 = 3 survives forgetting
-        // nothing and feeds back through closure after re-clamping v0.
-        o.clamp(0, Interval::new(0, 5));
-        o.close();
-        assert!(o.is_bottom(), "v0 = 7 contradicts v0 ≤ 5");
-    }
-
-    #[test]
-    fn widening_terminates_on_a_diverging_loop() {
-        // Crafted diverging loop: every variable starts at 0 and is
-        // incremented each iteration, so the concrete chain never
-        // stabilizes. The widening chain must.
-        let n = 3;
-        let mut state = Octagon::top(n);
-        for k in 0..n {
-            state.clamp(k, Interval::exact(0));
-        }
-        state.close();
-        let entries = (2 * n * 2 * n) as u32;
-        let mut steps = 0u32;
-        loop {
-            let mut body = state.clone();
-            for k in 0..n {
-                body.assign_offset(k, k, 1);
-            }
-            body.close();
-            let widened = state.widen(&body);
-            if widened == state {
-                break;
-            }
-            state = widened;
-            steps += 1;
-            // Each matrix entry either keeps its value or jumps to +∞
-            // exactly once, so the chain length is bounded by the entry
-            // count; anything longer means widening resurrected a bound.
-            assert!(steps <= entries, "widening chain failed to stabilize");
-        }
-        // The fixpoint keeps the stable facts (v ≥ 0 and the pairwise
-        // equalities, since all variables move in lockstep) and drops
-        // only the diverging upper bounds.
-        let iv = state.project(0).expect("satisfiable");
-        assert_eq!(iv.lo, 0);
-        assert_eq!(iv.hi, i64::MAX);
-        let mut probe = state.clone();
-        probe.add_diff_le(0, 1, -1); // v0 < v1 contradicts v0 = v1
-        probe.close();
-        assert!(probe.is_bottom(), "lockstep equality must survive widening");
-    }
-}
-
-/// Randomized soundness and precision checks for the octagon, sharing
-/// the extreme-biased generators with the interval boundary tests: a
-/// concrete valuation that satisfies every recorded constraint must stay
-/// inside every projection, and away from the saturation rim the
-/// relational guard must be at least as tight as the interval one.
-#[cfg(test)]
-mod octagon_props {
-    use super::boundary_props::interval_and_member;
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        #[test]
-        fn octagon_projection_is_sound_at_extremes(
-            (a, x) in interval_and_member(),
-            (b, y) in interval_and_member(),
-        ) {
-            let mut o = Octagon::top(2);
-            o.clamp(0, a);
-            o.clamp(1, b);
-            if x < y {
-                o.add_diff_le(0, 1, -1);
-            }
-            o.close();
-            // (x, y) satisfies every constraint fed in, so the octagon
-            // must stay non-empty and each projection must contain its
-            // coordinate even where clamping saturated.
-            prop_assert!(!o.is_bottom(), "{a:?} {b:?} {x} {y}");
-            prop_assert!(o.project(0).expect("non-empty").contains(x));
-            prop_assert!(o.project(1).expect("non-empty").contains(y));
-        }
-
-        #[test]
-        fn octagon_guard_is_at_least_as_tight_as_intervals(
-            (al, ah) in (-10_000i64..10_000, -10_000i64..10_000),
-            (bl, bh) in (-10_000i64..10_000, -10_000i64..10_000),
-        ) {
-            // Away from the rim nothing saturates, so the projected
-            // octagon after `a < b` must refute at least everything the
-            // interval refinement refutes (this is the domain-level core
-            // of the precision-regression tier).
-            let a = Interval::new(al.min(ah), al.max(ah));
-            let b = Interval::new(bl.min(bh), bl.max(bh));
-            if let Some((ra, rb)) = a.assume_lt(b) {
-                let mut o = Octagon::top(2);
-                o.clamp(0, a);
-                o.clamp(1, b);
-                o.add_diff_le(0, 1, -1);
-                o.close();
-                prop_assert!(!o.is_bottom(), "{a:?} < {b:?} is satisfiable");
-                let pa = o.project(0).expect("non-empty");
-                let pb = o.project(1).expect("non-empty");
-                prop_assert!(
-                    ra.lo <= pa.lo && pa.hi <= ra.hi,
-                    "lhs {pa:?} wider than interval {ra:?}"
-                );
-                prop_assert!(
-                    rb.lo <= pb.lo && pb.hi <= rb.hi,
-                    "rhs {pb:?} wider than interval {rb:?}"
-                );
-            }
-        }
-
-        #[test]
-        fn octagon_join_and_widen_cover_both_arguments(
-            (a, x) in interval_and_member(),
-            (b, y) in interval_and_member(),
-        ) {
-            let mut oa = Octagon::top(1);
-            oa.clamp(0, a);
-            oa.close();
-            let mut ob = Octagon::top(1);
-            ob.clamp(0, b);
-            ob.close();
-            let j = oa.join(&ob);
-            let w = oa.widen(&ob);
-            for v in [x, y] {
-                prop_assert!(j.project(0).expect("non-empty").contains(v));
-                prop_assert!(w.project(0).expect("non-empty").contains(v));
-            }
-            // Meet keeps every shared member (it may keep more where
-            // clamping saturated at the rim, which is the sound side).
-            let m = oa.meet(&ob);
-            if a.contains(x) && b.contains(x) {
-                prop_assert!(!m.is_bottom());
-                prop_assert!(m.project(0).expect("non-empty").contains(x));
             }
         }
     }

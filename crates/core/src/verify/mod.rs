@@ -67,6 +67,22 @@ pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
     let mut diagnostics = dataflow::run(prog);
     let (lint_diagnostics, analysis) = lints::run(prog, cfg);
     diagnostics.extend(lint_diagnostics);
+    let certified_step_bound = cost::certified_step_bound(prog, cfg);
+    // A saturated bound certifies nothing, yet it would become the
+    // budget; a program already over the depth threshold has its error.
+    if certified_step_bound == u64::MAX && analysis.max_scan_depth <= cfg.max_scan_depth {
+        diagnostics.push(Diagnostic {
+            lint: Lint::ScanDepth,
+            severity: Severity::Error,
+            // Only statements cost steps, so a saturated body has one.
+            pos: prog.stmt_pos(prog.body[0]),
+            message: format!(
+                "the certified step bound saturates at {} steps: the nested scans over \
+                 the subflow and queue caps admit no finite budget",
+                u64::MAX
+            ),
+        });
+    }
     diagnostics.sort_by(|a, b| {
         (a.pos.line, a.pos.col, a.lint, &a.message)
             .cmp(&(b.pos.line, b.pos.col, b.lint, &b.message))
@@ -74,7 +90,7 @@ pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
     diagnostics.dedup();
     Verdict {
         diagnostics,
-        certified_step_bound: cost::certified_step_bound(prog, cfg),
+        certified_step_bound,
         analysis,
     }
 }
@@ -275,6 +291,25 @@ mod tests {
         let d = v.diagnostics.iter().find(|d| d.lint == Lint::ScanDepth);
         let pos = d.expect("scan-depth").pos;
         assert_eq!((pos.line, pos.col as usize), (2, ninth + 1));
+    }
+
+    #[test]
+    fn saturated_step_bound_is_rejected() {
+        let nested = |depth: usize| {
+            let mut src = "SET(R1, Q.COUNT);".to_string();
+            for level in 0..depth {
+                src = format!("FOREACH (VAR s{level} IN SUBFLOWS) {{ {src} }}");
+            }
+            verdict_of(&src)
+        };
+        let v = nested(8);
+        assert_eq!(v.certified_step_bound, u64::MAX);
+        assert!(!v.admitted(), "diags: {:?}", v.diagnostics);
+        assert!(has(&v, Lint::ScanDepth, Severity::Error));
+        let v = nested(7);
+        assert!(v.admitted(), "diags: {:?}", v.diagnostics);
+        assert!(v.certified_step_bound > 6_000_000_000_000_000_000);
+        assert!(v.certified_step_bound < u64::MAX);
     }
 
     /// `SET(R1, F.COUNT)` where `F` nests `depth` filters inside each

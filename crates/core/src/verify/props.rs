@@ -11,8 +11,9 @@
 //!
 //! 1. **Work-conservation** — under the assumption that the send queue is
 //!    non-empty and at least one *available* subflow exists (not
-//!    TSQ-throttled, not lossy, and — when the relational domain is on —
-//!    with congestion-window room above its in-flight bytes), every
+//!    TSQ-throttled, not lossy, and with congestion-window room above its
+//!    in-flight bytes; a `FILTER` carrying these conjuncts is matched by
+//!    syntax, so its view is non-empty), every
 //!    execution path reaches a `PUSH` whose operands are provably
 //!    non-`NULL`. Proofs are sound (and dynamically validated by the
 //!    conformance sweep and the simulator's oracle, which sample the same
@@ -480,25 +481,17 @@ pub enum PropWeakening {
     TreatTransientAsId,
     /// Reinjection: report every `POP` site as emptiness-guarded.
     AssumePopsGuarded,
-    /// Work-conservation: drop the octagon relational state (and the
-    /// relational congestion-window availability conjunct), falling back
-    /// to the projection-only interval analysis. Not unsound by itself —
-    /// the sweep proves the relational information is load-bearing by
-    /// requiring the weakened run to lose a PROVED (or be caught
-    /// dynamically).
-    OctagonDropRelations,
 }
 
 #[doc(hidden)]
 impl PropWeakening {
     /// All weakenings, for the mutation sweep.
-    pub const ALL: [PropWeakening; 6] = [
+    pub const ALL: [PropWeakening; 5] = [
         PropWeakening::AssumeLoopsRun,
         PropWeakening::IgnoreNullableOperands,
         PropWeakening::IgnoreLoopMultiplicity,
         PropWeakening::TreatTransientAsId,
         PropWeakening::AssumePopsGuarded,
-        PropWeakening::OctagonDropRelations,
     ];
 
     /// Stable name for harness output.
@@ -509,7 +502,6 @@ impl PropWeakening {
             PropWeakening::IgnoreLoopMultiplicity => "ignore-loop-multiplicity",
             PropWeakening::TreatTransientAsId => "treat-transient-as-id",
             PropWeakening::AssumePopsGuarded => "assume-pops-guarded",
-            PropWeakening::OctagonDropRelations => "octagon-drop-relations",
         }
     }
 }
@@ -533,21 +525,20 @@ pub fn verify_properties(prog: &HProgram) -> PropertyCertificate {
     verify_properties_with(prog, None, true)
 }
 
-/// Full-control entry point: optional weakening plus the relational
-/// (octagon) domain toggle. `relational: false` is a second spelling of
-/// [`PropWeakening::OctagonDropRelations`]; every caller passes `true`.
+/// Full-control entry point: optional weakening. The third argument is
+/// ignored; it stays only for the benchmark's stage tracer until ROADMAP
+/// 7(a) removes it.
 #[doc(hidden)]
 pub fn verify_properties_with(
     prog: &HProgram,
     weaken: Option<PropWeakening>,
-    relational: bool,
+    _relational: bool,
 ) -> PropertyCertificate {
     let config = VerifyConfig::default();
-    let relational = relational && weaken != Some(PropWeakening::OctagonDropRelations);
-    let work_conservation = analyze_work_conservation(prog, weaken, relational);
+    let work_conservation = analyze_work_conservation(prog, weaken);
     let (starvation, allowed_ids) = analyze_starvation(prog, weaken);
     let (redundancy, dup_bound) = analyze_redundancy(prog, weaken, &config);
-    let (reinjection, pops_fully_guarded) = analyze_reinjection(prog, weaken, relational);
+    let (reinjection, pops_fully_guarded) = analyze_reinjection(prog, weaken);
     let dup_cap = dup_bound.eval(config.max_subflows);
     PropertyCertificate {
         work_conservation,
@@ -643,7 +634,7 @@ impl Quiescence {
 /// only when `EMPTY_Q_RQ`, which it implies, is not certified.
 pub(crate) fn certify_quiescence(prog: &HProgram) -> Quiescence {
     let quiet = |atom: Quiescence| {
-        let mut st = AbsState::initial_with(prog, true);
+        let mut st = AbsState::initial(prog);
         let mut az = Analyzer::quiet(prog);
         az.quiescence = true;
         az.assume_no_window = atom == Quiescence::NO_WINDOW;
@@ -692,16 +683,12 @@ struct WcAnalysis<'a> {
     saw_path: bool,
 }
 
-fn analyze_work_conservation(
-    prog: &HProgram,
-    weaken: Option<PropWeakening>,
-    relational: bool,
-) -> PropOutcome {
+fn analyze_work_conservation(prog: &HProgram, weaken: Option<PropWeakening>) -> PropOutcome {
     // Assumption environment: send queue non-empty, >= 1 *available*
-    // subflow (not TSQ-throttled, not lossy, and — relationally — with
-    // congestion-window room). The availability witness is consulted by
-    // the analyzer when it classifies view emptiness.
-    let mut st = AbsState::initial_with(prog, relational);
+    // subflow (not TSQ-throttled, not lossy, and with congestion-window
+    // room). The availability witness is
+    // consulted by the analyzer when it classifies view emptiness.
+    let mut st = AbsState::initial(prog);
     st.queues[dataflow::queue_index(QueueKind::SendQueue)] = Emptiness::NonEmpty;
     st.subflow_count = st
         .subflow_count
@@ -709,7 +696,6 @@ fn analyze_work_conservation(
         .expect("initial subflow range contains [1, MAX]");
     let mut az = Analyzer::quiet(prog);
     az.assume_avail = true;
-    az.avail_relational = relational;
     let mut wc = WcAnalysis {
         prog,
         az,
@@ -1502,17 +1488,13 @@ struct ReinjAnalysis<'a> {
     sites: Vec<PopSite>,
 }
 
-fn analyze_reinjection(
-    prog: &HProgram,
-    weaken: Option<PropWeakening>,
-    relational: bool,
-) -> (PropOutcome, bool) {
+fn analyze_reinjection(prog: &HProgram, weaken: Option<PropWeakening>) -> (PropOutcome, bool) {
     let mut ra = ReinjAnalysis {
         prog,
         az: Analyzer::quiet(prog),
         sites: Vec::new(),
     };
-    let mut st = AbsState::initial_with(prog, relational);
+    let mut st = AbsState::initial(prog);
     ra.walk(&mut st, &prog.body);
     if weaken == Some(PropWeakening::AssumePopsGuarded) {
         for s in &mut ra.sites {
@@ -1810,29 +1792,6 @@ mod tests {
         assert!(!cert(unguarded).pops_fully_guarded);
         assert!(
             cert_weakened(unguarded, Some(PropWeakening::AssumePopsGuarded)).pops_fully_guarded
-        );
-
-        // octagon-drop-relations: the contradictory relational guard pair
-        // (R1 < R2 then R1 >= R2) kills the no-push RETURN path only when
-        // the octagon tracks the R1/R2 relation, so dropping it loses the
-        // work-conservation proof.
-        let relational_guard = "IF (!Q.EMPTY AND !SUBFLOWS.EMPTY) {
-                 IF (R1 < R2) {
-                     IF (R1 >= R2) { RETURN; }
-                     SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP());
-                 } ELSE {
-                     SUBFLOWS.MIN(sbf => sbf.RTT).PUSH(Q.POP());
-                 }
-             }";
-        assert_eq!(
-            cert(relational_guard).work_conservation.status,
-            PropStatus::Proved
-        );
-        assert_ne!(
-            cert_weakened(relational_guard, Some(PropWeakening::OctagonDropRelations))
-                .work_conservation
-                .status,
-            PropStatus::Proved
         );
     }
 
