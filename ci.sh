@@ -10,12 +10,14 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> one flow kernel: jump_target and WIDEN_AFTER are each defined once in crates/core/src, one worklist, no transfer returns whole states"
-for def in 'fn jump_target' 'const WIDEN_AFTER'; do
+echo "==> one flow kernel: jump_target, the widening rule and the worklist are each defined once in crates/core/src, no join-count threshold, no transfer returns whole states"
+for def in 'fn jump_target' 'fn widens' 'struct Worklist'; do
   [ "$(grep -rn "$def" crates/core/src | wc -l)" -eq 1 ] || { echo "duplicate or missing definition: $def"; exit 1; }
 done
-[ "$(grep -rl 'VecDeque' crates/core/src)" = crates/core/src/flow.rs ] \
-  || { echo "a worklist outside crates/core/src/flow.rs (run the analysis on flow::solve)"; exit 1; }
+[ -z "$(grep -rlE 'VecDeque|BinaryHeap' crates/core/src)" ] \
+  || { echo "a second worklist in crates/core/src (run the analysis on flow::solve)"; exit 1; }
+[ "$(grep -rnE 'const [A-Z_]*WIDEN' crates/core/src | cut -d: -f1)" = crates/core/src/verify/dataflow.rs ] \
+  || { echo "a join-count widening threshold outside the HIR interpreter (flow::widens widens along back edges only)"; exit 1; }
 ! grep -rn -A4 'fn transfer' crates/core/src | grep -q -- '-> Vec<' \
   || { echo "a Domain::transfer returns a Vec again (emit edges and their writes into flow::Edges)"; exit 1; }
 ! grep -rnE 'struct FactState|fn merge_into|Vec<Option<State>>' crates/core/src \

@@ -194,12 +194,14 @@ pub fn compile_with_options(
         );
         (b, d, Some(r), v)
     } else {
-        let v = crate::verify::vm::validate_translation(
+        // `true`: the structure was checked just above.
+        let v = crate::verify::vm::validate(
             &bytecode,
             &debug,
             &hir,
             verdict.certified_step_bound,
             &verify_cfg,
+            true,
         );
         (bytecode, debug, None, v)
     };

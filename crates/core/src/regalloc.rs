@@ -30,7 +30,6 @@ use crate::bytecode::{
 };
 use crate::codegen::{Label, VCode, VInsn, VReg};
 use crate::error::{CompileError, Pos, Stage};
-use std::collections::HashMap;
 
 /// Where a virtual register lives after allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +88,16 @@ fn for_each_use<F: FnMut(VReg)>(insn: &VInsn, mut f: F) {
     }
 }
 
+/// Sets `at[id] = value`, growing `at` as needed: vreg and label ids are
+/// dense from 0, so tables indexed by them stay small.
+fn set<T: Clone>(at: &mut Vec<Option<T>>, id: u32, value: T) {
+    let id = id as usize;
+    if id >= at.len() {
+        at.resize(id + 1, None);
+    }
+    at[id] = Some(value);
+}
+
 fn def_of(insn: &VInsn) -> Option<VReg> {
     match insn {
         VInsn::MovImm { dst, .. }
@@ -104,11 +113,15 @@ fn def_of(insn: &VInsn) -> Option<VReg> {
 /// Computes live intervals, extending them across backward branches
 /// (loop bodies) to a fixpoint.
 fn live_intervals(code: &[VInsn]) -> Vec<Interval> {
-    let mut ranges: HashMap<VReg, (usize, usize)> = HashMap::new();
-    let touch = |v: VReg, i: usize, ranges: &mut HashMap<VReg, (usize, usize)>| {
-        let e = ranges.entry(v).or_insert((i, i));
-        e.0 = e.0.min(i);
-        e.1 = e.1.max(i);
+    // Per vreg id, the first and last index touching it.
+    let mut ranges: Vec<Option<(usize, usize)>> = Vec::new();
+    let touch = |v: VReg, i: usize, ranges: &mut Vec<Option<(usize, usize)>>| {
+        let (start, end) = ranges
+            .get(v.0 as usize)
+            .copied()
+            .flatten()
+            .unwrap_or((i, i));
+        set(ranges, v.0, (start.min(i), end.max(i)));
     };
     for (i, insn) in code.iter().enumerate() {
         if let Some(d) = def_of(insn) {
@@ -118,10 +131,10 @@ fn live_intervals(code: &[VInsn]) -> Vec<Interval> {
     }
 
     // Label positions for back-edge detection.
-    let mut label_pos: HashMap<Label, usize> = HashMap::new();
+    let mut label_pos: Vec<Option<usize>> = Vec::new();
     for (i, insn) in code.iter().enumerate() {
         if let VInsn::Label(l) = insn {
-            label_pos.insert(*l, i);
+            set(&mut label_pos, l.0, i);
         }
     }
     let mut back_edges: Vec<(usize, usize)> = Vec::new(); // (target, branch)
@@ -131,11 +144,9 @@ fn live_intervals(code: &[VInsn]) -> Vec<Interval> {
             VInsn::Jcc { target, .. } | VInsn::JccImm { target, .. } => Some(*target),
             _ => None,
         };
-        if let Some(l) = target {
-            if let Some(&t) = label_pos.get(&l) {
-                if t < i {
-                    back_edges.push((t, i));
-                }
+        if let Some(Some(t)) = target.and_then(|l| label_pos.get(l.0 as usize)) {
+            if *t < i {
+                back_edges.push((*t, i));
             }
         }
     }
@@ -147,7 +158,7 @@ fn live_intervals(code: &[VInsn]) -> Vec<Interval> {
         changed = false;
         guard += 1;
         for &(t, b) in &back_edges {
-            for r in ranges.values_mut() {
+            for r in ranges.iter_mut().flatten() {
                 if r.0 <= b && r.1 >= t && r.1 < b {
                     r.1 = b;
                     changed = true;
@@ -156,9 +167,15 @@ fn live_intervals(code: &[VInsn]) -> Vec<Interval> {
         }
     }
 
-    let mut out: Vec<Interval> = ranges
-        .into_iter()
-        .map(|(vreg, (start, end))| Interval { vreg, start, end })
+    let mut out: Vec<Interval> = (0u32..)
+        .zip(ranges)
+        .filter_map(|(id, r)| {
+            r.map(|(start, end)| Interval {
+                vreg: VReg(id),
+                start,
+                end,
+            })
+        })
         .collect();
     out.sort_by_key(|iv| (iv.start, iv.end, iv.vreg.0));
     out
@@ -173,9 +190,10 @@ fn free_registers() -> Vec<u8> {
         .collect()
 }
 
-/// Linear scan with hole reuse and furthest-end spilling.
-fn linear_scan(intervals: &[Interval]) -> Result<HashMap<VReg, Loc>, CompileError> {
-    let mut assignment: HashMap<VReg, Loc> = HashMap::new();
+/// Linear scan with hole reuse and furthest-end spilling. The result is
+/// indexed by vreg id.
+fn linear_scan(intervals: &[Interval]) -> Result<Vec<Option<Loc>>, CompileError> {
+    let mut assignment: Vec<Option<Loc>> = Vec::new();
     // Active intervals currently holding a register, kept sorted by end.
     let mut active: Vec<(Interval, u8)> = Vec::new();
     let mut free = free_registers();
@@ -215,7 +233,7 @@ fn linear_scan(intervals: &[Interval]) -> Result<HashMap<VReg, Loc>, CompileErro
         }
 
         if let Some(reg) = free.pop() {
-            assignment.insert(iv.vreg, Loc::Reg(reg));
+            set(&mut assignment, iv.vreg.0, Loc::Reg(reg));
             active.push((*iv, reg));
             active.sort_by_key(|(a, _)| a.end);
             continue;
@@ -230,13 +248,18 @@ fn linear_scan(intervals: &[Interval]) -> Result<HashMap<VReg, Loc>, CompileErro
         match victim_idx {
             Some(vi) if active[vi].0.end > iv.end => {
                 let (victim, reg) = active.remove(vi);
-                assignment.insert(victim.vreg, Loc::Slot(alloc_slot(&mut slot_ends, &victim)?));
-                assignment.insert(iv.vreg, Loc::Reg(reg));
+                let slot = Loc::Slot(alloc_slot(&mut slot_ends, &victim)?);
+                set(&mut assignment, victim.vreg.0, slot);
+                set(&mut assignment, iv.vreg.0, Loc::Reg(reg));
                 active.push((*iv, reg));
                 active.sort_by_key(|(a, _)| a.end);
             }
             _ => {
-                assignment.insert(iv.vreg, Loc::Slot(alloc_slot(&mut slot_ends, iv)?));
+                set(
+                    &mut assignment,
+                    iv.vreg.0,
+                    Loc::Slot(alloc_slot(&mut slot_ends, iv)?),
+                );
             }
         }
     }
@@ -249,21 +272,19 @@ fn linear_scan(intervals: &[Interval]) -> Result<HashMap<VReg, Loc>, CompileErro
 /// expanded from.
 fn lower(
     vcode: &VCode,
-    assignment: &HashMap<VReg, Loc>,
+    assignment: &[Option<Loc>],
 ) -> Result<(BytecodeProgram, DebugTable), CompileError> {
     let code = &vcode.insns;
     let loc = |v: VReg| -> Loc {
-        *assignment
-            .get(&v)
-            .expect("every touched vreg has an assignment")
+        assignment[v.0 as usize].expect("every touched vreg has an assignment")
     };
     let mut out: Vec<Insn> = Vec::with_capacity(code.len() * 2);
     let mut spans: Vec<Pos> = Vec::with_capacity(code.len() * 2);
-    let mut label_at: HashMap<Label, usize> = HashMap::new();
+    let mut label_at: Vec<Option<usize>> = Vec::new();
     // (index in `out` of the jump, label) to patch after emission.
     let mut fixups: Vec<(usize, Label)> = Vec::new();
     let mut max_slot: u16 = 0;
-    for l in assignment.values() {
+    for l in assignment.iter().flatten() {
         if let Loc::Slot(s) = l {
             max_slot = max_slot.max(s + 1);
         }
@@ -308,7 +329,7 @@ fn lower(
             .unwrap_or(Pos { line: 0, col: 0 });
         match insn {
             VInsn::Label(l) => {
-                label_at.insert(*l, out.len());
+                set(&mut label_at, l.0, out.len());
             }
             VInsn::MovImm { dst, imm } => match loc(*dst) {
                 Loc::Reg(r) => out.push(Insn::MovImm { dst: r, imm: *imm }),
@@ -412,7 +433,7 @@ fn lower(
     }
 
     for (at, label) in fixups {
-        let Some(&target) = label_at.get(&label) else {
+        let Some(&Some(target)) = label_at.get(label.0 as usize) else {
             return Err(CompileError::new(
                 Stage::Codegen,
                 Pos::new(0, 0),

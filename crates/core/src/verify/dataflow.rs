@@ -206,8 +206,8 @@ const AVAIL_CWND: u8 = 4;
 const AVAIL_ALL: u8 = AVAIL_TSQ | AVAIL_LOSSY | AVAIL_CWND;
 
 /// Plain joins of one `FOREACH` body before its state is widened (the HIR
-/// interpreter's own threshold; the bytecode kernel's is
-/// `crate::flow::WIDEN_AFTER`).
+/// interpreter's own threshold; the bytecode kernel widens along back
+/// edges instead, see `crate::flow`).
 const FOREACH_WIDEN_AFTER: usize = 4;
 const MAX_LOOP_ITERS: usize = 1000;
 

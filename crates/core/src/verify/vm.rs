@@ -139,7 +139,7 @@ pub fn verify_bytecode(
     debug: Option<&DebugTable>,
     cfg: &VerifyConfig,
 ) -> BytecodeVerdict {
-    run(prog, debug, cfg).into_verdict()
+    run(prog, debug, cfg, false).into_verdict()
 }
 
 /// The disassembly of `prog` annotated with source spans and the abstract
@@ -152,7 +152,7 @@ pub fn annotated_listing(
     debug: Option<&DebugTable>,
     cfg: &VerifyConfig,
 ) -> String {
-    let analyzer = run(prog, debug, cfg);
+    let analyzer = run(prog, debug, cfg, false);
     if analyzer.structural_error.is_some() {
         return prog.disassemble();
     }
@@ -173,7 +173,21 @@ pub fn validate_translation(
     certified_bound: u64,
     cfg: &VerifyConfig,
 ) -> BytecodeVerdict {
-    let analyzer = run(prog, Some(debug), cfg);
+    validate(prog, debug, hir, certified_bound, cfg, false)
+}
+
+/// [`validate_translation`], checking the image's structure only unless
+/// `structure_checked`: the compile pipeline runs
+/// [`crate::vm::verify_with_debug`] on its image itself, once.
+pub(crate) fn validate(
+    prog: &BytecodeProgram,
+    debug: &DebugTable,
+    hir: &HProgram,
+    certified_bound: u64,
+    cfg: &VerifyConfig,
+    structure_checked: bool,
+) -> BytecodeVerdict {
+    let analyzer = run(prog, Some(debug), cfg, structure_checked);
     let audit_diags = audit_helpers(&analyzer, prog, debug, hir);
     // A bound over the certificate is anchored at the loop charged the
     // most trips: the likeliest to be miscompiled.
@@ -228,15 +242,6 @@ enum HandleKind {
     Packet,
 }
 
-impl HandleKind {
-    fn name(self) -> &'static str {
-        match self {
-            HandleKind::Subflow => "subflow",
-            HandleKind::Packet => "packet",
-        }
-    }
-}
-
 /// Abstract value of one register or stack slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum AbsVal {
@@ -250,32 +255,33 @@ enum AbsVal {
     Null,
     /// A subflow/packet handle with the given nullability.
     Handle(HandleKind, Nullability),
+    /// A handle on one path and a scalar or a handle of the other kind on
+    /// another: kind confusion. Every use that needs a kind is an error.
+    Mixed,
 }
 
 impl AbsVal {
     /// Least upper bound. `Uninit` is absorbing: a location written on
-    /// only one incoming path must not be read after the merge.
+    /// only one incoming path must not be read after the merge. Below it,
+    /// `Mixed` absorbs every other value.
     fn join(self, other: AbsVal) -> AbsVal {
-        use AbsVal::{Handle, Null, Scalar, Uninit};
+        use AbsVal::{Handle, Mixed, Null, Scalar, Uninit};
         match (self, other) {
             (Uninit, _) | (_, Uninit) => Uninit,
+            (Mixed, _) | (_, Mixed) => Mixed,
             (Null, Null) => Null,
             (Null, Handle(k, n)) | (Handle(k, n), Null) => Handle(k, n.join(Nullability::Null)),
             (Null, Scalar(iv)) | (Scalar(iv), Null) => {
                 Scalar(iv.join(Interval::exact(NULL_HANDLE)))
             }
             (Handle(k1, n1), Handle(k2, n2)) if k1 == k2 => Handle(k1, n1.join(n2)),
-            // Kind confusion: degrade to an unknown scalar; any later use
-            // as a handle is then a signature violation.
-            (Handle(..), Handle(..)) | (Handle(..), Scalar(_)) | (Scalar(_), Handle(..)) => {
-                Scalar(Interval::TOP)
-            }
+            (Handle(..), Handle(..)) | (Handle(..), Scalar(_)) | (Scalar(_), Handle(..)) => Mixed,
             (Scalar(a), Scalar(b)) => Scalar(a.join(b)),
         }
     }
 
-    /// Join with widening on the scalar payload (called once a program
-    /// point has been joined more than [`flow::WIDEN_AFTER`] times).
+    /// Join with widening on the scalar payload (called where the flow
+    /// kernel widens: along a back edge, from a pc's second join on).
     fn widen_join(self, other: AbsVal) -> AbsVal {
         match (self, self.join(other)) {
             (AbsVal::Scalar(old), AbsVal::Scalar(joined)) => AbsVal::Scalar(old.widen(joined)),
@@ -301,6 +307,7 @@ impl AbsVal {
                 None => format!("[{},{}]", endpoint(iv.lo), endpoint(iv.hi)),
             },
             AbsVal::Null => "null".to_string(),
+            AbsVal::Mixed => "mixed".to_string(),
             AbsVal::Handle(k, n) => {
                 let base = match k {
                     HandleKind::Subflow => "sbf",
@@ -375,7 +382,8 @@ struct Analyzer<'a> {
     /// The abstract machine state before each pc: registers at their
     /// numbers, then the stack slots (`flow::slot_loc`).
     states: Solution<AbsVal>,
-    /// Findings, keyed for dedup across fixpoint iterations.
+    /// Findings, keyed for dedup (the kind checks run once per pc, on the
+    /// final rows, so they do not depend on the kernel's visit order).
     findings: BTreeSet<(usize, Lint, String)>,
     loops: Vec<LoopInfo>,
     step_bound: Option<u64>,
@@ -383,10 +391,12 @@ struct Analyzer<'a> {
     structural_error: Option<(Pos, String)>,
 }
 
+/// Analyzes `prog`, checking its structure first unless `structure_checked`.
 fn run<'a>(
     prog: &'a BytecodeProgram,
     debug: Option<&'a DebugTable>,
     cfg: &'a VerifyConfig,
+    structure_checked: bool,
 ) -> Analyzer<'a> {
     let mut a = Analyzer {
         prog,
@@ -401,7 +411,12 @@ fn run<'a>(
     // Structural verification first: the abstract interpreter relies on
     // in-bounds branch targets, register/slot ranges, and a trailing
     // exit. A failure here on generated code is itself a miscompile.
-    if let Err(e) = crate::vm::verify_with_debug(prog, debug) {
+    let structure = if structure_checked {
+        Ok(())
+    } else {
+        crate::vm::verify_with_debug(prog, debug)
+    };
+    if let Err(e) = structure {
         a.structural_error = Some((e.pos, e.message));
         return a;
     }
@@ -444,38 +459,125 @@ impl<'a> Analyzer<'a> {
                 "abstract interpretation did not converge".to_string(),
             );
         }
-    }
-
-    /// Reads a register, flagging uninitialized reads.
-    fn read_reg(&mut self, pc: usize, st: &[AbsVal], r: u8) -> AbsVal {
-        let v = st[usize::from(r)];
-        if v == AbsVal::Uninit {
-            self.report(
-                pc,
-                Lint::UninitRead,
-                format!("read of uninitialized register r{r}"),
-            );
-            return AbsVal::Scalar(Interval::TOP);
-        }
-        v
-    }
-
-    /// Coerces a value into a scalar interval for arithmetic, flagging
-    /// handle arithmetic.
-    fn as_scalar(&mut self, pc: usize, v: AbsVal, what: &str) -> Interval {
-        match v {
-            AbsVal::Scalar(iv) => iv,
-            AbsVal::Null => Interval::exact(NULL_HANDLE),
-            AbsVal::Handle(k, _) => {
-                self.report(
-                    pc,
-                    Lint::HandleArith,
-                    format!("{what} on a {} handle", k.name()),
-                );
-                Interval::TOP
+        let states = std::mem::take(&mut self.states);
+        for pc in 0..n {
+            if let Some(row) = states.before(pc) {
+                self.check(pc, row);
             }
-            AbsVal::Uninit => Interval::TOP, // read_reg already flagged it
         }
+        self.states = states;
+    }
+
+    /// Reports what the instruction at `pc` does wrong under the row
+    /// `st`: a read of an uninitialized register or slot, arithmetic or
+    /// an ordered comparison on a handle, a helper argument of the wrong
+    /// kind.
+    fn check(&mut self, pc: usize, st: &[AbsVal]) {
+        let insn = self.prog.code[pc];
+        for r in read_regs(&insn) {
+            if st[usize::from(r)] == AbsVal::Uninit {
+                let message = format!("read of uninitialized register r{r}");
+                self.report(pc, Lint::UninitRead, message);
+            }
+        }
+        match insn {
+            Insn::Alu { dst, src, .. } => {
+                self.check_arith(pc, read(st, dst));
+                self.check_arith(pc, read(st, src));
+            }
+            Insn::AluImm { dst, .. } | Insn::Neg { dst } => self.check_arith(pc, read(st, dst)),
+            Insn::Jmp { cond, lhs, rhs, .. } => {
+                self.check_compare(pc, cond, st, lhs, read(st, rhs))
+            }
+            Insn::JmpImm { cond, lhs, imm, .. } => {
+                self.check_compare(pc, cond, st, lhs, imm_val(imm));
+            }
+            Insn::Call { helper } => self.check_call(pc, st, helper),
+            Insn::Ld { slot, .. } if ld(st, slot) == AbsVal::Uninit => {
+                let message = format!("read of uninitialized stack slot {slot}");
+                self.report(pc, Lint::UninitRead, message);
+            }
+            _ => {}
+        }
+    }
+
+    /// Flags an arithmetic operand that may be a handle.
+    fn check_arith(&mut self, pc: usize, v: AbsVal) {
+        if let Some(kind) = handle_kind(v) {
+            self.report(pc, Lint::HandleArith, format!("arithmetic on {kind}"));
+        }
+    }
+
+    /// Flags an ordered comparison with a side that may be a handle.
+    fn check_compare(&mut self, pc: usize, cond: Cond, st: &[AbsVal], lhs: u8, rhs: AbsVal) {
+        let ordered = matches!(cond, Cond::Lt | Cond::Le | Cond::Gt | Cond::Ge);
+        if ordered && (handle_kind(read(st, lhs)).is_some() || handle_kind(rhs).is_some()) {
+            let message = format!("ordered comparison ({cond:?}) on a handle");
+            self.report(pc, Lint::HandleArith, message);
+        }
+    }
+
+    /// Checks one helper call's arguments against its typed signature.
+    fn check_call(&mut self, pc: usize, st: &[AbsVal], helper: Helper) {
+        for (i, kind) in helper_sig(helper).iter().enumerate() {
+            let reg = (i + 1) as u8;
+            let got = match (kind, read(st, reg)) {
+                // NULL is a legal (graceful no-op) handle argument.
+                (_, AbsVal::Null)
+                | (ArgKind::Scalar, AbsVal::Scalar(_))
+                | (ArgKind::Sbf, AbsVal::Handle(HandleKind::Subflow, _))
+                | (ArgKind::Pkt, AbsVal::Handle(HandleKind::Packet, _)) => continue,
+                (_, AbsVal::Scalar(_)) => "a scalar",
+                (_, v) => handle_kind(v).unwrap_or_default(),
+            };
+            let expected = match kind {
+                ArgKind::Scalar => "a scalar",
+                ArgKind::Sbf => "a subflow handle",
+                ArgKind::Pkt => "a packet handle",
+            };
+            let message = format!("call {helper:?}: argument r{reg} expects {expected}, got {got}");
+            self.report(pc, Lint::HelperSignature, message);
+        }
+    }
+}
+
+/// `v` as the transfer reads it: an uninitialized value (a finding of
+/// [`Analyzer::check`]) reads as any scalar.
+fn defined(v: AbsVal) -> AbsVal {
+    match v {
+        AbsVal::Uninit => AbsVal::Scalar(Interval::TOP),
+        v => v,
+    }
+}
+
+/// The value of register `r` as the transfer reads it.
+fn read(st: &[AbsVal], r: u8) -> AbsVal {
+    defined(st[usize::from(r)])
+}
+
+/// The value of stack slot `slot` in `st`.
+fn ld(st: &[AbsVal], slot: u16) -> AbsVal {
+    st.get(slot_loc(slot)).copied().unwrap_or(AbsVal::Uninit)
+}
+
+/// What a value that may be a handle is, for a finding's message;
+/// `None` for a scalar, the NULL literal or an uninitialized value.
+fn handle_kind(v: AbsVal) -> Option<&'static str> {
+    match v {
+        AbsVal::Handle(HandleKind::Subflow, _) => Some("a subflow handle"),
+        AbsVal::Handle(HandleKind::Packet, _) => Some("a packet handle"),
+        AbsVal::Mixed => Some("a value that is a handle on some paths"),
+        _ => None,
+    }
+}
+
+/// The interval arithmetic sees in `v`: a value that may be a handle (a
+/// finding of [`Analyzer::check`]) is any scalar.
+fn as_scalar(v: AbsVal) -> Interval {
+    match v {
+        AbsVal::Scalar(iv) => iv,
+        AbsVal::Null => Interval::exact(NULL_HANDLE),
+        _ => Interval::TOP,
     }
 }
 
@@ -506,74 +608,45 @@ impl Domain for Analyzer<'_> {
     fn transfer(&mut self, pc: usize, st: &[AbsVal], out: &mut Edges<AbsVal>) {
         let insn = self.prog.code[pc];
         let next = pc + 1;
+        let write = |dst: u8, v: AbsVal| [(usize::from(dst), v)];
         match insn {
-            Insn::MovImm { dst, imm } => out.push(next, [(usize::from(dst), imm_val(imm))]),
-            Insn::Mov { dst, src } => {
-                let v = self.read_reg(pc, st, src);
-                out.push(next, [(usize::from(dst), v)]);
-            }
+            Insn::MovImm { dst, imm } => out.push(next, write(dst, imm_val(imm))),
+            Insn::Mov { dst, src } => out.push(next, write(dst, read(st, src))),
             Insn::Alu { op, dst, src } => {
-                let a = self.read_reg(pc, st, dst);
-                let b = self.read_reg(pc, st, src);
-                let a = self.as_scalar(pc, a, "arithmetic");
-                let b = self.as_scalar(pc, b, "arithmetic");
-                out.push(next, [(usize::from(dst), AbsVal::Scalar(alu(op, a, b)))]);
+                let (a, b) = (as_scalar(read(st, dst)), as_scalar(read(st, src)));
+                out.push(next, write(dst, AbsVal::Scalar(alu(op, a, b))));
             }
             Insn::AluImm { op, dst, imm } => {
-                let a = self.read_reg(pc, st, dst);
-                let a = self.as_scalar(pc, a, "arithmetic");
-                let v = AbsVal::Scalar(alu(op, a, Interval::exact(imm)));
-                out.push(next, [(usize::from(dst), v)]);
+                let a = as_scalar(read(st, dst));
+                out.push(
+                    next,
+                    write(dst, AbsVal::Scalar(alu(op, a, Interval::exact(imm)))),
+                );
             }
-            Insn::Neg { dst } => {
-                let a = self.read_reg(pc, st, dst);
-                let a = self.as_scalar(pc, a, "arithmetic");
-                out.push(next, [(usize::from(dst), AbsVal::Scalar(a.neg()))]);
-            }
+            Insn::Neg { dst } => out.push(
+                next,
+                write(dst, AbsVal::Scalar(as_scalar(read(st, dst)).neg())),
+            ),
             Insn::Ja { .. } => out.push(jump_target(pc, &insn).unwrap_or(next), []),
-            Insn::Jmp {
-                cond,
-                lhs,
-                rhs,
-                off: _,
-            } => {
+            Insn::Jmp { cond, lhs, rhs, .. } => {
                 let t = jump_target(pc, &insn).unwrap_or(next);
-                let rv = self.read_reg(pc, st, rhs);
-                self.branch(pc, st, cond, lhs, rv, Some(rhs), t, out);
+                branch(pc, st, cond, lhs, read(st, rhs), Some(rhs), t, out);
             }
-            Insn::JmpImm {
-                cond,
-                lhs,
-                imm,
-                off: _,
-            } => {
+            Insn::JmpImm { cond, lhs, imm, .. } => {
                 let t = jump_target(pc, &insn).unwrap_or(next);
-                self.branch(pc, st, cond, lhs, imm_val(imm), None, t, out);
+                branch(pc, st, cond, lhs, imm_val(imm), None, t, out);
             }
             Insn::Call { helper } => {
-                self.check_call(pc, st, helper);
                 let ret = (0, helper_ret(helper, self.cfg));
                 // Strict clobber discipline: stale argument registers
                 // must never be read after a call.
                 let clobbered = (1..=5).map(|r| (r, AbsVal::Uninit));
                 out.push(next, std::iter::once(ret).chain(clobbered));
             }
-            Insn::Ld { dst, slot } => {
-                let mut v = st.get(slot_loc(slot)).copied().unwrap_or(AbsVal::Uninit);
-                if v == AbsVal::Uninit {
-                    self.report(
-                        pc,
-                        Lint::UninitRead,
-                        format!("read of uninitialized stack slot {slot}"),
-                    );
-                    v = AbsVal::Scalar(Interval::TOP);
-                }
-                out.push(next, [(usize::from(dst), v)]);
-            }
+            Insn::Ld { dst, slot } => out.push(next, write(dst, defined(ld(st, slot)))),
             Insn::St { slot, src } => {
-                let v = self.read_reg(pc, st, src);
                 let loc = slot_loc(slot);
-                out.push(next, (loc < st.len()).then_some((loc, v)));
+                out.push(next, (loc < st.len()).then_some((loc, read(st, src))));
             }
             Insn::Exit => {}
         }
@@ -588,179 +661,114 @@ impl Domain for Analyzer<'_> {
     }
 }
 
-impl Analyzer<'_> {
-    /// Checks one helper call's arguments against its typed signature.
-    fn check_call(&mut self, pc: usize, st: &[AbsVal], helper: Helper) {
-        for (i, kind) in helper_sig(helper).iter().enumerate() {
-            let reg = (i + 1) as u8;
-            let v = self.read_reg(pc, st, reg);
-            let bad = |expected: &str, got: String| {
-                format!("call {helper:?}: argument r{reg} expects {expected}, got {got}")
-            };
-            match (kind, v) {
-                (ArgKind::Scalar, AbsVal::Handle(k, _)) => {
-                    self.report(
-                        pc,
-                        Lint::HelperSignature,
-                        bad("a scalar", format!("a {} handle", k.name())),
-                    );
-                }
-                (ArgKind::Sbf, AbsVal::Scalar(_)) => {
-                    self.report(
-                        pc,
-                        Lint::HelperSignature,
-                        bad("a subflow handle", "a scalar".into()),
-                    );
-                }
-                (ArgKind::Sbf, AbsVal::Handle(HandleKind::Packet, _)) => {
-                    self.report(
-                        pc,
-                        Lint::HelperSignature,
-                        bad("a subflow handle", "a packet handle".into()),
-                    );
-                }
-                (ArgKind::Pkt, AbsVal::Scalar(_)) => {
-                    self.report(
-                        pc,
-                        Lint::HelperSignature,
-                        bad("a packet handle", "a scalar".into()),
-                    );
-                }
-                (ArgKind::Pkt, AbsVal::Handle(HandleKind::Subflow, _)) => {
-                    self.report(
-                        pc,
-                        Lint::HelperSignature,
-                        bad("a packet handle", "a subflow handle".into()),
-                    );
-                }
-                // NULL is a legal (graceful no-op) handle argument, and
-                // uninitialized reads were already flagged.
-                _ => {}
-            }
+/// Conditional-branch transfer with path-sensitive refinement.
+#[allow(clippy::too_many_arguments)]
+fn branch(
+    pc: usize,
+    st: &[AbsVal],
+    cond: Cond,
+    lhs: u8,
+    rhs_val: AbsVal,
+    rhs_reg: Option<u8>,
+    target: usize,
+    out: &mut Edges<AbsVal>,
+) {
+    let lhs_val = read(st, lhs);
+    // Handle-vs-NULL equality refines nullability; every other
+    // comparison with a side that may be a handle is opaque (an ordered
+    // one is a finding of `Analyzer::check`).
+    if handle_kind(lhs_val).is_some() || handle_kind(rhs_val).is_some() {
+        if matches!(cond, Cond::Lt | Cond::Le | Cond::Gt | Cond::Ge) {
+            // Both edges feasible, no refinement.
+            out.push(target, []);
+            out.push(pc + 1, []);
+            return;
         }
+        return branch_handle_eq(pc, cond, lhs, lhs_val, rhs_val, rhs_reg, target, out);
     }
 
-    /// Conditional-branch transfer with path-sensitive refinement.
-    #[allow(clippy::too_many_arguments)]
-    fn branch(
-        &mut self,
-        pc: usize,
-        st: &[AbsVal],
-        cond: Cond,
-        lhs: u8,
-        rhs_val: AbsVal,
-        rhs_reg: Option<u8>,
-        target: usize,
-        out: &mut Edges<AbsVal>,
-    ) {
-        let lhs_val = self.read_reg(pc, st, lhs);
-        let ordered = matches!(cond, Cond::Lt | Cond::Le | Cond::Gt | Cond::Ge);
-
-        // Handle-vs-NULL equality refines nullability; everything else
-        // involving a handle is either opaque (Eq/Ne) or flagged
-        // (ordered comparison).
-        let handle_side = |v: AbsVal| matches!(v, AbsVal::Handle(..));
-        if handle_side(lhs_val) || handle_side(rhs_val) {
-            if ordered {
-                self.report(
-                    pc,
-                    Lint::HandleArith,
-                    format!("ordered comparison ({cond:?}) on a handle"),
-                );
-                // Degrade: both edges feasible, no refinement.
-                out.push(target, []);
-                out.push(pc + 1, []);
-                return;
-            }
-            return self.branch_handle_eq(pc, cond, lhs, lhs_val, rhs_val, rhs_reg, target, out);
-        }
-
-        // Pure scalar comparison: an edge is feasible exactly when its
-        // assumption refines to something.
-        let a = self.as_scalar(pc, lhs_val, "comparison");
-        let b = self.as_scalar(pc, rhs_val, "comparison");
-        let taken = assume(cond, a, b).map(|refined| (target, refined));
-        let fallthrough = assume(negate(cond), a, b).map(|refined| (pc + 1, refined));
-        for (to, (ra, rb)) in taken.into_iter().chain(fallthrough) {
-            // Only refine locations that were scalars to begin with;
-            // NULL stays the polymorphic literal.
-            let lhs_w = matches!(lhs_val, AbsVal::Scalar(_))
-                .then_some((usize::from(lhs), AbsVal::Scalar(ra)));
-            let rhs_w = match (rhs_reg, rhs_val) {
-                (Some(r), AbsVal::Scalar(_)) => Some((usize::from(r), AbsVal::Scalar(rb))),
-                _ => None,
-            };
-            out.push(to, lhs_w.into_iter().chain(rhs_w));
-        }
-    }
-
-    /// Eq/Ne branch where at least one side is a handle.
-    #[allow(clippy::too_many_arguments)]
-    fn branch_handle_eq(
-        &mut self,
-        pc: usize,
-        cond: Cond,
-        lhs: u8,
-        lhs_val: AbsVal,
-        rhs_val: AbsVal,
-        rhs_reg: Option<u8>,
-        target: usize,
-        out: &mut Edges<AbsVal>,
-    ) {
-        // Is one side the NULL literal (or the exact -1 scalar)?
-        let is_null_lit = |v: AbsVal| match v {
-            AbsVal::Null => true,
-            AbsVal::Scalar(iv) => iv.as_exact() == Some(NULL_HANDLE),
-            _ => false,
+    // Pure scalar comparison: an edge is feasible exactly when its
+    // assumption refines to something.
+    let (a, b) = (as_scalar(lhs_val), as_scalar(rhs_val));
+    let taken = assume(cond, a, b).map(|refined| (target, refined));
+    let fallthrough = assume(negate(cond), a, b).map(|refined| (pc + 1, refined));
+    for (to, (ra, rb)) in taken.into_iter().chain(fallthrough) {
+        // Only refine locations that were scalars to begin with;
+        // NULL stays the polymorphic literal.
+        let lhs_w =
+            matches!(lhs_val, AbsVal::Scalar(_)).then_some((usize::from(lhs), AbsVal::Scalar(ra)));
+        let rhs_w = match (rhs_reg, rhs_val) {
+            (Some(r), AbsVal::Scalar(_)) => Some((usize::from(r), AbsVal::Scalar(rb))),
+            _ => None,
         };
-        // (handle register, its kind+nullability) when testing vs NULL.
-        let vs_null = if let (AbsVal::Handle(k, n), true) = (lhs_val, is_null_lit(rhs_val)) {
-            Some((lhs, k, n))
-        } else if let (true, Some(r), AbsVal::Handle(k, n)) =
-            (is_null_lit(lhs_val), rhs_reg, rhs_val)
+        out.push(to, lhs_w.into_iter().chain(rhs_w));
+    }
+}
+
+/// Eq/Ne branch where at least one side may be a handle.
+#[allow(clippy::too_many_arguments)]
+fn branch_handle_eq(
+    pc: usize,
+    cond: Cond,
+    lhs: u8,
+    lhs_val: AbsVal,
+    rhs_val: AbsVal,
+    rhs_reg: Option<u8>,
+    target: usize,
+    out: &mut Edges<AbsVal>,
+) {
+    // Is one side the NULL literal (or the exact -1 scalar)?
+    let is_null_lit = |v: AbsVal| match v {
+        AbsVal::Null => true,
+        AbsVal::Scalar(iv) => iv.as_exact() == Some(NULL_HANDLE),
+        _ => false,
+    };
+    // (handle register, its kind+nullability) when testing vs NULL.
+    let vs_null = if let (AbsVal::Handle(k, n), true) = (lhs_val, is_null_lit(rhs_val)) {
+        Some((lhs, k, n))
+    } else if let (true, Some(r), AbsVal::Handle(k, n)) = (is_null_lit(lhs_val), rhs_reg, rhs_val) {
+        Some((r, k, n))
+    } else {
+        None
+    };
+    let eq_tri = match (lhs_val, rhs_val) {
+        (AbsVal::Handle(_, Nullability::Null), v) | (v, AbsVal::Handle(_, Nullability::Null))
+            if is_null_lit(v) =>
         {
-            Some((r, k, n))
-        } else {
-            None
-        };
-        let eq_tri = match (lhs_val, rhs_val) {
-            (AbsVal::Handle(_, Nullability::Null), v)
-            | (v, AbsVal::Handle(_, Nullability::Null))
-                if is_null_lit(v) =>
-            {
-                Tri::True
-            }
-            (AbsVal::Handle(_, Nullability::NonNull), v)
-            | (v, AbsVal::Handle(_, Nullability::NonNull))
-                if is_null_lit(v) =>
-            {
-                Tri::False
-            }
-            _ => Tri::Unknown,
-        };
-        let tri = if cond == Cond::Eq {
-            eq_tri
-        } else {
-            eq_tri.not()
-        };
-        let refine = |null_side: bool| {
-            vs_null.map(|(r, k, _)| {
-                let n = if null_side {
-                    Nullability::Null
-                } else {
-                    Nullability::NonNull
-                };
-                (usize::from(r), AbsVal::Handle(k, n))
-            })
-        };
-        if tri != Tri::False {
-            out.push(target, refine(cond == Cond::Eq));
+            Tri::True
         }
-        if tri != Tri::True {
-            out.push(pc + 1, refine(cond == Cond::Ne));
+        (AbsVal::Handle(_, Nullability::NonNull), v)
+        | (v, AbsVal::Handle(_, Nullability::NonNull))
+            if is_null_lit(v) =>
+        {
+            Tri::False
         }
+        _ => Tri::Unknown,
+    };
+    let tri = if cond == Cond::Eq {
+        eq_tri
+    } else {
+        eq_tri.not()
+    };
+    let refine = |null_side: bool| {
+        vs_null.map(|(r, k, _)| {
+            let n = if null_side {
+                Nullability::Null
+            } else {
+                Nullability::NonNull
+            };
+            (usize::from(r), AbsVal::Handle(k, n))
+        })
+    };
+    if tri != Tri::False {
+        out.push(target, refine(cond == Cond::Eq));
     }
+    if tri != Tri::True {
+        out.push(pc + 1, refine(cond == Cond::Ne));
+    }
+}
 
+impl Analyzer<'_> {
     // ---- loop-bound inference ----------------------------------------
 
     fn analyze_loops(&mut self) {
@@ -2038,12 +2046,13 @@ mod tests {
             stack_slots: 0,
         };
         let cfg = VerifyConfig::default();
-        let lattice = run(&prog, None, &cfg);
+        let lattice = run(&prog, None, &cfg, false);
         let join = |a, b, w| Domain::join(&lattice, a, b, w);
         let s = |lo, hi| AbsVal::Scalar(Interval::new(lo, hi));
         let h = |k, n| AbsVal::Handle(k, n);
         let samples = [
             AbsVal::Uninit,
+            AbsVal::Mixed,
             AbsVal::Null,
             s(0, 0),
             s(-1, 5),
@@ -2089,5 +2098,189 @@ mod tests {
         assert!(v.admitted(), "diags: {:?}", v.diagnostics);
         let listing = listing(src);
         assert!(listing.contains("sbf"), "{listing}");
+    }
+
+    /// A diamond that leaves a subflow handle in r7 on one arm and the
+    /// scalar 5 on the other, then adds 1 to r7. `handle_first` puts the
+    /// handle arm at the lower pcs.
+    fn mixed_diamond(handle_first: bool) -> BytecodeProgram {
+        let handle = Insn::Mov { dst: 7, src: 6 };
+        let scalar = Insn::MovImm { dst: 7, imm: 5 };
+        let (lower, upper) = if handle_first {
+            (handle, scalar)
+        } else {
+            (scalar, handle)
+        };
+        BytecodeProgram {
+            code: vec![
+                Insn::MovImm { dst: 1, imm: 0 },
+                Insn::Call {
+                    helper: Helper::SubflowAt,
+                },
+                Insn::Mov { dst: 6, src: 0 },
+                Insn::MovImm { dst: 1, imm: 0 },
+                Insn::Call {
+                    helper: Helper::GetReg,
+                },
+                Insn::JmpImm {
+                    cond: Cond::Eq,
+                    lhs: 0,
+                    imm: 0,
+                    off: 2,
+                }, // 5 -> 6 | 8
+                lower,               // 6
+                Insn::Ja { off: 1 }, // 7 -> 9
+                upper,               // 8
+                Insn::AluImm {
+                    op: AluOp::Add,
+                    dst: 7,
+                    imm: 1,
+                }, // 9
+                Insn::Exit,
+            ],
+            stack_slots: 0,
+        }
+    }
+
+    #[test]
+    fn arithmetic_on_a_handle_from_either_arm_is_rejected() {
+        for handle_first in [true, false] {
+            let prog = mixed_diamond(handle_first);
+            let v = verify_bytecode(&prog, None, &VerifyConfig::default());
+            assert!(
+                v.diagnostics
+                    .iter()
+                    .any(|d| d.lint == Lint::HandleArith && d.message.starts_with("pc 9:")),
+                "handle arm first: {handle_first}: {:?}",
+                v.diagnostics
+            );
+            let listing = annotated_listing(&prog, None, &VerifyConfig::default());
+            assert!(listing.contains("r7=mixed"), "{listing}");
+        }
+    }
+
+    /// The analyzer with its kind checks run on every state the kernel
+    /// visits, not only on the final rows.
+    struct EveryVisit<'a>(Analyzer<'a>);
+
+    impl Domain for EveryVisit<'_> {
+        type Val = AbsVal;
+
+        fn width(&self) -> usize {
+            self.0.width()
+        }
+
+        fn entry(&self, row: &mut [AbsVal]) {
+            self.0.entry(row)
+        }
+
+        fn transfer(&mut self, pc: usize, st: &[AbsVal], out: &mut Edges<AbsVal>) {
+            self.0.check(pc, st);
+            self.0.transfer(pc, st, out)
+        }
+
+        fn join(&self, old: AbsVal, new: AbsVal, widen: bool) -> AbsVal {
+            self.0.join(old, new, widen)
+        }
+    }
+
+    /// The shipped images, then `mutants` seeded in-place mutants of
+    /// them, each with one register operand or destination redirected.
+    fn shipped_and_mutants(mutants: u64) -> Vec<BytecodeProgram> {
+        let mut images: Vec<BytecodeProgram> = (progmp_schedulers::sources::ALL.iter())
+            .map(|(name, src)| {
+                let p = crate::compile_named(Some(name), src).expect(name);
+                p.bytecode().clone()
+            })
+            .collect();
+        let shipped = images.len();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % below as u64) as usize
+        };
+        for seed in 0..mutants {
+            let mut image = images[seed as usize % shipped].clone();
+            let r = draw(10) as u8;
+            let pc = draw(image.code.len());
+            match &mut image.code[pc] {
+                Insn::Mov { src: x, .. }
+                | Insn::Alu { src: x, .. }
+                | Insn::St { src: x, .. }
+                | Insn::Jmp { rhs: x, .. }
+                | Insn::JmpImm { lhs: x, .. }
+                | Insn::MovImm { dst: x, .. }
+                | Insn::Ld { dst: x, .. }
+                | Insn::AluImm { dst: x, .. }
+                | Insn::Neg { dst: x } => *x = r,
+                Insn::Call { .. } | Insn::Ja { .. } | Insn::Exit => {}
+            }
+            images.push(image);
+        }
+        images
+    }
+
+    #[test]
+    fn findings_are_a_function_of_the_final_rows() {
+        let cfg = VerifyConfig::default();
+        let kind_lints = [Lint::UninitRead, Lint::HandleArith, Lint::HelperSignature];
+        let mut with_findings = 0;
+        for image in shipped_and_mutants(200) {
+            let analyzed = run(&image, None, &cfg, false);
+            let Some(rows) = analyzed
+                .structural_error
+                .is_none()
+                .then_some(&analyzed.states)
+            else {
+                continue;
+            };
+            // The rows are a fixpoint: every feasible edge out of a row
+            // lands on a row that already covers it.
+            let mut fresh = run(&image, None, &cfg, false);
+            fresh.findings.clear();
+            let mut edges = Edges::default();
+            for pc in 0..image.code.len() {
+                let Some(row) = rows.before(pc) else { continue };
+                edges.clear();
+                fresh.transfer(pc, row, &mut edges);
+                for (target, writes) in edges.iter() {
+                    let mut new = row.to_vec();
+                    for &(loc, v) in writes {
+                        new[loc] = v;
+                    }
+                    let at = rows.before(target).expect("an edge reaches its target");
+                    assert!(
+                        at.iter().zip(&new).all(|(a, x)| a.join(*x) == *a),
+                        "pc {pc}"
+                    );
+                }
+                // A fresh pass over the final rows.
+                fresh.check(pc, row);
+            }
+            let reported: BTreeSet<_> = (analyzed.findings.iter())
+                .filter(|(_, lint, _)| kind_lints.contains(lint))
+                .cloned()
+                .collect();
+            assert_eq!(reported, fresh.findings, "{}", image.disassemble());
+            with_findings += usize::from(!reported.is_empty());
+
+            // No state the kernel visits on the way flags a pc the final
+            // rows leave clean.
+            let mut every = EveryVisit(run(&image, None, &cfg, false));
+            every.0.findings.clear();
+            flow::solve(&mut every, image.code.len());
+            for (pc, _, message) in &every.0.findings {
+                assert!(
+                    reported.iter().any(|(at, _, _)| at == pc),
+                    "pc {pc}: {message}"
+                );
+            }
+        }
+        assert!(
+            with_findings >= 50,
+            "only {with_findings} images with findings"
+        );
     }
 }
