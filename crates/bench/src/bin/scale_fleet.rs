@@ -9,8 +9,9 @@
 //!
 //! Flags: `--json PATH` chooses the output file (default
 //! `BENCH_scale.json`); `--against PATH` additionally fails the run
-//! unless every row's event count and fleet digest equal the row with
-//! the same key in that (committed) file; `--smoke` runs a reduced sweep
+//! unless every row's event count, fleet digest, scheduler executions
+//! and scheduler steps equal the row with the same key in that
+//! (committed) file; `--smoke` runs a reduced sweep
 //! that is written only where `--json` says, never over the trajectory.
 
 use progmp_bench::report::Json;
@@ -61,9 +62,12 @@ fn main() {
         let committed = Json::parse(&committed).expect("committed scale report parses");
         validate_scale_report(&committed).expect("schema-valid committed scale report");
         if let Err(e) = check_against_committed(&doc, &committed) {
-            eprintln!("simulated behaviour differs from {}: {e}", path.display());
+            eprintln!("behaviour or effort differs from {}: {e}", path.display());
             std::process::exit(1);
         }
-        println!("events and digests match {}", path.display());
+        println!(
+            "events, digests, executions and steps match {}",
+            path.display()
+        );
     }
 }

@@ -10,18 +10,16 @@ const CONNECTIONS: usize = 4;
 const REPEATS: usize = 5;
 
 /// `(MB per connection, events, digest over the four connections'
-/// stats snapshots)` as recorded on the commit before `Q` and the
-/// departure FIFO became positional. The digests were re-recorded once
-/// when certified quiescence stopped running rounds that decide nothing:
-/// the snapshots hash `scheduler_executions` and `scheduler_steps`, and
-/// with those two lines left out every size hashes the same before and
-/// after that change.
+/// behaviour snapshots)`. The event counts are those of the commit
+/// before `Q` and the departure FIFO became positional; the digests were
+/// recorded when the snapshot stopped hashing scheduler effort, with
+/// every event count unchanged.
 const RECORDED: [(u64, u64, u64); 5] = [
-    (1, 14_304, 0x0a0a_df77_6c8d_0b4d),
-    (2, 28_584, 0x90e9_7f2b_6ef0_0719),
-    (4, 57_164, 0xc551_65c9_8845_aeb5),
-    (8, 114_304, 0xb118_e17a_28af_49a1),
-    (16, 228_584, 0xe5a9_2191_9fc3_379d),
+    (1, 14_304, 0xd6d7_6144_8bd3_ecdd),
+    (2, 28_584, 0xa95a_1883_0073_50b5),
+    (4, 57_164, 0xff84_bc83_92e6_5a8d),
+    (8, 114_304, 0x2ded_b718_e0f5_a3c1),
+    (16, 228_584, 0xf067_c57e_6279_68e5),
 ];
 
 /// One run: wall seconds, events, digest.

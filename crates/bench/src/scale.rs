@@ -10,7 +10,8 @@
 //! baseline. Worker-count rows share identical event counts and fleet
 //! digests — the determinism tier guarantees the sweep measures *speed*,
 //! never behavior — and `ci.sh` re-runs the full sweep and holds every
-//! row's event count and digest to the committed file
+//! row's event count, behaviour digest and exact effort ledger
+//! (scheduler executions and steps) to the committed file
 //! ([`check_against_committed`]).
 
 use crate::report::{validate_report, Json, Report};
@@ -157,6 +158,8 @@ pub fn run_scale(cfg: &ScaleConfig, progress: &mut dyn FnMut(&str)) -> Report {
                 ("completion_rate", Json::from(run.completion_rate())),
                 ("violations", Json::from(run.violations.len())),
                 ("fleet_digest", Json::from(format!("{:016x}", run.digest()))),
+                ("executions", Json::from(run.executions())),
+                ("steps", Json::from(run.steps())),
                 (
                     "peak_rss_bytes",
                     crate::report::peak_rss_bytes()
@@ -191,8 +194,31 @@ fn mode(doc: &Json) -> Option<&str> {
 
 /// A row's `(connections, workers)`.
 type Key = (u64, u64);
-/// A row's `(events, fleet_digest)`: what must not move between commits.
-type Outcome<'a> = (u64, &'a str);
+/// A row's exact columns, each of which must not move between commits
+/// unless the commit says why: the behaviour (`events`, `fleet_digest`)
+/// and the effort ledger (`executions`, `steps`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Outcome<'a> {
+    events: u64,
+    fleet_digest: &'a str,
+    executions: u64,
+    steps: u64,
+}
+
+impl Outcome<'_> {
+    /// The names of the columns where `self` and `other` differ.
+    fn moved(&self, other: &Outcome<'_>) -> Vec<&'static str> {
+        [
+            ("events", self.events != other.events),
+            ("fleet_digest", self.fleet_digest != other.fleet_digest),
+            ("executions", self.executions != other.executions),
+            ("steps", self.steps != other.steps),
+        ]
+        .into_iter()
+        .filter_map(|(name, moved)| moved.then_some(name))
+        .collect()
+    }
+}
 
 /// Key and outcome of every row of a validated scale report.
 fn rows_by_key(doc: &Json) -> Vec<(Key, Outcome<'_>)> {
@@ -202,20 +228,23 @@ fn rows_by_key(doc: &Json) -> Vec<(Key, Outcome<'_>)> {
         .unwrap_or(&[])
         .iter()
         .map(|row| {
-            let digest = row.get("fleet_digest").and_then(Json::as_str).unwrap_or("");
-            (
-                (num(row, "connections"), num(row, "workers")),
-                (num(row, "events"), digest),
-            )
+            let outcome = Outcome {
+                events: num(row, "events"),
+                fleet_digest: row.get("fleet_digest").and_then(Json::as_str).unwrap_or(""),
+                executions: num(row, "executions"),
+                steps: num(row, "steps"),
+            };
+            ((num(row, "connections"), num(row, "workers")), outcome)
         })
         .collect()
 }
 
 /// Holds a fresh sweep to the committed trajectory file: same mode, the
 /// same `(connections, workers)` keys, and on every key the same event
-/// count and fleet digest. Wall-clock columns are free to move; simulated
-/// behaviour is not. Both documents must already pass
-/// [`validate_scale_report`].
+/// count, fleet digest, scheduler executions and scheduler steps; the
+/// error names the columns that moved. Wall-clock columns are free to
+/// move; simulated behaviour and the exact effort ledger are not. Both
+/// documents must already pass [`validate_scale_report`].
 pub fn check_against_committed(fresh: &Json, committed: &Json) -> Result<(), String> {
     if mode(fresh) != mode(committed) {
         return Err(format!(
@@ -229,11 +258,19 @@ pub fn check_against_committed(fresh: &Json, committed: &Json) -> Result<(), Str
         rows.iter().find(|(k, _)| k == key).map(|row| row.1)
     }
     for (key, _) in fresh.iter().chain(&committed) {
-        let (now, then) = (outcome(&fresh, key), outcome(&committed, key));
-        if now != then {
-            return Err(format!(
-                "row {key:?}: (events, digest) is {now:?}, the committed file has {then:?}"
-            ));
+        match (outcome(&fresh, key), outcome(&committed, key)) {
+            (Some(now), Some(then)) if now != then => {
+                return Err(format!(
+                    "row {key:?}: {} moved: {now:?}, the committed file has {then:?}",
+                    now.moved(&then).join(", ")
+                ));
+            }
+            (Some(_), Some(_)) => {}
+            (now, then) => {
+                return Err(format!(
+                    "row {key:?}: {now:?} in this sweep, {then:?} in the committed file"
+                ));
+            }
         }
     }
     Ok(())
@@ -264,6 +301,8 @@ pub fn validate_scale_report(doc: &Json) -> Result<(), String> {
             "events_per_sec",
             "completion_rate",
             "violations",
+            "executions",
+            "steps",
         ] {
             row.get(col)
                 .and_then(Json::as_f64)
@@ -363,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn comparison_holds_events_and_digests_but_not_timings() {
+    fn comparison_holds_events_digests_and_effort_but_not_timings() {
         let committed = sweep(vec![2], vec![1, 2]);
         let mut fresh = committed.clone();
         set_cell(&mut fresh, 0, "wall_ms", Json::from(1e6));
@@ -377,6 +416,14 @@ mod tests {
         let mut moved = committed.clone();
         set_cell(&mut moved, 0, "fleet_digest", Json::from("0"));
         assert!(check_against_committed(&moved, &committed).is_err());
+
+        // The effort ledger is exact too, and the error names the field.
+        for col in ["executions", "steps"] {
+            let mut moved = committed.clone();
+            set_cell(&mut moved, 0, col, Json::from(1u64));
+            let err = check_against_committed(&moved, &committed).unwrap_err();
+            assert!(err.contains(&format!("(2, 1): {col} moved")), "{err}");
+        }
 
         // A key on one side only, in either direction.
         let narrower = sweep(vec![2], vec![1]);

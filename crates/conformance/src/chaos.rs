@@ -8,9 +8,9 @@
 //! subflow churn) — with the runtime invariant oracle watching every
 //! event. A case fails when
 //!
-//! * any backend's final trace digest differs from the others
-//!   (per-backend cost counters such as `scheduler_steps` are excluded:
-//!   they legitimately differ), or
+//! * any backend's final trace digest differs from the others (the
+//!   digest is behaviour only: per-backend cost counters such as
+//!   `scheduler_steps` legitimately differ and are not in it), or
 //! * the invariant oracle reports a violation on any backend, or
 //! * the run fails to complete inside the generous simulated horizon.
 //!
@@ -149,16 +149,9 @@ pub fn run_backend(case: &ChaosCase, backend: Backend, inject_bug: bool) -> Back
     sim.run_to_completion(HORIZON);
 
     let c = &sim.connections[conn];
-    // The digest deliberately excludes per-backend cost counters
-    // (`scheduler_steps`, `scheduler_host_ns`): they measure *how* a
-    // backend executed, not *what* it did.
-    let mut digest = String::new();
-    for line in c.stats.snapshot_text().lines() {
-        if !line.starts_with("scheduler_steps") {
-            digest.push_str(line);
-            digest.push('\n');
-        }
-    }
+    // `snapshot_text` is behaviour only: per-backend cost counters
+    // measure *how* a backend executed, not *what* it did.
+    let mut digest = c.stats.snapshot_text();
     digest.push_str(&format!(
         "reinjections {}\ndelivered_total {}\nall_acked {}\n",
         c.stats.reinjections,

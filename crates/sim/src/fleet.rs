@@ -191,7 +191,7 @@ pub struct ConnReport {
     /// Global connection index.
     pub conn: usize,
     /// FNV-1a digest of [`ConnStats::snapshot_text`] — the
-    /// bit-identity witness compared across worker counts.
+    /// bit-identity witness of behaviour compared across worker counts.
     ///
     /// [`ConnStats::snapshot_text`]: crate::stats::ConnStats::snapshot_text
     pub digest: u64,
@@ -255,6 +255,18 @@ impl FleetReport {
             .flat_map(|c| c.digest.to_le_bytes())
             .collect();
         fnv1a64(&bytes)
+    }
+
+    /// Completed scheduler executions across the fleet: the effort
+    /// ledger's first field, exact where wall time is not.
+    pub fn executions(&self) -> u64 {
+        self.per_conn.iter().map(|c| c.scheduler_executions).sum()
+    }
+
+    /// Scheduler steps (VM instructions, helper scans included) across
+    /// the fleet: the effort ledger's second field.
+    pub fn steps(&self) -> u64 {
+        self.per_conn.iter().map(|c| c.scheduler_steps).sum()
     }
 
     /// Total host nanoseconds spent inside scheduler executions.

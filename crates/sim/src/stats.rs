@@ -139,7 +139,16 @@ impl ConnStats {
     }
 
     /// Deterministic, integer-only serialization of the connection's
-    /// counters and timelines for golden snapshot tests.
+    /// behaviour — what it transmitted, delivered, dropped and failed,
+    /// per subflow and over time — for golden snapshot tests and the
+    /// fleet digest.
+    ///
+    /// Effort is left out: `scheduler_executions`, `scheduler_steps` and
+    /// `scheduler_host_ns` measure how the scheduler reached its
+    /// decisions, not what it decided, so a change that only makes a
+    /// round cheaper or skips a round that decides nothing leaves this
+    /// text alone. Fleets report effort exactly beside the digest
+    /// ([`crate::fleet::FleetReport::steps`]).
     ///
     /// Contains only exactly-representable quantities (no derived
     /// floating-point metrics), so the output is bit-stable across runs
@@ -154,9 +163,8 @@ impl ConnStats {
             self.delivered_bytes
         ));
         out.push_str(&format!(
-            "scheduler_drops {}\nscheduler_executions {}\nscheduler_errors {}\nscheduler_steps {}\n",
-            self.scheduler_drops, self.scheduler_executions, self.scheduler_errors,
-            self.scheduler_steps
+            "scheduler_drops {}\nscheduler_errors {}\n",
+            self.scheduler_drops, self.scheduler_errors
         ));
         for (i, s) in self.subflows.iter().enumerate() {
             out.push_str(&format!(
@@ -276,6 +284,10 @@ mod tests {
         assert!(a.contains("retransmissions 3"));
         assert!(a.contains("delivery_timeline 2"));
         assert!(a.contains("tx_timeline 1"));
+        // Effort is not behaviour.
+        s.scheduler_executions = 7;
+        s.scheduler_steps = 700;
+        assert_eq!(s.snapshot_text(), a);
         // No floating point anywhere in the serialization.
         assert!(!a.contains('.'), "snapshot must be integer-only: {a}");
     }

@@ -94,13 +94,13 @@ fn one_megabyte_backlog_on_clean_paths() {
         28_659,
         7,
         [
-            0x296f4b8347e524c3,
-            0x18ae588102078758,
-            0x29955b144fe17fff,
-            0x969063c10c65149a,
-            0x7141a8d2c33af532,
-            0xf2bbd15b67336440,
-            0xa45f54a45b61f0bd,
+            0x9642835d8c20fcb0,
+            0x3af170e5f0573e6b,
+            0x9c9f1d4183e1f01d,
+            0x4928654ca9eae682,
+            0x57e650fb8d1b7343,
+            0x3af170e5f0573e6b,
+            0x3af170e5f0573e6b,
         ],
     );
 }
@@ -114,13 +114,13 @@ fn one_megabyte_backlog_with_two_percent_loss() {
         27_883,
         6,
         [
-            0x2472bee2d523e26f,
-            0x2831fee704ffa535,
-            0xfae50941af09e85f,
-            0x0ad021f7ef45128c,
-            0xf091783b568fc90b,
-            0x4fc82cecc23bc3ec,
-            0xa36dd89d5c23c878,
+            0x90a233c55000f0ff,
+            0xf3e5fb4629e60211,
+            0x93b7e1da316ec673,
+            0xa187586a95f61e4d,
+            0x92b2a8b2c2d58fd5,
+            0x6f527ccfbbd48958,
+            0x087150daf90b9f9c,
         ],
     );
 }
@@ -132,13 +132,13 @@ fn one_megabyte_backlog_with_subflow_down_and_up_mid_transfer() {
         26_368,
         7,
         [
-            0x18322838f32f07d1,
-            0xba6b49f88e4ce16c,
-            0xd85b148ccd03f191,
-            0x399c7ccd55f6b20f,
-            0xc743115d9ff13fc6,
-            0x6832486dcb7f045c,
-            0x79efa8f021ac57ec,
+            0x9642835d8c20fcb0,
+            0x432d2427c06f25a5,
+            0x125e4573b09eb5e5,
+            0x3ef930a7eed75801,
+            0x76e792f98e752397,
+            0x432d2427c06f25a5,
+            0x432d2427c06f25a5,
         ],
     );
 }

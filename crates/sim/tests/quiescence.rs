@@ -9,8 +9,9 @@
 //! whatever the queues and windows hold, so *P′* certifies no atom and
 //! the simulator runs every one of its rounds.
 //! Both run the same transfer in three scenarios, and everything
-//! [`ConnStats::snapshot_text`] records must agree except the execution
-//! and step counters, which only *P*'s skipped rounds move.
+//! [`ConnStats::snapshot_text`] records must agree; it holds behaviour
+//! only, so the execution and step counters that *P*'s skipped rounds
+//! move are not in it.
 //!
 //! [`ConnStats::snapshot_text`]: mptcp_sim::stats::ConnStats::snapshot_text
 
@@ -80,12 +81,7 @@ fn run(name: &str, source: &str, scenario: Scenario) -> Outcome {
     sim.add_bulk_source(conn, BYTES, 0);
     sim.run_to_completion(HORIZON);
     let stats = &sim.connections[conn].stats;
-    let behaviour = stats
-        .snapshot_text()
-        .lines()
-        .filter(|l| !l.starts_with("scheduler_executions") && !l.starts_with("scheduler_steps"))
-        .map(|l| format!("{l}\n"))
-        .collect();
+    let behaviour = stats.snapshot_text();
     Outcome {
         behaviour,
         executions: stats.scheduler_executions,
