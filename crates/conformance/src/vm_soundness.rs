@@ -18,7 +18,7 @@
 //!   bugs proves nothing about the absence of unseeded ones.
 
 use crate::tier::Probe;
-use progmp_core::bytecode::{AluOp, Helper, Insn};
+use progmp_core::bytecode::{AluOp, BytecodeProgram, Helper, Insn};
 use progmp_core::exec::NULL_HANDLE;
 use progmp_core::verify::{Lint, Severity};
 
@@ -126,7 +126,7 @@ pub fn probes() -> Vec<Probe> {
         let code = &program.bytecode().code;
         let walk = (name == TARGETS[0]).then(|| walk_break(code)).flatten();
         for (pc, replacement, description) in mutations(code).into_iter().chain(walk) {
-            let mut image = program.bytecode().clone();
+            let mut image = BytecodeProgram::clone(program.bytecode());
             image.code[pc] = replacement;
             let verdict = program.validate_bytecode(&image);
             let miscompile = verdict

@@ -102,14 +102,6 @@ pub enum ExecError {
         /// The budget that was in force.
         budget: u64,
     },
-    /// The VM detected malformed bytecode at runtime. Indicates an
-    /// internal codegen bug; verified programs never raise this.
-    MalformedBytecode {
-        /// Program counter at which the fault occurred.
-        pc: usize,
-        /// Description of the fault.
-        detail: String,
-    },
     /// A backend aborted the upcall with a structured trap: a native
     /// scheduler signalled an unrecoverable condition, or an execution
     /// path reached a state the backend cannot continue from. Traps
@@ -129,9 +121,6 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::StepBudgetExhausted { budget } => {
                 write!(f, "scheduler execution exceeded step budget of {budget}")
-            }
-            ExecError::MalformedBytecode { pc, detail } => {
-                write!(f, "malformed bytecode at pc {pc}: {detail}")
             }
             ExecError::Trap { origin, detail } => {
                 write!(f, "scheduler trap in {origin}: {detail}")
@@ -156,11 +145,6 @@ mod tests {
     fn exec_error_display() {
         let e = ExecError::StepBudgetExhausted { budget: 10 };
         assert!(e.to_string().contains("10"));
-        let e = ExecError::MalformedBytecode {
-            pc: 4,
-            detail: "bad jump".into(),
-        };
-        assert!(e.to_string().contains("pc 4"));
         let e = ExecError::Trap {
             origin: "native",
             detail: "induced fault".into(),

@@ -547,9 +547,10 @@ mod tests {
         })
     }
 
-    /// LICM hoists the loop-variant induction update — the `Mov idx,
-    /// scratch` store feeding the back edge — to the preheader, so the
-    /// counter never advances inside the loop.
+    /// LICM hoists the loop-variant induction update — the `idx += 1`
+    /// (or, for a counter computed elsewhere, the `Mov idx, scratch`)
+    /// feeding the back edge — to the preheader, so the counter never
+    /// advances inside the loop.
     fn loop_variant_hoist(
         prog: &BytecodeProgram,
         debug: &DebugTable,
@@ -562,7 +563,7 @@ mod tests {
                     continue;
                 }
                 let pc = lp.back - 1;
-                if let Insn::Mov { .. } = code[pc] {
+                if let Insn::AluImm { .. } | Insn::Mov { .. } = code[pc] {
                     ed.delete(pc);
                     let update = NewInsn {
                         insn: code[pc],
@@ -688,6 +689,24 @@ mod tests {
         assert!(tv.admitted());
         assert_eq!(kept, tv);
         assert_eq!(kept.step_bound, Some(report.bound_after));
+    }
+
+    #[test]
+    fn a_walk_whose_back_edge_sccp_proves_dead_still_bounds() {
+        // The filter's predicate folds to TRUE, so `GET(0)` breaks out on
+        // the first subflow and its walk never takes the back edge. SCCP
+        // folds the walk index reloaded at the head to `r3 = 0`; the
+        // verifier, seeing no state reach the back edge, charges the body
+        // once instead of failing to resolve the induction variable.
+        let src = "SET(R1, SUBFLOWS.FILTER(v0 => SUBFLOWS.FILTER(v1 => FALSE).EMPTY).GET(0).RTT);";
+        let (prog, debug, hir, cert, props) = compile_parts(src);
+        let cfg = VerifyConfig::default();
+        let (folded, folded_dbg, rewrites) = sccp::run(&prog, &debug);
+        assert!(rewrites > 0);
+        let v = validate_translation(&folded, &folded_dbg, &hir, cert, &cfg);
+        assert!(v.admitted(), "{:?}", v.diagnostics);
+        let (_, _, report, _) = optimize_bytecode(&prog, &debug, &hir, cert, &cfg, Some(&props));
+        assert!(report.diagnostics.is_empty(), "{}", report.render_human());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::optimizer;
 use crate::parser;
 use crate::regalloc;
 use crate::sema;
-use crate::vm;
+use crate::vm::{self, VerifiedImage};
 use std::sync::{Arc, OnceLock};
 
 /// The execution backend for a scheduler instance (paper §4.1 Fig. 6:
@@ -72,7 +72,7 @@ struct Compiled {
     name: Option<String>,
     source: String,
     hir: HProgram,
-    bytecode: BytecodeProgram,
+    bytecode: VerifiedImage,
     debug: DebugTable,
     optimizer_rewrites: usize,
     opt_report: Option<crate::opt::OptReport>,
@@ -173,7 +173,7 @@ pub fn compile_with_options(
     let quiescence = crate::verify::props::certify_quiescence(&hir);
     let vcode = codegen::generate(&hir)?;
     let (bytecode, debug) = regalloc::allocate_with_debug(&vcode)?;
-    vm::verify_with_debug(&bytecode, Some(&debug))?;
+    let image = vm::verify_with_debug(&bytecode, Some(&debug))?;
     // Translation validation: an independent abstract interpretation over
     // the generated bytecode, cross-checked against the HIR admission
     // certificate (step bound + helper audit). Any error here means the
@@ -185,25 +185,25 @@ pub fn compile_with_options(
     // hands back the verdict of the image it kept.
     let (bytecode, debug, opt_report, vm_verdict) = if options.optimize_bytecode {
         let (b, d, r, v) = crate::opt::optimize_bytecode(
-            &bytecode,
+            &image,
             &debug,
             &hir,
             verdict.certified_step_bound,
             &verify_cfg,
             Some(&props),
         );
-        (b, d, Some(r), v)
+        (vm::verify_with_debug(&b, Some(&d))?, d, Some(r), v)
     } else {
         // `true`: the structure was checked just above.
         let v = crate::verify::vm::validate(
-            &bytecode,
+            &image,
             &debug,
             &hir,
             verdict.certified_step_bound,
             &verify_cfg,
             true,
         );
-        (bytecode, debug, None, v)
+        (image, debug, None, v)
     };
     if options.enforce_admission {
         reject_on_error(Stage::VmVerify, &vm_verdict.diagnostics)?;
@@ -326,8 +326,9 @@ impl SchedulerProgram {
         self.inner.bytecode.disassemble()
     }
 
-    /// The generated bytecode image the VM backend executes.
-    pub fn bytecode(&self) -> &BytecodeProgram {
+    /// The generated bytecode image the VM backend executes, verified
+    /// once here and run unchecked from then on.
+    pub fn bytecode(&self) -> &VerifiedImage {
         &self.inner.bytecode
     }
 

@@ -414,7 +414,7 @@ fn run<'a>(
     let structure = if structure_checked {
         Ok(())
     } else {
-        crate::vm::verify_with_debug(prog, debug)
+        crate::vm::check_structure(prog, debug)
     };
     if let Err(e) = structure {
         a.structural_error = Some((e.pos, e.message));
@@ -932,6 +932,14 @@ impl Analyzer<'_> {
         // register directly, or the spill slot a scratch register was
         // loaded from just before the test.
         let Some(idx_loc) = self.resolve_loc(head, test_pc, idx_reg) else {
+            // A back edge no state reaches is never taken, so the body
+            // runs at most once. Constant propagation leaves exactly this
+            // when it folds such a loop's induction variable to its entry
+            // value. A loop whose variable does resolve keeps its counted
+            // trips, so a mutated exit test still overruns the bound.
+            if self.states.before(back).is_none() {
+                return Some(1);
+            }
             let msg = format!("cannot resolve loop induction variable r{idx_reg}");
             return unbounded(self, msg);
         };
@@ -1784,7 +1792,8 @@ mod tests {
         let bound = v.step_bound.expect("bounded");
         let env = crate::testenv::MockEnv::new();
         let mut ctx = crate::exec::ExecCtx::new(&env, u64::MAX);
-        crate::vm::execute(&prog, &mut ctx).expect("runs");
+        let image = crate::vm::verify(&prog).expect("structurally sound");
+        crate::vm::execute(&image, &mut ctx).expect("runs");
         let steps = ctx.finish().2.steps;
         assert!(bound >= steps, "bound {bound} < {steps} steps executed");
     }
@@ -2190,7 +2199,7 @@ mod tests {
         let mut images: Vec<BytecodeProgram> = (progmp_schedulers::sources::ALL.iter())
             .map(|(name, src)| {
                 let p = crate::compile_named(Some(name), src).expect(name);
-                p.bytecode().clone()
+                BytecodeProgram::clone(p.bytecode())
             })
             .collect();
         let shipped = images.len();

@@ -5,6 +5,15 @@
 //! stack bounds, guaranteed termination through the runtime step budget)
 //! and then executed without further checks beyond the step counter.
 //!
+//! The contract is a type: [`verify`] is the only constructor of a
+//! [`VerifiedImage`], and [`execute`] runs nothing else. So the run loop
+//! trusts what verification established — every register is below
+//! `r11`, every slot below the image's slot count, every jump lands
+//! inside the image, and the image ends in `Exit` — and checks none of it
+//! again. Registers and the frame are fixed-size arrays on the Rust
+//! stack, indexed through a mask, so no bounds check and no `unsafe` is
+//! needed; one step is still charged per instruction.
+//!
 //! The paper's *constant subflow number* optimization (§4.1) is not
 //! reproduced as code patching: `SUBFLOWS.COUNT` stays the `SubflowCount`
 //! helper call of the one image every connection shares, so the only
@@ -14,14 +23,36 @@ use crate::bytecode::{BytecodeProgram, DebugTable, Helper, Insn, MAX_STACK_SLOTS
 use crate::env::{PacketProp, QueueKind, RegId, SubflowProp};
 use crate::error::{CompileError, ExecError, Pos, Stage};
 use crate::exec::{ExecCtx, NULL_HANDLE};
+use std::ops::Deref;
+
+/// A bytecode program that passed [`verify`], the only way to build one:
+/// the one type [`execute`] runs. It reads as the [`BytecodeProgram`] it
+/// wraps and cannot be changed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedImage(BytecodeProgram);
+
+impl Deref for VerifiedImage {
+    type Target = BytecodeProgram;
+
+    fn deref(&self) -> &BytecodeProgram {
+        &self.0
+    }
+}
+
+impl PartialEq<BytecodeProgram> for VerifiedImage {
+    fn eq(&self, other: &BytecodeProgram) -> bool {
+        self.0 == *other
+    }
+}
 
 /// Statically verifies a bytecode program (structural checks only; the
-/// dataflow verifier lives in [`crate::verify::vm`]).
+/// dataflow verifier lives in [`crate::verify::vm`]) and returns the
+/// image the VM may run.
 ///
 /// Rejects out-of-range registers, writes to the frame pointer `r10`,
 /// branches outside the instruction stream, stack accesses beyond the
 /// declared slot count, and a missing terminal `Exit`.
-pub fn verify(prog: &BytecodeProgram) -> Result<(), CompileError> {
+pub fn verify(prog: &BytecodeProgram) -> Result<VerifiedImage, CompileError> {
     verify_with_debug(prog, None)
 }
 
@@ -29,6 +60,15 @@ pub fn verify(prog: &BytecodeProgram) -> Result<(), CompileError> {
 /// instruction → source-span side table, so structural failures point at
 /// the scheduler source construct whose code is malformed.
 pub fn verify_with_debug(
+    prog: &BytecodeProgram,
+    debug: Option<&DebugTable>,
+) -> Result<VerifiedImage, CompileError> {
+    check_structure(prog, debug)?;
+    Ok(VerifiedImage(prog.clone()))
+}
+
+/// The checks of [`verify_with_debug`], without building the image.
+pub(crate) fn check_structure(
     prog: &BytecodeProgram,
     debug: Option<&DebugTable>,
 ) -> Result<(), CompileError> {
@@ -113,109 +153,93 @@ pub fn verify_with_debug(
     Ok(())
 }
 
-/// Executes a verified program against `ctx`, recording per-instruction
+/// Executes a verified image against `ctx`, recording per-instruction
 /// hit counts into `counts` (resized to the code length). This powers the
 /// proc-style "performance profiling traces based on the control flow
 /// representation" of paper §4.1.
 pub fn execute_profiled(
-    prog: &BytecodeProgram,
+    image: &VerifiedImage,
     ctx: &mut ExecCtx<'_>,
     counts: &mut Vec<u64>,
 ) -> Result<(), ExecError> {
-    counts.resize(prog.code.len(), 0);
-    execute_inner(prog, ctx, Some(counts))
+    counts.resize(image.code.len(), 0);
+    run(image, ctx, counts.as_mut_slice())
 }
 
-/// Executes a verified program against `ctx`. One step is charged per
+/// Executes a verified image against `ctx`. One step is charged per
 /// instruction; queue/subflow scans charge through their helper calls.
-pub fn execute(prog: &BytecodeProgram, ctx: &mut ExecCtx<'_>) -> Result<(), ExecError> {
-    execute_inner(prog, ctx, None)
+pub fn execute(image: &VerifiedImage, ctx: &mut ExecCtx<'_>) -> Result<(), ExecError> {
+    run(image, ctx, &mut NoProfile)
 }
 
-/// Checked register read: unverified hand-built images surface a
-/// structured [`ExecError::MalformedBytecode`] instead of panicking, so
-/// the simulator's containment boundary never needs `catch_unwind`.
-#[inline]
-fn reg(regs: &[i64; NUM_MACH_REGS], r: u8, pc: usize) -> Result<i64, ExecError> {
-    regs.get(usize::from(r))
-        .copied()
-        .ok_or_else(|| ExecError::MalformedBytecode {
-            pc,
-            detail: format!("register r{r} out of range"),
-        })
+/// What the run loop records per executed instruction.
+trait Profile {
+    fn hit(&mut self, pc: usize);
 }
 
-/// Checked register write (see [`reg`]).
-#[inline]
-fn reg_mut(regs: &mut [i64; NUM_MACH_REGS], r: u8, pc: usize) -> Result<&mut i64, ExecError> {
-    regs.get_mut(usize::from(r))
-        .ok_or_else(|| ExecError::MalformedBytecode {
-            pc,
-            detail: format!("register r{r} out of range"),
-        })
+/// Records nothing: the plain [`execute`].
+struct NoProfile;
+
+impl Profile for NoProfile {
+    #[inline(always)]
+    fn hit(&mut self, _pc: usize) {}
 }
 
-/// Runs `prog` on a stack frame borrowed from `ctx`'s reusable buffers.
-fn execute_inner(
-    prog: &BytecodeProgram,
+/// Counts hits per pc: [`execute_profiled`].
+impl Profile for [u64] {
+    #[inline(always)]
+    fn hit(&mut self, pc: usize) {
+        self[pc] += 1;
+    }
+}
+
+/// Register-file size: the [`NUM_MACH_REGS`] registers rounded up to a
+/// power of two, so a register index is masked rather than checked.
+const REG_FILE: usize = NUM_MACH_REGS.next_power_of_two();
+
+const _: () = assert!(MAX_STACK_SLOTS.is_power_of_two());
+
+#[inline(always)]
+fn r(reg: u8) -> usize {
+    usize::from(reg) & (REG_FILE - 1)
+}
+
+#[inline(always)]
+fn slot(s: u16) -> usize {
+    usize::from(s) & (MAX_STACK_SLOTS - 1)
+}
+
+/// The run loop. `image` passed [`verify`], so every register is below
+/// [`NUM_MACH_REGS`], every slot below its slot count and every jump
+/// inside it; the masks only keep the indexing free of bounds checks.
+fn run<P: Profile + ?Sized>(
+    image: &VerifiedImage,
     ctx: &mut ExecCtx<'_>,
-    profile: Option<&mut Vec<u64>>,
+    profile: &mut P,
 ) -> Result<(), ExecError> {
-    let mut stack = ctx.take_frame(usize::from(prog.stack_slots));
-    let result = run(prog, ctx, &mut stack, profile);
-    ctx.restore_frame(stack);
-    result
-}
-
-fn run(
-    prog: &BytecodeProgram,
-    ctx: &mut ExecCtx<'_>,
-    stack: &mut [i64],
-    mut profile: Option<&mut Vec<u64>>,
-) -> Result<(), ExecError> {
-    let mut regs = [0i64; NUM_MACH_REGS];
+    let mut regs = [0i64; REG_FILE];
+    let mut stack = [0i64; MAX_STACK_SLOTS];
+    let code = image.code.as_slice();
     let mut pc: usize = 0;
-    let code = &prog.code;
     loop {
         ctx.step(1)?;
-        let insn = code.get(pc).ok_or_else(|| ExecError::MalformedBytecode {
-            pc,
-            detail: "program counter out of range".into(),
-        })?;
-        if let Some(counts) = profile.as_deref_mut() {
-            counts[pc] += 1;
-        }
-        let at = pc;
+        profile.hit(pc);
+        let insn = code[pc];
         pc += 1;
-        match *insn {
-            Insn::MovImm { dst, imm } => *reg_mut(&mut regs, dst, at)? = imm,
-            Insn::Mov { dst, src } => {
-                let v = reg(&regs, src, at)?;
-                *reg_mut(&mut regs, dst, at)? = v;
-            }
-            Insn::Alu { op, dst, src } => {
-                let a = reg(&regs, dst, at)?;
-                let b = reg(&regs, src, at)?;
-                *reg_mut(&mut regs, dst, at)? = op.eval(a, b);
-            }
-            Insn::AluImm { op, dst, imm } => {
-                let a = reg(&regs, dst, at)?;
-                *reg_mut(&mut regs, dst, at)? = op.eval(a, imm);
-            }
-            Insn::Neg { dst } => {
-                let a = reg(&regs, dst, at)?;
-                *reg_mut(&mut regs, dst, at)? = a.wrapping_neg();
-            }
-            Insn::Ja { off } => {
-                pc = jump(pc, off);
-            }
+        match insn {
+            Insn::MovImm { dst, imm } => regs[r(dst)] = imm,
+            Insn::Mov { dst, src } => regs[r(dst)] = regs[r(src)],
+            Insn::Alu { op, dst, src } => regs[r(dst)] = op.eval(regs[r(dst)], regs[r(src)]),
+            Insn::AluImm { op, dst, imm } => regs[r(dst)] = op.eval(regs[r(dst)], imm),
+            Insn::Neg { dst } => regs[r(dst)] = regs[r(dst)].wrapping_neg(),
+            Insn::Ja { off } => pc = jump(pc, off),
             Insn::Jmp {
                 cond,
                 lhs,
                 rhs,
                 off,
             } => {
-                if cond.eval(reg(&regs, lhs, at)?, reg(&regs, rhs, at)?) {
+                if cond.eval(regs[r(lhs)], regs[r(rhs)]) {
                     pc = jump(pc, off);
                 }
             }
@@ -225,38 +249,17 @@ fn run(
                 imm,
                 off,
             } => {
-                if cond.eval(reg(&regs, lhs, at)?, imm) {
+                if cond.eval(regs[r(lhs)], imm) {
                     pc = jump(pc, off);
                 }
             }
             Insn::Call { helper } => {
-                let r1 = regs[1];
-                let r2 = regs[2];
-                regs[0] = call_helper(ctx, helper, r1, r2);
+                regs[0] = call_helper(ctx, helper, regs[1], regs[2]);
                 // Helper calls clobber the argument registers, as in eBPF.
-                for r in regs.iter_mut().take(6).skip(1) {
-                    *r = 0;
-                }
+                regs[1..6].fill(0);
             }
-            Insn::Ld { dst, slot } => {
-                let v =
-                    *stack
-                        .get(usize::from(slot))
-                        .ok_or_else(|| ExecError::MalformedBytecode {
-                            pc: at,
-                            detail: "stack read out of range".into(),
-                        })?;
-                *reg_mut(&mut regs, dst, at)? = v;
-            }
-            Insn::St { slot, src } => {
-                let v = reg(&regs, src, at)?;
-                *stack.get_mut(usize::from(slot)).ok_or_else(|| {
-                    ExecError::MalformedBytecode {
-                        pc: at,
-                        detail: "stack write out of range".into(),
-                    }
-                })? = v;
-            }
+            Insn::Ld { dst, slot: s } => regs[r(dst)] = stack[slot(s)],
+            Insn::St { slot: s, src } => stack[slot(s)] = regs[r(src)],
             Insn::Exit => return Ok(()),
         }
     }
@@ -325,12 +328,11 @@ mod tests {
     use crate::sema::lower;
     use crate::testenv::MockEnv;
 
-    fn compile_vm(src: &str) -> BytecodeProgram {
+    fn compile_vm(src: &str) -> VerifiedImage {
         let hir = lower(&parse(src).unwrap()).unwrap();
         let vcode = generate(&hir).unwrap();
         let prog = allocate(&vcode.insns).unwrap();
-        verify(&prog).expect("generated code verifies");
-        prog
+        verify(&prog).expect("generated code verifies")
     }
 
     fn run_vm(src: &str, env: &mut MockEnv) {
@@ -441,20 +443,32 @@ mod tests {
     }
 
     #[test]
-    fn unverified_bad_register_traps_instead_of_panicking() {
-        // Malformed images that skip structural verification must surface
-        // a structured error, never a panic: the simulator's containment
-        // boundary depends on trap-as-value propagation.
-        let prog = BytecodeProgram {
-            code: vec![Insn::MovImm { dst: 12, imm: 1 }, Insn::Exit],
-            stack_slots: 0,
+    fn an_image_that_fails_verification_cannot_be_executed() {
+        // `execute` runs only a `VerifiedImage`, and `verify` is its one
+        // constructor: an image with an out-of-range register, slot or
+        // jump never reaches the unchecked run loop.
+        let bad = [
+            (Insn::MovImm { dst: 12, imm: 1 }, 0),
+            (Insn::Ld { dst: 6, slot: 2 }, 2),
+            (Insn::Ja { off: 7 }, 0),
+        ];
+        for (insn, stack_slots) in bad {
+            let prog = BytecodeProgram {
+                code: vec![insn, Insn::Exit],
+                stack_slots,
+            };
+            assert!(verify(&prog).is_err(), "{insn} must not verify");
+        }
+        let good = BytecodeProgram {
+            code: vec![Insn::Ld { dst: 6, slot: 1 }, Insn::Exit],
+            stack_slots: 2,
         };
+        let image = verify(&good).expect("in range");
+        assert_eq!(image, good, "the image is the program it verified");
         let env = MockEnv::new();
         let mut ctx = ExecCtx::new(&env, 1000);
-        assert!(matches!(
-            execute(&prog, &mut ctx),
-            Err(ExecError::MalformedBytecode { pc: 0, .. })
-        ));
+        execute(&image, &mut ctx).unwrap();
+        assert_eq!(ctx.finish().2.steps, 2, "one step per instruction");
     }
 
     #[test]
@@ -464,11 +478,11 @@ mod tests {
             code: vec![Insn::Ja { off: -1 }, Insn::Exit],
             stack_slots: 0,
         };
-        verify(&prog).unwrap();
+        let image = verify(&prog).unwrap();
         let env = MockEnv::new();
         let mut ctx = ExecCtx::new(&env, 1000);
         assert!(matches!(
-            execute(&prog, &mut ctx),
+            execute(&image, &mut ctx),
             Err(ExecError::StepBudgetExhausted { .. })
         ));
     }

@@ -2,9 +2,10 @@
 //!
 //! The verifier is the safety boundary of the VM backend (the analogue
 //! of the kernel eBPF verifier): hand-built malformed programs must be
-//! rejected statically, and the few faults that can only manifest at
-//! runtime (step budget, malformed bytecode behind the verifier's back)
-//! must surface as the documented `ExecError`s.
+//! rejected statically, and the one fault that can only manifest at
+//! runtime (the step budget) must surface as the documented `ExecError`.
+//! A malformed image cannot reach the VM at all: `execute` runs only the
+//! `VerifiedImage` that `verify` returns.
 
 use progmp_core::bytecode::{AluOp, BytecodeProgram, Cond, Insn, MAX_STACK_SLOTS, NUM_MACH_REGS};
 use progmp_core::env::NUM_REGISTERS;
@@ -125,26 +126,21 @@ fn self_loop_verifies_but_exhausts_step_budget() {
     // range), so the verifier accepts it; termination is enforced by the
     // runtime step budget instead — exactly the eBPF split of concerns.
     let p = prog(vec![Insn::Ja { off: -1 }, Insn::Exit], 0);
-    verify(&p).expect("self-loop is structurally valid");
+    let image = verify(&p).expect("self-loop is structurally valid");
     let env = MockEnv::new();
     let mut ctx = ExecCtx::new(&env, 1000);
-    let err = execute(&p, &mut ctx).unwrap_err();
+    let err = execute(&image, &mut ctx).unwrap_err();
     assert_eq!(err, ExecError::StepBudgetExhausted { budget: 1000 });
 }
 
 #[test]
-fn unverified_slot_fault_is_caught_at_runtime() {
-    // Skipping the verifier (as `execute` permits for tests), an
-    // out-of-range slot access must fault as MalformedBytecode rather
-    // than corrupt memory.
+fn out_of_range_slot_is_rejected_before_it_can_run() {
+    // The slot the image would read lies past its declared frame: the
+    // verifier refuses it, so no `VerifiedImage` — the only thing
+    // `execute` accepts — exists for it.
     let p = prog(vec![Insn::Ld { dst: 0, slot: 63 }, Insn::Exit], 1);
-    let env = MockEnv::new();
-    let mut ctx = ExecCtx::new(&env, 1000);
-    let err = execute(&p, &mut ctx).unwrap_err();
-    assert!(
-        matches!(err, ExecError::MalformedBytecode { .. }),
-        "{err:?}"
-    );
+    let err = verify(&p).unwrap_err();
+    assert!(err.message.contains("stack slot 63"), "{}", err.message);
 }
 
 #[test]

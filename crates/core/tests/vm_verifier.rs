@@ -283,13 +283,16 @@ fn arithmetic_on_a_handle_is_rejected() {
 
 /// Builds a VInsn program with `live` simultaneously-live scalar values
 /// (forcing spills beyond the four allocatable registers), then sums
-/// them. Returns the allocated machine program and its debug table.
+/// them. Each value is a helper result, not a constant the allocator
+/// would rematerialise instead of spilling. Returns the allocated machine
+/// program and its debug table.
 fn spill_pressure(live: u32) -> (BytecodeProgram, progmp_core::bytecode::DebugTable) {
     let mut insns = Vec::new();
     for i in 0..live {
-        insns.push(VInsn::MovImm {
-            dst: VReg(i),
-            imm: i64::from(i) + 1,
+        insns.push(VInsn::Call {
+            helper: Helper::SubflowCount,
+            args: vec![],
+            ret: Some(VReg(i)),
         });
     }
     let acc = VReg(live);

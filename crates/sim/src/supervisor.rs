@@ -85,14 +85,6 @@ pub enum FaultClass {
         /// The budget that was in force.
         budget: u64,
     },
-    /// The VM rejected its own image mid-execution (a codegen bug that
-    /// slipped past verification — contained, then reported).
-    MalformedBytecode {
-        /// Program counter of the fault.
-        pc: usize,
-        /// Backend description of the fault.
-        detail: String,
-    },
     /// A backend raised a structured [`ExecError::Trap`].
     BackendTrap {
         /// Component that raised the trap.
@@ -117,7 +109,6 @@ impl FaultClass {
     pub fn name(&self) -> &'static str {
         match self {
             FaultClass::StepBudget { .. } => "step-budget",
-            FaultClass::MalformedBytecode { .. } => "malformed-bytecode",
             FaultClass::BackendTrap { .. } => "backend-trap",
             FaultClass::OracleViolation { .. } => "oracle-violation",
             FaultClass::ProgressStall => "progress-stall",
@@ -130,9 +121,6 @@ impl std::fmt::Display for FaultClass {
         match self {
             FaultClass::StepBudget { budget } => {
                 write!(f, "step budget of {budget} exhausted")
-            }
-            FaultClass::MalformedBytecode { pc, detail } => {
-                write!(f, "malformed bytecode at pc {pc}: {detail}")
             }
             FaultClass::BackendTrap { origin, detail } => {
                 write!(f, "trap in {origin}: {detail}")
@@ -149,10 +137,6 @@ impl std::fmt::Display for FaultClass {
 pub fn classify_exec_error(err: &ExecError) -> FaultClass {
     match err {
         ExecError::StepBudgetExhausted { budget } => FaultClass::StepBudget { budget: *budget },
-        ExecError::MalformedBytecode { pc, detail } => FaultClass::MalformedBytecode {
-            pc: *pc,
-            detail: detail.clone(),
-        },
         ExecError::Trap { origin, detail } => FaultClass::BackendTrap {
             origin,
             detail: detail.clone(),
@@ -260,9 +244,6 @@ pub struct IncidentReport {
     /// The fault that triggered the transition ([`ContainAction::Readmitted`]
     /// re-states the fault that caused the quarantine being left).
     pub class: FaultClass,
-    /// Spanned program location (`line:col`) where the backend could
-    /// attribute the fault to source; `None` otherwise.
-    pub location: Option<String>,
     /// Strike count after this transition.
     pub strikes: u32,
     /// What the supervisor did.
@@ -279,16 +260,12 @@ impl std::fmt::Display for IncidentReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "conn {} {} at t={} (strike {}): {}{} [{}]",
+            "conn {} {} at t={} (strike {}): {} [{}]",
             self.conn,
             self.action.name(),
             self.at,
             self.strikes,
             self.class,
-            match &self.location {
-                Some(loc) => format!(" @ {loc}"),
-                None => String::new(),
-            },
             self.replay,
         )
     }
@@ -410,7 +387,6 @@ impl Supervisor {
         now: SimTime,
         conn: &mut Connection,
         class: FaultClass,
-        location: Option<String>,
     ) -> FaultAction {
         let entry = conn.contain.as_deref_mut().expect(SUPERVISED);
         let (action, contain_action, backoff) = match entry.state {
@@ -456,7 +432,6 @@ impl Supervisor {
             at: now,
             conn: conn.identity,
             class,
-            location,
             strikes,
             action: contain_action,
             backoff,
@@ -485,7 +460,6 @@ impl Supervisor {
             at: now,
             conn: conn.identity,
             class,
-            location: None,
             strikes,
             action: ContainAction::Readmitted,
             backoff: 0,
@@ -547,13 +521,6 @@ mod tests {
             FaultClass::StepBudget { budget: 9 }
         );
         assert!(matches!(
-            classify_exec_error(&ExecError::MalformedBytecode {
-                pc: 3,
-                detail: "x".into()
-            }),
-            FaultClass::MalformedBytecode { pc: 3, .. }
-        ));
-        assert!(matches!(
             classify_exec_error(&ExecError::Trap {
                 origin: "native",
                 detail: "y".into()
@@ -574,7 +541,7 @@ mod tests {
         assert_eq!(c.contain_state(), ContainState::Healthy);
         let fallback_budget = fallback_program().certified_step_bound();
 
-        let a1 = s.on_fault(1_000, &mut c, budget_fault(), None);
+        let a1 = s.on_fault(1_000, &mut c, budget_fault());
         let until1 = match a1 {
             FaultAction::Quarantine { until } => until,
             other => panic!("first fault must quarantine, got {other:?}"),
@@ -587,7 +554,7 @@ mod tests {
         assert_eq!(running_budget(&c), 7, "what was parked is back");
         assert_eq!(c.contain_state(), ContainState::Probation);
 
-        let a2 = s.on_fault(until1 + 5, &mut c, budget_fault(), None);
+        let a2 = s.on_fault(until1 + 5, &mut c, budget_fault());
         let until2 = match a2 {
             FaultAction::Quarantine { until } => until,
             other => panic!("probation fault must re-quarantine, got {other:?}"),
@@ -597,7 +564,7 @@ mod tests {
         assert!(until2 - (until1 + 5) >= 2 * s.cfg.base_backoff);
         assert!(s.readmit(until2, &mut c), "second probation");
 
-        let a3 = s.on_fault(until2 + 5, &mut c, budget_fault(), None);
+        let a3 = s.on_fault(until2 + 5, &mut c, budget_fault());
         assert_eq!(a3, FaultAction::Pin, "third strike trips the breaker");
         assert_eq!(c.contain_state(), ContainState::Pinned);
         assert!(
@@ -623,7 +590,7 @@ mod tests {
     #[test]
     fn fallback_faults_are_recorded_without_double_parking() {
         let (mut s, mut c) = sup(ContainmentConfig::default());
-        s.on_fault(0, &mut c, budget_fault(), None);
+        s.on_fault(0, &mut c, budget_fault());
         assert_eq!(c.contain_state(), ContainState::Quarantined);
         let again = s.on_fault(
             10,
@@ -631,7 +598,6 @@ mod tests {
             FaultClass::OracleViolation {
                 invariant: "property-work-conservation",
             },
-            None,
         );
         assert_eq!(again, FaultAction::Recorded);
         assert_eq!(
@@ -655,7 +621,7 @@ mod tests {
         let run = |seed: u64, id: usize, identity: u64| {
             let mut s = Supervisor::new(seed, ContainmentConfig::default());
             let mut c = conn(&s, id, identity);
-            match s.on_fault(0, &mut c, budget_fault(), None) {
+            match s.on_fault(0, &mut c, budget_fault()) {
                 FaultAction::Quarantine { until } => until,
                 other => panic!("{other:?}"),
             }
@@ -689,8 +655,7 @@ mod tests {
         });
         let mut now = 0;
         for strike in 1..=40 {
-            let FaultAction::Quarantine { until } = s.on_fault(now, &mut c, budget_fault(), None)
-            else {
+            let FaultAction::Quarantine { until } = s.on_fault(now, &mut c, budget_fault()) else {
                 panic!("strike {strike} of 64 must quarantine");
             };
             // 1 s, 2 s, then the 3 s ceiling; jitter adds at most half the
@@ -705,7 +670,7 @@ mod tests {
     #[test]
     fn replay_strings_are_integer_only_and_seeded() {
         let (mut s, mut c) = sup(ContainmentConfig::default());
-        s.on_fault(123, &mut c, budget_fault(), None);
+        s.on_fault(123, &mut c, budget_fault());
         let inc = &s.incidents[0];
         assert_eq!(inc.replay, "seed=42 conn=0 class=step-budget at=123");
         assert!(inc.to_string().contains("quarantined"));
