@@ -212,14 +212,24 @@ impl<'p> Cg<'p> {
         self.emit(VInsn::Label(l));
     }
 
+    /// The vreg a read of `s` sees: the one its innermost binding site
+    /// gave it.
     fn slot(&mut self, s: VarSlot) -> VReg {
         if let Some(v) = self.slot_vreg[s.0 as usize] {
             v
         } else {
-            let v = self.vreg();
-            self.slot_vreg[s.0 as usize] = Some(v);
-            v
+            self.bind(s)
         }
+    }
+
+    /// A fresh vreg for a binding of `s` (a `VAR`, or a `FOREACH` or
+    /// lambda variable at one loop that binds it): a lambda fused into
+    /// several loops gets one short-lived vreg per loop rather than one
+    /// that spans them all.
+    fn bind(&mut self, s: VarSlot) -> VReg {
+        let v = self.vreg();
+        self.slot_vreg[s.0 as usize] = Some(v);
+        v
     }
 
     fn imm(&mut self, value: i64) -> VReg {
@@ -271,7 +281,7 @@ impl<'p> Cg<'p> {
             ret: Some(sbf),
         });
         for &(slot, pred) in &chain.filters {
-            let bound = self.slot(slot);
+            let bound = self.bind(slot);
             self.emit(VInsn::Mov {
                 dst: bound,
                 src: sbf,
@@ -342,7 +352,7 @@ impl<'p> Cg<'p> {
             target: cont,
         });
         for &(slot, pred) in &chain.filters {
-            let bound = self.slot(slot);
+            let bound = self.bind(slot);
             self.emit(VInsn::Mov {
                 dst: bound,
                 src: pkt,
@@ -380,7 +390,7 @@ impl<'p> Cg<'p> {
         bestk: VReg,
         first: VReg,
     ) -> Result<(), CompileError> {
-        let bound = self.slot(var);
+        let bound = self.bind(var);
         self.emit(VInsn::Mov {
             dst: bound,
             src: elem,
@@ -430,7 +440,7 @@ impl<'p> Cg<'p> {
                     return Ok(());
                 }
                 let v = self.gen_expr(init)?;
-                let dst = self.slot(slot);
+                let dst = self.bind(slot);
                 self.emit(VInsn::Mov { dst, src: v });
                 Ok(())
             }
@@ -456,7 +466,7 @@ impl<'p> Cg<'p> {
                 Ok(())
             }
             HStmt::Foreach { slot, list, body } => self.gen_list_loop(list, |cg, sbf, _end| {
-                let bound = cg.slot(slot);
+                let bound = cg.bind(slot);
                 cg.emit(VInsn::Mov {
                     dst: bound,
                     src: sbf,
@@ -618,7 +628,7 @@ impl<'p> Cg<'p> {
                 let total = self.vreg();
                 self.emit(VInsn::MovImm { dst: total, imm: 0 });
                 self.gen_list_loop(list, |cg, sbf, _| {
-                    let bound = cg.slot(var);
+                    let bound = cg.bind(var);
                     cg.emit(VInsn::Mov {
                         dst: bound,
                         src: sbf,
@@ -638,7 +648,7 @@ impl<'p> Cg<'p> {
                 let total = self.vreg();
                 self.emit(VInsn::MovImm { dst: total, imm: 0 });
                 self.gen_queue_loop(queue, |cg, pkt, _| {
-                    let bound = cg.slot(var);
+                    let bound = cg.bind(var);
                     cg.emit(VInsn::Mov {
                         dst: bound,
                         src: pkt,
