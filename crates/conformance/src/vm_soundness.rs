@@ -55,12 +55,18 @@ fn mutations(code: &[Insn]) -> Vec<(usize, Insn, String)> {
             // packet-property read. Signature + audit must notice.
             Insn::Call {
                 helper: Helper::SubflowProp,
+                dst,
+                a,
+                b,
             } if !helper_done => {
                 helper_done = true;
                 out.push((
                     pc,
                     Insn::Call {
                         helper: Helper::PacketProp,
+                        dst,
+                        a,
+                        b,
                     },
                     format!("pc {pc}: call SubflowProp swapped for PacketProp"),
                 ));
@@ -100,7 +106,15 @@ fn mutations(code: &[Insn]) -> Vec<(usize, Insn, String)> {
 /// `ja +0`: the walk runs on and pops the last packet instead of the
 /// first. Only the bound sees it, since the walk becomes a full scan.
 fn walk_break(code: &[Insn]) -> Option<(usize, Insn, String)> {
-    let pops = |i: &Insn| matches!(i, Insn::Call { helper } if *helper == Helper::Pop);
+    let pops = |i: &Insn| {
+        matches!(
+            i,
+            Insn::Call {
+                helper: Helper::Pop,
+                ..
+            }
+        )
+    };
     let pop = code.iter().position(pops)?;
     let pc = (0..pop)
         .rev()

@@ -2,18 +2,25 @@
 //!
 //! The paper cross-compiles the scheduler IR *inside the kernel* to eBPF
 //! assembly and lets the kernel JIT produce native code. We reproduce the
-//! architecture with a safe register VM using the same conventions as
-//! eBPF:
+//! architecture with a safe register VM. Its register conventions:
 //!
 //! * eleven 64-bit registers `r0`–`r10`;
-//! * `r0` holds helper return values and scratch results;
-//! * `r1`–`r5` are helper-call argument registers, clobbered by calls;
-//! * `r6`–`r9` are preserved across calls and are the allocatable set for
-//!   the linear-scan register allocator;
+//! * `r0`–`r9` are general purpose: the register allocator hands out all
+//!   of them but the two spill [`SCRATCH`] registers `r8` / `r9`
+//!   ([`is_allocatable`]);
 //! * `r10` is the (read-only) frame pointer; spill slots live in a
 //!   bounded stack;
 //! * two-address ALU ops, compare-and-jump branches, and helper calls
 //!   into the scheduling runtime ([`crate::exec::ExecCtx`]).
+//!
+//! A helper call is one three-address instruction, `dst = helper(a, b)`:
+//! each operand is a register or a small immediate, and the call writes
+//! `dst` only, or nothing for a void helper. This departs from eBPF's
+//! convention (arguments in `r1`–`r5`, result in `r0`, `r1`–`r5`
+//! clobbered). That convention is free for a JIT, whose argument
+//! registers are the machine's; an interpreter would dispatch and charge
+//! every argument and result move as an instruction of its own, and the
+//! clobber set would keep values out of half the register file.
 //!
 //! Division or modulo by zero yields zero, as in eBPF.
 
@@ -24,17 +31,16 @@ use std::fmt;
 /// Number of machine registers (`r0` .. `r10`).
 pub const NUM_MACH_REGS: usize = 11;
 
-/// First allocatable (call-preserved) register, `r6`.
-pub const FIRST_ALLOCATABLE: u8 = 6;
+/// The registers the allocator keeps back for spill code: a spilled
+/// operand is loaded into one of them, and a result bound for a stack
+/// slot is computed in the first.
+pub const SCRATCH: [u8; 2] = [8, 9];
 
-/// Number of allocatable registers (`r6`..`r9`).
-pub const NUM_ALLOCATABLE: usize = 4;
-
-/// Whether `r` is one of the [`NUM_ALLOCATABLE`] registers from
-/// [`FIRST_ALLOCATABLE`] on: the ones the register allocator hands out,
-/// and so the ones a value keeps its home in across helper calls.
+/// Whether the register allocator hands `r` out: `r0`–`r9` less
+/// [`SCRATCH`]. A value allocated to one of these keeps its home there
+/// for its whole lifetime, helper calls included.
 pub fn is_allocatable(r: u8) -> bool {
-    (FIRST_ALLOCATABLE..FIRST_ALLOCATABLE + NUM_ALLOCATABLE as u8).contains(&r)
+    r < 10 && !SCRATCH.contains(&r)
 }
 
 /// Maximum stack slots (each 8 bytes). The eBPF stack is 512 bytes; we
@@ -114,42 +120,40 @@ impl Cond {
     }
 }
 
-/// Runtime helper functions callable from bytecode.
-///
-/// Arguments are passed in `r1`..`r5`; the result (if any) is returned in
-/// `r0`. This mirrors the eBPF helper-call convention.
+/// Runtime helper functions callable from bytecode, as
+/// `dst = helper(a, b)` ([`Insn::Call`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Helper {
-    /// `r0 = registers[r1]`
+    /// `dst = registers[a]`
     GetReg,
-    /// `set registers[r1] = r2`
+    /// `set registers[a] = b`
     SetReg,
-    /// `r0 = number of subflows`
+    /// `dst = number of subflows`
     SubflowCount,
-    /// `r0 = handle of subflow at index r1, or NULL_HANDLE`
+    /// `dst = handle of subflow at index a, or NULL_HANDLE`
     SubflowAt,
-    /// `r0 = property r2 of subflow r1`
+    /// `dst = property b of subflow a`
     SubflowProp,
-    /// `r0 = raw length of queue r1`
+    /// `dst = raw length of queue a`
     QueueLen,
-    /// `r0 = packet at index r2 of queue r1 (NULL_HANDLE if removed/oob)`
+    /// `dst = packet at index b of queue a (NULL_HANDLE if removed/oob)`
     QueueGet,
-    /// `r0 = property r2 of packet r1`
+    /// `dst = property b of packet a`
     PacketProp,
-    /// `r0 = packet r1 sent on subflow r2`
+    /// `dst = packet a sent on subflow b`
     SentOn,
-    /// `r0 = subflow r1 has window for packet r2`
+    /// `dst = subflow a has window for packet b`
     HasWindowFor,
-    /// `pop packet r1 from its queue view`
+    /// `pop packet a from its queue view`
     Pop,
-    /// `push packet r2 on subflow r1`
+    /// `push packet b on subflow a`
     Push,
-    /// `drop packet r1`
+    /// `drop packet a`
     DropPkt,
 }
 
 impl Helper {
-    /// Number of argument registers the helper consumes.
+    /// Number of operands the helper reads (`a`, then `b`).
     pub fn arg_count(self) -> usize {
         match self {
             Helper::SubflowCount => 0,
@@ -168,12 +172,58 @@ impl Helper {
         }
     }
 
-    /// Whether the helper produces a value in `r0`.
+    /// Whether the helper writes a value to its `dst`. Every helper that
+    /// does is pure; the void ones are the effects.
     pub fn has_result(self) -> bool {
         !matches!(
             self,
             Helper::SetReg | Helper::Pop | Helper::Push | Helper::DropPkt
         )
+    }
+
+    /// Which operand (0 = `a`, 1 = `b`) carries an enum code: a register,
+    /// queue or property id, which must be an immediate
+    /// ([`crate::vm::verify`] checks it).
+    pub fn code_operand(self) -> Option<usize> {
+        match self {
+            Helper::GetReg | Helper::SetReg | Helper::QueueLen | Helper::QueueGet => Some(0),
+            Helper::SubflowProp | Helper::PacketProp => Some(1),
+            _ => None,
+        }
+    }
+
+    /// The operands a call `dst = self(a, b)` reads.
+    pub fn args(self, a: Operand, b: Operand) -> impl Iterator<Item = Operand> {
+        [a, b].into_iter().take(self.arg_count())
+    }
+}
+
+/// A helper-call operand: a register, or an immediate small enough to
+/// keep [`Insn`] at 16 bytes. A wider constant goes through a register.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Operand {
+    /// The value of a register.
+    Reg(u8),
+    /// A constant.
+    Imm(i16),
+}
+
+impl Operand {
+    /// The register read, if any.
+    pub fn reg(self) -> Option<u8> {
+        match self {
+            Operand::Reg(r) => Some(r),
+            Operand::Imm(_) => None,
+        }
+    }
+}
+
+impl fmt::Display for Operand {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Operand::Reg(r) => write!(f, "r{r}"),
+            Operand::Imm(imm) => write!(f, "{imm}"),
+        }
     }
 }
 
@@ -245,11 +295,17 @@ pub enum Insn {
         /// Relative offset (taken branch).
         off: i32,
     },
-    /// Helper call: arguments in `r1`..`r5`, result in `r0`;
-    /// `r1`..`r5` are clobbered.
+    /// `dst = helper(a, b)`: reads the first [`Helper::arg_count`]
+    /// operands and writes `dst` only, or nothing for a void helper.
     Call {
         /// The helper to invoke.
         helper: Helper,
+        /// Destination register of the result (unused when void).
+        dst: u8,
+        /// First operand.
+        a: Operand,
+        /// Second operand.
+        b: Operand,
     },
     /// `dst = stack[slot]`
     Ld {
@@ -268,6 +324,8 @@ pub enum Insn {
     /// Terminate execution.
     Exit,
 }
+
+const _: () = assert!(std::mem::size_of::<Insn>() == 16);
 
 impl fmt::Display for Insn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -290,7 +348,16 @@ impl fmt::Display for Insn {
                 imm,
                 off,
             } => write!(f, "if r{lhs} {cond:?} {imm} ja {off:+}"),
-            Insn::Call { helper } => write!(f, "call {helper:?}"),
+            Insn::Call { helper, dst, a, b } => {
+                if helper.has_result() {
+                    write!(f, "r{dst} = ")?;
+                }
+                write!(f, "call {helper:?}(")?;
+                for (i, arg) in helper.args(*a, *b).enumerate() {
+                    write!(f, "{}{arg}", if i > 0 { ", " } else { "" })?;
+                }
+                write!(f, ")")
+            }
             Insn::Ld { dst, slot } => write!(f, "r{dst} = stack[{slot}]"),
             Insn::St { slot, src } => write!(f, "stack[{slot}] = r{src}"),
             Insn::Exit => write!(f, "exit"),
@@ -452,6 +519,15 @@ mod tests {
                 Insn::Exit,
                 Insn::Call {
                     helper: Helper::SubflowCount,
+                    dst: 7,
+                    a: Operand::Imm(0),
+                    b: Operand::Imm(0),
+                },
+                Insn::Call {
+                    helper: Helper::Push,
+                    dst: 0,
+                    a: Operand::Reg(7),
+                    b: Operand::Imm(-1),
                 },
                 Insn::Exit,
             ],
@@ -459,6 +535,7 @@ mod tests {
         };
         let dis = prog.disassemble();
         assert!(dis.contains("r6 = 3"));
-        assert!(dis.contains("call SubflowCount"));
+        assert!(dis.contains("r7 = call SubflowCount()"), "{dis}");
+        assert!(dis.contains(": call Push(r7, -1)"), "{dis}");
     }
 }

@@ -13,7 +13,7 @@
 //! predicates are pure, so re-evaluation is semantically transparent.
 //!
 //! The output uses unlimited virtual registers; [`crate::regalloc`] maps
-//! them onto the machine registers `r6`..`r9` plus spill slots.
+//! them onto the machine registers `r0`..`r7` plus spill slots.
 
 use crate::ast::{BinOp, UnOp};
 use crate::bytecode::{AluOp, Cond, Helper};

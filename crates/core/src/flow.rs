@@ -12,7 +12,7 @@
 //! # Sparse joins
 //!
 //! [`solve`] keeps one flat arena of `n × width` values, a row per pc. An
-//! instruction writes one location (six for a helper call), so
+//! instruction writes at most one location, so
 //! [`Domain::transfer`] emits each feasible edge as its target plus the
 //! locations it writes. The first edge into a pc copies the source row
 //! and applies the writes. A later edge joins only the locations it
@@ -57,7 +57,7 @@
 //! reads `r8=[0,+inf] r9=[0,65536]` where it read `r8=i64
 //! r9=[-inf,65536]`).
 
-use crate::bytecode::{Insn, NUM_MACH_REGS};
+use crate::bytecode::{Insn, Operand, NUM_MACH_REGS};
 
 /// Absolute target of the (conditional or not) jump `insn` at `pc`, using
 /// the eBPF convention that offsets are relative to the next instruction.
@@ -114,19 +114,22 @@ impl LiveSet {
     }
 }
 
-/// Registers `insn` reads, in operand order (helper calls read their
-/// argument registers `r1..`).
+/// Registers `insn` reads, in operand order (a helper call reads the
+/// register operands among its arguments).
 pub(crate) fn read_regs(insn: &Insn) -> impl Iterator<Item = u8> {
-    let (operands, args) = match insn {
-        Insn::MovImm { .. } | Insn::Ja { .. } | Insn::Ld { .. } | Insn::Exit => ([None, None], 0),
-        Insn::Mov { src, .. } | Insn::St { src, .. } => ([Some(*src), None], 0),
-        Insn::Alu { dst, src, .. } => ([Some(*dst), Some(*src)], 0),
-        Insn::AluImm { dst, .. } | Insn::Neg { dst } => ([Some(*dst), None], 0),
-        Insn::Jmp { lhs, rhs, .. } => ([Some(*lhs), Some(*rhs)], 0),
-        Insn::JmpImm { lhs, .. } => ([Some(*lhs), None], 0),
-        Insn::Call { helper } => ([None, None], helper.arg_count() as u8),
+    let operands = match *insn {
+        Insn::MovImm { .. } | Insn::Ja { .. } | Insn::Ld { .. } | Insn::Exit => [None, None],
+        Insn::Mov { src, .. } | Insn::St { src, .. } => [Some(src), None],
+        Insn::Alu { dst, src, .. } => [Some(dst), Some(src)],
+        Insn::AluImm { dst, .. } | Insn::Neg { dst } => [Some(dst), None],
+        Insn::Jmp { lhs, rhs, .. } => [Some(lhs), Some(rhs)],
+        Insn::JmpImm { lhs, .. } => [Some(lhs), None],
+        Insn::Call { helper, a, b, .. } => {
+            let mut args = helper.args(a, b).map(Operand::reg);
+            [args.next().flatten(), args.next().flatten()]
+        }
     };
-    operands.into_iter().flatten().chain(1..=args)
+    operands.into_iter().flatten()
 }
 
 /// Registers/slots read by `insn`.
@@ -141,7 +144,8 @@ pub(crate) fn reads(insn: &Insn) -> LiveSet {
     s
 }
 
-/// Registers/slots written by `insn` (helper calls clobber `r0`..`r5`).
+/// Registers/slots written by `insn` (a helper call writes its `dst`,
+/// a void one nothing).
 pub(crate) fn writes(insn: &Insn) -> LiveSet {
     let mut s = LiveSet::default();
     match insn {
@@ -151,9 +155,13 @@ pub(crate) fn writes(insn: &Insn) -> LiveSet {
         | Insn::AluImm { dst, .. }
         | Insn::Neg { dst }
         | Insn::Ld { dst, .. } => s.regs = 1 << dst,
-        Insn::Call { .. } => s.regs = 0b11_1111,
+        Insn::Call { helper, dst, .. } if helper.has_result() => s.regs = 1 << dst,
         Insn::St { slot, .. } => s.slots = 1 << slot,
-        Insn::Ja { .. } | Insn::Jmp { .. } | Insn::JmpImm { .. } | Insn::Exit => {}
+        Insn::Call { .. }
+        | Insn::Ja { .. }
+        | Insn::Jmp { .. }
+        | Insn::JmpImm { .. }
+        | Insn::Exit => {}
     }
     s
 }
@@ -457,7 +465,7 @@ mod tests {
 
     /// Toy domain: the possible values of `r6`..`r8` (locations 0..3) as
     /// inclusive ranges. `MovImm`, `AluImm` (add), `Mov`, `Neg` and a
-    /// helper call (all three become `[0, 10]`) move them. `JmpImm` with
+    /// helper call (its `dst` becomes `[0, 10]`) move them. `JmpImm` with
     /// `Lt` drops an infeasible edge and, like the verifier refining only
     /// scalars, refines its register only while it is bounded, so an
     /// edge can stop writing a location. `Jmp`'s taken edge adds `rhs`
@@ -508,7 +516,7 @@ mod tests {
                         [(loc(dst), (hi.saturating_neg(), lo.saturating_neg()))],
                     );
                 }
-                Insn::Call { .. } => out.push(next, (0..3).map(|l| (l, (0, 10)))),
+                Insn::Call { dst, .. } => out.push(next, [(loc(dst), (0, 10))]),
                 insn @ Insn::JmpImm {
                     cond: Cond::Lt,
                     lhs,
@@ -785,6 +793,9 @@ mod tests {
                     9 => Insn::Neg { dst: reg },
                     10 => Insn::Call {
                         helper: Helper::SubflowCount,
+                        dst: reg,
+                        a: Operand::Imm(0),
+                        b: Operand::Imm(0),
                     },
                     11..=14 => Insn::JmpImm {
                         cond: Cond::Lt,
@@ -918,11 +929,26 @@ mod tests {
         assert_eq!(read_regs(&alu).collect::<Vec<_>>(), [7, 6]);
         assert_eq!(reads(&alu).regs, 0b1100_0000);
         assert_eq!(writes(&alu).regs, 0b1000_0000);
-        let call = Insn::Call {
-            helper: crate::bytecode::Helper::Push,
+        let push = Insn::Call {
+            helper: Helper::Push,
+            dst: 0,
+            a: Operand::Reg(7),
+            b: Operand::Reg(3),
         };
-        assert_eq!(read_regs(&call).collect::<Vec<_>>(), [1, 2]);
-        assert!((0..=5).all(|r| writes(&call).has_reg(r)));
+        assert_eq!(read_regs(&push).collect::<Vec<_>>(), [7, 3]);
+        assert_eq!(
+            writes(&push),
+            LiveSet::default(),
+            "a void call writes nothing"
+        );
+        let prop = Insn::Call {
+            helper: Helper::SubflowProp,
+            dst: 2,
+            a: Operand::Reg(6),
+            b: Operand::Imm(4),
+        };
+        assert_eq!(read_regs(&prop).collect::<Vec<_>>(), [6]);
+        assert_eq!(writes(&prop).regs, 0b100, "a call writes its dst only");
         assert!(reads(&Insn::Ld { dst: 6, slot: 3 }).has_slot(3));
         assert!(writes(&Insn::St { slot: 3, src: 6 }).has_slot(3));
     }

@@ -6,12 +6,10 @@
 //! ([`crate::verify::domain`]).
 //!
 //! All analyses are sound with respect to the *runtime* semantics of
-//! [`crate::vm`], not just the verifier's model: registers `r1`..`r5`
-//! after a helper call and the initial register file are treated as
-//! unknown (even though the VM zeroes them): the eBPF calling convention
-//! the bytecode mirrors leaves caller-saved registers undefined after a
-//! call, the verifier marks them unreadable, and a rewrite that leaned on
-//! this VM's zeroing would produce an image the verifier rejects.
+//! [`crate::vm`], not just the verifier's model: the initial register
+//! file is treated as unknown (even though the VM zeroes it): the
+//! verifier marks it unreadable, and a rewrite that leaned on this VM's
+//! zeroing would produce an image the verifier rejects.
 
 use crate::bytecode::{Cond, Helper, Insn};
 use crate::flow::{self, reads, slot_loc, successors, writes, Domain, Edges, LiveSet, Solution};
@@ -174,15 +172,15 @@ impl Domain for FactFlow<'_> {
             Insn::Alu { op, dst, src } => (dst, alu(op, reg(dst), reg(src))),
             Insn::AluImm { op, dst, imm } => (dst, alu(op, reg(dst), Interval::exact(imm))),
             Insn::Neg { dst } => (dst, reg(dst).neg()),
-            Insn::Call { helper } => {
+            Insn::Call { helper, dst, .. } => {
                 let ret = match helper {
                     Helper::SentOn | Helper::HasWindowFor => Interval::BOOL,
                     _ => Interval::TOP,
                 };
-                // The VM zeroes r1..r5, but the calling convention only
-                // says they are clobbered: model them as unknown.
-                let clobbered = (1..=5).map(|r| (r, Interval::TOP));
-                out.push(pc + 1, std::iter::once((0, ret)).chain(clobbered));
+                out.push(
+                    pc + 1,
+                    helper.has_result().then_some((usize::from(dst), ret)),
+                );
                 return;
             }
             Insn::Ld { dst, slot } => {
@@ -324,7 +322,7 @@ pub(crate) fn effect_profile(code: &[Insn], stack_slots: u16) -> Option<EffectPr
     let f = facts(code, stack_slots)?;
     // Effectful call sites in pc order; each gets one bit.
     let effect_of = |pc: usize| match &code[pc] {
-        Insn::Call { helper } => effect_helper_index(*helper),
+        Insn::Call { helper, .. } => effect_helper_index(*helper),
         _ => None,
     };
     let sites: Vec<usize> = (0..n).filter(|&pc| effect_of(pc).is_some()).collect();

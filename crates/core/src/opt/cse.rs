@@ -11,7 +11,7 @@
 //! translation validator audits their exact call-site counts against the
 //! HIR certificate.
 
-use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Helper, Insn, NUM_MACH_REGS};
+use crate::bytecode::{AluOp, BytecodeProgram, DebugTable, Helper, Insn, Operand, NUM_MACH_REGS};
 use crate::opt::edit::Editor;
 use std::collections::HashMap;
 
@@ -91,21 +91,13 @@ impl Lvn {
         self.holders.entry(vn).or_default().push(loc);
     }
 
-    fn fresh_bind(&mut self, loc: Loc) -> u32 {
-        let vn = self.fresh();
-        self.bind(loc, vn);
-        vn
-    }
-
     /// A register (preferred) or slot currently holding `vn`, excluding
-    /// `exclude`. The frame pointer and helper argument registers are
-    /// never offered: r10 is special and r0..r5 are clobbered by calls,
-    /// to values the calling convention leaves undefined.
+    /// `exclude`. The frame pointer r10 is never offered.
     fn holder(&self, vn: u32, exclude: Loc) -> Option<Loc> {
         let hs = self.holders.get(&vn)?;
         hs.iter()
             .filter(|h| **h != exclude)
-            .filter(|h| !matches!(h, Loc::Reg(r) if *r < 6 || *r == 10))
+            .filter(|h| **h != Loc::Reg(10))
             .min_by_key(|h| match h {
                 Loc::Reg(r) => (0, u16::from(*r)),
                 Loc::Slot(s) => (1, *s),
@@ -124,7 +116,7 @@ impl Lvn {
     }
 }
 
-fn pure_key(lvn: &mut Lvn, helper: Helper) -> Option<ExprKey> {
+fn pure_key(lvn: &mut Lvn, helper: Helper, a: Operand, b: Operand) -> Option<ExprKey> {
     let era = match helper {
         Helper::SubflowCount
         | Helper::SubflowAt
@@ -137,7 +129,13 @@ fn pure_key(lvn: &mut Lvn, helper: Helper) -> Option<ExprKey> {
         Helper::GetReg => lvn.reg_era,
         Helper::Pop | Helper::Push | Helper::DropPkt | Helper::SetReg => return None,
     };
-    let args = (1..=helper.arg_count() as u8).map(|r| lvn.reg(r)).collect();
+    let args = helper
+        .args(a, b)
+        .map(|arg| match arg {
+            Operand::Reg(r) => lvn.reg(r),
+            Operand::Imm(imm) => lvn.number(ExprKey::Const(i64::from(imm))).0,
+        })
+        .collect();
     Some(ExprKey::Helper(helper, args, era))
 }
 
@@ -227,41 +225,27 @@ pub(crate) fn run(
                 }
                 lvn.bind(Loc::Reg(dst), vn);
             }
-            Insn::Call { helper } => {
-                match pure_key(&mut lvn, helper) {
-                    Some(key) => {
-                        let (vn, known) = lvn.number(key);
-                        if known {
-                            if let Some(h) = lvn.holder(vn, Loc::Reg(0)) {
-                                ed.set(pc, mov_from(0, h));
-                                // Replacing the call keeps r1..r5 live with
-                                // their pre-call values; rebind them so
-                                // later lookups stay consistent (they are
-                                // excluded as holders anyway).
-                                lvn.bind(Loc::Reg(0), vn);
-                                for r in 1..=5u8 {
-                                    lvn.fresh_bind(Loc::Reg(r));
-                                }
-                                continue;
+            Insn::Call { helper, dst, a, b } => match pure_key(&mut lvn, helper, a, b) {
+                Some(key) => {
+                    let (vn, known) = lvn.number(key);
+                    if known {
+                        if let Some(h) = lvn.holder(vn, Loc::Reg(dst)) {
+                            if lvn.reg(dst) == vn {
+                                ed.delete(pc);
+                            } else {
+                                ed.set(pc, mov_from(dst, h));
                             }
                         }
-                        lvn.bind(Loc::Reg(0), vn);
-                        for r in 1..=5u8 {
-                            lvn.fresh_bind(Loc::Reg(r));
-                        }
                     }
-                    None => {
-                        match helper {
-                            Helper::Pop | Helper::DropPkt => lvn.queue_era += 1,
-                            Helper::SetReg => lvn.reg_era += 1,
-                            _ => {}
-                        }
-                        for r in 0..=5u8 {
-                            lvn.fresh_bind(Loc::Reg(r));
-                        }
-                    }
+                    lvn.bind(Loc::Reg(dst), vn);
                 }
-            }
+                // An effect writes no register.
+                None => match helper {
+                    Helper::Pop | Helper::DropPkt => lvn.queue_era += 1,
+                    Helper::SetReg => lvn.reg_era += 1,
+                    _ => {}
+                },
+            },
             Insn::Ld { dst, slot } => {
                 let vn = lvn.slot(slot);
                 if lvn.reg(dst) == vn {

@@ -21,6 +21,7 @@ fn deletable_unreachable(insn: &Insn) -> bool {
         Insn::Exit
             | Insn::Call {
                 helper: Helper::Pop | Helper::Push | Helper::DropPkt | Helper::SetReg,
+                ..
             }
     )
 }
@@ -56,18 +57,10 @@ fn round(prog: &BytecodeProgram, debug: &DebugTable) -> (BytecodeProgram, DebugT
             Insn::St { slot, .. } if !out.has_slot(slot) => {
                 ed.delete(pc);
             }
-            Insn::Call { helper } => {
-                let pure = !matches!(
-                    helper,
-                    Helper::Pop | Helper::Push | Helper::DropPkt | Helper::SetReg
-                );
-                // A call clobbers r0..r5; it is dead only when none of
-                // those post-call values are ever read. (The VM zeroes
-                // r1..r5 on calls — a read relying on that zero keeps the
-                // call alive through liveness.)
-                if pure && (0..=5u8).all(|r| !out.has_reg(r)) {
-                    ed.delete(pc);
-                }
+            // Every helper with a result is pure: the call is dead when
+            // its result is.
+            Insn::Call { helper, dst, .. } if helper.has_result() && !out.has_reg(dst) => {
+                ed.delete(pc);
             }
             _ => {}
         }

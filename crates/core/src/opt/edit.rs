@@ -67,10 +67,6 @@ impl Editor {
         self.targets[pc]
     }
 
-    pub(crate) fn is_deleted(&self, pc: usize) -> bool {
-        !self.keep[pc]
-    }
-
     pub(crate) fn changes(&self) -> u64 {
         self.changes
     }

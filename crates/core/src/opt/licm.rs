@@ -3,7 +3,8 @@
 //! The codegen re-materializes every constant operand of a filter or
 //! MIN/MAX predicate *inside* the loop body — either as a `MovImm` into
 //! an allocatable register or, under spill pressure, as a
-//! `MovImm r0, c; St slot, r0` pair per iteration. This pass hoists those
+//! `MovImm r8, c; St slot, r8` pair per iteration through a scratch
+//! register. This pass hoists those
 //! into a preheader inserted in front of the loop head, guarded by
 //! dominance and liveness conditions so the hoisted definition is
 //! observationally identical on every path (including the zero-trip
@@ -13,7 +14,7 @@
 //! pays off under the step-bound model is the pipeline's call: it drops,
 //! without a rollback, a hoist that raises the bound.
 
-use crate::bytecode::{is_allocatable, BytecodeProgram, DebugTable, Insn, FIRST_ALLOCATABLE};
+use crate::bytecode::{is_allocatable, BytecodeProgram, DebugTable, Insn};
 use crate::flow::{jump_target, loops, reads, successors, writes};
 use crate::opt::analysis::{dominators, liveness, reachable};
 use crate::opt::edit::{Editor, NewInsn};
@@ -99,7 +100,7 @@ pub(crate) fn run(
                     });
                 }
                 // Spilled constant: MovImm scratch + St slot pair.
-                Insn::MovImm { dst, imm: _ } if dst < FIRST_ALLOCATABLE => {
+                Insn::MovImm { dst, imm: _ } => {
                     let st = pc + 1;
                     if st > lp.back || hoisted[st] {
                         continue;

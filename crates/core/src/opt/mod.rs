@@ -516,7 +516,8 @@ mod tests {
                     matches!(
                         insn,
                         Insn::Call {
-                            helper: Helper::Push | Helper::Pop | Helper::DropPkt
+                            helper: Helper::Push | Helper::Pop | Helper::DropPkt,
+                            ..
                         }
                     )
                 })
@@ -532,17 +533,24 @@ mod tests {
     }
 
     /// CSE replaces the effectful `POP` call like a repeat of a pure
-    /// computation, reusing a register a preceding call clobbered.
+    /// computation, reusing a register no path has written.
     fn impure_cse(
         prog: &BytecodeProgram,
         debug: &DebugTable,
     ) -> (BytecodeProgram, DebugTable, u64) {
-        let pop = Insn::Call {
-            helper: Helper::Pop,
-        };
+        let [s0, s1] = crate::bytecode::SCRATCH;
         one_edit(prog, debug, |ed| {
-            if let Some(pc) = prog.code.iter().position(|insn| *insn == pop) {
-                ed.set(pc, Insn::Mov { dst: 0, src: 5 });
+            let pop = |insn: &Insn| {
+                matches!(
+                    insn,
+                    Insn::Call {
+                        helper: Helper::Pop,
+                        ..
+                    }
+                )
+            };
+            if let Some(pc) = prog.code.iter().position(pop) {
+                ed.set(pc, Insn::Mov { dst: s0, src: s1 });
             }
         })
     }
@@ -768,19 +776,18 @@ mod tests {
 
     #[test]
     fn check_precedence_bound_then_cross_check() {
-        use crate::bytecode::{Helper, Insn};
+        use crate::bytecode::{Helper, Insn, Operand};
         // HIR: one register write, nothing else.
         let ast = crate::parser::parse("SET(R1, 1);").unwrap();
         let hir = crate::sema::lower(&ast).unwrap();
         let cfg = VerifyConfig::default();
-        let set_r1 = vec![
-            Insn::MovImm { dst: 1, imm: 0 },
-            Insn::MovImm { dst: 2, imm: 1 },
-            Insn::Call {
-                helper: Helper::SetReg,
-            },
-            Insn::Exit,
-        ];
+        let set_reg = |code| Insn::Call {
+            helper: Helper::SetReg,
+            dst: 0,
+            a: Operand::Imm(code),
+            b: Operand::Reg(2),
+        };
+        let set_r1 = vec![Insn::MovImm { dst: 2, imm: 1 }, set_reg(0), Insn::Exit];
         let reject = |code: Vec<Insn>, prev_bound: u64| {
             let (p, d) = image(code);
             match check_candidate(&p, &d, &hir, 1_000, &cfg, prev_bound, None) {
@@ -793,22 +800,22 @@ mod tests {
             }
         };
         // Faithful image, but longer than its predecessor.
-        assert_eq!(reject(set_r1.clone(), 3), "step bound 4");
+        assert_eq!(reject(set_r1.clone(), 2), "step bound 3");
         // Writes R2, which the certificate never audits: only the
         // cross-check can object.
         let mut wrong_reg = set_r1.clone();
-        wrong_reg[0] = Insn::MovImm { dst: 1, imm: 1 };
-        let why = reject(wrong_reg.clone(), 4);
+        wrong_reg[1] = set_reg(1);
+        let why = reject(wrong_reg.clone(), 3);
         assert!(
             why.starts_with("translation validation failed: [miscompile]"),
             "{why}"
         );
         // Both at once: the bound comparison speaks first.
-        assert_eq!(reject(wrong_reg, 3), "step bound 4");
+        assert_eq!(reject(wrong_reg, 2), "step bound 3");
         // A verifier finding outranks both.
         let mut uninit = set_r1;
-        uninit[1] = Insn::Mov { dst: 2, src: 7 };
-        let why = reject(uninit, 3);
+        uninit[0] = Insn::Mov { dst: 2, src: 7 };
+        let why = reject(uninit, 2);
         assert!(
             why.starts_with("re-verification failed: [uninit-read]"),
             "{why}"

@@ -8,7 +8,7 @@
 //! [`BytecodeProgram`] itself, tracking per-register and per-slot
 //! abstract values (uninitialized / scalar interval / null-tagged
 //! subflow- and packet-handle kinds), enforcing the typed helper-call
-//! signatures (argument kinds, the `r1`–`r5` clobber set, result kind),
+//! signatures (each operand's kind, in place, and the result kind),
 //! flagging unreachable instructions, and deriving a closed-form
 //! bytecode-level step bound from recognized loop shapes.
 //!
@@ -46,7 +46,7 @@ use super::domain::{alu, assume, negate, Interval, Nullability, Tri};
 use super::VerifyConfig;
 use crate::analysis;
 use crate::bytecode::{is_allocatable, AluOp, MAX_STACK_SLOTS};
-use crate::bytecode::{BytecodeProgram, Cond, DebugTable, Helper, Insn, NUM_MACH_REGS};
+use crate::bytecode::{BytecodeProgram, Cond, DebugTable, Helper, Insn, Operand, NUM_MACH_REGS};
 use crate::env::{PacketProp, QueueKind, SubflowProp};
 use crate::error::Pos;
 use crate::exec::NULL_HANDLE;
@@ -331,7 +331,7 @@ enum ArgKind {
     Pkt,
 }
 
-/// Typed helper signatures: argument kinds for `r1..`.
+/// Typed helper signatures: the kinds of operands `a`, `b`.
 fn helper_sig(h: Helper) -> &'static [ArgKind] {
     use ArgKind::{Pkt, Sbf, Scalar};
     match h {
@@ -351,19 +351,19 @@ fn helper_sig(h: Helper) -> &'static [ArgKind] {
     }
 }
 
-/// Abstract result of a helper, under the verifier's environment caps.
-fn helper_ret(h: Helper, cfg: &VerifyConfig) -> AbsVal {
+/// Abstract result of a helper, under the verifier's environment caps;
+/// `None` for a void helper, which writes nothing.
+fn helper_ret(h: Helper, cfg: &VerifyConfig) -> Option<AbsVal> {
     let cap = |c: u64| i64::try_from(c).unwrap_or(i64::MAX);
-    match h {
+    Some(match h {
         Helper::SubflowCount => AbsVal::Scalar(Interval::new(0, cap(cfg.max_subflows))),
         Helper::QueueLen => AbsVal::Scalar(Interval::new(0, cap(cfg.max_queue_len))),
         Helper::SubflowAt => AbsVal::Handle(HandleKind::Subflow, Nullability::MaybeNull),
         Helper::QueueGet => AbsVal::Handle(HandleKind::Packet, Nullability::MaybeNull),
         Helper::SentOn | Helper::HasWindowFor => AbsVal::Scalar(Interval::BOOL),
         Helper::GetReg | Helper::SubflowProp | Helper::PacketProp => AbsVal::Scalar(Interval::TOP),
-        // Void helpers leave no defined result; r0 is clobbered.
-        Helper::SetReg | Helper::Pop | Helper::Push | Helper::DropPkt => AbsVal::Uninit,
-    }
+        Helper::SetReg | Helper::Pop | Helper::Push | Helper::DropPkt => return None,
+    })
 }
 
 /// One recognized natural loop with its model trip count (see module
@@ -492,7 +492,7 @@ impl<'a> Analyzer<'a> {
             Insn::JmpImm { cond, lhs, imm, .. } => {
                 self.check_compare(pc, cond, st, lhs, imm_val(imm));
             }
-            Insn::Call { helper } => self.check_call(pc, st, helper),
+            Insn::Call { helper, a, b, .. } => self.check_call(pc, st, helper, [a, b]),
             Insn::Ld { slot, .. } if ld(st, slot) == AbsVal::Uninit => {
                 let message = format!("read of uninitialized stack slot {slot}");
                 self.report(pc, Lint::UninitRead, message);
@@ -517,11 +517,10 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Checks one helper call's arguments against its typed signature.
-    fn check_call(&mut self, pc: usize, st: &[AbsVal], helper: Helper) {
-        for (i, kind) in helper_sig(helper).iter().enumerate() {
-            let reg = (i + 1) as u8;
-            let got = match (kind, read(st, reg)) {
+    /// Checks one helper call's operands against its typed signature.
+    fn check_call(&mut self, pc: usize, st: &[AbsVal], helper: Helper, args: [Operand; 2]) {
+        for (kind, arg) in helper_sig(helper).iter().zip(args) {
+            let got = match (kind, operand(st, arg)) {
                 // NULL is a legal (graceful no-op) handle argument.
                 (_, AbsVal::Null)
                 | (ArgKind::Scalar, AbsVal::Scalar(_))
@@ -535,7 +534,7 @@ impl<'a> Analyzer<'a> {
                 ArgKind::Sbf => "a subflow handle",
                 ArgKind::Pkt => "a packet handle",
             };
-            let message = format!("call {helper:?}: argument r{reg} expects {expected}, got {got}");
+            let message = format!("call {helper:?}: argument {arg} expects {expected}, got {got}");
             self.report(pc, Lint::HelperSignature, message);
         }
     }
@@ -553,6 +552,14 @@ fn defined(v: AbsVal) -> AbsVal {
 /// The value of register `r` as the transfer reads it.
 fn read(st: &[AbsVal], r: u8) -> AbsVal {
     defined(st[usize::from(r)])
+}
+
+/// The value of a helper-call operand as the transfer reads it.
+fn operand(st: &[AbsVal], op: Operand) -> AbsVal {
+    match op {
+        Operand::Reg(r) => read(st, r),
+        Operand::Imm(imm) => imm_val(i64::from(imm)),
+    }
 }
 
 /// The value of stack slot `slot` in `st`.
@@ -636,12 +643,9 @@ impl Domain for Analyzer<'_> {
                 let t = jump_target(pc, &insn).unwrap_or(next);
                 branch(pc, st, cond, lhs, imm_val(imm), None, t, out);
             }
-            Insn::Call { helper } => {
-                let ret = (0, helper_ret(helper, self.cfg));
-                // Strict clobber discipline: stale argument registers
-                // must never be read after a call.
-                let clobbered = (1..=5).map(|r| (r, AbsVal::Uninit));
-                out.push(next, std::iter::once(ret).chain(clobbered));
+            Insn::Call { helper, dst, .. } => {
+                let ret = helper_ret(helper, self.cfg).map(|v| (usize::from(dst), v));
+                out.push(next, ret);
             }
             Insn::Ld { dst, slot } => out.push(next, write(dst, defined(ld(st, slot)))),
             Insn::St { slot, src } => {
@@ -802,7 +806,13 @@ impl Analyzer<'_> {
         // on the trips charged to walks.
         let removals = (self.prog.code.iter().zip(self.weights()))
             .filter(|(i, _)| {
-                matches!(i, Insn::Call { helper } if matches!(helper, Helper::Pop | Helper::DropPkt))
+                matches!(
+                    i,
+                    Insn::Call {
+                        helper: Helper::Pop | Helper::DropPkt,
+                        ..
+                    }
+                )
             })
             .fold(0u64, |acc, (_, w)| acc.saturating_add(w));
         for i in 0..self.loops.len() {
@@ -828,8 +838,13 @@ impl Analyzer<'_> {
                 Insn::Jmp { .. } | Insn::JmpImm { .. } if !tested && leaves(pc) => tested = true,
                 Insn::Call {
                     helper: Helper::QueueGet | Helper::SubflowAt,
+                    dst,
+                    ..
                 } if tested && element.is_none() => {
-                    element = Some(LiveSet { regs: 1, slots: 0 });
+                    element = Some(LiveSet {
+                        regs: 1 << dst,
+                        slots: 0,
+                    });
                     continue;
                 }
                 Insn::JmpImm {
@@ -1337,10 +1352,11 @@ impl BlockSyms {
                 self.regs[usize::from(dst)] = None;
                 StepClass::Ok
             }
-            Insn::Call { .. } => {
-                for r in 0..=5 {
-                    self.regs[r] = None;
+            Insn::Call { helper, dst, .. } if helper.has_result() => {
+                if idx_reg == Some(dst) {
+                    return StepClass::NonMonotone;
                 }
+                self.regs[usize::from(dst)] = None;
                 StepClass::Ok
             }
             Insn::St { slot, src } => {
@@ -1357,7 +1373,11 @@ impl BlockSyms {
                 }
                 StepClass::Ok
             }
-            Insn::Ja { .. } | Insn::Jmp { .. } | Insn::JmpImm { .. } | Insn::Exit => StepClass::Ok,
+            Insn::Call { .. }
+            | Insn::Ja { .. }
+            | Insn::Jmp { .. }
+            | Insn::JmpImm { .. }
+            | Insn::Exit => StepClass::Ok,
         }
     }
 }
@@ -1365,7 +1385,9 @@ impl BlockSyms {
 // ---- HIR cross-check (helper audit) ----------------------------------
 
 /// Compares the helper calls the bytecode performs against the HIR's
-/// static audit ([`crate::analysis::analyze`]).
+/// static audit ([`crate::analysis::analyze`]). Each enum code is the
+/// immediate operand of its call ([`crate::vm::verify`] rejects any
+/// other), so every site is checked, reachable or not.
 fn audit_helpers(
     analyzer: &Analyzer<'_>,
     prog: &BytecodeProgram,
@@ -1394,9 +1416,8 @@ fn audit_helpers(
     let mut uses_window = false;
 
     for (pc, insn) in prog.code.iter().enumerate() {
-        let helper = match insn {
-            Insn::Call { helper } => *helper,
-            _ => continue,
+        let Insn::Call { helper, a, b, .. } = *insn else {
+            continue;
         };
         match helper {
             Helper::Push => {
@@ -1415,32 +1436,10 @@ fn audit_helpers(
             Helper::HasWindowFor => uses_window = true,
             _ => {}
         }
-        // Enum-code arguments must be compile-time constants matching the
-        // audit sets. Statically unreachable call sites keep their static
-        // counts above but have no state to extract codes from.
-        let code_arg = match helper {
-            Helper::GetReg | Helper::SetReg | Helper::QueueLen | Helper::QueueGet => Some(1u8),
-            Helper::SubflowProp | Helper::PacketProp => Some(2u8),
-            _ => None,
-        };
-        let Some(arg_reg) = code_arg else { continue };
-        let Some(state) = analyzer.states.before(pc) else {
+        let Some(Operand::Imm(code)) = helper.code_operand().map(|i| [a, b][i]) else {
             continue;
         };
-        let code = match state[usize::from(arg_reg)] {
-            AbsVal::Scalar(iv) => iv.as_exact(),
-            AbsVal::Null => Some(NULL_HANDLE),
-            _ => None,
-        };
-        let Some(code) = code else {
-            miscompile(
-                pc,
-                format!(
-                    "call {helper:?}: enum-code argument r{arg_reg} is not a compile-time constant"
-                ),
-            );
-            continue;
-        };
+        let code = i64::from(code);
         match helper {
             Helper::GetReg => {
                 let reg = code.checked_add(1).and_then(|c| u8::try_from(c).ok());
@@ -1532,6 +1531,11 @@ mod tests {
     use crate::regalloc;
     use crate::sema;
 
+    fn call(helper: Helper, dst: u8, a: Operand) -> Insn {
+        let b = Operand::Imm(0);
+        Insn::Call { helper, dst, a, b }
+    }
+
     fn compile_parts(src: &str) -> (HProgram, BytecodeProgram, DebugTable, u64) {
         let ast = parser::parse(src).expect("parse");
         let mut hir = sema::lower(&ast).expect("sema");
@@ -1610,11 +1614,7 @@ mod tests {
         // branch condition is a helper result, so both edges are feasible.
         let prog = BytecodeProgram {
             code: vec![
-                Insn::MovImm { dst: 1, imm: 0 },
-                Insn::Call {
-                    helper: Helper::GetReg,
-                },
-                Insn::Mov { dst: 7, src: 0 },
+                call(Helper::GetReg, 7, Operand::Imm(0)),
                 Insn::JmpImm {
                     cond: Cond::Eq,
                     lhs: 7,
@@ -1632,32 +1632,25 @@ mod tests {
         assert!(
             v.diagnostics
                 .iter()
-                .any(|d| d.lint == Lint::UninitRead && d.message.contains("pc 5")),
+                .any(|d| d.lint == Lint::UninitRead && d.message.contains("pc 3")),
             "{:?}",
             v.diagnostics
         );
     }
 
     #[test]
-    fn stale_helper_argument_register_is_flagged() {
-        // r1 is dead after the call (clobber set): reading it is an error.
+    fn an_uninitialized_call_operand_is_flagged() {
+        // The operand is read in place: a register no path wrote is an
+        // error at the call itself.
         let prog = BytecodeProgram {
-            code: vec![
-                Insn::MovImm { dst: 1, imm: 0 },
-                Insn::Call {
-                    helper: Helper::GetReg,
-                },
-                Insn::Mov { dst: 6, src: 1 },
-                Insn::Exit,
-            ],
+            code: vec![call(Helper::SubflowAt, 6, Operand::Reg(1)), Insn::Exit],
             stack_slots: 0,
         };
         let v = verify_bytecode(&prog, None, &VerifyConfig::default());
         assert!(!v.admitted());
-        assert!(v
-            .diagnostics
-            .iter()
-            .any(|d| d.lint == Lint::UninitRead && d.message.contains("pc 2")));
+        assert!(v.diagnostics.iter().any(|d| d.lint == Lint::UninitRead
+            && d.message.contains("pc 0")
+            && d.message.contains("r1")));
     }
 
     #[test]
@@ -1666,14 +1659,12 @@ mod tests {
         // subflow-typed packet argument are both violations.
         let prog = BytecodeProgram {
             code: vec![
-                Insn::MovImm { dst: 1, imm: 0 },
-                Insn::Call {
-                    helper: Helper::SubflowAt,
-                },
-                Insn::Mov { dst: 2, src: 0 },    // r2 = subflow handle
-                Insn::MovImm { dst: 1, imm: 7 }, // r1 = scalar
+                call(Helper::SubflowAt, 2, Operand::Imm(0)), // r2 = subflow handle
                 Insn::Call {
                     helper: Helper::Push,
+                    dst: 0,
+                    a: Operand::Imm(7),
+                    b: Operand::Reg(2),
                 },
                 Insn::Exit,
             ],
@@ -1693,11 +1684,7 @@ mod tests {
     fn handle_arithmetic_is_rejected() {
         let prog = BytecodeProgram {
             code: vec![
-                Insn::MovImm { dst: 1, imm: 0 },
-                Insn::Call {
-                    helper: Helper::SubflowAt,
-                },
-                Insn::Mov { dst: 6, src: 0 },
+                call(Helper::SubflowAt, 6, Operand::Imm(0)),
                 Insn::AluImm {
                     op: AluOp::Add,
                     dst: 6,
@@ -1738,12 +1725,8 @@ mod tests {
         let prog = BytecodeProgram {
             code: vec![
                 Insn::MovImm { dst: 6, imm: 0 },
-                Insn::Call {
-                    helper: Helper::SubflowCount,
-                },
-                Insn::Call {
-                    helper: Helper::SubflowCount,
-                },
+                call(Helper::SubflowCount, 7, Operand::Imm(0)),
+                call(Helper::SubflowCount, 7, Operand::Imm(0)),
                 Insn::AluImm {
                     op: AluOp::Add,
                     dst: 6,
@@ -1873,15 +1856,12 @@ mod tests {
         let (hir, mut prog, debug, bound) = compile_parts(MIN_RTT);
         let mut mutated = false;
         for insn in &mut prog.code {
-            if matches!(
-                insn,
-                Insn::Call {
-                    helper: Helper::SubflowProp
-                }
-            ) {
-                *insn = Insn::Call {
-                    helper: Helper::PacketProp,
-                };
+            if let Insn::Call {
+                helper: helper @ Helper::SubflowProp,
+                ..
+            } = insn
+            {
+                *helper = Helper::PacketProp;
                 mutated = true;
                 break;
             }
@@ -1943,9 +1923,13 @@ mod tests {
         let code = &prog.code;
         let pop = (code.iter())
             .position(|i| {
-                *i == Insn::Call {
-                    helper: Helper::Pop,
-                }
+                matches!(
+                    i,
+                    Insn::Call {
+                        helper: Helper::Pop,
+                        ..
+                    }
+                )
             })
             .expect("a pop");
         let is_skip = |i: &Insn| {
@@ -1988,15 +1972,12 @@ mod tests {
         // the final Exit into Call Pop is invalid (arity); instead swap a
         // SubflowCount call for Pop-like DropPkt to disturb counts.
         for insn in &mut mutated.code {
-            if matches!(
-                insn,
-                Insn::Call {
-                    helper: Helper::SubflowCount
-                }
-            ) {
-                *insn = Insn::Call {
-                    helper: Helper::DropPkt,
-                };
+            if let Insn::Call {
+                helper: helper @ Helper::SubflowCount,
+                ..
+            } = insn
+            {
+                *helper = Helper::DropPkt;
                 break;
             }
         }
@@ -2122,29 +2103,22 @@ mod tests {
         };
         BytecodeProgram {
             code: vec![
-                Insn::MovImm { dst: 1, imm: 0 },
-                Insn::Call {
-                    helper: Helper::SubflowAt,
-                },
-                Insn::Mov { dst: 6, src: 0 },
-                Insn::MovImm { dst: 1, imm: 0 },
-                Insn::Call {
-                    helper: Helper::GetReg,
-                },
+                call(Helper::SubflowAt, 6, Operand::Imm(0)),
+                call(Helper::GetReg, 0, Operand::Imm(0)),
                 Insn::JmpImm {
                     cond: Cond::Eq,
                     lhs: 0,
                     imm: 0,
                     off: 2,
-                }, // 5 -> 6 | 8
-                lower,               // 6
-                Insn::Ja { off: 1 }, // 7 -> 9
-                upper,               // 8
+                }, // 2 -> 3 | 5
+                lower,               // 3
+                Insn::Ja { off: 1 }, // 4 -> 6
+                upper,               // 5
                 Insn::AluImm {
                     op: AluOp::Add,
                     dst: 7,
                     imm: 1,
-                }, // 9
+                }, // 6
                 Insn::Exit,
             ],
             stack_slots: 0,
@@ -2159,7 +2133,7 @@ mod tests {
             assert!(
                 v.diagnostics
                     .iter()
-                    .any(|d| d.lint == Lint::HandleArith && d.message.starts_with("pc 9:")),
+                    .any(|d| d.lint == Lint::HandleArith && d.message.starts_with("pc 6:")),
                 "handle arm first: {handle_first}: {:?}",
                 v.diagnostics
             );
@@ -2223,8 +2197,9 @@ mod tests {
                 | Insn::MovImm { dst: x, .. }
                 | Insn::Ld { dst: x, .. }
                 | Insn::AluImm { dst: x, .. }
-                | Insn::Neg { dst: x } => *x = r,
-                Insn::Call { .. } | Insn::Ja { .. } | Insn::Exit => {}
+                | Insn::Neg { dst: x }
+                | Insn::Call { dst: x, .. } => *x = r,
+                Insn::Ja { .. } | Insn::Exit => {}
             }
             images.push(image);
         }

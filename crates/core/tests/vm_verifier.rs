@@ -8,6 +8,7 @@
 //! (spill/reload def-use), and full source programs through the
 //! `vm-verify` admission stage of [`progmp_core::compile`].
 
+use progmp_core::bytecode::Operand::{self, Imm, Reg};
 use progmp_core::bytecode::{AluOp, BytecodeProgram, Cond, Helper, Insn};
 use progmp_core::codegen::{VCode, VInsn, VReg};
 use progmp_core::exec::NULL_HANDLE;
@@ -24,6 +25,10 @@ fn prog(code: Vec<Insn>) -> BytecodeProgram {
 
 fn check(p: &BytecodeProgram) -> progmp_core::verify::vm::BytecodeVerdict {
     verify_bytecode(p, None, &VerifyConfig::default())
+}
+
+fn call(helper: Helper, dst: u8, a: Operand, b: Operand) -> Insn {
+    Insn::Call { helper, dst, a, b }
 }
 
 // --- uninitialized reads -------------------------------------------------
@@ -63,21 +68,19 @@ fn store_of_uninitialized_register_is_rejected() {
 }
 
 #[test]
-fn helper_clobbered_argument_register_is_dead_after_the_call() {
-    // r1..r5 are caller-saved: their values do not survive a call.
+fn a_void_call_writes_no_register() {
+    // DropPkt has no result: the `dst` field it carries is never written,
+    // so reading that register afterwards reads nothing.
     let v = check(&prog(vec![
-        Insn::MovImm { dst: 1, imm: 3 },
-        Insn::Call {
-            helper: Helper::GetReg,
-        },
-        Insn::Mov { dst: 6, src: 1 },
+        call(Helper::DropPkt, 6, Imm(-1), Imm(0)),
+        Insn::Mov { dst: 7, src: 6 },
         Insn::Exit,
     ]));
     assert!(!v.admitted());
     assert!(v
         .diagnostics
         .iter()
-        .any(|d| d.lint == Lint::UninitRead && d.message.contains("r1")));
+        .any(|d| d.lint == Lint::UninitRead && d.message.contains("r6")));
 }
 
 #[test]
@@ -85,10 +88,7 @@ fn both_branch_arms_writing_satisfies_the_merge() {
     // The classic comparison lowering: 1 on one arm, 0 on the other. The
     // merge point sees an initialized value on every path.
     let v = check(&prog(vec![
-        Insn::MovImm { dst: 1, imm: 0 },
-        Insn::Call {
-            helper: Helper::GetReg,
-        },
+        call(Helper::GetReg, 0, Imm(0), Imm(0)),
         Insn::JmpImm {
             cond: Cond::Eq,
             lhs: 0,
@@ -169,10 +169,7 @@ fn scalar_passed_where_subflow_handle_expected_is_rejected() {
     // SubflowProp wants (subflow handle, prop code); 42 is a plain scalar.
     let v = check(&prog(vec![
         Insn::MovImm { dst: 1, imm: 42 },
-        Insn::MovImm { dst: 2, imm: 0 },
-        Insn::Call {
-            helper: Helper::SubflowProp,
-        },
+        call(Helper::SubflowProp, 0, Reg(1), Imm(0)),
         Insn::Exit,
     ]));
     assert!(!v.admitted());
@@ -191,16 +188,9 @@ fn packet_handle_passed_to_subflow_helper_is_kind_confusion() {
     // subflow argument is exactly the confusion the typed signatures
     // exist to catch.
     let v = check(&prog(vec![
-        Insn::MovImm { dst: 1, imm: 0 }, // queue kind
-        Insn::MovImm { dst: 2, imm: 0 }, // index
-        Insn::Call {
-            helper: Helper::QueueGet,
-        },
-        Insn::Mov { dst: 1, src: 0 }, // packet handle → r1
-        Insn::MovImm { dst: 2, imm: 0 },
-        Insn::Call {
-            helper: Helper::SubflowProp,
-        },
+        Insn::MovImm { dst: 2, imm: 0 },              // index
+        call(Helper::QueueGet, 1, Imm(0), Reg(2)),    // packet handle → r1
+        call(Helper::SubflowProp, 0, Reg(1), Imm(0)), // ... as the subflow
         Insn::Exit,
     ]));
     assert!(!v.admitted());
@@ -218,14 +208,8 @@ fn subflow_handle_passed_where_scalar_expected_is_rejected() {
     // SubflowAt's index argument is a scalar; a handle there means an
     // address is being used as arithmetic — a miscompile signature.
     let v = check(&prog(vec![
-        Insn::MovImm { dst: 1, imm: 0 },
-        Insn::Call {
-            helper: Helper::SubflowAt,
-        },
-        Insn::Mov { dst: 1, src: 0 }, // subflow handle as the new index
-        Insn::Call {
-            helper: Helper::SubflowAt,
-        },
+        call(Helper::SubflowAt, 1, Imm(0), Imm(0)),
+        call(Helper::SubflowAt, 0, Reg(1), Imm(0)), // subflow handle as an index
         Insn::Exit,
     ]));
     assert!(!v.admitted());
@@ -248,9 +232,7 @@ fn null_handle_is_a_legal_helper_argument() {
             dst: 1,
             imm: NULL_HANDLE,
         },
-        Insn::Call {
-            helper: Helper::DropPkt,
-        },
+        call(Helper::DropPkt, 0, Reg(1), Imm(0)),
         Insn::Exit,
     ]));
     assert!(v.admitted(), "{:?}", v.diagnostics);
@@ -259,11 +241,7 @@ fn null_handle_is_a_legal_helper_argument() {
 #[test]
 fn arithmetic_on_a_handle_is_rejected() {
     let v = check(&prog(vec![
-        Insn::MovImm { dst: 1, imm: 0 },
-        Insn::Call {
-            helper: Helper::SubflowAt,
-        },
-        Insn::Mov { dst: 6, src: 0 },
+        call(Helper::SubflowAt, 6, Imm(0), Imm(0)),
         Insn::AluImm {
             op: AluOp::Add,
             dst: 6,
@@ -282,7 +260,7 @@ fn arithmetic_on_a_handle_is_rejected() {
 // --- regalloc spill/reload def-use --------------------------------------
 
 /// Builds a VInsn program with `live` simultaneously-live scalar values
-/// (forcing spills beyond the four allocatable registers), then sums
+/// (forcing spills beyond the eight allocatable registers), then sums
 /// them. Each value is a helper result, not a constant the allocator
 /// would rematerialise instead of spilling. Returns the allocated machine
 /// program and its debug table.
@@ -324,7 +302,7 @@ fn spill_pressure(live: u32) -> (BytecodeProgram, progmp_core::bytecode::DebugTa
 
 #[test]
 fn spilled_values_verify_with_fully_defined_slots() {
-    // Twelve live values cannot fit in r6..r9: the allocator must spill,
+    // Twelve live values cannot fit in r0..r7: the allocator must spill,
     // and every spill slot must be written before the reload that the
     // verifier observes. A def-use break here (reload before store) is
     // precisely the allocator bug class the verifier exists to catch.
@@ -352,9 +330,9 @@ fn spill_reload_def_use_break_is_caught() {
         .position(|i| matches!(i, Insn::St { .. }))
         .expect("spilled program contains a store");
     let mut broken = machine.clone();
-    // Replace the store with a harmless scratch write, keeping indices
-    // (and the debug table) aligned.
-    broken.code[store_pc] = Insn::MovImm { dst: 0, imm: 0 };
+    // Replace the store with a no-op, keeping indices (and the debug
+    // table) aligned.
+    broken.code[store_pc] = Insn::Ja { off: 0 };
     let v = verify_bytecode(&broken, Some(&debug), &VerifyConfig::default());
     assert!(!v.admitted(), "lost spill store must be rejected");
     assert!(
@@ -374,7 +352,7 @@ fn spilled_loop_induction_variable_still_bounds() {
     let n = VReg(0);
     let idx = VReg(1);
     // Enough extra live values to evict the induction variable.
-    let pressure: Vec<VReg> = (2..8).map(VReg).collect();
+    let pressure: Vec<VReg> = (2..12).map(VReg).collect();
     let head = progmp_core::codegen::Label(0);
     let end = progmp_core::codegen::Label(1);
     let mut insns = vec![VInsn::Call {
