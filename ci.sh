@@ -125,6 +125,16 @@ echo "==> a verified image runs unchecked and unmoved: one VM run loop, no check
 ! awk '/#\[cfg\(test\)\]/{exit} {print}' crates/conformance/src/gen.rs | grep -qE 'Stage::Codegen|compile_observed' \
   || { echo "the generator retries on a compile outcome again (a seed's program must not depend on the register allocator)"; exit 1; }
 
+echo "==> a helper call is one instruction: no argument-register zeroing, no allocatable window, no r1-r5 clobber in an analysis, steps charged per block"
+! grep -nF 'regs[1..6]' crates/core/src/vm.rs \
+  || { echo "the VM clears argument registers after a call again (a call writes its dst only)"; exit 1; }
+! grep -rn 'FIRST_ALLOCATABLE' crates/ src/ \
+  || { echo "the allocator has a fixed window of call-preserved registers again (it hands out r0-r9 less SCRATCH)"; exit 1; }
+! grep -nF '(1..=5)' crates/core/src/verify/vm.rs crates/core/src/opt/analysis.rs \
+  || { echo "an analysis models a call clobbering r1-r5 again (a call writes its dst only)"; exit 1; }
+! grep -nF 'ctx.step(1)' crates/core/src/vm.rs \
+  || { echo "the VM charges a step per instruction again (charge a run's length on entering it)"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

@@ -15,7 +15,7 @@
 //! ([`check_against_committed`]).
 
 use crate::report::{validate_report, Json, Report};
-use mptcp_sim::fleet::{run_fleet, ConnScenario, FleetConfig, OracleMode, Workload};
+use mptcp_sim::fleet::{run_fleet, ConnScenario, FleetConfig, FleetReport, OracleMode, Workload};
 use mptcp_sim::time::{from_millis, SimTime, SECONDS};
 use mptcp_sim::{ConnectionConfig, PathConfig, SchedulerSpec, SubflowConfig};
 use progmp_core::env::RegId;
@@ -99,7 +99,18 @@ pub fn scale_scenario(global: usize, seed: u64, flow_bytes: u64) -> ConnScenario
     sc
 }
 
-/// Runs the sweep and builds the `BENCH_scale.json` report.
+/// Fleets of up to this many connections run [`REPEATS`] times per row:
+/// the row records the fastest run, as `benchmark/src/e2e.rs` does, so
+/// one slow run on a shared host does not decide the host-timed
+/// columns.
+const REPEAT_UP_TO: usize = 10_000;
+
+/// Runs per row of at most [`REPEAT_UP_TO`] connections.
+const REPEATS: usize = 3;
+
+/// Runs the sweep and builds the `BENCH_scale.json` report. A row of at
+/// most 10 000 connections is the fastest of three runs, which must
+/// agree on events, fleet digest, executions and steps.
 pub fn run_scale(cfg: &ScaleConfig, progress: &mut dyn FnMut(&str)) -> Report {
     let mut report = Report::new("scale_fleet");
     report
@@ -132,7 +143,22 @@ pub fn run_scale(cfg: &ScaleConfig, progress: &mut dyn FnMut(&str)) -> Report {
             }
             ran.push(key);
             let flow = cfg.flow_bytes;
-            let run = run_fleet(&fleet, |global, seed| scale_scenario(global, seed, flow));
+            let repeats = if size <= REPEAT_UP_TO { REPEATS } else { 1 };
+            let runs: Vec<FleetReport> = (0..repeats)
+                .map(|_| run_fleet(&fleet, |global, seed| scale_scenario(global, seed, flow)))
+                .collect();
+            let ledger =
+                |r: &FleetReport| (r.events_processed, r.digest(), r.executions(), r.steps());
+            for again in &runs[1..] {
+                assert_eq!(
+                    ledger(again),
+                    ledger(&runs[0]),
+                    "{size} x {workers}: a repeated run changed events, digest, executions or steps"
+                );
+            }
+            let run = (runs.into_iter())
+                .min_by_key(|r| r.wall)
+                .expect("at least one run");
             // Per-scheduler interpreter cost, from the host-time counters
             // the snapshot digest deliberately excludes.
             let mut sched_ns = Vec::new();
