@@ -135,6 +135,15 @@ echo "==> a helper call is one instruction: no argument-register zeroing, no all
 ! grep -nF 'ctx.step(1)' crates/core/src/vm.rs \
   || { echo "the VM charges a step per instruction again (charge a run's length on entering it)"; exit 1; }
 
+echo "==> one pass decides each program fact: POP-site emptiness from the admission analyzer, one work-conservation walker, one loop detector, one static audit per compile"
+for gone in 'struct ReinjAnalysis' 'fn scan_pops' 'fn all_paths_push' 'fn loop_depths'; do
+  ! grep -rn "$gone" crates/core/src \
+    || { echo "a second derivation of a program fact is back: $gone (dataflow::Analyzer classifies POP sites, WcAnalysis::walk walks paths, flow.rs finds loops)"; exit 1; }
+done
+[ "$(grep -cE '\banalyze\(' crates/core/src/verify/vm.rs)" -eq 1 ] \
+  && sed -n '/^pub fn validate_translation(/,/^}/p' crates/core/src/verify/vm.rs | grep -qE '\banalyze\(' \
+  || { echo "verify/vm.rs audits the HIR outside validate_translation (validate reads the admission verdict's audit)"; exit 1; }
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 

@@ -18,7 +18,9 @@
 //!   emitted validates against the HIR certificate (`clean images`);
 //! * **scheduler properties** — no round breaks a claim the property
 //!   certificate proved, judged by the simulator oracle's own
-//!   [`check_properties`];
+//!   [`check_properties`]; and the certificate's `pops_fully_guarded`
+//!   holds exactly when the admission verdict has no `pop-empty` /
+//!   `pop-maybe-empty` diagnostic (both read one classification);
 //! * **HIR optimizer** — a compile with `optimize: false` reads the same
 //!   on the VM (one over a backend resource limit is counted, not failed);
 //! * **bytecode optimizer** — the image [`progmp_core::opt`] keeps reads
@@ -254,6 +256,19 @@ pub fn check_seed(seed: u64, out: &mut Report) {
     let proved = cert.work_conservation.status == PropStatus::Proved;
     out.count("wc-proved", proved as u64);
     out.count("with refutations", !cert.clean() as u64);
+    // One fact, two readers: the certificate's guarded-pops flag and the
+    // admission lints read the same POP-site classification.
+    let pop_lint = (program.verdict().diagnostics.iter())
+        .any(|d| matches!(d.lint, Lint::PopEmpty | Lint::PopMaybeEmpty));
+    if cert.pops_fully_guarded == pop_lint {
+        let message = format!(
+            "pops_fully_guarded is {} while the admission verdict {} a pop-empty or \
+             pop-maybe-empty diagnostic",
+            cert.pops_fully_guarded,
+            if pop_lint { "has" } else { "has no" }
+        );
+        out.finding(seed, "POP-site classification", message, &source);
+    }
 
     let outcomes = differ::run_backends(&program, &spec);
     let first_failed = outcomes.iter().filter(|o| o.rounds[0].is_err()).count();

@@ -105,7 +105,8 @@ pub enum VInsn {
     Call {
         /// The helper.
         helper: Helper,
-        /// Argument virtual registers (≤ 5).
+        /// Operand virtual registers: at most two, the helper's `a`
+        /// and `b`.
         args: Vec<VReg>,
         /// Destination of the result, when used.
         ret: Option<VReg>,

@@ -27,11 +27,11 @@ pub(crate) mod licm;
 pub(crate) mod peephole;
 pub(crate) mod sccp;
 
+use crate::analysis::Analysis;
 use crate::bytecode::{BytecodeProgram, DebugTable};
 use crate::error::Pos;
-use crate::hir::HProgram;
 use crate::verify::props::{PropStatus, PropertyCertificate};
-use crate::verify::vm::{validate_translation, BytecodeVerdict};
+use crate::verify::vm::{validate, BytecodeVerdict};
 use crate::verify::{Diagnostic, Lint, Severity, VerifyConfig};
 
 /// Per-pass rewrite accounting, aggregated across pipeline rounds.
@@ -201,21 +201,21 @@ enum Rejection {
 }
 
 /// Validates a candidate image against the previous one from the single
-/// verdict of one [`validate_translation`] run (structural checks,
-/// dataflow verification, bound inference and the HIR cross-check are all
-/// in it), then the property-certificate gate. The verifier's own
+/// verdict of one [`validate`] run (structural checks, dataflow
+/// verification, bound inference and the HIR cross-check are all in
+/// it), then the property-certificate gate. The verifier's own
 /// findings outrank the bound comparison, which outranks the
 /// cross-check's.
 fn check_candidate(
     cand: &BytecodeProgram,
     cand_debug: &DebugTable,
-    hir: &HProgram,
+    audit: &Analysis,
     certified_bound: u64,
     cfg: &VerifyConfig,
     prev_bound: u64,
     gate: Option<(&PropertyCertificate, &analysis::EffectProfile)>,
 ) -> Result<Kept, Rejection> {
-    let verdict = validate_translation(cand, cand_debug, hir, certified_bound, cfg);
+    let verdict = validate(cand, cand_debug, audit, certified_bound, cfg, false);
     let mut errors = verdict
         .diagnostics
         .iter()
@@ -292,8 +292,8 @@ fn check_candidate(
 /// with a finite bound (observe-mode compiles of rejected programs) is
 /// returned unchanged with an empty report and its own verdict. Each
 /// pass's output is validated against the HIR admission certificate
-/// (`hir`, `certified_bound`); a failing pass is rolled back and recorded
-/// as a [`Lint::Misoptimization`] warning.
+/// (its static `audit`, `certified_bound`); a failing pass is rolled
+/// back and recorded as a [`Lint::Misoptimization`] warning.
 ///
 /// When `props` carries a [`PropertyCertificate`] with PROVED claims,
 /// per-pass validation additionally enforces the property gate: no pass
@@ -302,12 +302,12 @@ fn check_candidate(
 pub fn optimize_bytecode(
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    hir: &HProgram,
+    audit: &Analysis,
     certified_bound: u64,
     cfg: &VerifyConfig,
     props: Option<&PropertyCertificate>,
 ) -> (BytecodeProgram, DebugTable, OptReport, BytecodeVerdict) {
-    run_pipeline(&PASSES, prog, debug, hir, certified_bound, cfg, props)
+    run_pipeline(&PASSES, prog, debug, audit, certified_bound, cfg, props)
 }
 
 /// [`optimize_bytecode`] over an explicit pass table.
@@ -315,7 +315,7 @@ fn run_pipeline(
     passes: &PassTable,
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    hir: &HProgram,
+    audit: &Analysis,
     certified_bound: u64,
     cfg: &VerifyConfig,
     props: Option<&PropertyCertificate>,
@@ -337,7 +337,7 @@ fn run_pipeline(
     // Optimize only images the validator already admits with a finite
     // bound: anything else (observe-mode compiles of rejected programs)
     // passes through untouched.
-    let mut verdict = validate_translation(prog, debug, hir, certified_bound, cfg);
+    let mut verdict = validate(prog, debug, audit, certified_bound, cfg, false);
     let Some(mut bound) = verdict.step_bound.filter(|_| verdict.admitted()) else {
         return (prog.clone(), debug.clone(), report, verdict);
     };
@@ -375,7 +375,7 @@ fn run_pipeline(
             let (pos, why) = match check_candidate(
                 &cand,
                 &cand_dbg,
-                hir,
+                audit,
                 certified_bound,
                 cfg,
                 bound,
@@ -419,9 +419,11 @@ fn run_pipeline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analyze;
     use crate::bytecode::{AluOp, Helper, Insn};
     use crate::flow::{jump_target, loops};
     use crate::verify::domain::{eval_cond, Interval, Tri};
+    use crate::verify::vm::validate_translation;
     use analysis::{facts, reachable};
     use edit::{Editor, NewInsn};
 
@@ -432,7 +434,7 @@ mod tests {
     ) -> (
         BytecodeProgram,
         DebugTable,
-        HProgram,
+        crate::hir::HProgram,
         u64,
         PropertyCertificate,
     ) {
@@ -681,7 +683,7 @@ mod tests {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
         let (opt, opt_dbg, report, kept) =
-            optimize_bytecode(&prog, &debug, &hir, cert, &cfg, Some(&props));
+            optimize_bytecode(&prog, &debug, &analyze(&hir), cert, &cfg, Some(&props));
         assert!(report.total_rewrites() > 0, "{}", report.render_human());
         assert!(
             opt.code.len() < prog.code.len(),
@@ -713,7 +715,8 @@ mod tests {
         assert!(rewrites > 0);
         let v = validate_translation(&folded, &folded_dbg, &hir, cert, &cfg);
         assert!(v.admitted(), "{:?}", v.diagnostics);
-        let (_, _, report, _) = optimize_bytecode(&prog, &debug, &hir, cert, &cfg, Some(&props));
+        let (_, _, report, _) =
+            optimize_bytecode(&prog, &debug, &analyze(&hir), cert, &cfg, Some(&props));
         assert!(report.diagnostics.is_empty(), "{}", report.render_human());
     }
 
@@ -726,7 +729,7 @@ mod tests {
                 &sabotaged(pass, stand_in),
                 &prog,
                 &debug,
-                &hir,
+                &analyze(&hir),
                 cert,
                 &cfg,
                 Some(&props),
@@ -754,8 +757,15 @@ mod tests {
         let cfg = VerifyConfig::default();
         for (name, pass, stand_in, check) in SABOTAGES {
             let table = sabotaged(pass, stand_in);
-            let (_, _, report, _) =
-                run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, Some(&props));
+            let (_, _, report, _) = run_pipeline(
+                &table,
+                &prog,
+                &debug,
+                &analyze(&hir),
+                cert,
+                &cfg,
+                Some(&props),
+            );
             let [diag] = &report.diagnostics[..] else {
                 panic!("{name}: {:?}", report.diagnostics);
             };
@@ -790,7 +800,7 @@ mod tests {
         let set_r1 = vec![Insn::MovImm { dst: 2, imm: 1 }, set_reg(0), Insn::Exit];
         let reject = |code: Vec<Insn>, prev_bound: u64| {
             let (p, d) = image(code);
-            match check_candidate(&p, &d, &hir, 1_000, &cfg, prev_bound, None) {
+            match check_candidate(&p, &d, &analyze(&hir), 1_000, &cfg, prev_bound, None) {
                 Ok(kept) => panic!("kept with bound {}", kept.bound),
                 Err(Rejection::BoundGrew(b)) => format!("step bound {b}"),
                 Err(Rejection::Failed(pos, why)) => {
@@ -831,7 +841,15 @@ mod tests {
         let (prog, debug, hir, cert, props) = compile_parts(MIN_RTT);
         let cfg = VerifyConfig::default();
         let table = sabotaged("sccp", unguard_effect);
-        let (_, _, report, _) = run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, Some(&props));
+        let (_, _, report, _) = run_pipeline(
+            &table,
+            &prog,
+            &debug,
+            &analyze(&hir),
+            cert,
+            &cfg,
+            Some(&props),
+        );
         let diag = report
             .diagnostics
             .iter()
@@ -846,7 +864,8 @@ mod tests {
 
         // Without the certificate the unsound image sails through every
         // legacy check — the gap this gate closes.
-        let (_, _, ungated, _) = run_pipeline(&table, &prog, &debug, &hir, cert, &cfg, None);
+        let (_, _, ungated, _) =
+            run_pipeline(&table, &prog, &debug, &analyze(&hir), cert, &cfg, None);
         assert!(
             !ungated
                 .diagnostics

@@ -176,7 +176,8 @@ pub fn compile_with_options(
     let image = vm::verify_with_debug(&bytecode, Some(&debug))?;
     // Translation validation: an independent abstract interpretation over
     // the generated bytecode, cross-checked against the HIR admission
-    // certificate (step bound + helper audit). Any error here means the
+    // certificate (step bound + the static audit its verdict holds, so a
+    // compile audits the HIR once). Any error here means the
     // compiler produced code that disagrees with what was certified.
     // Every image is validated exactly once. With the optional verified
     // bytecode optimizer that is its job: it validates the generated
@@ -187,7 +188,7 @@ pub fn compile_with_options(
         let (b, d, r, v) = crate::opt::optimize_bytecode(
             &image,
             &debug,
-            &hir,
+            &verdict.analysis,
             verdict.certified_step_bound,
             &verify_cfg,
             Some(&props),
@@ -198,7 +199,7 @@ pub fn compile_with_options(
         let v = crate::verify::vm::validate(
             &image,
             &debug,
-            &hir,
+            &verdict.analysis,
             verdict.certified_step_bound,
             &verify_cfg,
             true,
@@ -365,12 +366,13 @@ impl SchedulerProgram {
     /// statically; the image must be span-aligned with this program's
     /// debug table (in-place mutations only).
     pub fn validate_bytecode(&self, image: &BytecodeProgram) -> crate::verify::vm::BytecodeVerdict {
-        crate::verify::vm::validate_translation(
+        crate::verify::vm::validate(
             image,
             &self.inner.debug,
-            &self.inner.hir,
+            &self.inner.verdict.analysis,
             self.inner.verdict.certified_step_bound,
             &crate::verify::VerifyConfig::default(),
+            false,
         )
     }
 

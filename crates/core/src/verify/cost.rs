@@ -22,10 +22,10 @@ use super::VerifyConfig;
 
 /// VM instructions per HIR cost unit, the one constant between the two
 /// models. The largest ratio of the bytecode model to the HIR model is
-/// 13.36 over the 18 shipped programs, 18.57 over the `program` tier's
-/// 1 000 seeds and 18.86 over 20 000 (optimized and unoptimized HIR,
-/// admitted or not): `K` leaves 27 % headroom. The interpreter and AOT
-/// take at most 2 steps per unit.
+/// 5.69 over the 18 shipped programs, 7.82 over the `program` tier's
+/// 1 000 seeds and 7.98 over 20 000 (optimized and unoptimized HIR,
+/// admitted or not, unsaturated bounds): `K` is 3.0 times the largest.
+/// The interpreter and AOT take at most 2 steps per unit.
 const K: u64 = 24;
 
 /// The certified worst-case step bound for `prog` under `cfg`'s caps.

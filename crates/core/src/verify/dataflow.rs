@@ -211,25 +211,36 @@ const AVAIL_ALL: u8 = AVAIL_TSQ | AVAIL_LOSSY | AVAIL_CWND;
 const FOREACH_WIDEN_AFTER: usize = 4;
 const MAX_LOOP_ITERS: usize = 1000;
 
-/// Runs the abstract interpreter and returns the collected diagnostics.
-pub(super) fn run(prog: &HProgram) -> Vec<Diagnostic> {
-    let mut a = Analyzer {
-        prog,
-        diags: Vec::new(),
-        collect: true,
-        assume_avail: false,
-        assume_no_window: false,
-        quiescence: false,
-        effect_reached: false,
-    };
+/// One `POP` the collecting pass reached: the `QueuePop` expression, the
+/// view it pops and that view's emptiness there.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct PopSite {
+    pub(super) at: ExprId,
+    pub(super) view: ExprId,
+    pub(super) emptiness: Emptiness,
+}
+
+/// Runs the abstract interpreter once: the diagnostics it collected and
+/// the `POP` sites it classified, in evaluation order.
+pub(super) fn run(prog: &HProgram) -> (Vec<Diagnostic>, Vec<PopSite>) {
+    let mut a = Analyzer::quiet(prog);
+    a.collect = true;
     let mut st = AbsState::initial(prog);
     a.exec_block(&mut st, &prog.body);
-    a.diags
+    (a.diags, a.pops)
 }
 
 pub(super) struct Analyzer<'a> {
     prog: &'a HProgram,
+    /// The lints of the collecting pass (see `collect`).
     diags: Vec<Diagnostic>,
+    /// Every `POP` of the collecting pass with its view's emptiness: the
+    /// one classification behind both the `pop-empty` / `pop-maybe-empty`
+    /// lints and the reinjection-safety certificate.
+    pops: Vec<PopSite>,
+    /// Whether lints and `POP` sites are recorded: off in a `FOREACH`
+    /// fixpoint's iterations, in refinements and in `quiet` analyzers,
+    /// so each site is recorded once, against its stable state.
     collect: bool,
     /// Assume at least one *available* subflow exists (`!TSQ_THROTTLED`,
     /// `!LOSSY`, and congestion-window room): the work-conservation
@@ -250,12 +261,13 @@ pub(super) struct Analyzer<'a> {
 
 impl<'a> Analyzer<'a> {
     /// A muted analyzer for the property verifier (`super::props`): it
-    /// reuses the transfer functions and guard refinement but never
-    /// collects diagnostics of its own.
+    /// reuses the transfer functions and guard refinement but records
+    /// no diagnostic and no `POP` site ([`run`] is the collecting pass).
     pub(super) fn quiet(prog: &'a HProgram) -> Analyzer<'a> {
         Analyzer {
             prog,
             diags: Vec::new(),
+            pops: Vec::new(),
             collect: false,
             assume_avail: false,
             assume_no_window: false,
@@ -560,6 +572,13 @@ impl<'a> Analyzer<'a> {
             HExpr::QueuePop(e) => {
                 let _ = self.eval(st, e);
                 let emptiness = self.view_emptiness(st, e);
+                if self.collect {
+                    self.pops.push(PopSite {
+                        at: id,
+                        view: e,
+                        emptiness,
+                    });
+                }
                 match emptiness {
                     Emptiness::Empty => self.emit(
                         Lint::PopEmpty,

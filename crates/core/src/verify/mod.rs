@@ -64,7 +64,7 @@ pub fn verify(prog: &HProgram) -> Verdict {
 
 /// Verifies `prog` under explicit caps, returning the full [`Verdict`].
 pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
-    let mut diagnostics = dataflow::run(prog);
+    let (mut diagnostics, _) = dataflow::run(prog);
     let (lint_diagnostics, analysis) = lints::run(prog, cfg);
     diagnostics.extend(lint_diagnostics);
     let certified_step_bound = cost::certified_step_bound(prog, cfg);

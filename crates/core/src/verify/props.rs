@@ -38,7 +38,10 @@
 //!    `POP` yields a fresh packet per evaluation.
 //! 4. **Reinjection safety** — every `POP` from the reinjection queue is
 //!    dominated by an emptiness guard already tracked by the queue
-//!    domain. The per-program flag [`PropertyCertificate::pops_fully_guarded`]
+//!    domain. The view emptiness at each `POP` site is read off the
+//!    admission analyzer's collecting pass (`super::dataflow`), the same
+//!    classification behind its `pop-empty` / `pop-maybe-empty` lints.
+//!    The per-program flag [`PropertyCertificate::pops_fully_guarded`]
 //!    additionally records whether *every* pop (any queue) is guarded,
 //!    which arms the `null_pops == 0` dynamic check.
 //! 5. **Quiescence guard** — a disjunction of up to three atoms (`Q` and
@@ -70,7 +73,7 @@ use crate::error::Pos;
 use crate::hir::{ExprId, HExpr, HProgram, HStmt, StmtId};
 use crate::types::Type;
 
-use super::dataflow::{self, AbsState, Analyzer};
+use super::dataflow::{self, AbsState, Analyzer, PopSite};
 use super::diag::{json_string, Diagnostic, Lint, Severity};
 use super::domain::{Emptiness, IdSet, Nullability};
 use super::VerifyConfig;
@@ -706,7 +709,7 @@ fn analyze_work_conservation(prog: &HProgram, weaken: Option<PropWeakening>) -> 
         saw_undecided: false,
         saw_path: false,
     };
-    wc.walk(st, vec![(prog.body.clone(), 0)], Vec::new(), false);
+    wc.walk(st, vec![(prog.body.clone(), 0)], Some(Vec::new()), false);
     if let Some(witness) = wc.refutation {
         return PropOutcome::refuted(
             "a feasible path reaches the end of the upcall without any PUSH \
@@ -742,23 +745,33 @@ impl<'a> WcAnalysis<'a> {
         self.refutation.is_some() || self.overflowed
     }
 
-    /// Explores one path suffix. `frames` is the stack of (block, next
-    /// index) continuations, innermost last; `pushed_maybe` records
-    /// whether the path already executed a possibly-no-op push.
+    /// Explores one path suffix and returns whether every feasible path
+    /// through it reaches a definite push. `frames` is the stack of
+    /// (block, next index) continuations, innermost last. The top level
+    /// carries a witness `trail`: it explores every branch and records a
+    /// path that ends without a definite push, as the refutation when it
+    /// met no possibly-no-op push (`pushed_maybe`) and as undecided
+    /// otherwise. A nested walk, over one `FOREACH` iteration, has no
+    /// trail and stops at the first such path.
     fn walk(
         &mut self,
         mut st: AbsState,
         mut frames: Vec<(Vec<StmtId>, usize)>,
-        mut trail: Vec<WitnessStep>,
+        mut trail: Option<Vec<WitnessStep>>,
         mut pushed_maybe: bool,
-    ) {
+    ) -> bool {
+        let top = trail.is_some();
         if self.done() {
-            return;
+            return false;
         }
         loop {
+            // Past the budget a nested walk stops at once; the top level
+            // finishes the statements of the path it is on.
+            if self.overflowed && !top {
+                return false;
+            }
             let Some((body, ix)) = frames.last_mut() else {
-                self.end_path(trail, pushed_maybe, None);
-                return;
+                return self.end_path(trail, pushed_maybe, None);
             };
             if *ix >= body.len() {
                 frames.pop();
@@ -770,101 +783,7 @@ impl<'a> WcAnalysis<'a> {
                 HStmt::VarDecl { .. } | HStmt::SetReg { .. } | HStmt::Drop { .. } => {
                     self.az.exec_stmt(&mut st, sid);
                 }
-                HStmt::Return => {
-                    self.end_path(trail, pushed_maybe, Some(sid));
-                    return;
-                }
-                HStmt::Push { target, packet } => {
-                    let t = self.az.eval_quiet(&mut st, target).nullability();
-                    let p = self.az.eval_quiet(&mut st, packet).nullability();
-                    let definite = self.weaken == Some(PropWeakening::IgnoreNullableOperands)
-                        || (t == Nullability::NonNull && p == Nullability::NonNull);
-                    if definite && !(t == Nullability::Null || p == Nullability::Null) {
-                        self.saw_path = true;
-                        return; // Path satisfied; prune.
-                    }
-                    if t != Nullability::Null && p != Nullability::Null {
-                        pushed_maybe = true;
-                    }
-                }
-                HStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    for (truth, branch) in [(true, then_body), (false, else_body)] {
-                        if self.done() {
-                            return;
-                        }
-                        self.paths += 1;
-                        if self.paths > MAX_WC_PATHS {
-                            self.overflowed = true;
-                            return;
-                        }
-                        let mut branch_st = st.clone();
-                        self.az.refine(&mut branch_st, cond, truth);
-                        if !branch_st.reachable {
-                            continue;
-                        }
-                        let mut branch_trail = trail.clone();
-                        branch_trail.push(WitnessStep {
-                            pos: self.prog.expr_pos(cond),
-                            desc: format!(
-                                "condition assumed {}",
-                                if truth { "true" } else { "false" }
-                            ),
-                        });
-                        let mut branch_frames = frames.clone();
-                        branch_frames.push((branch, 0));
-                        self.walk(branch_st, branch_frames, branch_trail, pushed_maybe);
-                    }
-                    return;
-                }
-                HStmt::Foreach { slot, list, body } => {
-                    let runs = self.az.view_emptiness(&st, list) == Emptiness::NonEmpty
-                        || self.weaken == Some(PropWeakening::AssumeLoopsRun);
-                    if runs {
-                        let mut iter_st = st.clone();
-                        dataflow::bind_loop_slot(&mut iter_st, slot);
-                        if self.all_paths_push(iter_st, vec![(body.clone(), 0)]) {
-                            self.saw_path = true;
-                            return; // >=1 iteration, every iteration pushes.
-                        }
-                    }
-                    if block_contains_push(self.prog, &body) {
-                        pushed_maybe = true;
-                    }
-                    trail.push(WitnessStep {
-                        pos: self.prog.stmt_pos(sid),
-                        desc: "loop body assumed not to issue a guaranteed PUSH".into(),
-                    });
-                    // Post-loop join state (covers 0..n iterations).
-                    self.az.exec_stmt(&mut st, sid);
-                }
-            }
-        }
-    }
-
-    /// Does every feasible path through `frames` hit a definite push?
-    fn all_paths_push(&mut self, mut st: AbsState, mut frames: Vec<(Vec<StmtId>, usize)>) -> bool {
-        loop {
-            if self.overflowed {
-                return false;
-            }
-            let Some((body, ix)) = frames.last_mut() else {
-                return false;
-            };
-            if *ix >= body.len() {
-                frames.pop();
-                continue;
-            }
-            let sid = body[*ix];
-            *ix += 1;
-            match self.prog.stmt(sid).clone() {
-                HStmt::VarDecl { .. } | HStmt::SetReg { .. } | HStmt::Drop { .. } => {
-                    self.az.exec_stmt(&mut st, sid);
-                }
-                HStmt::Return => return false,
+                HStmt::Return => return self.end_path(trail, pushed_maybe, Some(sid)),
                 HStmt::Push { target, packet } => {
                     let t = self.az.eval_quiet(&mut st, target).nullability();
                     let p = self.az.eval_quiet(&mut st, packet).nullability();
@@ -874,15 +793,21 @@ impl<'a> WcAnalysis<'a> {
                     if self.weaken == Some(PropWeakening::IgnoreNullableOperands)
                         || (t == Nullability::NonNull && p == Nullability::NonNull)
                     {
-                        return true;
+                        self.saw_path |= top;
+                        return true; // Path satisfied; prune.
                     }
+                    pushed_maybe = true;
                 }
                 HStmt::If {
                     cond,
                     then_body,
                     else_body,
                 } => {
+                    let mut all = true;
                     for (truth, branch) in [(true, then_body), (false, else_body)] {
+                        if self.done() {
+                            return false;
+                        }
                         self.paths += 1;
                         if self.paths > MAX_WC_PATHS {
                             self.overflowed = true;
@@ -893,13 +818,24 @@ impl<'a> WcAnalysis<'a> {
                         if !branch_st.reachable {
                             continue;
                         }
+                        let branch_trail = trail.clone().map(|mut trail| {
+                            trail.push(WitnessStep {
+                                pos: self.prog.expr_pos(cond),
+                                desc: format!(
+                                    "condition assumed {}",
+                                    if truth { "true" } else { "false" }
+                                ),
+                            });
+                            trail
+                        });
                         let mut branch_frames = frames.clone();
                         branch_frames.push((branch, 0));
-                        if !self.all_paths_push(branch_st, branch_frames) {
+                        all &= self.walk(branch_st, branch_frames, branch_trail, pushed_maybe);
+                        if !all && !top {
                             return false;
                         }
                     }
-                    return true;
+                    return all;
                 }
                 HStmt::Foreach { slot, list, body } => {
                     let runs = self.az.view_emptiness(&st, list) == Emptiness::NonEmpty
@@ -907,21 +843,40 @@ impl<'a> WcAnalysis<'a> {
                     if runs {
                         let mut iter_st = st.clone();
                         dataflow::bind_loop_slot(&mut iter_st, slot);
-                        if self.all_paths_push(iter_st, vec![(body.clone(), 0)]) {
-                            return true;
+                        if self.walk(iter_st, vec![(body.clone(), 0)], None, false) {
+                            self.saw_path |= top;
+                            return true; // >=1 iteration, every iteration pushes.
                         }
                     }
+                    if let Some(trail) = &mut trail {
+                        pushed_maybe |= block_contains_push(self.prog, &body);
+                        trail.push(WitnessStep {
+                            pos: self.prog.stmt_pos(sid),
+                            desc: "loop body assumed not to issue a guaranteed PUSH".into(),
+                        });
+                    }
+                    // Post-loop join state (covers 0..n iterations).
                     self.az.exec_stmt(&mut st, sid);
                 }
             }
         }
     }
 
-    fn end_path(&mut self, mut trail: Vec<WitnessStep>, pushed_maybe: bool, at: Option<StmtId>) {
+    /// A path ended without a definite push: at the top level, recorded
+    /// as undecided or as the refutation. Returns false, the path's verdict.
+    fn end_path(
+        &mut self,
+        trail: Option<Vec<WitnessStep>>,
+        pushed_maybe: bool,
+        at: Option<StmtId>,
+    ) -> bool {
+        let Some(mut trail) = trail else {
+            return false;
+        };
         self.saw_path = true;
         if pushed_maybe {
             self.saw_undecided = true;
-            return;
+            return false;
         }
         if self.refutation.is_none() {
             let pos = at
@@ -933,6 +888,7 @@ impl<'a> WcAnalysis<'a> {
             });
             self.refutation = Some(trail);
         }
+        false
     }
 }
 
@@ -1476,37 +1432,20 @@ fn view_fam(prog: &HProgram, view: ExprId) -> QFam {
 // Property (d): reinjection safety.
 // ---------------------------------------------------------------------
 
-struct PopSite {
-    pos: Pos,
-    fam: QFam,
-    emptiness: Emptiness,
-}
-
-struct ReinjAnalysis<'a> {
-    prog: &'a HProgram,
-    az: Analyzer<'a>,
-    sites: Vec<PopSite>,
-}
-
+/// Reinjection safety and `pops_fully_guarded`, read off the `POP` sites
+/// one collecting pass of the admission analyzer classifies.
 fn analyze_reinjection(prog: &HProgram, weaken: Option<PropWeakening>) -> (PropOutcome, bool) {
-    let mut ra = ReinjAnalysis {
-        prog,
-        az: Analyzer::quiet(prog),
-        sites: Vec::new(),
-    };
-    let mut st = AbsState::initial(prog);
-    ra.walk(&mut st, &prog.body);
+    let (_, mut sites) = dataflow::run(prog);
     if weaken == Some(PropWeakening::AssumePopsGuarded) {
-        for s in &mut ra.sites {
+        for s in &mut sites {
             s.emptiness = Emptiness::NonEmpty;
         }
     }
-    let fully_guarded = ra.sites.iter().all(|s| s.emptiness == Emptiness::NonEmpty);
+    let fully_guarded = sites.iter().all(|s| s.emptiness == Emptiness::NonEmpty);
     // RQ safety considers pops whose base queue is (or may be) RQ.
-    let rq: Vec<&PopSite> = ra
-        .sites
+    let rq: Vec<&PopSite> = sites
         .iter()
-        .filter(|s| matches!(s.fam, QFam::Reinject | QFam::Other))
+        .filter(|s| matches!(view_fam(prog, s.view), QFam::Reinject | QFam::Other))
         .collect();
     let outcome = if rq.is_empty() {
         PropOutcome::proved("the program never pops the reinjection queue")
@@ -1514,7 +1453,7 @@ fn analyze_reinjection(prog: &HProgram, weaken: Option<PropWeakening>) -> (PropO
         PropOutcome::refuted(
             "a reinjection-queue POP executes on a provably-empty view",
             vec![WitnessStep {
-                pos: bad.pos,
+                pos: prog.expr_pos(bad.at),
                 desc: "POP from a provably-empty reinjection view".into(),
             }],
         )
@@ -1531,94 +1470,6 @@ fn analyze_reinjection(prog: &HProgram, weaken: Option<PropWeakening>) -> (PropO
         )
     };
     (outcome, fully_guarded)
-}
-
-impl<'a> ReinjAnalysis<'a> {
-    fn walk(&mut self, st: &mut AbsState, body: &[StmtId]) {
-        for &sid in body {
-            if !st.reachable {
-                return;
-            }
-            match self.prog.stmt(sid).clone() {
-                HStmt::VarDecl { init, .. } => {
-                    self.scan_pops(st, init, &mut false);
-                    self.az.exec_stmt(st, sid);
-                }
-                HStmt::SetReg { value, .. } => {
-                    self.scan_pops(st, value, &mut false);
-                    self.az.exec_stmt(st, sid);
-                }
-                HStmt::Push { target, packet } => {
-                    let mut removed = false;
-                    self.scan_pops(st, target, &mut removed);
-                    self.scan_pops(st, packet, &mut removed);
-                    self.az.exec_stmt(st, sid);
-                }
-                HStmt::Drop { packet } => {
-                    self.scan_pops(st, packet, &mut false);
-                    self.az.exec_stmt(st, sid);
-                }
-                HStmt::Return => {
-                    st.reachable = false;
-                    return;
-                }
-                HStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    self.scan_pops(st, cond, &mut false);
-                    let mut then_st = st.clone();
-                    self.az.refine(&mut then_st, cond, true);
-                    if then_st.reachable {
-                        self.walk(&mut then_st, &then_body);
-                    }
-                    let mut else_st = st.clone();
-                    self.az.refine(&mut else_st, cond, false);
-                    if else_st.reachable {
-                        self.walk(&mut else_st, &else_body);
-                    }
-                    *st = then_st.join(&else_st);
-                }
-                HStmt::Foreach { slot, list, body } => {
-                    // Record the body's pops against a state whose
-                    // pre-loop NonEmpty facts are dropped (a previous
-                    // iteration may have emptied any view); guards
-                    // *inside* the body re-establish their facts per
-                    // iteration and are honored.
-                    let mut iter_st = st.clone();
-                    iter_st.invalidate_removal(self.prog);
-                    dataflow::bind_loop_slot(&mut iter_st, slot);
-                    let _ = list;
-                    self.walk(&mut iter_st, &body);
-                    // Post-loop state via the fixpoint transfer.
-                    self.az.exec_stmt(st, sid);
-                }
-            }
-        }
-    }
-
-    /// Records every `POP` site inside expression `e` in evaluation
-    /// order, with the view emptiness observed at that point.
-    /// `removed_before` downgrades later `NonEmpty` facts in the same
-    /// statement (an earlier pop may have emptied the view).
-    fn scan_pops(&mut self, st: &AbsState, e: ExprId, removed_before: &mut bool) {
-        for operand in self.prog.children(e).iter() {
-            self.scan_pops(st, operand, removed_before);
-        }
-        if let HExpr::QueuePop(view) = *self.prog.expr(e) {
-            let mut emptiness = self.az.view_emptiness(st, view);
-            if *removed_before && emptiness == Emptiness::NonEmpty {
-                emptiness = Emptiness::Unknown;
-            }
-            self.sites.push(PopSite {
-                pos: self.prog.expr_pos(e),
-                fam: view_fam(self.prog, view),
-                emptiness,
-            });
-            *removed_before = true;
-        }
-    }
 }
 
 #[cfg(test)]

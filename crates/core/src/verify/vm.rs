@@ -44,7 +44,7 @@ use std::collections::BTreeSet;
 use super::diag::{Diagnostic, Lint, Severity};
 use super::domain::{alu, assume, negate, Interval, Nullability, Tri};
 use super::VerifyConfig;
-use crate::analysis;
+use crate::analysis::{self, Analysis};
 use crate::bytecode::{is_allocatable, AluOp, MAX_STACK_SLOTS};
 use crate::bytecode::{BytecodeProgram, Cond, DebugTable, Helper, Insn, Operand, NUM_MACH_REGS};
 use crate::env::{PacketProp, QueueKind, SubflowProp};
@@ -173,22 +173,24 @@ pub fn validate_translation(
     certified_bound: u64,
     cfg: &VerifyConfig,
 ) -> BytecodeVerdict {
-    validate(prog, debug, hir, certified_bound, cfg, false)
+    let audit = analysis::analyze(hir);
+    validate(prog, debug, &audit, certified_bound, cfg, false)
 }
 
-/// [`validate_translation`], checking the image's structure only unless
-/// `structure_checked`: the compile pipeline runs
+/// [`validate_translation`] against `audit`, the HIR's static audit the
+/// admission verdict already holds, checking the image's structure only
+/// unless `structure_checked`: the compile pipeline runs
 /// [`crate::vm::verify_with_debug`] on its image itself, once.
 pub(crate) fn validate(
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    hir: &HProgram,
+    audit: &Analysis,
     certified_bound: u64,
     cfg: &VerifyConfig,
     structure_checked: bool,
 ) -> BytecodeVerdict {
     let analyzer = run(prog, Some(debug), cfg, structure_checked);
-    let audit_diags = audit_helpers(&analyzer, prog, debug, hir);
+    let audit_diags = audit_helpers(&analyzer, prog, debug, audit);
     // A bound over the certificate is anchored at the loop charged the
     // most trips: the likeliest to be miscompiled.
     let heaviest = analyzer.loops.iter().rev().max_by_key(|l| l.trip);
@@ -1385,19 +1387,18 @@ impl BlockSyms {
 // ---- HIR cross-check (helper audit) ----------------------------------
 
 /// Compares the helper calls the bytecode performs against the HIR's
-/// static audit ([`crate::analysis::analyze`]). Each enum code is the
-/// immediate operand of its call ([`crate::vm::verify`] rejects any
-/// other), so every site is checked, reachable or not.
+/// static audit `hir_audit`. Each enum code is the immediate operand of
+/// its call ([`crate::vm::verify`] rejects any other), so every site is
+/// checked, reachable or not.
 fn audit_helpers(
     analyzer: &Analyzer<'_>,
     prog: &BytecodeProgram,
     debug: &DebugTable,
-    hir: &HProgram,
+    hir_audit: &Analysis,
 ) -> Vec<Diagnostic> {
     if analyzer.structural_error.is_some() {
         return Vec::new();
     }
-    let hir_audit = analysis::analyze(hir);
     let mut diags = Vec::new();
     let mut miscompile = |pc: usize, message: String| {
         diags.push(Diagnostic {
