@@ -59,6 +59,12 @@ echo "==> a connection handles its own events: no transport handler, transmit or
 [ "$(grep -c 'self\.dispatch(' crates/sim/src/engine.rs)" -eq 1 ] \
   || { echo "Sim::dispatch must be called from Sim::step only (a second call site measured 5 % slower on fleet_bulk)"; exit 1; }
 
+echo "==> the event calendar relinks node indices: no per-slot event buffers, no emptied-slot take, EventKind pinned at 48 bytes or less"
+! grep -nE 'Vec<Vec<|mem::take\(&mut self\.levels' crates/sim/src/calendar.rs \
+  || { echo "calendar.rs keeps per-slot event buffers again (a slot is a u32 list head into the node arena; per-slot Vecs re-grow on every refill)"; exit 1; }
+grep -qF 'assert!(std::mem::size_of::<EventKind>() <= 48)' crates/sim/src/engine.rs \
+  || { echo "the EventKind size assert is gone from engine.rs (every calendar node carries an EventKind)"; exit 1; }
+
 echo "==> one verifier configuration, no miscompile field: CompileOptions is three choices, the sabotaged passes are unit-test code"
 ! grep -rnE 'relational_domain|opt_sabotage|prop_weakening|compile_observed_relational|verify_properties_weakened' crates/ src/ tests/ examples/ \
   || { echo "a caller can ask for a weaker verifier, a miscompile or a false certificate again"; exit 1; }

@@ -57,14 +57,16 @@ impl BackendOutcome {
         let mut quiet = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
             // Sampled pre-round, exactly as the simulator engine samples it.
-            let pre = PropObservation::before(&env);
+            let mut obs = PropObservation::default();
+            obs.before(&env);
             quiet.push(held_atoms(&env));
             let mut ctx = ExecCtx::new(&env, budget);
             rounds.push(match instance.execute_raw(&mut ctx) {
                 Ok(()) => {
                     let (regs, actions, stats) = ctx.finish();
                     env.apply(&regs, &actions);
-                    Ok((stats, pre.after(&actions, &stats)))
+                    obs.after(&actions, &stats);
+                    Ok((stats, obs))
                 }
                 Err(e) => Err(e),
             });

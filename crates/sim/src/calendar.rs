@@ -18,14 +18,39 @@
 //! side-by-side property test against a reference `BinaryHeap`; golden
 //! snapshots across the repo depend on it.
 //!
-//! **Measured, not guessed.** With this type's body swapped for a
+//! **One node arena, intrusive slot lists.** As in the Linux timer
+//! wheel, a slot is the head of a list threaded through the queued
+//! events themselves. Every queued event is a `Node` in one `Vec`; a
+//! slot holds the index of its first node, each node the index of the
+//! next, and freed nodes form a free list through the same link. The
+//! payload is written once, by `push`, and moved out once, by `pop`: a
+//! cascade from an outer level relinks 4-byte indices and copies no
+//! event; the due list and the overflow heap hold keys and indices. The
+//! arena grows to the largest number of events pending at once and is
+//! then reused, so a warmed-up queue allocates nothing.
+//!
+//! **No per-slot buffers.** The wheel this replaced kept a `Vec` per
+//! slot and emptied a slot with `mem::take`, so every refill re-grew a
+//! buffer: 0.76 heap allocations per event on the benchmark's
+//! `fleet_bulk`, 0.96 on `fleet_lossy`. Keeping those buffers instead
+//! costs memory in proportion to the slot count, not the pending count:
+//! recycling level 0's raised `fleet_bulk` peak RSS by ≈2 MB, and
+//! recycling every level's raised it from 11.0 to 14.5 MB. The arena
+//! costs one node per pending event and nothing per slot.
+//!
+//! **Measured, not guessed** (2-CPU container shared with other
+//! workloads, 2026-10-20). With this type's body swapped for a
 //! `BinaryHeap` keyed by `(time, seq)` — same API, same order, so the
 //! benchmark's `fleet_bulk` still read 918 665 events and digest
-//! `523b6e9fffea18c7` — `benchmark/run.sh --workload fleet_bulk
-//! --seconds 3 --trace 0` read a wall of 0.726–0.760 s with the heap
-//! against 0.619–0.633 s with the wheel (three alternating runs each,
-//! 2-CPU container): the heap is ≈18 % slower end to end. It is smaller:
-//! peak RSS read 24.2–24.3 MB against 27.5–27.6 MB.
+//! `4114d64ce38c0397` — `benchmark/run.sh --workload fleet_bulk
+//! --seconds 3 --trace 0` read a wall of 0.349–0.374 s with the heap
+//! against 0.292–0.339 s with the wheel (four alternating pairs): the
+//! heap is ≈19 % slower end to end. Peak RSS read 8.96–9.21 MB against
+//! 9.19–9.50 MB. Against the per-slot-buffer wheel it replaces, the
+//! arena took `fleet_bulk` from 0.75 to 0.010 allocations per event
+//! (one `run_fleet`, compile cache warm), its peak RSS from 11.0 to
+//! 9.4 MB and the benchmark's `sim.calendar.hold_ns` (a hold model over
+//! 10 000 pending events) from 74–128 to 34–54 ns.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -45,39 +70,17 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 4;
 /// Occupancy bitmap words per level.
 const WORDS: usize = SLOTS / 64;
+/// The end of a node list.
+const NIL: u32 = u32::MAX;
 
-/// One queued event with its total-order key.
-#[derive(Debug)]
-struct Entry<T> {
-    time: SimTime,
-    seq: u64,
-    item: T,
-}
-
-impl<T> Entry<T> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// Overflow-heap wrapper ordering entries by `(time, seq)` only.
-struct ByKey<T>(Entry<T>);
-
-impl<T> PartialEq for ByKey<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl<T> Eq for ByKey<T> {}
-impl<T> PartialOrd for ByKey<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for ByKey<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.key().cmp(&other.0.key())
-    }
+/// One arena slot: a queued event with its total-order key `(time,
+/// seq)` and the link to the next node of its wheel slot (or of the free
+/// list, once freed).
+struct Node<T> {
+    key: (SimTime, u64),
+    next: u32,
+    /// `None` once `pop` has moved the payload out.
+    item: Option<T>,
 }
 
 /// A deterministic calendar queue over payloads `T`.
@@ -86,18 +89,23 @@ impl<T> Ord for ByKey<T> {
 /// number; `pop` returns events in strict `(time, seq)` order — exactly
 /// the order a `BinaryHeap<Reverse<(time, seq)>>` would produce.
 pub struct CalendarQueue<T> {
-    /// `levels[l][s]`: events whose tick lands in slot `s` of level `l`.
-    levels: Vec<Vec<Vec<Entry<T>>>>,
+    /// Every queued event, plus the freed nodes awaiting reuse.
+    nodes: Vec<Node<T>>,
+    /// Head of the free list through `Node::next`.
+    free: u32,
+    /// `heads[l][s]`: first node of the events whose tick lands in slot
+    /// `s` of level `l`.
+    heads: [[u32; SLOTS]; LEVELS],
     /// Per-level slot-occupancy bitmaps.
     occ: [[u64; WORDS]; LEVELS],
     /// Current tick (µs). Everything still queued in the wheel is
     /// strictly after this tick; everything at or before it is in `due`.
     cur: u64,
-    /// Events whose tick is `<= cur`, sorted *descending* by
-    /// `(time, seq)` so the global minimum pops from the back in O(1).
-    due: Vec<Entry<T>>,
-    /// Events beyond the wheel horizon, ordered by `(time, seq)`.
-    overflow: BinaryHeap<Reverse<ByKey<T>>>,
+    /// Nodes whose tick is `<= cur` with their keys, sorted
+    /// *descending* so the global minimum pops from the back in O(1).
+    due: Vec<((SimTime, u64), u32)>,
+    /// Nodes beyond the wheel horizon, by key.
+    overflow: BinaryHeap<Reverse<((SimTime, u64), u32)>>,
     next_seq: u64,
     len: usize,
 }
@@ -112,9 +120,9 @@ impl<T> CalendarQueue<T> {
     /// Creates an empty queue positioned at tick 0.
     pub fn new() -> Self {
         CalendarQueue {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [[NIL; SLOTS]; LEVELS],
             occ: [[0; WORDS]; LEVELS],
             cur: 0,
             due: Vec::new(),
@@ -136,146 +144,143 @@ impl<T> CalendarQueue<T> {
 
     /// Enqueues `item` at `time`, assigning the next sequence number.
     pub fn push(&mut self, time: SimTime, item: T) {
-        let seq = self.next_seq;
+        let node = Node {
+            key: (time, self.next_seq),
+            next: NIL,
+            item: Some(item),
+        };
         self.next_seq += 1;
         self.len += 1;
-        self.insert(Entry { time, seq, item });
+        let idx = match self.free {
+            NIL => {
+                assert!(self.nodes.len() < NIL as usize, "2^32 - 1 events pending");
+                self.nodes.push(node);
+                self.nodes.len() as u32 - 1
+            }
+            idx => {
+                self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+                idx
+            }
+        };
+        self.insert(idx);
     }
 
     /// Time of the next event without removing it. Internally advances
     /// the wheel cursor up to that event (structure-only motion; the
     /// event order is unaffected).
     pub fn next_time(&mut self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.due.is_empty() {
-            self.advance();
-        }
-        self.due.last().map(|e| e.time)
+        self.front().map(|(key, _)| key.0)
     }
 
     /// Removes and returns the earliest event (by `(time, seq)`).
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        let (_, idx) = self.front()?;
+        self.due.pop();
+        self.len -= 1;
+        let node = &mut self.nodes[idx as usize];
+        node.next = std::mem::replace(&mut self.free, idx);
+        Some((
+            node.key.0,
+            node.item.take().expect("a queued node holds its item"),
+        ))
+    }
+
+    /// The earliest node, once the cursor has moved up to it.
+    fn front(&mut self) -> Option<((SimTime, u64), u32)> {
         if self.len == 0 {
             return None;
         }
         while self.due.is_empty() {
             self.advance();
         }
-        let e = self.due.pop().expect("due non-empty");
-        self.len -= 1;
-        Some((e.time, e.item))
+        self.due.last().copied()
     }
 
-    fn insert(&mut self, e: Entry<T>) {
-        let tick = e.time / TICK_NS;
+    /// Files node `idx` by its tick: into `due`, a wheel slot's list, or
+    /// the overflow heap.
+    fn insert(&mut self, idx: u32) {
+        let key = self.nodes[idx as usize].key;
+        let tick = key.0 / TICK_NS;
         if tick <= self.cur {
             // Due now (or scheduled into the past): merge into the
             // sorted-descending due list.
-            let key = e.key();
             let pos = self
                 .due
-                .binary_search_by(|p| key.cmp(&p.key()))
+                .binary_search_by(|(k, _)| key.cmp(k))
                 .unwrap_or_else(|i| i);
-            self.due.insert(pos, e);
+            self.due.insert(pos, (key, idx));
             return;
         }
         let xor = tick ^ self.cur;
         for l in 0..LEVELS {
             if xor >> (SLOT_BITS * (l as u32 + 1)) == 0 {
                 let slot = ((tick >> (SLOT_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-                self.levels[l][slot].push(e);
+                self.nodes[idx as usize].next = self.heads[l][slot];
+                self.heads[l][slot] = idx;
                 self.occ[l][slot / 64] |= 1 << (slot % 64);
                 return;
             }
         }
-        self.overflow.push(Reverse(ByKey(e)));
+        self.overflow.push(Reverse((key, idx)));
     }
 
     /// First occupied slot of `level` strictly after `from`, if any.
     fn next_slot(&self, level: usize, from: usize) -> Option<usize> {
         let start = from + 1;
-        if start >= SLOTS {
-            return None;
-        }
-        let mut word = start / 64;
-        let mut bits = self.occ[level][word] & !((1u64 << (start % 64)) - 1);
-        loop {
-            if bits != 0 {
-                return Some(word * 64 + bits.trailing_zeros() as usize);
+        (start / 64..WORDS).find_map(|word| {
+            let mut bits = self.occ[level][word];
+            if word == start / 64 {
+                bits &= !0 << (start % 64);
             }
-            word += 1;
-            if word == WORDS {
-                return None;
-            }
-            bits = self.occ[level][word];
-        }
+            (bits != 0).then(|| word * 64 + bits.trailing_zeros() as usize)
+        })
     }
 
-    /// Moves the cursor to the next occupied tick and migrates that
-    /// tick's events into `due`. Requires `due` empty and `len > 0`;
-    /// each call strictly advances `cur` or fills `due`.
+    /// Moves the cursor one step, to the next occupied slot of the
+    /// shallowest level that has one ahead of it, and relinks that
+    /// slot's nodes one level down or into `due`: an occupied level-0
+    /// slot *is* the next tick. With the wheel empty, jumps to the
+    /// overflow heap's minimum and pulls every node that now fits the
+    /// wheel horizon back in. Requires `len > 0`.
     fn advance(&mut self) {
-        loop {
-            // Innermost level first: an occupied L0 slot ahead of the
-            // cursor *is* the next tick.
-            let cur_slot0 = (self.cur & (SLOTS as u64 - 1)) as usize;
-            if let Some(s) = self.next_slot(0, cur_slot0) {
-                let tick = (self.cur & !(SLOTS as u64 - 1)) | s as u64;
-                self.cur = tick;
-                let mut batch = std::mem::take(&mut self.levels[0][s]);
-                self.occ[0][s / 64] &= !(1 << (s % 64));
-                // All entries share the tick; order the full keys.
-                batch.sort_unstable_by_key(|e| Reverse(e.key()));
-                self.due = batch;
+        let next = (0..LEVELS).find_map(|l| {
+            let shift = SLOT_BITS * l as u32;
+            let from = ((self.cur >> shift) & (SLOTS as u64 - 1)) as usize;
+            self.next_slot(l, from).map(|s| (l, shift, s))
+        });
+        if let Some((l, shift, s)) = next {
+            self.cur = (self.cur & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((s as u64) << shift);
+            self.occ[l][s / 64] &= !(1 << (s % 64));
+            let mut idx = std::mem::replace(&mut self.heads[l][s], NIL);
+            if l == 0 {
+                // Every node of the slot is due at the new tick: collect
+                // them and order the full keys once.
+                while idx != NIL {
+                    let node = &self.nodes[idx as usize];
+                    self.due.push((node.key, idx));
+                    idx = node.next;
+                }
+                self.due.sort_unstable_by(|a, b| b.cmp(a));
                 return;
             }
-            // Cascade: find the next occupied slot of the shallowest
-            // non-empty outer level, jump the cursor to its base tick,
-            // and re-insert its events one level down (or into `due`).
-            let mut cascaded = false;
-            for l in 1..LEVELS {
-                let cur_slot = ((self.cur >> (SLOT_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-                if let Some(s) = self.next_slot(l, cur_slot) {
-                    let shift = SLOT_BITS * l as u32;
-                    let base =
-                        (self.cur & !((1u64 << (shift + SLOT_BITS)) - 1)) | ((s as u64) << shift);
-                    self.cur = base;
-                    let batch = std::mem::take(&mut self.levels[l][s]);
-                    self.occ[l][s / 64] &= !(1 << (s % 64));
-                    for e in batch {
-                        self.insert(e);
-                    }
-                    cascaded = true;
-                    break;
-                }
+            while idx != NIL {
+                let next = self.nodes[idx as usize].next;
+                self.insert(idx);
+                idx = next;
             }
-            if cascaded {
-                if !self.due.is_empty() {
-                    return;
-                }
-                continue;
+            return;
+        }
+        let Some(&Reverse(((time, _), _))) = self.overflow.peek() else {
+            unreachable!("advance() called on an empty queue");
+        };
+        self.cur = time / TICK_NS;
+        let horizon = self.cur >> (SLOT_BITS * LEVELS as u32);
+        while let Some(&Reverse(((time, _), idx))) = self.overflow.peek() {
+            if (time / TICK_NS) >> (SLOT_BITS * LEVELS as u32) != horizon {
+                break;
             }
-            // Wheel exhausted: everything left lives in the overflow
-            // heap. Jump to its minimum and pull every entry that now
-            // fits the wheel horizon back in.
-            let Some(Reverse(ByKey(min))) = self.overflow.pop() else {
-                unreachable!("advance() called on an empty queue");
-            };
-            self.cur = min.time / TICK_NS;
-            let horizon = self.cur >> (SLOT_BITS * LEVELS as u32);
-            self.insert(min);
-            while let Some(Reverse(ByKey(e))) = self.overflow.peek() {
-                if (e.time / TICK_NS) >> (SLOT_BITS * LEVELS as u32) != horizon {
-                    break;
-                }
-                let Reverse(ByKey(e)) = self.overflow.pop().expect("peeked");
-                self.insert(e);
-            }
-            if !self.due.is_empty() {
-                return;
-            }
+            self.overflow.pop();
+            self.insert(idx);
         }
     }
 }

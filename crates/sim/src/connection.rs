@@ -14,6 +14,7 @@ use crate::app::BulkState;
 use crate::cc::{lia_alpha_x1024, CcAlgo};
 use crate::config::{load, SchedulerSpec};
 use crate::engine::{EventKind, Events};
+use crate::oracle::QueueStamps;
 use crate::packet::SegmentSlab;
 use crate::path::{Path, TxOutcome};
 use crate::pathman::{PathManager, PmAction};
@@ -642,11 +643,14 @@ impl Connection {
     /// without duplicates, a segment is never simultaneously
     /// schedulable (`Q`/`RQ`) twice, and `Q` ascends in `seq` (what
     /// [`Connection::meta_ack`] and the removal of a pushed packet rely
-    /// on). Returns the first violation found.
-    pub fn queue_invariants(&self) -> Result<(), String> {
+    /// on). Returns the first violation found. One walk per queue, with
+    /// `stamps` recording which queues each segment was seen in.
+    pub fn queue_invariants(&self, stamps: &mut QueueStamps) -> Result<(), String> {
+        stamps.start(self.segments.len());
         for kind in QueueKind::ALL {
             let (name, queue) = (kind.name(), self.queue(kind));
             let mut q_floor = None;
+            let mut duplicate = false;
             for pkt in queue {
                 let Some(seg) = self.segments.get(*pkt) else {
                     return Err(format!("{name} holds unknown segment {pkt:?}"));
@@ -667,15 +671,18 @@ impl Connection {
                         self.data_acked
                     ));
                 }
+                duplicate |= !stamps.mark(*pkt, kind);
             }
-            let mut seen = queue.iter().collect::<Vec<_>>();
-            seen.sort_unstable();
-            seen.dedup();
-            if seen.len() != queue.len() {
+            if duplicate {
                 return Err(format!("{name} contains a duplicate packet handle"));
             }
         }
-        if let Some(pkt) = self.q.as_slice().iter().find(|p| self.rq.contains(p)) {
+        if let Some(pkt) = self
+            .q
+            .as_slice()
+            .iter()
+            .find(|p| stamps.holds(**p, QueueKind::Reinject))
+        {
             return Err(format!("segment {pkt:?} in both Q and RQ"));
         }
         Ok(())
@@ -1385,20 +1392,72 @@ mod tests {
                         "seed {seed} step {step}: {kind}"
                     );
                 }
-                c.queue_invariants()
+                c.queue_invariants(&mut QueueStamps::default())
                     .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
             }
         }
     }
 
-    #[test]
-    fn queue_invariants_report_a_q_that_does_not_ascend() {
+    /// A connection with three 1400-byte segments in `Q`
+    /// (`PacketRef(1..=3)`), broken by `breach`; returns the first
+    /// `queue-structure` violation it reports.
+    fn queue_breach(breach: impl FnOnce(&mut Connection)) -> String {
         let mut c = make_conn();
         c.enqueue_data(4200, 0, 0);
-        assert_eq!(c.queue_invariants(), Ok(()));
-        c.q.buf.swap(0, 1);
-        let err = c.queue_invariants().unwrap_err();
-        assert!(err.contains("not ascending"), "{err}");
+        let mut stamps = QueueStamps::default();
+        assert_eq!(c.queue_invariants(&mut stamps), Ok(()));
+        breach(&mut c);
+        c.queue_invariants(&mut stamps).unwrap_err()
+    }
+
+    #[test]
+    fn queue_invariants_name_each_breach() {
+        type Breach = fn(&mut Connection);
+        let cases: [(&str, Breach, &str); 7] = [
+            (
+                "unknown segment",
+                |c| c.rq.push(PacketRef(99)),
+                "RQ holds unknown segment PacketRef(99)",
+            ),
+            (
+                "Q not ascending",
+                |c| c.q.buf.swap(0, 1),
+                "Q is not ascending in seq at PacketRef(1) (seq 0)",
+            ),
+            (
+                "fully acked entry",
+                |c| c.data_acked = 1400,
+                "Q holds fully acked segment PacketRef(1) (end_seq 1400 <= data_acked 1400)",
+            ),
+            (
+                "duplicate in QU",
+                |c| c.qu.extend([PacketRef(2), PacketRef(1), PacketRef(2)]),
+                "QU contains a duplicate packet handle",
+            ),
+            (
+                "duplicate in RQ",
+                |c| {
+                    c.q.drop_front(3);
+                    c.rq.extend([PacketRef(3), PacketRef(1), PacketRef(3)]);
+                },
+                "RQ contains a duplicate packet handle",
+            ),
+            (
+                "segment in both Q and RQ",
+                |c| c.rq.extend([PacketRef(3), PacketRef(2)]),
+                "segment PacketRef(2) in both Q and RQ",
+            ),
+            (
+                // The walk reports an unknown segment before the
+                // duplicate that precedes it in the same queue.
+                "duplicate, then unknown segment",
+                |c| c.qu.extend([PacketRef(1), PacketRef(1), PacketRef(0)]),
+                "QU holds unknown segment PacketRef(0)",
+            ),
+        ];
+        for (what, breach, want) in cases {
+            assert_eq!(queue_breach(breach), want, "{what}");
+        }
     }
 
     #[test]

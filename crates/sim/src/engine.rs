@@ -87,7 +87,9 @@ pub(crate) enum EventKind {
     PathChange {
         conn: ConnId,
         sbf: u32,
-        entry: PathProfileEntry,
+        /// Boxed: pushed once per profile entry at set-up, and 56 bytes
+        /// inline would widen every event the calendar holds.
+        entry: Box<PathProfileEntry>,
     },
     Refill {
         conn: ConnId,
@@ -129,6 +131,10 @@ pub(crate) enum EventKind {
         conn: ConnId,
     },
 }
+
+// Every queued event is a calendar node, so its size is the engine's
+// per-event memory traffic.
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 48);
 
 /// The event queue: every follow-up a connection schedules goes here.
 pub(crate) type Events = CalendarQueue<EventKind>;
@@ -181,6 +187,9 @@ pub struct Sim {
     exec_scratch: ExecScratch,
     /// Transmissions requested by the round in progress, likewise reused.
     tx_scratch: Vec<(SubflowId, PacketRef)>,
+    /// What the round in progress did, for the property checks; likewise
+    /// reused.
+    prop_scratch: PropObservation,
 }
 
 impl Sim {
@@ -196,6 +205,7 @@ impl Sim {
             supervisor: None,
             exec_scratch: ExecScratch::default(),
             tx_scratch: Vec::new(),
+            prop_scratch: PropObservation::default(),
         }
     }
 
@@ -340,7 +350,7 @@ impl Sim {
                     EventKind::PathChange {
                         conn: id,
                         sbf: i as u32,
-                        entry: *entry,
+                        entry: Box::new(*entry),
                     },
                 );
             }
@@ -783,7 +793,9 @@ impl Sim {
         let c = &mut self.connections[conn];
         // The execution mutates the views, so the pre-state comes first.
         let watched = self.oracle.is_some() && scheduler.cert().is_some();
-        let pre = watched.then(|| PropObservation::before(&*c));
+        if watched {
+            self.prop_scratch.before(&*c);
+        }
         // Host timing stays a pair around the execution until the
         // benchmark stops reading `scheduler_host_ns` (ROADMAP 2a, 7).
         let t0 = Instant::now();
@@ -806,10 +818,10 @@ impl Sim {
         c.stats.scheduler_executions += 1;
         c.stats.scheduler_steps += stats.steps;
         c.stats.scheduler_host_ns += host_ns;
-        let violations = match (pre, scheduler.cert()) {
-            (Some(pre), Some(cert)) => {
-                let identity = c.identity as usize;
-                check_properties(self.now, identity, cert, &pre.after(actions, &stats))
+        let violations = match scheduler.cert() {
+            Some(cert) if watched => {
+                self.prop_scratch.after(actions, &stats);
+                check_properties(self.now, c.identity as usize, cert, &self.prop_scratch)
             }
             _ => Vec::new(),
         };

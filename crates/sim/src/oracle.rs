@@ -28,19 +28,23 @@
 //!
 //! The per-event check does not grow with the number of connections,
 //! but it does grow with the checked connection's backlog. It walks `Q`,
-//! `QU` and `RQ` once each (a segment lookup per packet), copies each
-//! queue into a fresh `Vec` and sorts it to find duplicates (one
-//! allocation and O(n log n) per queue), tests every packet of `Q` for
-//! membership in `RQ` (O(|Q| · |RQ|)), and recounts the receiver's
-//! reorder queue (`ooo_recount`, O(entries)). Measured on a 2-CPU
-//! container, 14 connections (two per paper scheduler) on one worker:
-//! wall with the oracle on is 1.2× the wall with it off at 20 KB per
-//! connection, 1.9× at 2 MB and 2.8× at 20 MB. At the benchmark fleets'
-//! backlogs the check is smaller: 9.3 ms of an 82 ms traced
+//! `QU` and `RQ` once each (a segment lookup per packet), marking each
+//! segment's queues in a [`QueueStamps`] table the oracle owns, so
+//! duplicates and `Q ∩ RQ` fall out of the same walks in O(|Q| + |QU| +
+//! |RQ|), and it recounts the receiver's reorder queue (`ooo_recount`,
+//! O(entries)). Once the table and the replay log have grown, a check
+//! allocates nothing. Measured on a 2-CPU container shared with other
+//! workloads, 14 connections (two per paper scheduler) in one `Sim`,
+//! best of three: wall with the oracle on is 1.22× the wall with it off
+//! at 20 KB per connection, 2.45× at 2 MB and 1.41× at 20 MB (1.26×,
+//! 3.26× and 2.61× when each walk sorted a fresh copy of its queue and
+//! `Q ∩ RQ` was a scan of `RQ` per packet of `Q`). At the benchmark
+//! fleets' backlogs the check is smaller: 10–14 ms of a 26–39 ms traced
 //! `fleet_checked` run. [`check_properties`] costs O(pushes²) per
-//! finished round (each push target is counted by a linear scan). A
-//! round the engine skips because its program's quiescence guard holds
-//! is shown to nobody; it could not have violated a certificate.
+//! finished round (each push target is counted by a linear scan) and
+//! allocates nothing unless it finds a violation. A round the engine
+//! skips because its program's quiescence guard holds is shown to
+//! nobody; it could not have violated a certificate.
 //!
 //! The oracle exists for the chaos tier (TESTING.md): fault plans drive
 //! the simulator through blackouts, burst loss, jitter, window stalls and
@@ -169,33 +173,32 @@ pub struct PropObservation {
 }
 
 impl PropObservation {
-    /// The pre-state of one execution, sampled from `env` before the
-    /// scheduler runs (it mutates the views); [`PropObservation::after`]
-    /// fills in the rest.
-    pub fn before(env: &dyn SchedulerEnv) -> Self {
+    /// Samples the pre-state of one execution from `env` before the
+    /// scheduler runs (it mutates the views) and clears what the last
+    /// round recorded; [`PropObservation::after`] fills in the rest.
+    pub fn before(&mut self, env: &dyn SchedulerEnv) {
         let subflows = env.subflows();
-        PropObservation {
-            pre_q_nonempty: !env.queue(QueueKind::SendQueue).is_empty(),
-            pre_subflows_nonempty: !subflows.is_empty(),
-            pre_avail_subflow: subflows.iter().any(|&s| subflow_available(env, s)),
-            n_subflows: subflows.len() as u64,
-            ..PropObservation::default()
-        }
+        self.pre_q_nonempty = !env.queue(QueueKind::SendQueue).is_empty();
+        self.pre_subflows_nonempty = !subflows.is_empty();
+        self.pre_avail_subflow = subflows.iter().any(|&s| subflow_available(env, s));
+        self.n_subflows = subflows.len() as u64;
+        self.pushes = 0;
+        self.null_pops = 0;
+        self.push_targets.clear();
     }
 
     /// Completes the observation with what the execution did: the
-    /// `actions` it emitted and its `stats`.
-    pub fn after(mut self, actions: &[Action], stats: &ExecStats) -> Self {
+    /// `actions` it emitted and its `stats`. Reuses the push-target
+    /// buffer, so a watched round allocates nothing once it has grown.
+    pub fn after(&mut self, actions: &[Action], stats: &ExecStats) {
         self.pushes = u64::from(stats.pushes);
         self.null_pops = u64::from(stats.null_pops);
-        self.push_targets = actions
-            .iter()
-            .filter_map(|a| match a {
+        self.push_targets.clear();
+        self.push_targets
+            .extend(actions.iter().filter_map(|a| match a {
                 Action::Push { subflow, packet } => Some((subflow.0, *packet)),
                 _ => None,
-            })
-            .collect();
-        self
+            }));
     }
 }
 
@@ -207,6 +210,52 @@ struct Marks {
     data_acked: u64,
     expected: u64,
     sbf_acked: Vec<u64>,
+}
+
+/// Which of `Q`, `QU` and `RQ` hold each segment, as far as the current
+/// [`Connection::queue_invariants`] walk has seen: one bit per queue per
+/// segment handle, valid only under the walk's generation, so a walk
+/// starts by bumping the generation instead of clearing the table. The
+/// oracle keeps one for all the connections it checks; it grows to the
+/// most segments one connection has made and is then reused.
+#[derive(Debug, Default)]
+pub struct QueueStamps {
+    generation: u32,
+    /// `(generation, queue bits)`, indexed by `PacketRef.0`.
+    seen: Vec<(u32, u8)>,
+}
+
+impl QueueStamps {
+    /// Starts a walk over a connection with `segments` segments.
+    pub(crate) fn start(&mut self, segments: usize) {
+        if self.seen.len() <= segments {
+            self.seen.resize(segments + 1, (0, 0));
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.seen.fill((0, 0));
+            self.generation = 1;
+        }
+    }
+
+    /// Records `pkt` in `queue`; `false` if this walk already had.
+    /// `pkt` must resolve to a segment.
+    pub(crate) fn mark(&mut self, pkt: PacketRef, queue: QueueKind) -> bool {
+        let bit = 1 << queue as u8;
+        let slot = &mut self.seen[pkt.0 as usize];
+        if slot.0 != self.generation {
+            *slot = (self.generation, 0);
+        }
+        let fresh = slot.1 & bit == 0;
+        slot.1 |= bit;
+        fresh
+    }
+
+    /// Whether this walk has recorded `pkt` in `queue`.
+    pub(crate) fn holds(&self, pkt: PacketRef, queue: QueueKind) -> bool {
+        let (generation, bits) = self.seen[pkt.0 as usize];
+        generation == self.generation && bits & (1 << queue as u8) != 0
+    }
 }
 
 /// The oracle itself; owned by the engine and consulted after each event.
@@ -226,6 +275,7 @@ pub struct InvariantOracle {
     pub dropped_violations: u64,
     log: VecDeque<(SimTime, EventKind)>,
     marks: Vec<Marks>,
+    stamps: QueueStamps,
     checks: u64,
 }
 
@@ -241,6 +291,7 @@ impl InvariantOracle {
             dropped_violations: 0,
             log: VecDeque::with_capacity(EVENT_LOG_CAP),
             marks: Vec::new(),
+            stamps: QueueStamps::default(),
             checks: 0,
         }
     }
@@ -404,7 +455,7 @@ impl InvariantOracle {
                 ),
             ));
         }
-        if let Err(detail) = conn.queue_invariants() {
+        if let Err(detail) = conn.queue_invariants(&mut self.stamps) {
             bad.push(("queue-structure", detail));
         }
         marks.data_acked = conn.data_acked;
@@ -470,14 +521,13 @@ pub fn check_properties(
     }
     if !obs.push_targets.is_empty() {
         let cap = cert.dup_bound.eval(obs.n_subflows);
-        let mut counts: Vec<(PacketRef, u64)> = Vec::new();
-        for &(_, pkt) in &obs.push_targets {
-            match counts.iter_mut().find(|(p, _)| *p == pkt) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((pkt, 1)),
+        let targets = &obs.push_targets;
+        for (i, &(_, pkt)) in targets.iter().enumerate() {
+            // Each packet once, at its first push.
+            if targets[..i].iter().any(|&(_, p)| p == pkt) {
+                continue;
             }
-        }
-        for (pkt, c) in counts {
+            let c = targets[i..].iter().filter(|&&(_, p)| p == pkt).count() as u64;
             if c > cap {
                 flag(
                     "property-redundancy-bound",

@@ -7,7 +7,9 @@
 //! schedule of pushes and pops. Time generation is deliberately biased
 //! toward the adversarial cases: exact same-tick ties, sub-microsecond
 //! distinct times inside one tick, cross-level jumps, and events beyond
-//! the 2^32-µs wheel horizon (the overflow heap).
+//! the 2^32-µs wheel horizon (the overflow heap). A hold-model schedule
+//! keeps a steady population pending, so every pop frees an arena node
+//! that the next push reuses.
 
 use mptcp_sim::CalendarQueue;
 use proptest::prelude::*;
@@ -47,7 +49,67 @@ fn schedule() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// How far past the event it replaces a hold-model push lands (ns):
+/// the same instant, the same tick, or the reach of each wheel level, or
+/// past the 2^32-µs horizon.
+fn hold_delay() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1 => Just(0u64),
+        2 => 0u64..1_000,
+        4 => 1_000u64..256_000,
+        3 => 256_000u64..65_536_000,
+        2 => 65_536_000u64..16_777_216_000,
+        1 => 16_777_216_000u64..4_294_967_296_000,
+        1 => 4_294_967_296_000u64..9_000_000_000_000,
+    ]
+}
+
 proptest! {
+    /// The hold model: fill the queue with `pending` events, then, step
+    /// after step, pop the earliest one to four and push a replacement
+    /// for each `delay` after it. The population stays constant, so every
+    /// push after the fill lands in a node a pop freed, at every wheel
+    /// level and in the overflow heap; the payload is the sequence
+    /// number, so a node reused before it is popped, or popped with
+    /// another's payload, shows as a mismatch against the reference heap.
+    #[test]
+    fn hold_model_reuses_nodes_in_order(
+        fill in proptest::collection::vec(0u64..5_000_000, 1..300),
+        steps in proptest::collection::vec(
+            proptest::collection::vec(hold_delay(), 1..5),
+            1..500,
+        ),
+    ) {
+        let mut wheel = CalendarQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut next_seq = 0u64;
+        for t in fill {
+            wheel.push(t, next_seq);
+            heap.push(Reverse((t, next_seq)));
+            next_seq += 1;
+        }
+        let mut popped = Vec::new();
+        for delays in steps {
+            popped.clear();
+            for _ in &delays {
+                let Some(Reverse((t, s))) = heap.pop() else { break };
+                prop_assert_eq!(wheel.next_time(), Some(t));
+                prop_assert_eq!(wheel.pop(), Some((t, s)));
+                popped.push(t);
+            }
+            for (t, delay) in popped.iter().zip(&delays) {
+                wheel.push(t + delay, next_seq);
+                heap.push(Reverse((t + delay, next_seq)));
+                next_seq += 1;
+            }
+            prop_assert_eq!(wheel.len(), heap.len());
+        }
+        while let Some(Reverse(k)) = heap.pop() {
+            prop_assert_eq!(wheel.pop(), Some(k));
+        }
+        prop_assert!(wheel.is_empty());
+    }
+
     /// For every randomized schedule, the wheel and a reference binary
     /// heap ordered by `(time, seq)` pop identical sequences.
     #[test]
