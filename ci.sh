@@ -59,11 +59,19 @@ echo "==> a connection handles its own events: no transport handler, transmit or
 [ "$(grep -c 'self\.dispatch(' crates/sim/src/engine.rs)" -eq 1 ] \
   || { echo "Sim::dispatch must be called from Sim::step only (a second call site measured 5 % slower on fleet_bulk)"; exit 1; }
 
-echo "==> the event calendar relinks node indices: no per-slot event buffers, no emptied-slot take, EventKind pinned at 48 bytes or less"
+echo "==> the event calendar relinks node indices: no per-slot event buffers, no emptied-slot take, a queued event pinned at 48 bytes or less"
 ! grep -nE 'Vec<Vec<|mem::take\(&mut self\.levels' crates/sim/src/calendar.rs \
   || { echo "calendar.rs keeps per-slot event buffers again (a slot is a u32 list head into the node arena; per-slot Vecs re-grow on every refill)"; exit 1; }
-grep -qF 'assert!(std::mem::size_of::<EventKind>() <= 48)' crates/sim/src/engine.rs \
-  || { echo "the EventKind size assert is gone from engine.rs (every calendar node carries an EventKind)"; exit 1; }
+grep -qF 'assert!(std::mem::size_of::<(ConnId, EventKind)>() <= 48)' crates/sim/src/engine.rs \
+  || { echo "the queued-event size assert is gone from engine.rs (every calendar node carries a (ConnId, EventKind))"; exit 1; }
+
+echo "==> an event names its connection once: no EventKind variant carries conn, no EventKind::conn, one path-edit kind, one subflow kind"
+! sed -n '/^pub(crate) enum EventKind {/,/^}/p' crates/sim/src/engine.rs | grep -nE '^ +conn:' \
+  || { echo "an EventKind variant carries its connection again (the calendar holds (ConnId, EventKind): the envelope names it)"; exit 1; }
+! grep -nF 'fn conn(&self)' crates/sim/src/engine.rs \
+  || { echo "EventKind::conn is back (Sim::step reads the connection off the envelope)"; exit 1; }
+! grep -rnE 'FaultLoss \{|FaultJitter \{|SubflowDown \{' crates/sim/src \
+  || { echo "a path or subflow change has its own event kind again (EventKind::Path carries a PathEdit, EventKind::Subflow an up flag)"; exit 1; }
 
 echo "==> one verifier configuration, no miscompile field: CompileOptions is three choices, the sabotaged passes are unit-test code"
 ! grep -rnE 'relational_domain|opt_sabotage|prop_weakening|compile_observed_relational|verify_properties_weakened' crates/ src/ tests/ examples/ \
@@ -73,13 +81,13 @@ echo "==> one verifier configuration, no miscompile field: CompileOptions is thr
 [ "$(sed -n '/^pub struct CompileOptions {/,/^}/p' crates/core/src/program.rs | grep -c '^    pub ')" -eq 3 ] \
   || { echo "CompileOptions must declare exactly three pub fields (optimize, enforce_admission, optimize_bytecode)"; exit 1; }
 
-echo "==> a fleet's report does not depend on its shards: no fleet breaker, no incident filter, the containment record on the Connection, ContainmentConfig is four tunables"
+echo "==> a fleet's report does not depend on its shards: no fleet breaker, no incident filter, the containment record on the Connection, ContainmentConfig has no fields"
 ! grep -rnE 'fleet_breaker|take_breaker_trip|FleetBreakerTripped|set_panic_on_violation|canonical_incidents|OracleMode::Panic' crates/ src/ tests/ examples/ \
   || { echo "a containment decision or a report depends on how the fleet was sharded again"; exit 1; }
 ! grep -nE '^ +(pub )?conns:|fn register' crates/sim/src/supervisor.rs \
   || { echo "the supervisor keeps a per-connection table again (the record is Connection::contain)"; exit 1; }
-[ "$(sed -n '/^pub struct ContainmentConfig {/,/^}/p' crates/sim/src/supervisor.rs | grep -c '^    pub ')" -eq 4 ] \
-  || { echo "ContainmentConfig must declare exactly four pub fields (base_backoff, max_backoff, max_strikes, stall_check_interval)"; exit 1; }
+grep -qx 'pub struct ContainmentConfig;' crates/sim/src/supervisor.rs \
+  || { echo "ContainmentConfig has a field again (the backoff, strike limit and watchdog period are supervisor.rs constants)"; exit 1; }
 
 echo "==> a source compiles once per process: one program table behind SchedulerSpec::Dsl, none per Sim, none private, none in the compile pipeline"
 ! grep -rnE 'loaded_programs|OnceLock<SchedulerProgram>' crates/ src/ tests/ examples/ \

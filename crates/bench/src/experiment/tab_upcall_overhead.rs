@@ -15,7 +15,7 @@ const ITERS: u32 = 10_000;
 fn contained_clean_run(contained: bool) -> (f64, u64) {
     let mut sim = Sim::new(7);
     if contained {
-        sim.enable_containment(ContainmentConfig::default());
+        sim.enable_containment(ContainmentConfig);
     }
     let cfg = ConnectionConfig::new(
         vec![path(10, 5_000_000), path(40, 5_000_000)],

@@ -140,7 +140,7 @@ impl FleetCase {
             .with_workers(workers)
             .with_horizon(HORIZON)
             .with_oracle(OracleMode::Collect)
-            .with_containment(ContainmentConfig::default());
+            .with_containment(ContainmentConfig);
         run_fleet(&cfg, |global, conn_seed| self.scenario(global, conn_seed))
     }
 }
@@ -235,7 +235,7 @@ pub fn replay_reproduces(case: &FleetCase, replay: &str) -> bool {
     };
     let sc = case.scenario(global, conn_seed);
     let mut sim = Sim::new(seed);
-    sim.enable_containment(ContainmentConfig::default());
+    sim.enable_containment(ContainmentConfig);
     sim.enable_oracle(format!("fleet-chaos replay seed={seed} conn={conn}"), false);
     sim.add_scenario(sc, conn)
         .expect("replayed scheduler compiles");

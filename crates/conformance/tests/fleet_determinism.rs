@@ -158,7 +158,7 @@ fn a_contained_fleet_reports_the_same_incidents_at_1_2_and_8_workers() {
             .with_workers(workers)
             .with_horizon(300 * SECONDS)
             .with_oracle(OracleMode::Collect)
-            .with_containment(ContainmentConfig::default());
+            .with_containment(ContainmentConfig);
         run_fleet(&cfg, faulty)
     };
     let base = run(1);

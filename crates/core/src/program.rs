@@ -159,15 +159,16 @@ pub fn compile_with_options(
     // exact HIR the backends execute. Its verdict is always recorded;
     // enforcement turns error-severity findings into compile errors.
     let verify_cfg = crate::verify::VerifyConfig::default();
-    let verdict = crate::verify::verify_with_config(&hir, &verify_cfg);
+    let (verdict, pops) = crate::verify::admit(&hir, &verify_cfg);
     if options.enforce_admission {
         reject_on_error(Stage::Verify, &verdict.diagnostics)?;
     }
     // Semantic property certificate (work-conservation, starvation,
-    // redundancy bound, reinjection safety) over the same HIR. Findings
-    // never gate admission: they are recorded on the program for the lint
-    // CLI and armed as dynamic invariants by the simulator's oracle.
-    let props = crate::verify::verify_properties(&hir);
+    // redundancy bound, reinjection safety) over the same HIR, from the
+    // `POP` sites the admission pass classified. Findings never gate
+    // admission: they are recorded on the program for the lint CLI and
+    // armed as dynamic invariants by the simulator's oracle.
+    let props = crate::verify::props::certify(&hir, pops, None);
     // The quiescence guard sits beside the certificate, not in it: a
     // forged certificate must not change which rounds are skipped.
     let quiescence = crate::verify::props::certify_quiescence(&hir);

@@ -214,7 +214,7 @@ const MAX_LOOP_ITERS: usize = 1000;
 /// One `POP` the collecting pass reached: the `QueuePop` expression, the
 /// view it pops and that view's emptiness there.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct PopSite {
+pub(crate) struct PopSite {
     pub(super) at: ExprId,
     pub(super) view: ExprId,
     pub(super) emptiness: Emptiness,

@@ -26,9 +26,7 @@ pub mod vm;
 
 pub use diag::{Diagnostic, Lint, Severity, Verdict};
 pub use domain::IdSet;
-pub use props::{
-    subflow_available, verify_properties, PropStatus, PropertyCertificate, Quiescence,
-};
+pub use props::{subflow_available, PropStatus, PropertyCertificate, Quiescence};
 
 use crate::hir::HProgram;
 
@@ -64,7 +62,15 @@ pub fn verify(prog: &HProgram) -> Verdict {
 
 /// Verifies `prog` under explicit caps, returning the full [`Verdict`].
 pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
-    let (mut diagnostics, _) = dataflow::run(prog);
+    admit(prog, cfg).0
+}
+
+/// [`verify_with_config`], also handing back the `POP` sites its
+/// collecting pass classified, so the compile pipeline derives the
+/// property certificate from them ([`props::certify`]) instead of
+/// running the analyzer a second time.
+pub(crate) fn admit(prog: &HProgram, cfg: &VerifyConfig) -> (Verdict, Vec<dataflow::PopSite>) {
+    let (mut diagnostics, pops) = dataflow::run(prog);
     let (lint_diagnostics, analysis) = lints::run(prog, cfg);
     diagnostics.extend(lint_diagnostics);
     let certified_step_bound = cost::certified_step_bound(prog, cfg);
@@ -88,11 +94,12 @@ pub fn verify_with_config(prog: &HProgram, cfg: &VerifyConfig) -> Verdict {
             .cmp(&(b.pos.line, b.pos.col, b.lint, &b.message))
     });
     diagnostics.dedup();
-    Verdict {
+    let verdict = Verdict {
         diagnostics,
         certified_step_bound,
         analysis,
-    }
+    };
+    (verdict, pops)
 }
 
 #[cfg(test)]

@@ -523,25 +523,33 @@ pub fn subflow_available(env: &dyn SchedulerEnv, subflow: SubflowId) -> bool {
             > prop(SubflowProp::SkbsInFlight).wrapping_add(prop(SubflowProp::Queued))
 }
 
-/// Derives the property certificate for `prog` (production entry point).
-pub fn verify_properties(prog: &HProgram) -> PropertyCertificate {
-    verify_properties_with(prog, None, true)
-}
-
-/// Full-control entry point: optional weakening. The third argument is
-/// ignored; it stays only for the benchmark's stage tracer until ROADMAP
-/// 7(a) removes it.
+/// Derives the property certificate for `prog`, with an optional
+/// weakening. Runs the admission analyzer for the `POP` sites itself;
+/// the compile pipeline hands the ones its admission pass found to
+/// `certify` instead. The third argument is ignored; it stays only for
+/// the benchmark's stage tracer until ROADMAP 7(a) removes it.
 #[doc(hidden)]
 pub fn verify_properties_with(
     prog: &HProgram,
     weaken: Option<PropWeakening>,
     _relational: bool,
 ) -> PropertyCertificate {
+    let (_, pops) = dataflow::run(prog);
+    certify(prog, pops, weaken)
+}
+
+/// The property certificate of `prog`, whose `POP` sites the admission
+/// analyzer classified as `pops`.
+pub(crate) fn certify(
+    prog: &HProgram,
+    pops: Vec<PopSite>,
+    weaken: Option<PropWeakening>,
+) -> PropertyCertificate {
     let config = VerifyConfig::default();
     let work_conservation = analyze_work_conservation(prog, weaken);
     let (starvation, allowed_ids) = analyze_starvation(prog, weaken);
     let (redundancy, dup_bound) = analyze_redundancy(prog, weaken, &config);
-    let (reinjection, pops_fully_guarded) = analyze_reinjection(prog, weaken);
+    let (reinjection, pops_fully_guarded) = analyze_reinjection(prog, pops, weaken);
     let dup_cap = dup_bound.eval(config.max_subflows);
     PropertyCertificate {
         work_conservation,
@@ -1433,9 +1441,12 @@ fn view_fam(prog: &HProgram, view: ExprId) -> QFam {
 // ---------------------------------------------------------------------
 
 /// Reinjection safety and `pops_fully_guarded`, read off the `POP` sites
-/// one collecting pass of the admission analyzer classifies.
-fn analyze_reinjection(prog: &HProgram, weaken: Option<PropWeakening>) -> (PropOutcome, bool) {
-    let (_, mut sites) = dataflow::run(prog);
+/// the collecting pass of the admission analyzer classified.
+fn analyze_reinjection(
+    prog: &HProgram,
+    mut sites: Vec<PopSite>,
+    weaken: Option<PropWeakening>,
+) -> (PropOutcome, bool) {
     if weaken == Some(PropWeakening::AssumePopsGuarded) {
         for s in &mut sites {
             s.emptiness = Emptiness::NonEmpty;

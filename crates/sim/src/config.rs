@@ -282,7 +282,7 @@ mod tests {
                 .collect()
         };
         let mut sim = crate::Sim::new(5);
-        sim.enable_containment(ContainmentConfig::default());
+        sim.enable_containment(ContainmentConfig);
         let path = PathConfig::symmetric(from_millis(10), 1_000_000);
         // The second connection aborts every run: quarantined at once.
         for budget in [None, Some(3)] {

@@ -16,12 +16,12 @@ use crate::config::{load, SchedulerSpec};
 use crate::engine::{EventKind, Events};
 use crate::oracle::QueueStamps;
 use crate::packet::SegmentSlab;
-use crate::path::{Path, TxOutcome};
+use crate::path::{PathEdit, TxOutcome};
 use crate::pathman::{PathManager, PmAction};
 use crate::receiver::Receiver;
 use crate::stats::ConnStats;
 use crate::subflow::{Subflow, TxRec};
-use crate::supervisor::{ConnContain, ContainState};
+use crate::supervisor::{ConnContain, ContainState, STALL_CHECK_INTERVAL};
 use crate::time::SimTime;
 use progmp_core::env::{
     Action, PacketProp, PacketRef, QueueKind, RegId, SchedulerEnv, SubflowId, SubflowProp, Trigger,
@@ -348,20 +348,17 @@ impl Connection {
     }
 
     /// Splits `bytes` of application data into MSS segments with property
-    /// `prop` and appends them to `Q`. Returns the created handles.
-    pub fn enqueue_data(&mut self, bytes: u64, prop: u32, now: SimTime) -> Vec<PacketRef> {
-        let mut out = Vec::new();
+    /// `prop` and appends them to `Q`.
+    pub fn enqueue_data(&mut self, bytes: u64, prop: u32, now: SimTime) {
         let mut remaining = bytes;
         while remaining > 0 {
             let size = remaining.min(u64::from(self.mss)) as u32;
             let id = self.segments.alloc(self.next_data_seq, size, prop, now);
             self.next_data_seq += u64::from(size);
             self.q.push(id);
-            out.push(id);
             remaining -= u64::from(size);
         }
         self.stats.enqueued_bytes += bytes;
-        out
     }
 
     /// New application data: into `Q`, and the stall watchdog armed when
@@ -371,8 +368,8 @@ impl Connection {
         self.enqueue_data(bytes, prop, self.now);
         if let Some(record) = self.contain.as_mut() {
             if record.arm_watchdog(self.data_acked) {
-                let at = self.now + record.watchdog_period;
-                queue.push(at, EventKind::StallCheck { conn: self.id });
+                let at = self.now + STALL_CHECK_INTERVAL;
+                queue.push(at, (self.id, EventKind::StallCheck));
             }
         }
         true
@@ -406,10 +403,7 @@ impl Connection {
     pub(crate) fn rearm_refill(&self, queue: &mut Events, source: usize) {
         let s = &self.sources[source];
         if s.remaining > 0 {
-            let refill = EventKind::Refill {
-                conn: self.id,
-                source,
-            };
+            let refill = (self.id, EventKind::Refill { source });
             queue.push(self.now + s.interval, refill);
         }
     }
@@ -480,13 +474,13 @@ impl Connection {
             }
         }
         let ack = EventKind::Ack {
-            conn: self.id,
             sbf,
             sbf_ack: res.sbf_ack,
             data_ack: res.data_ack,
             rwnd: self.receiver.rwnd(),
         };
-        queue.push(self.now + self.subflows[sbf as usize].path.rev_delay, ack);
+        let at = self.now + self.subflows[sbf as usize].path.rev_delay;
+        queue.push(at, (self.id, ack));
         false
     }
 
@@ -712,9 +706,9 @@ impl Connection {
     /// fault window opening or closing. Like every event that names a
     /// subflow the connection does not have, one for an unknown index is
     /// ignored. Returns whether the scheduler should run: never.
-    pub(crate) fn change_path(&mut self, sbf: u32, change: impl FnOnce(&mut Path)) -> bool {
+    pub(crate) fn change_path(&mut self, sbf: u32, edit: PathEdit) -> bool {
         if let Some(s) = self.subflows.get_mut(sbf as usize) {
-            change(&mut s.path);
+            s.path.apply(edit);
         }
         false
     }
@@ -748,13 +742,7 @@ impl Connection {
     /// Ticks path manager `manager` again one interval from now.
     pub(crate) fn rearm_pm(&self, queue: &mut Events, manager: usize) {
         let at = self.now + self.managers[manager].interval;
-        queue.push(
-            at,
-            EventKind::PmTick {
-                conn: self.id,
-                manager,
-            },
-        );
+        queue.push(at, (self.id, EventKind::PmTick { manager }));
     }
 
     /// One stall-watchdog tick under containment. `None` without a
@@ -774,7 +762,7 @@ impl Connection {
             return None;
         }
         let progressed = record.watchdog_progressed(self.data_acked);
-        let (state, next) = (record.state, self.now + record.watchdog_period);
+        let (state, next) = (record.state, self.now + STALL_CHECK_INTERVAL);
         let live = self.subflows.iter().any(|s| s.established);
         // Schedulable work: data reachable through Q or RQ (the fallback
         // pops RQ even when the original program does not).
@@ -871,14 +859,13 @@ impl Connection {
         let departs = match outcome {
             TxOutcome::Arrives { at, departs } => {
                 let arrival = EventKind::Arrival {
-                    conn,
                     sbf,
                     sbf_seq,
                     data_seq,
                     pkt,
                     size,
                 };
-                queue.push(at, arrival);
+                queue.push(at, (conn, arrival));
                 Some(departs)
             }
             TxOutcome::LostOnWire { departs } => {
@@ -903,7 +890,7 @@ impl Connection {
         }
         if let Some(departs) = departs.filter(|&departs| departs > now) {
             let trigger = Trigger::Timer;
-            queue.push(departs, EventKind::Trigger { conn, trigger });
+            queue.push(departs, (conn, EventKind::Trigger { trigger }));
         }
     }
 
@@ -1037,9 +1024,9 @@ impl SchedulerEnv for Connection {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::path::PathConfig;
+    use crate::path::{Path, PathConfig};
     use crate::receiver::ReceiverMode;
     use crate::time::from_millis;
 
@@ -1072,10 +1059,18 @@ mod tests {
         )
     }
 
+    /// Enqueues `bytes` with property `prop` at time 0 and returns the
+    /// new segments: the tail of `Q` they were appended to.
+    pub(crate) fn enqueue(c: &mut Connection, bytes: u64, prop: u32) -> Vec<PacketRef> {
+        let before = c.queue(QueueKind::SendQueue).len();
+        c.enqueue_data(bytes, prop, 0);
+        c.queue(QueueKind::SendQueue)[before..].to_vec()
+    }
+
     #[test]
     fn enqueue_segments_data() {
         let mut c = make_conn();
-        let pkts = c.enqueue_data(3000, 7, 0);
+        let pkts = enqueue(&mut c, 3000, 7);
         assert_eq!(pkts.len(), 3, "3000 B at 1400 MSS -> 1400+1400+200");
         assert_eq!(c.q_bytes(), 3000);
         let seg = c.segment(pkts[2]).unwrap();
@@ -1087,7 +1082,7 @@ mod tests {
     #[test]
     fn meta_ack_removes_from_all_queues() {
         let mut c = make_conn();
-        let pkts = c.enqueue_data(2800, 0, 0);
+        let pkts = enqueue(&mut c, 2800, 0);
         // Simulate one pushed, one reinjection-queued.
         c.qu.push(pkts[0]);
         c.q.remove(0);
@@ -1104,14 +1099,14 @@ mod tests {
     /// The events left on `queue`, in the order they would fire.
     fn drain(queue: &mut Events) -> Vec<EventKind> {
         std::iter::from_fn(|| queue.pop())
-            .map(|(_, kind)| kind)
+            .map(|(_, (_, kind))| kind)
             .collect()
     }
 
     #[test]
     fn triple_dupack_triggers_fast_retransmit_and_reinjection() {
         let mut c = make_conn();
-        let pkts = c.enqueue_data(4200, 0, 0);
+        let pkts = enqueue(&mut c, 4200, 0);
         for &p in &pkts {
             c.qu.push(p);
             c.record_tx(0, p, 1400, 0, None);
@@ -1154,7 +1149,7 @@ mod tests {
     #[test]
     fn ack_advances_and_samples_rtt() {
         let mut c = make_conn();
-        let pkts = c.enqueue_data(1400, 0, 0);
+        let pkts = enqueue(&mut c, 1400, 0);
         c.record_tx(0, pkts[0], 1400, 0, None);
         c.now = from_millis(12);
         let mut queue = Events::new();
@@ -1169,7 +1164,7 @@ mod tests {
     #[test]
     fn rto_reinjects_all_in_flight() {
         let mut c = make_conn();
-        let pkts = c.enqueue_data(4200, 0, 0);
+        let pkts = enqueue(&mut c, 4200, 0);
         for &p in &pkts {
             c.qu.push(p);
             c.record_tx(0, p, 1400, 0, None);
@@ -1177,7 +1172,7 @@ mod tests {
         c.q = SendQueue::default();
         let mut queue = Events::new();
         c.subflows[0].arm_rto(&mut queue, 0, 0);
-        let Some((_, EventKind::Rto { token, .. })) = queue.pop() else {
+        let Some((_, (_, EventKind::Rto { token, .. }))) = queue.pop() else {
             panic!("arming schedules the timer");
         };
         c.now = from_millis(300);
@@ -1214,7 +1209,7 @@ mod tests {
     #[test]
     fn subflow_teardown_reinjects_in_flight() {
         let mut c = make_conn();
-        let pkts = c.enqueue_data(2800, 0, 0);
+        let pkts = enqueue(&mut c, 2800, 0);
         for &p in &pkts {
             c.qu.push(p);
             c.record_tx(1, p, 1400, 0, None);
@@ -1245,7 +1240,7 @@ mod tests {
     fn has_window_for_respects_advertised_window() {
         let mut c = make_conn();
         c.adv_rwnd = 2000;
-        let pkts = c.enqueue_data(4200, 0, 0);
+        let pkts = enqueue(&mut c, 4200, 0);
         assert!(c.has_window_for(SubflowId(0), pkts[0]));
         assert!(
             !c.has_window_for(SubflowId(0), pkts[2]),
@@ -1345,7 +1340,7 @@ mod tests {
                         // Long enough, now and then, for the dead prefix
                         // of `Q` to be compacted away.
                         let bytes = 1 + rng.below(if step % 7 == 0 { 120_000 } else { 9_000 });
-                        reference.send.extend(c.enqueue_data(bytes, 0, 0));
+                        reference.send.extend(enqueue(&mut c, bytes, 0));
                     }
                     2..=6 => {
                         let actions: Vec<Action> = (0..1 + rng.below(3))
@@ -1463,7 +1458,7 @@ mod tests {
     #[test]
     fn push_action_to_closed_subflow_keeps_packet() {
         let mut c = make_conn();
-        let pkts = c.enqueue_data(1400, 0, 0);
+        let pkts = enqueue(&mut c, 1400, 0);
         c.set_subflow_established(1, false);
         let regs = [0i64; NUM_REGISTERS];
         let mut tx = Vec::new();

@@ -23,7 +23,7 @@ use crate::faults::{ChaosRng, FaultClause, FaultPlan, LossModel};
 use crate::oracle::{
     check_properties, check_quiescent, InvariantOracle, OracleViolation, PropObservation,
 };
-use crate::path::{Path, PathProfileEntry};
+use crate::path::{Path, PathEdit};
 use crate::pathman::{PathManager, PmAction};
 use crate::receiver::Receiver;
 use crate::subflow::Subflow;
@@ -39,20 +39,20 @@ use std::time::Instant;
 /// Identifier of a connection within a [`Sim`].
 pub type ConnId = usize;
 
+/// What happens to the connection an event names; the calendar holds
+/// `(ConnId, EventKind)` pairs, so the connection is named once, in the
+/// envelope, and [`Sim::dispatch`] never writes to another one.
 #[derive(Debug, Clone)]
 pub(crate) enum EventKind {
     AppData {
-        conn: ConnId,
         bytes: u64,
         prop: u32,
     },
     SetRegister {
-        conn: ConnId,
         reg: RegId,
         value: i64,
     },
     Arrival {
-        conn: ConnId,
         sbf: u32,
         sbf_seq: u64,
         data_seq: u64,
@@ -60,111 +60,60 @@ pub(crate) enum EventKind {
         size: u32,
     },
     Ack {
-        conn: ConnId,
         sbf: u32,
         sbf_ack: u64,
         data_ack: u64,
         rwnd: u64,
     },
     Rto {
-        conn: ConnId,
         sbf: u32,
         token: u64,
     },
     Tlp {
-        conn: ConnId,
         sbf: u32,
         token: u64,
     },
-    SubflowUp {
-        conn: ConnId,
+    /// A subflow established (`up`) or torn down.
+    Subflow {
         sbf: u32,
+        up: bool,
     },
-    SubflowDown {
-        conn: ConnId,
+    /// A change to the path under a subflow: a profile entry, or a fault
+    /// window opening or closing.
+    Path {
         sbf: u32,
-    },
-    PathChange {
-        conn: ConnId,
-        sbf: u32,
-        /// Boxed: pushed once per profile entry at set-up, and 56 bytes
-        /// inline would widen every event the calendar holds.
-        entry: Box<PathProfileEntry>,
+        edit: PathEdit,
     },
     Refill {
-        conn: ConnId,
         source: usize,
     },
     PmTick {
-        conn: ConnId,
         manager: usize,
     },
     Trigger {
-        conn: ConnId,
         /// The cause, as the replay log prints it (`Debug`); the
         /// scheduler runs the same way for every cause.
         #[allow(dead_code)]
         trigger: Trigger,
     },
-    FaultLoss {
-        conn: ConnId,
-        sbf: u32,
-        model: Option<LossModel>,
-    },
-    FaultJitter {
-        conn: ConnId,
-        sbf: u32,
-        amplitude: Option<SimTime>,
-    },
     RwndStall {
-        conn: ConnId,
         stalled: bool,
     },
     /// Probationary re-admission of a quarantined scheduler (containment
     /// supervisor backoff timer).
-    Readmit {
-        conn: ConnId,
-    },
+    Readmit,
     /// Periodic per-connection stall watchdog tick (containment
     /// supervisor eventual-progress boundary).
-    StallCheck {
-        conn: ConnId,
-    },
+    StallCheck,
 }
 
 // Every queued event is a calendar node, so its size is the engine's
 // per-event memory traffic.
-const _: () = assert!(std::mem::size_of::<EventKind>() <= 48);
+const _: () = assert!(std::mem::size_of::<(ConnId, EventKind)>() <= 48);
 
-/// The event queue: every follow-up a connection schedules goes here.
-pub(crate) type Events = CalendarQueue<EventKind>;
-
-impl EventKind {
-    /// The one connection this event can mutate: [`Sim::dispatch`] never
-    /// writes to another, which is what lets the oracle re-check only
-    /// this one after the event.
-    fn conn(&self) -> ConnId {
-        match *self {
-            EventKind::AppData { conn, .. }
-            | EventKind::SetRegister { conn, .. }
-            | EventKind::Arrival { conn, .. }
-            | EventKind::Ack { conn, .. }
-            | EventKind::Rto { conn, .. }
-            | EventKind::Tlp { conn, .. }
-            | EventKind::SubflowUp { conn, .. }
-            | EventKind::SubflowDown { conn, .. }
-            | EventKind::PathChange { conn, .. }
-            | EventKind::Refill { conn, .. }
-            | EventKind::PmTick { conn, .. }
-            | EventKind::Trigger { conn, .. }
-            | EventKind::FaultLoss { conn, .. }
-            | EventKind::FaultJitter { conn, .. }
-            | EventKind::RwndStall { conn, .. }
-            | EventKind::Readmit { conn }
-            | EventKind::StallCheck { conn } => conn,
-        }
-    }
-}
+/// The event queue: every follow-up a connection schedules goes here,
+/// under the connection it names.
+pub(crate) type Events = CalendarQueue<(ConnId, EventKind)>;
 
 /// The discrete-event MPTCP simulator.
 ///
@@ -228,11 +177,10 @@ impl Sim {
     ///
     /// If containment is already enabled: a second supervisor would drop
     /// the first's incident log and re-admit every connection as healthy,
-    /// losing for good the scheduler a quarantined one has parked. Also
-    /// if `cfg.stall_check_interval` is zero (see [`Supervisor::new`]).
-    pub fn enable_containment(&mut self, cfg: ContainmentConfig) {
+    /// losing for good the scheduler a quarantined one has parked.
+    pub fn enable_containment(&mut self, _: ContainmentConfig) {
         assert!(self.supervisor.is_none(), "enable_containment called twice");
-        let sup = Supervisor::new(self.seed, cfg);
+        let sup = Supervisor::new(self.seed);
         for c in &mut self.connections {
             c.contain = Some(sup.admit(c.identity));
         }
@@ -267,11 +215,11 @@ impl Sim {
         self.oracle.as_mut()
     }
 
-    /// Queues `kind` at `time`, or now if `time` has already passed: the
-    /// clock never runs backwards, so every public scheduling method
-    /// reads a past time as now.
-    fn schedule(&mut self, time: SimTime, kind: EventKind) {
-        self.queue.push(time.max(self.now), kind);
+    /// Queues `kind` for `conn` at `time`, or now if `time` has already
+    /// passed: the clock never runs backwards, so every public scheduling
+    /// method reads a past time as now.
+    fn schedule(&mut self, time: SimTime, conn: ConnId, kind: EventKind) {
+        self.queue.push(time.max(self.now), (conn, kind));
     }
 
     /// Panics, naming `conn`, unless it is a connection of this
@@ -335,24 +283,17 @@ impl Sim {
             // RTT-based scheduling decisions at cold start read 0.
             sbf.rtt.sample(sc.path.fwd_delay + sc.path.rev_delay);
             subflows.push(sbf);
+            let index = i as u32;
             if sc.start_at > 0 {
-                self.schedule(
-                    sc.start_at,
-                    EventKind::SubflowUp {
-                        conn: id,
-                        sbf: i as u32,
-                    },
-                );
+                let up = EventKind::Subflow {
+                    sbf: index,
+                    up: true,
+                };
+                self.schedule(sc.start_at, id, up);
             }
             for entry in &sc.path.profile {
-                self.schedule(
-                    entry.at,
-                    EventKind::PathChange {
-                        conn: id,
-                        sbf: i as u32,
-                        entry: Box::new(*entry),
-                    },
-                );
+                let edit = PathEdit::Profile(Box::new(*entry));
+                self.schedule(entry.at, id, EventKind::Path { sbf: index, edit });
             }
         }
         let receiver = Receiver::new(cfg.receiver_mode, subflows.len(), cfg.recv_buf);
@@ -398,34 +339,34 @@ impl Sim {
     /// (now, if `at` has passed).
     pub fn app_send_at(&mut self, conn: ConnId, at: SimTime, bytes: u64, prop: u32) {
         self.check_conn(conn);
-        self.schedule(at, EventKind::AppData { conn, bytes, prop });
+        self.schedule(at, conn, EventKind::AppData { bytes, prop });
     }
 
     /// Schedules a register write (the extended API's `setRegister`) at
     /// `at` (now, if `at` has passed).
     pub fn set_register_at(&mut self, conn: ConnId, at: SimTime, reg: RegId, value: i64) {
         self.check_conn(conn);
-        self.schedule(at, EventKind::SetRegister { conn, reg, value });
+        self.schedule(at, conn, EventKind::SetRegister { reg, value });
     }
 
     /// Schedules a scheduler trigger (e.g. a timer-driven probe) at `at`
     /// (now, if `at` has passed).
     pub fn trigger_at(&mut self, conn: ConnId, at: SimTime, trigger: Trigger) {
         self.check_conn(conn);
-        self.schedule(at, EventKind::Trigger { conn, trigger });
+        self.schedule(at, conn, EventKind::Trigger { trigger });
     }
 
     /// Tears a subflow down at `at` (connection break / handover), or now
     /// if `at` has passed.
     pub fn subflow_down_at(&mut self, conn: ConnId, sbf: u32, at: SimTime) {
         self.check_conn(conn);
-        self.schedule(at, EventKind::SubflowDown { conn, sbf });
+        self.schedule(at, conn, EventKind::Subflow { sbf, up: false });
     }
 
     /// (Re-)establishes a subflow at `at`, or now if `at` has passed.
     pub fn subflow_up_at(&mut self, conn: ConnId, sbf: u32, at: SimTime) {
         self.check_conn(conn);
-        self.schedule(at, EventKind::SubflowUp { conn, sbf });
+        self.schedule(at, conn, EventKind::Subflow { sbf, up: true });
     }
 
     /// Expands a [`FaultPlan`] into scheduled events against `conn`:
@@ -435,13 +376,16 @@ impl Sim {
     /// scheduling mix freely.
     pub fn apply_fault_plan(&mut self, conn: ConnId, plan: &FaultPlan) {
         self.check_conn(conn);
-        let loss = |sbf, model| EventKind::FaultLoss { conn, sbf, model };
-        let jitter = |sbf, amplitude| EventKind::FaultJitter {
-            conn,
+        let loss = |sbf, model| EventKind::Path {
             sbf,
-            amplitude,
+            edit: PathEdit::Loss(model),
         };
-        let stall = |stalled| EventKind::RwndStall { conn, stalled };
+        let jitter = |sbf, amplitude| EventKind::Path {
+            sbf,
+            edit: PathEdit::Jitter(amplitude),
+        };
+        let subflow = |sbf, up| EventKind::Subflow { sbf, up };
+        let stall = |stalled| EventKind::RwndStall { stalled };
         for clause in &plan.clauses {
             let ((from, install), (until, restore)) = match *clause {
                 FaultClause::Blackout { sbf, from, until } => {
@@ -481,13 +425,10 @@ impl Sim {
                     sbf,
                     down_at,
                     up_at,
-                } => (
-                    (down_at, EventKind::SubflowDown { conn, sbf }),
-                    (up_at, EventKind::SubflowUp { conn, sbf }),
-                ),
+                } => ((down_at, subflow(sbf, false)), (up_at, subflow(sbf, true))),
             };
-            self.schedule(from, install);
-            self.schedule(until, restore);
+            self.schedule(from, conn, install);
+            self.schedule(until, conn, restore);
         }
     }
 
@@ -507,11 +448,10 @@ impl Sim {
         let at = self.now + manager.interval;
         let managers = &mut self.connections[conn].managers;
         let pm_tick = EventKind::PmTick {
-            conn,
             manager: managers.len(),
         };
         managers.push(manager);
-        self.schedule(at, pm_tick);
+        self.schedule(at, conn, pm_tick);
     }
 
     /// Adds a backlogged bulk sender that keeps `Q` topped up (an
@@ -520,11 +460,10 @@ impl Sim {
         self.check_conn(conn);
         let sources = &mut self.connections[conn].sources;
         let refill = EventKind::Refill {
-            conn,
             source: sources.len(),
         };
         sources.push(BulkState::new(total_bytes, prop));
-        self.schedule(0, refill);
+        self.schedule(0, conn, refill);
     }
 
     /// Adds a constant-bitrate source: every `chunk_interval`, enqueues
@@ -564,13 +503,12 @@ impl Sim {
     /// this one place on purpose: an early return through a second call
     /// for the unarmed case measured 5 % slower on the unarmed
     /// `fleet_bulk` benchmark workload.
-    fn step(&mut self, time: SimTime, kind: EventKind) {
+    fn step(&mut self, time: SimTime, (conn, kind): (ConnId, EventKind)) {
         self.now = time;
         self.events_processed += 1;
-        let conn = kind.conn();
         self.connections[conn].now = time;
         if let Some(oracle) = self.oracle.as_mut() {
-            oracle.log_event(time, &kind);
+            oracle.log_event(time, conn, &kind);
         }
         self.dispatch(conn, kind);
         if let Some(oracle) = self.oracle.as_mut() {
@@ -581,8 +519,8 @@ impl Sim {
     /// Steps through every event due by `horizon`.
     fn run_events(&mut self, horizon: SimTime) {
         while self.queue.next_time().is_some_and(|t| t <= horizon) {
-            let (time, kind) = self.queue.pop().expect("peeked");
-            self.step(time, kind);
+            let (time, event) = self.queue.pop().expect("peeked");
+            self.step(time, event);
         }
     }
 
@@ -650,8 +588,8 @@ impl Sim {
         let c = &mut self.connections[conn];
         let queue = &mut self.queue;
         let run = match kind {
-            EventKind::AppData { bytes, prop, .. } => c.on_data(queue, bytes, prop),
-            EventKind::SetRegister { reg, value, .. } => {
+            EventKind::AppData { bytes, prop } => c.on_data(queue, bytes, prop),
+            EventKind::SetRegister { reg, value } => {
                 c.set_register_direct(reg, value);
                 true
             }
@@ -661,38 +599,27 @@ impl Sim {
                 data_seq,
                 pkt,
                 size,
-                ..
             } => c.on_arrival(queue, sbf, sbf_seq, data_seq, pkt, size),
             EventKind::Ack {
                 sbf,
                 sbf_ack,
                 data_ack,
                 rwnd,
-                ..
             } => c.on_ack(queue, sbf, sbf_ack, data_ack, rwnd),
-            EventKind::Rto { sbf, token, .. } => c.on_rto(queue, sbf, token),
-            EventKind::Tlp { sbf, token, .. } => c.on_tlp(queue, sbf, token),
-            EventKind::SubflowUp { sbf, .. } => c.set_subflow_established(sbf as usize, true),
-            EventKind::SubflowDown { sbf, .. } => c.set_subflow_established(sbf as usize, false),
-            EventKind::PathChange { sbf, entry, .. } => {
-                c.change_path(sbf, |p| p.apply_profile(&entry))
-            }
-            EventKind::FaultLoss { sbf, model, .. } => {
-                c.change_path(sbf, |p| p.set_fault_loss(model))
-            }
-            EventKind::FaultJitter { sbf, amplitude, .. } => {
-                c.change_path(sbf, |p| p.set_jitter(amplitude))
-            }
-            EventKind::RwndStall { stalled, .. } => c.on_rwnd_stall(stalled),
+            EventKind::Rto { sbf, token } => c.on_rto(queue, sbf, token),
+            EventKind::Tlp { sbf, token } => c.on_tlp(queue, sbf, token),
+            EventKind::Subflow { sbf, up } => c.set_subflow_established(sbf as usize, up),
+            EventKind::Path { sbf, edit } => c.change_path(sbf, edit),
+            EventKind::RwndStall { stalled } => c.on_rwnd_stall(stalled),
             EventKind::Trigger { .. } => true,
-            EventKind::Refill { source, .. } => {
+            EventKind::Refill { source } => {
                 if c.on_refill(queue, source) {
                     self.run_scheduler(conn);
                 }
                 self.connections[conn].rearm_refill(&mut self.queue, source);
                 false
             }
-            EventKind::PmTick { manager, .. } => {
+            EventKind::PmTick { manager } => {
                 let actions = c.managers[manager].tick(&c.subflows);
                 let wrote = actions
                     .iter()
@@ -708,13 +635,13 @@ impl Sim {
                 self.connections[conn].rearm_pm(&mut self.queue, manager);
                 false
             }
-            EventKind::Readmit { .. } => {
+            EventKind::Readmit => {
                 let now = self.now;
                 self.supervisor
                     .as_mut()
                     .is_some_and(|sup| sup.readmit(now, c))
             }
-            EventKind::StallCheck { .. } => {
+            EventKind::StallCheck => {
                 self.stall_check(conn);
                 false
             }
@@ -877,7 +804,7 @@ impl Sim {
             FaultAction::Recorded => false,
             FaultAction::Pin => true,
             FaultAction::Quarantine { until } => {
-                self.schedule(until, EventKind::Readmit { conn });
+                self.schedule(until, conn, EventKind::Readmit);
                 true
             }
         }
@@ -893,7 +820,7 @@ impl Sim {
         if stalled && self.scheduler_fault(conn, FaultClass::ProgressStall, Vec::new()) {
             self.run_scheduler(conn);
         }
-        self.schedule(next, EventKind::StallCheck { conn });
+        self.schedule(next, conn, EventKind::StallCheck);
     }
 }
 
@@ -915,7 +842,7 @@ struct Fault {
 pub(crate) mod tests {
     use super::*;
     use crate::config::{ConnectionConfig, SchedulerSpec, SubflowConfig};
-    use crate::path::PathConfig;
+    use crate::path::{PathConfig, PathProfileEntry};
     use crate::time::{from_millis, SECONDS};
 
     /// Default scheduler used across engine tests: reinjections first,
@@ -1171,7 +1098,7 @@ pub(crate) mod tests {
         assert!(c.all_acked());
     }
 
-    /// One connection driven through all 17 event kinds: a bulk source,
+    /// One connection driven through all 14 event kinds: a bulk source,
     /// app sends, a CBR stream, a register write, a path-profile entry, a
     /// fault plan with every clause, a handover path manager, a scheduler
     /// that traps once under containment (quarantined, then re-admitted),
@@ -1187,7 +1114,7 @@ pub(crate) mod tests {
         use std::collections::HashMap;
 
         let mut sim = Sim::new(26);
-        sim.enable_containment(ContainmentConfig::default());
+        sim.enable_containment(ContainmentConfig);
         let profile = PathProfileEntry {
             at: from_millis(700),
             rate: Some(2_500_000),
@@ -1263,11 +1190,13 @@ pub(crate) mod tests {
 
         let mut kinds = HashMap::new();
         while sim.queue.next_time().is_some_and(|t| t <= 10 * SECONDS) {
-            let (time, kind) = sim.queue.pop().expect("peeked");
-            *kinds.entry(std::mem::discriminant(&kind)).or_insert(0u64) += 1;
-            sim.step(time, kind);
+            let (time, event) = sim.queue.pop().expect("peeked");
+            *kinds
+                .entry(std::mem::discriminant(&event.1))
+                .or_insert(0u64) += 1;
+            sim.step(time, event);
         }
-        assert_eq!(kinds.len(), 17, "every one of the 17 event kinds occurred");
+        assert_eq!(kinds.len(), 14, "every one of the 14 event kinds occurred");
         let c = &sim.connections[conn];
         assert!(c.all_acked());
         assert_eq!(sim.events_processed, 8189);
@@ -1328,8 +1257,8 @@ pub(crate) mod tests {
         sim.set_register_at(conn, 0, RegId::R1, 1);
         let mut clock = sim.now;
         while sim.queue.next_time().is_some_and(|t| t <= 30 * SECONDS) {
-            let (time, kind) = sim.queue.pop().expect("peeked");
-            sim.step(time, kind);
+            let (time, event) = sim.queue.pop().expect("peeked");
+            sim.step(time, event);
             assert!(sim.now >= clock, "the clock moved back to {time}");
             clock = sim.now;
         }
@@ -1367,7 +1296,7 @@ pub(crate) mod tests {
     #[should_panic(expected = "enable_containment called twice")]
     fn enabling_containment_twice_panics_at_the_call() {
         let mut sim = Sim::new(3);
-        sim.enable_containment(ContainmentConfig::default());
+        sim.enable_containment(ContainmentConfig);
         let conn = sim
             .add_connection(two_path_config(SchedulerSpec::Native(Box::new(
                 crate::native::NativeTrapping::new(0),
@@ -1379,21 +1308,6 @@ pub(crate) mod tests {
             sim.connections[conn].contain_state(),
             crate::supervisor::ContainState::Quarantined
         );
-        sim.enable_containment(ContainmentConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "stall_check_interval")]
-    fn a_zero_stall_check_interval_is_rejected() {
-        let mut sim = Sim::new(3);
-        sim.enable_containment(ContainmentConfig {
-            stall_check_interval: 0,
-            ..ContainmentConfig::default()
-        });
-        let conn = sim
-            .add_connection(two_path_config(SchedulerSpec::dsl(MIN_RTT_DSL)))
-            .unwrap();
-        sim.app_send_at(conn, 0, 100_000, 0);
-        sim.run_to_completion(10 * SECONDS);
+        sim.enable_containment(ContainmentConfig);
     }
 }

@@ -125,7 +125,7 @@ pub struct FleetConfig {
     pub horizon: SimTime,
     /// Oracle arming mode.
     pub oracle: OracleMode,
-    /// Containment supervisor configuration; `None` runs uncontained.
+    /// Whether the containment supervisor runs (`Some`) or not (`None`).
     /// Every containment decision (backoff draws, watchdog ticks,
     /// strikes) is a pure function of `(fleet seed, global index)` and
     /// of that one connection's history, so digests and incident logs
@@ -551,7 +551,7 @@ mod tests {
                 .with_workers(workers)
                 .with_horizon(120 * SECONDS)
                 .with_oracle(OracleMode::Collect)
-                .with_containment(ContainmentConfig::default());
+                .with_containment(ContainmentConfig);
             run_fleet(&cfg, chaotic)
         };
         let one = run(1);
@@ -595,7 +595,7 @@ mod tests {
                 .with_workers(workers)
                 .with_horizon(120 * SECONDS)
                 .with_oracle(OracleMode::Collect)
-                .with_containment(ContainmentConfig::default());
+                .with_containment(ContainmentConfig);
             run_fleet(&cfg, with_saboteur)
         };
         let render = |r: &FleetReport| -> Vec<String> {

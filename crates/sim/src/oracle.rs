@@ -101,7 +101,7 @@
 //!   stall (the program simply has no reinjection logic), not a bug.
 
 use crate::connection::Connection;
-use crate::engine::EventKind;
+use crate::engine::{ConnId, EventKind};
 use crate::time::SimTime;
 use progmp_core::env::{Action, PacketRef, QueueKind, SchedulerEnv};
 use progmp_core::verify::props::PropStatus;
@@ -273,7 +273,7 @@ pub struct InvariantOracle {
     pub violations: Vec<OracleViolation>,
     /// Violations evicted from the bounded buffer once it filled up.
     pub dropped_violations: u64,
-    log: VecDeque<(SimTime, EventKind)>,
+    log: VecDeque<(SimTime, ConnId, EventKind)>,
     marks: Vec<Marks>,
     stamps: QueueStamps,
     checks: u64,
@@ -298,21 +298,21 @@ impl InvariantOracle {
 
     /// Appends one event to the bounded replay log (a no-op with
     /// [`InvariantOracle::log_events`] off).
-    pub(crate) fn log_event(&mut self, time: SimTime, kind: &EventKind) {
+    pub(crate) fn log_event(&mut self, time: SimTime, conn: ConnId, kind: &EventKind) {
         if !self.log_events {
             return;
         }
         if self.log.len() == EVENT_LOG_CAP {
             self.log.pop_front();
         }
-        self.log.push_back((time, kind.clone()));
+        self.log.push_back((time, conn, kind.clone()));
     }
 
     /// The trailing event log, oldest first, one rendered line per event.
     pub fn event_log(&self) -> impl Iterator<Item = String> + '_ {
         self.log
             .iter()
-            .map(|(time, kind)| format!("t={time} {kind:?}"))
+            .map(|(time, conn, kind)| format!("t={time} conn={conn} {kind:?}"))
     }
 
     /// How many times [`InvariantOracle::check`] has run: one per event
@@ -691,7 +691,7 @@ pub(crate) mod tests {
     fn rq_only_strand_is_exempt_for_non_reinjecting_schedulers() {
         use progmp_core::env::{Action, SchedulerEnv, NUM_REGISTERS};
         let mut c = conn();
-        let pkts = c.enqueue_data(1400, 0, 0);
+        let pkts = crate::connection::tests::enqueue(&mut c, 1400, 0);
         // Move the segment Q -> QU (a scheduler PUSH), then into RQ
         // (suspected lost) — the post-fault state of a non-reinjecting
         // scheduler.
@@ -824,18 +824,15 @@ pub(crate) mod tests {
         let mut oracle = InvariantOracle::new("unit", false);
         let last = EVENT_LOG_CAP as u64 + 4;
         for t in 0..=last {
-            oracle.log_event(t, &EventKind::Readmit { conn: 3 });
+            oracle.log_event(t, 3, &EventKind::Readmit);
         }
         let log: Vec<String> = oracle.event_log().collect();
         assert_eq!(log.len(), EVENT_LOG_CAP);
-        assert_eq!(log[0], "t=5 Readmit { conn: 3 }");
-        assert_eq!(
-            log[EVENT_LOG_CAP - 1],
-            format!("t={last} Readmit {{ conn: 3 }}")
-        );
+        assert_eq!(log[0], "t=5 conn=3 Readmit");
+        assert_eq!(log[EVENT_LOG_CAP - 1], format!("t={last} conn=3 Readmit"));
 
         oracle.log_events = false;
-        oracle.log_event(last + 1, &EventKind::Readmit { conn: 3 });
+        oracle.log_event(last + 1, 3, &EventKind::Readmit);
         assert_eq!(oracle.event_log().last(), log.last().cloned());
     }
 

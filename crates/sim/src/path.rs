@@ -73,6 +73,21 @@ impl PathConfig {
     }
 }
 
+/// One change to a [`Path`], as an engine event carries it.
+#[derive(Debug, Clone)]
+pub(crate) enum PathEdit {
+    /// A profile entry's new rate, loss and delay. Boxed: pushed once per
+    /// entry at set-up, and 56 bytes inline would widen every event the
+    /// calendar holds.
+    Profile(Box<PathProfileEntry>),
+    /// Installs (or, with `None`, removes) a fault-injected loss process
+    /// overriding the baseline Bernoulli loss.
+    Loss(Option<LossModel>),
+    /// Installs (or removes) fault-injected per-packet delay jitter with
+    /// the given amplitude.
+    Jitter(Option<SimTime>),
+}
+
 /// Runtime state of one path.
 #[derive(Debug, Clone)]
 pub struct Path {
@@ -149,16 +164,23 @@ impl Path {
         self.rng = rng;
     }
 
-    /// Installs (or, with `None`, removes) a fault-injected loss process
-    /// overriding the baseline Bernoulli loss.
-    pub fn set_fault_loss(&mut self, model: Option<LossModel>) {
-        self.fault_loss = model;
-    }
-
-    /// Installs (or removes) fault-injected per-packet delay jitter with
-    /// the given amplitude.
-    pub fn set_jitter(&mut self, amplitude: Option<SimTime>) {
-        self.jitter = amplitude;
+    /// Applies one change to the path.
+    pub(crate) fn apply(&mut self, edit: PathEdit) {
+        match edit {
+            PathEdit::Profile(entry) => {
+                if let Some(r) = entry.rate {
+                    self.rate = r;
+                }
+                if let Some(l) = entry.loss {
+                    self.loss = l;
+                }
+                if let Some(d) = entry.fwd_delay {
+                    self.fwd_delay = d;
+                }
+            }
+            PathEdit::Loss(model) => self.fault_loss = model,
+            PathEdit::Jitter(amplitude) => self.jitter = amplitude,
+        }
     }
 
     /// Removes departed packets from the egress accounting.
@@ -226,25 +248,23 @@ impl Path {
             }
         }
     }
-
-    /// Applies a profile entry.
-    pub fn apply_profile(&mut self, entry: &PathProfileEntry) {
-        if let Some(r) = entry.rate {
-            self.rate = r;
-        }
-        if let Some(l) = entry.loss {
-            self.loss = l;
-        }
-        if let Some(d) = entry.fwd_delay {
-            self.fwd_delay = d;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::{from_millis, MILLIS};
+
+    /// A profile edit taking effect at `at`, keeping the delay.
+    fn profile(at: SimTime, rate: Option<u64>, loss: Option<f64>) -> PathEdit {
+        let entry = PathProfileEntry {
+            at,
+            rate,
+            loss,
+            fwd_delay: None,
+        };
+        PathEdit::Profile(Box::new(entry))
+    }
 
     fn path_10ms_10mbps() -> Path {
         // 10 Mbit/s = 1,250,000 B/s
@@ -316,12 +336,7 @@ mod tests {
     #[test]
     fn profile_changes_rate() {
         let mut p = path_10ms_10mbps();
-        p.apply_profile(&PathProfileEntry {
-            at: 0,
-            rate: Some(2_500_000),
-            loss: None,
-            fwd_delay: None,
-        });
+        p.apply(profile(0, Some(2_500_000), None));
         let TxOutcome::Arrives { departs, .. } = p.transmit_forced(0, 1250, false) else {
             panic!()
         };
@@ -342,12 +357,7 @@ mod tests {
             panic!()
         };
         assert_eq!((d1, d2), (MILLIS, 2 * MILLIS));
-        p.apply_profile(&PathProfileEntry {
-            at: MILLIS / 2,
-            rate: Some(625_000),
-            loss: None,
-            fwd_delay: None,
-        });
+        p.apply(profile(MILLIS / 2, Some(625_000), None));
         assert_eq!(p.queued(MILLIS / 2), 2, "committed packets unaffected");
         let TxOutcome::Arrives { departs: d3, .. } = p.transmit_forced(MILLIS / 2, 1250, false)
         else {
@@ -366,12 +376,7 @@ mod tests {
         for _ in 0..20 {
             assert!(matches!(p.transmit(0, 1250), TxOutcome::Arrives { .. }));
         }
-        p.apply_profile(&PathProfileEntry {
-            at: 25 * MILLIS,
-            rate: None,
-            loss: Some(1.0),
-            fwd_delay: None,
-        });
+        p.apply(profile(25 * MILLIS, None, Some(1.0)));
         for _ in 0..20 {
             assert!(matches!(
                 p.transmit(25 * MILLIS, 1250),
@@ -413,7 +418,7 @@ mod tests {
     fn jitter_draws_from_path_stream_and_only_delays_arrival() {
         let mut p = path_10ms_10mbps();
         p.reseed(ChaosRng::new(5));
-        p.set_jitter(Some(4 * MILLIS));
+        p.apply(PathEdit::Jitter(Some(4 * MILLIS)));
         let mut extras = Vec::new();
         for i in 0..32u64 {
             let now = i * 10 * MILLIS;
@@ -429,7 +434,7 @@ mod tests {
             extras.iter().any(|&e| e > 0),
             "jitter actually perturbs arrivals"
         );
-        p.set_jitter(None);
+        p.apply(PathEdit::Jitter(None));
         let TxOutcome::Arrives { at, departs } = p.transmit(320 * 10 * MILLIS, 1250) else {
             panic!()
         };
@@ -476,34 +481,27 @@ mod tests {
     #[test]
     fn queue_counts_survive_a_mid_run_rate_change() {
         for rate in [312_500, 5_000_000] {
-            queue_counts_match_a_full_recount(|p| {
-                p.apply_profile(&PathProfileEntry {
-                    at: 12 * MILLIS,
-                    rate: Some(rate),
-                    loss: None,
-                    fwd_delay: None,
-                })
-            });
+            queue_counts_match_a_full_recount(|p| p.apply(profile(12 * MILLIS, Some(rate), None)));
         }
     }
 
     #[test]
     fn queue_counts_survive_an_active_jitter_clause() {
-        queue_counts_match_a_full_recount(|p| p.set_jitter(Some(4 * MILLIS)));
+        queue_counts_match_a_full_recount(|p| p.apply(PathEdit::Jitter(Some(4 * MILLIS))));
     }
 
     #[test]
     fn fault_loss_overrides_baseline_and_restores() {
         let mut p = Path::new(&PathConfig::symmetric(from_millis(10), 1_250_000).with_loss(0.0));
         p.reseed(ChaosRng::new(9));
-        p.set_fault_loss(Some(LossModel::blackout()));
+        p.apply(PathEdit::Loss(Some(LossModel::blackout())));
         for i in 0..10u64 {
             assert!(matches!(
                 p.transmit(i * MILLIS * 10, 1250),
                 TxOutcome::LostOnWire { .. }
             ));
         }
-        p.set_fault_loss(None);
+        p.apply(PathEdit::Loss(None));
         assert!(matches!(
             p.transmit(200 * MILLIS, 1250),
             TxOutcome::Arrives { .. }

@@ -120,7 +120,7 @@ impl Subflow {
         self.rto_armed = true;
         self.rto_token += 1;
         let (sbf, token) = (self.id.0, self.rto_token);
-        queue.push(now + self.rtt.rto(), EventKind::Rto { conn, sbf, token });
+        queue.push(now + self.rtt.rto(), (conn, EventKind::Rto { sbf, token }));
     }
 
     /// Whether the retransmission timer carrying `token` is the armed one.
@@ -134,7 +134,7 @@ impl Subflow {
         self.tlp_armed = true;
         self.tlp_token += 1;
         let (sbf, token) = (self.id.0, self.tlp_token);
-        queue.push(at, EventKind::Tlp { conn, sbf, token });
+        queue.push(at, (conn, EventKind::Tlp { sbf, token }));
     }
 
     /// An acknowledgement arrived: pushes the probe deadline out, so the
@@ -375,7 +375,7 @@ mod tests {
         );
         c.subflows[0].rtt.sample(from_millis(20));
         let srtt_before = c.subflows[0].rtt.srtt();
-        let pkts = c.enqueue_data(1400, 0, 0);
+        let pkts = crate::connection::tests::enqueue(&mut c, 1400, 0);
         c.record_tx(0, pkts[0], 1400, 0, None);
 
         // Spurious timeout at 1 s: the segment is retransmitted on the

@@ -20,9 +20,8 @@
 //!    function of the connection's own history — fleet digests stay
 //!    bit-identical no matter how many workers the fleet is split
 //!    across;
-//! 3. trips a per-connection **circuit breaker** after
-//!    [`ContainmentConfig::max_strikes`] faults, pinning the fallback
-//!    permanently.
+//! 3. trips a per-connection **circuit breaker** after `MAX_STRIKES`
+//!    (3) faults, pinning the fallback permanently.
 //!
 //! Nothing here looks beyond the one connection that faulted, and none of
 //! it touches the invariant oracle: what the transport checks find is
@@ -31,8 +30,8 @@
 //! A connection's containment record — state, strikes, jitter stream,
 //! the parked scheduler, the stall watchdog's mark — is a field of the
 //! [`Connection`] it describes, next to the scheduler that is running.
-//! The supervisor keeps what is per-[`crate::Sim`]: the configuration,
-//! the seed and the incident log.
+//! The supervisor keeps what is per-[`crate::Sim`]: the seed and the
+//! incident log.
 //!
 //! Every transition emits a seed-replayable [`IncidentReport`], rendered
 //! in the integer-only replay style of [`crate::faults`]: re-running the
@@ -144,37 +143,31 @@ pub fn classify_exec_error(err: &ExecError) -> FaultClass {
     }
 }
 
-/// Containment knobs. The defaults quarantine aggressively and re-admit
-/// within a simulated second — tuned for transfers that should survive a
-/// misbehaving scheduler without missing their horizon.
-#[derive(Debug, Clone)]
-pub struct ContainmentConfig {
-    /// First-strike backoff before probationary re-admission.
-    pub base_backoff: SimTime,
-    /// Backoff ceiling (the exponential doubling saturates here).
-    pub max_backoff: SimTime,
-    /// Faults before the per-connection circuit breaker pins the
-    /// fallback permanently. Must be at least 1.
-    pub max_strikes: u32,
-    /// Period of the per-connection stall watchdog. The watchdog fires a
-    /// [`FaultClass::ProgressStall`] when a full period passes with
-    /// schedulable work, an available subflow, and zero forward progress.
-    /// Check times are multiples of this period from the connection's
-    /// own first-data event, so stall detection — like every other
-    /// containment decision — is invariant under fleet partitioning.
-    pub stall_check_interval: SimTime,
-}
+/// First-strike backoff before probationary re-admission; each further
+/// strike doubles it. Below [`MAX_STRIKES`] the longest is 400 ms plus
+/// jitter: containment quarantines aggressively and re-admits within a
+/// simulated second, so a transfer survives a misbehaving scheduler
+/// without missing its horizon.
+pub(crate) const BASE_BACKOFF: SimTime = 200 * MILLIS;
 
-impl Default for ContainmentConfig {
-    fn default() -> Self {
-        ContainmentConfig {
-            base_backoff: 200 * MILLIS,
-            max_backoff: 30 * SECONDS,
-            max_strikes: 3,
-            stall_check_interval: SECONDS,
-        }
-    }
-}
+/// Faults before the per-connection circuit breaker pins the fallback
+/// permanently.
+pub(crate) const MAX_STRIKES: u32 = 3;
+
+/// Period of the per-connection stall watchdog. The watchdog fires a
+/// [`FaultClass::ProgressStall`] when a full period passes with
+/// schedulable work, an available subflow, and zero forward progress.
+/// Check times are multiples of this period from the connection's own
+/// first-data event, so stall detection — like every other containment
+/// decision — is invariant under fleet partitioning.
+pub const STALL_CHECK_INTERVAL: SimTime = SECONDS;
+
+/// Turns containment on ([`crate::Sim::enable_containment`],
+/// [`crate::FleetConfig::with_containment`]). It has no settings: the
+/// first backoff (200 ms, doubled per strike), the strike limit (3) and
+/// the watchdog period ([`STALL_CHECK_INTERVAL`]) are constants.
+#[derive(Debug, Clone, Default)]
+pub struct ContainmentConfig;
 
 /// Where a connection sits in the containment state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -281,9 +274,6 @@ pub(crate) struct ConnContain {
     /// the scheduler re-admission restores, and the fault that put it
     /// here. `None` in every other state.
     pub(crate) parked: Option<(Installed, FaultClass)>,
-    /// The stall watchdog's period
-    /// ([`ContainmentConfig::stall_check_interval`]).
-    pub(crate) watchdog_period: SimTime,
     watchdog_armed: bool,
     progress_mark: u64,
 }
@@ -322,7 +312,6 @@ const SUPERVISED: &str = "a supervised connection carries its containment record
 
 /// The containment supervisor owned by one [`crate::Sim`].
 pub struct Supervisor {
-    cfg: ContainmentConfig,
     seed: u64,
     /// Every containment transition, in simulated-time order.
     pub incidents: Vec<IncidentReport>,
@@ -330,21 +319,8 @@ pub struct Supervisor {
 
 impl Supervisor {
     /// Creates a supervisor for a simulation seeded with `seed`.
-    ///
-    /// # Panics
-    ///
-    /// If `cfg.stall_check_interval` is zero: every watchdog check would
-    /// re-arm at the instant it fires, and the run would never advance.
-    pub fn new(seed: u64, cfg: ContainmentConfig) -> Self {
-        assert!(
-            cfg.stall_check_interval > 0,
-            "ContainmentConfig::stall_check_interval must be positive"
-        );
+    pub fn new(seed: u64) -> Self {
         Supervisor {
-            cfg: ContainmentConfig {
-                max_strikes: cfg.max_strikes.max(1),
-                ..cfg
-            },
             seed,
             incidents: Vec::new(),
         }
@@ -359,7 +335,6 @@ impl Supervisor {
             // independent of sharding and of other connections.
             rng: ChaosRng::for_path(self.seed ^ SUPERVISOR_SALT, identity, 0),
             parked: None,
-            watchdog_period: self.cfg.stall_check_interval,
             watchdog_armed: false,
             progress_mark: 0,
         })
@@ -404,19 +379,18 @@ impl Supervisor {
                     .replace(fallback)
                     .expect("scheduler is restored before fault handling");
                 entry.parked = Some((original, class.clone()));
-                if entry.strikes >= self.cfg.max_strikes {
+                if entry.strikes >= MAX_STRIKES {
                     entry.state = ContainState::Pinned;
                     (FaultAction::Pin, ContainAction::Pinned, 0)
                 } else {
                     entry.state = ContainState::Quarantined;
                     // Deterministic exponential backoff with jitter from
-                    // the per-connection stream: double per strike, cap,
-                    // and spread re-admissions so a fleet of identical
+                    // the per-connection stream: double per strike, and
+                    // spread re-admissions so a fleet of identical
                     // faulters does not thunder back in lockstep.
-                    let base = self.cfg.base_backoff.max(1);
-                    let exp = base.saturating_mul(1 << (entry.strikes - 1).min(30));
-                    let jitter = entry.rng.below(base / 2 + 1);
-                    let backoff = exp.min(self.cfg.max_backoff).saturating_add(jitter);
+                    let exp = BASE_BACKOFF << (entry.strikes - 1);
+                    let jitter = entry.rng.below(BASE_BACKOFF / 2 + 1);
+                    let backoff = exp + jitter;
                     let until = now + backoff;
                     (
                         FaultAction::Quarantine { until },
@@ -476,8 +450,8 @@ mod tests {
 
     /// A supervisor seeded with 42, and a connection admitted under it
     /// as identity 0.
-    fn sup(cfg: ContainmentConfig) -> (Supervisor, Connection) {
-        let s = Supervisor::new(42, cfg);
+    fn sup() -> (Supervisor, Connection) {
+        let s = Supervisor::new(42);
         let c = conn(&s, 0, 0);
         (s, c)
     }
@@ -534,10 +508,7 @@ mod tests {
 
     #[test]
     fn strike_ladder_quarantines_then_pins() {
-        let (mut s, mut c) = sup(ContainmentConfig {
-            max_strikes: 3,
-            ..ContainmentConfig::default()
-        });
+        let (mut s, mut c) = sup();
         assert_eq!(c.contain_state(), ContainState::Healthy);
         let fallback_budget = fallback_program().certified_step_bound();
 
@@ -561,7 +532,7 @@ mod tests {
         };
         // Exponential: the second backoff window is at least the base
         // doubled (jitter only adds).
-        assert!(until2 - (until1 + 5) >= 2 * s.cfg.base_backoff);
+        assert!(until2 - (until1 + 5) >= 2 * BASE_BACKOFF);
         assert!(s.readmit(until2, &mut c), "second probation");
 
         let a3 = s.on_fault(until2 + 5, &mut c, budget_fault());
@@ -589,7 +560,7 @@ mod tests {
 
     #[test]
     fn fallback_faults_are_recorded_without_double_parking() {
-        let (mut s, mut c) = sup(ContainmentConfig::default());
+        let (mut s, mut c) = sup();
         s.on_fault(0, &mut c, budget_fault());
         assert_eq!(c.contain_state(), ContainState::Quarantined);
         let again = s.on_fault(
@@ -619,7 +590,7 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_per_seed_and_identity() {
         let run = |seed: u64, id: usize, identity: u64| {
-            let mut s = Supervisor::new(seed, ContainmentConfig::default());
+            let mut s = Supervisor::new(seed);
             let mut c = conn(&s, id, identity);
             match s.on_fault(0, &mut c, budget_fault()) {
                 FaultAction::Quarantine { until } => until,
@@ -646,30 +617,8 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_per_strike_up_to_the_ceiling() {
-        let (mut s, mut c) = sup(ContainmentConfig {
-            base_backoff: SECONDS,
-            max_backoff: 3 * SECONDS,
-            max_strikes: 64,
-            ..ContainmentConfig::default()
-        });
-        let mut now = 0;
-        for strike in 1..=40 {
-            let FaultAction::Quarantine { until } = s.on_fault(now, &mut c, budget_fault()) else {
-                panic!("strike {strike} of 64 must quarantine");
-            };
-            // 1 s, 2 s, then the 3 s ceiling; jitter adds at most half the
-            // base.
-            let floor = (SECONDS << (strike - 1).min(2)).min(3 * SECONDS);
-            assert!((floor..=floor + SECONDS / 2).contains(&(until - now)));
-            assert!(s.readmit(until, &mut c));
-            now = until;
-        }
-    }
-
-    #[test]
     fn replay_strings_are_integer_only_and_seeded() {
-        let (mut s, mut c) = sup(ContainmentConfig::default());
+        let (mut s, mut c) = sup();
         s.on_fault(123, &mut c, budget_fault());
         let inc = &s.incidents[0];
         assert_eq!(inc.replay, "seed=42 conn=0 class=step-budget at=123");

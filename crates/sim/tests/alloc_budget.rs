@@ -110,7 +110,7 @@ fn scenario(i: usize, loss: f64, four_sends: bool) -> ConnScenario {
 fn run(lossy: bool, oracle: bool) -> (u64, u64) {
     let mut sim = Sim::new(7);
     if lossy {
-        sim.enable_containment(ContainmentConfig::default());
+        sim.enable_containment(ContainmentConfig);
     }
     if oracle {
         sim.enable_oracle("alloc budget", false);

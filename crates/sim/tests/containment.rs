@@ -4,6 +4,7 @@
 //! permanently stalled connections, and every incident must be
 //! reproducible from its replay string alone.
 
+use mptcp_sim::supervisor::STALL_CHECK_INTERVAL;
 use mptcp_sim::time::{from_millis, SECONDS};
 use mptcp_sim::{
     ConnectionConfig, ContainAction, ContainState, ContainmentConfig, FaultClass, FaultClause,
@@ -31,7 +32,7 @@ fn two_paths() -> Vec<SubflowConfig> {
 /// supervisor makes.
 fn contained_sim(seed: u64, cfg: ConnectionConfig) -> Sim {
     let mut sim = Sim::new(seed);
-    sim.enable_containment(ContainmentConfig::default());
+    sim.enable_containment(ContainmentConfig);
     sim.enable_oracle(format!("seed {seed}"), true);
     sim.add_connection(cfg).unwrap();
     sim
@@ -93,7 +94,7 @@ fn starver_is_contained_by_the_stall_watchdog() {
     assert_eq!(stall.action, ContainAction::Quarantined);
     // The watchdog ticks on the connection's own clock: first check one
     // period after the data arrived.
-    assert_eq!(stall.at, ContainmentConfig::default().stall_check_interval);
+    assert_eq!(stall.at, STALL_CHECK_INTERVAL);
 }
 
 #[test]
@@ -547,7 +548,7 @@ fn arming_order_does_not_matter() {
         if oracle_first {
             sim.enable_oracle("seed 29", true);
         }
-        sim.enable_containment(ContainmentConfig::default());
+        sim.enable_containment(ContainmentConfig);
         if !oracle_first {
             sim.enable_oracle("seed 29", true);
         }

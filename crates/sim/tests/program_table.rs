@@ -281,7 +281,7 @@ fn readmission_restores_exactly_what_quarantine_parked() {
     let mut cfg = ConnectionConfig::new(paths(2), SchedulerSpec::program(&original, Backend::Vm));
     cfg.step_budget = Some(5_000);
     let mut sim = Sim::new(19);
-    sim.enable_containment(ContainmentConfig::default());
+    sim.enable_containment(ContainmentConfig);
     sim.enable_oracle("seed 19", true);
     sim.add_connection(cfg).unwrap();
     runs(&sim, 0, &original);

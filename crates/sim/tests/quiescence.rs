@@ -68,7 +68,7 @@ fn run(name: &str, source: &str, scenario: Scenario) -> Outcome {
     match scenario {
         Scenario::Clean => {}
         Scenario::Lossy => {
-            sim.enable_containment(ContainmentConfig::default());
+            sim.enable_containment(ContainmentConfig);
             sim.apply_fault_plan(conn, &FaultPlan::generate(SEED, 2, 10 * SECONDS));
         }
         Scenario::Oracle => sim.enable_oracle(format!("{name} {scenario:?}"), false),

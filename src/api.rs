@@ -376,7 +376,7 @@ mod tests {
         let default = api.program("default").unwrap();
         let (mut sim, conn) = sim_with(SchedulerSpec::program(default, Backend::Vm));
         armed(&sim.connections[conn], "default");
-        sim.enable_containment(mptcp_sim::ContainmentConfig::default());
+        sim.enable_containment(mptcp_sim::ContainmentConfig);
         sim.enable_oracle("swap", true);
         sim.app_send_at(conn, 0, 100_000, 0);
         sim.run_until(from_millis(30));
